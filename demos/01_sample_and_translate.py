@@ -36,7 +36,7 @@ for i in range(3):
     print(f"program {i + 1} (accepted after {sampled.attempts} attempts)")
     print(f"  term:  {to_sexpr(term)}")
     print(f"  type:  {typecheck(term)!r}")
-    program = translate(term, arity=1)
+    program = sampled.program  # the translation the outputs came from
     print("  translation:")
     for line in program.source.splitlines():
         print(f"    {line}")

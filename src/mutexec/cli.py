@@ -10,19 +10,21 @@ hashes, and tool version.  Usage errors exit 2, pipeline failures exit 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import os
 import random
 import sys
 
 from . import __version__, datasets, harness, metrics
-from .dsl import list_dsl, parse_sexpr, to_sexpr
+from .dsl import PRIM_BY_NAME, list_dsl, parse_sexpr, to_sexpr
 from .executors import DEFAULT_TIMEOUT, BuiltinExecutor, ExternalExecutor
 from .grammar import SamplerConfig, compile_cfg, list_program_type, sample_valid_program
 from .llm_client import ModelConfig, Transcript, parse_model_spec
 from .mutate import mutate_dataset
-from .problems import load_jsonl, pair_by_id, save_jsonl
+from .problems import atomic_writer, load_jsonl, pair_by_id, save_jsonl
 from .transpile import translate
 from .values import canonical_repr, format_args
 
@@ -66,8 +68,7 @@ def write_manifest(out_path: str, command: str, args: argparse.Namespace,
         "outputs": outputs,
     }
     manifest.update(extra or {})
-    path = out_path + ".manifest.json"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_writer(out_path + ".manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -93,7 +94,9 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, argv: list[str]) 
         if key not in values:
             continue
         raw = values[key]
-        if action.type is not None:
+        if isinstance(action, argparse._AppendAction):
+            defaults[key] = [action.type(raw)]
+        elif action.type is not None:
             defaults[key] = action.type(raw)
         elif isinstance(action.default, bool):
             defaults[key] = raw.lower() in ("1", "true", "yes")
@@ -104,15 +107,24 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, argv: list[str]) 
     subparser.set_defaults(**defaults)
 
 
+def _weight(text: str) -> tuple[str, float]:
+    """``--weight NAME=W``: a DSL primitive and its sampling weight."""
+    name, _, value = text.partition("=")
+    try:
+        weight = float(value)
+    except ValueError:
+        weight = math.nan
+    if name not in PRIM_BY_NAME or not 0 <= weight < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected NAME=W, a primitive and a number >= 0, got {text!r}")
+    return name, weight
+
+
 def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
-    overrides = {}
-    for item in (args.weight or []):
-        name, _, value = item.partition("=")
-        overrides[name] = float(value)
     return SamplerConfig(
         program_type=list_program_type(args.arity),
         max_depth=args.depth,
-        weight_overrides=overrides,
+        weight_overrides=dict(args.weight or ()),
         rng_seed=args.seed,
         input_count=args.input_count,
         list_len_range=(args.list_len_min, args.list_len_max),
@@ -181,10 +193,6 @@ def cmd_transpile(args) -> int:
 
 
 def cmd_build_dsl_list(args) -> int:
-    overrides = {}
-    for item in (args.weight or []):
-        name, _, value = item.partition("=")
-        overrides[name] = float(value)
     config = datasets.DslListConfig(
         seed=args.seed,
         programs_per_combo=args.programs_per_combo,
@@ -192,7 +200,7 @@ def cmd_build_dsl_list(args) -> int:
         input_count=args.input_count,
         list_len_range=(args.list_len_min, args.list_len_max),
         element_range=(args.element_min, args.element_max),
-        weight_overrides=overrides,
+        weight_overrides=dict(args.weight or ()),
         max_attempts=args.max_attempts,
     )
     problems = datasets.build_dsl_list(config)
@@ -283,56 +291,40 @@ def _model_config_sha(args) -> str:
     ).hexdigest()
 
 
-def cmd_run_pred(args) -> int:
+def _run_model(args, command: str, kind: str, load_records, run) -> int:
+    """Shared body of run-pred and run-choice: resume or restart the records
+    file, run the experiment, and write the manifest."""
     if not _check_templates():
         return 1
     originals = load_jsonl(args.orig)
     mutants = load_jsonl(args.mut)
-    pairs = pair_by_id(originals, mutants)
-    model, transcript = _make_model(args, pairs=pairs)
+    model, transcript = _make_model(args, pairs=pair_by_id(originals, mutants))
     resume = None
-    if args.resume and os.path.exists(args.out):
-        resume = harness.load_prediction_records(args.out)
-    elif os.path.exists(args.out) and not args.resume:
-        os.unlink(args.out)
+    if os.path.exists(args.out):
+        if args.resume:
+            resume = load_records(args.out)
+        else:
+            os.unlink(args.out)
     try:
-        records = harness.run_prediction(
-            originals, mutants, model, n=args.n, mode=args.mode,
-            out_path=args.out, resume=resume,
-        )
+        records = run(originals, mutants, model, mode=args.mode,
+                      out_path=args.out, resume=resume)
     finally:
         model.close()
-    write_manifest(args.out, "run-pred", args, [args.orig, args.mut], [args.out],
+    write_manifest(args.out, command, args, [args.orig, args.mut], [args.out],
                    extra={"model_config_sha": _model_config_sha(args)})
-    print(f"{len(records)} prediction records -> {args.out} "
+    print(f"{len(records)} {kind} records -> {args.out} "
           f"({transcript.entries} model calls logged)")
     return 0
+
+
+def cmd_run_pred(args) -> int:
+    return _run_model(args, "run-pred", "prediction", harness.load_prediction_records,
+                      functools.partial(harness.run_prediction, n=args.n))
 
 
 def cmd_run_choice(args) -> int:
-    if not _check_templates():
-        return 1
-    originals = load_jsonl(args.orig)
-    mutants = load_jsonl(args.mut)
-    pairs = pair_by_id(originals, mutants)
-    model, transcript = _make_model(args, pairs=pairs)
-    resume = None
-    if args.resume and os.path.exists(args.out):
-        resume = harness.load_choice_records(args.out)
-    elif os.path.exists(args.out) and not args.resume:
-        os.unlink(args.out)
-    try:
-        records = harness.run_choice(
-            originals, mutants, model, mode=args.mode,
-            out_path=args.out, resume=resume,
-        )
-    finally:
-        model.close()
-    write_manifest(args.out, "run-choice", args, [args.orig, args.mut], [args.out],
-                   extra={"model_config_sha": _model_config_sha(args)})
-    print(f"{len(records)} choice records -> {args.out} "
-          f"({transcript.entries} model calls logged)")
-    return 0
+    return _run_model(args, "run-choice", "choice", harness.load_choice_records,
+                      harness.run_choice)
 
 
 def cmd_report(args) -> int:
@@ -383,7 +375,7 @@ def _add_sampler_options(parser):
     parser.add_argument("--element-min", type=int, default=0)
     parser.add_argument("--element-max", type=int, default=5)
     parser.add_argument("--max-attempts", type=int, default=10_000)
-    parser.add_argument("--weight", action="append", metavar="NAME=W",
+    parser.add_argument("--weight", action="append", type=_weight, metavar="NAME=W",
                         help="override a primitive weight (repeatable)")
 
 
@@ -509,7 +501,7 @@ def dispatch(argv: list[str] | None = None) -> int:
     if command is not None:
         try:
             _apply_config_defaults(subparsers.choices[command], argv)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
             print(f"error reading config: {exc}", file=sys.stderr)
             return 2
     args = parser.parse_args(argv)

@@ -27,7 +27,7 @@ from .grammar import (
     sample_valid_program,
 )
 from .problems import Problem
-from .transpile import translate
+from .transpile import translate  # noqa: F401  bench/tracing.py wraps datasets.translate
 from .values import canonical_repr, contains_float, format_args, parse_args
 
 LOC_BINS: tuple[tuple[int, int], ...] = ((4, 8), (8, 12), (12, 16), (16, 20), (20, 24))
@@ -55,14 +55,12 @@ class DslListConfig:
     element_range: tuple[int, int] = (0, 5)
     weight_overrides: dict[str, float] = field(default_factory=dict)
     max_attempts: int = 10_000
-    function_name: str = "f"
 
 
 @dataclass
 class _Sampled:
     term: object
     depth: int
-    arity: int
     source: str
     loc: int
     inputs: list[tuple]
@@ -91,9 +89,8 @@ def build_dsl_list(config: DslListConfig | None = None) -> list[Problem]:
             rng = random.Random(f"{config.seed}:dsl:{arity}:{depth}")
             for _ in range(config.programs_per_combo):
                 sp = sample_valid_program(cfg, sampler_config, rng=rng)
-                program = translate(sp.term, config.function_name, arity)
                 pool.append(_Sampled(
-                    sp.term, depth, arity, program.source, program.loc,
+                    sp.term, depth, sp.program.source, sp.program.loc,
                     sp.inputs, sp.outputs,
                 ))
 
@@ -117,7 +114,7 @@ def build_dsl_list(config: DslListConfig | None = None) -> list[Problem]:
                     id=f"{program_id}-x{input_index}",
                     dataset="dsl-list",
                     source=sampled.source,
-                    function_name=config.function_name,
+                    function_name="f",
                     input=format_args(args),
                     output=canonical_repr(output),
                     loc=sampled.loc,
@@ -125,7 +122,7 @@ def build_dsl_list(config: DslListConfig | None = None) -> list[Problem]:
                     program_id=program_id,
                     dsl_text=to_sexpr(sampled.term),
                     depth=sampled.depth,
-                    arity=sampled.arity,
+                    arity=arity,
                 ))
     return problems
 

@@ -535,9 +535,6 @@ class EvalOutcome:
     error_kind: str | None = None
 
 
-_EXPR_FN_HEADS = ("length", "index", "==", "<", ">", "&&", "||", "!")
-
-
 class _Run:
     def __init__(self, root: Term, args: tuple):
         self.root = root

@@ -166,11 +166,3 @@ class ExternalExecutor:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def make_executor(kind: str, command=None, timeout: float = DEFAULT_TIMEOUT):
-    if kind == "builtin":
-        return BuiltinExecutor()
-    if kind == "external":
-        return ExternalExecutor(command, timeout)
-    raise ValueError(f"unknown executor kind {kind!r}")

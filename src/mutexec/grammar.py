@@ -419,13 +419,6 @@ class Sampler:
         )
 
 
-def draw_production(
-    cfg: Cfg, nt: NT, rng: random.Random, overrides: dict[str, float] | None = None
-) -> Production:
-    """One weighted draw among a nonterminal's productions."""
-    return Sampler(cfg, overrides).draw(nt, rng)
-
-
 def sample(cfg: Cfg, config: SamplerConfig, rng: random.Random | None = None) -> Term:
     """Sample one term top-down; deterministic given the rng seed."""
     rng = rng or random.Random(config.rng_seed)
@@ -449,17 +442,15 @@ def sample_inputs(
     return out
 
 
-def default_executor(term: Term, args: tuple):
-    """Ground-truth executor: run the imperative translation."""
-    program = transpile.translate(term, arity=max(
-        (n.value for n in term.walk() if n.is_param), default=1
-    ))
+def default_executor(program: transpile.ImpProgram, args: tuple):
+    """Ground-truth executor: interpret the imperative translation."""
     return interpret(program.ast, args, Limits())
 
 
 @dataclass
 class SampledProgram:
     term: Term
+    program: transpile.ImpProgram  # the one translation the outputs came from
     inputs: list[tuple]
     outputs: list
     attempts: int
@@ -472,7 +463,12 @@ def sample_valid_program(
     rng: random.Random | None = None,
 ) -> SampledProgram:
     """Rejection-sample until a program passes s1-s4, executes cleanly on all
-    sampled inputs, and does not produce the same output on every input."""
+    sampled inputs, and does not produce the same output on every input.
+
+    Each candidate that passes s1-s4 is translated once; ``executor(program,
+    args)`` runs that translation on every input, and the accepted one is
+    returned as ``SampledProgram.program``.
+    """
     rng = rng or random.Random(config.rng_seed)
     run = executor or default_executor
     arity = cfg.arity
@@ -482,10 +478,11 @@ def sample_valid_program(
         if check_constraints(term, "sample", cfg.constraints, arity=arity):
             continue
         inputs = sample_inputs(arity, config, rng)
+        program = transpile.translate(term, arity=arity)
         outputs = []
         ok = True
         for args in inputs:
-            result = run(term, args)
+            result = run(program, args)
             if result.status != "ok":
                 ok = False
                 break
@@ -494,7 +491,7 @@ def sample_valid_program(
             continue
         if len(outputs) > 1 and all(values_equal(outputs[0], o) for o in outputs[1:]):
             continue
-        return SampledProgram(term, inputs, outputs, attempt)
+        return SampledProgram(term, program, inputs, outputs, attempt)
     raise AttemptsExhausted(f"no valid program in {config.max_attempts} attempts")
 
 

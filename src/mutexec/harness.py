@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -318,6 +319,8 @@ class _RecordSink:
         self.path = path
         self.lock = threading.Lock()
         self.records: list = []
+        if path and os.path.exists(path):
+            _end_on_line_boundary(path)
 
     def append(self, record) -> None:
         with self.lock:
@@ -336,12 +339,32 @@ def load_choice_records(path: str) -> list[ChoiceRecord]:
 
 
 def _load_records(path: str, cls):
+    """Records of a JSONL file.  A last line that lacks its newline and does
+    not parse is the torn tail of an interrupted append and is dropped; any
+    other malformed line raises."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line in fh:
             if line.strip():
-                out.append(cls(**json.loads(line)))
+                try:
+                    out.append(cls(**json.loads(line.decode("utf-8"))))
+                except ValueError:
+                    if line.endswith(b"\n"):
+                        raise
     return out
+
+
+def _end_on_line_boundary(path: str) -> None:
+    """Cut a torn last line, or end a whole one, so appends start a line."""
+    with open(path, "rb+") as fh:
+        data = fh.read()
+        start = data.rfind(b"\n") + 1
+        if start < len(data):
+            try:
+                json.loads(data[start:])
+                fh.write(b"\n")
+            except ValueError:
+                fh.truncate(start)
 
 
 def _pair_is_boolean(original: Problem, mutant: Problem) -> bool:

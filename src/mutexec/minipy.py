@@ -187,7 +187,6 @@ class Module:
 # ---------------------------------------------------------------------------
 # Parser
 
-_ARITH_OPS = ("+", "-", "*", "//", "%")
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 _METHODS = ("append", "extend", "pop")
 

@@ -8,15 +8,12 @@ diffable and ground truths can be re-verified by re-execution.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass
 
 from .values import Value, parse_args, parse_literal
-
-DATASET_TAGS = ("dsl-list", "llm-list", "external")
-EXECUTOR_KINDS = ("builtin", "external")
 
 
 @dataclass(frozen=True)
@@ -49,20 +46,27 @@ class Problem:
         return cls(**data)
 
 
-def save_jsonl(problems: list[Problem], path: str) -> None:
-    """Write atomically: the file either has the full set or is untouched."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+@contextlib.contextmanager
+def atomic_writer(path: str):
+    """A text handle on a temp file that replaces ``path`` on a clean exit,
+    so ``path`` either has the full content or is untouched.  The temp file
+    is opened like any other, so the result gets the usual permissions."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            for p in problems:
-                fh.write(json.dumps(p.to_json(), ensure_ascii=False) + "\n")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_jsonl(problems: list[Problem], path: str) -> None:
+    with atomic_writer(path) as fh:
+        for p in problems:
+            fh.write(json.dumps(p.to_json(), ensure_ascii=False) + "\n")
 
 
 def load_jsonl(path: str) -> list[Problem]:

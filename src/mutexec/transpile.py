@@ -32,10 +32,8 @@ class UntranslatableNode(Exception):
 class ImpProgram:
     source: str
     ast: minipy.Module
-    line_map: dict[int, int]  # id(term node) -> 1-based line of its statement
     function_name: str
     loc: int
-    params: tuple[str, ...] = ()
 
 
 _INDENT = "    "
@@ -60,7 +58,6 @@ class _Translator:
         self.exprs: dict[int, str] = {}
         self.prec: dict[int, int] = {}
         self.lines: list[str] = []
-        self.line_map: dict[int, int] = {}
 
     # -- expression assembly
 
@@ -116,26 +113,23 @@ class _Translator:
 
     # -- statement emission
 
-    def emit(self, depth: int, text: str, node: Term | None = None) -> None:
+    def emit(self, depth: int, text: str) -> None:
         self.lines.append(_INDENT * (depth + 1) + text)
-        if node is not None and id(node) not in self.line_map:
-            # position within the body; run() shifts by the header length
-            self.line_map[id(node)] = len(self.lines)
 
     def emit_statement(self, node: Term) -> None:
         c = node.children
         e = self.exprs
         if node.head == "append":
-            self.emit(0, f"{e[id(c[1])]}.append({e[id(c[0])]})", node)
+            self.emit(0, f"{e[id(c[1])]}.append({e[id(c[0])]})")
         elif node.head == "extend":
-            self.emit(0, f"{e[id(c[1])]}.extend({e[id(c[0])]})", node)
+            self.emit(0, f"{e[id(c[1])]}.extend({e[id(c[0])]})")
         elif node.head == "init":
-            self.emit(0, f"{e[id(c[0])]}.pop()", node)
+            self.emit(0, f"{e[id(c[0])]}.pop()")
         elif node.head == "tail":
-            self.emit(0, f"{e[id(c[0])]}.pop(0)", node)
+            self.emit(0, f"{e[id(c[0])]}.pop(0)")
         elif node.head == "if":
             v = self.vnames[id(node)]
-            self.emit(0, f"if {e[id(c[0])]}:", node)
+            self.emit(0, f"if {e[id(c[0])]}:")
             self.emit(1, f"{v} = {e[id(c[1])]}")
             self.emit(0, "else:")
             self.emit(1, f"{v} = {e[id(c[2])]}")
@@ -148,34 +142,34 @@ class _Translator:
         if depth >= len(_LOOP_VARS):
             raise UntranslatableNode("map nesting too deep")
         var = _LOOP_VARS[depth]
-        self.emit(depth, f"for {var} in range(len({list_expr})):", node)
+        self.emit(depth, f"for {var} in range(len({list_expr})):")
         self.apply_fn(node.children[0], f"{list_expr}[{var}]", depth + 1)
 
     def apply_fn(self, fn: Term, elem: str, depth: int) -> None:
         c = fn.children
         e = self.exprs
         if fn.head == "length":
-            self.emit(depth, f"{elem} = len({elem})", fn)
+            self.emit(depth, f"{elem} = len({elem})")
         elif fn.head == "index":
-            self.emit(depth, f"{elem} = {elem}[{e[id(c[0])]}]", fn)
+            self.emit(depth, f"{elem} = {elem}[{e[id(c[0])]}]")
         elif fn.head in ("==", "<", ">"):
-            self.emit(depth, f"{elem} = {e[id(c[0])]} {fn.head} {elem}", fn)
+            self.emit(depth, f"{elem} = {e[id(c[0])]} {fn.head} {elem}")
         elif fn.head in ("&&", "||"):
             op = "and" if fn.head == "&&" else "or"
-            self.emit(depth, f"{elem} = {self.wrap(c[0], _PREC[fn.head])} {op} {elem}", fn)
+            self.emit(depth, f"{elem} = {self.wrap(c[0], _PREC[fn.head])} {op} {elem}")
         elif fn.head == "!":
-            self.emit(depth, f"{elem} = not {elem}", fn)
+            self.emit(depth, f"{elem} = not {elem}")
         elif fn.head == "append":
-            self.emit(depth, f"{elem}.append({e[id(c[0])]})", fn)
+            self.emit(depth, f"{elem}.append({e[id(c[0])]})")
         elif fn.head == "extend":
-            self.emit(depth, f"{elem}.extend({e[id(c[0])]})", fn)
+            self.emit(depth, f"{elem}.extend({e[id(c[0])]})")
         elif fn.head == "init":
-            self.emit(depth, f"{elem}.pop()", fn)
+            self.emit(depth, f"{elem}.pop()")
         elif fn.head == "tail":
-            self.emit(depth, f"{elem}.pop(0)", fn)
+            self.emit(depth, f"{elem}.pop(0)")
         elif fn.head == "if":
             v = self.vnames[id(fn)]
-            self.emit(depth, f"if {e[id(c[0])]}:", fn)
+            self.emit(depth, f"if {e[id(c[0])]}:")
             self.emit(depth + 1, f"{v} = {e[id(c[1])]}")
             self.emit(depth, "else:")
             self.emit(depth + 1, f"{v} = {elem}")
@@ -206,16 +200,12 @@ class _Translator:
             else:
                 inits = ", ".join("[]" for _ in empties)
                 header.append(f"{_INDENT}{', '.join(empties)} = {inits}")
-        offset = len(header)
-        line_map = {k: v + offset for k, v in self.line_map.items()}
         source = "\n".join(header + self.lines)
         return ImpProgram(
             source=source,
             ast=minipy.parse(source),
-            line_map=line_map,
             function_name=self.function_name,
             loc=len(header) + len(self.lines),
-            params=params,
         )
 
 

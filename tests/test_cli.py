@@ -1,10 +1,12 @@
 import json
 import os
+import random
 
 import pytest
 
+from mutexec import harness
 from mutexec.cli import dispatch, load_config_file
-from mutexec.problems import load_jsonl
+from mutexec.problems import atomic_writer, load_jsonl
 
 
 def read_jsonl(path):
@@ -137,6 +139,27 @@ class TestRunAndReport:
     def test_report_requires_input(self, capsys):
         assert dispatch(["report", "--label", "x"]) == 2
 
+    @pytest.mark.parametrize("command", ["run-pred", "run-choice"])
+    def test_resume_after_torn_tail(self, tiny_dataset, tmp_path, command):
+        orig = str(tiny_dataset / "pairs" / "originals.jsonl")
+        mut = str(tiny_dataset / "pairs" / "mutants.jsonl")
+        if command == "run-pred":
+            extra, load = ["--n", "2"], harness.load_prediction_records
+        else:
+            extra, load = [], harness.load_choice_records
+        argv = [command, "--orig", orig, "--mut", mut, *extra,
+                "--model", "mock:ground-truth-given"]
+        full = tmp_path / "full.jsonl"
+        assert dispatch(argv + ["--out", str(full)]) == 0
+        whole = full.read_bytes()
+        rng = random.Random(command)
+        for _ in range(4):
+            cut = tmp_path / "cut.jsonl"
+            cut.write_bytes(whole[:rng.randrange(1, len(whole))])
+            assert dispatch(argv + ["--out", str(cut), "--resume"]) == 0
+            assert load(str(cut)) == load(str(full))
+            assert cut.read_bytes() == whole
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
@@ -168,6 +191,25 @@ class TestExitCodes:
             dispatch(["run-pred"])  # missing required flags
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("weight", ["if", "if=heavy", "if=nan", "if=-1", "nosuch=2"])
+    def test_bad_weight_exits_2(self, tmp_path, weight):
+        with pytest.raises(SystemExit) as err:
+            dispatch(["sample", "-n", "1", "--weight", weight,
+                      "--out", str(tmp_path / "s.jsonl")])
+        assert err.value.code == 2
+        assert not (tmp_path / "s.jsonl").exists()
+
+    def test_weight_option_and_config_key(self, tmp_path):
+        config = tmp_path / "run.conf"
+        config.write_text("weight = map=0\n")
+        for argv in (["--weight", "map=0"], ["--config", str(config)]):
+            out = tmp_path / "s.jsonl"
+            assert dispatch(["sample", "-n", "5", "--seed", "2", "--out", str(out)]
+                            + argv) == 0
+            assert not any("map" in row["dsl_text"] for row in read_jsonl(out))
+            manifest = json.load(open(str(out) + ".manifest.json"))
+            assert manifest["options"]["weight"] == [["map", 0.0]]
+
     def test_template_drift_exits_nonzero(self, tiny_dataset, tmp_path, monkeypatch):
         from mutexec import harness
 
@@ -188,3 +230,15 @@ class TestExitCodes:
             "run-pred", "--orig", missing, "--mut", missing,
             "--model", "mock:always-a", "--out", str(tmp_path / "r.jsonl"),
         ]) == 1
+
+
+class TestAtomicWriter:
+    def test_failed_write_leaves_target_untouched(self, tmp_path):
+        target = tmp_path / "out.jsonl"
+        target.write_text("old\n")
+        with pytest.raises(RuntimeError):
+            with atomic_writer(str(target)) as fh:
+                fh.write("partial")
+                raise RuntimeError("interrupted")
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["out.jsonl"]

@@ -1,8 +1,9 @@
+import hashlib
 import re
 
 import pytest
 
-from mutexec import datasets
+from mutexec import datasets, grammar, transpile
 from mutexec.datasets import (
     DslListConfig,
     GenerationRetriesExhausted,
@@ -72,6 +73,38 @@ class TestDslList:
         path = tmp_path / "problems.jsonl"
         save_jsonl(small_corpus, str(path))
         assert load_jsonl(str(path)) == small_corpus
+
+    def test_small_corpus_digest_pinned(self, tmp_path, small_corpus):
+        path = tmp_path / "problems.jsonl"
+        save_jsonl(small_corpus, str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_CORPUS_SHA256
+
+    def test_one_translation_per_candidate_past_s1_s4(self, monkeypatch):
+        counts = {"translate": 0, "passed": 0}
+        real_translate, real_check = transpile.translate, grammar.check_constraints
+
+        def counting_translate(*args, **kwargs):
+            counts["translate"] += 1
+            return real_translate(*args, **kwargs)
+
+        def counting_check(*args, **kwargs):
+            violations = real_check(*args, **kwargs)
+            counts["passed"] += not violations
+            return violations
+
+        monkeypatch.setattr(transpile, "translate", counting_translate)
+        monkeypatch.setattr(datasets, "translate", counting_translate)
+        monkeypatch.setattr(grammar, "check_constraints", counting_check)
+        problems = build_dsl_list(DslListConfig(
+            seed=4, programs_per_combo=20, per_bin=1, bins=((4, 24),)))
+        assert len(problems) == 2 * 3  # one program per signature
+        assert counts["passed"] >= 4 * 20
+        assert counts["translate"] == counts["passed"]
+
+
+# sha256 of the seed-11 small corpus as save_jsonl writes it; a change to the
+# seed -> dataset mapping has to update this on purpose
+SMALL_CORPUS_SHA256 = "86cb3d5d564583cffd97e8bb71dd3fc7f2656b560d5d7e7360979ea42f55f5c5"
 
 
 # ---------------------------------------------------------------------------

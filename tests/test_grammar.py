@@ -24,6 +24,8 @@ from mutexec.grammar import (
     sample_inputs,
     sample_valid_program,
 )
+from mutexec.minipy import interpret
+from mutexec.transpile import translate
 
 PRIMS, CONSTRAINTS = list_dsl()
 
@@ -370,10 +372,10 @@ class TestSampleValidProgram:
         config = SamplerConfig(max_depth=4)
         calls = []
 
-        def executor(term, args):
-            calls.append(term)
+        def executor(program, args):
+            calls.append(program)
             # first sampled program errors on its second input
-            if len({id(t) for t in calls}) == 1 and len(calls) == 2:
+            if len({id(p) for p in calls}) == 1 and len(calls) == 2:
                 return _FakeResult("error")
             return _FakeResult("ok", [len(calls), len(args)])
 
@@ -384,7 +386,7 @@ class TestSampleValidProgram:
         cfg = make_cfg(1, 4)
         config = SamplerConfig(max_depth=4, max_attempts=30)
 
-        def executor(term, args):
+        def executor(program, args):
             return _FakeResult("ok", [7])  # same output for every input
 
         with pytest.raises(AttemptsExhausted):
@@ -399,6 +401,10 @@ class TestSampleValidProgram:
         assert not check_constraints(result.term, "sample", arity=1)
         outputs = [str(o) for o in result.outputs]
         assert len(set(outputs)) > 1
+        # the returned translation is the one the outputs came from
+        assert result.program.source == translate(result.term, arity=1).source
+        for args, output in zip(result.inputs, result.outputs):
+            assert interpret(result.program.ast, args).output == output
 
     def test_acceptance_rate_regression(self):
         # attempts needed for 50 programs at defaults, frozen for seed 1234

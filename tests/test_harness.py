@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from conftest import read_fixture
 
 from mutexec.harness import (
@@ -209,6 +210,28 @@ class TestRuns:
         )
         key = lambda r: (r.problem_id, r.variant, r.sample_index, r.judgment)
         assert sorted(map(key, resumed)) == sorted(map(key, full))
+
+    def test_torn_tail_dropped_malformed_line_raises(self, tmp_path, small_pairs):
+        kept, mutants, pairs = small_pairs
+        kept, mutants = kept[:2], mutants[:2]
+        out = tmp_path / "records.jsonl"
+        model = mock_model("ground_truth_given", pairs=pairs)
+        full = run_prediction(kept, mutants, model, n=2, out_path=str(out))
+        lines = out.read_bytes().splitlines(keepends=True)
+        # a whole last record that lost only its newline is kept
+        out.write_bytes(b"".join(lines)[:-1])
+        assert load_prediction_records(str(out)) == full
+        resumed = run_prediction(kept, mutants, model, n=2, out_path=str(out),
+                                 resume=load_prediction_records(str(out)))
+        assert resumed == full
+        assert out.read_bytes() == b"".join(lines)
+        # a torn tail cut inside a multi-byte character is dropped
+        out.write_bytes(b"".join(lines) + '{"response": "é'.encode("utf-8")[:-1])
+        assert load_prediction_records(str(out)) == full
+        # a complete line that does not parse is not a torn tail
+        out.write_bytes(lines[0][:-5] + b"\n" + b"".join(lines[1:]))
+        with pytest.raises(json.JSONDecodeError):
+            load_prediction_records(str(out))
 
     def test_transport_failure_counts_as_unanswered(self, small_pairs):
         kept, mutants, pairs = small_pairs

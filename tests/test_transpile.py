@@ -106,9 +106,8 @@ class TestRoundTripAndSemantics:
         config = SamplerConfig(program_type=list_program_type(2), max_depth=5)
         for _ in range(40):
             sp = sample_valid_program(cfg, config, rng=rng)
-            program = translate(sp.term, arity=2)
             for args in sp.inputs:
-                result = minipy.interpret(program.ast, args)
+                result = minipy.interpret(sp.program.ast, args)
                 assert result.error_kind != "NameError"
 
     def test_adversarial_corner_terms_agree(self):
