@@ -34,6 +34,8 @@ for i in range(3):
     sampled = sample_valid_program(cfg, config, rng=rng)
     term = sampled.term
     print(f"program {i + 1} (accepted after {sampled.attempts} attempts)")
+    rejected = {stage: n for stage, n in sampled.rejections.items() if n}
+    print(f"  rejected draws by stage: {rejected}")
     print(f"  term:  {to_sexpr(term)}")
     print(f"  type:  {typecheck(term)!r}")
     program = sampled.program  # the translation the outputs came from

@@ -162,7 +162,7 @@ def cmd_sample(args) -> int:
     config = _sampler_config(args)
     cfg = compile_cfg(primitives, constraints, config.program_type, config.max_depth)
     rng = random.Random(args.seed)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_writer(args.out) as fh:
         for _ in range(args.count):
             sp = sample_valid_program(cfg, config, rng=rng)
             fh.write(json.dumps({
@@ -179,7 +179,7 @@ def cmd_sample(args) -> int:
 def cmd_transpile(args) -> int:
     with open(getattr(args, "in"), encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_writer(args.out) as fh:
         for line in lines:
             text = json.loads(line)["dsl_text"] if line.startswith("{") else line
             program = translate(parse_sexpr(text), args.function_name)
@@ -241,7 +241,7 @@ def cmd_ingest(args) -> int:
         executor.close()
     save_jsonl(problems, args.out)
     rejects_path = args.out + ".rejected.jsonl"
-    with open(rejects_path, "w", encoding="utf-8") as fh:
+    with atomic_writer(rejects_path) as fh:
         for r in rejections:
             fh.write(json.dumps(vars(r), ensure_ascii=False) + "\n")
     write_manifest(args.out, "ingest", args, [getattr(args, "in")],
@@ -341,18 +341,18 @@ def cmd_report(args) -> int:
     text = metrics.render_report(args.label, prediction, choice)
     print(text, end="")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with atomic_writer(args.out) as fh:
             fh.write(text)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with atomic_writer(args.csv) as fh:
             fh.write(metrics.metrics_csv(args.label, prediction, choice))
     if args.loc_csv or args.loc_dat:
         rows = metrics.loc_series(pred_records)
         if args.loc_csv:
-            with open(args.loc_csv, "w", encoding="utf-8") as fh:
+            with atomic_writer(args.loc_csv) as fh:
                 fh.write(metrics.loc_series_csv(rows))
         if args.loc_dat:
-            with open(args.loc_dat, "w", encoding="utf-8") as fh:
+            with atomic_writer(args.loc_dat) as fh:
                 fh.write(metrics.loc_series_dat(rows))
     return 0
 

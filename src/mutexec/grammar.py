@@ -11,15 +11,29 @@ whose list nesting is capped at the depth bound; unproductive nonterminals
 are pruned, so every production reachable from the start symbol derives at
 least one term.  Sampling draws a production at each nonterminal with
 probability proportional to its weight (the weight of its head primitive;
-literals and parameters weigh 1) and recurses.
+literals and parameters weigh 1) and recurses, one ``rng.random()`` per
+production in preorder.
 
 Sample-time rules s1-s4 and the run-time same-output rule are enforced by
-rejection in ``sample_valid_program``, not by grammar surgery.
+rejection in ``sample_valid_program``, not by grammar surgery.  Each draw is
+rejected at the cheapest stage that can reject it, in this order:
+
+1. s4, on the drawn productions: a derivation that uses no production of
+   some parameter is rejected before its term is built;
+2. s1-s4 on the built term (``check_constraints``), before inputs are drawn;
+3. a screen with the term evaluator ``dsl.eval_dsl_outcome``: a runtime error
+   or the same output on every input rejects the draw;
+4. the one translation of the term, interpreted on every input.
+
+The ground truths come from step 4, never from the screen, and a candidate
+that the interpreter fails or finds constant is still rejected.  The
+rejections of each call are counted in ``SampledProgram.rejections``.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -35,6 +49,7 @@ from .dsl import (
     TVar,
     Ty,
     check_constraints,
+    eval_dsl_outcome,
     fun_type,
     nesting,
     split_fun,
@@ -94,6 +109,11 @@ class Cfg:
     param_types: tuple[Ty, ...]
     constraints: ConstraintSet
     max_depth: int
+
+    def __post_init__(self):
+        # Sampler's tables per weight overrides, built on first use; not a
+        # field, so equality and repr see only the grammar
+        self.draw_tables: dict = {}
 
     @property
     def arity(self) -> int:
@@ -380,43 +400,91 @@ def production_weight(production: Production, overrides: dict[str, float]) -> fl
     return overrides.get(production.head, production.weight)
 
 
+def _draw_tables(cfg: Cfg, overrides: dict[str, float]):
+    """The grammar's productions with nonterminals interned to ints.
+
+    Returns ``(index, rows)``: ``index`` maps each nonterminal of
+    ``cfg.productions`` to its row.  A row is ``(cumulative, total,
+    entries)``: the running sums of the production weights with the last one
+    replaced by infinity, so that a draw never runs past the row; the true
+    sum, which scales the draw; and per production ``(production, param_bit,
+    children)``.  ``param_bit`` is ``1 << (i - 1)`` for the parameter
+    production of ``a<i>`` and 0 otherwise, and ``children`` are row indices
+    in reverse, so a stack pops them left to right.
+    """
+    index = {nt: i for i, nt in enumerate(cfg.productions)}
+    rows = []
+    for nt, prods in cfg.productions.items():
+        if not prods:
+            raise EmptyLanguage(f"nonterminal {nt} has no productions")
+        cumulative: list[float] = []
+        total = 0.0
+        entries = []
+        for p in prods:
+            total += production_weight(p, overrides)
+            cumulative.append(total)
+            bit = 1 << (p.value - 1) if p.head == "param" else 0
+            entries.append((p, bit, tuple(index[c] for c in reversed(p.children))))
+        cumulative[-1] = math.inf
+        rows.append((cumulative, total, tuple(entries)))
+    return index, rows
+
+
 class Sampler:
-    """Reusable top-down sampler with precomputed cumulative weights."""
+    """Reusable top-down sampler over int-indexed cumulative weight tables.
+
+    The tables are built once per grammar and weight overrides and kept on
+    the ``Cfg``.  Every production drawn consumes one ``rng.random()``, in
+    preorder, whichever of ``draw``, ``derive`` or ``sample`` draws it.
+    """
 
     def __init__(self, cfg: Cfg, overrides: dict[str, float] | None = None):
         self.cfg = cfg
-        self.overrides = overrides or {}
-        self.tables: dict[NT, tuple[tuple[Production, ...], list[float]]] = {}
-
-    def _table(self, nt: NT):
-        entry = self.tables.get(nt)
-        if entry is None:
-            prods = self.cfg.productions[nt]
-            if not prods:
-                raise EmptyLanguage(f"nonterminal {nt} has no productions")
-            cumulative: list[float] = []
-            total = 0.0
-            for p in prods:
-                total += production_weight(p, self.overrides)
-                cumulative.append(total)
-            entry = (prods, cumulative)
-            self.tables[nt] = entry
-        return entry
+        overrides = overrides or {}
+        key = tuple(sorted(overrides.items()))
+        if key not in cfg.draw_tables:
+            cfg.draw_tables[key] = _draw_tables(cfg, overrides)
+        self.index, self.rows = cfg.draw_tables[key]
 
     def draw(self, nt: NT, rng: random.Random) -> Production:
-        prods, cumulative = self._table(nt)
-        point = rng.random() * cumulative[-1]
-        return prods[min(bisect.bisect_right(cumulative, point), len(prods) - 1)]
+        cumulative, total, entries = self.rows[self.index[nt]]
+        return entries[bisect.bisect_right(cumulative, rng.random() * total)][0]
+
+    def derive(self, rng: random.Random, nt: NT | None = None) -> tuple[list[Production], int]:
+        """Draw one derivation without building its term.
+
+        Returns its productions in preorder and a bitmask of the parameters
+        it uses (bit ``i - 1`` for ``a<i>``).
+        """
+        rows = self.rows
+        bisect_right = bisect.bisect_right
+        draw_point = rng.random
+        productions: list[Production] = []
+        used = 0
+        stack = [self.index[nt or self.cfg.start]]
+        while stack:
+            cumulative, total, entries = rows[stack.pop()]
+            production, bit, children = entries[bisect_right(cumulative, draw_point() * total)]
+            productions.append(production)
+            used |= bit
+            stack.extend(children)
+        return productions, used
+
+    @staticmethod
+    def build(productions: list[Production]) -> Term:
+        """The term of a derivation whose productions are given in preorder."""
+        remaining = iter(productions)
+
+        def node() -> Term:
+            p = next(remaining)
+            if p.head in ("lit", "param"):
+                return Term(p.head, value=p.value)
+            return Term(p.head, tuple([node() for _ in p.children]), partial=p.partial)
+
+        return node()
 
     def sample(self, rng: random.Random, nt: NT | None = None) -> Term:
-        p = self.draw(nt or self.cfg.start, rng)
-        if p.head == "lit":
-            return Term("lit", value=p.value)
-        if p.head == "param":
-            return Term("param", value=p.value)
-        return Term(
-            p.head, tuple(self.sample(rng, c) for c in p.children), partial=p.partial
-        )
+        return self.build(self.derive(rng, nt)[0])
 
 
 def sample(cfg: Cfg, config: SamplerConfig, rng: random.Random | None = None) -> Term:
@@ -447,6 +515,10 @@ def default_executor(program: transpile.ImpProgram, args: tuple):
     return interpret(program.ast, args, Limits())
 
 
+# Why sample_valid_program rejected a draw, in the order of its stages.
+REJECTION_STAGES = ("s4", "s1", "s2", "s3", "runtime_error", "constant_output")
+
+
 @dataclass
 class SampledProgram:
     term: Term
@@ -454,6 +526,28 @@ class SampledProgram:
     inputs: list[tuple]
     outputs: list
     attempts: int
+    # rejected draws before the accepted one, by REJECTION_STAGES; they sum
+    # to attempts - 1
+    rejections: dict[str, int]
+
+
+def _outputs(results) -> list | None:
+    """The outputs of runs on every input, or None at the first failed run."""
+    outputs = []
+    for result in results:
+        if result.status != "ok":
+            return None
+        outputs.append(result.output)
+    return outputs
+
+
+def _rejection(outputs: list | None) -> str | None:
+    """The run-time stage that rejects these outputs, or None to keep them."""
+    if outputs is None:
+        return "runtime_error"
+    if len(outputs) > 1 and all(values_equal(outputs[0], o) for o in outputs[1:]):
+        return "constant_output"
+    return None
 
 
 def sample_valid_program(
@@ -465,33 +559,41 @@ def sample_valid_program(
     """Rejection-sample until a program passes s1-s4, executes cleanly on all
     sampled inputs, and does not produce the same output on every input.
 
-    Each candidate that passes s1-s4 is translated once; ``executor(program,
-    args)`` runs that translation on every input, and the accepted one is
-    returned as ``SampledProgram.program``.
+    Each draw is rejected at the cheapest stage that can reject it: a
+    derivation missing a parameter is rejected by s4 before its term is
+    built; a built term is checked against s1-s4 before inputs are drawn;
+    the term evaluator then screens out runtime errors and constant output.
+    Only a candidate past the screen is translated, once, and ``executor(
+    program, args)`` runs that translation on every input; its outputs are
+    the ground truths, and a run it fails or finds constant still rejects
+    the candidate.  The accepted translation is returned as
+    ``SampledProgram.program``.
     """
     rng = rng or random.Random(config.rng_seed)
     run = executor or default_executor
     arity = cfg.arity
     sampler = Sampler(cfg, config.weight_overrides)
+    required = (1 << arity) - 1 if "s4" in cfg.constraints.sample_time else 0
+    rejections = dict.fromkeys(REJECTION_STAGES, 0)
     for attempt in range(1, config.max_attempts + 1):
-        term = sampler.sample(rng)
-        if check_constraints(term, "sample", cfg.constraints, arity=arity):
+        derivation, params_used = sampler.derive(rng)
+        if params_used & required != required:
+            rejections["s4"] += 1
+            continue
+        term = sampler.build(derivation)
+        violations = check_constraints(term, "sample", cfg.constraints, arity=arity)
+        if violations:
+            rejections[min(v.rule for v in violations)] += 1
             continue
         inputs = sample_inputs(arity, config, rng)
-        program = transpile.translate(term, arity=arity)
-        outputs = []
-        ok = True
-        for args in inputs:
-            result = run(program, args)
-            if result.status != "ok":
-                ok = False
-                break
-            outputs.append(result.output)
-        if not ok:
-            continue
-        if len(outputs) > 1 and all(values_equal(outputs[0], o) for o in outputs[1:]):
-            continue
-        return SampledProgram(term, program, inputs, outputs, attempt)
+        stage = _rejection(_outputs(eval_dsl_outcome(term, args) for args in inputs))
+        if stage is None:
+            program = transpile.translate(term, arity=arity)
+            outputs = _outputs(run(program, args) for args in inputs)
+            stage = _rejection(outputs)
+            if stage is None:
+                return SampledProgram(term, program, inputs, outputs, attempt, rejections)
+        rejections[stage] += 1
     raise AttemptsExhausted(f"no valid program in {config.max_attempts} attempts")
 
 

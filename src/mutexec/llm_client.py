@@ -34,6 +34,11 @@ class TransportError(Exception):
     pass
 
 
+class _Refused(TransportError):
+    """An HTTP 4xx other than 429: the request itself is at fault, so
+    sending it again cannot succeed and it is not retried."""
+
+
 PROFILES: dict[str, dict] = {
     "traditional": {"temperature": 0.2, "top_p": 0.95, "max_tokens": 4096,
                     "mode": "one_shot"},
@@ -122,7 +127,11 @@ class Transcript:
 
 
 class HttpModel:
-    """Minimal chat-completion client with retry/backoff and logging."""
+    """Minimal chat-completion client with retry/backoff and logging.
+
+    Transport failures, 429 and 5xx responses are retried with backoff; any
+    other 4xx fails at once.
+    """
 
     def __init__(self, config: ModelConfig, transcript: Transcript | None = None):
         if httpx is None:
@@ -155,6 +164,8 @@ class HttpModel:
                 latency = time.monotonic() - start
                 if response.status_code in (429, 500, 502, 503, 504):
                     raise TransportError(f"HTTP {response.status_code}")
+                if 400 <= response.status_code < 500:
+                    raise _Refused(f"HTTP {response.status_code}")
                 response.raise_for_status()
                 data = response.json()
                 choice = data["choices"][0]
@@ -177,6 +188,8 @@ class HttpModel:
                     "ts": time.time(), "model": self.config.model,
                     "prompt": prompt, "error": str(exc), "attempt": attempt,
                 })
+                if isinstance(exc, _Refused):
+                    break
                 if attempt < self.config.max_retries:
                     time.sleep(min(30.0, 0.5 * 2**attempt))
         raise TransportError(str(last_error))

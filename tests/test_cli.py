@@ -4,8 +4,9 @@ import random
 
 import pytest
 
-from mutexec import harness
+from mutexec import cli, harness
 from mutexec.cli import dispatch, load_config_file
+from mutexec.grammar import AttemptsExhausted
 from mutexec.problems import atomic_writer, load_jsonl
 
 
@@ -242,3 +243,22 @@ class TestAtomicWriter:
                 raise RuntimeError("interrupted")
         assert target.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["out.jsonl"]
+
+    def test_interrupted_sample_leaves_target_untouched(self, tmp_path, monkeypatch):
+        target = tmp_path / "corpus.jsonl"
+        target.write_text("old\n")
+        real_sample = cli.sample_valid_program
+        calls = []
+
+        def failing_third_time(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise AttemptsExhausted("interrupted")
+            return real_sample(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "sample_valid_program", failing_third_time)
+        with pytest.raises(AttemptsExhausted):
+            dispatch(["sample", "-n", "5", "--seed", "2", "--out", str(target)])
+        assert len(calls) == 3  # two programs were written before the failure
+        assert target.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["corpus.jsonl"]

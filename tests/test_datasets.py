@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from mutexec import datasets, grammar, transpile
+from mutexec import datasets, transpile
 from mutexec.datasets import (
     DslListConfig,
     GenerationRetriesExhausted,
@@ -79,27 +79,22 @@ class TestDslList:
         save_jsonl(small_corpus, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_CORPUS_SHA256
 
-    def test_one_translation_per_candidate_past_s1_s4(self, monkeypatch):
-        counts = {"translate": 0, "passed": 0}
-        real_translate, real_check = transpile.translate, grammar.check_constraints
+    def test_one_translation_per_accepted_program(self, monkeypatch):
+        calls = []
+        real_translate = transpile.translate
 
         def counting_translate(*args, **kwargs):
-            counts["translate"] += 1
+            calls.append(args)
             return real_translate(*args, **kwargs)
-
-        def counting_check(*args, **kwargs):
-            violations = real_check(*args, **kwargs)
-            counts["passed"] += not violations
-            return violations
 
         monkeypatch.setattr(transpile, "translate", counting_translate)
         monkeypatch.setattr(datasets, "translate", counting_translate)
-        monkeypatch.setattr(grammar, "check_constraints", counting_check)
         problems = build_dsl_list(DslListConfig(
             seed=4, programs_per_combo=20, per_bin=1, bins=((4, 24),)))
         assert len(problems) == 2 * 3  # one program per signature
-        assert counts["passed"] >= 4 * 20
-        assert counts["translate"] == counts["passed"]
+        # 4 (arity, depth) combinations x 20 sampled programs, each
+        # translated once; rejected candidates are never translated
+        assert len(calls) == 4 * 20
 
 
 # sha256 of the seed-11 small corpus as save_jsonl writes it; a change to the

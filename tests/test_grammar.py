@@ -1,3 +1,4 @@
+import hashlib
 import random
 from functools import lru_cache
 
@@ -12,6 +13,7 @@ from mutexec.dsl import (
     typecheck,
 )
 from mutexec.grammar import (
+    REJECTION_STAGES,
     AttemptsExhausted,
     EmptyLanguage,
     Sampler,
@@ -26,6 +28,7 @@ from mutexec.grammar import (
 )
 from mutexec.minipy import interpret
 from mutexec.transpile import translate
+from mutexec.values import values_equal
 
 PRIMS, CONSTRAINTS = list_dsl()
 
@@ -233,6 +236,13 @@ class TestSample:
         assert first == second
         assert to_sexpr(first) == to_sexpr(sample(cfg, config, random.Random(123)))
 
+    def test_first_draws_pinned(self):
+        cfg = make_cfg(2, 5)
+        sampler = Sampler(cfg)
+        rng = random.Random(5)
+        text = "\n".join(to_sexpr(sampler.sample(rng)) for _ in range(200))
+        assert hashlib.sha256(text.encode()).hexdigest() == FIRST_200_DRAWS_SHA256
+
     def test_samples_typecheck_and_satisfy_constraints(self):
         cfg = make_cfg(2, 5)
         rng = random.Random(8)
@@ -381,6 +391,9 @@ class TestSampleValidProgram:
 
         result = sample_valid_program(cfg, config, executor, random.Random(3))
         assert result.attempts > 1
+        # the ground truths are the executor's outputs, not the screen's
+        n = len(calls)
+        assert result.outputs == [[n - 2, 1], [n - 1, 1], [n, 1]]
 
     def test_constant_output_rejected(self):
         cfg = make_cfg(1, 4)
@@ -416,7 +429,75 @@ class TestSampleValidProgram:
         )
         assert attempts == ACCEPTANCE_ATTEMPTS_SEED_1234
 
+    def test_rejections_sum_to_attempts_minus_one(self):
+        cfg = make_cfg(2, 5)
+        config = SamplerConfig(program_type=list_program_type(2))
+        rng = random.Random(21)
+        for _ in range(20):
+            result = sample_valid_program(cfg, config, rng=rng)
+            assert set(result.rejections) == set(REJECTION_STAGES)
+            assert sum(result.rejections.values()) == result.attempts - 1
+
+    def test_rejections_match_a_replay_of_the_plain_loop(self):
+        # the same rng replayed through draw -> check -> translate ->
+        # interpret, counting each rejection where that loop finds it
+        totals = dict.fromkeys(REJECTION_STAGES, 0)
+        for arity, depth in ((1, 4), (2, 5)):
+            cfg = make_cfg(arity, depth)
+            config = SamplerConfig(program_type=list_program_type(arity), max_depth=depth)
+            sampler = Sampler(cfg)
+            staged, replay = random.Random(5), random.Random(5)
+            for _ in range(15):
+                result = sample_valid_program(cfg, config, rng=staged)
+                counts = dict.fromkeys(REJECTION_STAGES, 0)
+                while True:
+                    term = sampler.sample(replay)
+                    rules = {v.rule for v in check_constraints(term, "sample", arity=arity)}
+                    if rules:
+                        counts["s4" if "s4" in rules else min(rules)] += 1
+                        continue
+                    inputs = sample_inputs(arity, config, replay)
+                    program = translate(term, arity=arity)
+                    runs = [interpret(program.ast, args) for args in inputs]
+                    if any(run.status != "ok" for run in runs):
+                        counts["runtime_error"] += 1
+                    elif all(values_equal(runs[0].output, run.output) for run in runs[1:]):
+                        counts["constant_output"] += 1
+                    else:
+                        break
+                assert result.term == term
+                assert result.inputs == inputs
+                assert all(values_equal(run.output, output)
+                           for run, output in zip(runs, result.outputs))
+                assert result.rejections == counts
+                for stage, n in counts.items():
+                    totals[stage] += n
+        assert all(totals[stage] for stage in ("s4", "runtime_error", "constant_output"))
+
+    def test_s4_off_admits_a_program_missing_a_parameter(self):
+        config = SamplerConfig(program_type=list_program_type(2), max_depth=4)
+
+        def missing(term):
+            return {1, 2} - {node.value for node in term.walk() if node.is_param}
+
+        cfg = make_cfg(2, 4, CONSTRAINTS.without("s4"))
+        rng = random.Random(6)
+        results = [sample_valid_program(cfg, config, rng=rng) for _ in range(30)]
+        assert any(missing(r.term) for r in results)
+        assert all(r.rejections["s4"] == 0 for r in results)
+
+        cfg = make_cfg(2, 4)
+        rng = random.Random(6)
+        results = [sample_valid_program(cfg, config, rng=rng) for _ in range(30)]
+        assert not any(missing(r.term) for r in results)
+        assert any(r.rejections["s4"] for r in results)
+
 
 # measured once at the frozen seed; guards sampler behavior drift
 # (50 valid programs in 1180 attempts: ~4.2% acceptance at defaults)
 ACCEPTANCE_ATTEMPTS_SEED_1234 = 1180
+
+# sha256 of the first 200 Sampler.sample terms at arity 2, depth 5, seed 5,
+# one s-expression per line; a change to what a seed draws has to update
+# this on purpose
+FIRST_200_DRAWS_SHA256 = "f6f12b0d14432a5a71f1a8fbccfccc6dab98366ec436515e60961834b6a5cca5"

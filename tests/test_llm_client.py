@@ -59,7 +59,8 @@ class _FakeResponse:
         self._text = text
 
     def raise_for_status(self):
-        pass
+        if self.status_code >= 400:
+            raise RuntimeError(f"status {self.status_code}")
 
     def json(self):
         return {
@@ -69,28 +70,29 @@ class _FakeResponse:
 
 
 class _FakeClient:
-    def __init__(self, failures=0):
+    def __init__(self, failures=0, status=503):
         self.failures = failures
+        self.status = status
         self.requests = []
 
     def post(self, url, json=None):
         self.requests.append((url, json))
         if self.failures > 0:
             self.failures -= 1
-            return _FakeResponse(status_code=503)
+            return _FakeResponse(status_code=self.status)
         return _FakeResponse()
 
     def close(self):
         pass
 
 
-def make_http_model(tmp_path, failures=0, max_retries=2):
+def make_http_model(tmp_path, failures=0, max_retries=2, status=503):
     transcript = Transcript(str(tmp_path / "transcript.jsonl"))
     config = ModelConfig(model="m", max_retries=max_retries)
     model = HttpModel.__new__(HttpModel)
     model.config = config
     model.transcript = transcript
-    model.client = _FakeClient(failures)
+    model.client = _FakeClient(failures, status)
     import threading
 
     model.semaphore = threading.Semaphore(1)
@@ -123,6 +125,26 @@ class TestHttpModel:
         with pytest.raises(TransportError):
             model.complete("p", 1)
         assert transcript.entries == 3  # every attempt logged
+
+    def test_rate_limit_retried(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        model, _ = make_http_model(tmp_path, failures=2, max_retries=3, status=429)
+        assert model.complete("p", 1)[0].text == "answer"
+        assert len(model.client.requests) == 3
+
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_client_error_fails_at_once(self, tmp_path, monkeypatch, status):
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        model, transcript = make_http_model(tmp_path, failures=10, max_retries=3,
+                                            status=status)
+        with pytest.raises(TransportError, match=f"HTTP {status}"):
+            model.complete("p", 1)
+        assert len(model.client.requests) == 1
+        assert transcript.entries == 1
+        with open(transcript.path) as fh:
+            assert json.loads(fh.read())["error"] == f"HTTP {status}"
+        assert sleeps == []
 
 
 def make_pairs():
