@@ -26,11 +26,9 @@ from .grammar import (
     list_program_type,
     sample_valid_program,
 )
-from .problems import Problem
+from .problems import LOC_BINS, Problem
 from .transpile import translate  # noqa: F401  bench/tracing.py wraps datasets.translate
 from .values import canonical_repr, contains_float, format_args, parse_args
-
-LOC_BINS: tuple[tuple[int, int], ...] = ((4, 8), (8, 12), (12, 16), (16, 20), (20, 24))
 
 
 class InsufficientBinPopulation(Exception):

@@ -15,7 +15,6 @@ import ast
 import json
 import os
 import re
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
@@ -317,16 +316,15 @@ class ChoiceRecord:
 class _RecordSink:
     def __init__(self, path: str | None):
         self.path = path
-        self.lock = threading.Lock()
         self.records: list = []
         if path and os.path.exists(path):
             _end_on_line_boundary(path)
 
-    def append(self, record) -> None:
-        with self.lock:
-            self.records.append(record)
-            if self.path:
-                with open(self.path, "a", encoding="utf-8") as fh:
+    def extend(self, records: list) -> None:
+        self.records.extend(records)
+        if self.path:
+            with open(self.path, "a", encoding="utf-8") as fh:
+                for record in records:
                     fh.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
 
 
@@ -405,38 +403,31 @@ def run_prediction(
             if missing > 0:
                 tasks.append((problem, variant, other, is_bool, n - missing, missing))
 
-    def run_task(task):
+    def run_task(task) -> list[PredictionRecord]:
         problem, variant, other, is_bool, start_index, count = task
         prompt = build_prediction_prompt(problem, mode)
+        error = None
         try:
-            responses = model.complete(prompt, count)
-            for i, resp in enumerate(responses):
-                extracted = extract_prediction(resp.text)
-                sink.append(PredictionRecord(
-                    problem_id=problem.id,
-                    variant=variant,
-                    sample_index=start_index + i,
-                    response=resp.text,
-                    extracted=extracted.text if extracted else None,
-                    judgment=judge(extracted, problem.output, other.output),
-                    loc=problem.loc,
-                    output_is_bool=is_bool,
-                ))
+            texts = [resp.text for resp in model.complete(prompt, count)]
         except TransportError as exc:
-            for i in range(count):
-                sink.append(PredictionRecord(
-                    problem_id=problem.id,
-                    variant=variant,
-                    sample_index=start_index + i,
-                    response="",
-                    extracted=None,
-                    judgment="unparsed",
-                    loc=problem.loc,
-                    output_is_bool=is_bool,
-                    error=str(exc),
-                ))
+            texts, error = [""] * count, str(exc)
+        records = []
+        for i, text in enumerate(texts):
+            extracted = extract_prediction(text)
+            records.append(PredictionRecord(
+                problem_id=problem.id,
+                variant=variant,
+                sample_index=start_index + i,
+                response=text,
+                extracted=extracted.text if extracted else None,
+                judgment=judge(extracted, problem.output, other.output),
+                loc=problem.loc,
+                output_is_bool=is_bool,
+                error=error,
+            ))
+        return records
 
-    _dispatch(tasks, run_task, getattr(model, "parallelism", 1))
+    _dispatch(tasks, run_task, getattr(model, "parallelism", 1), sink)
     return sink.records
 
 
@@ -463,7 +454,7 @@ def run_choice(
             if (original.id, run_index) not in done:
                 tasks.append((original, mutant, run_index, order))
 
-    def run_task(task):
+    def run_task(task) -> list[ChoiceRecord]:
         original, mutant, run_index, order = task
         is_bool = _pair_is_boolean(original, mutant)
         prompt = build_choice_prompt(original, mutant, order, mode)
@@ -488,7 +479,7 @@ def run_choice(
             )
             judgment = judge(extraction.literal, own.output, other.output)
             extracted = extraction.literal.text if extraction.literal else None
-        sink.append(ChoiceRecord(
+        return [ChoiceRecord(
             problem_id=original.id,
             run_index=run_index,
             order=order,
@@ -499,16 +490,20 @@ def run_choice(
             loc=original.loc,
             output_is_bool=is_bool,
             error=error,
-        ))
+        )]
 
-    _dispatch(tasks, run_task, getattr(model, "parallelism", 1))
+    _dispatch(tasks, run_task, getattr(model, "parallelism", 1), sink)
     return sink.records
 
 
-def _dispatch(tasks, fn, workers: int):
+def _dispatch(tasks, fn, workers: int, sink: _RecordSink) -> None:
+    """Run ``fn`` on every task, at most ``workers`` at once, and append the
+    records each returns in task order, so the file's bytes do not depend on
+    which request finishes first."""
     if workers <= 1:
         for task in tasks:
-            fn(task)
+            sink.extend(fn(task))
         return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(fn, tasks))
+        for records in pool.map(fn, tasks):
+            sink.extend(records)

@@ -25,10 +25,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-try:
-    import httpx
-except ImportError:  # allow mock-only use without the HTTP stack
-    httpx = None
 
 class TransportError(Exception):
     pass
@@ -57,7 +53,6 @@ class ModelConfig:
     top_p: float | None = None
     max_tokens: int | None = None  # 0 disables the cap explicitly
     reasoning_effort: str | None = None
-    n_samples: int = 5
     request_timeout: float = 180.0
     max_retries: int = 3
     parallelism: int = 4
@@ -127,23 +122,20 @@ class Transcript:
 
 
 class HttpModel:
-    """Minimal chat-completion client with retry/backoff and logging.
+    """Minimal chat-completion client on ``urllib.request``, with
+    retry/backoff and logging.
 
     Transport failures, 429 and 5xx responses are retried with backoff; any
     other 4xx fails at once.
     """
 
     def __init__(self, config: ModelConfig, transcript: Transcript | None = None):
-        if httpx is None:
-            raise RuntimeError("httpx is required for live endpoints")
         self.config = config
         self.transcript = transcript or Transcript(None)
-        headers = {"Content-Type": "application/json"}
+        self.headers = {"Content-Type": "application/json"}
         key = os.environ.get(config.api_key_env, "")
         if key:
-            headers["Authorization"] = f"Bearer {key}"
-        self.client = httpx.Client(timeout=config.request_timeout, headers=headers)
-        self.semaphore = threading.Semaphore(max(1, config.parallelism))
+            self.headers["Authorization"] = f"Bearer {key}"
 
     @property
     def default_mode(self) -> str:
@@ -153,21 +145,33 @@ class HttpModel:
     def parallelism(self) -> int:
         return self.config.parallelism
 
+    def _post(self, payload: dict) -> dict:
+        """The JSON body of one POST; an HTTP error status raises."""
+        # imported here: every CLI command imports this module, few post
+        import urllib.error
+        import urllib.request
+
+        request = urllib.request.Request(
+            self.config.endpoint, data=json.dumps(payload).encode("utf-8"),
+            headers=self.headers, method="POST",
+        )
+        try:
+            with urllib.request.urlopen(request, timeout=self.config.request_timeout) as response:
+                return json.loads(response.read())
+        except urllib.error.HTTPError as exc:
+            exc.close()
+            if 400 <= exc.code < 500 and exc.code != 429:
+                raise _Refused(f"HTTP {exc.code}") from None
+            raise TransportError(f"HTTP {exc.code}") from None
+
     def _one_request(self, prompt: str) -> ModelResponse:
         payload = self.config.payload(prompt)
         last_error: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             start = time.monotonic()
             try:
-                with self.semaphore:
-                    response = self.client.post(self.config.endpoint, json=payload)
+                data = self._post(payload)
                 latency = time.monotonic() - start
-                if response.status_code in (429, 500, 502, 503, 504):
-                    raise TransportError(f"HTTP {response.status_code}")
-                if 400 <= response.status_code < 500:
-                    raise _Refused(f"HTTP {response.status_code}")
-                response.raise_for_status()
-                data = response.json()
                 choice = data["choices"][0]
                 result = ModelResponse(
                     text=choice["message"]["content"] or "",
@@ -198,7 +202,7 @@ class HttpModel:
         return [self._one_request(prompt) for _ in range(n)]
 
     def close(self):
-        self.client.close()
+        pass
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .harness import ChoiceRecord, PredictionRecord
+from .problems import LOC_BINS
 
 
 def pass_at_1(records: list[PredictionRecord], criterion: str = "correct") -> float:
@@ -138,9 +139,6 @@ def choice_metrics(records: list[ChoiceRecord]) -> ChoiceMetrics:
 # LOC-binned series
 
 
-DEFAULT_BINS: tuple[tuple[int, int], ...] = ((4, 8), (8, 12), (12, 16), (16, 20), (20, 24))
-
-
 @dataclass
 class LocBinRow:
     lo: int
@@ -158,7 +156,7 @@ class LocBinRow:
 
 def loc_series(
     records: list[PredictionRecord],
-    bins: tuple[tuple[int, int], ...] = DEFAULT_BINS,
+    bins: tuple[tuple[int, int], ...] = LOC_BINS,
 ) -> list[LocBinRow]:
     """Per-bin prediction metrics as a function of lines of code."""
     rows = []

@@ -15,6 +15,10 @@ from dataclasses import asdict, dataclass
 
 from .values import Value, parse_args, parse_literal
 
+# [lo, hi) line-count bins of ``Problem.loc``: the DSL-List dataset fills
+# each one equally and the report's LOC series is cut at the same edges.
+LOC_BINS: tuple[tuple[int, int], ...] = ((4, 8), (8, 12), (12, 16), (16, 20), (20, 24))
+
 
 @dataclass(frozen=True)
 class Problem:

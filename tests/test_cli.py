@@ -1,6 +1,8 @@
 import json
 import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -160,6 +162,54 @@ class TestRunAndReport:
             assert dispatch(argv + ["--out", str(cut), "--resume"]) == 0
             assert load(str(cut)) == load(str(full))
             assert cut.read_bytes() == whole
+
+
+class TestLivePath:
+    """``--model http:...`` end to end, against the local stub endpoint."""
+
+    def run_live(self, tiny_dataset, tmp_path, stub, command, parallelism="1"):
+        """Records and bytes of one run; it exits 0 and logs every request."""
+        orig = str(tiny_dataset / "pairs" / "originals.jsonl")
+        mut = str(tiny_dataset / "pairs" / "mutants.jsonl")
+        out = tmp_path / f"{command}-{parallelism}.jsonl"
+        transcript = tmp_path / f"{command}-{parallelism}.transcript.jsonl"
+        extra = ["--n", "2"] if command == "run-pred" else []
+        before = len(stub.requests)
+        assert dispatch([
+            command, "--orig", orig, "--mut", mut, *extra,
+            "--model", "http:stub", "--endpoint", stub.url,
+            "--parallelism", parallelism, "--out", str(out),
+            "--transcript", str(transcript),
+        ]) == 0
+        assert len(read_jsonl(transcript)) == len(stub.requests) - before
+        return read_jsonl(out), out.read_bytes()
+
+    @pytest.mark.parametrize("command", ["run-pred", "run-choice"])
+    def test_http_model_answers(self, tiny_dataset, tmp_path, stub, command):
+        records, serial = self.run_live(tiny_dataset, tmp_path, stub, command)
+        assert records and all(r["error"] is None for r in records)
+        _, parallel = self.run_live(tiny_dataset, tmp_path, stub, command, "4")
+        assert parallel == serial
+
+    @pytest.mark.parametrize("command", ["run-pred", "run-choice"])
+    def test_refused_requests_become_error_records(self, tiny_dataset, tmp_path,
+                                                   stub, command):
+        stub.script((400, "", 0))
+        records, _ = self.run_live(tiny_dataset, tmp_path, stub, command)
+        assert records and all(r["error"] == "HTTP 400" for r in records)
+
+
+def test_cli_import_loads_no_http_stack():
+    """The HTTP client is imported when a request is sent, not with the CLI."""
+    import mutexec
+
+    probe = ("import sys, mutexec.cli; print(sorted(m for m in "
+             "('urllib.request', 'http.client', 'ssl') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(mutexec.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 class TestConfigFile:

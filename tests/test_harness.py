@@ -1,4 +1,5 @@
 import json
+import threading
 
 import pytest
 from conftest import read_fixture
@@ -247,6 +248,37 @@ class TestRuns:
         records = run_prediction(kept, mutants, FailingModel(), n=5)
         assert len(records) == 2 * 2 * 5
         assert all(r.judgment == "unparsed" and r.error for r in records)
+
+    @pytest.mark.parametrize("run", [run_prediction, run_choice],
+                             ids=["prediction", "choice"])
+    def test_record_order_independent_of_parallelism(self, tmp_path, small_pairs, run):
+        kept, mutants, pairs = small_pairs
+        kept, mutants = kept[:4], mutants[:4]
+
+        class EarlyCallsSlow:
+            """Ground-truth answers; the k-th call waits (8 - k) * 20 ms,
+            so concurrent requests finish in reverse order."""
+            default_mode = "zero_shot"
+
+            def __init__(self, parallelism):
+                self.parallelism = parallelism
+                self.inner = mock_model("ground_truth_given", pairs=pairs)
+                self.calls = 0
+                self.lock = threading.Lock()
+
+            def complete(self, prompt, n=1):
+                with self.lock:
+                    k, self.calls = self.calls, self.calls + 1
+                threading.Event().wait(max(0, 8 - k) * 0.02)
+                return self.inner.complete(prompt, n)
+
+        outputs = {}
+        for parallelism in (1, 4):
+            out = tmp_path / f"records-{parallelism}.jsonl"
+            kwargs = {"n": 2} if run is run_prediction else {}
+            run(kept, mutants, EarlyCallsSlow(parallelism), out_path=str(out), **kwargs)
+            outputs[parallelism] = out.read_bytes()
+        assert outputs[4] == outputs[1]
 
     def test_choice_two_runs_with_swapped_orders(self, small_pairs):
         kept, mutants, pairs = small_pairs

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from conftest import completion
 
 from mutexec.llm_client import (
     ALWAYS_A_TEXT,
@@ -53,98 +54,115 @@ class TestModelConfig:
             ModelConfig(temperature=-0.1)
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, text="answer"):
-        self.status_code = status_code
-        self._text = text
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise RuntimeError(f"status {self.status_code}")
-
-    def json(self):
-        return {
-            "choices": [{"message": {"content": self._text}, "finish_reason": "stop"}],
-            "usage": {"total_tokens": 7},
-        }
-
-
-class _FakeClient:
-    def __init__(self, failures=0, status=503):
-        self.failures = failures
-        self.status = status
-        self.requests = []
-
-    def post(self, url, json=None):
-        self.requests.append((url, json))
-        if self.failures > 0:
-            self.failures -= 1
-            return _FakeResponse(status_code=self.status)
-        return _FakeResponse()
-
-    def close(self):
-        pass
-
-
-def make_http_model(tmp_path, failures=0, max_retries=2, status=503):
+def make_http_model(tmp_path, stub, max_retries=2, **config):
     transcript = Transcript(str(tmp_path / "transcript.jsonl"))
-    config = ModelConfig(model="m", max_retries=max_retries)
-    model = HttpModel.__new__(HttpModel)
-    model.config = config
-    model.transcript = transcript
-    model.client = _FakeClient(failures, status)
-    import threading
-
-    model.semaphore = threading.Semaphore(1)
+    model = HttpModel(ModelConfig(endpoint=stub.url, model="m",
+                                  max_retries=max_retries, **config), transcript)
     return model, transcript
 
 
+def read_transcript(transcript):
+    with open(transcript.path) as fh:
+        return [json.loads(line) for line in fh]
+
+
 class TestHttpModel:
-    def test_n_samples_and_logging(self, tmp_path, monkeypatch):
+    def test_n_samples_and_logging(self, tmp_path, monkeypatch, stub):
         monkeypatch.setattr("time.sleep", lambda s: None)
-        model, transcript = make_http_model(tmp_path)
+        model, transcript = make_http_model(tmp_path, stub)
         responses = model.complete("prompt", 3)
         assert [r.text for r in responses] == ["answer"] * 3
+        assert responses[0].usage == {"total_tokens": 7}
         assert transcript.entries == 3
-        logged = [json.loads(line) for line in open(transcript.path)]
+        logged = read_transcript(transcript)
         assert all(entry["prompt"] == "prompt" for entry in logged)
         assert all("response" in entry for entry in logged)
+        headers, payload = stub.requests[0]
+        assert payload == model.config.payload("prompt")
+        assert headers["Content-Type"] == "application/json"
 
-    def test_retry_then_success(self, tmp_path, monkeypatch):
+    def test_retry_then_success(self, tmp_path, monkeypatch, stub):
         monkeypatch.setattr("time.sleep", lambda s: None)
-        model, transcript = make_http_model(tmp_path, failures=2, max_retries=3)
+        stub.script((500, "", 0), (503, "", 0), (200, completion(), 0))
+        model, transcript = make_http_model(tmp_path, stub, max_retries=3)
         responses = model.complete("p", 1)
         assert responses[0].text == "answer"
         # two failures and one success all logged: nothing dropped silently
         assert transcript.entries == 3
-        assert len(model.client.requests) == 3
+        assert len(stub.requests) == 3
+        assert [e.get("error") for e in read_transcript(transcript)] == [
+            "HTTP 500", "HTTP 503", None]
 
-    def test_transport_error_after_retries(self, tmp_path, monkeypatch):
+    def test_transport_error_after_retries(self, tmp_path, monkeypatch, stub):
         monkeypatch.setattr("time.sleep", lambda s: None)
-        model, transcript = make_http_model(tmp_path, failures=10, max_retries=2)
-        with pytest.raises(TransportError):
+        stub.script((503, "", 0))
+        model, transcript = make_http_model(tmp_path, stub, max_retries=2)
+        with pytest.raises(TransportError, match="HTTP 503"):
             model.complete("p", 1)
         assert transcript.entries == 3  # every attempt logged
+        assert len(stub.requests) == 3
 
-    def test_rate_limit_retried(self, tmp_path, monkeypatch):
-        monkeypatch.setattr("time.sleep", lambda s: None)
-        model, _ = make_http_model(tmp_path, failures=2, max_retries=3, status=429)
-        assert model.complete("p", 1)[0].text == "answer"
-        assert len(model.client.requests) == 3
-
-    @pytest.mark.parametrize("status", [400, 401, 404, 422])
-    def test_client_error_fails_at_once(self, tmp_path, monkeypatch, status):
+    def test_rate_limit_retried(self, tmp_path, monkeypatch, stub):
         sleeps = []
         monkeypatch.setattr("time.sleep", sleeps.append)
-        model, transcript = make_http_model(tmp_path, failures=10, max_retries=3,
-                                            status=status)
+        stub.script((429, "", 0), (429, "", 0), (200, completion(), 0))
+        model, _ = make_http_model(tmp_path, stub, max_retries=3)
+        assert model.complete("p", 1)[0].text == "answer"
+        assert len(stub.requests) == 3
+        assert sleeps == [0.5, 1.0]  # backoff doubles
+
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_client_error_fails_at_once(self, tmp_path, monkeypatch, stub, status):
+        sleeps = []
+        monkeypatch.setattr("time.sleep", sleeps.append)
+        stub.script((status, "", 0))
+        model, transcript = make_http_model(tmp_path, stub, max_retries=3)
         with pytest.raises(TransportError, match=f"HTTP {status}"):
             model.complete("p", 1)
-        assert len(model.client.requests) == 1
+        assert len(stub.requests) == 1
         assert transcript.entries == 1
-        with open(transcript.path) as fh:
-            assert json.loads(fh.read())["error"] == f"HTTP {status}"
+        assert read_transcript(transcript)[0]["error"] == f"HTTP {status}"
         assert sleeps == []
+
+    @pytest.mark.parametrize("body", ["not json", {"id": "x"}],
+                             ids=["non_json", "no_choices"])
+    def test_malformed_body_retried_then_fails(self, tmp_path, monkeypatch, stub, body):
+        monkeypatch.setattr("time.sleep", lambda s: None)
+        stub.script((200, body, 0))
+        model, transcript = make_http_model(tmp_path, stub, max_retries=2)
+        with pytest.raises(TransportError):
+            model.complete("p", 1)
+        assert len(stub.requests) == 3
+        logged = read_transcript(transcript)
+        assert [e["attempt"] for e in logged] == [0, 1, 2]
+        assert all("response" not in e for e in logged)
+
+    def test_null_content_is_empty_text(self, tmp_path, stub):
+        stub.script((200, completion(None), 0))
+        model, transcript = make_http_model(tmp_path, stub)
+        assert model.complete("p", 1)[0].text == ""
+        assert read_transcript(transcript)[0]["response"] == ""
+
+    def test_slow_reply_times_out(self, tmp_path, stub):
+        stub.script((200, completion(), 1.0))
+        model, transcript = make_http_model(tmp_path, stub, max_retries=0,
+                                            request_timeout=0.1)
+        with pytest.raises(TransportError):
+            model.complete("p", 1)
+        assert transcript.entries == 1
+        assert "error" in read_transcript(transcript)[0]
+
+    def test_bearer_key_sent(self, tmp_path, monkeypatch, stub):
+        monkeypatch.setenv("OPENAI_API_KEY", "sk-test")
+        model, _ = make_http_model(tmp_path, stub)
+        model.complete("p", 1)
+        assert stub.requests[0][0]["Authorization"] == "Bearer sk-test"
+
+    def test_no_key_no_authorization(self, tmp_path, monkeypatch, stub):
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        model, _ = make_http_model(tmp_path, stub)
+        model.complete("p", 1)
+        assert "Authorization" not in stub.requests[0][0]
 
 
 def make_pairs():

@@ -4,7 +4,6 @@ import pytest
 
 from mutexec.harness import ChoiceRecord, PredictionRecord
 from mutexec.metrics import (
-    DEFAULT_BINS,
     choice_metrics,
     loc_series,
     loc_series_csv,
@@ -15,6 +14,7 @@ from mutexec.metrics import (
     render_report,
     verify_partition,
 )
+from mutexec.problems import LOC_BINS
 
 
 def pred(problem_id, variant, judgments, loc=5, is_bool=False):
@@ -146,7 +146,7 @@ class TestLocSeries:
         assert rows[0].metrics.oc == prediction_metrics(records).oc
 
     def test_empty_bin_reported(self):
-        rows = loc_series([], bins=DEFAULT_BINS)
+        rows = loc_series([], bins=LOC_BINS)
         assert all(row.problems == 0 and row.metrics is None for row in rows)
         csv_text = loc_series_csv(rows)
         assert csv_text.splitlines()[1].endswith(",,,")
