@@ -9,6 +9,13 @@ indices, ``len``, the list methods ``append``/``extend``/``pop``,
 ``break``/``continue``, assignment (including tuple assignment and
 subscript targets), and ``return``.  Everything else is a syntax error.
 
+Source is lexed by one compiled regular expression plus a line loop into
+plain ``(kind, string, line)`` tuples, the same stream the standard
+library's ``tokenize`` gives without its COMMENT and NL tokens, and parsed by
+recursive descent with precedence climbing for the binary operators.  A
+ParseError carries the 1-based line of the offending token; at the end of
+the text inside brackets it names the line of the innermost open bracket.
+
 Execution is deterministic big-step interpretation.  Runtime behavior
 deliberately matches the host Python semantics (negative indexing, floor
 division and modulo on negatives, short-circuit boolean operators,
@@ -20,8 +27,7 @@ records its 1-based source line in the coverage set.
 from __future__ import annotations
 
 import copy
-import io
-import tokenize as _tok
+import re
 from dataclasses import dataclass, field
 
 from .values import INT_MAX, INT_MIN, Value
@@ -185,166 +191,417 @@ class Module:
 
 
 # ---------------------------------------------------------------------------
+# Lexer
+#
+# One compiled regular expression cuts the text where the standard library's
+# ``tokenize`` cuts it, and the scanner adds tokenize's line logic around it:
+# blank and comment-only lines, bracket nesting (no NEWLINE or INDENT/DEDENT
+# inside brackets), backslash continuation, tab stops of 8 in indentation,
+# and the empty NEWLINE after a last line that has no line break.  Tokens are
+# plain ``(kind, string, line)`` tuples; comments and non-logical line breaks
+# produce none.  Characters that start no token become ERRORTOKEN tokens, so
+# a parse fails at them only when the parser gets there, as with tokenize.
+
+NAME, NUMBER, OP, NEWLINE, INDENT, DEDENT, STRING, ERRORTOKEN, ENDMARKER = range(9)
+KIND_NAMES = (
+    "NAME", "NUMBER", "OP", "NEWLINE", "INDENT", "DEDENT", "STRING",
+    "ERRORTOKEN", "ENDMARKER",
+)
+
+_OPERATORS = (
+    "!=", "%", "%=", "&", "&=", "(", ")", "*", "**", "**=", "*=", "+", "+=",
+    ",", "-", "-=", "->", ".", "...", "/", "//", "//=", "/=", ":", ":=", ";",
+    "<", "<<", "<<=", "<=", "=", "==", ">", ">=", ">>", ">>=", "@", "@=",
+    "[", "]", "^", "^=", "{", "|", "|=", "}", "~",
+)
+_DIGITS = r"[0-9](?:_?[0-9])*"
+_FLOAT = (rf"(?:{_DIGITS}\.(?:{_DIGITS})?|\.{_DIGITS})(?:[eE][-+]?{_DIGITS})?"
+          rf"|{_DIGITS}[eE][-+]?{_DIGITS}")
+_NUMBER = (rf"{_DIGITS}[jJ]|(?:{_FLOAT})[jJ]|{_FLOAT}"
+           r"|0[xX](?:_?[0-9a-fA-F])+|0[bB](?:_?[01])+|0[oO](?:_?[0-7])+"
+           r"|0(?:_?0)*|[1-9](?:_?[0-9])*")
+# One alternative per kind of token, after the blanks before it; the group
+# that matched is ``match.lastindex``.  Where two alternatives can match at
+# one place, tokenize's order decides: a string before a name (``rb'x'``), a
+# number before an operator (``.5``), a longer operator before its prefix.
+# The lookaheads only skip alternatives that cannot match there.  Patterns
+# are compiled on first use (``re`` caches them), so a process that never
+# parses does not pay for compiling them.
+_G_STRING, _G_NAME, _G_NUMBER, _G_OP, _G_NEWLINE, _G_COMMENT, _G_BACKSLASH, \
+    _G_WORD, _G_OTHER = range(1, 10)
+_TOKEN = (
+    r"[ \f\t]*(?:"
+    r"(?=[bBrRuUfF'\"])((?:[bB][rR]?|[rR][bBfF]?|[uU]|[fF][rR]?)?(?:'''|\"\"\"|'|\"))"
+    r"|([A-Za-z_]\w*)"
+    rf"|(?=[0-9.])({_NUMBER})"
+    "|(" + "|".join(map(re.escape, sorted(_OPERATORS, reverse=True))) + ")"
+    r"|(\r?\n)"
+    r"|(#[^\r\n]*)"
+    r"|(\\\r?\n)"  # backslash continuation
+    r"|(\w+)"  # a word that starts with no ASCII letter: a name if Unicode says so
+    r"|(.)"  # a character that starts no token
+    r"|\Z)"
+)
+# The rest of a string literal after its opening quotes, on its first line
+# (a one-quote string may end that line with a backslash-newline instead),
+# and the end of a string continued onto a later line.
+_STRING_FIRST = {
+    "'''": r"[^'\\]*(?:(?:\\.|'(?!''))[^'\\]*)*'''",
+    '"""': r'[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"""',
+    "'": r"[^\n'\\]*(?:\\.[^\n'\\]*)*('|\\\r?\n)",
+    '"': r'[^\n"\\]*(?:\\.[^\n"\\]*)*("|\\\r?\n)',
+}
+_STRING_LATER = {
+    **_STRING_FIRST,
+    "'": r"[^'\\]*(?:\\.[^'\\]*)*'",
+    '"': r'[^"\\]*(?:\\.[^"\\]*)*"',
+}
+_OPENERS = frozenset("([{")
+_CLOSERS = frozenset(")]}")
+
+
+def _column(indent: str) -> int:
+    column = 0
+    for char in indent:
+        if char == " ":
+            column += 1
+        elif char == "\t":
+            column = (column // 8 + 1) * 8
+        else:  # form feed
+            column = 0
+    return column
+
+
+def _open_last_line(source: str) -> bool:
+    """Whether the text ends in a line with no line break that is not a
+    comment, which tokenize closes with an empty NEWLINE."""
+    last = source[source.rfind("\n") + 1:]
+    return last != "" and last[-1] != "\r" and not last.strip().startswith("#")
+
+
+def _string_end(source: str, start: int, quote_end: int, line: int,
+                needcont: bool):
+    """Where the string literal at ``start`` ends, line by line as tokenize
+    reads it: ``(end, lines, closed, needcont)``.
+
+    ``lines`` counts the line breaks inside it.  A one-quote string that does
+    not close or continue on its first line is no string (``end`` is None).
+    Once continued, a string must close or continue on every further line
+    (``needcont``); one that stops instead is an error token up to the end of
+    that line (``closed`` False).  As in tokenize, ``needcont`` stays set after
+    that error and then applies to the next multi-line string too.
+    """
+    quote = source[start:quote_end].lstrip("bBrRuUfF")
+    size = len(source)
+    newline = source.find("\n", quote_end)
+    pos = size if newline < 0 else newline + 1
+    match = re.compile(_STRING_FIRST[quote]).match(source, quote_end, pos)
+    if len(quote) == 1:
+        if match is None:
+            return None, 0, False, needcont
+        if match.group(1) == quote:
+            return match.end(), 0, True, needcont
+        needcont = True
+    elif match is not None:
+        return match.end(), 0, True, needcont
+    later = re.compile(_STRING_LATER[quote])
+    lines = 1
+    while True:
+        if pos == size:
+            raise ParseError(line, "unterminated string literal")
+        newline = source.find("\n", pos)
+        line_end = size if newline < 0 else newline + 1
+        match = later.match(source, pos, line_end)
+        if match is not None:
+            return match.end(), lines, True, False
+        if needcont and not source.endswith(("\\\n", "\\\r\n"), pos, line_end):
+            return line_end, lines, False, needcont
+        pos, lines = line_end, lines + 1
+
+
+def _scan(source: str) -> list[tuple[int, str, int]]:
+    """The token stream of ``source`` as ``(kind, string, line)`` tuples.
+
+    Raises ParseError where tokenize raises: at an unindent to no enclosing
+    level, and at the end of the text inside brackets, after a backslash or
+    inside a string, naming the line of the innermost open bracket, the
+    backslash or the string's start.
+    """
+    tokens: list[tuple[int, str, int]] = []
+    append = tokens.append
+    size = len(source)
+    pos = 0
+    line = 1
+    depth = 0  # bracket nesting; a closer without an opener takes it below 0
+    opened: list[tuple[str, int]] = []  # the open brackets and their lines
+    stray = 0  # line of the first closer without an opener
+    indents = [0]
+    needcont = False  # tokenize's flag, see _string_end
+    bol = True  # at the start of a logical line
+    token = re.compile(_TOKEN)
+    while True:  # one pass per stretch of text between multi-line strings
+        for found in token.finditer(source, pos):
+            group = found.lastindex
+            if bol:  # a blank or comment line, or the indentation of a line
+                if group == _G_NEWLINE:
+                    line += 1
+                    continue
+                if group is None:
+                    if found.start() == size and _open_last_line(source):
+                        append((NEWLINE, "", line - 1))
+                    break
+                # tokenize skips a line that starts with a comment or a "\r"
+                if group == _G_COMMENT or found[group] == "\r":
+                    newline = source.find("\n", found.end())
+                    line += 1
+                    pos = size if newline < 0 else newline + 1
+                    break
+                indent = source[found.start():found.start(group)]
+                column = len(indent) if indent.count(" ") == len(indent) else _column(indent)
+                if column > indents[-1]:
+                    indents.append(column)
+                    append((INDENT, indent, line))
+                while column < indents[-1]:
+                    if column not in indents:
+                        raise ParseError(line, "unindent does not match any outer indentation level")
+                    indents.pop()
+                    append((DEDENT, "", line))
+                bol = False
+            # the token itself
+            if group == _G_NAME:
+                append((NAME, found[group], line))
+            elif group == _G_OP:
+                text = found[group]
+                if text in _OPENERS:
+                    depth += 1
+                    opened.append((text, line))
+                elif text in _CLOSERS:
+                    depth -= 1
+                    if opened:
+                        opened.pop()
+                    elif not stray:
+                        stray = line
+                append((OP, text, line))
+            elif group == _G_NUMBER:
+                append((NUMBER, found[group], line))
+            elif group == _G_NEWLINE:
+                if depth > 0:
+                    line += 1
+                    continue
+                append((NEWLINE, found[group], line))
+                line += 1
+                bol = depth == 0
+            elif group is None:  # end of the text
+                if depth > 0:
+                    char, at = opened[-1]
+                    raise ParseError(at, f"{char!r} was never closed")
+                if depth < 0:
+                    raise ParseError(stray, "unmatched closing bracket")
+                if source[-1] == "\n":  # only a backslash continuation gets here
+                    raise ParseError(line - 1, "unexpected end of text after a backslash")
+                if _open_last_line(source):
+                    append((NEWLINE, "", line))
+                line += 1
+                break
+            elif group == _G_BACKSLASH:
+                line += 1
+            elif group == _G_STRING:
+                begin = found.start(group)
+                quote_end = found.end()
+                end, lines, closed, needcont = _string_end(
+                    source, begin, quote_end, line, needcont)
+                if end is None:  # a name, if prefixed, then a stray quote
+                    if begin < quote_end - 1:
+                        append((NAME, source[begin:quote_end - 1], line))
+                    append((ERRORTOKEN, source[quote_end - 1], line))
+                    continue
+                append((STRING if closed else ERRORTOKEN, source[begin:end], line))
+                pos = end
+                line += lines
+                if not closed:
+                    line += 1
+                    bol = depth == 0
+                break
+            elif group == _G_WORD:
+                text = found[group]
+                append((NAME if text[0].isidentifier() else ERRORTOKEN, text, line))
+            elif group == _G_OTHER:
+                append((ERRORTOKEN, found[group], line))
+        if group is None:
+            break
+    for _ in indents[1:]:
+        append((DEDENT, "", line))
+    append((ENDMARKER, "", line))
+    return tokens
+
+
+# ---------------------------------------------------------------------------
 # Parser
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 _METHODS = ("append", "extend", "pop")
+# Binding power of each binary operator; ``not`` binds at 3, between ``and``
+# and the comparisons.  A token's string alone identifies these: no other
+# kind of token can read "or", "<" or "+".
+_BINARY = {
+    "or": 1, "and": 2,
+    "<": 4, "<=": 4, ">": 4, ">=": 4, "==": 4, "!=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "//": 6, "%": 6,
+}
+_NOT = 3
+_COMPARE = 4
+_STATEMENT_ONLY = frozenset((
+    "import", "from", "class", "lambda", "pass", "del", "try", "with",
+    "global", "nonlocal", "assert", "yield", "raise", "elif", "else",
+))
+_NOT_AN_EXPRESSION = frozenset((
+    "None", "and", "or", "not", "in", "is", "if", "else", "for", "while",
+    "def", "return", "lambda",
+))
 
 
 class _Parser:
-    def __init__(self, source: str):
-        try:
-            raw = list(_tok.generate_tokens(io.StringIO(source).readline))
-        except (_tok.TokenError, IndentationError, SyntaxError) as exc:
-            raise ParseError(getattr(exc, "lineno", 0) or 0, f"bad token stream: {exc}")
-        self.tokens = [
-            t for t in raw if t.type not in (_tok.COMMENT, _tok.NL, _tok.ENCODING)
-        ]
+    """Recursive descent over the token tuples, with precedence climbing for
+    binary operators.  Operators and keywords are matched on the token's
+    string, which the lexer makes unique to its kind."""
+
+    def __init__(self, tokens: list[tuple[int, str, int]]):
+        self.tokens = tokens
         self.pos = 0
 
     # -- token helpers
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
+    def next(self) -> tuple[int, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def at(self, type_: int, string: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.type == type_ and (string is None or tok.string == string)
+    def at(self, string: str) -> bool:
+        return self.tokens[self.pos][1] == string
 
-    def at_name(self, *strings: str) -> bool:
-        tok = self.peek()
-        return tok.type == _tok.NAME and tok.string in strings
+    def expect(self, string: str) -> tuple[int, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[1] != string:
+            raise ParseError(tok[2], f"expected {string!r}, got {tok[1]!r}")
+        self.pos += 1
+        return tok
 
-    def expect(self, type_: int, string: str | None = None):
-        tok = self.peek()
-        if not self.at(type_, string):
-            want = string or _tok.tok_name[type_]
-            raise ParseError(tok.start[0], f"expected {want!r}, got {tok.string!r}")
-        return self.next()
+    def expect_kind(self, kind: int) -> tuple[int, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise ParseError(tok[2], f"expected {KIND_NAMES[kind]!r}, got {tok[1]!r}")
+        self.pos += 1
+        return tok
 
     def error(self, message: str) -> ParseError:
-        return ParseError(self.peek().start[0], message)
+        return ParseError(self.tokens[self.pos][2], message)
 
     # -- grammar
 
     def parse_module(self) -> Module:
         body = []
-        while not self.at(_tok.ENDMARKER):
-            if self.at(_tok.NEWLINE):
-                self.next()
-                continue
-            body.append(self.statement())
-        return Module(body)
+        while True:
+            kind = self.tokens[self.pos][0]
+            if kind == ENDMARKER:
+                return Module(body)
+            if kind == NEWLINE:
+                self.pos += 1
+            else:
+                body.append(self.statement())
 
     def statement(self) -> Stmt:
-        tok = self.peek()
-        line = tok.start[0]
-        if tok.type == _tok.NAME:
-            word = tok.string
-            if word == "def":
-                return self.funcdef()
-            if word == "return":
-                self.next()
-                value = None
-                if not self.at(_tok.NEWLINE):
-                    value = self.expression()
-                self.expect(_tok.NEWLINE)
-                return Return(line, value)
-            if word == "if":
-                return self.if_stmt()
-            if word == "while":
-                self.next()
-                cond = self.expression()
-                body = self.block()
-                return While(line, cond, body)
-            if word == "for":
-                return self.for_stmt()
-            if word == "break":
-                self.next()
-                self.expect(_tok.NEWLINE)
-                return Break(line)
-            if word == "continue":
-                self.next()
-                self.expect(_tok.NEWLINE)
-                return Continue(line)
-            if word in ("import", "from", "class", "lambda", "pass", "del", "try",
-                        "with", "global", "nonlocal", "assert", "yield", "raise",
-                        "elif", "else"):
-                raise self.error(f"{word!r} is outside the mini-language")
+        _, word, line = self.tokens[self.pos]
+        if word == "def":
+            return self.funcdef()
+        if word == "return":
+            self.pos += 1
+            value = None
+            if self.tokens[self.pos][0] != NEWLINE:
+                value = self.expression()
+            self.expect_kind(NEWLINE)
+            return Return(line, value)
+        if word == "if":
+            return self.if_stmt()
+        if word == "while":
+            self.pos += 1
+            cond = self.expression()
+            return While(line, cond, self.block())
+        if word == "for":
+            return self.for_stmt()
+        if word == "break" or word == "continue":
+            self.pos += 1
+            self.expect_kind(NEWLINE)
+            return Break(line) if word == "break" else Continue(line)
+        if word in _STATEMENT_ONLY:
+            raise self.error(f"{word!r} is outside the mini-language")
         return self.simple_stmt()
 
     def funcdef(self) -> FunctionDef:
-        line = self.expect(_tok.NAME, "def").start[0]
-        name = self.expect(_tok.NAME).string
-        self.expect(_tok.OP, "(")
+        line = self.expect("def")[2]
+        name = self.expect_kind(NAME)[1]
+        self.expect("(")
         params = []
-        while not self.at(_tok.OP, ")"):
-            params.append(self.expect(_tok.NAME).string)
-            if self.at(_tok.OP, ","):
-                self.next()
-        self.expect(_tok.OP, ")")
-        body = self.block()
-        return FunctionDef(line, name, params, body)
+        while not self.at(")"):
+            params.append(self.expect_kind(NAME)[1])
+            if self.at(","):
+                self.pos += 1
+        self.pos += 1
+        return FunctionDef(line, name, params, self.block())
 
     def block(self) -> list[Stmt]:
-        self.expect(_tok.OP, ":")
-        self.expect(_tok.NEWLINE)
-        self.expect(_tok.INDENT)
+        self.expect(":")
+        self.expect_kind(NEWLINE)
+        self.expect_kind(INDENT)
         body = []
-        while not self.at(_tok.DEDENT):
+        while self.tokens[self.pos][0] != DEDENT:
             body.append(self.statement())
-        self.expect(_tok.DEDENT)
+        self.pos += 1
         if not body:
             raise self.error("empty block")
         return body
 
     def if_stmt(self, keyword: str = "if") -> If:
-        line = self.expect(_tok.NAME, keyword).start[0]
+        line = self.expect(keyword)[2]
         cond = self.expression()
         body = self.block()
         orelse: list[Stmt] = []
-        if self.at_name("elif"):
+        if self.at("elif"):
             orelse = [self.if_stmt("elif")]
-        elif self.at_name("else"):
-            self.next()
+        elif self.at("else"):
+            self.pos += 1
             orelse = self.block()
         return If(line, cond, body, orelse)
 
     def for_stmt(self) -> ForRange:
-        line = self.expect(_tok.NAME, "for").start[0]
-        var = self.expect(_tok.NAME).string
-        self.expect(_tok.NAME, "in")
-        self.expect(_tok.NAME, "range")
-        self.expect(_tok.OP, "(")
+        line = self.expect("for")[2]
+        var = self.expect_kind(NAME)[1]
+        self.expect("in")
+        self.expect("range")
+        self.expect("(")
         args = [self.expression()]
-        while self.at(_tok.OP, ","):
-            self.next()
+        while self.at(","):
+            self.pos += 1
             args.append(self.expression())
         if len(args) > 3:
             raise self.error("range takes at most 3 arguments")
-        self.expect(_tok.OP, ")")
-        body = self.block()
-        return ForRange(line, var, args, body)
+        self.expect(")")
+        return ForRange(line, var, args, self.block())
 
     def simple_stmt(self) -> Stmt:
-        line = self.peek().start[0]
+        line = self.tokens[self.pos][2]
         first = self.expression()
-        if self.at(_tok.OP, ",") or self.at(_tok.OP, "="):
+        if self.at(",") or self.at("="):
             targets = [first]
-            while self.at(_tok.OP, ","):
-                self.next()
+            while self.at(","):
+                self.pos += 1
                 targets.append(self.expression())
-            self.expect(_tok.OP, "=")
+            self.expect("=")
             values = [self.expression()]
-            while self.at(_tok.OP, ","):
-                self.next()
+            while self.at(","):
+                self.pos += 1
                 values.append(self.expression())
-            self.expect(_tok.NEWLINE)
+            self.expect_kind(NEWLINE)
             if len(targets) == 1:
                 target = targets[0]
                 if not isinstance(target, (Name, Subscript)):
@@ -355,142 +612,125 @@ class _Parser:
             if not all(isinstance(t, Name) for t in targets):
                 raise ParseError(line, "tuple assignment targets must be names")
             return TupleAssign(line, targets, values)  # type: ignore[arg-type]
-        self.expect(_tok.NEWLINE)
+        self.expect_kind(NEWLINE)
         return ExprStmt(line, first)
 
-    # -- expressions (precedence climbing)
+    # -- expressions
 
-    def expression(self) -> Expr:
-        return self.or_expr()
-
-    def or_expr(self) -> Expr:
-        node = self.and_expr()
-        while self.at_name("or"):
-            line = self.next().start[0]
-            node = BoolOp(line, "or", node, self.and_expr())
-        return node
-
-    def and_expr(self) -> Expr:
-        node = self.not_expr()
-        while self.at_name("and"):
-            line = self.next().start[0]
-            node = BoolOp(line, "and", node, self.not_expr())
-        return node
-
-    def not_expr(self) -> Expr:
-        if self.at_name("not"):
-            line = self.next().start[0]
-            return NotOp(line, self.not_expr())
-        return self.comparison()
-
-    def comparison(self) -> Expr:
-        node = self.arith()
-        if self.at(_tok.OP) and self.peek().string in _CMP_OPS:
-            tok = self.next()
-            node = Compare(tok.start[0], tok.string, node, self.arith())
-            if self.at(_tok.OP) and self.peek().string in _CMP_OPS:
-                raise self.error("chained comparisons are not supported")
-        return node
-
-    def arith(self) -> Expr:
-        node = self.term()
-        while self.at(_tok.OP) and self.peek().string in ("+", "-"):
-            tok = self.next()
-            node = BinOp(tok.start[0], tok.string, node, self.term())
-        return node
-
-    def term(self) -> Expr:
-        node = self.unary()
-        while self.at(_tok.OP) and self.peek().string in ("*", "//", "%"):
-            tok = self.next()
-            node = BinOp(tok.start[0], tok.string, node, self.unary())
-        return node
+    def expression(self, floor: int = 1) -> Expr:
+        """An expression whose binary operators bind at least as tightly as
+        ``floor``; operators of one binding power group to the left."""
+        tokens = self.tokens
+        _, string, line = tokens[self.pos]
+        if string == "not" and floor <= _NOT:
+            self.pos += 1
+            node = NotOp(line, self.expression(_NOT))
+        else:
+            node = self.unary()
+        while True:
+            _, string, line = tokens[self.pos]
+            power = _BINARY.get(string)
+            if power is None or power < floor:
+                return node
+            self.pos += 1
+            if power == _COMPARE:
+                node = Compare(line, string, node, self.expression(_COMPARE + 1))
+                if tokens[self.pos][1] in _CMP_OPS:
+                    raise self.error("chained comparisons are not supported")
+            elif power < _NOT:
+                node = BoolOp(line, string, node, self.expression(power + 1))
+            else:
+                node = BinOp(line, string, node, self.expression(power + 1))
 
     def unary(self) -> Expr:
-        if self.at(_tok.OP, "-"):
-            tok = self.next()
-            if self.at(_tok.NUMBER):
+        tok = self.tokens[self.pos]
+        if tok[1] == "-":
+            self.pos += 1
+            if self.tokens[self.pos][0] == NUMBER:
                 return self.number(self.next(), negate=True)
-            return Neg(tok.start[0], self.unary())
+            return Neg(tok[2], self.unary())
         return self.postfix()
 
     def postfix(self) -> Expr:
         node = self.atom()
+        tokens = self.tokens
         while True:
-            if self.at(_tok.OP, "["):
-                tok = self.next()
+            _, string, line = tokens[self.pos]
+            if string == "[":
+                self.pos += 1
                 index = self.expression()
-                self.expect(_tok.OP, "]")
-                node = Subscript(tok.start[0], node, index)
-            elif self.at(_tok.OP, "."):
-                tok = self.next()
-                method = self.expect(_tok.NAME).string
+                self.expect("]")
+                node = Subscript(line, node, index)
+            elif string == ".":
+                self.pos += 1
+                method = self.expect_kind(NAME)[1]
                 if method not in _METHODS:
-                    raise ParseError(tok.start[0], f"unknown method {method!r}")
-                self.expect(_tok.OP, "(")
+                    raise ParseError(line, f"unknown method {method!r}")
+                self.expect("(")
                 args = []
-                while not self.at(_tok.OP, ")"):
+                while not self.at(")"):
                     args.append(self.expression())
-                    if self.at(_tok.OP, ","):
-                        self.next()
-                self.expect(_tok.OP, ")")
-                node = MethodCall(tok.start[0], node, method, args)
+                    if self.at(","):
+                        self.pos += 1
+                self.pos += 1
+                node = MethodCall(line, node, method, args)
             else:
                 return node
 
-    def number(self, tok, negate: bool = False) -> Num:
-        text = tok.string
+    def number(self, tok: tuple[int, str, int], negate: bool = False) -> Num:
+        _, text, line = tok
         try:
             value = int(text)
         except ValueError:
-            raise ParseError(tok.start[0], f"only integer literals are supported: {text}")
-        return Num(tok.start[0], -value if negate else value)
+            raise ParseError(line, f"only integer literals are supported: {text}")
+        return Num(line, -value if negate else value)
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        line = tok.start[0]
-        if tok.type == _tok.NUMBER:
-            return self.number(self.next())
-        if tok.type == _tok.NAME:
-            word = tok.string
-            if word in ("True", "False"):
-                self.next()
+        tok = self.tokens[self.pos]
+        kind, word, line = tok
+        if kind == NAME:
+            if word == "True" or word == "False":
+                self.pos += 1
                 return BoolLit(line, word == "True")
             if word == "len":
-                self.next()
-                self.expect(_tok.OP, "(")
+                self.pos += 1
+                self.expect("(")
                 arg = self.expression()
-                self.expect(_tok.OP, ")")
+                self.expect(")")
                 return LenCall(line, arg)
-            if word in ("None", "and", "or", "not", "in", "is", "if", "else",
-                        "for", "while", "def", "return", "lambda"):
+            if word in _NOT_AN_EXPRESSION:
                 raise self.error(f"{word!r} cannot start an expression here")
-            self.next()
-            if self.at(_tok.OP, "("):
+            self.pos += 1
+            if self.at("("):
                 raise ParseError(line, f"calls to {word!r} are outside the mini-language")
             return Name(line, word)
-        if tok.type == _tok.OP and tok.string == "(":
-            self.next()
+        if kind == NUMBER:
+            self.pos += 1
+            return self.number(tok)
+        if word == "(":
+            self.pos += 1
             node = self.expression()
-            self.expect(_tok.OP, ")")
+            self.expect(")")
             return node
-        if tok.type == _tok.OP and tok.string == "[":
-            self.next()
+        if word == "[":
+            self.pos += 1
             elems = []
-            while not self.at(_tok.OP, "]"):
+            while not self.at("]"):
                 elems.append(self.expression())
-                if self.at(_tok.OP, ","):
-                    self.next()
-            self.expect(_tok.OP, "]")
+                if self.at(","):
+                    self.pos += 1
+            self.pos += 1
             return ListDisplay(line, elems)
-        if tok.type == _tok.STRING:
+        if kind == STRING:
             raise self.error("string literals are outside the mini-language")
-        raise self.error(f"unexpected token {tok.string!r}")
+        if kind == ERRORTOKEN:
+            raise self.error(f"unexpected character {word!r}")
+        raise self.error(f"unexpected token {word!r}")
 
 
 def parse(source: str) -> Module:
     """Parse mini-language source; raises ParseError outside the language."""
-    return _Parser(source).parse_module()
+    return _Parser(_scan(source)).parse_module()
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ import random
 import tokenize as _tok
 from dataclasses import dataclass, replace
 
-from . import minipy
 from .problems import Problem
 from .values import canonical_repr, values_equal
 
@@ -153,21 +152,6 @@ def apply_site(source: str, site: MutationSite) -> str:
 def enumerate_source_mutants(source: str) -> list[tuple[str, MutationSite]]:
     """One mutant source per (site, replacement); formatting preserved."""
     return [(apply_site(source, site), site) for site in mutation_sites(source)]
-
-
-def enumerate_mutants(program) -> list[tuple["minipy.Module", MutationSite, str]]:
-    """Mutants of a mini-language program as parsed modules.
-
-    Accepts an ImpProgram or raw source; returns (ast, site, source) triples.
-    Every substitution stays inside the mini-language, so re-parsing cannot
-    fail for programs that parse in the first place.
-    """
-    source = program if isinstance(program, str) else program.source
-    minipy.parse(source)  # precondition: the original parses
-    out = []
-    for mutated, site in enumerate_source_mutants(source):
-        out.append((minipy.parse(mutated), site, mutated))
-    return out
 
 
 @dataclass

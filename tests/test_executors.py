@@ -45,6 +45,13 @@ class TestExternalExecutor:
         assert result.status == "ok"
         assert result.output == "HI"
 
+    def test_unclosed_bracket_line_matches_builtin(self, external):
+        source = "def f(a1):\n    x = [1,\n    return x\n"
+        ext = external.run(source, "f", ([1],))
+        mini = BuiltinExecutor().run(source, "f", ([1],))
+        assert ext.error_kind == mini.error_kind == "SyntaxError"
+        assert ext.error_line == mini.error_line == 2
+
     def test_error_classification_and_line(self, external):
         result = external.run("def f(a1):\n    return a1[9]", "f", ([1],))
         assert result.status == "error"

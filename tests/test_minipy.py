@@ -1,6 +1,18 @@
+import ast
+import hashlib
+import io
+import json
+import random
+import sys
+import tokenize
+
 import pytest
 
+from conftest import fixture_path, read_fixture
+
+from mutexec import minipy
 from mutexec.minipy import Limits, ParseError, interpret, parse
+from mutexec.mutate import enumerate_source_mutants
 
 
 def run(source, *args, limits=None, fn=None):
@@ -175,3 +187,225 @@ class TestInterpret:
         assert run(source, [0], fn="f").output == 2
         assert run(source, [0], fn="g").output == 1
         assert run(source, [0], fn="h").error_kind == "NameError"
+
+
+# Texts the lexer must read as tokenize does, each with the line of the
+# ParseError it raises (None: it parses).
+EDGE_CASES = [
+    # comments, blank and whitespace-only lines
+    ("def f(a1):\n    # note\n\n    v1 = a1  # trailing\n   \n    return v1\n", None),
+    ("# header\n\ndef f(a1):\n    return a1\n# end", None),
+    ("def f(a1):\n    return a1\n    ", None),
+    # implicit line joining inside brackets
+    ("def f(a1):\n    v1 = [1,\n  2,\n\n        3]\n    return (v1 +\n a1)\n", None),
+    ("def f(a1):\n    a1.append(len(\n# inside\n    a1))\n    return a1", None),
+    # backslash continuation, CRLF, form feed
+    ("def f(a1):\n    v1 = 1 + \\\n        2\n    return v1\n", None),
+    ("def f(a1):\r\n    v1 = [1,\r\n 2]\r\n\r\n    return v1\r\n", None),
+    ("\x0cdef f(a1):\n\x0c    return a1\n", None),
+    # tab indentation: a tab runs to the next multiple of 8
+    ("def f(a1):\n\tif a1:\n\t\treturn 1\n\treturn 2\n", None),
+    ("def f(a1):\n    if a1:\n\treturn 1\n    return 2\n", None),
+    ("def f(a1):\n  \tif a1:\n\t    return 1\n\treturn 2\n", None),
+    # missing final newline, Unicode identifiers
+    ("def f(a1):\n    return a1", None),
+    ("def f(a1):\n    é = a1\n    return é", None),
+    # number-like spans cut as tokenize cuts them
+    ("def f(a1):\n    return 1_000\n", None),
+    ("def f(a1):\n    return 00 + -0_0\n", None),
+    ("def f(a1):\n    v1 = 1\n    return 1.5\n", 3),
+    ("def f(a1):\n    return 0x10\n", 2),
+    ("def f(a1):\n    return 1e3\n", 2),
+    ("def f(a1):\n    return .5\n", 2),
+    ("def f(a1):\n    return 1j\n", 2),
+    ("def f(a1):\n    return 01\n", 2),
+    ("def f(a1):\n    return 1if\n", 2),
+    # string literals, one-line and multi-line
+    ("def f(a1):\n    return 'x'\n", 2),
+    ("def f(a1):\n    v1 = 1\n    v2 = rb\"x\"\n    return v1\n", 3),
+    ("def f(a1):\n    v1 = '''a\nb'''\n    return v1\n", 2),
+    ("def f(a1):\n    v1 = 'a\\\nb'\n    return v1\n", 2),
+    # inconsistent dedent
+    ("def f(a1):\n        v1 = 1\n    return v1\n", 3),
+    ("def f(a1):\n    if a1:\n        v1 = 1\n      return v1\n", 4),
+    # unexpected characters and unterminated quotes
+    ("def f(a1):\n    x = $\n    return x\n", 2),
+    ("def f(a1):\n    x = 'abc\n    return x\n", 2),
+    ("def f(a1):\n    x = a1 ? 1\n", 2),
+    # unclosed and stray brackets; a backslash or a string open at the end
+    ("def f(a1):\n    x = [1,\n    return x\n", 2),
+    ("def f(a1):\n    x = (1,\n [2,\n    return x", 3),
+    ("def f(a1):\n    x = 1)\n    return x\n", 2),
+    ("def f(a1):\n    x = 1 + \\\n", 2),
+    ("def f(a1):\n    x = \"\"\"abc\n    return x\n", 2),
+]
+
+# sha256 of the lexer corpus's AST reprs ("-" for a source that does not
+# parse), recorded with the tokenize-based parser that the scanner replaced.
+CORPUS_AST_SHA256 = "0ee5e3247522d22b3fc467f13c5ccf8f1e5d6a6e84733c0bfc24bc60bd8d66c4"
+
+
+def tokenize_stream(source):
+    """tokenize's tokens as (kind name, string, line), without COMMENT, NL
+    and ENCODING."""
+    skip = (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING)
+    return [
+        (tokenize.tok_name[t.type], t.string, t.start[0])
+        for t in tokenize.generate_tokens(io.StringIO(source).readline)
+        if t.type not in skip
+    ]
+
+
+def scanner_stream(source):
+    return [(minipy.KIND_NAMES[k], s, line) for k, s, line in minipy._scan(source)]
+
+
+def tokenize_parse(source):
+    """The parser run on tokenize's tokens instead of the scanner's."""
+    tokens = [
+        (minipy.KIND_NAMES.index(kind), string, line)
+        for kind, string, line in tokenize_stream(source)
+    ]
+    return minipy._Parser(tokens).parse_module()
+
+
+def outcomes(sources):
+    """The repr of each source's AST, or the line of its ParseError."""
+    out = []
+    for source in sources:
+        try:
+            out.append(repr(parse(source)))
+        except ParseError as err:
+            out.append(err.line)
+    return out
+
+
+@pytest.fixture(scope="module")
+def lexer_corpus(small_corpus):
+    """Sampled programs, all their mutants, the fixture programs and the
+    edge cases."""
+    programs = list(dict.fromkeys(p.source for p in small_corpus))
+    mutants = [m for source in programs for m, _ in enumerate_source_mutants(source)]
+    with open(fixture_path("differential.jsonl"), encoding="utf-8") as fh:
+        differential = [json.loads(line)["source"] for line in fh if line.strip()]
+    edge = [source for source, _ in EDGE_CASES]
+    return programs + mutants + differential + [read_fixture("golden_depth5.py")] + edge
+
+
+# From Python 3.12 on, tokenize is the C tokenizer: it raises at the first
+# bad character instead of yielding an ERRORTOKEN.
+needs_python_tokenize = pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="compares with the pure-Python tokenize"
+)
+
+
+class TestLexer:
+    @pytest.mark.parametrize("source,line", EDGE_CASES)
+    def test_edge_case(self, source, line):
+        if line is None:
+            parse(source)
+        else:
+            with pytest.raises(ParseError) as err:
+                parse(source)
+            assert err.value.line == line
+
+    @needs_python_tokenize
+    def test_token_stream_matches_tokenize(self, lexer_corpus):
+        parsed = 0
+        for source, outcome in zip(lexer_corpus, outcomes(lexer_corpus)):
+            if isinstance(outcome, str):
+                assert scanner_stream(source) == tokenize_stream(source), source
+                parsed += 1
+        assert parsed > 200
+
+    @needs_python_tokenize
+    def test_parse_errors_at_tokenize_lines(self, lexer_corpus):
+        failed = 0
+        for source, outcome in zip(lexer_corpus, outcomes(lexer_corpus)):
+            if isinstance(outcome, str):
+                continue
+            failed += 1
+            try:
+                tokenize_parse(source)
+            except ParseError as err:
+                assert outcome == err.line, source
+            except IndentationError as err:
+                assert outcome == err.lineno, source
+            except tokenize.TokenError:
+                # tokenize gives no line here; the scanner names the line of
+                # the open bracket, backslash or string (see EDGE_CASES)
+                assert outcome > 0, source
+            else:
+                pytest.fail(f"parses with tokenize's tokens: {source!r}")
+        assert failed >= sum(line is not None for _, line in EDGE_CASES)
+
+    def test_ast_digest_pinned(self, lexer_corpus):
+        text = "\n".join(o if isinstance(o, str) else "-" for o in outcomes(lexer_corpus))
+        assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_AST_SHA256
+
+    @needs_python_tokenize
+    def test_random_texts_match_tokenize(self):
+        pieces = [
+            "def", "f", "a1", "é", "return", "(", ")", "[", "]", ":", ",",
+            "=", "==", "+", "-", "**", "...", " ", "    ", "\t", "\x0c", "\n",
+            "\n    ", "\n  ", "\n\t", "\r\n", "\r", "\\\n", "\\", "#c",
+            "'", '"', "'''", "rb", "1", "1_0", "0x1", "1.5", ".5", "01",
+            "$", "?", "\x0b",
+        ]
+        rng = random.Random(7)
+        for _ in range(3000):
+            source = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 25)))
+            try:
+                expected = tokenize_stream(source)
+            except (tokenize.TokenError, IndentationError) as err:
+                with pytest.raises(ParseError) as mine:
+                    minipy._scan(source)
+                if isinstance(err, IndentationError):
+                    assert mine.value.line == err.lineno, source
+                continue
+            # tokenize also yields the blanks before a bad character
+            expected = [t for t in expected
+                        if not (t[0] == "ERRORTOKEN" and t[1] in " \t\x0c")]
+            assert scanner_stream(source) == expected, source
+
+    def test_unexpected_character_named(self):
+        with pytest.raises(ParseError) as err:
+            parse("def f(a1):\n    x = $\n    return x\n")
+        assert (err.value.line, err.value.message) == (2, "unexpected character '$'")
+        with pytest.raises(ParseError) as err:
+            parse("def f(a1):\n    x = a1 $\n    return x\n")
+        assert (err.value.line, err.value.message) == (2, "expected 'NEWLINE', got '$'")
+
+    def test_unterminated_quote_named(self):
+        with pytest.raises(ParseError) as err:
+            parse("def f(a1):\n    x = 'abc\n    return x\n")
+        assert (err.value.line, err.value.message) == (2, "unexpected character \"'\"")
+
+    def test_unclosed_bracket_line(self):
+        with pytest.raises(ParseError) as err:
+            parse("def f(a1):\n    x = [1,\n    return x\n")
+        assert (err.value.line, err.value.message) == (2, "'[' was never closed")
+
+    def test_number_spans(self):
+        assert run("def f(a1):\n    return 1_000", 0).output == 1000
+        for literal in ("1.5", "0x10", "1e3"):
+            with pytest.raises(ParseError) as err:
+                parse(f"def f(a1):\n    return {literal}")
+            assert err.value.message == f"only integer literals are supported: {literal}"
+
+    def test_string_literal_line(self):
+        with pytest.raises(ParseError) as err:
+            parse("def f(a1):\n    v1 = 1\n    v2 = '''a\nb'''\n    return v1")
+        assert err.value.line == 3
+        assert err.value.message == "string literals are outside the mini-language"
+
+    def test_module_does_not_import_tokenize(self):
+        with open(minipy.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):
+                imported |= {node.module or ""} | {alias.name for alias in node.names}
+        assert "tokenize" not in imported

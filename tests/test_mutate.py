@@ -6,7 +6,6 @@ from mutexec.executors import BuiltinExecutor
 from mutexec.minipy import interpret, parse
 from mutexec.mutate import (
     Survivor,
-    enumerate_mutants,
     enumerate_source_mutants,
     filter_valid,
     jaccard,
@@ -123,10 +122,11 @@ class TestEnumerate:
             "        v1 = a1[0] + 1\n"
             "    return v1"
         )
-        triples = enumerate_mutants(source)
-        assert triples
-        for module, site, mutated in triples:
-            assert module.functions()  # parsed successfully
+        parse(source)
+        mutants = enumerate_source_mutants(source)
+        assert mutants
+        for mutated, site in mutants:
+            assert parse(mutated).functions(), site
 
     def test_strings_and_comments_are_not_sites(self):
         source = "def f(a):\n    return a  # 1 + 2 and 3 < 4\n"
