@@ -27,7 +27,7 @@ print(f"  nonterminals: {len(cfg.productions)}")
 print(f"  derivations:  {count_derivations(cfg):,}")
 print()
 
-config = SamplerConfig(program_type=program_type, max_depth=4)
+config = SamplerConfig()  # the grammar fixes the type and depth
 rng = random.Random(2)
 
 for i in range(3):

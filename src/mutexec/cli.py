@@ -122,10 +122,7 @@ def _weight(text: str) -> tuple[str, float]:
 
 def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
     return SamplerConfig(
-        program_type=list_program_type(args.arity),
-        max_depth=args.depth,
         weight_overrides=dict(args.weight or ()),
-        rng_seed=args.seed,
         input_count=args.input_count,
         list_len_range=(args.list_len_min, args.list_len_max),
         element_range=(args.element_min, args.element_max),
@@ -134,20 +131,19 @@ def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
 
 
 def _make_executor(args: argparse.Namespace):
-    cmd = getattr(args, "executor_cmd", None)
-    if getattr(args, "executor", "external") == "builtin":
+    if args.executor == "builtin":
         return BuiltinExecutor()
-    return ExternalExecutor(cmd, getattr(args, "executor_timeout", DEFAULT_TIMEOUT))
+    return ExternalExecutor(args.executor_cmd, args.executor_timeout)
 
 
 def _make_model(args: argparse.Namespace, pairs=None):
-    transcript = Transcript(getattr(args, "transcript", None))
+    transcript = Transcript(args.transcript)
     config = ModelConfig(
-        endpoint=getattr(args, "endpoint", ModelConfig.endpoint),
-        profile=getattr(args, "model_profile", "traditional"),
-        parallelism=getattr(args, "parallelism", 4),
+        endpoint=args.endpoint,
+        profile=args.model_profile,
+        parallelism=args.parallelism,
     )
-    if getattr(args, "max_tokens", None) is not None:
+    if args.max_tokens is not None:
         config.max_tokens = args.max_tokens
     return parse_model_spec(args.model, pairs=pairs, transcript=transcript,
                             config=config), transcript
@@ -160,14 +156,15 @@ def _make_model(args: argparse.Namespace, pairs=None):
 def cmd_sample(args) -> int:
     primitives, constraints = list_dsl()
     config = _sampler_config(args)
-    cfg = compile_cfg(primitives, constraints, config.program_type, config.max_depth)
+    program_type = list_program_type(args.arity)
+    cfg = compile_cfg(primitives, constraints, program_type, args.depth)
     rng = random.Random(args.seed)
     with atomic_writer(args.out) as fh:
         for _ in range(args.count):
             sp = sample_valid_program(cfg, config, rng=rng)
             fh.write(json.dumps({
                 "dsl_text": to_sexpr(sp.term),
-                "type": repr(config.program_type),
+                "type": repr(program_type),
                 "depth": sp.term.depth(),
                 "inputs": [format_args(a) for a in sp.inputs],
                 "outputs": [canonical_repr(o) for o in sp.outputs],
@@ -197,11 +194,7 @@ def cmd_build_dsl_list(args) -> int:
         seed=args.seed,
         programs_per_combo=args.programs_per_combo,
         per_bin=args.per_bin,
-        input_count=args.input_count,
-        list_len_range=(args.list_len_min, args.list_len_max),
-        element_range=(args.element_min, args.element_max),
-        weight_overrides=dict(args.weight or ()),
-        max_attempts=args.max_attempts,
+        sampler=_sampler_config(args),
     )
     problems = datasets.build_dsl_list(config)
     save_jsonl(problems, args.out)
@@ -367,8 +360,6 @@ def _add_common(parser):
 
 
 def _add_sampler_options(parser):
-    parser.add_argument("--arity", type=int, default=1, choices=(1, 2))
-    parser.add_argument("--depth", type=int, default=5, help="max AST depth")
     parser.add_argument("--input-count", type=int, default=3)
     parser.add_argument("--list-len-min", type=int, default=3)
     parser.add_argument("--list-len-max", type=int, default=5)
@@ -412,6 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="sample valid programs to a JSONL corpus")
     _add_common(p)
+    p.add_argument("--arity", type=int, default=1, choices=(1, 2))
+    p.add_argument("--depth", type=int, default=5, help="max AST depth")
     _add_sampler_options(p)
     p.add_argument("--count", "-n", type=int, default=10)
     p.add_argument("--out", required=True)

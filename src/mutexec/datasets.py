@@ -42,17 +42,17 @@ class InsufficientBinPopulation(Exception):
 
 @dataclass
 class DslListConfig:
+    """One grammar per (arity, depth) in ``arities`` x ``depths``, sampled
+    ``programs_per_combo`` times with ``sampler``; ``per_bin`` programs per
+    lines-of-code bin in ``bins`` are kept for each arity."""
+
     seed: int = 0
     arities: tuple[int, ...] = (1, 2)
     depths: tuple[int, ...] = (4, 5)
     programs_per_combo: int = 1000
     per_bin: int = 10
     bins: tuple[tuple[int, int], ...] = LOC_BINS
-    input_count: int = 3
-    list_len_range: tuple[int, int] = (3, 5)
-    element_range: tuple[int, int] = (0, 5)
-    weight_overrides: dict[str, float] = field(default_factory=dict)
-    max_attempts: int = 10_000
+    sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
 
 @dataclass
@@ -75,18 +75,9 @@ def build_dsl_list(config: DslListConfig | None = None) -> list[Problem]:
         pool: list[_Sampled] = []
         for depth in config.depths:
             cfg = compile_cfg(primitives, constraints, list_program_type(arity), depth)
-            sampler_config = SamplerConfig(
-                program_type=list_program_type(arity),
-                max_depth=depth,
-                weight_overrides=config.weight_overrides,
-                input_count=config.input_count,
-                list_len_range=config.list_len_range,
-                element_range=config.element_range,
-                max_attempts=config.max_attempts,
-            )
             rng = random.Random(f"{config.seed}:dsl:{arity}:{depth}")
             for _ in range(config.programs_per_combo):
-                sp = sample_valid_program(cfg, sampler_config, rng=rng)
+                sp = sample_valid_program(cfg, config.sampler, rng=rng)
                 pool.append(_Sampled(
                     sp.term, depth, sp.program.source, sp.program.loc,
                     sp.inputs, sp.outputs,
@@ -235,7 +226,6 @@ def fixed_sort_search_headers() -> list[tuple[str, str]]:
 class LlmListConfig:
     inputs_per_function: int = 3
     max_regenerations: int = 5
-    function_count: int = 112  # brainstormed plus fixed headers
 
 
 def _loc(source: str) -> int:
@@ -320,7 +310,6 @@ class IngestConfig:
     min_chars: int = 100
     max_chars: int = 800
     max_steps: int | None = 1000  # line-event proxy for the op-count filter
-    dataset_tag: str = "external"
 
 
 @dataclass
@@ -368,7 +357,7 @@ def ingest_external(
             continue
         problems.append(Problem(
             id=record.get("id", f"ext-{index:04d}"),
-            dataset=config.dataset_tag,
+            dataset="external",
             source=source,
             function_name=name,
             input=format_args(parse_args(input_text)),

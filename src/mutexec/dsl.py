@@ -415,22 +415,20 @@ class Violation:
 
 COMPILE_RULES = ("c1", "c2", "c3", "c4")
 SAMPLE_RULES = ("s1", "s2", "s3", "s4")
-RUNTIME_RULES = ("r1",)  # output must differ across the sampled inputs
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Structural and behavioral rules; each independently toggleable."""
+    """Structural rules; each independently toggleable.  The run-time rule
+    (outputs must differ across the sampled inputs) is always on."""
 
     compile_time: tuple[str, ...] = COMPILE_RULES
     sample_time: tuple[str, ...] = SAMPLE_RULES
-    runtime: tuple[str, ...] = RUNTIME_RULES
 
     def without(self, *rules: str) -> "ConstraintSet":
         return ConstraintSet(
             tuple(r for r in self.compile_time if r not in rules),
             tuple(r for r in self.sample_time if r not in rules),
-            tuple(r for r in self.runtime if r not in rules),
         )
 
 

@@ -33,6 +33,7 @@ rejections of each call are counted in ``SampledProgram.rejections``.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import random
 from dataclasses import dataclass, field
@@ -380,18 +381,15 @@ def compile_cfg(
 
 @dataclass
 class SamplerConfig:
-    program_type: Ty = field(default_factory=lambda: list_program_type(1))
-    max_depth: int = 5
+    """How ``sample_valid_program`` draws: production weight overrides, the
+    sampled inputs and the attempt budget.  The program type and depth bound
+    are the ``Cfg``'s."""
+
     weight_overrides: dict[str, float] = field(default_factory=dict)
-    rng_seed: int = 0
     input_count: int = 3
     list_len_range: tuple[int, int] = (3, 5)
     element_range: tuple[int, int] = (0, 5)
     max_attempts: int = 10_000
-
-    @property
-    def arity(self) -> int:
-        return len(split_fun(self.program_type)[0])
 
 
 def production_weight(production: Production, overrides: dict[str, float]) -> float:
@@ -487,17 +485,8 @@ class Sampler:
         return self.build(self.derive(rng, nt)[0])
 
 
-def sample(cfg: Cfg, config: SamplerConfig, rng: random.Random | None = None) -> Term:
-    """Sample one term top-down; deterministic given the rng seed."""
-    rng = rng or random.Random(config.rng_seed)
-    return Sampler(cfg, config.weight_overrides).sample(rng)
-
-
-def sample_inputs(
-    arity: int, config: SamplerConfig, rng: random.Random | None = None
-) -> list[tuple]:
+def sample_inputs(arity: int, config: SamplerConfig, rng: random.Random) -> list[tuple]:
     """input_count argument tuples of uniformly sampled int lists."""
-    rng = rng or random.Random(config.rng_seed)
     lo, hi = config.list_len_range
     elo, ehi = config.element_range
     out = []
@@ -554,7 +543,8 @@ def sample_valid_program(
     cfg: Cfg,
     config: SamplerConfig,
     executor=None,
-    rng: random.Random | None = None,
+    *,
+    rng: random.Random,
 ) -> SampledProgram:
     """Rejection-sample until a program passes s1-s4, executes cleanly on all
     sampled inputs, and does not produce the same output on every input.
@@ -569,7 +559,6 @@ def sample_valid_program(
     the candidate.  The accepted translation is returned as
     ``SampledProgram.program``.
     """
-    rng = rng or random.Random(config.rng_seed)
     run = executor or default_executor
     arity = cfg.arity
     sampler = Sampler(cfg, config.weight_overrides)
@@ -628,28 +617,11 @@ def enumerate_terms(cfg: Cfg, limit: int | None = None):
             elif not p.children:
                 yield Term(p.head, partial=p.partial)
             else:
-                for combo in _product([expand(c) for c in p.children]):
+                for combo in itertools.product(*[expand(c) for c in p.children]):
                     yield Term(p.head, tuple(combo), partial=p.partial)
 
     for term in expand(cfg.start):
         yield term
         produced += 1
         if limit is not None and produced >= limit:
-            return
-
-
-def _product(generators):
-    pools = [list(g) for g in generators]
-    if not pools:
-        yield ()
-        return
-    indices = [0] * len(pools)
-    while True:
-        yield tuple(pool[i] for pool, i in zip(pools, indices))
-        for k in reversed(range(len(pools))):
-            indices[k] += 1
-            if indices[k] < len(pools[k]):
-                break
-            indices[k] = 0
-        else:
             return

@@ -141,7 +141,8 @@ def mutation_sites(source: str) -> list[MutationSite]:
 
 
 def apply_site(source: str, site: MutationSite) -> str:
-    lines = source.splitlines()
+    # lines end at "\n" only, as mutation_sites numbers them
+    lines = source.split("\n")
     line = lines[site.line - 1]
     lines[site.line - 1] = (
         line[: site.col] + site.replacement_token + line[site.end_col :]

@@ -44,11 +44,6 @@ _PREC = {"||": 1, "&&": 2, "!": 3, "==": 4, "<": 4, ">": 4}
 _ATOM_PREC = 9
 
 
-def loc(program: ImpProgram) -> int:
-    """Non-blank line count, function header included."""
-    return sum(1 for line in program.source.splitlines() if line.strip())
-
-
 class _Translator:
     def __init__(self, term: Term, function_name: str, arity: int):
         self.term = term

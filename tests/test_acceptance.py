@@ -71,9 +71,7 @@ def test_01_oracle_equivalence():
     for arity in (1, 2):
         for depth in (4, 5):
             cfg = compile_cfg(PRIMS, CONSTRAINTS, list_program_type(arity), depth)
-            config = SamplerConfig(
-                program_type=list_program_type(arity), max_depth=depth
-            )
+            config = SamplerConfig()
             sampler = Sampler(cfg)
             rng = random.Random(1000 + arity * 10 + depth)
             produced = 0

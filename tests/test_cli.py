@@ -78,6 +78,36 @@ class TestBuildDeterminism:
         assert outs[0] == outs[1]
 
 
+class TestBuildDslListOptions:
+    @pytest.mark.parametrize("option", [["--arity", "2"], ["--depth", "4"]])
+    def test_arity_and_depth_are_sample_only(self, tmp_path, option):
+        # build-dsl-list samples every arity and depth of the dataset
+        out = tmp_path / "d.jsonl"
+        with pytest.raises(SystemExit) as err:
+            dispatch(["build-dsl-list", "--programs-per-combo", "60", "--per-bin", "1",
+                      "--out", str(out)] + option)
+        assert err.value.code == 2
+        assert not out.exists()
+
+    def test_input_options_reach_the_sampler(self, tmp_path):
+        out = tmp_path / "d.jsonl"
+        assert dispatch([
+            "build-dsl-list", "--seed", "2", "--programs-per-combo", "60",
+            "--per-bin", "1", "--input-count", "2", "--list-len-min", "1",
+            "--list-len-max", "2", "--element-min", "6", "--element-max", "9",
+            "--out", str(out),
+        ]) == 0
+        problems = load_jsonl(str(out))
+        per_program = {}
+        for problem in problems:
+            per_program[problem.program_id] = per_program.get(problem.program_id, 0) + 1
+            for arg in problem.args():
+                assert 1 <= len(arg) <= 2
+                assert all(6 <= v <= 9 for v in arg)
+        assert len(per_program) == 2 * 5  # one program per LOC bin and arity
+        assert set(per_program.values()) == {2}
+
+
 class TestMutatePipeline:
     def test_paired_outputs_equal_counts(self, tiny_dataset):
         originals = load_jsonl(str(tiny_dataset / "pairs" / "originals.jsonl"))

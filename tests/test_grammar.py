@@ -22,7 +22,6 @@ from mutexec.grammar import (
     count_derivations,
     enumerate_terms,
     list_program_type,
-    sample,
     sample_inputs,
     sample_valid_program,
 )
@@ -230,11 +229,9 @@ class TestCompile:
 class TestSample:
     def test_seeded_determinism(self):
         cfg = make_cfg(1, 5)
-        config = SamplerConfig(rng_seed=123)
-        first = sample(cfg, config)
-        second = sample(cfg, config)
+        first = Sampler(cfg).sample(random.Random(123))
+        second = Sampler(cfg).sample(random.Random(123))
         assert first == second
-        assert to_sexpr(first) == to_sexpr(sample(cfg, config, random.Random(123)))
 
     def test_first_draws_pinned(self):
         cfg = make_cfg(2, 5)
@@ -360,14 +357,15 @@ class TestSampleInputs:
             assert all(0 <= v <= 5 for v in args[0])
 
     def test_two_argument_inputs(self):
-        config = SamplerConfig(program_type=list_program_type(2))
+        config = SamplerConfig()
         for args in sample_inputs(2, config, random.Random(4)):
             assert len(args) == 2
             assert all(isinstance(a, list) for a in args)
 
     def test_seeded_byte_identical(self):
-        config = SamplerConfig(rng_seed=9)
-        assert sample_inputs(2, config) == sample_inputs(2, config)
+        config = SamplerConfig()
+        assert (sample_inputs(2, config, random.Random(9))
+                == sample_inputs(2, config, random.Random(9)))
 
 
 class _FakeResult:
@@ -379,7 +377,7 @@ class _FakeResult:
 class TestSampleValidProgram:
     def test_erroring_program_rejected(self):
         cfg = make_cfg(1, 4)
-        config = SamplerConfig(max_depth=4)
+        config = SamplerConfig()
         calls = []
 
         def executor(program, args):
@@ -389,7 +387,7 @@ class TestSampleValidProgram:
                 return _FakeResult("error")
             return _FakeResult("ok", [len(calls), len(args)])
 
-        result = sample_valid_program(cfg, config, executor, random.Random(3))
+        result = sample_valid_program(cfg, config, executor, rng=random.Random(3))
         assert result.attempts > 1
         # the ground truths are the executor's outputs, not the screen's
         n = len(calls)
@@ -397,17 +395,17 @@ class TestSampleValidProgram:
 
     def test_constant_output_rejected(self):
         cfg = make_cfg(1, 4)
-        config = SamplerConfig(max_depth=4, max_attempts=30)
+        config = SamplerConfig(max_attempts=30)
 
         def executor(program, args):
             return _FakeResult("ok", [7])  # same output for every input
 
         with pytest.raises(AttemptsExhausted):
-            sample_valid_program(cfg, config, executor, random.Random(3))
+            sample_valid_program(cfg, config, executor, rng=random.Random(3))
 
     def test_valid_program_properties(self):
         cfg = make_cfg(1, 4)
-        config = SamplerConfig(max_depth=4)
+        config = SamplerConfig()
         result = sample_valid_program(cfg, config, rng=random.Random(12))
         assert len(result.inputs) == 3
         assert len(result.outputs) == 3
@@ -431,7 +429,7 @@ class TestSampleValidProgram:
 
     def test_rejections_sum_to_attempts_minus_one(self):
         cfg = make_cfg(2, 5)
-        config = SamplerConfig(program_type=list_program_type(2))
+        config = SamplerConfig()
         rng = random.Random(21)
         for _ in range(20):
             result = sample_valid_program(cfg, config, rng=rng)
@@ -442,9 +440,9 @@ class TestSampleValidProgram:
         # the same rng replayed through draw -> check -> translate ->
         # interpret, counting each rejection where that loop finds it
         totals = dict.fromkeys(REJECTION_STAGES, 0)
+        config = SamplerConfig()
         for arity, depth in ((1, 4), (2, 5)):
             cfg = make_cfg(arity, depth)
-            config = SamplerConfig(program_type=list_program_type(arity), max_depth=depth)
             sampler = Sampler(cfg)
             staged, replay = random.Random(5), random.Random(5)
             for _ in range(15):
@@ -475,7 +473,7 @@ class TestSampleValidProgram:
         assert all(totals[stage] for stage in ("s4", "runtime_error", "constant_output"))
 
     def test_s4_off_admits_a_program_missing_a_parameter(self):
-        config = SamplerConfig(program_type=list_program_type(2), max_depth=4)
+        config = SamplerConfig()
 
         def missing(term):
             return {1, 2} - {node.value for node in term.walk() if node.is_param}

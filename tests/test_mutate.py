@@ -106,6 +106,24 @@ class TestEnumerate:
             assert line_a[: site.col] == line_b[: site.col]
             assert line_a[site.end_col:] == line_b[site.col + len(site.replacement_token):]
 
+    @pytest.mark.parametrize("source", [
+        "def f(a1):\n\x0c    return a1 + 1\n",
+        "def f(a1):\r\n    v1 = a1[0] + 1\r\n    return v1 < 2\r\n",
+        "def f(a1):\n    return len(a1) > 2\n",
+    ], ids=["form_feed", "crlf", "final_newline"])
+    def test_mutant_differs_only_at_its_site(self, source):
+        # lines are numbered at "\n" only; every other character, line
+        # ends and a final newline included, is kept
+        mutants = enumerate_source_mutants(source)
+        assert mutants
+        for mutated, site in mutants:
+            start = 0
+            for _ in range(site.line - 1):
+                start = source.index("\n", start) + 1
+            at, end = start + site.col, start + site.end_col
+            assert source[at:end] == site.original_token
+            assert mutated == source[:at] + site.replacement_token + source[end:]
+
     def test_relational_if_site_yields_five_mutants(self):
         source = "def f(x):\n    if x < 0:\n        return 1\n    return 0"
         rel = [s for _, s in enumerate_source_mutants(source) if s.kind == "relational"]

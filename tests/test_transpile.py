@@ -11,7 +11,7 @@ from mutexec.grammar import (
     list_program_type,
     sample_valid_program,
 )
-from mutexec.transpile import loc, translate
+from mutexec.transpile import translate
 
 GOLDEN_TERM = "(map (if (> (length a2) 2) (index 0 a2)) (extend (tail a1) a2))"
 
@@ -58,19 +58,23 @@ class TestTranslate:
         assert "for j in range(len(v2[i])):" in program.source
 
 
+def _non_blank_lines(source: str) -> int:
+    return sum(1 for line in source.split("\n") if line.strip())
+
+
 class TestLoc:
     def test_tail_is_three_lines(self):
-        assert loc(translate(parse_sexpr("(tail a1)"), arity=1)) == 3
+        program = translate(parse_sexpr("(tail a1)"), arity=1)
+        assert program.loc == _non_blank_lines(program.source) == 3
 
     def test_if_image_is_four_lines_plus_header_and_return(self):
         # minimal conditional: header + 4 branch lines + return
         minimal = translate(parse_sexpr("(if (> (length a1) 2) a1 a1)"), arity=1)
-        assert loc(minimal) == 6
+        assert minimal.loc == _non_blank_lines(minimal.source) == 6
         # with one extra statement feeding the else-branch
         term = parse_sexpr("(if (> (length a1) 2) a1 (tail a1))")
         program = translate(term, arity=1)
-        assert loc(program) == 7
-        assert program.loc == loc(program)
+        assert program.loc == _non_blank_lines(program.source) == 7
 
 
 class TestRoundTripAndSemantics:
@@ -80,7 +84,6 @@ class TestRoundTripAndSemantics:
 
     def test_sampled_programs_round_trip_and_agree(self):
         rng = random.Random(99)
-        config = SamplerConfig(program_type=list_program_type(1), max_depth=5)
         cfg = self.make_cfg(1, 5)
         sampler = Sampler(cfg)
         for _ in range(300):
@@ -103,7 +106,7 @@ class TestRoundTripAndSemantics:
         # executing with the interpreter would raise NameError otherwise
         rng = random.Random(5)
         cfg = self.make_cfg(2, 5)
-        config = SamplerConfig(program_type=list_program_type(2), max_depth=5)
+        config = SamplerConfig()
         for _ in range(40):
             sp = sample_valid_program(cfg, config, rng=rng)
             for args in sp.inputs:
@@ -164,7 +167,7 @@ class TestRoundTripAndSemantics:
         rng = random.Random(60606)
         cfg = self.make_cfg(2, 6)
         sampler = Sampler(cfg)
-        config = SamplerConfig(program_type=list_program_type(2), max_depth=6)
+        config = SamplerConfig()
         from mutexec.grammar import sample_inputs
 
         for _ in range(200):
@@ -187,11 +190,10 @@ class TestRoundTripAndSemantics:
         samples = []
         for arity in (1, 2):
             cfg = self.make_cfg(arity, 5)
-            config = SamplerConfig(program_type=list_program_type(arity), max_depth=5)
             sampler = Sampler(cfg)
             for _ in range(500):
                 term = sampler.sample(rng)
-                samples.append(loc(translate(term, arity=arity)))
+                samples.append(translate(term, arity=arity).loc)
         for value in samples:
             for lo, hi in ((4, 8), (8, 12), (12, 16), (16, 20), (20, 24)):
                 if lo <= value < hi:
