@@ -1,10 +1,14 @@
 """Command-line entry point wiring the pipeline together.
 
 Subcommands: sample, transpile, build-dsl-list, build-llm-list, ingest,
-mutate, run-pred, run-choice, report.  A flat ``key = value`` config file can
-supply any long-form option; explicit flags win.  Every artifact-producing
-command writes a ``<out>.manifest.json`` recording the command, seed, input
-hashes, and tool version.  Usage errors exit 2, pipeline failures exit 1.
+mutate, run-pred, run-choice, report.  A process loads only the layers of the
+subcommand it runs: ``build_parser`` gives options to the invoked subcommand
+alone, each option helper imports the module that owns its defaults, and each
+``cmd_*`` imports its modules when it is called.  A flat ``key = value``
+config file can supply any long-form option of the subcommand; explicit flags
+win.  Every artifact-producing command writes a ``<out>.manifest.json``
+recording the command, seed, input hashes, and tool version.  Usage errors,
+including an unknown config key, exit 2; pipeline failures exit 1.
 """
 
 from __future__ import annotations
@@ -18,14 +22,9 @@ import os
 import random
 import sys
 
-from . import __version__, datasets, harness, metrics
-from .dsl import PRIM_BY_NAME, list_dsl, parse_sexpr, to_sexpr
-from .executors import DEFAULT_TIMEOUT, BuiltinExecutor, ExternalExecutor
-from .grammar import SamplerConfig, compile_cfg, list_program_type, sample_valid_program
-from .llm_client import ModelConfig, Transcript, parse_model_spec
+from . import __version__
 from .mutate import mutate_dataset
 from .problems import atomic_writer, load_jsonl, pair_by_id, save_jsonl
-from .transpile import translate
 from .values import canonical_repr, format_args
 
 
@@ -77,7 +76,8 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, argv: list[str]) 
     """Pre-scan for --config and inject file values as subcommand defaults.
 
     Config keys use the option's dest name (dashes become underscores);
-    explicit command-line flags still override.
+    explicit command-line flags still override.  A key that names no option
+    of the subcommand is a ``ValueError``, as the flag would be a usage error.
     """
     path = None
     for i, arg in enumerate(argv):
@@ -88,6 +88,11 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, argv: list[str]) 
     if path is None:
         return
     values = load_config_file(path)
+    dests = {action.dest for action in subparser._actions} - {"help"}
+    unknown = sorted(set(values) - dests)
+    if unknown:
+        raise ValueError(f"{path}: {subparser.prog} has no option "
+                         f"{', '.join(map(repr, unknown))}")
     defaults = {}
     for action in subparser._actions:
         key = action.dest
@@ -109,6 +114,8 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, argv: list[str]) 
 
 def _weight(text: str) -> tuple[str, float]:
     """``--weight NAME=W``: a DSL primitive and its sampling weight."""
+    from .dsl import PRIM_BY_NAME
+
     name, _, value = text.partition("=")
     try:
         weight = float(value)
@@ -120,7 +127,9 @@ def _weight(text: str) -> tuple[str, float]:
     return name, weight
 
 
-def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
+def _sampler_config(args: argparse.Namespace):
+    from .grammar import SamplerConfig
+
     return SamplerConfig(
         weight_overrides=dict(args.weight or ()),
         input_count=args.input_count,
@@ -131,12 +140,16 @@ def _sampler_config(args: argparse.Namespace) -> SamplerConfig:
 
 
 def _make_executor(args: argparse.Namespace):
+    from .executors import BuiltinExecutor, ExternalExecutor
+
     if args.executor == "builtin":
         return BuiltinExecutor()
     return ExternalExecutor(args.executor_cmd, args.executor_timeout)
 
 
 def _make_model(args: argparse.Namespace, pairs=None):
+    from .llm_client import ModelConfig, Transcript, parse_model_spec
+
     transcript = Transcript(args.transcript)
     config = ModelConfig(
         endpoint=args.endpoint,
@@ -154,6 +167,9 @@ def _make_model(args: argparse.Namespace, pairs=None):
 
 
 def cmd_sample(args) -> int:
+    from .dsl import list_dsl, to_sexpr
+    from .grammar import compile_cfg, list_program_type, sample_valid_program
+
     primitives, constraints = list_dsl()
     config = _sampler_config(args)
     program_type = list_program_type(args.arity)
@@ -174,6 +190,9 @@ def cmd_sample(args) -> int:
 
 
 def cmd_transpile(args) -> int:
+    from .dsl import parse_sexpr
+    from .transpile import translate
+
     with open(getattr(args, "in"), encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
     with atomic_writer(args.out) as fh:
@@ -190,6 +209,8 @@ def cmd_transpile(args) -> int:
 
 
 def cmd_build_dsl_list(args) -> int:
+    from . import datasets
+
     config = datasets.DslListConfig(
         seed=args.seed,
         programs_per_combo=args.programs_per_combo,
@@ -204,6 +225,8 @@ def cmd_build_dsl_list(args) -> int:
 
 
 def cmd_build_llm_list(args) -> int:
+    from . import datasets
+
     model, transcript = _make_model(args)
     executor = _make_executor(args)
     try:
@@ -222,6 +245,8 @@ def cmd_build_llm_list(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from . import datasets
+
     with open(getattr(args, "in"), encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh if line.strip()]
     executor = _make_executor(args)
@@ -244,6 +269,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_mutate(args) -> int:
+    from .executors import BuiltinExecutor
+
     problems = load_jsonl(getattr(args, "in"))
     if not problems:
         print("no problems in input", file=sys.stderr)
@@ -269,6 +296,8 @@ def cmd_mutate(args) -> int:
 
 
 def _check_templates() -> bool:
+    from . import harness
+
     mismatched = harness.verify_templates()
     if mismatched:
         print(f"error: prompt templates drifted from their committed digests: "
@@ -311,16 +340,22 @@ def _run_model(args, command: str, kind: str, load_records, run) -> int:
 
 
 def cmd_run_pred(args) -> int:
+    from . import harness
+
     return _run_model(args, "run-pred", "prediction", harness.load_prediction_records,
                       functools.partial(harness.run_prediction, n=args.n))
 
 
 def cmd_run_choice(args) -> int:
+    from . import harness
+
     return _run_model(args, "run-choice", "choice", harness.load_choice_records,
                       harness.run_choice)
 
 
 def cmd_report(args) -> int:
+    from . import harness, metrics
+
     prediction = choice = None
     pred_records = []
     if args.pred:
@@ -371,6 +406,8 @@ def _add_sampler_options(parser):
 
 
 def _add_executor_options(parser):
+    from .executors import DEFAULT_TIMEOUT
+
     parser.add_argument("--executor", choices=("builtin", "external"),
                         default="external")
     parser.add_argument("--executor-cmd",
@@ -379,6 +416,9 @@ def _add_executor_options(parser):
 
 
 def _add_model_options(parser):
+    from .harness import MODES
+    from .llm_client import ModelConfig
+
     parser.add_argument("--model", required=True,
                         help="mock:ground-truth-given | mock:ground-truth-original |"
                              " mock:always-a | mock:fixed:<text> |"
@@ -389,89 +429,65 @@ def _add_model_options(parser):
     parser.add_argument("--parallelism", type=int, default=4)
     parser.add_argument("--max-tokens", type=int, default=None)
     parser.add_argument("--transcript", help="append-only request/response log")
-    parser.add_argument("--mode", choices=harness.MODES, default=None,
+    parser.add_argument("--mode", choices=MODES, default=None,
                         help="prompt mode (default: per model profile)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="mutexec",
-        description="Generate, mutate, execute, and evaluate list-processing programs.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample", help="sample valid programs to a JSONL corpus")
-    _add_common(p)
+def _add_sample_options(p):
     p.add_argument("--arity", type=int, default=1, choices=(1, 2))
     p.add_argument("--depth", type=int, default=5, help="max AST depth")
     _add_sampler_options(p)
     p.add_argument("--count", "-n", type=int, default=10)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("transpile", help="translate s-expression terms to source")
-    _add_common(p)
+
+def _add_transpile_options(p):
     p.add_argument("--in", required=True, help="s-expression lines or sample JSONL")
     p.add_argument("--function-name", default="f")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_transpile)
 
-    p = sub.add_parser("build-dsl-list", help="build the sampled-program dataset")
-    _add_common(p)
+
+def _add_build_dsl_list_options(p):
     _add_sampler_options(p)
     p.add_argument("--programs-per-combo", type=int, default=1000)
     p.add_argument("--per-bin", type=int, default=10,
                    help="programs selected per lines-of-code bin")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_dsl_list)
 
-    p = sub.add_parser("build-llm-list", help="build the LLM-generated dataset")
-    _add_common(p)
+
+def _add_build_llm_list_options(p):
     _add_model_options(p)
     _add_executor_options(p)
     p.add_argument("--max-regenerations", type=int, default=5)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_llm_list)
 
-    p = sub.add_parser("ingest", help="ingest externally collected problems")
-    _add_common(p)
+
+def _add_ingest_options(p):
     _add_executor_options(p)
     p.add_argument("--in", required=True)
     p.add_argument("--min-chars", type=int, default=100)
     p.add_argument("--max-chars", type=int, default=800)
     p.add_argument("--max-steps", type=int, default=1000)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("mutate", help="produce paired original/mutant datasets")
-    _add_common(p)
+
+def _add_mutate_options(p):
     _add_executor_options(p)
     p.add_argument("--in", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_mutate)
 
-    p = sub.add_parser("run-pred", help="execution-prediction experiment")
-    _add_common(p)
+
+def _add_run_options(p, samples: bool):
     _add_model_options(p)
     p.add_argument("--orig", required=True)
     p.add_argument("--mut", required=True)
-    p.add_argument("--n", type=int, default=5, help="samples per problem-variant")
+    if samples:
+        p.add_argument("--n", type=int, default=5, help="samples per problem-variant")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_run_pred)
 
-    p = sub.add_parser("run-choice", help="execution-choice experiment")
-    _add_common(p)
-    _add_model_options(p)
-    p.add_argument("--orig", required=True)
-    p.add_argument("--mut", required=True)
-    p.add_argument("--resume", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_run_choice)
 
-    p = sub.add_parser("report", help="aggregate records into metric tables")
-    _add_common(p)
+def _add_report_options(p):
     p.add_argument("--pred", help="prediction records JSONL")
     p.add_argument("--choice", help="choice records JSONL")
     p.add_argument("--label", default="run")
@@ -479,19 +495,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="metrics CSV path")
     p.add_argument("--loc-csv", help="LOC-binned series CSV path")
     p.add_argument("--loc-dat", help="LOC-binned series plot data path")
-    p.set_defaults(func=cmd_report)
 
+
+# name -> (help, option adder, handler), in the order --help lists them
+COMMANDS = {
+    "sample": ("sample valid programs to a JSONL corpus",
+               _add_sample_options, cmd_sample),
+    "transpile": ("translate s-expression terms to source",
+                  _add_transpile_options, cmd_transpile),
+    "build-dsl-list": ("build the sampled-program dataset",
+                       _add_build_dsl_list_options, cmd_build_dsl_list),
+    "build-llm-list": ("build the LLM-generated dataset",
+                       _add_build_llm_list_options, cmd_build_llm_list),
+    "ingest": ("ingest externally collected problems",
+               _add_ingest_options, cmd_ingest),
+    "mutate": ("produce paired original/mutant datasets",
+               _add_mutate_options, cmd_mutate),
+    "run-pred": ("execution-prediction experiment",
+                 functools.partial(_add_run_options, samples=True), cmd_run_pred),
+    "run-choice": ("execution-choice experiment",
+                   functools.partial(_add_run_options, samples=False), cmd_run_choice),
+    "report": ("aggregate records into metric tables",
+               _add_report_options, cmd_report),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``mutexec`` parser.  Every subcommand is listed by name and help
+    text; only ``command`` gets its options, so building the parser imports
+    no layer that another subcommand needs."""
+    parser = argparse.ArgumentParser(
+        prog="mutexec",
+        description="Generate, mutate, execute, and evaluate list-processing programs.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_options, func) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            _add_common(p)
+            add_options(p)
+            p.set_defaults(func=func)
     return parser
 
 
 def dispatch(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    subparsers = next(
-        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
-    )
-    command = next((a for a in argv if a in subparsers.choices), None)
+    command = next((a for a in argv if a in COMMANDS), None)
+    parser = build_parser(command)
     if command is not None:
+        subparsers = next(
+            a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+        )
         try:
             _apply_config_defaults(subparsers.choices[command], argv)
         except (OSError, ValueError, argparse.ArgumentTypeError) as exc:

@@ -31,7 +31,7 @@ from .transpile import translate  # noqa: F401  bench/tracing.py wraps datasets.
 from .values import canonical_repr, contains_float, format_args, parse_args
 
 
-class InsufficientBinPopulation(Exception):
+class InsufficientBinPopulation(RuntimeError):
     def __init__(self, arity: int, bin_range: tuple[int, int], have: int, need: int):
         self.arity = arity
         self.bin_range = bin_range
@@ -187,7 +187,7 @@ def render_codegen_prompt(header: str, description: str) -> str:
     )
 
 
-class GenerationRetriesExhausted(Exception):
+class GenerationRetriesExhausted(RuntimeError):
     def __init__(self, function: str, reasons: list[str]):
         self.function = function
         super().__init__(f"{function}: could not obtain valid inputs ({reasons[:3]})")

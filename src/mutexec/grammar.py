@@ -61,11 +61,11 @@ from .minipy import Limits, interpret
 from .values import values_equal
 
 
-class EmptyLanguage(Exception):
+class EmptyLanguage(RuntimeError):
     pass
 
 
-class AttemptsExhausted(Exception):
+class AttemptsExhausted(RuntimeError):
     pass
 
 

@@ -15,7 +15,6 @@ import ast
 import json
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 from .llm_client import TransportError
@@ -504,6 +503,8 @@ def _dispatch(tasks, fn, workers: int, sink: _RecordSink) -> None:
         for task in tasks:
             sink.extend(fn(task))
         return
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for records in pool.map(fn, tasks):
             sink.extend(records)

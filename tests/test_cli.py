@@ -6,8 +6,8 @@ import sys
 
 import pytest
 
-from mutexec import cli, harness
-from mutexec.cli import dispatch, load_config_file
+from mutexec import cli, executors, grammar, harness, llm_client
+from mutexec.cli import build_parser, dispatch, load_config_file
 from mutexec.grammar import AttemptsExhausted
 from mutexec.problems import atomic_writer, load_jsonl
 
@@ -242,6 +242,160 @@ def test_cli_import_loads_no_http_stack():
     assert result.stdout.strip() == "[]"
 
 
+SAMPLING = ["mutexec.dsl", "mutexec.grammar", "mutexec.transpile", "mutexec.datasets"]
+EVALUATION = ["mutexec.harness", "mutexec.llm_client", "mutexec.metrics"]
+HTTP = ["urllib.request", "http.client", "ssl"]
+IMPORT_PROBE = """\
+import json, sys
+from mutexec.cli import dispatch
+code = dispatch(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(sys.modules)]))
+"""
+
+
+@pytest.fixture(scope="module")
+def tiny_records(tiny_dataset):
+    """Prediction and choice records for the tiny dataset, for ``report``."""
+    pairs = tiny_dataset / "pairs"
+    for command, extra in (("run-pred", ["--n", "1"]), ("run-choice", [])):
+        assert dispatch([
+            command, "--orig", str(pairs / "originals.jsonl"),
+            "--mut", str(pairs / "mutants.jsonl"), *extra,
+            "--model", "mock:ground-truth-given",
+            "--out", str(tiny_dataset / f"{command}.jsonl"),
+        ]) == 0
+    return tiny_dataset
+
+
+RUN = ["--orig", "{data}/pairs/originals.jsonl", "--mut", "{data}/pairs/mutants.jsonl",
+       "--parallelism", "1", "--out", "{tmp}/records.jsonl"]
+# argv ("{data}": the tiny dataset, "{tmp}": the test's directory), and the
+# modules the command must not load
+IMPORT_CASES = [
+    (["sample", "-n", "1", "--out", "{tmp}/s.jsonl"],
+     EVALUATION + ["mutexec.executors", "concurrent.futures"]),
+    (["transpile", "--in", "{tmp}/terms.txt", "--out", "{tmp}/t.jsonl"],
+     EVALUATION + ["mutexec.executors", "concurrent.futures"]),
+    (["build-dsl-list", "--seed", "3", "--programs-per-combo", "60",
+      "--per-bin", "1", "--out", "{tmp}/d.jsonl"],
+     EVALUATION + ["mutexec.executors", "concurrent.futures"]),
+    (["mutate", "--executor", "builtin", "--in", "{data}/problems.jsonl",
+      "--out", "{tmp}/pairs"],
+     SAMPLING + EVALUATION),
+    (["run-pred", "--model", "mock:ground-truth-given", "--n", "1"] + RUN,
+     SAMPLING + HTTP + ["mutexec.minipy", "mutexec.executors", "concurrent.futures"]),
+    (["run-choice", "--model", "mock:always-a"] + RUN,
+     SAMPLING + HTTP + ["mutexec.minipy", "mutexec.executors", "concurrent.futures"]),
+    (["report", "--pred", "{data}/run-pred.jsonl", "--choice", "{data}/run-choice.jsonl",
+      "--out", "{tmp}/report.txt"],
+     SAMPLING + HTTP + ["mutexec.minipy", "mutexec.executors", "concurrent.futures"]),
+]
+
+
+class TestImportSets:
+    """Each command, run in a fresh interpreter, loads only its own layers."""
+
+    @pytest.mark.parametrize("argv, absent", IMPORT_CASES,
+                             ids=[argv[0] for argv, _ in IMPORT_CASES])
+    def test_command_loads_only_its_layers(self, tiny_records, tmp_path, argv, absent):
+        import mutexec
+
+        (tmp_path / "terms.txt").write_text("(tail a1)\n")
+        argv = [a.format(data=tiny_records, tmp=tmp_path) for a in argv]
+        src = os.path.dirname(os.path.dirname(mutexec.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
+                                env=env, capture_output=True, text=True, check=True)
+        code, modules = json.loads(result.stdout.splitlines()[-1])
+        assert code == 0
+        assert sorted(set(absent) & set(modules)) == []
+
+
+# vars(parse_args(argv)) without ``func``, as the parser gave them when every
+# subcommand's options were built up front.
+MINIMAL_PARSES = [
+    (["sample", "--out", "o"],
+     {"command": "sample", "config": None, "seed": 0, "arity": 1, "depth": 5,
+      "input_count": 3, "list_len_min": 3, "list_len_max": 5, "element_min": 0,
+      "element_max": 5, "max_attempts": 10000, "weight": None, "count": 10, "out": "o"}),
+    (["transpile", "--in", "i", "--out", "o"],
+     {"command": "transpile", "config": None, "seed": 0, "in": "i",
+      "function_name": "f", "out": "o"}),
+    (["build-dsl-list", "--out", "o"],
+     {"command": "build-dsl-list", "config": None, "seed": 0, "input_count": 3,
+      "list_len_min": 3, "list_len_max": 5, "element_min": 0, "element_max": 5,
+      "max_attempts": 10000, "weight": None, "programs_per_combo": 1000,
+      "per_bin": 10, "out": "o"}),
+    (["build-llm-list", "--model", "m", "--out", "o"],
+     {"command": "build-llm-list", "config": None, "seed": 0, "model": "m",
+      "model_profile": "traditional",
+      "endpoint": "https://api.openai.com/v1/chat/completions", "parallelism": 4,
+      "max_tokens": None, "transcript": None, "mode": None, "executor": "external",
+      "executor_cmd": None, "executor_timeout": 10.0, "max_regenerations": 5,
+      "out": "o"}),
+    (["ingest", "--in", "i", "--out", "o"],
+     {"command": "ingest", "config": None, "seed": 0, "executor": "external",
+      "executor_cmd": None, "executor_timeout": 10.0, "in": "i", "min_chars": 100,
+      "max_chars": 800, "max_steps": 1000, "out": "o"}),
+    (["mutate", "--in", "i", "--out", "o"],
+     {"command": "mutate", "config": None, "seed": 0, "executor": "external",
+      "executor_cmd": None, "executor_timeout": 10.0, "in": "i", "out": "o"}),
+    (["run-pred", "--model", "m", "--orig", "a", "--mut", "b", "--out", "o"],
+     {"command": "run-pred", "config": None, "seed": 0, "model": "m",
+      "model_profile": "traditional",
+      "endpoint": "https://api.openai.com/v1/chat/completions", "parallelism": 4,
+      "max_tokens": None, "transcript": None, "mode": None, "orig": "a", "mut": "b",
+      "n": 5, "resume": False, "out": "o"}),
+    (["run-choice", "--model", "m", "--orig", "a", "--mut", "b", "--out", "o"],
+     {"command": "run-choice", "config": None, "seed": 0, "model": "m",
+      "model_profile": "traditional",
+      "endpoint": "https://api.openai.com/v1/chat/completions", "parallelism": 4,
+      "max_tokens": None, "transcript": None, "mode": None, "orig": "a", "mut": "b",
+      "resume": False, "out": "o"}),
+    (["report"],
+     {"command": "report", "config": None, "seed": 0, "pred": None, "choice": None,
+      "label": "run", "out": None, "csv": None, "loc_csv": None, "loc_dat": None}),
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv, expected", MINIMAL_PARSES,
+                             ids=[argv[0] for argv, _ in MINIMAL_PARSES])
+    def test_minimal_parse_is_unchanged(self, argv, expected):
+        args = vars(build_parser(argv[0]).parse_args(argv))
+        assert args.pop("func") is cli.COMMANDS[argv[0]][2]
+        assert args == expected
+        assert list(args) == list(expected)  # option order, as --help lists them
+
+    def test_every_command_is_pinned(self):
+        assert [argv[0] for argv, _ in MINIMAL_PARSES] == list(cli.COMMANDS)
+
+    def test_defaults_come_from_their_owners(self):
+        def action(command, dest):
+            sub = next(a for a in build_parser(command)._actions if a.dest == "command")
+            return next(a for a in sub.choices[command]._actions if a.dest == dest)
+
+        for command in ("build-llm-list", "ingest", "mutate"):
+            assert action(command, "executor_timeout").default == executors.DEFAULT_TIMEOUT
+        for command in ("build-llm-list", "run-pred", "run-choice"):
+            assert action(command, "endpoint").default == llm_client.ModelConfig.endpoint
+            assert action(command, "mode").choices is harness.MODES
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            dispatch(["--help"])
+        assert err.value.code == 0
+        listing = capsys.readouterr().out
+        for name, (help_text, _, _) in cli.COMMANDS.items():
+            assert name in listing and help_text in listing
+        assert len(cli.COMMANDS) == 9
+
+    def test_subcommand_help_lists_its_options(self, capsys):
+        with pytest.raises(SystemExit):
+            dispatch(["mutate", "--help"])
+        assert "--executor-timeout" in capsys.readouterr().out
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, tmp_path):
         config = tmp_path / "run.conf"
@@ -258,6 +412,17 @@ class TestConfigFile:
             "sample", "--config", str(config), "-n", "2", "--out", str(override_out),
         ]) == 0
         assert len(read_jsonl(override_out)) == 2
+
+    @pytest.mark.parametrize("command, key", [("sample", "nosuch"),
+                                              ("build-dsl-list", "arity")])
+    def test_unknown_key_is_a_usage_error(self, tmp_path, capsys, command, key):
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = 2\n")
+        out = tmp_path / "out.jsonl"
+        assert dispatch([command, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"mutexec {command} has no option {key!r}" in err
+        assert not out.exists()
 
     def test_load_config_file_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.conf"
@@ -313,6 +478,24 @@ class TestExitCodes:
         ]) == 1
 
 
+class TestPipelineFailures:
+    """Sampling and build failures end in one ``error:`` line and exit 1."""
+
+    def test_underpopulated_bin(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        assert dispatch(["build-dsl-list", "--programs-per-combo", "30",
+                         "--per-bin", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: arity 2: LOC bin (20, 24) has 0 programs, need 1\n")
+        assert not out.exists()
+
+    def test_attempts_exhausted(self, tmp_path, capsys):
+        out = tmp_path / "s.jsonl"
+        assert dispatch(["sample", "--max-attempts", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: no valid program in 1 attempts\n"
+        assert os.listdir(tmp_path) == []
+
+
 class TestAtomicWriter:
     def test_failed_write_leaves_target_untouched(self, tmp_path):
         target = tmp_path / "out.jsonl"
@@ -327,7 +510,7 @@ class TestAtomicWriter:
     def test_interrupted_sample_leaves_target_untouched(self, tmp_path, monkeypatch):
         target = tmp_path / "corpus.jsonl"
         target.write_text("old\n")
-        real_sample = cli.sample_valid_program
+        real_sample = grammar.sample_valid_program
         calls = []
 
         def failing_third_time(*args, **kwargs):
@@ -336,9 +519,9 @@ class TestAtomicWriter:
                 raise AttemptsExhausted("interrupted")
             return real_sample(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "sample_valid_program", failing_third_time)
-        with pytest.raises(AttemptsExhausted):
-            dispatch(["sample", "-n", "5", "--seed", "2", "--out", str(target)])
+        # cmd_sample imports the sampler when it runs, so patch its owner
+        monkeypatch.setattr(grammar, "sample_valid_program", failing_third_time)
+        assert dispatch(["sample", "-n", "5", "--seed", "2", "--out", str(target)]) == 1
         assert len(calls) == 3  # two programs were written before the failure
         assert target.read_text() == "old\n"
         assert os.listdir(tmp_path) == ["corpus.jsonl"]
