@@ -40,7 +40,7 @@ print(f"\nf({args_text}) = {base.output}, covered lines = {sorted(base.covered_l
 
 candidates = enumerate_source_mutants(source)
 print(f"\n{len(candidates)} candidate mutants from "
-      f"{len({(s.line, s.col) for _, s in candidates})} sites:")
+      f"{len({s.start for _, s in candidates})} sites:")
 for _, site in candidates[:6]:
     print(f"  line {site.line}: {site.kind:<10} "
           f"{site.original_token!r} -> {site.replacement_token!r}")

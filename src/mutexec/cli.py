@@ -24,7 +24,7 @@ import sys
 
 from . import __version__
 from .mutate import mutate_dataset
-from .problems import atomic_writer, load_jsonl, pair_by_id, save_jsonl
+from .problems import atomic_writer, load_jsonl, pair_by_id, read_jsonl, save_jsonl
 from .values import canonical_repr, format_args
 
 
@@ -155,9 +155,8 @@ def _make_model(args: argparse.Namespace, pairs=None):
         endpoint=args.endpoint,
         profile=args.model_profile,
         parallelism=args.parallelism,
+        max_tokens=args.max_tokens,
     )
-    if args.max_tokens is not None:
-        config.max_tokens = args.max_tokens
     return parse_model_spec(args.model, pairs=pairs, transcript=transcript,
                             config=config), transcript
 
@@ -247,8 +246,7 @@ def cmd_build_llm_list(args) -> int:
 def cmd_ingest(args) -> int:
     from . import datasets
 
-    with open(getattr(args, "in"), encoding="utf-8") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+    records = read_jsonl(getattr(args, "in"), dict)
     executor = _make_executor(args)
     try:
         problems, rejections = datasets.ingest_external(

@@ -18,8 +18,8 @@ import re
 from dataclasses import asdict, dataclass
 
 from .llm_client import TransportError
-from .problems import Problem, pair_by_id
-from .values import Value, canonical_repr, is_boolean_output, values_equal
+from .problems import Problem, pair_by_id, read_jsonl
+from .values import Value, canonical_repr, is_boolean_output, parse_literal, values_equal
 
 PREDICTION_ZERO_SHOT = """\
 You are given a Python program and an assertion containing an input to a function. Replace the ?? in the assertion with a literal (no unsimplified expressions, no function calls) representing the function's return value for the given input. Execute the program exactly as written, even if it is incorrect or incomplete. For your final answer, provide the full assertion in [ANSWER] and [/ANSWER] tags.
@@ -268,15 +268,11 @@ def extract_choice(response: str) -> ChoiceExtraction:
 def judge(extracted: Extracted | None, own_output: str, other_output: str) -> str:
     if extracted is None:
         return "unparsed"
-    if values_equal(extracted.value, _parse_truth(own_output)):
+    if values_equal(extracted.value, parse_literal(own_output)):
         return "correct"
-    if values_equal(extracted.value, _parse_truth(other_output)):
+    if values_equal(extracted.value, parse_literal(other_output)):
         return "reverted"
     return "other"
-
-
-def _parse_truth(text: str) -> Value:
-    return ast.literal_eval(text)
 
 
 @dataclass(frozen=True)
@@ -336,19 +332,9 @@ def load_choice_records(path: str) -> list[ChoiceRecord]:
 
 
 def _load_records(path: str, cls):
-    """Records of a JSONL file.  A last line that lacks its newline and does
-    not parse is the torn tail of an interrupted append and is dropped; any
-    other malformed line raises."""
-    out = []
-    with open(path, "rb") as fh:
-        for line in fh:
-            if line.strip():
-                try:
-                    out.append(cls(**json.loads(line.decode("utf-8"))))
-                except ValueError:
-                    if line.endswith(b"\n"):
-                        raise
-    return out
+    """Records of a JSONL file; the torn tail of an interrupted append is
+    dropped (see ``read_jsonl``)."""
+    return read_jsonl(path, cls, torn_tail=True)
 
 
 def _end_on_line_boundary(path: str) -> None:

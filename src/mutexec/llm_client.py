@@ -49,10 +49,7 @@ class ModelConfig:
     endpoint: str = "https://api.openai.com/v1/chat/completions"
     model: str = "gpt-4o-mini"
     profile: str = "traditional"
-    temperature: float | None = None
-    top_p: float | None = None
-    max_tokens: int | None = None  # 0 disables the cap explicitly
-    reasoning_effort: str | None = None
+    max_tokens: int | None = None  # None: the profile's cap; 0: no cap
     request_timeout: float = 180.0
     max_retries: int = 3
     parallelism: int = 4
@@ -61,8 +58,6 @@ class ModelConfig:
     def __post_init__(self):
         if self.profile not in PROFILES:
             raise ValueError(f"unknown profile {self.profile!r}")
-        if self.temperature is not None and self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
 
     @property
     def default_mode(self) -> str:
@@ -70,20 +65,12 @@ class ModelConfig:
 
     def sampling_fields(self) -> dict:
         profile = PROFILES[self.profile]
-        fields: dict = {}
-        if "temperature" in profile or self.temperature is not None:
-            t = self.temperature if self.temperature is not None else profile["temperature"]
-            fields["temperature"] = t
-        if "top_p" in profile or self.top_p is not None:
-            fields["top_p"] = self.top_p if self.top_p is not None else profile["top_p"]
-        max_tokens = self.max_tokens
-        if max_tokens is None:
-            max_tokens = profile.get("max_tokens")
+        fields = {key: profile[key] for key in ("temperature", "top_p") if key in profile}
+        max_tokens = profile.get("max_tokens") if self.max_tokens is None else self.max_tokens
         if max_tokens:
             fields["max_tokens"] = max_tokens
-        effort = self.reasoning_effort or profile.get("reasoning_effort")
-        if effort:
-            fields["reasoning_effort"] = effort
+        if "reasoning_effort" in profile:
+            fields["reasoning_effort"] = profile["reasoning_effort"]
         return fields
 
     def payload(self, prompt: str) -> dict:
@@ -222,8 +209,6 @@ _ASSERTION_RE = re.compile(
 @dataclass
 class _PairEntry:
     own_output: str
-    other_output: str
-    original_source: str
     original_output: str
     is_original: bool
 
@@ -250,13 +235,9 @@ class MockModel:
         if pairs:
             for original, mutant in pairs:
                 self.lookup[(original.source, original.input)] = _PairEntry(
-                    original.output, mutant.output, original.source,
-                    original.output, True,
-                )
+                    original.output, original.output, True)
                 self.lookup[(mutant.source, mutant.input)] = _PairEntry(
-                    mutant.output, original.output, original.source,
-                    original.output, False,
-                )
+                    mutant.output, original.output, False)
 
     # -- prompt inversion
 

@@ -10,11 +10,13 @@ indices, ``len``, the list methods ``append``/``extend``/``pop``,
 subscript targets), and ``return``.  Everything else is a syntax error.
 
 Source is lexed by one compiled regular expression plus a line loop into
-plain ``(kind, string, line)`` tuples, the same stream the standard
+plain ``(kind, string, line, start)`` tuples, the same stream the standard
 library's ``tokenize`` gives without its COMMENT and NL tokens, and parsed by
-recursive descent with precedence climbing for the binary operators.  A
-ParseError carries the 1-based line of the offending token; at the end of
-the text inside brackets it names the line of the innermost open bracket.
+recursive descent with precedence climbing for the binary operators.  The
+same scanner finds the mutation sites of ``mutate``, which splices a mutant
+at a token's ``start`` offset.  A ParseError carries the 1-based line of the
+offending token; at the end of the text inside brackets it names the line of
+the innermost open bracket.
 
 Execution is deterministic big-step interpretation.  Runtime behavior
 deliberately matches the host Python semantics (negative indexing, floor
@@ -198,9 +200,10 @@ class Module:
 # blank and comment-only lines, bracket nesting (no NEWLINE or INDENT/DEDENT
 # inside brackets), backslash continuation, tab stops of 8 in indentation,
 # and the empty NEWLINE after a last line that has no line break.  Tokens are
-# plain ``(kind, string, line)`` tuples; comments and non-logical line breaks
-# produce none.  Characters that start no token become ERRORTOKEN tokens, so
-# a parse fails at them only when the parser gets there, as with tokenize.
+# plain ``(kind, string, line, start)`` tuples, ``start`` being the offset of
+# the token in the text; comments and non-logical line breaks produce none.
+# Characters that start no token become ERRORTOKEN tokens, so a parse fails
+# at them only when the parser gets there, as with tokenize.
 
 NAME, NUMBER, OP, NEWLINE, INDENT, DEDENT, STRING, ERRORTOKEN, ENDMARKER = range(9)
 KIND_NAMES = (
@@ -256,6 +259,7 @@ _STRING_LATER = {
     "'": r"[^'\\]*(?:\\.[^'\\]*)*'",
     '"': r'[^"\\]*(?:\\.[^"\\]*)*"',
 }
+Token = tuple[int, str, int, int]  # kind, string, line, start offset
 _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
 
@@ -319,15 +323,16 @@ def _string_end(source: str, start: int, quote_end: int, line: int,
         pos, lines = line_end, lines + 1
 
 
-def _scan(source: str) -> list[tuple[int, str, int]]:
-    """The token stream of ``source`` as ``(kind, string, line)`` tuples.
+def _scan(source: str) -> list[Token]:
+    """The token stream of ``source`` as ``(kind, string, line, start)``
+    tuples.
 
     Raises ParseError where tokenize raises: at an unindent to no enclosing
     level, and at the end of the text inside brackets, after a backslash or
     inside a string, naming the line of the innermost open bracket, the
     backslash or the string's start.
     """
-    tokens: list[tuple[int, str, int]] = []
+    tokens: list[Token] = []
     append = tokens.append
     size = len(source)
     pos = 0
@@ -348,7 +353,7 @@ def _scan(source: str) -> list[tuple[int, str, int]]:
                     continue
                 if group is None:
                     if found.start() == size and _open_last_line(source):
-                        append((NEWLINE, "", line - 1))
+                        append((NEWLINE, "", line - 1, size))
                     break
                 # tokenize skips a line that starts with a comment or a "\r"
                 if group == _G_COMMENT or found[group] == "\r":
@@ -360,16 +365,16 @@ def _scan(source: str) -> list[tuple[int, str, int]]:
                 column = len(indent) if indent.count(" ") == len(indent) else _column(indent)
                 if column > indents[-1]:
                     indents.append(column)
-                    append((INDENT, indent, line))
+                    append((INDENT, indent, line, found.start()))
                 while column < indents[-1]:
                     if column not in indents:
                         raise ParseError(line, "unindent does not match any outer indentation level")
                     indents.pop()
-                    append((DEDENT, "", line))
+                    append((DEDENT, "", line, found.start(group)))
                 bol = False
             # the token itself
             if group == _G_NAME:
-                append((NAME, found[group], line))
+                append((NAME, found[group], line, found.start(group)))
             elif group == _G_OP:
                 text = found[group]
                 if text in _OPENERS:
@@ -381,14 +386,14 @@ def _scan(source: str) -> list[tuple[int, str, int]]:
                         opened.pop()
                     elif not stray:
                         stray = line
-                append((OP, text, line))
+                append((OP, text, line, found.start(group)))
             elif group == _G_NUMBER:
-                append((NUMBER, found[group], line))
+                append((NUMBER, found[group], line, found.start(group)))
             elif group == _G_NEWLINE:
                 if depth > 0:
                     line += 1
                     continue
-                append((NEWLINE, found[group], line))
+                append((NEWLINE, found[group], line, found.start(group)))
                 line += 1
                 bol = depth == 0
             elif group is None:  # end of the text
@@ -400,7 +405,7 @@ def _scan(source: str) -> list[tuple[int, str, int]]:
                 if source[-1] == "\n":  # only a backslash continuation gets here
                     raise ParseError(line - 1, "unexpected end of text after a backslash")
                 if _open_last_line(source):
-                    append((NEWLINE, "", line))
+                    append((NEWLINE, "", line, size))
                 line += 1
                 break
             elif group == _G_BACKSLASH:
@@ -412,10 +417,10 @@ def _scan(source: str) -> list[tuple[int, str, int]]:
                     source, begin, quote_end, line, needcont)
                 if end is None:  # a name, if prefixed, then a stray quote
                     if begin < quote_end - 1:
-                        append((NAME, source[begin:quote_end - 1], line))
-                    append((ERRORTOKEN, source[quote_end - 1], line))
+                        append((NAME, source[begin:quote_end - 1], line, begin))
+                    append((ERRORTOKEN, source[quote_end - 1], line, quote_end - 1))
                     continue
-                append((STRING if closed else ERRORTOKEN, source[begin:end], line))
+                append((STRING if closed else ERRORTOKEN, source[begin:end], line, begin))
                 pos = end
                 line += lines
                 if not closed:
@@ -424,14 +429,15 @@ def _scan(source: str) -> list[tuple[int, str, int]]:
                 break
             elif group == _G_WORD:
                 text = found[group]
-                append((NAME if text[0].isidentifier() else ERRORTOKEN, text, line))
+                append((NAME if text[0].isidentifier() else ERRORTOKEN, text, line,
+                        found.start(group)))
             elif group == _G_OTHER:
-                append((ERRORTOKEN, found[group], line))
+                append((ERRORTOKEN, found[group], line, found.start(group)))
         if group is None:
             break
     for _ in indents[1:]:
-        append((DEDENT, "", line))
-    append((ENDMARKER, "", line))
+        append((DEDENT, "", line, size))
+    append((ENDMARKER, "", line, size))
     return tokens
 
 
@@ -466,13 +472,13 @@ class _Parser:
     binary operators.  Operators and keywords are matched on the token's
     string, which the lexer makes unique to its kind."""
 
-    def __init__(self, tokens: list[tuple[int, str, int]]):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
 
     # -- token helpers
 
-    def next(self) -> tuple[int, str, int]:
+    def next(self) -> Token:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -480,14 +486,14 @@ class _Parser:
     def at(self, string: str) -> bool:
         return self.tokens[self.pos][1] == string
 
-    def expect(self, string: str) -> tuple[int, str, int]:
+    def expect(self, string: str) -> Token:
         tok = self.tokens[self.pos]
         if tok[1] != string:
             raise ParseError(tok[2], f"expected {string!r}, got {tok[1]!r}")
         self.pos += 1
         return tok
 
-    def expect_kind(self, kind: int) -> tuple[int, str, int]:
+    def expect_kind(self, kind: int) -> Token:
         tok = self.tokens[self.pos]
         if tok[0] != kind:
             raise ParseError(tok[2], f"expected {KIND_NAMES[kind]!r}, got {tok[1]!r}")
@@ -511,7 +517,7 @@ class _Parser:
                 body.append(self.statement())
 
     def statement(self) -> Stmt:
-        _, word, line = self.tokens[self.pos]
+        _, word, line, _ = self.tokens[self.pos]
         if word == "def":
             return self.funcdef()
         if word == "return":
@@ -621,14 +627,14 @@ class _Parser:
         """An expression whose binary operators bind at least as tightly as
         ``floor``; operators of one binding power group to the left."""
         tokens = self.tokens
-        _, string, line = tokens[self.pos]
+        _, string, line, _ = tokens[self.pos]
         if string == "not" and floor <= _NOT:
             self.pos += 1
             node = NotOp(line, self.expression(_NOT))
         else:
             node = self.unary()
         while True:
-            _, string, line = tokens[self.pos]
+            _, string, line, _ = tokens[self.pos]
             power = _BINARY.get(string)
             if power is None or power < floor:
                 return node
@@ -655,7 +661,7 @@ class _Parser:
         node = self.atom()
         tokens = self.tokens
         while True:
-            _, string, line = tokens[self.pos]
+            _, string, line, _ = tokens[self.pos]
             if string == "[":
                 self.pos += 1
                 index = self.expression()
@@ -677,8 +683,8 @@ class _Parser:
             else:
                 return node
 
-    def number(self, tok: tuple[int, str, int], negate: bool = False) -> Num:
-        _, text, line = tok
+    def number(self, tok: Token, negate: bool = False) -> Num:
+        _, text, line, _ = tok
         try:
             value = int(text)
         except ValueError:
@@ -687,7 +693,7 @@ class _Parser:
 
     def atom(self) -> Expr:
         tok = self.tokens[self.pos]
-        kind, word, line = tok
+        kind, word, line, _ = tok
         if kind == NAME:
             if word == "True" or word == "False":
                 self.pos += 1

@@ -9,7 +9,11 @@ Mutants are produced by splicing one token span of the source text:
 * integer literal n -> n-1 and n+1 (a unary minus directly before a number
   is folded into the literal, so ``-1`` mutates to ``-2`` and ``0``)
 
-Token splicing keeps formatting and line numbering identical everywhere else,
+The tokens come from the mini-language's scanner (``minipy._scan``), which
+cuts Python text as the standard library's ``tokenize`` does on Python 3.11
+on every host: an f-string is one string token, whatever the version.  A
+site is a token's offset span, and its mutant is the source with that span
+replaced, so formatting and line numbering stay identical everywhere else,
 which is what makes line-coverage comparison between a program and its
 mutants meaningful.  It also works unchanged on externally executed programs,
 since the mini-language is a syntactic subset of the host language.
@@ -22,9 +26,7 @@ is selected; ties are broken uniformly at random.
 
 from __future__ import annotations
 
-import io
 import random
-import tokenize as _tok
 from dataclasses import dataclass, replace
 
 from .problems import Problem
@@ -33,21 +35,28 @@ from .values import canonical_repr, values_equal
 ARITHMETIC_OPS = ("+", "-", "*", "//", "%")
 RELATIONAL_OPS = ("<", "<=", ">", ">=", "==", "!=")
 
-_KIND_BY_OP = {op: "arithmetic" for op in ARITHMETIC_OPS}
-_KIND_BY_OP.update({op: "relational" for op in RELATIONAL_OPS})
+_KIND_BY_TOKEN = {op: "arithmetic" for op in ARITHMETIC_OPS}
+_KIND_BY_TOKEN.update({op: "relational" for op in RELATIONAL_OPS})
+_KIND_BY_TOKEN.update({"and": "logical", "or": "logical",
+                       "continue": "keyword", "break": "keyword"})
+# Names after which an operator is unary: no operand ends with them.
+_OPERAND_CANNOT_END = frozenset((
+    "and", "or", "not", "in", "return", "if", "elif", "while", "assert",
+    "else", "lambda", "yield",
+))
 
 
 @dataclass(frozen=True)
 class MutationSite:
     kind: str  # arithmetic | relational | logical | keyword | literal
     line: int  # 1-based
-    col: int
-    end_col: int
+    start: int  # offsets of the replaced span in the source
+    end: int
     original_token: str
     replacement_token: str
 
     def sort_key(self):
-        return (self.line, self.col, self.replacement_token)
+        return (self.start, self.replacement_token)
 
     def to_json(self) -> dict:
         return {
@@ -72,82 +81,67 @@ def _replacements(kind: str, token: str) -> list[str]:
 
 def _int_value(text: str) -> int | None:
     try:
-        value = int(text, 0)
+        return int(text, 0)
     except ValueError:
         return None
-    return value
 
 
 def mutation_sites(source: str) -> list[MutationSite]:
     """All (site, replacement) pairs over the source's token stream."""
+    # imported here: the commands that only read datasets need no parser
+    from .minipy import (
+        DEDENT, ENDMARKER, INDENT, NAME, NEWLINE, NUMBER, OP, STRING, ParseError, _scan,
+    )
+
     try:
-        tokens = list(_tok.generate_tokens(io.StringIO(source).readline))
-    except (_tok.TokenError, IndentationError, SyntaxError):
+        tokens = _scan(source)
+    except ParseError:
         return []
     sites: list[MutationSite] = []
-    prev_significant = None
-    pending_minus = None  # start position of a unary '-' awaiting a number
 
-    def add(kind: str, line: int, col: int, end_col: int, original: str):
-        for repl in _replacements(kind, original):
-            sites.append(MutationSite(kind, line, col, end_col, original, repl))
+    def add(kind: str, line: int, start: int, end: int, original: str,
+            replacements: list[str]):
+        for repl in replacements:
+            sites.append(MutationSite(kind, line, start, end, original, repl))
 
-    def add_literal(value: int, line: int, col: int, end_col: int, original: str):
-        for new in (value - 1, value + 1):
-            sites.append(
-                MutationSite("literal", line, col, end_col, original, str(new))
-            )
-
+    prev = None  # the last token that is no line break, indent or dedent
+    minus = None  # (line, start) of a unary '-' awaiting a number
     for tok in tokens:
-        if tok.type in (_tok.COMMENT, _tok.NL, _tok.NEWLINE, _tok.INDENT,
-                        _tok.DEDENT, _tok.ENCODING, _tok.ENDMARKER):
+        kind, string, line, start = tok
+        if kind in (NEWLINE, INDENT, DEDENT, ENDMARKER):
             continue
-        if pending_minus is not None:
-            start, minus_row = pending_minus
-            pending_minus = None
-            if tok.type == _tok.NUMBER and tok.start[0] == minus_row:
-                value = _int_value(tok.string)
+        end = start + len(string)
+        if minus is not None:
+            minus_line, minus_start = minus
+            minus = None
+            if kind == NUMBER and line == minus_line:
+                value = _int_value(string)
                 if value is not None:
-                    add_literal(
-                        -value, minus_row, start, tok.end[1], f"-{tok.string}"
-                    )
-                    prev_significant = tok
+                    add("literal", line, minus_start, end, f"-{string}",
+                        [str(-value - 1), str(-value + 1)])
+                    prev = tok
                     continue
-        if tok.type == _tok.OP and tok.string in _KIND_BY_OP:
-            binary = prev_significant is not None and (
-                prev_significant.type in (_tok.NUMBER, _tok.STRING)
-                or (prev_significant.type == _tok.NAME
-                    and prev_significant.string not in
-                    ("and", "or", "not", "in", "return", "if", "elif", "while",
-                     "assert", "else", "lambda", "yield"))
-                or (prev_significant.type == _tok.OP
-                    and prev_significant.string in (")", "]", "}"))
-            )
-            if binary:
-                add(_KIND_BY_OP[tok.string], tok.start[0], tok.start[1],
-                    tok.end[1], tok.string)
-            elif tok.string == "-":
-                pending_minus = (tok.start[1], tok.start[0])
-        elif tok.type == _tok.NAME and tok.string in ("and", "or"):
-            add("logical", tok.start[0], tok.start[1], tok.end[1], tok.string)
-        elif tok.type == _tok.NAME and tok.string in ("continue", "break"):
-            add("keyword", tok.start[0], tok.start[1], tok.end[1], tok.string)
-        elif tok.type == _tok.NUMBER:
-            value = _int_value(tok.string)
+        op_kind = _KIND_BY_TOKEN.get(string) if kind in (OP, NAME) else None
+        if op_kind is not None:
+            # an operator after an operand is binary; a keyword always counts
+            if kind == NAME or prev is not None and (
+                prev[0] in (NUMBER, STRING)
+                or prev[0] == NAME and prev[1] not in _OPERAND_CANNOT_END
+                or prev[0] == OP and prev[1] in (")", "]", "}")
+            ):
+                add(op_kind, line, start, end, string, _replacements(op_kind, string))
+            elif string == "-":
+                minus = (line, start)
+        elif kind == NUMBER:
+            value = _int_value(string)
             if value is not None:
-                add_literal(value, tok.start[0], tok.start[1], tok.end[1], tok.string)
-        prev_significant = tok
+                add("literal", line, start, end, string, [str(value - 1), str(value + 1)])
+        prev = tok
     return sites
 
 
 def apply_site(source: str, site: MutationSite) -> str:
-    # lines end at "\n" only, as mutation_sites numbers them
-    lines = source.split("\n")
-    line = lines[site.line - 1]
-    lines[site.line - 1] = (
-        line[: site.col] + site.replacement_token + line[site.end_col :]
-    )
-    return "\n".join(lines)
+    return source[: site.start] + site.replacement_token + source[site.end :]
 
 
 def enumerate_source_mutants(source: str) -> list[tuple[str, MutationSite]]:

@@ -45,10 +45,6 @@ class Problem:
     def to_json(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Problem":
-        return cls(**data)
-
 
 @contextlib.contextmanager
 def atomic_writer(path: str):
@@ -73,13 +69,37 @@ def save_jsonl(problems: list[Problem], path: str) -> None:
             fh.write(json.dumps(p.to_json(), ensure_ascii=False) + "\n")
 
 
-def load_jsonl(path: str) -> list[Problem]:
+def read_jsonl(path: str, make, torn_tail: bool = False) -> list:
+    """``make(**record)`` for each JSON object of a JSONL file.
+
+    A line that holds no object, or an object whose keys ``make`` does not
+    take, raises ValueError naming the path and line.  With ``torn_tail``, a
+    last line that lacks its newline and does not parse is the torn tail of
+    an interrupted append and is dropped; any other malformed line raises.
+    """
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                out.append(Problem.from_json(json.loads(line)))
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line.decode("utf-8"))
+            except ValueError:
+                if torn_tail and not line.endswith(b"\n"):
+                    break
+                raise
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"{path}:{number}: expected a JSON object, got {type(record).__name__}")
+            try:
+                out.append(make(**record))
+            except TypeError as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
     return out
+
+
+def load_jsonl(path: str) -> list[Problem]:
+    return read_jsonl(path, Problem)
 
 
 def pair_by_id(

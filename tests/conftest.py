@@ -10,7 +10,7 @@ import pytest
 
 from mutexec import datasets
 from mutexec.executors import BuiltinExecutor
-from mutexec.mutate import mutate_dataset
+from mutexec.mutate import enumerate_source_mutants, mutate_dataset
 from mutexec.problems import pair_by_id
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -25,11 +25,81 @@ def read_fixture(name: str) -> str:
         return fh.read()
 
 
+# Texts the lexer must read as tokenize does, each with the line of the
+# ParseError it raises (None: it parses).
+EDGE_CASES = [
+    # comments, blank and whitespace-only lines
+    ("def f(a1):\n    # note\n\n    v1 = a1  # trailing\n   \n    return v1\n", None),
+    ("# header\n\ndef f(a1):\n    return a1\n# end", None),
+    ("def f(a1):\n    return a1\n    ", None),
+    # implicit line joining inside brackets
+    ("def f(a1):\n    v1 = [1,\n  2,\n\n        3]\n    return (v1 +\n a1)\n", None),
+    ("def f(a1):\n    a1.append(len(\n# inside\n    a1))\n    return a1", None),
+    # backslash continuation, CRLF, form feed
+    ("def f(a1):\n    v1 = 1 + \\\n        2\n    return v1\n", None),
+    ("def f(a1):\r\n    v1 = [1,\r\n 2]\r\n\r\n    return v1\r\n", None),
+    ("\x0cdef f(a1):\n\x0c    return a1\n", None),
+    # tab indentation: a tab runs to the next multiple of 8
+    ("def f(a1):\n\tif a1:\n\t\treturn 1\n\treturn 2\n", None),
+    ("def f(a1):\n    if a1:\n\treturn 1\n    return 2\n", None),
+    ("def f(a1):\n  \tif a1:\n\t    return 1\n\treturn 2\n", None),
+    # missing final newline, Unicode identifiers
+    ("def f(a1):\n    return a1", None),
+    ("def f(a1):\n    é = a1\n    return é", None),
+    # number-like spans cut as tokenize cuts them
+    ("def f(a1):\n    return 1_000\n", None),
+    ("def f(a1):\n    return 00 + -0_0\n", None),
+    ("def f(a1):\n    v1 = 1\n    return 1.5\n", 3),
+    ("def f(a1):\n    return 0x10\n", 2),
+    ("def f(a1):\n    return 1e3\n", 2),
+    ("def f(a1):\n    return .5\n", 2),
+    ("def f(a1):\n    return 1j\n", 2),
+    ("def f(a1):\n    return 01\n", 2),
+    ("def f(a1):\n    return 1if\n", 2),
+    # string literals, one-line and multi-line
+    ("def f(a1):\n    return 'x'\n", 2),
+    ("def f(a1):\n    v1 = 1\n    v2 = rb\"x\"\n    return v1\n", 3),
+    ("def f(a1):\n    v1 = '''a\nb'''\n    return v1\n", 2),
+    ("def f(a1):\n    v1 = 'a\\\nb'\n    return v1\n", 2),
+    # inconsistent dedent
+    ("def f(a1):\n        v1 = 1\n    return v1\n", 3),
+    ("def f(a1):\n    if a1:\n        v1 = 1\n      return v1\n", 4),
+    # unexpected characters and unterminated quotes
+    ("def f(a1):\n    x = $\n    return x\n", 2),
+    ("def f(a1):\n    x = 'abc\n    return x\n", 2),
+    ("def f(a1):\n    x = a1 ? 1\n", 2),
+    # unclosed and stray brackets; a backslash or a string open at the end
+    ("def f(a1):\n    x = [1,\n    return x\n", 2),
+    ("def f(a1):\n    x = (1,\n [2,\n    return x", 3),
+    ("def f(a1):\n    x = 1)\n    return x\n", 2),
+    ("def f(a1):\n    x = 1 + \\\n", 2),
+    ("def f(a1):\n    x = \"\"\"abc\n    return x\n", 2),
+]
+
+# From Python 3.12 on, tokenize is the C tokenizer: it raises at the first
+# bad character instead of yielding an ERRORTOKEN.
+needs_python_tokenize = pytest.mark.skipif(
+    sys.version_info >= (3, 12), reason="compares with the pure-Python tokenize"
+)
+
+
 @pytest.fixture(scope="session")
 def small_corpus():
     """A reduced sampled-program dataset for pipeline tests (fast)."""
     config = datasets.DslListConfig(seed=11, programs_per_combo=120, per_bin=2)
     return datasets.build_dsl_list(config)
+
+
+@pytest.fixture(scope="session")
+def lexer_corpus(small_corpus):
+    """Sampled programs, all their mutants, the fixture programs and the
+    edge cases."""
+    programs = list(dict.fromkeys(p.source for p in small_corpus))
+    mutants = [m for source in programs for m, _ in enumerate_source_mutants(source)]
+    with open(fixture_path("differential.jsonl"), encoding="utf-8") as fh:
+        differential = [json.loads(line)["source"] for line in fh if line.strip()]
+    edge = [source for source, _ in EDGE_CASES]
+    return programs + mutants + differential + [read_fixture("golden_depth5.py")] + edge
 
 
 @pytest.fixture(scope="session")

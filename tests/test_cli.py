@@ -479,7 +479,8 @@ class TestExitCodes:
 
 
 class TestPipelineFailures:
-    """Sampling and build failures end in one ``error:`` line and exit 1."""
+    """Sampling and build failures, and input lines of the wrong shape, end
+    in one ``error:`` line and exit 1."""
 
     def test_underpopulated_bin(self, tmp_path, capsys):
         out = tmp_path / "d.jsonl"
@@ -494,6 +495,34 @@ class TestPipelineFailures:
         assert dispatch(["sample", "--max-attempts", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: no valid program in 1 attempts\n"
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("command,text,message", [
+        (["mutate", "--out", "pairs"], '{"foo": 1}\n',
+         "1: Problem.__init__() got an unexpected keyword argument 'foo'"),
+        (["mutate", "--out", "pairs"], "[1, 2]\n", "1: expected a JSON object, got list"),
+        (["ingest", "--out", "ext.jsonl"], "[1]\n", "1: expected a JSON object, got list"),
+    ], ids=["mutate_unknown_key", "mutate_list", "ingest_list"])
+    def test_wrong_shape_input_line(self, tmp_path, capsys, monkeypatch, command,
+                                    text, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "in.jsonl").write_text(text)
+        assert dispatch(command + ["--in", "in.jsonl"]) == 1
+        assert capsys.readouterr().err == f"error: in.jsonl:{message}\n"
+        assert os.listdir(tmp_path) == ["in.jsonl"]
+
+    @pytest.mark.parametrize("flag,text,message", [
+        ("--pred", '\n{"nosuch": 1}\n',
+         "2: PredictionRecord.__init__() got an unexpected keyword argument 'nosuch'"),
+        # a last line without its newline that parses is no torn tail
+        ("--choice", "[1]", "1: expected a JSON object, got list"),
+    ], ids=["pred_unknown_key", "choice_unterminated_list"])
+    def test_wrong_shape_record_line(self, tmp_path, capsys, monkeypatch, flag, text,
+                                     message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "records.jsonl").write_text(text)
+        assert dispatch(["report", flag, "records.jsonl", "--out", "r.txt"]) == 1
+        assert capsys.readouterr() == ("", f"error: records.jsonl:{message}\n")
+        assert os.listdir(tmp_path) == ["records.jsonl"]
 
 
 class TestAtomicWriter:

@@ -38,20 +38,15 @@ class TestModelConfig:
         assert "top_p" not in payload
         assert payload["reasoning_effort"] == "high"
 
-    def test_overrides_and_disabling_cap(self):
-        config = ModelConfig(profile="traditional", temperature=0.0, max_tokens=0)
+    def test_zero_max_tokens_disables_cap(self):
+        config = ModelConfig(profile="traditional", max_tokens=0)
         payload = config.payload("p")
-        assert payload["temperature"] == 0.0
         assert "max_tokens" not in payload
 
     def test_default_modes(self):
         assert ModelConfig(profile="traditional").default_mode == "one_shot"
         assert ModelConfig(profile="reasoning").default_mode == "zero_shot"
         assert ModelConfig(profile="effort").default_mode == "zero_shot"
-
-    def test_negative_temperature_rejected(self):
-        with pytest.raises(ValueError):
-            ModelConfig(temperature=-0.1)
 
 
 def make_http_model(tmp_path, stub, max_retries=2, **config):

@@ -1,18 +1,16 @@
 import ast
 import hashlib
 import io
-import json
+import os
 import random
-import sys
 import tokenize
 
 import pytest
 
-from conftest import fixture_path, read_fixture
+from conftest import EDGE_CASES, needs_python_tokenize
 
 from mutexec import minipy
 from mutexec.minipy import Limits, ParseError, interpret, parse
-from mutexec.mutate import enumerate_source_mutants
 
 
 def run(source, *args, limits=None, fn=None):
@@ -189,57 +187,6 @@ class TestInterpret:
         assert run(source, [0], fn="h").error_kind == "NameError"
 
 
-# Texts the lexer must read as tokenize does, each with the line of the
-# ParseError it raises (None: it parses).
-EDGE_CASES = [
-    # comments, blank and whitespace-only lines
-    ("def f(a1):\n    # note\n\n    v1 = a1  # trailing\n   \n    return v1\n", None),
-    ("# header\n\ndef f(a1):\n    return a1\n# end", None),
-    ("def f(a1):\n    return a1\n    ", None),
-    # implicit line joining inside brackets
-    ("def f(a1):\n    v1 = [1,\n  2,\n\n        3]\n    return (v1 +\n a1)\n", None),
-    ("def f(a1):\n    a1.append(len(\n# inside\n    a1))\n    return a1", None),
-    # backslash continuation, CRLF, form feed
-    ("def f(a1):\n    v1 = 1 + \\\n        2\n    return v1\n", None),
-    ("def f(a1):\r\n    v1 = [1,\r\n 2]\r\n\r\n    return v1\r\n", None),
-    ("\x0cdef f(a1):\n\x0c    return a1\n", None),
-    # tab indentation: a tab runs to the next multiple of 8
-    ("def f(a1):\n\tif a1:\n\t\treturn 1\n\treturn 2\n", None),
-    ("def f(a1):\n    if a1:\n\treturn 1\n    return 2\n", None),
-    ("def f(a1):\n  \tif a1:\n\t    return 1\n\treturn 2\n", None),
-    # missing final newline, Unicode identifiers
-    ("def f(a1):\n    return a1", None),
-    ("def f(a1):\n    é = a1\n    return é", None),
-    # number-like spans cut as tokenize cuts them
-    ("def f(a1):\n    return 1_000\n", None),
-    ("def f(a1):\n    return 00 + -0_0\n", None),
-    ("def f(a1):\n    v1 = 1\n    return 1.5\n", 3),
-    ("def f(a1):\n    return 0x10\n", 2),
-    ("def f(a1):\n    return 1e3\n", 2),
-    ("def f(a1):\n    return .5\n", 2),
-    ("def f(a1):\n    return 1j\n", 2),
-    ("def f(a1):\n    return 01\n", 2),
-    ("def f(a1):\n    return 1if\n", 2),
-    # string literals, one-line and multi-line
-    ("def f(a1):\n    return 'x'\n", 2),
-    ("def f(a1):\n    v1 = 1\n    v2 = rb\"x\"\n    return v1\n", 3),
-    ("def f(a1):\n    v1 = '''a\nb'''\n    return v1\n", 2),
-    ("def f(a1):\n    v1 = 'a\\\nb'\n    return v1\n", 2),
-    # inconsistent dedent
-    ("def f(a1):\n        v1 = 1\n    return v1\n", 3),
-    ("def f(a1):\n    if a1:\n        v1 = 1\n      return v1\n", 4),
-    # unexpected characters and unterminated quotes
-    ("def f(a1):\n    x = $\n    return x\n", 2),
-    ("def f(a1):\n    x = 'abc\n    return x\n", 2),
-    ("def f(a1):\n    x = a1 ? 1\n", 2),
-    # unclosed and stray brackets; a backslash or a string open at the end
-    ("def f(a1):\n    x = [1,\n    return x\n", 2),
-    ("def f(a1):\n    x = (1,\n [2,\n    return x", 3),
-    ("def f(a1):\n    x = 1)\n    return x\n", 2),
-    ("def f(a1):\n    x = 1 + \\\n", 2),
-    ("def f(a1):\n    x = \"\"\"abc\n    return x\n", 2),
-]
-
 # sha256 of the lexer corpus's AST reprs ("-" for a source that does not
 # parse), recorded with the tokenize-based parser that the scanner replaced.
 CORPUS_AST_SHA256 = "0ee5e3247522d22b3fc467f13c5ccf8f1e5d6a6e84733c0bfc24bc60bd8d66c4"
@@ -257,13 +204,14 @@ def tokenize_stream(source):
 
 
 def scanner_stream(source):
-    return [(minipy.KIND_NAMES[k], s, line) for k, s, line in minipy._scan(source)]
+    return [(minipy.KIND_NAMES[k], s, line) for k, s, line, _ in minipy._scan(source)]
 
 
 def tokenize_parse(source):
-    """The parser run on tokenize's tokens instead of the scanner's."""
+    """The parser run on tokenize's tokens instead of the scanner's (the
+    parser reads no start offset)."""
     tokens = [
-        (minipy.KIND_NAMES.index(kind), string, line)
+        (minipy.KIND_NAMES.index(kind), string, line, 0)
         for kind, string, line in tokenize_stream(source)
     ]
     return minipy._Parser(tokens).parse_module()
@@ -278,25 +226,6 @@ def outcomes(sources):
         except ParseError as err:
             out.append(err.line)
     return out
-
-
-@pytest.fixture(scope="module")
-def lexer_corpus(small_corpus):
-    """Sampled programs, all their mutants, the fixture programs and the
-    edge cases."""
-    programs = list(dict.fromkeys(p.source for p in small_corpus))
-    mutants = [m for source in programs for m, _ in enumerate_source_mutants(source)]
-    with open(fixture_path("differential.jsonl"), encoding="utf-8") as fh:
-        differential = [json.loads(line)["source"] for line in fh if line.strip()]
-    edge = [source for source, _ in EDGE_CASES]
-    return programs + mutants + differential + [read_fixture("golden_depth5.py")] + edge
-
-
-# From Python 3.12 on, tokenize is the C tokenizer: it raises at the first
-# bad character instead of yielding an ERRORTOKEN.
-needs_python_tokenize = pytest.mark.skipif(
-    sys.version_info >= (3, 12), reason="compares with the pure-Python tokenize"
-)
 
 
 class TestLexer:
@@ -400,12 +329,18 @@ class TestLexer:
         assert err.value.message == "string literals are outside the mini-language"
 
     def test_module_does_not_import_tokenize(self):
-        with open(minipy.__file__, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                imported |= {alias.name for alias in node.names}
-            elif isinstance(node, ast.ImportFrom):
-                imported |= {node.module or ""} | {alias.name for alias in node.names}
-        assert "tokenize" not in imported
+        # the scanner is the package's one lexer: no module of it, minipy
+        # and mutate included, imports the standard library's
+        package = os.path.dirname(minipy.__file__)
+        modules = sorted(f for f in os.listdir(package) if f.endswith(".py"))
+        assert {"minipy.py", "mutate.py"} <= set(modules)
+        for name in modules:
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            imported = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported |= {alias.name for alias in node.names}
+                elif isinstance(node, ast.ImportFrom):
+                    imported |= {node.module or ""} | {alias.name for alias in node.names}
+            assert "tokenize" not in imported, name

@@ -1,6 +1,12 @@
+import hashlib
+import io
+import json
 import random
+import tokenize
 
 import pytest
+
+from conftest import needs_python_tokenize
 
 from mutexec.executors import BuiltinExecutor
 from mutexec.minipy import interpret, parse
@@ -102,9 +108,9 @@ class TestEnumerate:
             assert len(lines) == len(original_lines)
             diff = [i for i, (a, b) in enumerate(zip(original_lines, lines)) if a != b]
             assert diff == [site.line - 1]
-            line_a, line_b = original_lines[diff[0]], lines[diff[0]]
-            assert line_a[: site.col] == line_b[: site.col]
-            assert line_a[site.end_col:] == line_b[site.col + len(site.replacement_token):]
+            assert source[site.start:site.end] == site.original_token
+            assert mutated[:site.start] == source[:site.start]
+            assert mutated[site.start + len(site.replacement_token):] == source[site.end:]
 
     @pytest.mark.parametrize("source", [
         "def f(a1):\n\x0c    return a1 + 1\n",
@@ -112,17 +118,14 @@ class TestEnumerate:
         "def f(a1):\n    return len(a1) > 2\n",
     ], ids=["form_feed", "crlf", "final_newline"])
     def test_mutant_differs_only_at_its_site(self, source):
-        # lines are numbered at "\n" only; every other character, line
-        # ends and a final newline included, is kept
+        # every other character, line ends and a final newline included, is
+        # kept; lines are numbered at "\n"
         mutants = enumerate_source_mutants(source)
         assert mutants
         for mutated, site in mutants:
-            start = 0
-            for _ in range(site.line - 1):
-                start = source.index("\n", start) + 1
-            at, end = start + site.col, start + site.end_col
-            assert source[at:end] == site.original_token
-            assert mutated == source[:at] + site.replacement_token + source[end:]
+            assert source[site.start:site.end] == site.original_token
+            assert site.line == source.count("\n", 0, site.start) + 1
+            assert mutated == source[:site.start] + site.replacement_token + source[site.end:]
 
     def test_relational_if_site_yields_five_mutants(self):
         source = "def f(x):\n    if x < 0:\n        return 1\n    return 0"
@@ -145,6 +148,14 @@ class TestEnumerate:
         assert mutants
         for mutated, site in mutants:
             assert parse(mutated).functions(), site
+
+    def test_fstring_braces_are_not_sites(self):
+        # an f-string is one string token on every Python version, although
+        # tokenize splits it from 3.12 on
+        source = 'def f(a):\n    return f"{a + 1}{a < 2 and -3}" + F\'{a}\'\n'
+        sites = mutation_sites(source)
+        assert {(s.kind, s.original_token) for s in sites} == {("arithmetic", "+")}
+        assert {s.start for s in sites} == {source.index('" + F') + 2}
 
     def test_strings_and_comments_are_not_sites(self):
         source = "def f(a):\n    return a  # 1 + 2 and 3 < 4\n"
@@ -193,6 +204,164 @@ class TestFilter:
                 expected.add(mutated)
         assert {s.source for s in survivors} == expected
         assert survivors  # fixture chosen to have survivors
+
+
+# sha256 of every mutant source and its site record over the seed-11 small
+# corpus, recorded with the tokenize-based site finder the scanner replaced.
+SMALL_CORPUS_MUTANTS_SHA256 = (
+    "d8e3ad25e0f15681c575cc97ac8759af8d72c29b572f5dec5ff7053f42014cd8"
+)
+
+
+def tokenize_sites(source):
+    """The sites as found on tokenize's stream before the scanner replaced
+    it, as (kind, line, col, end_col, original, replacement) tuples."""
+    try:
+        tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
+    except (tokenize.TokenError, IndentationError, SyntaxError):
+        return []
+    ops = {op: "arithmetic" for op in ("+", "-", "*", "//", "%")}
+    ops.update({op: "relational" for op in ("<", "<=", ">", ">=", "==", "!=")})
+    others = {"arithmetic": ("+", "-", "*", "//", "%"),
+              "relational": ("<", "<=", ">", ">=", "==", "!=")}
+    sites = []
+    prev_significant = None
+    pending_minus = None
+
+    def add(kind, line, col, end_col, original, replacements):
+        sites.extend((kind, line, col, end_col, original, r) for r in replacements)
+
+    def int_value(text):
+        try:
+            return int(text, 0)
+        except ValueError:
+            return None
+
+    for tok in tokens:
+        if tok.type in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+                        tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER):
+            continue
+        if pending_minus is not None:
+            start, minus_row = pending_minus
+            pending_minus = None
+            if tok.type == tokenize.NUMBER and tok.start[0] == minus_row:
+                value = int_value(tok.string)
+                if value is not None:
+                    add("literal", minus_row, start, tok.end[1], f"-{tok.string}",
+                        [str(-value - 1), str(-value + 1)])
+                    prev_significant = tok
+                    continue
+        if tok.type == tokenize.OP and tok.string in ops:
+            binary = prev_significant is not None and (
+                prev_significant.type in (tokenize.NUMBER, tokenize.STRING)
+                or (prev_significant.type == tokenize.NAME
+                    and prev_significant.string not in
+                    ("and", "or", "not", "in", "return", "if", "elif", "while",
+                     "assert", "else", "lambda", "yield"))
+                or (prev_significant.type == tokenize.OP
+                    and prev_significant.string in (")", "]", "}"))
+            )
+            kind = ops[tok.string]
+            if binary:
+                add(kind, tok.start[0], tok.start[1], tok.end[1], tok.string,
+                    [op for op in others[kind] if op != tok.string])
+            elif tok.string == "-":
+                pending_minus = (tok.start[1], tok.start[0])
+        elif tok.type == tokenize.NAME and tok.string in ("and", "or"):
+            add("logical", tok.start[0], tok.start[1], tok.end[1], tok.string,
+                ["or" if tok.string == "and" else "and"])
+        elif tok.type == tokenize.NAME and tok.string in ("continue", "break"):
+            add("keyword", tok.start[0], tok.start[1], tok.end[1], tok.string,
+                ["break" if tok.string == "continue" else "continue"])
+        elif tok.type == tokenize.NUMBER:
+            value = int_value(tok.string)
+            if value is not None:
+                add("literal", tok.start[0], tok.start[1], tok.end[1], tok.string,
+                    [str(value - 1), str(value + 1)])
+        prev_significant = tok
+    return sites
+
+
+def tokenize_mutant(source, site):
+    """The mutant of a ``tokenize_sites`` site, spliced by line and column
+    on lines split at "\n", as tokenize numbers them."""
+    _, line_no, col, end_col, _, replacement = site
+    lines = source.split("\n")
+    line = lines[line_no - 1]
+    lines[line_no - 1] = line[:col] + replacement + line[end_col:]
+    return "\n".join(lines)
+
+
+def scanner_sites(source):
+    """``enumerate_source_mutants`` in the reference's terms: each site with
+    its column on its line, and its mutant."""
+    out = []
+    for mutated, site in enumerate_source_mutants(source):
+        line_start = source.rfind("\n", 0, site.start) + 1
+        out.append(((site.kind, site.line, site.start - line_start, site.end - line_start,
+                     site.original_token, site.replacement_token), mutated))
+    return out
+
+
+def reference_sites(source):
+    return [(site, tokenize_mutant(source, site)) for site in tokenize_sites(source)]
+
+
+class TestScannerSites:
+    """Sites come from the scanner's stream and splice by offset; on
+    Python 3.11 they match the tokenize-based finder they replaced."""
+
+    @needs_python_tokenize
+    def test_corpus_matches_tokenize_reference(self, lexer_corpus):
+        with_sites = 0
+        for source in lexer_corpus:
+            found = scanner_sites(source)
+            assert found == reference_sites(source), source
+            with_sites += bool(found)
+        assert with_sites > 250
+
+    @needs_python_tokenize
+    def test_random_texts_match_tokenize_reference(self):
+        pieces = [
+            "def", "f", "a1", "é", "return", "if", "while", "not", "and", "or",
+            "in", "else", "continue", "break", "True", "(", ")", "[", "]", "{",
+            "}", ":", ",", "=", "+", "-", "- ", "*", "//", "%", "<", "<=", ">",
+            ">=", "==", "!=", "**", " ", "    ", "\t", "\x0c", "\n", "\n    ",
+            "\r\n", "\r", "\\\n", "#c", "'", '"', "'x'", 'f"{a1+1}"', "rb",
+            "1", "07", "1_0", "0x1F", "1.5", ".5", "1j", "$", "?",
+        ]
+        rng = random.Random(13)
+        with_sites = 0
+        for _ in range(3000):
+            source = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 30)))
+            found = scanner_sites(source)
+            assert found == reference_sites(source), source
+            with_sites += bool(found)
+        assert with_sites > 800
+
+    def test_small_corpus_mutants_pinned(self, small_corpus):
+        digest = hashlib.sha256()
+        count = 0
+        for problem in small_corpus:
+            for mutated, site in enumerate_source_mutants(problem.source):
+                record = json.dumps([mutated, site.to_json()], sort_keys=True)
+                digest.update(record.encode() + b"\n")
+                count += 1
+        assert (len(small_corpus), count) == (60, 657)
+        assert digest.hexdigest() == SMALL_CORPUS_MUTANTS_SHA256
+
+    def test_sort_key_orders_by_line_and_column(self):
+        # the tie pool of select_mutant is sorted as (line, column,
+        # replacement) ordered it before sites carried offsets
+        source = "def f(a):\n    if a < 1:\n        return a - 2\n    return -3"
+        sites = mutation_sites(source)
+
+        def line_column(site):
+            column = site.start - source.rfind("\n", 0, site.start) - 1
+            return (site.line, column, site.replacement_token)
+
+        assert sorted(sites, key=lambda s: s.sort_key()) == sorted(sites, key=line_column)
+        assert [s.start for s in sites] == sorted(s.start for s in sites)
 
 
 def make_survivor(name, covered, site_index=0):
