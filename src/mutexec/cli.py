@@ -24,7 +24,14 @@ import sys
 
 from . import __version__
 from .mutate import mutate_dataset
-from .problems import atomic_writer, load_jsonl, pair_by_id, read_jsonl, save_jsonl
+from .problems import (
+    atomic_writer,
+    encode_json,
+    load_jsonl,
+    pair_by_id,
+    read_jsonl,
+    save_jsonl,
+)
 from .values import canonical_repr, format_args
 
 
@@ -177,13 +184,13 @@ def cmd_sample(args) -> int:
     with atomic_writer(args.out) as fh:
         for _ in range(args.count):
             sp = sample_valid_program(cfg, config, rng=rng)
-            fh.write(json.dumps({
+            fh.write(encode_json({
                 "dsl_text": to_sexpr(sp.term),
                 "type": repr(program_type),
                 "depth": sp.term.depth(),
                 "inputs": [format_args(a) for a in sp.inputs],
                 "outputs": [canonical_repr(o) for o in sp.outputs],
-            }, ensure_ascii=False) + "\n")
+            }) + "\n")
     write_manifest(args.out, "sample", args, [], [args.out])
     return 0
 
@@ -198,11 +205,11 @@ def cmd_transpile(args) -> int:
         for line in lines:
             text = json.loads(line)["dsl_text"] if line.startswith("{") else line
             program = translate(parse_sexpr(text), args.function_name)
-            fh.write(json.dumps({
+            fh.write(encode_json({
                 "dsl_text": text,
                 "source": program.source,
                 "loc": program.loc,
-            }, ensure_ascii=False) + "\n")
+            }) + "\n")
     write_manifest(args.out, "transpile", args, [getattr(args, "in")], [args.out])
     return 0
 
@@ -246,7 +253,7 @@ def cmd_build_llm_list(args) -> int:
 def cmd_ingest(args) -> int:
     from . import datasets
 
-    records = read_jsonl(getattr(args, "in"), dict)
+    records = read_jsonl(getattr(args, "in"), datasets.external_record)
     executor = _make_executor(args)
     try:
         problems, rejections = datasets.ingest_external(
@@ -259,7 +266,7 @@ def cmd_ingest(args) -> int:
     rejects_path = args.out + ".rejected.jsonl"
     with atomic_writer(rejects_path) as fh:
         for r in rejections:
-            fh.write(json.dumps(vars(r), ensure_ascii=False) + "\n")
+            fh.write(encode_json(vars(r)) + "\n")
     write_manifest(args.out, "ingest", args, [getattr(args, "in")],
                    [args.out, rejects_path])
     print(f"ingested {len(problems)} problems, rejected {len(rejections)}")

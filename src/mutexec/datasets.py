@@ -319,6 +319,20 @@ class Rejection:
     reason: str
 
 
+def external_record(**record) -> dict:
+    """One ``{source, function_name, input}`` record of ``ingest`` input, with
+    an optional ``id``; a missing or non-string field raises TypeError naming
+    it (``read_jsonl`` adds the path and line).  Other keys are ignored."""
+    for name in ("source", "function_name", "input", "id"):
+        if name not in record:
+            if name != "id":
+                raise TypeError(f"missing field {name!r}")
+        elif not isinstance(record[name], str):
+            raise TypeError(
+                f"field {name!r} must be a string, got {type(record[name]).__name__}")
+    return record
+
+
 def ingest_external(
     records: list[dict], executor, config: IngestConfig | None = None
 ) -> tuple[list[Problem], list[Rejection]]:

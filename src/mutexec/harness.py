@@ -15,10 +15,16 @@ import ast
 import json
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .llm_client import TransportError
-from .problems import Problem, pair_by_id, read_jsonl
+from .problems import (
+    Problem,
+    encode_json,
+    end_on_line_boundary,
+    pair_by_id,
+    read_jsonl,
+)
 from .values import Value, canonical_repr, is_boolean_output, parse_literal, values_equal
 
 PREDICTION_ZERO_SHOT = """\
@@ -232,17 +238,43 @@ class ChoiceExtraction:
     literal: Extracted | None
 
 
-def _json_candidates(text: str):
-    decoder = json.JSONDecoder()
-    for start in range(len(text)):
-        if text[start] != "{":
-            continue
+_DECODER = json.JSONDecoder()
+_FIRST_SLICE = 256
+# A failure that the end of a slice caused is reported at most 8 characters
+# before it (a cut "-Infinity"), or at the start of an unterminated string.
+_CUT_MARGIN = 16
+
+
+def _json_value_at(text: str, start: int):
+    """The JSON value that ``raw_decode(text, start)`` returns, or None
+    where it raises ``JSONDecodeError``.
+
+    It decodes slices from ``start`` that double until the outcome cannot
+    depend on where the slice ends, so its work grows with what the
+    decoder reads and not with ``start``: a ``JSONDecodeError`` counts the
+    newlines before its position in the string it was given.  A value
+    read from a slice is the one the whole text holds there.
+    """
+    width = _FIRST_SLICE
+    while True:
         try:
-            obj, _ = decoder.raw_decode(text[start:])
-        except json.JSONDecodeError:
-            continue
+            return _DECODER.raw_decode(text[start:start + width])[0]
+        except json.JSONDecodeError as exc:
+            if start + width >= len(text) or (
+                    exc.pos < width - _CUT_MARGIN
+                    and not exc.msg.startswith("Unterminated string")):
+                return None
+        width *= 2
+
+
+def _json_candidates(text: str):
+    """Every JSON object that starts at a ``{`` of ``text``, in order."""
+    start = text.find("{")
+    while start != -1:
+        obj = _json_value_at(text, start)
         if isinstance(obj, dict):
             yield obj
+        start = text.find("{", start + 1)
 
 
 def extract_choice(response: str) -> ChoiceExtraction:
@@ -265,12 +297,14 @@ def extract_choice(response: str) -> ChoiceExtraction:
 # Judgment and records
 
 
-def judge(extracted: Extracted | None, own_output: str, other_output: str) -> str:
+def judge(extracted: Extracted | None, own: Value, other: Value) -> str:
+    """Judge an answer against the parsed ground truths of the program it
+    answers for (``own``) and of the paired program (``other``)."""
     if extracted is None:
         return "unparsed"
-    if values_equal(extracted.value, parse_literal(own_output)):
+    if values_equal(extracted.value, own):
         return "correct"
-    if values_equal(extracted.value, parse_literal(other_output)):
+    if values_equal(extracted.value, other):
         return "reverted"
     return "other"
 
@@ -288,7 +322,7 @@ class PredictionRecord:
     error: str | None = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -305,7 +339,7 @@ class ChoiceRecord:
     error: str | None = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 class _RecordSink:
@@ -313,14 +347,13 @@ class _RecordSink:
         self.path = path
         self.records: list = []
         if path and os.path.exists(path):
-            _end_on_line_boundary(path)
+            end_on_line_boundary(path)
 
     def extend(self, records: list) -> None:
         self.records.extend(records)
         if self.path:
             with open(self.path, "a", encoding="utf-8") as fh:
-                for record in records:
-                    fh.write(json.dumps(record.to_json(), ensure_ascii=False) + "\n")
+                fh.write("".join(encode_json(r.to_json()) + "\n" for r in records))
 
 
 def load_prediction_records(path: str) -> list[PredictionRecord]:
@@ -335,19 +368,6 @@ def _load_records(path: str, cls):
     """Records of a JSONL file; the torn tail of an interrupted append is
     dropped (see ``read_jsonl``)."""
     return read_jsonl(path, cls, torn_tail=True)
-
-
-def _end_on_line_boundary(path: str) -> None:
-    """Cut a torn last line, or end a whole one, so appends start a line."""
-    with open(path, "rb+") as fh:
-        data = fh.read()
-        start = data.rfind(b"\n") + 1
-        if start < len(data):
-            try:
-                json.loads(data[start:])
-                fh.write(b"\n")
-            except ValueError:
-                fh.truncate(start)
 
 
 def _pair_is_boolean(original: Problem, mutant: Problem) -> bool:
@@ -396,16 +416,26 @@ def run_prediction(
             texts = [resp.text for resp in model.complete(prompt, count)]
         except TransportError as exc:
             texts, error = [""] * count, str(exc)
+        own, paired = parse_literal(problem.output), parse_literal(other.output)
+        # a text that repeats among the n samples, as a mock's or a replay's
+        # does, is extracted and judged once
+        readings: dict[str, tuple[str | None, str]] = {}
         records = []
         for i, text in enumerate(texts):
-            extracted = extract_prediction(text)
+            reading = readings.get(text)
+            if reading is None:
+                extracted = extract_prediction(text)
+                reading = readings[text] = (
+                    extracted.text if extracted else None,
+                    judge(extracted, own, paired),
+                )
             records.append(PredictionRecord(
                 problem_id=problem.id,
                 variant=variant,
                 sample_index=start_index + i,
                 response=text,
-                extracted=extracted.text if extracted else None,
-                judgment=judge(extracted, problem.output, other.output),
+                extracted=reading[0],
+                judgment=reading[1],
                 loc=problem.loc,
                 output_is_bool=is_bool,
                 error=error,
@@ -462,7 +492,8 @@ def run_choice(
             own, other = (
                 (original, mutant) if chosen == "original" else (mutant, original)
             )
-            judgment = judge(extraction.literal, own.output, other.output)
+            judgment = judge(extraction.literal, parse_literal(own.output),
+                             parse_literal(other.output))
             extracted = extraction.literal.text if extraction.literal else None
         return [ChoiceRecord(
             problem_id=original.id,

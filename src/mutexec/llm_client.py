@@ -25,6 +25,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from .problems import encode_json, end_on_line_boundary, iter_jsonl
+
 
 class TransportError(Exception):
     pass
@@ -91,7 +93,11 @@ class ModelResponse:
 
 
 class Transcript:
-    """Append-only JSONL log of every request/response/failure."""
+    """Append-only JSONL log of every request/response/failure.
+
+    A torn last line left by a killed run is cut when the transcript is
+    opened again, so the next entry starts a line of its own.
+    """
 
     def __init__(self, path: str | None):
         self.path = path
@@ -99,13 +105,16 @@ class Transcript:
         self.entries = 0
         if path:
             os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            if os.path.exists(path):
+                end_on_line_boundary(path)
 
-    def log(self, entry: dict) -> None:
+    def log(self, *entries: dict) -> None:
+        """Append ``entries`` in order, in one write."""
         with self.lock:
-            self.entries += 1
-            if self.path:
+            self.entries += len(entries)
+            if self.path and entries:
                 with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
+                    fh.write("".join(encode_json(entry) + "\n" for entry in entries))
 
 
 class HttpModel:
@@ -285,12 +294,17 @@ class MockModel:
         return self._answer_prediction(prompt)
 
     def complete(self, prompt: str, n: int = 1) -> list[ModelResponse]:
-        out = []
-        for _ in range(n):
-            text = self._respond(prompt)
-            self.transcript.log({"ts": time.time(), "model": f"mock:{self.behavior}",
-                                 "prompt": prompt, "response": text, "latency": 0.0})
-            out.append(ModelResponse(text=text, finish_reason="stop"))
+        """n answers, logged to the transcript in one append; the answers
+        given before a scripted replay runs out are logged too."""
+        out, entries = [], []
+        try:
+            for _ in range(n):
+                text = self._respond(prompt)
+                entries.append({"ts": time.time(), "model": f"mock:{self.behavior}",
+                                "prompt": prompt, "response": text, "latency": 0.0})
+                out.append(ModelResponse(text=text, finish_reason="stop"))
+        finally:
+            self.transcript.log(*entries)
         return out
 
     def close(self):
@@ -313,15 +327,13 @@ ALWAYS_A_TEXT = json.dumps(
 
 
 def scripted_from_transcript(path: str) -> dict[str, list[str]]:
-    """Prompt -> ordered responses, reconstructed from a transcript file."""
+    """Prompt -> ordered responses, reconstructed from a transcript file.
+    The torn last line of a killed run is dropped (see ``iter_jsonl``); the
+    entries are read one at a time, so only the script is held in memory."""
     script: dict[str, list[str]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            entry = json.loads(line)
-            if "response" in entry:
-                script.setdefault(entry["prompt"], []).append(entry["response"])
+    for entry in iter_jsonl(path, dict, torn_tail=True):
+        if "response" in entry:
+            script.setdefault(entry["prompt"], []).append(entry["response"])
     return script
 
 

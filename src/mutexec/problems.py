@@ -11,13 +11,16 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .values import Value, parse_args, parse_literal
 
 # [lo, hi) line-count bins of ``Problem.loc``: the DSL-List dataset fills
 # each one equally and the report's LOC series is cut at the same edges.
 LOC_BINS: tuple[tuple[int, int], ...] = ((4, 8), (8, 12), (12, 16), (16, 20), (20, 24))
+
+# The one JSON writer of every JSONL file: datasets, records and transcripts.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,10 @@ class Problem:
         return parse_literal(self.output)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        out = dict(vars(self))
+        if self.mutation_info is not None:
+            out["mutation_info"] = dict(self.mutation_info)
+        return out
 
 
 @contextlib.contextmanager
@@ -66,18 +72,23 @@ def atomic_writer(path: str):
 def save_jsonl(problems: list[Problem], path: str) -> None:
     with atomic_writer(path) as fh:
         for p in problems:
-            fh.write(json.dumps(p.to_json(), ensure_ascii=False) + "\n")
+            fh.write(encode_json(p.to_json()) + "\n")
 
 
 def read_jsonl(path: str, make, torn_tail: bool = False) -> list:
-    """``make(**record)`` for each JSON object of a JSONL file.
+    """The list of ``iter_jsonl(path, make, torn_tail)``."""
+    return list(iter_jsonl(path, make, torn_tail))
+
+
+def iter_jsonl(path: str, make, torn_tail: bool = False):
+    """``make(**record)`` for each JSON object of a JSONL file, one line at a
+    time.
 
     A line that holds no object, or an object whose keys ``make`` does not
     take, raises ValueError naming the path and line.  With ``torn_tail``, a
     last line that lacks its newline and does not parse is the torn tail of
     an interrupted append and is dropped; any other malformed line raises.
     """
-    out = []
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
@@ -92,10 +103,31 @@ def read_jsonl(path: str, make, torn_tail: bool = False) -> list:
                 raise ValueError(
                     f"{path}:{number}: expected a JSON object, got {type(record).__name__}")
             try:
-                out.append(make(**record))
+                item = make(**record)
             except TypeError as exc:
                 raise ValueError(f"{path}:{number}: {exc}") from None
-    return out
+            yield item
+
+
+def end_on_line_boundary(path: str) -> None:
+    """Cut a torn last line, or end a whole one, so appends start a line.
+    Only the last line is read, backwards from the end in 64 KiB steps."""
+    with open(path, "rb+") as fh:
+        end = start = fh.seek(0, os.SEEK_END)
+        tail = b""
+        while start > 0 and b"\n" not in tail:
+            step = min(start, 1 << 16)
+            start -= step
+            fh.seek(start)
+            tail = fh.read(step) + tail
+        last = tail[tail.rfind(b"\n") + 1:]
+        if last:
+            try:
+                json.loads(last)
+                fh.seek(end)
+                fh.write(b"\n")
+            except ValueError:
+                fh.truncate(end - len(last))
 
 
 def load_jsonl(path: str) -> list[Problem]:

@@ -501,7 +501,13 @@ class TestPipelineFailures:
          "1: Problem.__init__() got an unexpected keyword argument 'foo'"),
         (["mutate", "--out", "pairs"], "[1, 2]\n", "1: expected a JSON object, got list"),
         (["ingest", "--out", "ext.jsonl"], "[1]\n", "1: expected a JSON object, got list"),
-    ], ids=["mutate_unknown_key", "mutate_list", "ingest_list"])
+        (["ingest", "--out", "ext.jsonl"], '{"foo": 1}\n', "1: missing field 'source'"),
+        (["ingest", "--out", "ext.jsonl"],
+         '{"source": "def f(a):\\n    return a\\n", "function_name": "f", "input": "1"}\n'
+         '{"source": 5, "function_name": "f", "input": "1"}\n',
+         "2: field 'source' must be a string, got int"),
+    ], ids=["mutate_unknown_key", "mutate_list", "ingest_list", "ingest_missing_field",
+            "ingest_mistyped_field"])
     def test_wrong_shape_input_line(self, tmp_path, capsys, monkeypatch, command,
                                     text, message):
         monkeypatch.chdir(tmp_path)

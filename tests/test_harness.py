@@ -1,10 +1,16 @@
+import hashlib
 import json
+import random
+import re
 import threading
+from dataclasses import fields
 
 import pytest
 from conftest import read_fixture
 
 from mutexec.harness import (
+    ChoiceRecord,
+    PredictionRecord,
     build_choice_prompt,
     build_prediction_prompt,
     extract_choice,
@@ -15,8 +21,14 @@ from mutexec.harness import (
     run_choice,
     run_prediction,
 )
-from mutexec.llm_client import ALWAYS_A_TEXT, TransportError, mock_model
-from mutexec.problems import Problem
+from mutexec.llm_client import (
+    ALWAYS_A_TEXT,
+    Transcript,
+    TransportError,
+    mock_model,
+    scripted_from_transcript,
+)
+from mutexec.problems import Problem, save_jsonl
 
 
 def make_pair():
@@ -158,10 +170,76 @@ class TestExtractChoice:
         assert extraction.letter == "A"
         assert extraction.literal is None
 
+    @pytest.mark.parametrize("first_slice", [1, 7, 256])
+    def test_scan_of_slices_matches_scan_of_copies(self, monkeypatch, first_slice):
+        """Decoding growing slices from each ``{`` finds what decoding a copy
+        of each whole suffix found: on the golden choice prompts, alone and
+        followed by an answer, and on seeded brace-heavy texts, with slices
+        that start short enough to cut every kind of token."""
+        from mutexec import harness
+
+        monkeypatch.setattr(harness, "_FIRST_SLICE", first_slice)
+
+        def candidates_of_copies(text):
+            decoder = json.JSONDecoder()
+            for start in range(len(text)):
+                if text[start] != "{":
+                    continue
+                try:
+                    obj, _ = decoder.raw_decode(text[start:])
+                except json.JSONDecodeError:
+                    continue
+                if isinstance(obj, dict):
+                    yield obj
+
+        answer = '{"chosen_program": "A", "assertion": "assert f([4, 1, 3]) == [1, 3]"}'
+        texts = []
+        for name in ("golden_choice_one_shot_original_first.txt",
+                     "golden_choice_zero_shot_original_first.txt",
+                     "golden_choice_zero_shot_mutated_first.txt"):
+            texts += [read_fixture(name), read_fixture(name) + answer]
+        objects = [answer, '{"chosen_program": "B", "assertion": "assert f(1) == 2"}',
+                   '{"x": {"y": [1, {"z": null}]}, "chosen_program": "b"}',
+                   '{"chosen_program": "C"}', "{}"]
+        scalars = ["-Infinity", "Infinity", "NaN", "true", "false", "null", "-12.5e-3",
+                   "0", '"\\ud83d\\ude00"', '"\\u00e9\\n"', '"\\q"', '"a\x01b"',
+                   '"' + "word " * 12 + '"', " " * 20]
+        pieces = ["{", "}", "[", "]", '"', ":", ",", " ", "\n", "x", *objects, *scalars,
+                  *(o[:cut] for o in objects for cut in (3, 17))]
+        rng = random.Random(7)
+        texts += ["".join(rng.choice(pieces) for _ in range(rng.randint(0, 30)))
+                  for _ in range(3000)]
+        texts += ['{"k": %s}' % s for s in scalars]
+        found = [(list(harness._json_candidates(t)), extract_choice(t)) for t in texts]
+        monkeypatch.setattr(harness, "_json_candidates", candidates_of_copies)
+        assert found == [(list(candidates_of_copies(t)), extract_choice(t)) for t in texts]
+        assert sum(extraction.letter is not None for _, extraction in found) > 1000
+
+
+    def test_scan_work_does_not_grow_with_offset(self, monkeypatch):
+        """Each ``{`` of a long brace-heavy text hands the decoder one short
+        slice, however far into the text it sits: a failed decode costs
+        time linear in the length of the string the decoder was given."""
+        from mutexec import harness
+
+        decoded = []
+
+        class CountingDecoder(json.JSONDecoder):
+            def raw_decode(self, s, idx=0):
+                decoded.append(len(s))
+                return super().raw_decode(s, idx)
+
+        monkeypatch.setattr(harness, "_DECODER", CountingDecoder())
+        unit = '{"k": x} {x} { word\n{"a": 1} {"chosen_program": "A", "assertion": "3"}\n'
+        text = unit * 500
+        assert extract_choice(text).letter == "A"
+        assert len(decoded) == text.count("{")
+        assert max(decoded) == harness._FIRST_SLICE
+
 
 class TestJudge:
     def test_exclusive_judgments(self):
-        own, other = "[1, 3]", "[4, 1]"
+        own, other = [1, 3], [4, 1]
         correct = extract_prediction("[ANSWER]assert f(0) == [1, 3][/ANSWER]")
         reverted = extract_prediction("[ANSWER]assert f(0) == [4, 1][/ANSWER]")
         neither = extract_prediction("[ANSWER]assert f(0) == [9][/ANSWER]")
@@ -172,7 +250,25 @@ class TestJudge:
 
     def test_strict_typing(self):
         extracted = extract_prediction("[ANSWER]assert f(0) == True[/ANSWER]")
-        assert judge(extracted, "1", "0") == "other"  # True is not 1
+        assert judge(extracted, 1, 0) == "other"  # True is not 1
+
+
+class TestRecordFields:
+    @pytest.mark.parametrize("record", [
+        make_pair()[0],
+        Problem(id="p", dataset="d", source="s", function_name="f", input="1",
+                output="2", loc=1, executor="builtin", program_id="q", dsl_text="t",
+                depth=4, arity=1, mutation_info={"kind": "arithmetic", "line": 2}),
+        PredictionRecord("p", "original", 0, "r", "1", "correct", 3, False),
+        ChoiceRecord("p", 1, "original_first", "r", "original", None, "unparsed", 3,
+                     True, "HTTP 500"),
+    ], ids=["problem", "mutant", "prediction", "choice"])
+    def test_to_json_keys_in_field_order(self, record):
+        data = record.to_json()
+        assert list(data) == [f.name for f in fields(record)]
+        assert data == {f.name: getattr(record, f.name) for f in fields(record)}
+        if data.get("mutation_info") is not None:
+            assert data["mutation_info"] is not record.mutation_info
 
 
 class TestRuns:
@@ -233,6 +329,41 @@ class TestRuns:
         out.write_bytes(lines[0][:-5] + b"\n" + b"".join(lines[1:]))
         with pytest.raises(json.JSONDecodeError):
             load_prediction_records(str(out))
+
+    def test_repeated_and_distinct_answers_judged_each(self):
+        """Within one task, answers that repeat and answers that differ each
+        keep their own extraction and judgment."""
+        original, mutant = make_pair()
+        answer = "[ANSWER]assert f([4, 1, 3]) == {}[/ANSWER]".format
+        correct, reverted, other = answer("[1, 3]"), answer("[4, 1]"), answer("[1]")
+        unparsed = "no answer"
+        script = {
+            build_prediction_prompt(original): [correct, reverted, correct, other,
+                                                unparsed, reverted, correct],
+            build_prediction_prompt(mutant): [correct, correct, unparsed, correct,
+                                              reverted, other, other],
+        }
+        records = run_prediction([original], [mutant],
+                                 mock_model("scripted", script=script), n=7)
+        got = [(r.variant, r.sample_index, r.extracted, r.judgment) for r in records]
+        assert got == [
+            ("original", 0, "[1, 3]", "correct"),
+            ("original", 1, "[4, 1]", "reverted"),
+            ("original", 2, "[1, 3]", "correct"),
+            ("original", 3, "[1]", "other"),
+            ("original", 4, None, "unparsed"),
+            ("original", 5, "[4, 1]", "reverted"),
+            ("original", 6, "[1, 3]", "correct"),
+            # the mutant's own truth is [4, 1]
+            ("mutated", 0, "[1, 3]", "reverted"),
+            ("mutated", 1, "[1, 3]", "reverted"),
+            ("mutated", 2, None, "unparsed"),
+            ("mutated", 3, "[1, 3]", "reverted"),
+            ("mutated", 4, "[4, 1]", "correct"),
+            ("mutated", 5, "[1]", "other"),
+            ("mutated", 6, "[1]", "other"),
+        ]
+        assert [r.response for r in records] == [t for texts in script.values() for t in texts]
 
     def test_transport_failure_counts_as_unanswered(self, small_pairs):
         kept, mutants, pairs = small_pairs
@@ -329,3 +460,38 @@ class TestRuns:
         )
         second = run_prediction(kept, mutants, replay, n=5)
         assert prediction_metrics(second) == prediction_metrics(first)
+
+
+def _sha256(path, drop_ts=False) -> str:
+    data = path.read_bytes()
+    if drop_ts:  # a transcript line starts with its wall-clock time
+        data = re.sub(rb'^\{"ts": [^,]*, ', b"{", data, flags=re.MULTILINE)
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestRunBytes:
+    """The dataset, record and transcript bytes of a seeded small-corpus mock
+    run, pinned at the commit before records were serialized by field name
+    and ground truths were parsed once per task."""
+
+    DIGESTS = {
+        "dataset": "105ed79c321637c559b341d69f513b74e4ad4deee2f85aac2c62f9229310639e",
+        "pred": "cfbe8cbf73011346bea8e82f2316dcfcba43541f780390fd2134676d4632f190",
+        "choice": "2d978d8a6e6e9052393d9d71d8ef60e26e99815c840ba7183ef6a1b10665d116",
+        "replay": "cfbe8cbf73011346bea8e82f2316dcfcba43541f780390fd2134676d4632f190",
+        "transcript": "de53cec0f7276a685d75c5fd065140920b9948e0967e733c9779963ad753efad",
+    }
+
+    def test_digests(self, tmp_path, small_pairs):
+        kept, mutants, pairs = small_pairs
+        save_jsonl(kept + mutants, str(tmp_path / "dataset.jsonl"))
+        transcript = tmp_path / "transcript.jsonl"
+        model = mock_model("ground_truth_original", pairs=pairs,
+                           transcript=Transcript(str(transcript)))
+        run_prediction(kept, mutants, model, n=3, out_path=str(tmp_path / "pred.jsonl"))
+        run_choice(kept, mutants, model, out_path=str(tmp_path / "choice.jsonl"))
+        replay = mock_model("scripted", script=scripted_from_transcript(str(transcript)))
+        run_prediction(kept, mutants, replay, n=3, out_path=str(tmp_path / "replay.jsonl"))
+        digests = {name: _sha256(tmp_path / f"{name}.jsonl", name == "transcript")
+                   for name in self.DIGESTS}
+        assert digests == self.DIGESTS

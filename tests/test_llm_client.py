@@ -223,6 +223,53 @@ class TestMocks:
         with pytest.raises(TransportError):
             replay.complete("q1", 1)  # script exhausted
 
+    def test_one_transcript_append_per_call(self, tmp_path, monkeypatch):
+        from mutexec import llm_client
+
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(llm_client, "open", counting_open, raising=False)
+        transcript = Transcript(str(tmp_path / "t.jsonl"))
+        model = mock_model("scripted", script={"q": ["a", "b", "c"]},
+                           transcript=transcript)
+        assert [r.text for r in model.complete("q", 2)] == ["a", "b"]
+        assert len(opened) == 1 and transcript.entries == 2
+        # answers given before the script runs out are still logged, in order
+        with pytest.raises(TransportError):
+            model.complete("q", 2)
+        assert len(opened) == 2 and transcript.entries == 3
+        assert [e["response"] for e in read_transcript(transcript)] == ["a", "b", "c"]
+        with pytest.raises(TransportError):
+            model.complete("q", 1)  # nothing answered, nothing written
+        assert len(opened) == 2 and transcript.entries == 3
+
+    # the long answer spans several of the 64 KiB steps that find the last line
+    @pytest.mark.parametrize("canned", ["canned", "é" * 100_000], ids=["short", "long"])
+    def test_torn_transcript_replays_and_appends_on_a_new_line(self, tmp_path, canned):
+        path = tmp_path / "t.jsonl"
+        mock_model("fixed", text=canned, transcript=Transcript(str(path))).complete("q", 3)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:-10])  # a kill during the third entry
+        assert scripted_from_transcript(str(path)) == {"q": [canned] * 2}
+        # reopening cuts the torn entry, so the next one starts its own line
+        transcript = Transcript(str(path))
+        mock_model("fixed", text="again", transcript=transcript).complete("q", 1)
+        assert scripted_from_transcript(str(path)) == {"q": [canned] * 2 + ["again"]}
+        # a whole last entry that lost only its newline is kept
+        path.write_bytes(whole[:-1])
+        assert scripted_from_transcript(str(path)) == {"q": [canned] * 3}
+        Transcript(str(path))
+        assert path.read_bytes() == whole
+        # a torn first and only line is cut to an empty file
+        path.write_bytes(whole[:100])
+        assert scripted_from_transcript(str(path)) == {}
+        Transcript(str(path))
+        assert path.read_bytes() == b""
+
     def test_unknown_behavior_rejected(self):
         with pytest.raises(ValueError):
             mock_model("telepathic")
