@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import os
 import random
 import re
+import threading
 from dataclasses import dataclass, field
 
 from .dsl import list_dsl, to_sexpr
@@ -55,62 +57,150 @@ class DslListConfig:
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
 
 
-@dataclass
-class _Sampled:
-    term: object
-    depth: int
-    source: str
-    loc: int
-    inputs: list[tuple]
-    outputs: list
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _sample_combo(config: DslListConfig, arity: int, depth: int) -> list[tuple]:
+    """``programs_per_combo`` valid programs of one (arity, depth) grammar,
+    each as ``(dsl_text, depth, source, loc, inputs, outputs)``: plain data,
+    so that a forked lane sends little and the parent unpickles no terms."""
+    primitives, constraints = list_dsl()
+    cfg = compile_cfg(primitives, constraints, list_program_type(arity), depth)
+    rng = random.Random(f"{config.seed}:dsl:{arity}:{depth}")
+    sampled = []
+    for _ in range(config.programs_per_combo):
+        sp = sample_valid_program(cfg, config.sampler, rng=rng)
+        sampled.append((to_sexpr(sp.term), depth, sp.program.source, sp.program.loc,
+                        sp.inputs, sp.outputs))
+    return sampled
+
+
+def _sample_combos(config: DslListConfig, combos: list[tuple[int, int]]) -> dict:
+    """``_sample_combo`` for each (arity, depth) in ``combos``, on one lane
+    per usable CPU: this process is one lane and each other lane is a forked
+    child that sends its results back over a pipe.  Every combo has its own
+    RNG, so the results do not depend on the lanes.
+
+    Forking is safe only while this process has a single thread, so with
+    more than one thread running everything stays in this process."""
+    lanes = min(_usable_cpus(), len(combos))
+    if lanes <= 1 or threading.active_count() > 1:
+        return {combo: _sample_combo(config, *combo) for combo in combos}
+
+    import pickle
+    import signal
+
+    # snake order, heaviest combos first, so the lanes' loads even out
+    dealt: list[list[tuple[int, int]]] = [[] for _ in range(lanes)]
+    for index, combo in enumerate(sorted(combos, reverse=True)):
+        turn, lane = divmod(index, lanes)
+        dealt[lane if turn % 2 == 0 else lanes - 1 - lane].append(combo)
+
+    children: dict[int, tuple[int, list[tuple[int, int]]]] = {}  # pid -> (fd, combos)
+    try:
+        for lane_combos in dealt[1:]:
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                os.close(read_fd)
+                for fd, _ in children.values():
+                    os.close(fd)
+                _sample_lane(config, lane_combos, write_fd, pickle)
+            os.close(write_fd)
+            children[pid] = (read_fd, lane_combos)
+        results = {combo: _sample_combo(config, *combo) for combo in dealt[0]}
+        for pid in list(children):
+            fd, lane_combos = children[pid]
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            os.close(fd)
+            if code != 0:
+                ended = f"signal {-code}" if code < 0 else f"exit status {code}"
+                labels = ", ".join(f"a{a}d{d}" for a, d in lane_combos)
+                raise RuntimeError(
+                    f"sampling {labels}: child {pid} ended with {ended} and no result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.update(value)
+        return results
+    finally:
+        for pid, (fd, _) in children.items():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(fd)
+
+
+def _sample_lane(config: DslListConfig, combos, write_fd: int, pickle) -> None:
+    """A forked lane: sample ``combos``, write ``(True, results)`` or
+    ``(False, exception)`` to ``write_fd`` as one pickle, and end the process
+    without returning into the caller's code.  It imports nothing."""
+    status = 1
+    try:
+        try:
+            payload = (True, {combo: _sample_combo(config, *combo) for combo in combos})
+        except Exception as exc:
+            # one the parent could not rebuild arrives as a RuntimeError
+            try:
+                pickle.loads(pickle.dumps(exc))
+            except Exception:
+                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+            payload = (False, exc)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def build_dsl_list(config: DslListConfig | None = None) -> list[Problem]:
-    """Build the sampled-program dataset; byte-identical for a fixed seed."""
+    """Build the sampled-program dataset; byte-identical for a fixed seed,
+    whatever the number of CPUs."""
     config = config or DslListConfig()
-    primitives, constraints = list_dsl()
+    sampled = _sample_combos(
+        config, [(arity, depth) for arity in config.arities for depth in config.depths])
     problems: list[Problem] = []
 
     for arity in config.arities:
-        pool: list[_Sampled] = []
-        for depth in config.depths:
-            cfg = compile_cfg(primitives, constraints, list_program_type(arity), depth)
-            rng = random.Random(f"{config.seed}:dsl:{arity}:{depth}")
-            for _ in range(config.programs_per_combo):
-                sp = sample_valid_program(cfg, config.sampler, rng=rng)
-                pool.append(_Sampled(
-                    sp.term, depth, sp.program.source, sp.program.loc,
-                    sp.inputs, sp.outputs,
-                ))
-
-        chosen: list[_Sampled] = []
+        pool = [s for depth in config.depths for s in sampled[arity, depth]]
+        chosen: list[tuple] = []
         select_rng = random.Random(f"{config.seed}:select:{arity}")
         for bin_range in config.bins:
             lo, hi = bin_range
-            population = [s for s in pool if lo <= s.loc < hi]
+            population = [s for s in pool if lo <= s[3] < hi]
             if len(population) < config.per_bin:
                 raise InsufficientBinPopulation(
                     arity, bin_range, len(population), config.per_bin
                 )
             chosen.extend(select_rng.sample(population, config.per_bin))
 
-        for index, sampled in enumerate(chosen):
+        for index, (dsl_text, depth, source, loc, inputs, outputs) in enumerate(chosen):
             program_id = f"dsl-{arity}a-{index:03d}"
-            for input_index, (args, output) in enumerate(
-                zip(sampled.inputs, sampled.outputs)
-            ):
+            for input_index, (args, output) in enumerate(zip(inputs, outputs)):
                 problems.append(Problem(
                     id=f"{program_id}-x{input_index}",
                     dataset="dsl-list",
-                    source=sampled.source,
+                    source=source,
                     function_name="f",
                     input=format_args(args),
                     output=canonical_repr(output),
-                    loc=sampled.loc,
+                    loc=loc,
                     executor="builtin",
                     program_id=program_id,
-                    dsl_text=to_sexpr(sampled.term),
-                    depth=sampled.depth,
+                    dsl_text=dsl_text,
+                    depth=depth,
                     arity=arity,
                 ))
     return problems

@@ -124,6 +124,8 @@ class ExternalExecutor:
         try:
             response = json.loads(line)
         except json.JSONDecodeError:
+            response = None
+        if not isinstance(response, dict):
             self._kill()
             return minipy.ExecResult("error", error_kind="BadResponse")
         return self._to_result(response)

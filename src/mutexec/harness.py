@@ -247,7 +247,8 @@ _CUT_MARGIN = 16
 
 def _json_value_at(text: str, start: int):
     """The JSON value that ``raw_decode(text, start)`` returns, or None
-    where it raises ``JSONDecodeError``.
+    where it raises ``JSONDecodeError``, or ``RecursionError`` on a value
+    nested too deeply to decode.
 
     It decodes slices from ``start`` that double until the outcome cannot
     depend on where the slice ends, so its work grows with what the
@@ -259,6 +260,8 @@ def _json_value_at(text: str, start: int):
     while True:
         try:
             return _DECODER.raw_decode(text[start:start + width])[0]
+        except RecursionError:
+            return None
         except json.JSONDecodeError as exc:
             if start + width >= len(text) or (
                     exc.pos < width - _CUT_MARGIN

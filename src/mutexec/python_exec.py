@@ -5,6 +5,9 @@ Run as ``python -m mutexec.python_exec``.  Each stdin line is a request
 response with the executed function's repr'd return value, the covered
 1-based source lines (when tracing), and a line-event count.
 
+The protocol has fds 0 and 1 to itself: the programs run with stdin and
+stdout on /dev/null, so what they print or read never touches it.
+
 This process runs untrusted-ish code with no sandboxing; callers own the
 timeout and process lifecycle.
 """
@@ -13,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import sys
 
 FILENAME = "<problem>"
@@ -92,7 +96,14 @@ def _err_line(exc: BaseException) -> int:
 
 
 def main() -> None:
-    for raw in sys.stdin:
+    requests = os.fdopen(os.dup(0), "r")
+    responses = os.fdopen(os.dup(1), "w")
+    devnull = os.open(os.devnull, os.O_RDWR)
+    os.dup2(devnull, 0)
+    os.dup2(devnull, 1)
+    os.close(devnull)
+    # sys.stdin and sys.stdout still wrap fds 0 and 1, which are /dev/null now
+    for raw in requests:
         if not raw.strip():
             continue
         try:
@@ -102,8 +113,8 @@ def main() -> None:
             response = {"status": "error",
                         "error": {"kind": "ExecutorInternal", "line": 0,
                                   "message": str(exc)}}
-        sys.stdout.write(json.dumps(response) + "\n")
-        sys.stdout.flush()
+        responses.write(json.dumps(response) + "\n")
+        responses.flush()
 
 
 if __name__ == "__main__":

@@ -278,7 +278,7 @@ IMPORT_CASES = [
      EVALUATION + ["mutexec.executors", "concurrent.futures"]),
     (["build-dsl-list", "--seed", "3", "--programs-per-combo", "60",
       "--per-bin", "1", "--out", "{tmp}/d.jsonl"],
-     EVALUATION + ["mutexec.executors", "concurrent.futures"]),
+     EVALUATION + ["mutexec.executors", "concurrent.futures", "multiprocessing"]),
     (["mutate", "--executor", "builtin", "--in", "{data}/problems.jsonl",
       "--out", "{tmp}/pairs"],
      SAMPLING + EVALUATION),

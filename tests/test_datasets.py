@@ -1,9 +1,14 @@
+import dataclasses
 import hashlib
+import os
 import re
+import signal
+import threading
+import time
 
 import pytest
 
-from mutexec import datasets, transpile
+from mutexec import cli, datasets, transpile
 from mutexec.datasets import (
     DslListConfig,
     GenerationRetriesExhausted,
@@ -80,6 +85,8 @@ class TestDslList:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_CORPUS_SHA256
 
     def test_one_translation_per_accepted_program(self, monkeypatch):
+        # calls made in a forked lane are not counted here: run in-process
+        monkeypatch.setattr(datasets, "_usable_cpus", lambda: 1)
         calls = []
         real_translate = transpile.translate
 
@@ -95,6 +102,138 @@ class TestDslList:
         # 4 (arity, depth) combinations x 20 sampled programs, each
         # translated once; rejected candidates are never translated
         assert len(calls) == 4 * 20
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the lanes ``build_dsl_list`` forks from this process."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def patch_lanes(monkeypatch, lanes, in_child=None, in_parent=None):
+    """Run ``build_dsl_list`` on ``lanes`` lanes; ``in_child(config, arity,
+    depth)`` or ``in_parent(...)`` runs before each combo a forked lane or
+    this process samples, and may raise or change the config it returns."""
+    monkeypatch.setattr(datasets, "_usable_cpus", lambda: lanes)
+    parent = os.getpid()
+    real = datasets._sample_combo
+
+    def hooked(config, arity, depth):
+        hook = in_parent if os.getpid() == parent else in_child
+        if hook is not None:
+            config = hook(config, arity, depth) or config
+        return real(config, arity, depth)
+
+    monkeypatch.setattr(datasets, "_sample_combo", hooked)
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def jsonl_bytes(problems, path):
+    save_jsonl(problems, str(path))
+    return path.read_bytes()
+
+
+class TestParallelSampling:
+    """Forked lanes give the in-process bytes, and no lane outlives the build."""
+
+    @pytest.mark.parametrize("lanes", [2, 3])
+    def test_small_corpus_bytes_on_forked_lanes(self, monkeypatch, tmp_path, forks, lanes):
+        patch_lanes(monkeypatch, lanes)
+        problems = build_dsl_list(DslListConfig(seed=11, programs_per_combo=120, per_bin=2))
+        assert len(forks) == lanes - 1
+        assert_reaped(forks)
+        digest = hashlib.sha256(jsonl_bytes(problems, tmp_path / "p.jsonl")).hexdigest()
+        assert digest == SMALL_CORPUS_SHA256
+
+    def test_odd_combo_count_matches_in_process(self, monkeypatch, tmp_path, forks):
+        config = DslListConfig(seed=5, arities=(1, 2, 3), depths=(4,),
+                               programs_per_combo=30, per_bin=1, bins=((4, 24),))
+        patch_lanes(monkeypatch, 2)
+        forked = jsonl_bytes(build_dsl_list(config), tmp_path / "forked.jsonl")
+        assert len(forks) == 1
+        monkeypatch.setattr(datasets, "_usable_cpus", lambda: 1)
+        in_process = jsonl_bytes(build_dsl_list(config), tmp_path / "in_process.jsonl")
+        assert len(forks) == 1
+        assert forked == in_process
+
+    def test_child_attempts_exhausted_is_one_error_line(self, monkeypatch, tmp_path, capsys):
+        def one_attempt(config, arity, depth):
+            return dataclasses.replace(
+                config, sampler=dataclasses.replace(config.sampler, max_attempts=1))
+
+        patch_lanes(monkeypatch, 2, in_child=one_attempt)
+        code = cli.dispatch(["build-dsl-list", "--seed", "3", "--programs-per-combo", "30",
+                             "--per-bin", "1", "--out", str(tmp_path / "d.jsonl")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no valid program in 1 attempts\n"
+
+    def test_unpicklable_child_exception_keeps_its_text(self, monkeypatch):
+        def fail(config, arity, depth):
+            # pickles, but cannot be rebuilt from its message alone
+            raise InsufficientBinPopulation(arity, (4, 8), 0, 2)
+
+        patch_lanes(monkeypatch, 2, in_child=fail)
+        with pytest.raises(RuntimeError) as info:
+            build_dsl_list(DslListConfig(seed=3, programs_per_combo=30, per_bin=1))
+        assert type(info.value) is RuntimeError
+        assert str(info.value) == (
+            "InsufficientBinPopulation: arity 2: LOC bin (4, 8) has 0 programs, need 2")
+
+    def test_killed_child_is_runtime_error(self, monkeypatch, forks):
+        def die(config, arity, depth):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        patch_lanes(monkeypatch, 2, in_child=die)
+        with pytest.raises(RuntimeError, match=r"sampling a2d4, a1d5: child \d+ ended "
+                                               r"with signal 9 and no result"):
+            build_dsl_list(DslListConfig(seed=3, programs_per_combo=30, per_bin=1))
+        assert_reaped(forks)
+
+    def test_parent_failure_kills_and_reaps_children(self, monkeypatch, forks):
+        def hang(config, arity, depth):
+            time.sleep(60)
+
+        def fail(config, arity, depth):
+            raise ValueError("parent lane failed")
+
+        patch_lanes(monkeypatch, 3, in_child=hang, in_parent=fail)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="parent lane failed"):
+            build_dsl_list(DslListConfig(seed=3, programs_per_combo=30, per_bin=1))
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2
+        assert_reaped(forks)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_threads_keep_sampling_in_process(self, monkeypatch, forks):
+        patch_lanes(monkeypatch, 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            problems = build_dsl_list(DslListConfig(seed=3, programs_per_combo=30, per_bin=1))
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert len(problems) == 2 * 5 * 3
 
 
 # sha256 of the seed-11 small corpus as save_jsonl writes it; a change to the

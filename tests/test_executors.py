@@ -86,6 +86,39 @@ class TestExternalExecutor:
         finally:
             executor.close()
 
+    @pytest.mark.parametrize("source, kind", [
+        ("def f(a1):\n    print(a1)\n    return a1 + 1", None),
+        ("def f(a1):\n    print('{\"status\": \"ok\", \"output_repr\": \"99\"}')\n"
+         "    return a1 + 1", None),
+        ("line = input()\ndef f(a1):\n    return a1 + 1", "EOFError"),
+    ], ids=["print", "json-object-line", "module-level-input"])
+    def test_program_io_stays_off_the_protocol(self, source, kind):
+        with ExternalExecutor(timeout=5.0) as executor:
+            result = executor.run(source, "f", "1")
+            if kind is None:
+                assert (result.status, result.output) == ("ok", 2)
+            else:
+                assert (result.status, result.error_kind) == ("error", kind)
+            # the next request gets its own answer
+            again = executor.run("def g(a1):\n    return a1 * 5", "g", "5")
+            assert (again.status, again.output) == ("ok", 25)
+
+    def test_non_object_response_is_bad_response(self, tmp_path):
+        script = tmp_path / "answers.py"
+        script.write_text(
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    if json.loads(line)['function_name'] == 'bad':\n"
+            "        print('[1]', flush=True)\n"
+            "    else:\n"
+            "        print(json.dumps({'status': 'ok', 'output_repr': '7'}), flush=True)\n")
+        with ExternalExecutor([sys.executable, str(script)], timeout=5.0) as executor:
+            bad = executor.run("", "bad", "1")
+            assert (bad.status, bad.error_kind) == ("error", "BadResponse")
+            assert executor.proc is None  # killed; the next request respawns it
+            good = executor.run("", "good", "1")
+            assert (good.status, good.output) == ("ok", 7)
+
     def test_imports_allowed_externally(self, external):
         source = "import math\ndef f(a1):\n    return math.floor(a1[0] / 2)"
         result = external.run(source, "f", ([9],))

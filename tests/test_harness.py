@@ -9,6 +9,7 @@ import pytest
 from conftest import read_fixture
 
 from mutexec.harness import (
+    ChoiceExtraction,
     ChoiceRecord,
     PredictionRecord,
     build_choice_prompt,
@@ -23,6 +24,7 @@ from mutexec.harness import (
 )
 from mutexec.llm_client import (
     ALWAYS_A_TEXT,
+    ModelResponse,
     Transcript,
     TransportError,
     mock_model,
@@ -164,6 +166,13 @@ class TestExtractChoice:
     def test_unreadable_choice(self):
         assert extract_choice("I choose A. assert f(1) == 2").letter is None
         assert extract_choice('{"chosen_program": "C"}').letter is None
+
+    @pytest.mark.parametrize("text", [
+        '{"a": ' * 5000 + "1" + "}" * 5000,
+        '{"chosen_program": "A", "assertion": ' + "[" * 100_000,
+    ], ids=["5000-nested-objects", "100000-brackets"])
+    def test_too_deeply_nested_json_is_unreadable(self, text):
+        assert extract_choice(text) == ChoiceExtraction(None, None)
 
     def test_readable_choice_unreadable_literal(self):
         extraction = extract_choice('{"chosen_program": "A", "assertion": "nope"}')
@@ -379,6 +388,26 @@ class TestRuns:
         records = run_prediction(kept, mutants, FailingModel(), n=5)
         assert len(records) == 2 * 2 * 5
         assert all(r.judgment == "unparsed" and r.error for r in records)
+
+    def test_too_deeply_nested_answer_is_unparsed(self, small_pairs):
+        kept, mutants, pairs = small_pairs
+        kept, mutants = kept[:2], mutants[:2]
+        inner = mock_model("fixed", text=ALWAYS_A_TEXT)
+
+        class NestsFirstAnswer:
+            parallelism = 1
+            default_mode = "zero_shot"
+            calls = 0
+
+            def complete(self, prompt, n=1):
+                self.calls += 1
+                if self.calls == 1:
+                    text = '{"a": ' * 5000 + "1" + "}" * 5000
+                    return [ModelResponse(text=text, finish_reason="stop")] * n
+                return inner.complete(prompt, n)
+
+        records = run_choice(kept, mutants, NestsFirstAnswer())
+        assert [r.judgment == "unparsed" for r in records] == [True, False, False, False]
 
     @pytest.mark.parametrize("run", [run_prediction, run_choice],
                              ids=["prediction", "choice"])
