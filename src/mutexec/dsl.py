@@ -27,13 +27,41 @@ mutates shared state first.
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass
+
+from .values import copy_value
 
 
 # ---------------------------------------------------------------------------
 # Types
+
+
+def cached_hash(cls):
+    """Class decorator for a frozen dataclass: keep each instance's field
+    hash in the instance once computed, so hashing a nested value is not a
+    walk over it every time.
+
+    The cached hash stays out of pickles and copies, because string hashes
+    differ from process to process.
+    """
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        fields = self.__dict__
+        h = fields.get("_hash")
+        if h is None:
+            h = fields["_hash"] = field_hash(self)
+        return h
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
+    cls.__hash__ = __hash__
+    cls.__getstate__ = __getstate__
+    return cls
 
 
 @dataclass(frozen=True)
@@ -53,6 +81,7 @@ class TBool(Ty):
         return "bool"
 
 
+@cached_hash
 @dataclass(frozen=True)
 class TList(Ty):
     elem: Ty
@@ -69,6 +98,7 @@ class TVar(Ty):
         return self.name
 
 
+@cached_hash
 @dataclass(frozen=True)
 class TFun(Ty):
     arg: Ty
@@ -151,13 +181,21 @@ COMPARISONS = ("==", "<", ">")
 LOGICALS = ("&&", "||")
 # Heads the translation turns into statements rather than inline expressions.
 STATEMENT_HEADS = ("append", "extend", "init", "tail", "if", "map")
+_STATEMENTS = frozenset(STATEMENT_HEADS)
+# heads whose value the evaluator keeps in a slot
+_SLOTTED = frozenset(STATEMENT_HEADS + ("empty",))
+# heads whose two operands s1 forbids to be identical
+_S1_HEADS = frozenset(COMPARISONS + LOGICALS)
 
 
 # ---------------------------------------------------------------------------
 # Terms
 
 
-@dataclass(frozen=True)
+_ARITY = {p.name: p.arity for p in PRIMITIVES}
+
+
+@dataclass(frozen=True, init=False)
 class Term:
     """AST node: a primitive application, integer literal, or parameter.
 
@@ -171,21 +209,28 @@ class Term:
     value: int | None = None
     partial: bool = False
 
-    def __post_init__(self) -> None:
-        if self.head in ("lit", "param"):
-            if self.value is None or self.children:
-                raise ValueError(f"malformed {self.head} node")
-        elif self.head in PRIM_BY_NAME:
-            prim = PRIM_BY_NAME[self.head]
-            want = prim.arity - 1 if self.partial else prim.arity
-            if len(self.children) != want:
-                raise ValueError(
-                    f"{self.head} expects {want} children, got {len(self.children)}"
-                )
-            if self.partial and prim.arity == 0:
-                raise ValueError("zero-arity primitive cannot be partial")
-        else:
-            raise ValueError(f"unknown head {self.head!r}")
+    def __init__(self, head: str, children: tuple["Term", ...] = (),
+                 value: int | None = None, partial: bool = False) -> None:
+        # The one constructor, validating.  It fills the instance dict
+        # directly: the generated frozen __init__ calls object.__setattr__
+        # once per field, about half the cost of building a sampled term.
+        fields = self.__dict__
+        fields["head"] = head
+        fields["children"] = children
+        fields["value"] = value
+        fields["partial"] = partial
+        if head == "lit" or head == "param":
+            if value is None or children:
+                raise ValueError(f"malformed {head} node")
+            return
+        arity = _ARITY.get(head)
+        if arity is None:
+            raise ValueError(f"unknown head {head!r}")
+        want = arity - 1 if partial else arity
+        if len(children) != want:
+            raise ValueError(f"{head} expects {want} children, got {len(children)}")
+        if partial and arity == 0:
+            raise ValueError("zero-arity primitive cannot be partial")
 
     @property
     def is_lit(self) -> bool:
@@ -199,17 +244,29 @@ class Term:
         """Longest root-to-leaf path in nodes, literals and parameters included."""
         return 1 + max((c.depth() for c in self.children), default=0)
 
-    def walk(self):
-        """Yield all nodes, parents before children."""
-        yield self
-        for c in self.children:
-            yield from c.walk()
+    def walk(self) -> list["Term"]:
+        """All nodes, parents before children, left to right (preorder)."""
+        nodes: list[Term] = []
+        _preorder(self, nodes.append)
+        return nodes
 
-    def postorder(self):
-        """Yield all nodes children-first, left to right (reverse topological)."""
-        for c in self.children:
-            yield from c.postorder()
-        yield self
+    def postorder(self) -> list["Term"]:
+        """All nodes children-first, left to right (reverse topological)."""
+        # the reverse of a right-to-left preorder
+        nodes = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            nodes.append(node)
+            stack.extend(node.children)
+        nodes.reverse()
+        return nodes
+
+
+def _preorder(node: Term, visit) -> None:
+    visit(node)
+    for child in node.children:
+        _preorder(child, visit)
 
 
 def lit(value: int) -> Term:
@@ -339,7 +396,8 @@ def _occurs(name: str, ty: Ty, subst: dict[str, Ty]) -> bool:
 
 def unify(a: Ty, b: Ty, subst: dict[str, Ty]) -> bool:
     a, b = _resolve(a, subst), _resolve(b, subst)
-    if a == b:
+    # types of distinct classes never compare equal
+    if a is b or (type(a) is type(b) and a == b):
         return True
     if isinstance(a, TVar):
         if _occurs(a.name, b, subst):
@@ -462,7 +520,7 @@ def check_constraints(
     if phase not in ("compile", "sample"):
         raise ValueError(f"unknown phase {phase!r}")
     cs = constraints or ConstraintSet()
-    enabled = set(cs.compile_time if phase == "compile" else cs.sample_time)
+    enabled = cs.compile_time if phase == "compile" else cs.sample_time
     out: list[Violation] = []
 
     if phase == "compile":
@@ -490,18 +548,24 @@ def check_constraints(
                     out.append(Violation("c3", node, "-1 outside index position"))
         return out
 
+    s1, s2, s3 = "s1" in enabled, "s2" in enabled, "s3" in enabled
+    used = set()
     for node in term.walk():
-        if "s1" in enabled and node.head in COMPARISONS + LOGICALS and not node.partial:
-            if node.children[0] == node.children[1]:
+        head = node.head
+        if head == "param":
+            used.add(node.value)
+        elif node.partial:
+            continue
+        elif head in _S1_HEADS:
+            if s1 and node.children[0] == node.children[1]:
                 out.append(Violation("s1", node, "identical operands"))
-        if "s2" in enabled and node.head == "extend" and not node.partial:
-            if node.children[0] == node.children[1]:
+        elif head == "extend":
+            if s2 and node.children[0] == node.children[1]:
                 out.append(Violation("s2", node, "list extended with itself"))
-        if "s3" in enabled and node.head == "if" and not node.partial:
-            if node.children[1] == node.children[2]:
+        elif head == "if":
+            if s3 and node.children[1] == node.children[2]:
                 out.append(Violation("s3", node, "identical branches"))
     if "s4" in enabled and arity is not None:
-        used = {n.value for n in term.walk() if n.is_param}
         for i in range(1, arity + 1):
             if i not in used:
                 out.append(Violation("s4", term, f"parameter a{i} unused"))
@@ -533,21 +597,33 @@ class EvalOutcome:
     error_kind: str | None = None
 
 
-class _Run:
-    def __init__(self, root: Term, args: tuple):
+class _Evaluator:
+    """One term's evaluator: the term is walked once, here, and ``run``
+    evaluates it on one argument tuple at a time."""
+
+    def __init__(self, root: Term):
         self.root = root
-        self.args = [copy.deepcopy(a) for a in args]
+        self.empties: list[Term] = []
+        self.statements: list[Term] = []
+        for node in root.postorder():
+            if node.partial:
+                continue
+            if node.head == "empty":
+                self.empties.append(node)
+            elif node.head in _STATEMENTS:
+                self.statements.append(node)
+        self.args: list = []
         self.slots: dict[int, object] = {}
 
     # -- expressions (pure reads, evaluated at statement time)
 
     def expr(self, node: Term):
-        if node.is_lit:
-            return node.value
-        if node.is_param:
-            return self.args[node.value - 1]
         head = node.head
-        if head in STATEMENT_HEADS or head == "empty":
+        if head == "lit":
+            return node.value
+        if head == "param":
+            return self.args[node.value - 1]
+        if head in _SLOTTED:
             return self.slots[id(node)]
         c = node.children
         if head == "length":
@@ -584,15 +660,11 @@ class _Run:
 
     # -- statements, in emission order
 
-    def run(self):
-        for node in self.root.postorder():
-            if node.partial:
-                continue
-            if node.head == "empty":
-                self.slots[id(node)] = []
-        for node in self.root.postorder():
-            if node.partial or node.head not in STATEMENT_HEADS:
-                continue
+    def run(self, args: tuple):
+        self.args = [copy_value(a) for a in args]
+        # every empty store exists before the first statement runs
+        self.slots = {id(node): [] for node in self.empties}
+        for node in self.statements:
             self.statement(node)
         return self.expr(self.root)
 
@@ -670,11 +742,19 @@ def eval_dsl(term: Term, args: tuple):
     mutation, both-branch effects for ``if``, emission-order statement
     execution, short-circuit ``&&``/``||``.
     """
-    return _Run(term, args).run()
+    return _Evaluator(term).run(args)
+
+
+def eval_dsl_outcomes(term: Term, inputs):
+    """The outcome of ``eval_dsl`` on each argument tuple of ``inputs``, one
+    at a time as they are read; the term is walked once for all of them."""
+    evaluator = _Evaluator(term)
+    for args in inputs:
+        try:
+            yield EvalOutcome("ok", evaluator.run(args))
+        except DslEvalError as exc:
+            yield EvalOutcome("error", error_kind=exc.kind)
 
 
 def eval_dsl_outcome(term: Term, args: tuple) -> EvalOutcome:
-    try:
-        return EvalOutcome("ok", eval_dsl(term, args))
-    except DslEvalError as exc:
-        return EvalOutcome("error", error_kind=exc.kind)
+    return next(eval_dsl_outcomes(term, (args,)))

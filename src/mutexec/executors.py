@@ -12,17 +12,21 @@ line on stdout:
                "error": {"kind": str, "line": int}|null}
 
 ``input`` and ``output_repr`` use the canonical literal text of values.py.
-A request that exceeds the timeout kills the child (a fresh one is spawned
-for the next request) and reports kind "Timeout".
+A request whose whole response line has not arrived within the timeout
+kills the child (a fresh one is spawned for the next request) and reports
+kind "Timeout".  A response that is not a JSON object, or whose fields have
+the wrong type, kills the child too and reports kind "BadResponse".
 """
 
 from __future__ import annotations
 
 import json
+import os
 import selectors
 import shlex
 import subprocess
 import sys
+import time
 from . import minipy
 from .values import format_args, parse_literal
 
@@ -71,16 +75,18 @@ class ExternalExecutor:
         self.command = command
         self.timeout = timeout
         self.proc: subprocess.Popen | None = None
+        # bytes the child wrote past its last complete line; read from the
+        # raw pipe, never through proc.stdout's own buffer
+        self._pending = bytearray()
 
     def _ensure(self) -> subprocess.Popen:
         if self.proc is None or self.proc.poll() is not None:
+            self._pending.clear()
             self.proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
-                text=True,
-                bufsize=1,
             )
         return self.proc
 
@@ -88,17 +94,37 @@ class ExternalExecutor:
         if self.proc is not None:
             self.proc.kill()
             self.proc.wait()
+            for pipe in (self.proc.stdin, self.proc.stdout):
+                try:
+                    pipe.close()
+                except OSError:  # a request left unflushed in a broken pipe
+                    pass
             self.proc = None
+        self._pending.clear()
 
-    def _read_line(self, proc: subprocess.Popen) -> str | None:
-        sel = selectors.DefaultSelector()
-        sel.register(proc.stdout, selectors.EVENT_READ)
-        try:
-            if not sel.select(self.timeout):
-                return None
-        finally:
-            sel.close()
-        return proc.stdout.readline()
+    def _read_line(self, proc: subprocess.Popen) -> bytes | None:
+        """The child's next line: None if it is not complete within the
+        timeout, b"" if the child's output ends first."""
+        pending = self._pending
+        end = pending.find(b"\n")
+        if end < 0:
+            fd = proc.stdout.fileno()
+            deadline = time.monotonic() + self.timeout
+            with selectors.DefaultSelector() as sel:
+                sel.register(fd, selectors.EVENT_READ)
+                while end < 0:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0 or not sel.select(remaining):
+                        return None
+                    chunk = os.read(fd, 1 << 16)
+                    if not chunk:
+                        return b""
+                    start = len(pending)
+                    pending += chunk
+                    end = pending.find(b"\n", start)
+        line = bytes(pending[:end + 1])
+        del pending[:end + 1]
+        return line
 
     def run(self, source: str, function_name: str, args: tuple | str,
             trace: bool = False) -> minipy.ExecResult:
@@ -111,7 +137,7 @@ class ExternalExecutor:
         }
         proc = self._ensure()
         try:
-            proc.stdin.write(json.dumps(request) + "\n")
+            proc.stdin.write((json.dumps(request) + "\n").encode())
             proc.stdin.flush()
         except (BrokenPipeError, OSError):
             self._kill()
@@ -123,36 +149,47 @@ class ExternalExecutor:
             return minipy.ExecResult("error", error_kind=kind)
         try:
             response = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deeply
             response = None
-        if not isinstance(response, dict):
+        result = self._to_result(response) if isinstance(response, dict) else None
+        if result is None:
             self._kill()
             return minipy.ExecResult("error", error_kind="BadResponse")
-        return self._to_result(response)
+        return result
 
     @staticmethod
-    def _to_result(response: dict) -> minipy.ExecResult:
-        covered = set(response.get("covered_lines") or ())
+    def _to_result(response: dict) -> minipy.ExecResult | None:
+        """The result a response object reports, or None if one of its
+        fields has the wrong type."""
+        covered = response.get("covered_lines") or []
         steps = response.get("steps") or 0
+        if not isinstance(covered, list) or not all(type(n) is int for n in covered):
+            return None
+        if type(steps) is not int:
+            return None
         if response.get("status") == "ok":
             output_repr = response.get("output_repr", "None")
+            if not isinstance(output_repr, str):
+                return None
             try:
                 output = parse_literal(output_repr)
             except ValueError:
                 return minipy.ExecResult(
-                    "error", covered_lines=covered, steps=steps,
+                    "error", covered_lines=set(covered), steps=steps,
                     error_kind="UnrepresentableOutput",
                 )
-            result = minipy.ExecResult("ok", output, covered, steps)
+            result = minipy.ExecResult("ok", output, set(covered), steps)
             result.output_repr = output_repr  # exact child-side text
             return result
         error = response.get("error") or {}
+        if not isinstance(error, dict):
+            return None
+        kind = error.get("kind", "Unknown")
+        line = error.get("line")
+        if not isinstance(kind, str) or not (line is None or type(line) is int):
+            return None
         return minipy.ExecResult(
-            "error",
-            covered_lines=covered,
-            steps=steps,
-            error_kind=error.get("kind", "Unknown"),
-            error_line=error.get("line"),
+            "error", covered_lines=set(covered), steps=steps, error_kind=kind, error_line=line,
         )
 
     def close(self):

@@ -9,10 +9,13 @@ argument and result type of the missing trailing argument.
 Polymorphic primitives are instantiated over a finite ground-type universe
 whose list nesting is capped at the depth bound; unproductive nonterminals
 are pruned, so every production reachable from the start symbol derives at
-least one term.  Sampling draws a production at each nonterminal with
-probability proportional to its weight (the weight of its head primitive;
-literals and parameters weigh 1) and recurses, one ``rng.random()`` per
-production in preorder.
+least one term.  A primitive's instantiations for a goal type do not depend
+on depth or flags, so a compile unifies and grounds each (kind, goal type)
+once; it keeps one instance of each type and nonterminal, and types and
+nonterminals cache their hashes.  Sampling draws a production at each
+nonterminal with probability proportional to its weight (the weight of its
+head primitive; literals and parameters weigh 1) and recurses, one
+``rng.random()`` per production in preorder.
 
 Sample-time rules s1-s4 and the run-time same-output rule are enforced by
 rejection in ``sample_valid_program``, not by grammar surgery.  Each draw is
@@ -21,13 +24,18 @@ rejected at the cheapest stage that can reject it, in this order:
 1. s4, on the drawn productions: a derivation that uses no production of
    some parameter is rejected before its term is built;
 2. s1-s4 on the built term (``check_constraints``), before inputs are drawn;
-3. a screen with the term evaluator ``dsl.eval_dsl_outcome``: a runtime error
+3. a screen with the term evaluator ``dsl.eval_dsl_outcomes``: a runtime error
    or the same output on every input rejects the draw;
 4. the one translation of the term, interpreted on every input.
 
 The ground truths come from step 4, never from the screen, and a candidate
 that the interpreter fails or finds constant is still rejected.  The
 rejections of each call are counted in ``SampledProgram.rejections``.
+
+Each stage walks a draw once: the term is built from the preorder
+productions on an explicit stack, ``check_constraints`` checks s1-s4 in one
+walk, and the screen walks the term once for all of its inputs.  The screen
+and the interpreter copy their arguments with ``values.copy_value``.
 """
 
 from __future__ import annotations
@@ -49,8 +57,9 @@ from .dsl import (
     TList,
     TVar,
     Ty,
+    cached_hash,
     check_constraints,
-    eval_dsl_outcome,
+    eval_dsl_outcomes,
     fun_type,
     nesting,
     split_fun,
@@ -77,6 +86,7 @@ def list_program_type(arity: int) -> Ty:
     return fun_type(*([TList(INT)] * arity), TList(INT))
 
 
+@cached_hash
 @dataclass(frozen=True)
 class NT:
     """Grammar nonterminal.
@@ -139,7 +149,13 @@ class _Compiler:
         self.max_depth = max_depth
         self.weights = weights
         self.universe = self._universe(max_depth)
-        self.table: dict[NT, tuple[Production, ...]] = {}
+        # (nt.kind, nt.ty) -> the (primitive, argument types) a nonterminal
+        # of that kind and type expands with at any depth, in primitive order
+        self.instantiations: dict[tuple[str, Ty], list[tuple[Primitive, tuple[Ty, ...]]]] = {}
+        # one instance per distinct type and nonterminal, so that comparing
+        # two of them is an identity check
+        self.types: dict[Ty, Ty] = {}
+        self.nts: dict[tuple, NT] = {}
 
     @staticmethod
     def _universe(max_depth: int) -> tuple[Ty, ...]:
@@ -157,15 +173,25 @@ class _Compiler:
 
     # -- flag helpers honoring rule toggles
 
+    def nt(self, kind: str, ty: Ty, depth: int, no_empty: bool = False,
+           no_lit: bool = False, allow_neg1: bool = False) -> NT:
+        """The one instance of this compile for the nonterminal with these
+        fields, so that the tables find their keys by identity."""
+        fields = (kind, ty, depth, no_empty, no_lit, allow_neg1)
+        nt = self.nts.get(fields)
+        if nt is None:
+            nt = self.nts[fields] = NT(*fields)
+        return nt
+
     def child(self, ty: Ty, depth: int, *, no_empty_rule: str | None = None,
               no_lit: bool = False, allow_neg1: bool = False) -> NT:
-        return NT(
+        return self.nt(
             "val",
             ty,
             depth,
-            no_empty=no_empty_rule in self.rules if no_empty_rule else False,
-            no_lit=no_lit and "c1" in self.rules,
-            allow_neg1=allow_neg1 and "c3" in self.rules,
+            no_empty_rule in self.rules if no_empty_rule else False,
+            no_lit and "c1" in self.rules,
+            allow_neg1 and "c3" in self.rules,
         )
 
     # -- production synthesis
@@ -194,26 +220,49 @@ class _Compiler:
         if d < 2:
             return out
 
+        for prim, params in self._instantiations("val", nt.ty):
+            children = self._val_children(prim, params, d - 1)
+            out.append(Production(prim.name, None, False, children, self.weight(prim.name)))
+        return out
+
+    def _instantiations(self, kind: str, goal: Ty) -> list[tuple[Primitive, tuple[Ty, ...]]]:
+        """Every primitive of positive arity with its ground argument types,
+        for a value (``kind`` "val") or a partial application (``kind``
+        "fn", ``goal`` the arrow of the missing argument) of type ``goal``.
+
+        Partial applications list their leading arguments only.  The result
+        depends on neither depth nor flags, so it is computed once per
+        (kind, goal) and compile.
+        """
+        key = (kind, goal)
+        found = self.instantiations.get(key)
+        if found is not None:
+            return found
+        found = []
         for prim in self.primitives:
             if prim.arity == 0:
                 continue
-            for params, _ in self._result_instantiations(prim, nt.ty):
-                children = self._val_children(prim, params, d - 1)
-                out.append(Production(prim.name, None, False, children, self.weight(prim.name)))
-        return out
+            subst: dict[str, Ty] = {}
+            if kind == "val":
+                if not unify(prim.result, goal, subst):
+                    continue
+                params = prim.params
+            else:
+                assert isinstance(goal, TFun)
+                if (not unify(prim.params[-1], goal.arg, subst)
+                        or not unify(prim.result, goal.res, subst)):
+                    continue
+                params = prim.params[:-1]
+            params = tuple(_apply(p, subst) for p in params)
+            free = sorted({v.name for p in params for v in _free_vars(p)})
+            for grounded in self._ground_out(params, free):
+                found.append((prim, tuple(self.types.setdefault(t, t) for t in grounded)))
+        self.instantiations[key] = found
+        return found
 
-    def _result_instantiations(self, prim: Primitive, goal: Ty):
-        """All ground (params, result) instantiations of prim with result == goal."""
-        subst: dict[str, Ty] = {}
-        if not unify(prim.result, goal, subst):
-            return
-        params = tuple(_apply(p, subst) for p in prim.params)
-        free = sorted({v.name for p in params for v in _free_vars(p)})
-        yield from self._ground_out(params, goal, free)
-
-    def _ground_out(self, params: tuple[Ty, ...], result: Ty, free: list[str]):
+    def _ground_out(self, params: tuple[Ty, ...], free: list[str]):
         if not free:
-            yield params, result
+            yield params
             return
         name, rest = free[0], free[1:]
         for ty in self.universe:
@@ -221,7 +270,7 @@ class _Compiler:
             grounded = tuple(_apply(p, subst) for p in params)
             if max((nesting(p) for p in grounded), default=0) > self.max_depth:
                 continue
-            yield from self._ground_out(grounded, result, rest)
+            yield from self._ground_out(grounded, rest)
 
     def _val_children(self, prim: Primitive, params: tuple[Ty, ...], d: int) -> tuple[NT, ...]:
         name = prim.name
@@ -229,7 +278,7 @@ class _Compiler:
             return (self.child(params[0], d), self.child(params[1], d), self.child(params[2], d))
         if name == "map":
             fn_ty = params[0]
-            return (NT("fn", fn_ty, d), self.child(params[1], d, no_empty_rule="c2"))
+            return (self.nt("fn", fn_ty, d), self.child(params[1], d, no_empty_rule="c2"))
         if name == "append":
             return (self.child(params[0], d), self.child(params[1], d))
         if name == "extend":
@@ -251,25 +300,15 @@ class _Compiler:
 
     def expand_fn(self, nt: NT) -> list[Production]:
         """Partial applications deriving a mapping function arg_ty -> res_ty."""
-        assert isinstance(nt.ty, TFun)
-        arg_ty, res_ty = nt.ty.arg, nt.ty.res
         d = nt.depth
         out: list[Production] = []
         if d < 1:
             return out
-        for prim in self.primitives:
-            if prim.arity == 0:
-                continue
-            subst: dict[str, Ty] = {}
-            if not unify(prim.params[-1], arg_ty, subst) or not unify(prim.result, res_ty, subst):
-                continue
-            leading = tuple(_apply(p, subst) for p in prim.params[:-1])
-            free = sorted({v.name for p in leading for v in _free_vars(p)})
-            for grounded, _ in self._ground_out(leading, res_ty, free):
-                if grounded and d < 2:
-                    continue  # leading arguments need room below
-                children = self._fn_children(prim, grounded, d - 1)
-                out.append(Production(prim.name, None, True, children, self.weight(prim.name)))
+        for prim, leading in self._instantiations("fn", nt.ty):
+            if leading and d < 2:
+                continue  # leading arguments need room below
+            children = self._fn_children(prim, leading, d - 1)
+            out.append(Production(prim.name, None, True, children, self.weight(prim.name)))
         return out
 
     def _fn_children(self, prim: Primitive, leading: tuple[Ty, ...], d: int) -> tuple[NT, ...]:
@@ -283,7 +322,7 @@ class _Compiler:
         if name == "index":
             return (self.child(leading[0], d, allow_neg1=True),)
         if name == "map":
-            return (NT("fn", leading[0], d),)
+            return (self.nt("fn", leading[0], d),)
         if name in ("append", "extend", "&&", "||"):
             return (self.child(leading[0], d),)
         raise AssertionError(f"unexpected partial head {name}")
@@ -291,7 +330,7 @@ class _Compiler:
     # -- table construction with pruning
 
     def build(self) -> Cfg:
-        start = NT("val", self.result_type, self.max_depth)
+        start = self.nt("val", self.result_type, self.max_depth)
         pending = [start]
         raw: dict[NT, list[Production]] = {}
         while pending:
@@ -471,15 +510,19 @@ class Sampler:
     @staticmethod
     def build(productions: list[Production]) -> Term:
         """The term of a derivation whose productions are given in preorder."""
-        remaining = iter(productions)
-
-        def node() -> Term:
-            p = next(remaining)
-            if p.head in ("lit", "param"):
-                return Term(p.head, value=p.value)
-            return Term(p.head, tuple([node() for _ in p.children]), partial=p.partial)
-
-        return node()
+        # In reverse preorder a node comes after all of its subtrees, so its
+        # children are the top of the stack, the first child on top.
+        stack: list[Term] = []
+        for p in reversed(productions):
+            n = len(p.children)
+            if n:
+                children = tuple(stack[:-n - 1:-1])
+                del stack[-n:]
+            else:
+                children = ()
+            stack.append(Term(p.head, children, p.value, p.partial))
+        (term,) = stack
+        return term
 
     def sample(self, rng: random.Random, nt: NT | None = None) -> Term:
         return self.build(self.derive(rng, nt)[0])
@@ -575,7 +618,7 @@ def sample_valid_program(
             rejections[min(v.rule for v in violations)] += 1
             continue
         inputs = sample_inputs(arity, config, rng)
-        stage = _rejection(_outputs(eval_dsl_outcome(term, args) for args in inputs))
+        stage = _rejection(_outputs(eval_dsl_outcomes(term, inputs)))
         if stage is None:
             program = transpile.translate(term, arity=arity)
             outputs = _outputs(run(program, args) for args in inputs)

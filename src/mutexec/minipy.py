@@ -28,11 +28,10 @@ records its 1-based source line in the coverage set.
 
 from __future__ import annotations
 
-import copy
 import re
 from dataclasses import dataclass, field
 
-from .values import INT_MAX, INT_MIN, Value
+from .values import INT_MAX, INT_MIN, Value, copy_value
 
 
 class ParseError(Exception):
@@ -1042,7 +1041,7 @@ def interpret(
         return ExecResult("error", error_kind="TypeError", error_line=fn.line)
 
     interp = _Interp(limits)
-    interp.env = dict(zip(fn.params, copy.deepcopy(list(args))))
+    interp.env = dict(zip(fn.params, copy_value(list(args))))
     try:
         interp.exec_block(fn.body)
         output = None  # fell off the end without a return

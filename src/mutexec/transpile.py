@@ -53,6 +53,7 @@ class _Translator:
         self.exprs: dict[int, str] = {}
         self.prec: dict[int, int] = {}
         self.lines: list[str] = []
+        self.order = term.postorder()
 
     # -- expression assembly
 
@@ -68,11 +69,11 @@ class _Translator:
 
     def assign_names_and_exprs(self) -> None:
         counter = 0
-        for node in self.term.postorder():
+        for node in self.order:
             if node.head in ("empty", "if"):
                 counter += 1
                 self.vnames[id(node)] = f"v{counter}"
-        for node in self.term.postorder():
+        for node in self.order:
             c = node.children
             if node.is_lit:
                 self.set_expr(node, str(node.value))
@@ -178,10 +179,10 @@ class _Translator:
         self.assign_names_and_exprs()
         empties = [
             self.vnames[id(n)]
-            for n in self.term.postorder()
+            for n in self.order
             if n.head == "empty" and not n.partial
         ]
-        for node in self.term.postorder():
+        for node in self.order:
             if node.partial or node.head not in STATEMENT_HEADS:
                 continue
             self.emit_statement(node)

@@ -13,6 +13,7 @@ here because every module must agree on them:
 from __future__ import annotations
 
 import ast
+import copy
 from typing import Any
 
 Value = Any
@@ -102,6 +103,34 @@ def format_args(args: tuple[Value, ...]) -> str:
 
 def is_boolean_output(output_text: str) -> bool:
     return output_text.strip() in ("True", "False")
+
+
+class _NotATree(Exception):
+    pass
+
+
+def _copy_tree(value: Value, seen: set[int]) -> Value:
+    if type(value) is list:
+        if id(value) in seen:
+            raise _NotATree
+        seen.add(id(value))
+        return [v if type(v) is int or type(v) is bool else _copy_tree(v, seen) for v in value]
+    if type(value) is int or type(value) is bool:
+        return value
+    raise _NotATree
+
+
+def copy_value(value: Value) -> Value:
+    """``copy.deepcopy(value)``, fast for the values programs take.
+
+    Ints, bools and lists of them in which no list occurs twice are copied
+    here; any other value, or one in which a list is shared, goes through
+    ``copy.deepcopy``, which keeps the sharing in the copy.
+    """
+    try:
+        return _copy_tree(value, set())
+    except _NotATree:
+        return copy.deepcopy(value)
 
 
 def contains_float(value: Value) -> bool:

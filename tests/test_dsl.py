@@ -65,6 +65,20 @@ class TestListDsl:
         assert len(INT_LITERALS) == 7
 
 
+class TestTypes:
+    def test_cached_hash_stays_out_of_pickles_and_copies(self):
+        import copy
+        import pickle
+
+        ty = TList(TFun(INT, TList(BOOL)))
+        assert hash(ty) == hash(TList(TFun(INT, TList(BOOL))))
+        assert "_hash" in vars(ty)  # cached by the first hash
+        for clone in (pickle.loads(pickle.dumps(ty)), copy.deepcopy(ty), copy.copy(ty)):
+            assert clone == ty and "_hash" not in vars(clone)
+            assert hash(clone) == hash(ty)
+        assert repr(ty) == "L(int -> L(bool))"
+
+
 class TestTypecheck:
     def test_length_of_param(self):
         assert typecheck(app("length", param(1))) == INT
@@ -163,6 +177,35 @@ class TestEval:
         eval_dsl(parse_sexpr("(tail a1)"), args)
         assert args[0] == [4, 1, 3]
 
+    @pytest.mark.parametrize("text, args", [
+        ("(map (append 1) a1)", ([[1], [2, 3], []],)),
+        ("(map (map (!)) a1)", ([[True], [False, True]],)),
+        ("(map (tail) a1)", ([[1, 2], [3, 4]],)),
+        ("(extend (init a1) a2)", ([1, 2], [3])),
+        ("(append (length a1) (tail a2))", ([5], [6, 7])),
+    ])
+    def test_no_caller_argument_is_mutated(self, text, args):
+        """Neither semantics touches the caller's arguments, nested lists
+        included: each list object keeps its identity and its contents."""
+        term = parse_sexpr(text)
+        lists = _lists(args)
+        before = [(id(lst), list(lst)) for lst in lists]
+        eval_dsl(term, args)
+        program = translate(term, arity=len(args))
+        minipy.interpret(program.ast, args)
+        assert [(id(lst), list(lst)) for lst in _lists(args)] == before
+
+    def test_shared_argument_is_copied_as_before(self):
+        """The term evaluator copies each argument on its own and the
+        interpreter copies the argument list as a whole, as deepcopy did:
+        the same list passed twice is two stores here and one there."""
+        term = parse_sexpr("(extend (init a1) a2)")
+        shared = [1, 2]
+        assert eval_dsl(term, (shared, shared)) == [1, 2, 1]
+        result = minipy.interpret(translate(term, arity=2).ast, (shared, shared))
+        assert result.output == [1, 1]
+        assert shared == [1, 2]
+
     def test_each_empty_node_is_a_distinct_store(self):
         term = parse_sexpr("(extend (append 1 empty) (append 2 empty))")
         assert eval_dsl(term, ([0, 0, 0],)) == [2, 1]
@@ -220,3 +263,16 @@ class TestSexpr:
         term = parse_sexpr("(map (if (> (length a1) 1) 0) a1)")
         fn = term.children[0]
         assert fn.partial and fn.head == "if" and len(fn.children) == 2
+
+
+def _lists(value):
+    """Every list inside value, outermost first."""
+    found = []
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, list):
+            found.append(v)
+        if isinstance(v, (list, tuple)):
+            stack.extend(v)
+    return found

@@ -1,11 +1,13 @@
 import json
 import sys
+import time
 
 import pytest
 
 from conftest import fixture_path
 
 from mutexec.executors import BuiltinExecutor, ExternalExecutor
+from mutexec.mutate import enumerate_source_mutants
 from mutexec.values import canonical_repr
 
 
@@ -119,6 +121,76 @@ class TestExternalExecutor:
             good = executor.run("", "good", "1")
             assert (good.status, good.output) == ("ok", 7)
 
+    @pytest.mark.parametrize("response", [
+        {"status": "ok", "output_repr": None},
+        {"status": "ok", "output_repr": 5},
+        {"status": "ok", "output_repr": "1", "covered_lines": 5},
+        {"status": "ok", "output_repr": "1", "covered_lines": ["2"]},
+        {"status": "ok", "output_repr": "1", "steps": "many"},
+        {"status": "error", "error": "x"},
+        {"status": "error", "error": {"kind": 5, "line": 1}},
+        {"status": "error", "error": {"kind": "IndexError", "line": "2"}},
+    ], ids=["output_repr-null", "output_repr-int", "covered_lines-int",
+            "covered_lines-str-items", "steps-str", "error-str", "error-kind-int",
+            "error-line-str"])
+    def test_mistyped_field_is_bad_response(self, tmp_path, response):
+        script = tmp_path / "answers.py"
+        script.write_text(
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    if json.loads(line)['function_name'] == 'bad':\n"
+            f"        print(json.dumps({response!r}), flush=True)\n"
+            "    else:\n"
+            "        print(json.dumps({'status': 'ok', 'output_repr': '7'}), flush=True)\n")
+        with ExternalExecutor([sys.executable, str(script)], timeout=5.0) as executor:
+            executor.run("", "good", "1")
+            child = executor.proc
+            bad = executor.run("", "bad", "1")
+            assert (bad.status, bad.error_kind) == ("error", "BadResponse")
+            assert executor.proc is None  # killed; the next request respawns it
+            assert child.stdin.closed and child.stdout.closed
+            good = executor.run("", "good", "1")
+            assert (good.status, good.output) == ("ok", 7)
+
+    def test_partial_line_then_stall_times_out(self, tmp_path):
+        script = tmp_path / "stalls.py"
+        script.write_text(
+            "import json, sys, time\n"
+            "for line in sys.stdin:\n"
+            "    if json.loads(line)['function_name'] == 'stall':\n"
+            "        sys.stdout.write('{\"status\"')\n"
+            "        sys.stdout.flush()\n"
+            "        time.sleep(60)\n"
+            "    else:\n"
+            "        print(json.dumps({'status': 'ok', 'output_repr': '7'}), flush=True)\n")
+        timeout = 1.0
+        with ExternalExecutor([sys.executable, str(script)], timeout=timeout) as executor:
+            executor.run("", "warm", "1")  # the child is up before the clock starts
+            start = time.monotonic()
+            stalled = executor.run("", "stall", "1")
+            elapsed = time.monotonic() - start
+            assert (stalled.status, stalled.error_kind) == ("error", "Timeout")
+            assert elapsed < 2 * timeout
+            assert executor.proc is None
+            good = executor.run("", "good", "1")
+            assert (good.status, good.output) == ("ok", 7)
+
+    def test_response_split_across_writes_is_one_line(self, tmp_path):
+        script = tmp_path / "slow.py"
+        script.write_text(
+            "import json, sys, time\n"
+            "for line in sys.stdin:\n"
+            "    n = json.loads(line)['input']\n"
+            "    sys.stdout.write('{\"status\": \"ok\", ')\n"
+            "    sys.stdout.flush()\n"
+            "    time.sleep(0.05)\n"
+            "    sys.stdout.write('\"output_repr\": \"' + n + '\"}\\n')\n"
+            "    sys.stdout.flush()\n")
+        with ExternalExecutor([sys.executable, str(script)], timeout=5.0) as executor:
+            for n in (1, 2):
+                result = executor.run("", "f", str(n))
+                assert (result.status, result.output) == ("ok", n)
+
     def test_imports_allowed_externally(self, external):
         source = "import math\ndef f(a1):\n    return math.floor(a1[0] / 2)"
         result = external.run(source, "f", ([9],))
@@ -138,24 +210,32 @@ class TestDifferential:
             entries = [json.loads(line) for line in fh if line.strip()]
         assert len(entries) >= 50
 
-    def test_minipy_matches_reference_executor(self, external):
-        """Differential check: identical canonical outputs and error kinds."""
-        builtin = BuiltinExecutor()
+    def test_minipy_matches_reference_executor(self, external, small_corpus):
+        """Differential check on the fixture programs, the seed-11 small
+        corpus and every mutant candidate of its programs (not only the
+        survivors: mutant selection reads coverage): the same status,
+        canonical output, error kind, error line and covered lines."""
         with open(fixture_path("differential.jsonl")) as fh:
             entries = [json.loads(line) for line in fh if line.strip()]
+        cases = [(e["source"], e["function_name"], e["input"]) for e in entries]
+        for problem in small_corpus:
+            cases.append((problem.source, problem.function_name, problem.input))
+            cases.extend((mutant, problem.function_name, problem.input)
+                         for mutant, _ in enumerate_source_mutants(problem.source))
+        builtin = BuiltinExecutor()
         mismatches = []
-        for entry in entries:
-            mini = builtin.run(entry["source"], entry["function_name"],
-                               _args(entry["input"]))
-            ext = external.run(entry["source"], entry["function_name"],
-                               entry["input"])
-            if mini.status != ext.status:
-                mismatches.append((entry["source"], mini, ext))
-            elif mini.status == "ok":
-                if canonical_repr(mini.output) != ext.output_repr:
-                    mismatches.append((entry["source"], mini.output, ext.output))
-            elif mini.error_kind != ext.error_kind:
-                mismatches.append((entry["source"], mini.error_kind, ext.error_kind))
+        for source, function_name, input_text in cases:
+            mini = builtin.run(source, function_name, _args(input_text))
+            ext = external.run(source, function_name, input_text, trace=True)
+            seen = [
+                (r.status, r.error_kind, r.error_line, sorted(r.covered_lines))
+                for r in (mini, ext)
+            ]
+            if mini.status == "ok":
+                seen[0] += (canonical_repr(mini.output),)
+                seen[1] += (getattr(ext, "output_repr", None),)
+            if seen[0] != seen[1]:
+                mismatches.append((source, input_text, seen))
         assert not mismatches, mismatches[:3]
 
 

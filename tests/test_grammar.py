@@ -6,6 +6,7 @@ import pytest
 
 from mutexec.dsl import (
     INT,
+    Term,
     TList,
     check_constraints,
     list_dsl,
@@ -18,6 +19,7 @@ from mutexec.grammar import (
     EmptyLanguage,
     Sampler,
     SamplerConfig,
+    _draw_tables,
     compile_cfg,
     count_derivations,
     enumerate_terms,
@@ -213,6 +215,28 @@ class TestCompile:
                         found_literal_first = True
         assert found_literal_first
 
+    def test_compiled_tables_pinned(self):
+        """Every nonterminal's productions in table order, and the draw
+        tables built from them, for arity 1/2 x depth 4/5; the digest was
+        recorded before the compiler memoised instantiations, so no memo
+        can reorder a production (and with it the draws) unnoticed."""
+        digest = hashlib.sha256()
+        for arity in (1, 2):
+            for depth in (4, 5):
+                cfg = make_cfg(arity, depth)
+                for nt, prods in cfg.productions.items():
+                    digest.update(repr(nt).encode())
+                    for p in prods:
+                        digest.update(
+                            repr((p.head, p.value, p.partial, p.children, p.weight)).encode())
+                _, rows = _draw_tables(cfg, {})
+                for cumulative, total, entries in rows:
+                    digest.update(repr((cumulative, total, [
+                        (p.head, p.value, bit, children) for p, bit, children in entries
+                    ])).encode())
+        assert digest.hexdigest() == (
+            "253c25f219e77bca1675366bf7ed7328ad630c06b0f31d238067b9c0ece1296c")
+
     def test_min_depth_rejected(self):
         with pytest.raises(ValueError):
             make_cfg(1, 1)
@@ -226,7 +250,31 @@ class TestCompile:
             compile_cfg(PRIMS, CONSTRAINTS, fun_type(TList(INT), BOOL), 2)
 
 
+def recursive_build(productions):
+    """The term of a preorder production list, built by recursion: the
+    reference for the sampler's stack-based ``build``."""
+    remaining = iter(productions)
+
+    def node():
+        p = next(remaining)
+        if p.head in ("lit", "param"):
+            return Term(p.head, value=p.value)
+        return Term(p.head, tuple([node() for _ in p.children]), partial=p.partial)
+
+    return node()
+
+
 class TestSample:
+    def test_build_matches_recursive_reference(self):
+        for arity, depth in ((1, 4), (2, 5)):
+            sampler = Sampler(make_cfg(arity, depth))
+            rng = random.Random(arity * 10 + depth)
+            for _ in range(500):
+                productions, _ = sampler.derive(rng)
+                built = sampler.build(productions)
+                assert built == recursive_build(productions)
+                assert to_sexpr(built) == to_sexpr(recursive_build(productions))
+
     def test_seeded_determinism(self):
         cfg = make_cfg(1, 5)
         first = Sampler(cfg).sample(random.Random(123))

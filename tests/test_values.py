@@ -1,8 +1,11 @@
+import copy
+
 import pytest
 
 from mutexec.values import (
     canonical_repr,
     contains_float,
+    copy_value,
     format_args,
     is_boolean_output,
     parse_args,
@@ -73,3 +76,52 @@ def test_contains_float():
     assert contains_float([1, [2.0]])
     assert contains_float({"a": 1.0})
     assert not contains_float([1, 2, (3, True)])
+
+
+def _shape(value, ids=None):
+    """value's structure with each list or dict named by the order in which
+    it is first reached, so two values compare equal exactly when they have
+    the same contents and the same sharing."""
+    ids = {} if ids is None else ids
+    if isinstance(value, (list, dict)):
+        if id(value) in ids:
+            return ("ref", ids[id(value)])
+        ids[id(value)] = len(ids)
+        items = value.items() if isinstance(value, dict) else enumerate(value)
+        return (type(value).__name__, ids[id(value)],
+                [(k, _shape(v, ids)) for k, v in items])
+    if isinstance(value, tuple):
+        return ("tuple", [_shape(v, ids) for v in value])
+    return (type(value).__name__, value)
+
+
+def _all_lists(value, found=None):
+    found = {} if found is None else found
+    if isinstance(value, list) and id(value) not in found:
+        found[id(value)] = value
+        for v in value:
+            _all_lists(v, found)
+    elif isinstance(value, (tuple, dict)):
+        for v in (value.values() if isinstance(value, dict) else value):
+            _all_lists(v, found)
+    return found
+
+
+def _copy_cases():
+    inner = [1, 2]
+    cyclic = [1]
+    cyclic.append(cyclic)
+    return [
+        3, True, [], [4, 1, 3], [[1], [2, 3], []], [[True, False], [[0]]],
+        [inner, inner], [[inner], inner], cyclic, [cyclic, 2],
+        ([1, 2], [1, 2]), (inner, inner), "text", None, 1.5, {"k": [1]},
+        [1, "a"], [(1, 2)], [1 << 70, -1],
+    ]
+
+
+@pytest.mark.parametrize("value", _copy_cases())
+def test_copy_value_equals_deepcopy(value):
+    copied = copy_value(value)
+    assert _shape(copied) == _shape(copy.deepcopy(value))
+    assert not set(_all_lists(copied)) & set(_all_lists(value))
+
