@@ -11,6 +11,7 @@ import json
 from mutexec.datasets import IngestConfig, ingest_external
 from mutexec.executors import ExternalExecutor
 from mutexec.mutate import mutate_dataset
+from mutexec.values import parse_args
 
 with ExternalExecutor() as executor:
     print("A request/response exchange:")
@@ -21,8 +22,9 @@ with ExternalExecutor() as executor:
         "trace": True,
     }
     print(f"  -> {json.dumps(request)}")
-    result = executor.run(request["source"], "f", request["input"], trace=True)
-    print(f"  <- status={result.status} output_repr={result.output_repr!r} "
+    result = executor.run(request["source"], "f", parse_args(request["input"]),
+                          trace=True)
+    print(f"  <- status={result.status} output={result.output!r} "
           f"covered={sorted(result.covered_lines)}\n")
 
     print("Ingesting raw problem records (length filter, determinism check):")

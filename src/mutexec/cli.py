@@ -7,8 +7,9 @@ alone, each option helper imports the module that owns its defaults, and each
 ``cmd_*`` imports its modules when it is called.  A flat ``key = value``
 config file can supply any long-form option of the subcommand; explicit flags
 win.  Every artifact-producing command writes a ``<out>.manifest.json``
-recording the command, seed, input hashes, and tool version.  Usage errors,
-including an unknown config key, exit 2; pipeline failures exit 1.
+recording the command, seed (null for a command without ``--seed``), input
+hashes, and tool version.  Usage errors, including an unknown config key,
+exit 2; pipeline failures exit 1.
 """
 
 from __future__ import annotations
@@ -379,24 +380,14 @@ def cmd_report(args) -> int:
     if args.csv:
         with atomic_writer(args.csv) as fh:
             fh.write(metrics.metrics_csv(args.label, prediction, choice))
-    if args.loc_csv or args.loc_dat:
-        rows = metrics.loc_series(pred_records)
-        if args.loc_csv:
-            with atomic_writer(args.loc_csv) as fh:
-                fh.write(metrics.loc_series_csv(rows))
-        if args.loc_dat:
-            with atomic_writer(args.loc_dat) as fh:
-                fh.write(metrics.loc_series_dat(rows))
+    if args.loc_csv:
+        with atomic_writer(args.loc_csv) as fh:
+            fh.write(metrics.loc_series_csv(metrics.loc_series(pred_records)))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # Argument wiring
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, default=0, help="global random seed")
 
 
 def _add_sampler_options(parser):
@@ -499,7 +490,6 @@ def _add_report_options(p):
     p.add_argument("--out", help="plain-text report path")
     p.add_argument("--csv", help="metrics CSV path")
     p.add_argument("--loc-csv", help="LOC-binned series CSV path")
-    p.add_argument("--loc-dat", help="LOC-binned series plot data path")
 
 
 # name -> (help, option adder, handler), in the order --help lists them
@@ -538,7 +528,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     for name, (help_text, add_options, func) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if name == command:
-            _add_common(p)
+            p.add_argument("--config", help="flat key=value config file")
+            if name in ("sample", "build-dsl-list", "mutate"):  # they draw random numbers
+                p.add_argument("--seed", type=int, default=0, help="global random seed")
             add_options(p)
             p.set_defaults(func=func)
     return parser

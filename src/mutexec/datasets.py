@@ -337,14 +337,14 @@ def build_llm_list(model, executor, config: LlmListConfig | None = None) -> list
         )
         inputs = _generate_inputs(model, executor, name, description, code, config)
         program_id = f"llm-{func_index:03d}-{name}"
-        for input_index, (input_text, output_repr) in enumerate(inputs):
+        for input_index, (input_text, output_text) in enumerate(inputs):
             problems.append(Problem(
                 id=f"{program_id}-x{input_index}",
                 dataset="llm-list",
                 source=code,
                 function_name=name,
                 input=input_text,
-                output=output_repr,
+                output=output_text,
                 loc=_loc(code),
                 executor="external",
                 program_id=program_id,
@@ -352,20 +352,31 @@ def build_llm_list(model, executor, config: LlmListConfig | None = None) -> list
     return problems
 
 
-def _validate_input(executor, code: str, name: str, input_text: str):
-    """Returns (ok, output_repr or reason)."""
+def _parse_input(input_text: str) -> tuple[tuple, str] | None:
+    """An input line's argument tuple and canonical text, or None if it does
+    not parse or holds a value without canonical text (bytes, complex)."""
     try:
         args = parse_args(input_text)
-    except ValueError:
+        return args, format_args(args)
+    except (ValueError, TypeError):
+        return None
+
+
+def _validate_input(executor, code: str, name: str, input_text: str):
+    """Returns (True, (input text, output text)), both canonical, or
+    (False, reason)."""
+    parsed = _parse_input(input_text)
+    if parsed is None:
         return False, "unparseable input"
+    args, canonical_input = parsed
     if contains_float(args):
         return False, "float in input"
-    result = executor.run(code, name, input_text, trace=False)
+    result = executor.run(code, name, args, trace=False)
     if result.status != "ok":
         return False, f"runtime error: {result.error_kind}"
     if contains_float(result.output):
         return False, "float in output"
-    return True, getattr(result, "output_repr", canonical_repr(result.output))
+    return True, (canonical_input, canonical_repr(result.output))
 
 
 def _generate_inputs(model, executor, name, description, code, config):
@@ -381,7 +392,7 @@ def _generate_inputs(model, executor, name, description, code, config):
         for line in lines:
             ok, info = _validate_input(executor, code, name, line)
             if ok:
-                accepted.append((line, info))
+                accepted.append(info)
             else:
                 bad.append(line)
                 reasons.append(f"{line!r}: {info}")
@@ -438,7 +449,6 @@ def ingest_external(
     for index, record in enumerate(records):
         source = record["source"]
         name = record["function_name"]
-        input_text = record["input"]
 
         def reject(reason: str):
             rejections.append(Rejection(index, name, reason))
@@ -446,14 +456,18 @@ def ingest_external(
         if not config.min_chars <= len(source) <= config.max_chars:
             reject(f"length {len(source)} outside [{config.min_chars}, {config.max_chars}]")
             continue
-        first = executor.run(source, name, input_text, trace=True)
+        parsed = _parse_input(record["input"])
+        if parsed is None:
+            reject("unparseable input")
+            continue
+        args, input_text = parsed
+        first = executor.run(source, name, args, trace=True)
         if first.status != "ok":
             reject(f"execution failed: {first.error_kind}")
             continue
-        second = executor.run(source, name, input_text, trace=False)
-        first_repr = getattr(first, "output_repr", canonical_repr(first.output))
-        second_repr = getattr(second, "output_repr", canonical_repr(second.output))
-        if second.status != "ok" or first_repr != second_repr:
+        output = canonical_repr(first.output)
+        second = executor.run(source, name, args, trace=False)
+        if second.status != "ok" or canonical_repr(second.output) != output:
             reject("nondeterministic output")
             continue
         if config.max_steps is not None and first.steps and first.steps > config.max_steps:
@@ -464,8 +478,8 @@ def ingest_external(
             dataset="external",
             source=source,
             function_name=name,
-            input=format_args(parse_args(input_text)),
-            output=first_repr,
+            input=input_text,
+            output=output,
             loc=_loc(source),
             executor="external",
         ))

@@ -11,15 +11,20 @@ line on stdout:
                "covered_lines": [int]|null, "steps": int|null,
                "error": {"kind": str, "line": int}|null}
 
-``input`` and ``output_repr`` use the canonical literal text of values.py.
-A request whose whole response line has not arrived within the timeout
-kills the child (a fresh one is spawned for the next request) and reports
-kind "Timeout".  A response that is not a JSON object, or whose fields have
-the wrong type, kills the child too and reports kind "BadResponse".
+``input`` is ``format_args`` of the argument tuple.  ``output_repr`` may be
+any literal text; a value it parses to that has no canonical text (bytes,
+complex) is kind "UnrepresentableOutput".  A request whose whole response
+line has not arrived within the timeout kills the child (a fresh one is
+spawned for the next request) and reports kind "Timeout".  A response that
+is not a JSON object, or whose fields have the wrong type, kills the child
+too and reports kind "BadResponse".  The first request is a probe with an
+empty source and function name; a command whose child does not answer it
+with a well-formed response raises RuntimeError from ``run``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import selectors
@@ -28,9 +33,10 @@ import subprocess
 import sys
 import time
 from . import minipy
-from .values import format_args, parse_literal
+from .values import canonical_repr, format_args, parse_literal
 
 DEFAULT_TIMEOUT = 10.0
+PROBE = {"source": "", "function_name": "", "input": "", "trace": False}
 
 
 class BuiltinExecutor:
@@ -58,23 +64,19 @@ class BuiltinExecutor:
         pass
 
 
-def reference_executor_command() -> list[str]:
-    """Command line for the bundled host-language executor."""
-    return [sys.executable, "-m", "mutexec.python_exec"]
-
-
 class ExternalExecutor:
     """Bridges to a child-process executor over JSON lines."""
 
     def __init__(self, command: list[str] | str | None = None,
                  timeout: float = DEFAULT_TIMEOUT):
-        if command is None:
-            command = reference_executor_command()
+        if command is None:  # the bundled host-language executor
+            command = [sys.executable, "-m", "mutexec.python_exec"]
         elif isinstance(command, str):
             command = shlex.split(command)
         self.command = command
         self.timeout = timeout
         self.proc: subprocess.Popen | None = None
+        self._probed = False  # a child of this command has answered the probe
         # bytes the child wrote past its last complete line; read from the
         # raw pipe, never through proc.stdout's own buffer
         self._pending = bytearray()
@@ -126,41 +128,59 @@ class ExternalExecutor:
         del pending[:end + 1]
         return line
 
-    def run(self, source: str, function_name: str, args: tuple | str,
-            trace: bool = False) -> minipy.ExecResult:
-        input_text = args if isinstance(args, str) else format_args(args)
-        request = {
-            "source": source,
-            "function_name": function_name,
-            "input": input_text,
-            "trace": trace,
-        }
+    def _exchange(self, request: dict) -> bytes | None:
+        """Send ``request`` and read the answer line as ``_read_line`` does;
+        a child that cannot take the request answers b""."""
         proc = self._ensure()
         try:
             proc.stdin.write((json.dumps(request) + "\n").encode())
             proc.stdin.flush()
         except (BrokenPipeError, OSError):
-            self._kill()
-            return minipy.ExecResult("error", error_kind="ExecutorCrashed")
-        line = self._read_line(proc)
+            return b""
+        return self._read_line(proc)
+
+    def _probe(self) -> None:
+        line = self._exchange(PROBE)
+        if line and self._to_result(line) is not None:
+            self._probed = True
+            return
+        proc = self.proc
+        if line == b"":
+            with contextlib.suppress(subprocess.TimeoutExpired):
+                proc.wait(self.timeout)  # an ended child reports its exit status
+        self._kill()
+        why = (f"no answer within {self.timeout:g} s" if line is None
+               else f"its output ended, exit status {proc.returncode}" if not line
+               else "a malformed answer")
+        raise RuntimeError(
+            f"executor command {shlex.join(self.command)} failed its start-up probe: {why}")
+
+    def run(self, source: str, function_name: str, args: tuple,
+            trace: bool = False) -> minipy.ExecResult:
+        if not self._probed:
+            self._probe()
+        line = self._exchange({"source": source, "function_name": function_name,
+                               "input": format_args(args), "trace": trace})
         if not line:
             self._kill()
             kind = "Timeout" if line is None else "ExecutorCrashed"
             return minipy.ExecResult("error", error_kind=kind)
-        try:
-            response = json.loads(line)
-        except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deeply
-            response = None
-        result = self._to_result(response) if isinstance(response, dict) else None
+        result = self._to_result(line)
         if result is None:
             self._kill()
             return minipy.ExecResult("error", error_kind="BadResponse")
         return result
 
     @staticmethod
-    def _to_result(response: dict) -> minipy.ExecResult | None:
-        """The result a response object reports, or None if one of its
-        fields has the wrong type."""
+    def _to_result(line: bytes) -> minipy.ExecResult | None:
+        """The result a response line reports, or None if it is no JSON
+        object or one of its fields has the wrong type."""
+        try:
+            response = json.loads(line)
+        except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deeply
+            return None
+        if not isinstance(response, dict):
+            return None
         covered = response.get("covered_lines") or []
         steps = response.get("steps") or 0
         if not isinstance(covered, list) or not all(type(n) is int for n in covered):
@@ -173,14 +193,13 @@ class ExternalExecutor:
                 return None
             try:
                 output = parse_literal(output_repr)
-            except ValueError:
+                canonical_repr(output)
+            except (ValueError, TypeError):
                 return minipy.ExecResult(
                     "error", covered_lines=set(covered), steps=steps,
                     error_kind="UnrepresentableOutput",
                 )
-            result = minipy.ExecResult("ok", output, set(covered), steps)
-            result.output_repr = output_repr  # exact child-side text
-            return result
+            return minipy.ExecResult("ok", output, set(covered), steps)
         error = response.get("error") or {}
         if not isinstance(error, dict):
             return None

@@ -139,7 +139,6 @@ class _Compiler:
         param_types: tuple[Ty, ...],
         result_type: Ty,
         max_depth: int,
-        weights: dict[str, float],
     ):
         self.primitives = primitives
         self.constraints = constraints
@@ -147,7 +146,6 @@ class _Compiler:
         self.param_types = param_types
         self.result_type = result_type
         self.max_depth = max_depth
-        self.weights = weights
         self.universe = self._universe(max_depth)
         # (nt.kind, nt.ty) -> the (primitive, argument types) a nonterminal
         # of that kind and type expands with at any depth, in primitive order
@@ -169,7 +167,7 @@ class _Compiler:
         return tuple(types)
 
     def weight(self, head: str) -> float:
-        return self.weights.get(head, 1.0)
+        return DEFAULT_WEIGHTS.get(head, 1.0)
 
     # -- flag helpers honoring rule toggles
 
@@ -391,9 +389,9 @@ def compile_cfg(
     constraints: ConstraintSet,
     program_type: Ty,
     max_depth: int,
-    weights: dict[str, float] | None = None,
 ) -> Cfg:
-    """Compile the DSL and compile-time constraints into a weighted CFG.
+    """Compile the DSL and compile-time constraints into a CFG weighted by
+    ``DEFAULT_WEIGHTS`` (``SamplerConfig.weight_overrides`` reweights it).
 
     Derivations are exactly the well-typed terms of the program's result type
     with depth at most ``max_depth`` satisfying the enabled c-rules.
@@ -403,15 +401,7 @@ def compile_cfg(
     param_types, result_type = split_fun(program_type)
     if not param_types:
         raise ValueError("program type must be an arrow type")
-    compiler = _Compiler(
-        primitives,
-        constraints,
-        param_types,
-        result_type,
-        max_depth,
-        dict(DEFAULT_WEIGHTS) if weights is None else dict(weights),
-    )
-    return compiler.build()
+    return _Compiler(primitives, constraints, param_types, result_type, max_depth).build()
 
 
 # ---------------------------------------------------------------------------

@@ -347,11 +347,9 @@ def parse_model_spec(spec: str, pairs=None, transcript: Transcript | None = None
     """
     if spec.startswith("mock:"):
         rest = spec[len("mock:"):]
-        if rest in ("ground-truth-given", "ground_truth_given"):
-            return mock_model("ground_truth_given", pairs=pairs, transcript=transcript)
-        if rest in ("ground-truth-original", "ground_truth_original"):
-            return mock_model("ground_truth_original", pairs=pairs, transcript=transcript)
-        if rest in ("always-a", "always_a"):
+        if rest in ("ground-truth-given", "ground-truth-original"):
+            return mock_model(rest.replace("-", "_"), pairs=pairs, transcript=transcript)
+        if rest == "always-a":
             return mock_model("fixed", text=ALWAYS_A_TEXT, transcript=transcript)
         if rest.startswith("fixed:"):
             return mock_model("fixed", text=rest[len("fixed:"):], transcript=transcript)

@@ -178,21 +178,6 @@ def loc_series_csv(rows: list[LocBinRow]) -> str:
     return buf.getvalue()
 
 
-def loc_series_dat(rows: list[LocBinRow]) -> str:
-    """Whitespace-separated plot data: bin midpoint then OC MC OR MR."""
-    lines = ["# loc_mid OC MC OR MR problems"]
-    for row in rows:
-        mid = (row.lo + row.hi) / 2
-        if row.metrics is None:
-            lines.append(f"{mid:g} nan nan nan nan 0")
-        else:
-            m = row.metrics
-            lines.append(
-                f"{mid:g} {m.oc:.3f} {m.mc:.3f} {m.or_:.3f} {m.mr:.3f} {row.problems}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # Report rendering
 

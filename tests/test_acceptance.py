@@ -441,11 +441,11 @@ def test_12_differential_interpreter_check():
             mini = builtin.run(entry["source"], entry["function_name"],
                                parse_args(entry["input"]))
             ext = external.run(entry["source"], entry["function_name"],
-                               entry["input"])
+                               parse_args(entry["input"]))
             if mini.status != ext.status:
                 mismatches.append(entry["source"])
             elif mini.status == "ok":
-                if canonical_repr(mini.output) != ext.output_repr:
+                if canonical_repr(mini.output) != canonical_repr(ext.output):
                     mismatches.append(entry["source"])
             elif mini.error_kind != ext.error_kind:
                 mismatches.append(entry["source"])

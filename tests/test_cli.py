@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 
@@ -312,14 +313,15 @@ class TestImportSets:
 
 
 # vars(parse_args(argv)) without ``func``, as the parser gave them when every
-# subcommand's options were built up front.
+# subcommand's options were built up front, less ``seed`` where no random
+# number is drawn and report's ``loc_dat``.
 MINIMAL_PARSES = [
     (["sample", "--out", "o"],
      {"command": "sample", "config": None, "seed": 0, "arity": 1, "depth": 5,
       "input_count": 3, "list_len_min": 3, "list_len_max": 5, "element_min": 0,
       "element_max": 5, "max_attempts": 10000, "weight": None, "count": 10, "out": "o"}),
     (["transpile", "--in", "i", "--out", "o"],
-     {"command": "transpile", "config": None, "seed": 0, "in": "i",
+     {"command": "transpile", "config": None, "in": "i",
       "function_name": "f", "out": "o"}),
     (["build-dsl-list", "--out", "o"],
      {"command": "build-dsl-list", "config": None, "seed": 0, "input_count": 3,
@@ -327,35 +329,37 @@ MINIMAL_PARSES = [
       "max_attempts": 10000, "weight": None, "programs_per_combo": 1000,
       "per_bin": 10, "out": "o"}),
     (["build-llm-list", "--model", "m", "--out", "o"],
-     {"command": "build-llm-list", "config": None, "seed": 0, "model": "m",
+     {"command": "build-llm-list", "config": None, "model": "m",
       "model_profile": "traditional",
       "endpoint": "https://api.openai.com/v1/chat/completions", "parallelism": 4,
       "max_tokens": None, "transcript": None, "mode": None, "executor": "external",
       "executor_cmd": None, "executor_timeout": 10.0, "max_regenerations": 5,
       "out": "o"}),
     (["ingest", "--in", "i", "--out", "o"],
-     {"command": "ingest", "config": None, "seed": 0, "executor": "external",
+     {"command": "ingest", "config": None, "executor": "external",
       "executor_cmd": None, "executor_timeout": 10.0, "in": "i", "min_chars": 100,
       "max_chars": 800, "max_steps": 1000, "out": "o"}),
     (["mutate", "--in", "i", "--out", "o"],
      {"command": "mutate", "config": None, "seed": 0, "executor": "external",
       "executor_cmd": None, "executor_timeout": 10.0, "in": "i", "out": "o"}),
     (["run-pred", "--model", "m", "--orig", "a", "--mut", "b", "--out", "o"],
-     {"command": "run-pred", "config": None, "seed": 0, "model": "m",
+     {"command": "run-pred", "config": None, "model": "m",
       "model_profile": "traditional",
       "endpoint": "https://api.openai.com/v1/chat/completions", "parallelism": 4,
       "max_tokens": None, "transcript": None, "mode": None, "orig": "a", "mut": "b",
       "n": 5, "resume": False, "out": "o"}),
     (["run-choice", "--model", "m", "--orig", "a", "--mut", "b", "--out", "o"],
-     {"command": "run-choice", "config": None, "seed": 0, "model": "m",
+     {"command": "run-choice", "config": None, "model": "m",
       "model_profile": "traditional",
       "endpoint": "https://api.openai.com/v1/chat/completions", "parallelism": 4,
       "max_tokens": None, "transcript": None, "mode": None, "orig": "a", "mut": "b",
       "resume": False, "out": "o"}),
     (["report"],
-     {"command": "report", "config": None, "seed": 0, "pred": None, "choice": None,
-      "label": "run", "out": None, "csv": None, "loc_csv": None, "loc_dat": None}),
+     {"command": "report", "config": None, "pred": None, "choice": None,
+      "label": "run", "out": None, "csv": None, "loc_csv": None}),
 ]
+
+UNSEEDED = [argv for argv, parsed in MINIMAL_PARSES if "seed" not in parsed]
 
 
 class TestParser:
@@ -369,6 +373,16 @@ class TestParser:
 
     def test_every_command_is_pinned(self):
         assert [argv[0] for argv, _ in MINIMAL_PARSES] == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", UNSEEDED, ids=[argv[0] for argv in UNSEEDED])
+    def test_seed_is_a_usage_error_where_no_number_is_drawn(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as err:
+            dispatch(argv + ["--seed", "1"])
+        assert err.value.code == 2
+        config = tmp_path / "run.conf"
+        config.write_text("seed = 1\n")
+        assert dispatch(argv + ["--config", str(config)]) == 2
+        assert f"mutexec {argv[0]} has no option 'seed'" in capsys.readouterr().err
 
     def test_defaults_come_from_their_owners(self):
         def action(command, dest):
@@ -529,6 +543,27 @@ class TestPipelineFailures:
         assert dispatch(["report", flag, "records.jsonl", "--out", "r.txt"]) == 1
         assert capsys.readouterr() == ("", f"error: records.jsonl:{message}\n")
         assert os.listdir(tmp_path) == ["records.jsonl"]
+
+    @pytest.mark.parametrize("command", ["ingest", "mutate"])
+    def test_executor_command_that_cannot_start(self, tmp_path, capsys, monkeypatch,
+                                                command):
+        monkeypatch.chdir(tmp_path)
+        record = {"source": "def f(a1):\n    return a1 + 1", "function_name": "f",
+                  "input": "1"}
+        if command == "mutate":
+            record.update(id="p0", dataset="external", output="2", loc=2,
+                          executor="external")
+        (tmp_path / "in.jsonl").write_text(json.dumps(record) + "\n")
+        failing = f"{shlex.quote(sys.executable)} -c 'import sys; sys.exit(1)'"
+        options = ["--min-chars", "1"] if command == "ingest" else []
+        assert dispatch([command, "--in", "in.jsonl", "--out", "out", *options,
+                         "--executor-cmd", failing]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: executor command ") and err.count("\n") == 1
+        assert err.endswith(" -c 'import sys; sys.exit(1)' failed its start-up probe: "
+                            "its output ended, exit status 1\n")
+        assert os.listdir(tmp_path) == ["in.jsonl"]
 
 
 class TestAtomicWriter:

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import os
 import re
 import signal
@@ -25,8 +26,8 @@ from mutexec.datasets import (
 )
 from mutexec.executors import BuiltinExecutor, ExternalExecutor
 from mutexec.llm_client import ModelResponse
-from mutexec.problems import load_jsonl, save_jsonl
-from mutexec.values import values_equal
+from mutexec.problems import Problem, load_jsonl, save_jsonl
+from mutexec.values import canonical_repr, values_equal
 
 
 class TestDslList:
@@ -384,10 +385,10 @@ class TestLlmList:
         )
         for problem in problems[:9]:
             result = external_executor.run(
-                problem.source, problem.function_name, problem.input
+                problem.source, problem.function_name, problem.args()
             )
             assert result.status == "ok"
-            assert result.output_repr == problem.output
+            assert canonical_repr(result.output) == problem.output
 
     def test_retries_exhausted(self, external_executor):
         class AlwaysBad(FakeListModel):
@@ -462,3 +463,105 @@ class TestIngest:
             records, external_executor, IngestConfig(max_steps=None)
         )
         assert len(relaxed) == 1
+
+
+class TestOneGroundTruthPath:
+    """Every ingested or LLM-written problem stores ``format_args`` of its
+    parsed input and ``canonical_repr`` of its output, whichever executor
+    ran it."""
+
+    def ingest(self, tmp_path, records, *options):
+        source = tmp_path / "raw.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records))
+        out = tmp_path / f"ingested{len(list(tmp_path.iterdir()))}.jsonl"
+        code = cli.dispatch(["ingest", "--in", str(source), "--out", str(out),
+                             "--min-chars", "1", *options])
+        assert code == 0
+        return out
+
+    def test_builtin_and_external_ingest_write_the_same_bytes(self, tmp_path):
+        records = [{"source": "def f(a1):\n    a1.append(1)\n    return a1",
+                    "function_name": "f", "input": "[1,2]"}]
+        builtin = self.ingest(tmp_path, records, "--executor", "builtin")
+        external = self.ingest(tmp_path, records, "--executor", "external")
+        assert builtin.read_bytes() == external.read_bytes()
+        problem, = load_jsonl(str(builtin))
+        assert (problem.input, problem.output) == ("[1, 2]", "[1, 2, 1]")
+        with open(str(builtin) + ".manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["seed"] is None and "seed" not in manifest["options"]
+
+    def test_set_output_bytes_do_not_depend_on_the_hash_seed(self, tmp_path, monkeypatch):
+        records = [{"source": "def f(xs):\n    return {str(x) for x in xs}",
+                    "function_name": "f", "input": "[1, 3, 2, 10, 22]"}]
+        outs = []
+        for seed in ("1", "2"):
+            monkeypatch.setenv("PYTHONHASHSEED", seed)  # the child inherits it
+            outs.append(self.ingest(tmp_path, records).read_bytes())
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["output"] == "{'1', '10', '2', '22', '3'}"
+
+    def test_values_without_canonical_text_are_rejections(self, tmp_path, capsys):
+        records = [
+            {"source": "def f(a1):\n    return b'ab'", "function_name": "f", "input": "1"},
+            {"source": "def f(a1):\n    return 1j", "function_name": "f", "input": "1"},
+            {"source": "def f(a1):\n    return len(a1)", "function_name": "f",
+             "input": 'b"ab"'},
+            {"source": "def f(a1):\n    return a1", "function_name": "f", "input": "[1,"},
+        ]
+        out = self.ingest(tmp_path, records)
+        assert "ingested 0 problems, rejected 4" in capsys.readouterr().out
+        with open(str(out) + ".rejected.jsonl") as fh:
+            rejected = [json.loads(line)["reason"] for line in fh]
+        assert rejected == ["execution failed: UnrepresentableOutput"] * 2 + [
+            "unparseable input"] * 2
+
+    def test_mutant_returning_bytes_is_no_survivor(self, tmp_path, capsys):
+        # every mutant that changes the first output returns bytes
+        bytes_only = "def f(x):\n    if x > 5:\n        return b'ab'\n    return x"
+        plain = "def g(x):\n    return x + 1"
+        problems = [
+            Problem(id=pid, dataset="external", source=source, function_name=name,
+                    input="3", output=output, loc=2, executor="external")
+            for pid, source, name, output in (("p0", bytes_only, "f", "3"),
+                                              ("p1", plain, "g", "4"))]
+        source = tmp_path / "problems.jsonl"
+        save_jsonl(problems, str(source))
+        pairs = tmp_path / "pairs"
+        assert cli.dispatch(["mutate", "--in", str(source), "--out", str(pairs),
+                             "--executor", "external"]) == 0
+        assert "kept 1 pairs (1 dropped" in capsys.readouterr().out
+        mutant, = load_jsonl(str(pairs / "mutants.jsonl"))
+        assert mutant.id == "p1" and mutant.output_value() != 4
+
+    def test_build_llm_list_with_the_builtin_executor(self, tmp_path):
+        # a scripted model: one brainstormed function plus the fixed sort and
+        # search functions, each written in the mini-language
+        brainstorm = '1. "append_one(lst)": "appends 1 to the list"'
+        entries = [(datasets.BRAINSTORM_PROMPT, brainstorm)]
+        for header, description in (parse_brainstorm(brainstorm)
+                                     + fixed_sort_search_headers()):
+            name, params = header.rstrip(")").split("(")
+            if "," in params:
+                code = f"def {name}({params}):\n    return len(lst) + target"
+                inputs = "[1, 2], 1\n[3], 3\n[4,5],4"
+            else:
+                code = f"def {name}(lst):\n    lst.append(1)\n    return lst"
+                inputs = "[1, 2]\n[3]\n[4,5]"
+            entries.append((datasets.render_codegen_prompt(header, description), code))
+            entries.append((render_inputgen_prompt(name, description, code), inputs))
+        transcript = tmp_path / "transcript.jsonl"
+        transcript.write_text("".join(json.dumps({"prompt": p, "response": r}) + "\n"
+                                      for p, r in entries))
+        outs = []
+        for executor in ("builtin", "external"):
+            out = tmp_path / f"{executor}.jsonl"
+            assert cli.dispatch(["build-llm-list", "--model", f"mock:scripted:{transcript}",
+                                 "--executor", executor, "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        problems = load_jsonl(str(tmp_path / "builtin.jsonl"))
+        assert len(problems) == 13 * 3
+        assert [(p.input, p.output) for p in problems[:3]] == [
+            ("[1, 2]", "[1, 2, 1]"), ("[3]", "[3, 1]"), ("[4, 5]", "[4, 5, 1]")]
+        assert problems[-1].input == "[4, 5], 4"

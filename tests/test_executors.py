@@ -1,4 +1,5 @@
 import json
+import shlex
 import sys
 import time
 
@@ -8,7 +9,7 @@ from conftest import fixture_path
 
 from mutexec.executors import BuiltinExecutor, ExternalExecutor
 from mutexec.mutate import enumerate_source_mutants
-from mutexec.values import canonical_repr
+from mutexec.values import canonical_repr, parse_args
 
 
 @pytest.fixture(scope="module")
@@ -38,11 +39,11 @@ class TestExternalExecutor:
         result = external.run("def f(a1):\n    return a1[::-1]", "f", ([1, 2, 3],))
         assert result.status == "ok"
         assert result.output == [3, 2, 1]
-        assert result.output_repr == "[3, 2, 1]"
+        assert canonical_repr(result.output) == "[3, 2, 1]"
 
     def test_string_values_supported(self, external):
         result = external.run(
-            "def f(s):\n    return s.upper()", "f", "'hi'"
+            "def f(s):\n    return s.upper()", "f", ("hi",)
         )
         assert result.status == "ok"
         assert result.output == "HI"
@@ -96,13 +97,13 @@ class TestExternalExecutor:
     ], ids=["print", "json-object-line", "module-level-input"])
     def test_program_io_stays_off_the_protocol(self, source, kind):
         with ExternalExecutor(timeout=5.0) as executor:
-            result = executor.run(source, "f", "1")
+            result = executor.run(source, "f", (1,))
             if kind is None:
                 assert (result.status, result.output) == ("ok", 2)
             else:
                 assert (result.status, result.error_kind) == ("error", kind)
             # the next request gets its own answer
-            again = executor.run("def g(a1):\n    return a1 * 5", "g", "5")
+            again = executor.run("def g(a1):\n    return a1 * 5", "g", (5,))
             assert (again.status, again.output) == ("ok", 25)
 
     def test_non_object_response_is_bad_response(self, tmp_path):
@@ -115,10 +116,10 @@ class TestExternalExecutor:
             "    else:\n"
             "        print(json.dumps({'status': 'ok', 'output_repr': '7'}), flush=True)\n")
         with ExternalExecutor([sys.executable, str(script)], timeout=5.0) as executor:
-            bad = executor.run("", "bad", "1")
+            bad = executor.run("", "bad", (1,))
             assert (bad.status, bad.error_kind) == ("error", "BadResponse")
             assert executor.proc is None  # killed; the next request respawns it
-            good = executor.run("", "good", "1")
+            good = executor.run("", "good", (1,))
             assert (good.status, good.output) == ("ok", 7)
 
     @pytest.mark.parametrize("response", [
@@ -143,13 +144,13 @@ class TestExternalExecutor:
             "    else:\n"
             "        print(json.dumps({'status': 'ok', 'output_repr': '7'}), flush=True)\n")
         with ExternalExecutor([sys.executable, str(script)], timeout=5.0) as executor:
-            executor.run("", "good", "1")
+            executor.run("", "good", (1,))
             child = executor.proc
-            bad = executor.run("", "bad", "1")
+            bad = executor.run("", "bad", (1,))
             assert (bad.status, bad.error_kind) == ("error", "BadResponse")
             assert executor.proc is None  # killed; the next request respawns it
             assert child.stdin.closed and child.stdout.closed
-            good = executor.run("", "good", "1")
+            good = executor.run("", "good", (1,))
             assert (good.status, good.output) == ("ok", 7)
 
     def test_partial_line_then_stall_times_out(self, tmp_path):
@@ -165,14 +166,14 @@ class TestExternalExecutor:
             "        print(json.dumps({'status': 'ok', 'output_repr': '7'}), flush=True)\n")
         timeout = 1.0
         with ExternalExecutor([sys.executable, str(script)], timeout=timeout) as executor:
-            executor.run("", "warm", "1")  # the child is up before the clock starts
+            executor.run("", "warm", (1,))  # the child is up before the clock starts
             start = time.monotonic()
-            stalled = executor.run("", "stall", "1")
+            stalled = executor.run("", "stall", (1,))
             elapsed = time.monotonic() - start
             assert (stalled.status, stalled.error_kind) == ("error", "Timeout")
             assert elapsed < 2 * timeout
             assert executor.proc is None
-            good = executor.run("", "good", "1")
+            good = executor.run("", "good", (1,))
             assert (good.status, good.output) == ("ok", 7)
 
     def test_response_split_across_writes_is_one_line(self, tmp_path):
@@ -188,7 +189,7 @@ class TestExternalExecutor:
             "    sys.stdout.flush()\n")
         with ExternalExecutor([sys.executable, str(script)], timeout=5.0) as executor:
             for n in (1, 2):
-                result = executor.run("", "f", str(n))
+                result = executor.run("", "f", (n,))
                 assert (result.status, result.output) == ("ok", n)
 
     def test_imports_allowed_externally(self, external):
@@ -200,8 +201,38 @@ class TestExternalExecutor:
         # any command speaking the JSON-lines protocol works
         command = [sys.executable, "-m", "mutexec.python_exec"]
         with ExternalExecutor(command) as executor:
-            result = executor.run("def f(x):\n    return x + 1", "f", "41")
+            result = executor.run("def f(x):\n    return x + 1", "f", (41,))
             assert result.output == 42
+
+
+    @pytest.mark.parametrize("value", ["b'ab'", "1j", "[1, b'a']"],
+                             ids=["bytes", "complex", "bytes-in-list"])
+    def test_output_without_canonical_text_is_unrepresentable(self, external, value):
+        result = external.run(f"def f(a1):\n    return {value}", "f", (1,))
+        assert (result.status, result.error_kind) == ("error", "UnrepresentableOutput")
+        again = external.run("def f(a1):\n    return {'b', 'a'}", "f", (1,))
+        assert (again.status, canonical_repr(again.output)) == ("ok", "{'a', 'b'}")
+
+    @pytest.mark.parametrize("script, timeout, message", [
+        ("import sys; sys.exit(1)", 5.0, "its output ended, exit status 1"),
+        ("import time; time.sleep(60)", 0.5, "no answer within 0.5 s"),
+        ("print(1); input()", 5.0, "a malformed answer"),
+    ], ids=["exits", "silent", "banner"])
+    def test_command_that_cannot_start_raises(self, script, timeout, message):
+        with ExternalExecutor([sys.executable, "-c", script], timeout=timeout) as executor:
+            with pytest.raises(RuntimeError) as err:
+                executor.run("def f(a1):\n    return a1", "f", (1,))
+            command = shlex.join([sys.executable, "-c", script])
+            assert str(err.value) == (
+                f"executor command {command} failed its start-up probe: {message}")
+            assert executor.proc is None
+
+    def test_death_after_start_up_is_per_request(self):
+        with ExternalExecutor(timeout=5.0) as executor:
+            died = executor.run("import os\ndef f(a1):\n    os._exit(1)", "f", (1,))
+            assert (died.status, died.error_kind) == ("error", "ExecutorCrashed")
+            again = executor.run("def g(a1):\n    return a1 * 5", "g", (5,))
+            assert (again.status, again.output) == ("ok", 25)
 
 
 class TestDifferential:
@@ -225,21 +256,17 @@ class TestDifferential:
         builtin = BuiltinExecutor()
         mismatches = []
         for source, function_name, input_text in cases:
-            mini = builtin.run(source, function_name, _args(input_text))
-            ext = external.run(source, function_name, input_text, trace=True)
+            args = parse_args(input_text)
+            mini = builtin.run(source, function_name, args)
+            ext = external.run(source, function_name, args, trace=True)
             seen = [
                 (r.status, r.error_kind, r.error_line, sorted(r.covered_lines))
                 for r in (mini, ext)
             ]
             if mini.status == "ok":
                 seen[0] += (canonical_repr(mini.output),)
-                seen[1] += (getattr(ext, "output_repr", None),)
+                seen[1] += (canonical_repr(ext.output),)
             if seen[0] != seen[1]:
                 mismatches.append((source, input_text, seen))
         assert not mismatches, mismatches[:3]
 
-
-def _args(input_text):
-    from mutexec.values import parse_args
-
-    return parse_args(input_text)

@@ -7,7 +7,6 @@ from mutexec.metrics import (
     choice_metrics,
     loc_series,
     loc_series_csv,
-    loc_series_dat,
     metrics_csv,
     pass_at_1,
     prediction_metrics,
@@ -150,7 +149,6 @@ class TestLocSeries:
         assert all(row.problems == 0 and row.metrics is None for row in rows)
         csv_text = loc_series_csv(rows)
         assert csv_text.splitlines()[1].endswith(",,,")
-        assert "nan" in loc_series_dat(rows)
 
     def test_weighted_bins_reaggregate_to_global(self):
         records = []
