@@ -1,30 +1,40 @@
 """Program executors: the in-process interpreter and the subprocess bridge.
 
 Both speak the same in-process contract: ``run(source, function_name, args,
-trace=False)`` returning an ExecResult.  The external executor hosts programs
-the mini-language cannot run (anything with strings, dicts, imports, ...) in
-a child process, one JSON request per line on stdin and one JSON response per
-line on stdout:
+trace=False)`` returning an ExecResult, and ``run_many(calls)`` returning
+the results of a list of such ``(source, function_name, args, trace)``
+calls in order.  The external executor hosts programs the mini-language
+cannot run (anything with strings, dicts, imports, ...) in a child process,
+one JSON request per line on stdin and one JSON response per line on stdout:
 
-    request:  {"source": str, "function_name": str, "input": str, "trace": bool}
-    response: {"status": "ok"|"error", "output_repr": str|null,
+    request:  {"id": int, "source": str, "function_name": str, "input": str,
+               "trace": bool}
+    response: {"id": int, "status": "ok"|"error", "output_repr": str|null,
                "covered_lines": [int]|null, "steps": int|null,
                "error": {"kind": str, "line": int}|null}
 
-``input`` is ``format_args`` of the argument tuple.  ``output_repr`` may be
-any literal text; a value it parses to that has no canonical text (bytes,
-complex) is kind "UnrepresentableOutput".  A request whose whole response
-line has not arrived within the timeout kills the child (a fresh one is
-spawned for the next request) and reports kind "Timeout".  A response that
-is not a JSON object, or whose fields have the wrong type, kills the child
-too and reports kind "BadResponse".  The first request is a probe with an
-empty source and function name; a command whose child does not answer it
-with a well-formed response raises RuntimeError from ``run``.
+``id`` counts the requests sent to one child from 0; a child that echoes it
+has each answer checked against its request, and one that sends none is
+trusted to answer in order.  ``run_many`` writes a batch's requests ahead of
+their answers, as far as the pipe takes them, so the child must answer each
+line as soon as it has read it.  ``input`` is ``format_args`` of the
+argument tuple.  ``output_repr`` may be any literal text; a value it parses
+to that has no canonical text (bytes, complex, inf, nan) is kind
+"UnrepresentableOutput".  A request whose whole response line has not
+arrived within the timeout of the previous answer kills the child and
+reports kind "Timeout"; the requests after it go to a fresh child.  A
+response that is not a JSON object, answers another ``id`` or has a field
+of the wrong type kills the child too and reports kind "BadResponse".  So
+each result of a batch equals what ``run`` of that call alone gives.  The
+first request is a probe with an empty source and function name; a command
+whose child does not answer it with a well-formed response raises
+RuntimeError from ``run`` or ``run_many``.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import selectors
@@ -33,10 +43,15 @@ import subprocess
 import sys
 import time
 from . import minipy
-from .values import canonical_repr, format_args, parse_literal
+from .values import canonical_repr, format_args, is_finite, parse_literal
 
 DEFAULT_TIMEOUT = 10.0
 PROBE = {"source": "", "function_name": "", "input": "", "trace": False}
+
+
+def _body(request: dict) -> bytes:
+    """A request's line without its opening brace, to follow an ``id``."""
+    return (json.dumps(request)[1:] + "\n").encode()
 
 
 class BuiltinExecutor:
@@ -60,6 +75,9 @@ class BuiltinExecutor:
             self._cache[source] = module
         return minipy.interpret(module, args, self.limits, function_name)
 
+    def run_many(self, calls) -> list[minipy.ExecResult]:
+        return [self.run(*call) for call in calls]
+
     def close(self):
         pass
 
@@ -77,6 +95,7 @@ class ExternalExecutor:
         self.timeout = timeout
         self.proc: subprocess.Popen | None = None
         self._probed = False  # a child of this command has answered the probe
+        self._next_id = 0  # the id of the next request to this child
         # bytes the child wrote past its last complete line; read from the
         # raw pipe, never through proc.stdout's own buffer
         self._pending = bytearray()
@@ -84,64 +103,82 @@ class ExternalExecutor:
     def _ensure(self) -> subprocess.Popen:
         if self.proc is None or self.proc.poll() is not None:
             self._pending.clear()
+            self._next_id = 0
             self.proc = subprocess.Popen(
                 self.command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
             )
+            # requests are written to the raw fd, and a full pipe must not
+            # block a write past the timeout
+            os.set_blocking(self.proc.stdin.fileno(), False)
         return self.proc
 
     def _kill(self):
         if self.proc is not None:
             self.proc.kill()
             self.proc.wait()
-            for pipe in (self.proc.stdin, self.proc.stdout):
-                try:
-                    pipe.close()
-                except OSError:  # a request left unflushed in a broken pipe
-                    pass
+            self.proc.stdin.close()
+            self.proc.stdout.close()
             self.proc = None
         self._pending.clear()
 
-    def _read_line(self, proc: subprocess.Popen) -> bytes | None:
-        """The child's next line: None if it is not complete within the
-        timeout, b"" if the child's output ends first."""
-        pending = self._pending
-        end = pending.find(b"\n")
-        if end < 0:
-            fd = proc.stdout.fileno()
-            deadline = time.monotonic() + self.timeout
-            with selectors.DefaultSelector() as sel:
-                sel.register(fd, selectors.EVENT_READ)
-                while end < 0:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not sel.select(remaining):
-                        return None
-                    chunk = os.read(fd, 1 << 16)
-                    if not chunk:
-                        return b""
-                    start = len(pending)
-                    pending += chunk
-                    end = pending.find(b"\n", start)
-        line = bytes(pending[:end + 1])
-        del pending[:end + 1]
-        return line
-
-    def _exchange(self, request: dict) -> bytes | None:
-        """Send ``request`` and read the answer line as ``_read_line`` does;
-        a child that cannot take the request answers b""."""
+    def _answers(self, bodies: list[bytes]):
+        """Write the requests to the child ahead of their answers, and yield
+        ``(id, line)`` for each request in order.  ``line`` is None if it is
+        not complete within the timeout, counted from the previous answer,
+        and b"" if the child's output ends first or the child cannot take
+        the request; nothing is yielded after either."""
         proc = self._ensure()
-        try:
-            proc.stdin.write((json.dumps(request) + "\n").encode())
-            proc.stdin.flush()
-        except (BrokenPipeError, OSError):
-            return b""
-        return self._read_line(proc)
+        first = self._next_id
+        self._next_id += len(bodies)
+        lines = [b'{"id": %d, ' % (first + k) + body for k, body in enumerate(bodies)]
+        ends = list(itertools.accumulate(map(len, lines)))
+        out = memoryview(b"".join(lines))
+        in_fd, out_fd = proc.stdin.fileno(), proc.stdout.fileno()
+        pending = self._pending
+        written, broken = 0, False
+        with selectors.DefaultSelector() as sel:
+            sel.register(out_fd, selectors.EVENT_READ)
+            sel.register(in_fd, selectors.EVENT_WRITE)
+            for k, request_end in enumerate(ends):
+                deadline = time.monotonic() + self.timeout
+                end = pending.find(b"\n")
+                while end < 0:
+                    if broken and written < request_end:
+                        yield first + k, b""
+                        return
+                    remaining = deadline - time.monotonic()
+                    events = sel.select(remaining) if remaining > 0 else []
+                    if not events:
+                        yield first + k, None
+                        return
+                    for key, _ in events:
+                        if key.fd == in_fd:
+                            try:
+                                written += os.write(in_fd, out[written:])
+                            except BlockingIOError:
+                                continue
+                            except OSError:  # the child closed its input
+                                broken = True
+                            if broken or written == len(out):
+                                sel.unregister(in_fd)
+                            continue
+                        chunk = os.read(out_fd, 1 << 16)
+                        if not chunk:
+                            yield first + k, b""
+                            return
+                        start = len(pending)
+                        pending += chunk
+                        end = pending.find(b"\n", start)
+                line = bytes(pending[:end + 1])
+                del pending[:end + 1]
+                yield first + k, line
 
     def _probe(self) -> None:
-        line = self._exchange(PROBE)
-        if line and self._to_result(line) is not None:
+        [(request_id, line)] = self._answers([_body(PROBE)])
+        if line and self._to_result(line, request_id) is not None:
             self._probed = True
             return
         proc = self.proc
@@ -157,29 +194,46 @@ class ExternalExecutor:
 
     def run(self, source: str, function_name: str, args: tuple,
             trace: bool = False) -> minipy.ExecResult:
+        return self.run_many([(source, function_name, args, trace)])[0]
+
+    def run_many(self, calls) -> list[minipy.ExecResult]:
+        """The results of ``(source, function_name, args, trace)`` calls in
+        order, each equal to what ``run`` of that call alone gives: after a
+        request that times out, ends the child's output or is answered
+        badly, the child is killed and the rest go to a fresh one."""
         if not self._probed:
             self._probe()
-        line = self._exchange({"source": source, "function_name": function_name,
-                               "input": format_args(args), "trace": trace})
-        if not line:
-            self._kill()
-            kind = "Timeout" if line is None else "ExecutorCrashed"
-            return minipy.ExecResult("error", error_kind=kind)
-        result = self._to_result(line)
-        if result is None:
-            self._kill()
-            return minipy.ExecResult("error", error_kind="BadResponse")
-        return result
+        bodies = [_body({"source": source, "function_name": function_name,
+                         "input": format_args(args), "trace": trace})
+                  for source, function_name, args, trace in calls]
+        results: list[minipy.ExecResult] = []
+        while len(results) < len(bodies):
+            answers = self._answers(bodies[len(results):])
+            for request_id, line in answers:
+                result = self._to_result(line, request_id) if line else None
+                if result is None:
+                    answers.close()
+                    self._kill()
+                    kind = ("Timeout" if line is None else
+                            "ExecutorCrashed" if not line else "BadResponse")
+                    results.append(minipy.ExecResult("error", error_kind=kind))
+                    break
+                results.append(result)
+        return results
 
     @staticmethod
-    def _to_result(line: bytes) -> minipy.ExecResult | None:
+    def _to_result(line: bytes, request_id: int) -> minipy.ExecResult | None:
         """The result a response line reports, or None if it is no JSON
-        object or one of its fields has the wrong type."""
+        object, answers another request's ``id`` or one of its fields has
+        the wrong type."""
         try:
             response = json.loads(line)
         except (ValueError, RecursionError):  # not JSON, not UTF-8, or nested too deeply
             return None
         if not isinstance(response, dict):
+            return None
+        answered = response.get("id", request_id)
+        if type(answered) is not int or answered != request_id:
             return None
         covered = response.get("covered_lines") or []
         steps = response.get("steps") or 0
@@ -194,6 +248,8 @@ class ExternalExecutor:
             try:
                 output = parse_literal(output_repr)
                 canonical_repr(output)
+                if not is_finite(output):  # inf and nan have no literal text
+                    raise ValueError(output_repr)
             except (ValueError, TypeError):
                 return minipy.ExecResult(
                     "error", covered_lines=set(covered), steps=steps,
@@ -212,12 +268,7 @@ class ExternalExecutor:
         )
 
     def close(self):
-        if self.proc is not None:
-            try:
-                self.proc.stdin.close()
-            except OSError:
-                pass
-            self._kill()
+        self._kill()
 
     def __enter__(self):
         return self

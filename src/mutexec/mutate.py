@@ -161,13 +161,16 @@ def filter_valid(original: Problem, candidates, executor) -> list[Survivor]:
     """Keep mutants that run cleanly on the problem input and change the output.
 
     ``candidates`` is an iterable of (source, site) pairs; ``executor`` runs
-    (source, function_name, args, trace) and reports status/output/coverage.
+    them as one batch of (source, function_name, args, trace) calls and
+    reports status/output/coverage for each.
     """
+    candidates = list(candidates)
     args = original.args()
     expected = original.output_value()
+    results = executor.run_many(
+        [(source, original.function_name, args, True) for source, _ in candidates])
     survivors = []
-    for source, site in candidates:
-        result = executor.run(source, original.function_name, args, trace=True)
+    for (source, site), result in zip(candidates, results):
         if result.status != "ok":
             continue
         if values_equal(result.output, expected):

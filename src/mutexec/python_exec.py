@@ -1,9 +1,16 @@
 """Reference host-language executor speaking the JSON-lines protocol.
 
 Run as ``python -m mutexec.python_exec``.  Each stdin line is a request
-{"source", "function_name", "input", "trace"}; each stdout line is a
-response with the executed function's repr'd return value, the covered
-1-based source lines (when tracing), and a line-event count.
+{"id", "source", "function_name", "input", "trace"}; each stdout line is a
+response with the request's ``id`` (when it has one), the executed
+function's repr'd return value, the covered 1-based source lines (when
+tracing), and a line-event count.  Requests are answered in order, each as
+soon as it is read, so the parent may write ahead of the answers.
+
+Each distinct source is compiled once (up to 4,096 kept) and its code runs
+into a fresh namespace per request, so no state carries from one request to
+the next.  A source that does not compile is compiled, and fails, again on
+each request.
 
 The protocol has fds 0 and 1 to itself: the programs run with stdin and
 stdout on /dev/null, so what they print or read never touches it.
@@ -20,9 +27,12 @@ import os
 import sys
 
 FILENAME = "<problem>"
+CODE_CACHE_SIZE = 4096
 
 
-def _execute(request: dict) -> dict:
+def _execute(request: dict, codes: dict) -> dict:
+    """The response to one request; ``codes`` maps source text to its
+    compiled code."""
     source = request["source"]
     function_name = request["function_name"]
     input_text = request.get("input", "")
@@ -48,7 +58,12 @@ def _execute(request: dict) -> dict:
         return None
 
     try:
-        code = compile(source, FILENAME, "exec")
+        code = codes.get(source)
+        if code is None:
+            code = compile(source, FILENAME, "exec")
+            if len(codes) >= CODE_CACHE_SIZE:
+                codes.clear()
+            codes[source] = code
         exec(code, namespace)
         fn = namespace[function_name]
     except Exception as exc:
@@ -103,16 +118,20 @@ def main() -> None:
     os.dup2(devnull, 1)
     os.close(devnull)
     # sys.stdin and sys.stdout still wrap fds 0 and 1, which are /dev/null now
+    codes: dict = {}
     for raw in requests:
         if not raw.strip():
             continue
+        request = None
         try:
             request = json.loads(raw)
-            response = _execute(request)
+            response = _execute(request, codes)
         except Exception as exc:  # never die mid-protocol
             response = {"status": "error",
                         "error": {"kind": "ExecutorInternal", "line": 0,
                                   "message": str(exc)}}
+        if isinstance(request, dict) and "id" in request:
+            response["id"] = request["id"]
         responses.write(json.dumps(response) + "\n")
         responses.flush()
 

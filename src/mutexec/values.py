@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import ast
 import copy
+import math
 from typing import Any
 
 Value = Any
@@ -141,3 +142,14 @@ def contains_float(value: Value) -> bool:
     if isinstance(value, dict):
         return any(contains_float(k) or contains_float(v) for k, v in value.items())
     return False
+
+
+def is_finite(value: Value) -> bool:
+    """False if the value holds an inf or nan float, which has no literal text."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return all(is_finite(v) for v in value)
+    if isinstance(value, dict):
+        return all(is_finite(k) and is_finite(v) for k, v in value.items())
+    return True

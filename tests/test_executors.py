@@ -1,5 +1,6 @@
 import json
 import shlex
+import subprocess
 import sys
 import time
 
@@ -8,7 +9,7 @@ import pytest
 from conftest import fixture_path
 
 from mutexec.executors import BuiltinExecutor, ExternalExecutor
-from mutexec.mutate import enumerate_source_mutants
+from mutexec.mutate import enumerate_source_mutants, mutate_dataset
 from mutexec.values import canonical_repr, parse_args
 
 
@@ -17,6 +18,35 @@ def external():
     executor = ExternalExecutor()
     yield executor
     executor.close()
+
+
+def outcome(result):
+    return (result.status, result.output, result.error_kind, result.error_line,
+            sorted(result.covered_lines), result.steps)
+
+
+def one_at_a_time(calls, command=None, timeout=10.0):
+    with ExternalExecutor(command, timeout=timeout) as executor:
+        return [outcome(executor.run(*call)) for call in calls]
+
+
+def times(n):
+    return (f"def f(a1):\n    return a1 * {n}", "f", (3,), True)
+
+
+def scripted(tmp_path, body):
+    """A child that answers ``'7'`` to every request whose function is not
+    ``bad`` or ``stall``; ``body`` handles those two, given ``request``."""
+    script = tmp_path / "child.py"
+    script.write_text(
+        "import json, sys, time\n"
+        "for line in sys.stdin:\n"
+        "    request = json.loads(line)\n"
+        "    if request['function_name'] in ('bad', 'stall'):\n"
+        + "".join(f"        {stmt}\n" for stmt in body) +
+        "    else:\n"
+        "        print(json.dumps({'status': 'ok', 'output_repr': '7'}), flush=True)\n")
+    return [sys.executable, str(script)]
 
 
 class TestBuiltinExecutor:
@@ -213,6 +243,17 @@ class TestExternalExecutor:
         again = external.run("def f(a1):\n    return {'b', 'a'}", "f", (1,))
         assert (again.status, canonical_repr(again.output)) == ("ok", "{'a', 'b'}")
 
+    @pytest.mark.parametrize("value", ["1e400", "-1e400", "[1e400]"],
+                             ids=["inf", "-inf", "inf-in-list"])
+    def test_non_finite_float_is_unrepresentable(self, tmp_path, value):
+        command = scripted(tmp_path, [
+            f"print(json.dumps({{'status': 'ok', 'output_repr': {value!r}}}), flush=True)"])
+        with ExternalExecutor(command, timeout=5.0) as executor:
+            bad = executor.run("", "bad", (1,))
+            assert (bad.status, bad.error_kind) == ("error", "UnrepresentableOutput")
+            good = executor.run("", "good", (1,))
+            assert (good.status, good.output) == ("ok", 7)
+
     @pytest.mark.parametrize("script, timeout, message", [
         ("import sys; sys.exit(1)", 5.0, "its output ended, exit status 1"),
         ("import time; time.sleep(60)", 0.5, "no answer within 0.5 s"),
@@ -233,6 +274,126 @@ class TestExternalExecutor:
             assert (died.status, died.error_kind) == ("error", "ExecutorCrashed")
             again = executor.run("def g(a1):\n    return a1 * 5", "g", (5,))
             assert (again.status, again.output) == ("ok", 25)
+
+
+class TestBatch:
+    """``run_many`` writes a batch ahead of its answers; after a failure at
+    one request the rest go to a fresh child, so each result equals a
+    one-at-a-time ``run`` on a fresh executor."""
+
+    def test_batch_equals_one_at_a_time(self, external):
+        calls = [times(n) for n in range(12)] + [times(3)]
+        batch = [outcome(r) for r in external.run_many(calls)]
+        assert batch == one_at_a_time(calls)
+        assert [output for _, output, *_ in batch] == [3 * n for n in range(12)] + [9]
+        assert external.run_many([]) == []
+
+    @pytest.mark.parametrize("k", [0, 3, 5])
+    def test_crash_at_request_k(self, k):
+        calls = [times(n) for n in range(6)]
+        calls[k] = ("import os\ndef f(a1):\n    os._exit(1)", "f", (1,), True)
+        with ExternalExecutor(timeout=5.0) as executor:
+            batch = [outcome(r) for r in executor.run_many(calls)]
+        assert batch == one_at_a_time(calls, timeout=5.0)
+        assert batch[k][:3] == ("error", None, "ExecutorCrashed")
+        if k + 1 < len(calls):
+            assert batch[k + 1][:2] == ("ok", 3 * (k + 1))
+
+    def test_hang_at_request_k(self):
+        calls = [times(n) for n in range(5)]
+        calls[2] = ("def f(a1):\n    while True:\n        pass", "f", (1,), True)
+        with ExternalExecutor(timeout=1.0) as executor:
+            batch = [outcome(r) for r in executor.run_many(calls)]
+        assert batch == one_at_a_time(calls, timeout=1.0)
+        assert batch[2][:3] == ("error", None, "Timeout")
+        assert batch[3][:2] == ("ok", 9)
+
+    def test_partial_line_then_stall_mid_batch(self, tmp_path):
+        command = scripted(tmp_path, [
+            "sys.stdout.write('{\"status\"')", "sys.stdout.flush()", "time.sleep(60)"])
+        calls = [("", "good", (1,), False), ("", "stall", (1,), False),
+                 ("", "good", (2,), False)]
+        with ExternalExecutor(command, timeout=1.0) as executor:
+            executor.run("", "warm", (1,))  # the child is up before the clock starts
+            start = time.monotonic()
+            batch = [outcome(r) for r in executor.run_many(calls)]
+            assert time.monotonic() - start < 2.0
+        assert batch == one_at_a_time(calls, command, timeout=1.0)
+        assert [r[:3] for r in batch] == [
+            ("ok", 7, None), ("error", None, "Timeout"), ("ok", 7, None)]
+
+    @pytest.mark.parametrize("source, kind", [
+        ("def f(a1):\n    while True:\n        pass", "Timeout"),
+        ("import os\ndef f(a1):\n    os._exit(1)", "ExecutorCrashed"),
+    ], ids=["hang", "crash"])
+    def test_failure_with_backlog_beyond_the_pipe(self, source, kind):
+        """A hung or dead child stops reading: the requests behind it fill
+        the pipe, and writing them must not hold the batch past the
+        timeout."""
+        timeout = 1.0
+        padding = "#" + "x" * 8000 + "\n"
+        calls = [(source, "f", (1,), False)]
+        calls += [(padding + f"def f(a1):\n    return a1 + {n}", "f", (1,), False)
+                  for n in range(40)]
+        assert sum(len(source) for source, *_ in calls) > 1 << 18
+        with ExternalExecutor(timeout=timeout) as executor:
+            executor.run("def f(a1):\n    return a1", "f", (1,))  # started
+            start = time.monotonic()
+            batch = executor.run_many(calls)
+            elapsed = time.monotonic() - start
+        assert elapsed < 2 * timeout
+        assert (batch[0].status, batch[0].error_kind) == ("error", kind)
+        assert [r.output for r in batch[1:]] == [1 + n for n in range(40)]
+
+    def test_wrong_id_is_bad_response(self, tmp_path):
+        command = scripted(tmp_path, [
+            "print(json.dumps({'id': request['id'] + 1, 'status': 'ok',"
+            " 'output_repr': '8'}), flush=True)"])
+        calls = [("", "good", (1,), False), ("", "bad", (1,), False),
+                 ("", "good", (2,), False)]
+        with ExternalExecutor(command, timeout=5.0) as executor:
+            batch = [outcome(r) for r in executor.run_many(calls)]
+        assert batch == one_at_a_time(calls, command, timeout=5.0)
+        assert [r[:3] for r in batch] == [
+            ("ok", 7, None), ("error", None, "BadResponse"), ("ok", 7, None)]
+
+    def test_bundled_child_echoes_the_id(self):
+        requests = [{"id": 7, "source": "def f(a1):\n    return a1", "function_name": "f",
+                     "input": "1", "trace": False}, "not json"]
+        done = subprocess.run(
+            [sys.executable, "-m", "mutexec.python_exec"], capture_output=True, timeout=30,
+            input="".join(json.dumps(r) + "\n" for r in requests).encode())
+        answers = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [a.get("id") for a in answers] == [7, None]
+        assert answers[0]["output_repr"] == "1"
+        assert answers[1]["error"]["kind"] == "ExecutorInternal"
+
+
+class TestCompileCache:
+    """The child compiles a source once but runs it into a fresh namespace
+    on every request."""
+
+    @pytest.mark.parametrize("source, expected", [
+        ("def f(x, acc=[]):\n    acc.append(x)\n    return len(acc)", 1),
+        ("count = 0\ndef f(x):\n    global count\n    count += 1\n    return count", 1),
+    ], ids=["mutable-default", "module-counter"])
+    def test_no_state_carries_over(self, source, expected):
+        with ExternalExecutor(timeout=5.0) as executor:
+            first = executor.run(source, "f", (1,))
+            child = executor.proc
+            results = [first] + executor.run_many([(source, "f", (1,), False)] * 2)
+            assert executor.proc is child
+        assert [(r.status, r.output) for r in results] == [("ok", expected)] * 3
+
+    def test_syntax_error_reported_on_each_request(self):
+        source = "def f(a1):\n    return a1 +\n"
+        with ExternalExecutor(timeout=5.0) as executor:
+            results = [executor.run(source, "f", (1,))]
+            child = executor.proc
+            results += executor.run_many([(source, "f", (1,), False)] * 2)
+            assert executor.proc is child
+        assert [(r.status, r.error_kind, r.error_line) for r in results] == [
+            ("error", "SyntaxError", 2)] * 3
 
 
 class TestDifferential:
@@ -270,3 +431,12 @@ class TestDifferential:
                 mismatches.append((source, input_text, seen))
         assert not mismatches, mismatches[:3]
 
+
+    def test_external_mutant_set_equals_builtin(self, small_corpus):
+        problems = small_corpus[:30]
+        with ExternalExecutor() as executor:
+            external = mutate_dataset(problems, executor, seed=4)
+        builtin = mutate_dataset(problems, BuiltinExecutor(), seed=4)
+        assert len(builtin[1]) > 10
+        as_bytes = [[json.dumps(p.to_json()) for p in ps] for ps in (*external, *builtin)]
+        assert as_bytes[:2] == as_bytes[2:]

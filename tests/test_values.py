@@ -8,6 +8,7 @@ from mutexec.values import (
     copy_value,
     format_args,
     is_boolean_output,
+    is_finite,
     parse_args,
     parse_literal,
     values_equal,
@@ -76,6 +77,12 @@ def test_contains_float():
     assert contains_float([1, [2.0]])
     assert contains_float({"a": 1.0})
     assert not contains_float([1, 2, (3, True)])
+
+
+def test_is_finite():
+    assert is_finite([1, 2.5, (3, "inf"), {"a": -0.0}])
+    for value in (float("inf"), [float("-inf")], {float("nan"): 1}, {"a": (float("nan"),)}):
+        assert not is_finite(value)
 
 
 def _shape(value, ids=None):
