@@ -28,7 +28,7 @@ def f(a1):
 
 executor = BuiltinExecutor()
 args_text = "[1, 3, 5]"
-base = executor.run(source, "f", ([1, 3, 5],), trace=True)
+base = executor.run(source, "f", ([1, 3, 5],))
 problem = Problem(
     id="demo", dataset="dsl-list", source=source, function_name="f",
     input=args_text, output=str(base.output), loc=8, executor="builtin",

@@ -19,11 +19,9 @@ with ExternalExecutor() as executor:
         "source": "def f(s):\n    return s[::-1].upper()",
         "function_name": "f",
         "input": "'hello'",
-        "trace": True,
     }
     print(f"  -> {json.dumps(request)}")
-    result = executor.run(request["source"], "f", parse_args(request["input"]),
-                          trace=True)
+    result = executor.run(request["source"], "f", parse_args(request["input"]))
     print(f"  <- status={result.status} output={result.output!r} "
           f"covered={sorted(result.covered_lines)}\n")
 

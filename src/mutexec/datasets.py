@@ -354,7 +354,8 @@ def build_llm_list(model, executor, config: LlmListConfig | None = None) -> list
 
 def _parse_input(input_text: str) -> tuple[tuple, str] | None:
     """An input line's argument tuple and canonical text, or None if it does
-    not parse or holds a value without canonical text (bytes, complex)."""
+    not parse or holds a value without canonical text (bytes, complex, inf,
+    nan)."""
     try:
         args = parse_args(input_text)
         return args, format_args(args)
@@ -371,7 +372,7 @@ def _validate_input(executor, code: str, name: str, input_text: str):
     args, canonical_input = parsed
     if contains_float(args):
         return False, "float in input"
-    result = executor.run(code, name, args, trace=False)
+    result = executor.run(code, name, args)
     if result.status != "ok":
         return False, f"runtime error: {result.error_kind}"
     if contains_float(result.output):
@@ -461,16 +462,16 @@ def ingest_external(
             reject("unparseable input")
             continue
         args, input_text = parsed
-        first = executor.run(source, name, args, trace=True)
+        first = executor.run(source, name, args)
         if first.status != "ok":
             reject(f"execution failed: {first.error_kind}")
             continue
         output = canonical_repr(first.output)
-        second = executor.run(source, name, args, trace=False)
+        second = executor.run(source, name, args)
         if second.status != "ok" or canonical_repr(second.output) != output:
             reject("nondeterministic output")
             continue
-        if config.max_steps is not None and first.steps and first.steps > config.max_steps:
+        if config.max_steps is not None and first.steps > config.max_steps:
             reject(f"step count {first.steps} above {config.max_steps}")
             continue
         problems.append(Problem(

@@ -1,14 +1,16 @@
 """Program executors: the in-process interpreter and the subprocess bridge.
 
-Both speak the same in-process contract: ``run(source, function_name, args,
-trace=False)`` returning an ExecResult, and ``run_many(calls)`` returning
-the results of a list of such ``(source, function_name, args, trace)``
-calls in order.  The external executor hosts programs the mini-language
-cannot run (anything with strings, dicts, imports, ...) in a child process,
-one JSON request per line on stdin and one JSON response per line on stdout:
+Both speak the same in-process contract: ``run(source, function_name,
+args)`` returning an ExecResult, and ``run_many(calls)`` returning the
+results of a list of such ``(source, function_name, args)`` calls in order.
+Every result carries its covered lines and its ``steps``, the count of line
+events CPython's line tracer reports (a statement starts, or a loop body
+goes back to its header), so one call gives one result whichever executor
+runs it.  The external executor hosts programs the mini-language cannot run
+(anything with strings, dicts, imports, ...) in a child process, one JSON
+request per line on stdin and one JSON response per line on stdout:
 
-    request:  {"id": int, "source": str, "function_name": str, "input": str,
-               "trace": bool}
+    request:  {"id": int, "source": str, "function_name": str, "input": str}
     response: {"id": int, "status": "ok"|"error", "output_repr": str|null,
                "covered_lines": [int]|null, "steps": int|null,
                "error": {"kind": str, "line": int}|null}
@@ -19,16 +21,17 @@ trusted to answer in order.  ``run_many`` writes a batch's requests ahead of
 their answers, as far as the pipe takes them, so the child must answer each
 line as soon as it has read it.  ``input`` is ``format_args`` of the
 argument tuple.  ``output_repr`` may be any literal text; a value it parses
-to that has no canonical text (bytes, complex, inf, nan) is kind
-"UnrepresentableOutput".  A request whose whole response line has not
-arrived within the timeout of the previous answer kills the child and
-reports kind "Timeout"; the requests after it go to a fresh child.  A
-response that is not a JSON object, answers another ``id`` or has a field
-of the wrong type kills the child too and reports kind "BadResponse".  So
-each result of a batch equals what ``run`` of that call alone gives.  The
-first request is a probe with an empty source and function name; a command
-whose child does not answer it with a well-formed response raises
-RuntimeError from ``run`` or ``run_many``.
+to that has no ``canonical_repr`` (bytes, complex, inf, nan) is kind
+"UnrepresentableOutput".  A child may leave out ``covered_lines`` and
+``steps``; the result then reports none.  A request whose whole response
+line has not arrived within the timeout of the previous answer kills the
+child and reports kind "Timeout"; the requests after it go to a fresh
+child.  A response that is not a JSON object, answers another ``id`` or has
+a field of the wrong type kills the child too and reports kind
+"BadResponse".  So each result of a batch equals what ``run`` of that call
+alone gives.  The first request is a probe with an empty source and
+function name; a command whose child does not answer it with a well-formed
+response raises RuntimeError from ``run`` or ``run_many``.
 """
 
 from __future__ import annotations
@@ -43,10 +46,10 @@ import subprocess
 import sys
 import time
 from . import minipy
-from .values import canonical_repr, format_args, is_finite, parse_literal
+from .values import canonical_repr, format_args, parse_literal
 
 DEFAULT_TIMEOUT = 10.0
-PROBE = {"source": "", "function_name": "", "input": "", "trace": False}
+PROBE = {"source": "", "function_name": "", "input": ""}
 
 
 def _body(request: dict) -> bytes:
@@ -57,11 +60,11 @@ def _body(request: dict) -> bytes:
 class BuiltinExecutor:
     """Runs mini-language programs with the tree-walking interpreter."""
 
-    def __init__(self, limits: minipy.Limits | None = None):
-        self.limits = limits or minipy.Limits()
+    def __init__(self):
+        self.limits = minipy.Limits()
         self._cache: dict[str, minipy.Module] = {}
 
-    def run(self, source: str, function_name: str, args: tuple, trace: bool = False):
+    def run(self, source: str, function_name: str, args: tuple) -> minipy.ExecResult:
         module = self._cache.get(source)
         if module is None:
             try:
@@ -192,20 +195,19 @@ class ExternalExecutor:
         raise RuntimeError(
             f"executor command {shlex.join(self.command)} failed its start-up probe: {why}")
 
-    def run(self, source: str, function_name: str, args: tuple,
-            trace: bool = False) -> minipy.ExecResult:
-        return self.run_many([(source, function_name, args, trace)])[0]
+    def run(self, source: str, function_name: str, args: tuple) -> minipy.ExecResult:
+        return self.run_many([(source, function_name, args)])[0]
 
     def run_many(self, calls) -> list[minipy.ExecResult]:
-        """The results of ``(source, function_name, args, trace)`` calls in
+        """The results of ``(source, function_name, args)`` calls in
         order, each equal to what ``run`` of that call alone gives: after a
         request that times out, ends the child's output or is answered
         badly, the child is killed and the rest go to a fresh one."""
         if not self._probed:
             self._probe()
         bodies = [_body({"source": source, "function_name": function_name,
-                         "input": format_args(args), "trace": trace})
-                  for source, function_name, args, trace in calls]
+                         "input": format_args(args)})
+                  for source, function_name, args in calls]
         results: list[minipy.ExecResult] = []
         while len(results) < len(bodies):
             answers = self._answers(bodies[len(results):])
@@ -248,8 +250,6 @@ class ExternalExecutor:
             try:
                 output = parse_literal(output_repr)
                 canonical_repr(output)
-                if not is_finite(output):  # inf and nan have no literal text
-                    raise ValueError(output_repr)
             except (ValueError, TypeError):
                 return minipy.ExecResult(
                     "error", covered_lines=set(covered), steps=steps,

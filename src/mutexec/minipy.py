@@ -23,7 +23,11 @@ deliberately matches the host Python semantics (negative indexing, floor
 division and modulo on negatives, short-circuit boolean operators,
 aliasing of list values) so that results are directly comparable with a
 real Python executor.  Every executed statement or loop/branch header
-records its 1-based source line in the coverage set.
+records its 1-based source line in the coverage set.  ``steps`` counts the
+line events CPython's line tracer reports for the same call: one when a
+statement starts and one at each loop back-edge (a body that ends normally
+or by ``continue``).  ``Limits.max_steps`` bounds that count; every loop
+iteration passes a back-edge, so it ends every infinite loop.
 """
 
 from __future__ import annotations
@@ -761,10 +765,6 @@ class ExecResult:
     error_kind: str | None = None
     error_line: int | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
 
 class _RuntimeFailure(Exception):
     def __init__(self, kind: str):
@@ -793,10 +793,14 @@ class _Interp:
         self.cur_line = 0
         self.env: dict[str, Value] = {}
 
-    def tick(self):
+    def tick(self, line: int):
+        """One line event, as CPython's line tracer counts them: a statement
+        starts at ``line``, or a loop body ends normally or by ``continue``
+        and control goes back to its header at ``line``."""
         self.steps += 1
         if self.steps > self.limits.max_steps:
             raise _RuntimeFailure("StepLimitExceeded")
+        self.cur_line = line
 
     def check_len(self, lst: list):
         if len(lst) > self.limits.max_list_len:
@@ -815,8 +819,7 @@ class _Interp:
             self.exec_stmt(stmt)
 
     def exec_stmt(self, stmt: Stmt):
-        self.tick()
-        self.cur_line = stmt.line
+        self.tick(stmt.line)
         self.covered.add(stmt.line)
         if isinstance(stmt, Return):
             value = self.eval(stmt.value) if stmt.value is not None else None
@@ -840,18 +843,14 @@ class _Interp:
                 self.exec_block(stmt.orelse)
             return
         if isinstance(stmt, While):
-            while True:
-                self.tick()
-                self.cur_line = stmt.line
-                self.covered.add(stmt.line)
-                if not self.truthy(self.eval(stmt.cond)):
-                    break
+            while self.truthy(self.eval(stmt.cond)):
                 try:
                     self.exec_block(stmt.body)
                 except _BreakSignal:
                     break
                 except _ContinueSignal:
-                    continue
+                    pass
+                self.tick(stmt.line)
             return
         if isinstance(stmt, ForRange):
             args = [self.eval(a) for a in stmt.args]
@@ -861,16 +860,14 @@ class _Interp:
             if len(args) == 3 and args[2] == 0:
                 raise _RuntimeFailure("ValueError")
             for i in range(*args):
-                self.tick()
-                self.cur_line = stmt.line
-                self.covered.add(stmt.line)
                 self.env[stmt.var] = i
                 try:
                     self.exec_block(stmt.body)
                 except _BreakSignal:
                     break
                 except _ContinueSignal:
-                    continue
+                    pass
+                self.tick(stmt.line)
             return
         if isinstance(stmt, Break):
             raise _BreakSignal()
@@ -902,7 +899,6 @@ class _Interp:
     # -- expressions
 
     def eval(self, expr: Expr) -> Value:
-        self.tick()
         if isinstance(expr, Num):
             return self.check_int(expr.value)
         if isinstance(expr, BoolLit):

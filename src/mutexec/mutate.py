@@ -161,14 +161,14 @@ def filter_valid(original: Problem, candidates, executor) -> list[Survivor]:
     """Keep mutants that run cleanly on the problem input and change the output.
 
     ``candidates`` is an iterable of (source, site) pairs; ``executor`` runs
-    them as one batch of (source, function_name, args, trace) calls and
+    them as one batch of (source, function_name, args) calls and
     reports status/output/coverage for each.
     """
     candidates = list(candidates)
     args = original.args()
     expected = original.output_value()
     results = executor.run_many(
-        [(source, original.function_name, args, True) for source, _ in candidates])
+        [(source, original.function_name, args) for source, _ in candidates])
     survivors = []
     for (source, site), result in zip(candidates, results):
         if result.status != "ok":
@@ -212,7 +212,7 @@ def mutate_problem(problem: Problem, executor, rng: random.Random) -> MutantSet:
     candidates = [
         (src, site) for src, site in enumerate_source_mutants(problem.source)
     ]
-    base = executor.run(problem.source, problem.function_name, problem.args(), trace=True)
+    base = executor.run(problem.source, problem.function_name, problem.args())
     if base.status != "ok":
         raise ValueError(f"problem {problem.id} does not execute cleanly")
     survivors = filter_valid(problem, candidates, executor)

@@ -1,11 +1,12 @@
 """Reference host-language executor speaking the JSON-lines protocol.
 
 Run as ``python -m mutexec.python_exec``.  Each stdin line is a request
-{"id", "source", "function_name", "input", "trace"}; each stdout line is a
-response with the request's ``id`` (when it has one), the executed
-function's repr'd return value, the covered 1-based source lines (when
-tracing), and a line-event count.  Requests are answered in order, each as
-soon as it is read, so the parent may write ahead of the answers.
+{"id", "source", "function_name", "input"}; each stdout line is a response
+with the request's ``id`` (when it has one), the executed function's repr'd
+return value, and, from the line tracer that every call runs under, the
+covered 1-based source lines and the count of line events (``steps``).
+Requests are answered in order, each as soon as it is read, so the parent
+may write ahead of the answers.
 
 Each distinct source is compiled once (up to 4,096 kept) and its code runs
 into a fresh namespace per request, so no state carries from one request to
@@ -36,7 +37,6 @@ def _execute(request: dict, codes: dict) -> dict:
     source = request["source"]
     function_name = request["function_name"]
     input_text = request.get("input", "")
-    trace = bool(request.get("trace"))
 
     try:
         args = ast.literal_eval("(" + input_text + ",)") if input_text.strip() else ()
@@ -71,31 +71,23 @@ def _execute(request: dict, codes: dict) -> dict:
                 "error": {"kind": type(exc).__name__, "line": _err_line(exc),
                           "message": str(exc)}}
 
-    if trace:
-        sys.settrace(tracer)
+    sys.settrace(tracer)
     try:
         result = fn(*args)
     except Exception as exc:
-        return {"status": "error",
-                "covered_lines": sorted(covered) if trace else None,
-                "steps": steps if trace else None,
+        return {"status": "error", "covered_lines": sorted(covered), "steps": steps,
                 "error": {"kind": type(exc).__name__, "line": _err_line(exc),
                           "message": str(exc)}}
     finally:
-        if trace:
-            sys.settrace(None)
+        sys.settrace(None)
 
     try:
         output_repr = repr(result)
     except Exception:
         return {"status": "error",
                 "error": {"kind": "UnrepresentableOutput", "line": 0}}
-    return {
-        "status": "ok",
-        "output_repr": output_repr,
-        "covered_lines": sorted(covered) if trace else None,
-        "steps": steps if trace else None,
-    }
+    return {"status": "ok", "output_repr": output_repr,
+            "covered_lines": sorted(covered), "steps": steps}
 
 
 def _err_line(exc: BaseException) -> int:

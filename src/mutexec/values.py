@@ -24,7 +24,11 @@ INT_MAX = 2**63 - 1
 
 
 def canonical_repr(value: Value) -> str:
-    """Canonical literal text: lists as ``[e1, e2]``, booleans ``True``/``False``."""
+    """Canonical literal text: lists as ``[e1, e2]``, booleans ``True``/``False``.
+
+    Raises TypeError for a value that has none: one that holds bytes, a
+    complex, an ``inf`` or a ``nan``, or any other type not listed here.
+    """
     if isinstance(value, bool):
         return "True" if value else "False"
     if isinstance(value, int):
@@ -46,7 +50,7 @@ def canonical_repr(value: Value) -> str:
         return "{" + ", ".join(sorted(canonical_repr(v) for v in value)) + "}"
     if value is None:
         return "None"
-    if isinstance(value, (str, float)):
+    if isinstance(value, str) or isinstance(value, float) and math.isfinite(value):
         return repr(value)
     raise TypeError(f"no canonical representation for {type(value).__name__}")
 
@@ -142,14 +146,3 @@ def contains_float(value: Value) -> bool:
     if isinstance(value, dict):
         return any(contains_float(k) or contains_float(v) for k, v in value.items())
     return False
-
-
-def is_finite(value: Value) -> bool:
-    """False if the value holds an inf or nan float, which has no literal text."""
-    if isinstance(value, float):
-        return math.isfinite(value)
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return all(is_finite(v) for v in value)
-    if isinstance(value, dict):
-        return all(is_finite(k) and is_finite(v) for k, v in value.items())
-    return True

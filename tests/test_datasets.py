@@ -480,13 +480,26 @@ class TestOneGroundTruthPath:
         return out
 
     def test_builtin_and_external_ingest_write_the_same_bytes(self, tmp_path):
+        # the loop takes 303 line events in either executor, under the
+        # default budget of 1000
+        loop = ("def f(xs):\n    t = 0\n    for i in range(len(xs)):\n"
+                "        t = t + xs[i] * 2\n    return t")
         records = [{"source": "def f(a1):\n    a1.append(1)\n    return a1",
-                    "function_name": "f", "input": "[1,2]"}]
+                    "function_name": "f", "input": "[1,2]"},
+                   {"source": loop, "function_name": "f", "input": str(list(range(150)))},
+                   {"source": "def f(a1):\n    return a1", "function_name": "f",
+                    "input": "1e999"}]
         builtin = self.ingest(tmp_path, records, "--executor", "builtin")
         external = self.ingest(tmp_path, records, "--executor", "external")
         assert builtin.read_bytes() == external.read_bytes()
-        problem, = load_jsonl(str(builtin))
-        assert (problem.input, problem.output) == ("[1, 2]", "[1, 2, 1]")
+        rejected = [(tmp_path / f"{out.name}.rejected.jsonl").read_bytes()
+                    for out in (builtin, external)]
+        assert rejected[0] == rejected[1]
+        assert [json.loads(line)["reason"] for line in rejected[0].splitlines()] == [
+            "unparseable input"]
+        appended, summed = load_jsonl(str(builtin))
+        assert (appended.input, appended.output) == ("[1, 2]", "[1, 2, 1]")
+        assert summed.output == str(2 * sum(range(150)))
         with open(str(builtin) + ".manifest.json") as fh:
             manifest = json.load(fh)
         assert manifest["seed"] is None and "seed" not in manifest["options"]
@@ -508,13 +521,17 @@ class TestOneGroundTruthPath:
             {"source": "def f(a1):\n    return len(a1)", "function_name": "f",
              "input": 'b"ab"'},
             {"source": "def f(a1):\n    return a1", "function_name": "f", "input": "[1,"},
+            {"source": "def f(a1):\n    return 1e999", "function_name": "f", "input": "1"},
+            {"source": "def f(a1):\n    return a1", "function_name": "f",
+             "input": "[1, -1e999]"},
         ]
         out = self.ingest(tmp_path, records)
-        assert "ingested 0 problems, rejected 4" in capsys.readouterr().out
+        assert "ingested 0 problems, rejected 6" in capsys.readouterr().out
         with open(str(out) + ".rejected.jsonl") as fh:
             rejected = [json.loads(line)["reason"] for line in fh]
         assert rejected == ["execution failed: UnrepresentableOutput"] * 2 + [
-            "unparseable input"] * 2
+            "unparseable input"] * 2 + ["execution failed: UnrepresentableOutput",
+                                        "unparseable input"]
 
     def test_mutant_returning_bytes_is_no_survivor(self, tmp_path, capsys):
         # every mutant that changes the first output returns bytes

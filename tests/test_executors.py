@@ -31,7 +31,7 @@ def one_at_a_time(calls, command=None, timeout=10.0):
 
 
 def times(n):
-    return (f"def f(a1):\n    return a1 * {n}", "f", (3,), True)
+    return (f"def f(a1):\n    return a1 * {n}", "f", (3,))
 
 
 def scripted(tmp_path, body):
@@ -99,9 +99,9 @@ class TestExternalExecutor:
             "    else:\n"
             "        return 0\n"
         )
-        taken = external.run(source, "f", ([1, 2, 3],), trace=True)
+        taken = external.run(source, "f", ([1, 2, 3],))
         assert 3 in taken.covered_lines and 5 not in taken.covered_lines
-        skipped = external.run(source, "f", ([1],), trace=True)
+        skipped = external.run(source, "f", ([1],))
         assert 5 in skipped.covered_lines and 3 not in skipped.covered_lines
         assert taken.steps > 0
 
@@ -291,7 +291,7 @@ class TestBatch:
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_crash_at_request_k(self, k):
         calls = [times(n) for n in range(6)]
-        calls[k] = ("import os\ndef f(a1):\n    os._exit(1)", "f", (1,), True)
+        calls[k] = ("import os\ndef f(a1):\n    os._exit(1)", "f", (1,))
         with ExternalExecutor(timeout=5.0) as executor:
             batch = [outcome(r) for r in executor.run_many(calls)]
         assert batch == one_at_a_time(calls, timeout=5.0)
@@ -301,7 +301,7 @@ class TestBatch:
 
     def test_hang_at_request_k(self):
         calls = [times(n) for n in range(5)]
-        calls[2] = ("def f(a1):\n    while True:\n        pass", "f", (1,), True)
+        calls[2] = ("def f(a1):\n    while True:\n        pass", "f", (1,))
         with ExternalExecutor(timeout=1.0) as executor:
             batch = [outcome(r) for r in executor.run_many(calls)]
         assert batch == one_at_a_time(calls, timeout=1.0)
@@ -311,8 +311,7 @@ class TestBatch:
     def test_partial_line_then_stall_mid_batch(self, tmp_path):
         command = scripted(tmp_path, [
             "sys.stdout.write('{\"status\"')", "sys.stdout.flush()", "time.sleep(60)"])
-        calls = [("", "good", (1,), False), ("", "stall", (1,), False),
-                 ("", "good", (2,), False)]
+        calls = [("", "good", (1,)), ("", "stall", (1,)), ("", "good", (2,))]
         with ExternalExecutor(command, timeout=1.0) as executor:
             executor.run("", "warm", (1,))  # the child is up before the clock starts
             start = time.monotonic()
@@ -332,8 +331,8 @@ class TestBatch:
         timeout."""
         timeout = 1.0
         padding = "#" + "x" * 8000 + "\n"
-        calls = [(source, "f", (1,), False)]
-        calls += [(padding + f"def f(a1):\n    return a1 + {n}", "f", (1,), False)
+        calls = [(source, "f", (1,))]
+        calls += [(padding + f"def f(a1):\n    return a1 + {n}", "f", (1,))
                   for n in range(40)]
         assert sum(len(source) for source, *_ in calls) > 1 << 18
         with ExternalExecutor(timeout=timeout) as executor:
@@ -349,8 +348,7 @@ class TestBatch:
         command = scripted(tmp_path, [
             "print(json.dumps({'id': request['id'] + 1, 'status': 'ok',"
             " 'output_repr': '8'}), flush=True)"])
-        calls = [("", "good", (1,), False), ("", "bad", (1,), False),
-                 ("", "good", (2,), False)]
+        calls = [("", "good", (1,)), ("", "bad", (1,)), ("", "good", (2,))]
         with ExternalExecutor(command, timeout=5.0) as executor:
             batch = [outcome(r) for r in executor.run_many(calls)]
         assert batch == one_at_a_time(calls, command, timeout=5.0)
@@ -359,7 +357,7 @@ class TestBatch:
 
     def test_bundled_child_echoes_the_id(self):
         requests = [{"id": 7, "source": "def f(a1):\n    return a1", "function_name": "f",
-                     "input": "1", "trace": False}, "not json"]
+                     "input": "1"}, "not json"]
         done = subprocess.run(
             [sys.executable, "-m", "mutexec.python_exec"], capture_output=True, timeout=30,
             input="".join(json.dumps(r) + "\n" for r in requests).encode())
@@ -381,7 +379,7 @@ class TestCompileCache:
         with ExternalExecutor(timeout=5.0) as executor:
             first = executor.run(source, "f", (1,))
             child = executor.proc
-            results = [first] + executor.run_many([(source, "f", (1,), False)] * 2)
+            results = [first] + executor.run_many([(source, "f", (1,))] * 2)
             assert executor.proc is child
         assert [(r.status, r.output) for r in results] == [("ok", expected)] * 3
 
@@ -390,7 +388,7 @@ class TestCompileCache:
         with ExternalExecutor(timeout=5.0) as executor:
             results = [executor.run(source, "f", (1,))]
             child = executor.proc
-            results += executor.run_many([(source, "f", (1,), False)] * 2)
+            results += executor.run_many([(source, "f", (1,))] * 2)
             assert executor.proc is child
         assert [(r.status, r.error_kind, r.error_line) for r in results] == [
             ("error", "SyntaxError", 2)] * 3
@@ -406,7 +404,7 @@ class TestDifferential:
         """Differential check on the fixture programs, the seed-11 small
         corpus and every mutant candidate of its programs (not only the
         survivors: mutant selection reads coverage): the same status,
-        canonical output, error kind, error line and covered lines."""
+        canonical output, error kind, error line, covered lines and steps."""
         with open(fixture_path("differential.jsonl")) as fh:
             entries = [json.loads(line) for line in fh if line.strip()]
         cases = [(e["source"], e["function_name"], e["input"]) for e in entries]
@@ -419,9 +417,9 @@ class TestDifferential:
         for source, function_name, input_text in cases:
             args = parse_args(input_text)
             mini = builtin.run(source, function_name, args)
-            ext = external.run(source, function_name, args, trace=True)
+            ext = external.run(source, function_name, args)
             seen = [
-                (r.status, r.error_kind, r.error_line, sorted(r.covered_lines))
+                (r.status, r.error_kind, r.error_line, sorted(r.covered_lines), r.steps)
                 for r in (mini, ext)
             ]
             if mini.status == "ok":

@@ -128,7 +128,7 @@ class TestExtractPrediction:
         assert extract_prediction(text).value == [1, 7]
 
     def test_non_literal_rhs_unparsed(self):
-        for rhs in ("[1]+[2]", "f(2)", "len([1])", "x", "??"):
+        for rhs in ("[1]+[2]", "f(2)", "len([1])", "x", "??", "1e999", "[-1e999]"):
             assert extract_prediction(f"[ANSWER]assert f(1) == {rhs}[/ANSWER]") is None
 
     def test_missing_assert_unparsed(self):

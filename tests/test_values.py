@@ -8,7 +8,6 @@ from mutexec.values import (
     copy_value,
     format_args,
     is_boolean_output,
-    is_finite,
     parse_args,
     parse_literal,
     values_equal,
@@ -79,10 +78,11 @@ def test_contains_float():
     assert not contains_float([1, 2, (3, True)])
 
 
-def test_is_finite():
-    assert is_finite([1, 2.5, (3, "inf"), {"a": -0.0}])
+def test_non_finite_floats_have_no_canonical_text():
+    assert canonical_repr([1, 2.5, (3, "inf"), {"a": -0.0}]) == "[1, 2.5, (3, 'inf'), {'a': -0.0}]"
     for value in (float("inf"), [float("-inf")], {float("nan"): 1}, {"a": (float("nan"),)}):
-        assert not is_finite(value)
+        with pytest.raises(TypeError):
+            canonical_repr(value)
 
 
 def _shape(value, ids=None):
