@@ -1,3 +1,5 @@
 """Program generation, mutation, and execution-reasoning evaluation toolkit."""
 
-__version__ = "0.1.0"
+# the one place the version is set (pyproject.toml reads it); a change to
+# what a seed samples bumps it
+__version__ = "0.2.0"

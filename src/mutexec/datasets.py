@@ -95,7 +95,11 @@ def _sample_combos(config: DslListConfig, combos: list[tuple[int, int]]) -> dict
     import pickle
     import signal
 
-    # snake order, heaviest combos first, so the lanes' loads even out
+    # snake order of (arity, depth), largest first: for the dataset's four
+    # combos that deals {a2d5, a1d4} and {a2d4, a1d5}, the split that
+    # longest-first dealing by measured cost gives too (in process, seed 3,
+    # 220 programs each, best of 6: a2d5 0.32 s, a1d5 0.26 s, a2d4 0.12 s,
+    # a1d4 0.11 s)
     dealt: list[list[tuple[int, int]]] = [[] for _ in range(lanes)]
     for index, combo in enumerate(sorted(combos, reverse=True)):
         turn, lane = divmod(index, lanes)
@@ -441,8 +445,9 @@ def ingest_external(
     """Execute {source, function_name, input} records for ground truth.
 
     Applies the character-length window, rejects programs whose two runs
-    disagree (nondeterminism), and rejects runs beyond the step budget.
-    Rejections are reported per problem, never as a global failure.
+    disagree (nondeterminism), and rejects runs beyond the step budget or,
+    under a budget, runs whose executor reports no step count.  Rejections
+    are reported per problem, never as a global failure.
     """
     config = config or IngestConfig()
     problems: list[Problem] = []
@@ -471,9 +476,13 @@ def ingest_external(
         if second.status != "ok" or canonical_repr(second.output) != output:
             reject("nondeterministic output")
             continue
-        if config.max_steps is not None and first.steps > config.max_steps:
-            reject(f"step count {first.steps} above {config.max_steps}")
-            continue
+        if config.max_steps is not None:
+            if first.steps is None:
+                reject("step count not reported")
+                continue
+            if first.steps > config.max_steps:
+                reject(f"step count {first.steps} above {config.max_steps}")
+                continue
         problems.append(Problem(
             id=record.get("id", f"ext-{index:04d}"),
             dataset="external",

@@ -23,13 +23,13 @@ line as soon as it has read it.  ``input`` is ``format_args`` of the
 argument tuple.  ``output_repr`` may be any literal text; a value it parses
 to that has no ``canonical_repr`` (bytes, complex, inf, nan) is kind
 "UnrepresentableOutput".  A child may leave out ``covered_lines`` and
-``steps``; the result then reports none.  A request whose whole response
-line has not arrived within the timeout of the previous answer kills the
-child and reports kind "Timeout"; the requests after it go to a fresh
-child.  A response that is not a JSON object, answers another ``id`` or has
-a field of the wrong type kills the child too and reports kind
-"BadResponse".  So each result of a batch equals what ``run`` of that call
-alone gives.  The first request is a probe with an empty source and
+``steps``; the result then reports no covered lines and ``steps`` None.  A
+request whose whole response line has not arrived within the timeout of the
+previous answer kills the child and reports kind "Timeout"; the requests
+after it go to a fresh child.  A response that is not a JSON object,
+answers another ``id`` or has a field of the wrong type kills the child too
+and reports kind "BadResponse".  So each result of a batch equals what
+``run`` of that call alone gives.  The first request is a probe with an empty source and
 function name; a command whose child does not answer it with a well-formed
 response raises RuntimeError from ``run`` or ``run_many``.
 """
@@ -238,10 +238,10 @@ class ExternalExecutor:
         if type(answered) is not int or answered != request_id:
             return None
         covered = response.get("covered_lines") or []
-        steps = response.get("steps") or 0
+        steps = response.get("steps")
         if not isinstance(covered, list) or not all(type(n) is int for n in covered):
             return None
-        if type(steps) is not int:
+        if steps is not None and type(steps) is not int:
             return None
         if response.get("status") == "ok":
             output_repr = response.get("output_repr", "None")

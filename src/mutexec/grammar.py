@@ -17,18 +17,26 @@ nonterminal with probability proportional to its weight (the weight of its
 head primitive; literals and parameters weigh 1) and recurses, one
 ``rng.random()`` per production in preorder.
 
-Sample-time rules s1-s4 and the run-time same-output rule are enforced by
-rejection in ``sample_valid_program``, not by grammar surgery.  Each draw is
-rejected at the cheapest stage that can reject it, in this order:
+The sample-time rule s4 (every parameter occurs) is compiled into the draw:
+``sample_valid_program`` draws from tables conditioned on the parameters
+each subtree uses (``_conditioned_tables``, the inside algorithm over
+parameter sets), which give every derivation that uses all parameters its
+plain probability divided by the probability that a plain derivation does,
+and no other derivation.  That is the distribution a draw-and-reject-on-s4
+loop accepts from, with no draw spent on a missed parameter.
 
-1. s4, on the drawn productions: a derivation that uses no production of
-   some parameter is rejected before its term is built;
-2. s1-s4 on the built term (``check_constraints``), before inputs are drawn;
-3. a screen with the term evaluator ``dsl.eval_dsl_outcomes``: a runtime error
+The other rules, s1-s3 and the run-time same-output rule, are enforced by
+rejection in ``sample_valid_program``.  Each draw is rejected at the
+cheapest stage that can reject it, in this order:
+
+1. s1-s4 on the built term (``check_constraints``), before inputs are drawn;
+   s4 stays checked there and on the drawn productions, as a guard that
+   never fires;
+2. a screen with the term evaluator ``dsl.eval_dsl_outcomes``: a runtime error
    or the same output on every input rejects the draw;
-4. the one translation of the term, interpreted on every input.
+3. the one translation of the term, interpreted on every input.
 
-The ground truths come from step 4, never from the screen, and a candidate
+The ground truths come from step 3, never from the screen, and a candidate
 that the interpreter fails or finds constant is still rejected.  The
 rejections of each call are counted in ``SampledProgram.rejections``.
 
@@ -122,8 +130,8 @@ class Cfg:
     max_depth: int
 
     def __post_init__(self):
-        # Sampler's tables per weight overrides, built on first use; not a
-        # field, so equality and repr see only the grammar
+        # Sampler's tables per weight overrides and parameter mask, built on
+        # first use; not a field, so equality and repr see only the grammar
         self.draw_tables: dict = {}
 
     @property
@@ -412,7 +420,9 @@ def compile_cfg(
 class SamplerConfig:
     """How ``sample_valid_program`` draws: production weight overrides, the
     sampled inputs and the attempt budget.  The program type and depth bound
-    are the ``Cfg``'s."""
+    are the ``Cfg``'s.  ``max_attempts`` bounds the draws of one call; with
+    s4 on, every draw already uses every parameter, so it counts only
+    those."""
 
     weight_overrides: dict[str, float] = field(default_factory=dict)
     input_count: int = 3
@@ -427,6 +437,11 @@ def production_weight(production: Production, overrides: dict[str, float]) -> fl
     return overrides.get(production.head, production.weight)
 
 
+def _param_bit(production: Production) -> int:
+    """``1 << (i - 1)`` for the parameter production of ``a<i>``, else 0."""
+    return 1 << (production.value - 1) if production.head == "param" else 0
+
+
 def _draw_tables(cfg: Cfg, overrides: dict[str, float]):
     """The grammar's productions with nonterminals interned to ints.
 
@@ -435,9 +450,9 @@ def _draw_tables(cfg: Cfg, overrides: dict[str, float]):
     entries)``: the running sums of the production weights with the last one
     replaced by infinity, so that a draw never runs past the row; the true
     sum, which scales the draw; and per production ``(production, param_bit,
-    children)``.  ``param_bit`` is ``1 << (i - 1)`` for the parameter
-    production of ``a<i>`` and 0 otherwise, and ``children`` are row indices
-    in reverse, so a stack pops them left to right.
+    children)``.  ``param_bit`` is ``_param_bit(production)`` and
+    ``children`` are row indices in reverse, so a stack pops them left to
+    right.
     """
     index = {nt: i for i, nt in enumerate(cfg.productions)}
     rows = []
@@ -450,28 +465,135 @@ def _draw_tables(cfg: Cfg, overrides: dict[str, float]):
         for p in prods:
             total += production_weight(p, overrides)
             cumulative.append(total)
-            bit = 1 << (p.value - 1) if p.head == "param" else 0
-            entries.append((p, bit, tuple(index[c] for c in reversed(p.children))))
+            entries.append((p, _param_bit(p), tuple(index[c] for c in reversed(p.children))))
         cumulative[-1] = math.inf
         rows.append((cumulative, total, tuple(entries)))
     return index, rows
 
 
+def _shares(prods: tuple[Production, ...], overrides: dict[str, float]) -> list[float]:
+    """The probability that a plain draw takes each of a nonterminal's
+    productions; all 0 when their weights are (it is never drawn)."""
+    weights = [production_weight(p, overrides) for p in prods]
+    total = sum(weights)
+    return [w / total if total else 0.0 for w in weights]
+
+
+def _inside_masses(cfg: Cfg, overrides: dict[str, float]) -> dict[NT, list[float]]:
+    """``masses[nt][u]``: the probability that a plain derivation from
+    ``nt`` uses exactly the parameters of mask ``u`` (bit ``i - 1`` for
+    ``a<i>``).
+
+    A production's set is its own bit or-ed with its children's sets, and
+    children are one level shallower than their parent, so one pass over
+    the nonterminals by increasing depth fills every list.
+    """
+    size = 1 << cfg.arity
+    masses: dict[NT, list[float]] = {}
+    for nt in sorted(cfg.productions, key=lambda nt: nt.depth):
+        prods = cfg.productions[nt]
+        if not prods:
+            raise EmptyLanguage(f"nonterminal {nt} has no productions")
+        mass = [0.0] * size
+        for p, share in zip(prods, _shares(prods, overrides)):
+            dist = [0.0] * size
+            dist[_param_bit(p)] = share
+            for c in p.children:
+                child = masses[c]
+                joined = [0.0] * size
+                for a, x in enumerate(dist):
+                    if x:
+                        for b, y in enumerate(child):
+                            if y:
+                                joined[a | b] += x * y
+                dist = joined
+            for u, x in enumerate(dist):
+                mass[u] += x
+        masses[nt] = mass
+    return masses
+
+
+def _conditioned_tables(cfg: Cfg, overrides: dict[str, float], uses: int):
+    """Draw tables for the derivations that use exactly the parameters of
+    mask ``uses``, each drawn with its plain probability divided by the
+    probability that a plain derivation uses exactly those parameters.
+
+    A row stands for a pair (nonterminal N, mask U): the derivations from N
+    that use exactly U.  Its entries are a production p of N with one mask
+    per child, U_1..U_n, such that p's own bit or-ed with U_1..U_n is U; an
+    entry weighs p's share times the masses of (child i, U_i), so the row
+    sums to the mass of (N, U), and child i continues in the row of (child
+    i, U_i).  Entries of zero mass are left out, and only the rows reachable
+    from (start, ``uses``) are built.  Returns ``(index, rows)`` as
+    ``_draw_tables`` does, with the start symbol the one key of ``index``.
+    """
+    masses = _inside_masses(cfg, overrides)
+    if not masses[cfg.start][uses]:
+        raise EmptyLanguage(f"no derivation uses exactly the parameters of mask {uses:#b}")
+    rows: list = []
+    row_of: dict[tuple[NT, int], int] = {}
+
+    def row(nt: NT, used: int) -> int:
+        key = (nt, used)
+        i = row_of.get(key)
+        if i is None:
+            # the key holds the row's place until the loop below builds it
+            i = row_of[key] = len(rows)
+            rows.append(key)
+        return i
+
+    row(cfg.start, uses)
+    for i, (nt, used) in enumerate(rows):  # runs on over the rows it adds
+        cumulative: list[float] = []
+        total = 0.0
+        entries = []
+        prods = cfg.productions[nt]
+        for p, share in zip(prods, _shares(prods, overrides)):
+            bit = _param_bit(p)
+            if bit & ~used:
+                continue
+            choices = [[(c, u, m) for u, m in enumerate(masses[c]) if m and not u & ~used]
+                       for c in p.children]
+            for sets in itertools.product(*choices):
+                weight = share
+                union = bit
+                for _, u, m in sets:
+                    weight *= m
+                    union |= u
+                if union == used:
+                    total += weight
+                    cumulative.append(total)
+                    children = tuple([row(c, u) for c, u, _ in reversed(sets)])
+                    entries.append((p, bit, children))
+        cumulative[-1] = math.inf
+        rows[i] = (cumulative, total, tuple(entries))
+    return {cfg.start: 0}, rows
+
+
 class Sampler:
     """Reusable top-down sampler over int-indexed cumulative weight tables.
 
-    The tables are built once per grammar and weight overrides and kept on
-    the ``Cfg``.  Every production drawn consumes one ``rng.random()``, in
-    preorder, whichever of ``draw``, ``derive`` or ``sample`` draws it.
+    The tables are built once per grammar, weight overrides and ``uses``,
+    and kept on the ``Cfg``.  With ``uses`` None they are the grammar's own
+    productions (``_draw_tables``).  With a parameter mask they draw only
+    derivations that use exactly those parameters, each with its plain
+    probability conditioned on that (``_conditioned_tables``), and ``draw``
+    and ``derive`` start only at the start symbol.  Every production drawn
+    consumes one ``rng.random()``, in preorder, whichever of ``draw``,
+    ``derive`` or ``sample`` draws it.
     """
 
-    def __init__(self, cfg: Cfg, overrides: dict[str, float] | None = None):
+    def __init__(self, cfg: Cfg, overrides: dict[str, float] | None = None,
+                 uses: int | None = None):
         self.cfg = cfg
         overrides = overrides or {}
-        key = tuple(sorted(overrides.items()))
-        if key not in cfg.draw_tables:
-            cfg.draw_tables[key] = _draw_tables(cfg, overrides)
-        self.index, self.rows = cfg.draw_tables[key]
+        key = (tuple(sorted(overrides.items())), uses)
+        tables = cfg.draw_tables.get(key)
+        if tables is None:
+            tables = cfg.draw_tables[key] = (
+                _draw_tables(cfg, overrides) if uses is None
+                else _conditioned_tables(cfg, overrides, uses))
+        self.index, self.rows = tables
 
     def draw(self, nt: NT, rng: random.Random) -> Production:
         cumulative, total, entries = self.rows[self.index[nt]]
@@ -579,23 +701,26 @@ def sample_valid_program(
     *,
     rng: random.Random,
 ) -> SampledProgram:
-    """Rejection-sample until a program passes s1-s4, executes cleanly on all
-    sampled inputs, and does not produce the same output on every input.
+    """Sample until a program passes s1-s4, executes cleanly on all sampled
+    inputs, and does not produce the same output on every input.
 
-    Each draw is rejected at the cheapest stage that can reject it: a
-    derivation missing a parameter is rejected by s4 before its term is
-    built; a built term is checked against s1-s4 before inputs are drawn;
-    the term evaluator then screens out runtime errors and constant output.
-    Only a candidate past the screen is translated, once, and ``executor(
-    program, args)`` runs that translation on every input; its outputs are
-    the ground truths, and a run it fails or finds constant still rejects
-    the candidate.  The accepted translation is returned as
-    ``SampledProgram.program``.
+    With s4 on, every draw uses every parameter: it comes from the
+    ``Sampler`` tables conditioned on that, so an s4 miss costs no attempt
+    and ``rejections["s4"]`` stays 0 (the check on the drawn productions
+    stays as a guard).  Each draw is rejected at the cheapest stage that
+    can reject it: a built term is checked against s1-s4 before inputs are
+    drawn; the term evaluator then screens out runtime errors and constant
+    output.  Only a candidate past the screen is translated, once, and
+    ``executor(program, args)`` runs that translation on every input; its
+    outputs are the ground truths, and a run it fails or finds constant
+    still rejects the candidate.  The accepted translation is returned as
+    ``SampledProgram.program``.  ``rng`` is consumed as by a plain loop of
+    these stages over the conditioned draws.
     """
     run = executor or default_executor
     arity = cfg.arity
-    sampler = Sampler(cfg, config.weight_overrides)
     required = (1 << arity) - 1 if "s4" in cfg.constraints.sample_time else 0
+    sampler = Sampler(cfg, config.weight_overrides, required or None)
     rejections = dict.fromkeys(REJECTION_STAGES, 0)
     for attempt in range(1, config.max_attempts + 1):
         derivation, params_used = sampler.derive(rng)

@@ -761,7 +761,7 @@ class ExecResult:
     status: str  # "ok" | "error"
     output: Value = None
     covered_lines: set[int] = field(default_factory=set)
-    steps: int = 0
+    steps: int | None = 0  # None: an external child did not report it
     error_kind: str | None = None
     error_line: int | None = None
 

@@ -8,10 +8,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), ".."))
 
 import pytest
 
-from mutexec import datasets
 from mutexec.executors import BuiltinExecutor
 from mutexec.mutate import enumerate_source_mutants, mutate_dataset
-from mutexec.problems import pair_by_id
+from mutexec.problems import load_jsonl, pair_by_id
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -85,9 +84,11 @@ needs_python_tokenize = pytest.mark.skipif(
 
 @pytest.fixture(scope="session")
 def small_corpus():
-    """A reduced sampled-program dataset for pipeline tests (fast)."""
-    config = datasets.DslListConfig(seed=11, programs_per_combo=120, per_bin=2)
-    return datasets.build_dsl_list(config)
+    """A reduced sampled-program dataset for pipeline tests: 20 programs x 3
+    inputs, as ``DslListConfig(seed=11, programs_per_combo=120, per_bin=2)``
+    built it in version 0.1.0.  It is read from a file, so the pins of the
+    layers after sampling do not move when the sampler's draws do."""
+    return load_jsonl(fixture_path("small_corpus.jsonl"))
 
 
 @pytest.fixture(scope="session")

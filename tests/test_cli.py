@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import mutexec
 from mutexec import cli, executors, grammar, harness, llm_client
 from mutexec.cli import build_parser, dispatch, load_config_file
 from mutexec.grammar import AttemptsExhausted
@@ -93,7 +94,7 @@ class TestBuildDslListOptions:
     def test_input_options_reach_the_sampler(self, tmp_path):
         out = tmp_path / "d.jsonl"
         assert dispatch([
-            "build-dsl-list", "--seed", "2", "--programs-per-combo", "60",
+            "build-dsl-list", "--seed", "1", "--programs-per-combo", "60",
             "--per-bin", "1", "--input-count", "2", "--list-len-min", "1",
             "--list-len-max", "2", "--element-min", "6", "--element-max", "9",
             "--out", str(out),
@@ -121,9 +122,24 @@ class TestMutatePipeline:
         manifest = json.load(open(manifest_path))
         assert manifest["command"] == "build-dsl-list"
         assert manifest["seed"] == 3
+        # the version that maps a seed to these bytes
+        assert manifest["version"] == mutexec.__version__
         assert manifest["outputs"] == [str(tiny_dataset / "problems.jsonl")]
         mutate_manifest = json.load(open(tiny_dataset / "pairs" / "mutate.manifest.json"))
         assert str(tiny_dataset / "problems.jsonl") in mutate_manifest["inputs"]
+
+
+def test_version_has_one_source(capsys):
+    # pyproject.toml takes the package's version from mutexec.__version__
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert 'dynamic = ["version"]' in text
+    assert 'version = {attr = "mutexec.__version__"}' in text
+    assert '\nversion = "' not in text
+    with pytest.raises(SystemExit):
+        dispatch(["--version"])
+    assert capsys.readouterr().out == mutexec.__version__ + "\n"
 
 
 class TestRunAndReport:
@@ -498,10 +514,10 @@ class TestPipelineFailures:
 
     def test_underpopulated_bin(self, tmp_path, capsys):
         out = tmp_path / "d.jsonl"
-        assert dispatch(["build-dsl-list", "--programs-per-combo", "30",
+        assert dispatch(["build-dsl-list", "--programs-per-combo", "27",
                          "--per-bin", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: arity 2: LOC bin (20, 24) has 0 programs, need 1\n")
+            "error: arity 2: LOC bin (4, 8) has 0 programs, need 1\n")
         assert not out.exists()
 
     def test_attempts_exhausted(self, tmp_path, capsys):

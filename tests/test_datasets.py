@@ -3,12 +3,15 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import signal
+import sys
 import threading
 import time
 
 import pytest
 
+from conftest import fixture_path
 from mutexec import cli, datasets, transpile
 from mutexec.datasets import (
     DslListConfig,
@@ -30,21 +33,30 @@ from mutexec.problems import Problem, load_jsonl, save_jsonl
 from mutexec.values import canonical_repr, values_equal
 
 
+SMALL_CONFIG = DslListConfig(seed=11, programs_per_combo=120, per_bin=2)
+
+
+@pytest.fixture(scope="module")
+def sampled_corpus():
+    """The seed-11 small corpus as this version's sampler builds it."""
+    return build_dsl_list(SMALL_CONFIG)
+
+
 class TestDslList:
-    def test_small_build_shape(self, small_corpus):
+    def test_small_build_shape(self, sampled_corpus):
         # 2 signatures x 5 bins x 2 per bin = 20 programs, 3 inputs each
-        assert len(small_corpus) == 60
-        programs = {p.program_id for p in small_corpus}
+        assert len(sampled_corpus) == 60
+        programs = {p.program_id for p in sampled_corpus}
         assert len(programs) == 20
         for program_id in programs:
-            group = [p for p in small_corpus if p.program_id == program_id]
+            group = [p for p in sampled_corpus if p.program_id == program_id]
             assert len(group) == 3
             assert len({p.input for p in group}) == 3
 
-    def test_bin_histogram_per_signature(self, small_corpus):
+    def test_bin_histogram_per_signature(self, sampled_corpus):
         for arity in (1, 2):
             locs = {}
-            for p in small_corpus:
+            for p in sampled_corpus:
                 if p.arity == arity:
                     locs[p.program_id] = p.loc
             histogram = {bin_range: 0 for bin_range in datasets.LOC_BINS}
@@ -54,17 +66,16 @@ class TestDslList:
                         histogram[(lo, hi)] += 1
             assert list(histogram.values()) == [2, 2, 2, 2, 2]
 
-    def test_deterministic_bytes(self, tmp_path, small_corpus):
-        config = DslListConfig(seed=11, programs_per_combo=120, per_bin=2)
-        rebuilt = build_dsl_list(config)
+    def test_deterministic_bytes(self, tmp_path, sampled_corpus):
+        rebuilt = build_dsl_list(SMALL_CONFIG)
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        save_jsonl(small_corpus, str(a))
+        save_jsonl(sampled_corpus, str(a))
         save_jsonl(rebuilt, str(b))
         assert a.read_bytes() == b.read_bytes()
 
-    def test_outputs_reproducible_by_reexecution(self, small_corpus):
+    def test_outputs_reproducible_by_reexecution(self, sampled_corpus):
         executor = BuiltinExecutor()
-        for problem in small_corpus:
+        for problem in sampled_corpus:
             result = executor.run(problem.source, problem.function_name, problem.args())
             assert result.status == "ok"
             assert values_equal(result.output, problem.output_value())
@@ -75,15 +86,22 @@ class TestDslList:
         with pytest.raises(InsufficientBinPopulation):
             build_dsl_list(config)
 
-    def test_jsonl_round_trip(self, tmp_path, small_corpus):
+    def test_jsonl_round_trip(self, tmp_path, sampled_corpus):
         path = tmp_path / "problems.jsonl"
-        save_jsonl(small_corpus, str(path))
-        assert load_jsonl(str(path)) == small_corpus
+        save_jsonl(sampled_corpus, str(path))
+        assert load_jsonl(str(path)) == sampled_corpus
 
-    def test_small_corpus_digest_pinned(self, tmp_path, small_corpus):
+    def test_small_corpus_digest_pinned(self, tmp_path, sampled_corpus):
         path = tmp_path / "problems.jsonl"
-        save_jsonl(small_corpus, str(path))
+        save_jsonl(sampled_corpus, str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SMALL_CORPUS_SHA256
+
+    def test_small_corpus_fixture_is_pinned(self, small_corpus):
+        # the pipeline tests' corpus is the file, whatever the sampler draws
+        path = fixture_path("small_corpus.jsonl")
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == SMALL_CORPUS_FIXTURE_SHA256
+        assert small_corpus == load_jsonl(path)
 
     def test_one_translation_per_accepted_program(self, monkeypatch):
         # calls made in a forked lane are not counted here: run in-process
@@ -155,7 +173,7 @@ class TestParallelSampling:
     @pytest.mark.parametrize("lanes", [2, 3])
     def test_small_corpus_bytes_on_forked_lanes(self, monkeypatch, tmp_path, forks, lanes):
         patch_lanes(monkeypatch, lanes)
-        problems = build_dsl_list(DslListConfig(seed=11, programs_per_combo=120, per_bin=2))
+        problems = build_dsl_list(SMALL_CONFIG)
         assert len(forks) == lanes - 1
         assert_reaped(forks)
         digest = hashlib.sha256(jsonl_bytes(problems, tmp_path / "p.jsonl")).hexdigest()
@@ -239,7 +257,11 @@ class TestParallelSampling:
 
 # sha256 of the seed-11 small corpus as save_jsonl writes it; a change to the
 # seed -> dataset mapping has to update this on purpose
-SMALL_CORPUS_SHA256 = "86cb3d5d564583cffd97e8bb71dd3fc7f2656b560d5d7e7360979ea42f55f5c5"
+SMALL_CORPUS_SHA256 = "baa8b39537a28b9085a634aeb24c70b258e6160e4daa1aa70661e2cb1de2dc4f"
+
+# sha256 of tests/fixtures/small_corpus.jsonl, the seed-11 small corpus of
+# version 0.1.0, which the conftest's small_corpus fixture loads
+SMALL_CORPUS_FIXTURE_SHA256 = "86cb3d5d564583cffd97e8bb71dd3fc7f2656b560d5d7e7360979ea42f55f5c5"
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +554,23 @@ class TestOneGroundTruthPath:
         assert rejected == ["execution failed: UnrepresentableOutput"] * 2 + [
             "unparseable input"] * 2 + ["execution failed: UnrepresentableOutput",
                                         "unparseable input"]
+
+    def test_step_budget_rejects_a_child_that_reports_no_steps(self, tmp_path, capsys):
+        # a custom child that answers every request "ok", 7, with no steps
+        child = tmp_path / "child.py"
+        child.write_text(
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    print(json.dumps({'status': 'ok', 'output_repr': '7'}), flush=True)\n")
+        loop = "def f(n):\n    for i in range(10000):\n        n = n + 1\n    return n"
+        records = [{"source": loop, "function_name": "f", "input": "0"}]
+        command = f"{shlex.quote(sys.executable)} {shlex.quote(str(child))}"
+        out = self.ingest(tmp_path, records, "--executor-cmd", command, "--max-steps", "5")
+        assert "ingested 0 problems, rejected 1" in capsys.readouterr().out
+        with open(str(out) + ".rejected.jsonl") as fh:
+            assert [json.loads(line)["reason"] for line in fh] == ["step count not reported"]
+        with ExternalExecutor(command) as external:
+            assert external.run(loop, "f", (0,)).steps is None
 
     def test_mutant_returning_bytes_is_no_survivor(self, tmp_path, capsys):
         # every mutant that changes the first output returns bytes
