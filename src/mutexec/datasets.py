@@ -126,7 +126,12 @@ def _sample_combos(config: DslListConfig, combos: list[tuple[int, int]]) -> dict
         for pid in list(children):
             fd, lane_combos = children[pid]
             with open(fd, "rb", closefd=False) as pipe:
-                data = pipe.read()
+                try:
+                    # unpickled as it arrives, so the whole pickle is never
+                    # held at once
+                    payload = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    payload = None  # the lane died; its exit status says how
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             del children[pid]
             os.close(fd)
@@ -135,7 +140,7 @@ def _sample_combos(config: DslListConfig, combos: list[tuple[int, int]]) -> dict
                 labels = ", ".join(f"a{a}d{d}" for a, d in lane_combos)
                 raise RuntimeError(
                     f"sampling {labels}: child {pid} ended with {ended} and no result")
-            ok, value = pickle.loads(data)
+            ok, value = payload
             if not ok:
                 raise value
             results.update(value)

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import re
 import shlex
 import signal
@@ -218,6 +219,28 @@ class TestParallelSampling:
             os.kill(os.getpid(), signal.SIGKILL)
 
         patch_lanes(monkeypatch, 2, in_child=die)
+        with pytest.raises(RuntimeError, match=r"sampling a2d4, a1d5: child \d+ ended "
+                                               r"with signal 9 and no result"):
+            build_dsl_list(DslListConfig(seed=3, programs_per_combo=30, per_bin=1))
+        assert_reaped(forks)
+
+    def test_child_killed_mid_result_is_runtime_error(self, monkeypatch, forks):
+        # the lane writes half of its pickle and is killed instead of exiting
+        parent = os.getpid()
+        real_dumps, real_exit = pickle.dumps, os._exit
+
+        def half_dumps(obj, *args):
+            data = real_dumps(obj, *args)
+            return data if os.getpid() == parent else data[:len(data) // 2]
+
+        def killed_exit(status):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            real_exit(status)
+
+        monkeypatch.setattr(pickle, "dumps", half_dumps)
+        monkeypatch.setattr(os, "_exit", killed_exit)
+        patch_lanes(monkeypatch, 2)
         with pytest.raises(RuntimeError, match=r"sampling a2d4, a1d5: child \d+ ended "
                                                r"with signal 9 and no result"):
             build_dsl_list(DslListConfig(seed=3, programs_per_combo=30, per_bin=1))
