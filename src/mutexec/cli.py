@@ -8,15 +8,14 @@ alone, each option helper imports the module that owns its defaults, and each
 config file can supply any long-form option of the subcommand; explicit flags
 win.  Every artifact-producing command writes a ``<out>.manifest.json``
 recording the command, seed (null for a command without ``--seed``), input
-hashes, and tool version.  Usage errors, including an unknown config key,
-exit 2; pipeline failures exit 1.
+hashes, and tool version.  Usage errors, including an unknown config key or
+an option value out of range, exit 2; pipeline failures exit 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import math
 import os
@@ -51,7 +50,13 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+class UsageError(ValueError):
+    """Options that are each valid but do not go together; exits 2."""
+
+
 def _sha256(path: str) -> str:
+    import hashlib  # imported here: report hashes nothing, and OpenSSL is slow to load
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -135,9 +140,39 @@ def _weight(text: str) -> tuple[str, float]:
     return name, weight
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {text!r}")
+        return value
+    return parse
+
+
+def _seconds(text: str) -> float:
+    """An argparse type: a positive, finite number of seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive, finite number of seconds, got {text!r}")
+    return value
+
+
 def _sampler_config(args: argparse.Namespace):
     from .grammar import SamplerConfig
 
+    for option, lo, hi in (("list-len", args.list_len_min, args.list_len_max),
+                           ("element", args.element_min, args.element_max)):
+        if lo > hi:
+            raise UsageError(f"--{option}-min {lo} is above --{option}-max {hi}")
     return SamplerConfig(
         weight_overrides=dict(args.weight or ()),
         input_count=args.input_count,
@@ -267,7 +302,7 @@ def cmd_ingest(args) -> int:
     rejects_path = args.out + ".rejected.jsonl"
     with atomic_writer(rejects_path) as fh:
         for r in rejections:
-            fh.write(encode_json(vars(r)) + "\n")
+            fh.write(encode_json(r.to_json()) + "\n")
     write_manifest(args.out, "ingest", args, [getattr(args, "in")],
                    [args.out, rejects_path])
     print(f"ingested {len(problems)} problems, rejected {len(rejections)}")
@@ -312,6 +347,8 @@ def _check_templates() -> bool:
 
 
 def _model_config_sha(args) -> str:
+    import hashlib
+
     fields = {k: getattr(args, k, None)
               for k in ("model", "model_profile", "endpoint", "max_tokens", "mode")}
     return hashlib.sha256(
@@ -391,9 +428,9 @@ def cmd_report(args) -> int:
 
 
 def _add_sampler_options(parser):
-    parser.add_argument("--input-count", type=int, default=3)
-    parser.add_argument("--list-len-min", type=int, default=3)
-    parser.add_argument("--list-len-max", type=int, default=5)
+    parser.add_argument("--input-count", type=_int_at_least(1), default=3)
+    parser.add_argument("--list-len-min", type=_int_at_least(0), default=3)
+    parser.add_argument("--list-len-max", type=_int_at_least(0), default=5)
     parser.add_argument("--element-min", type=int, default=0)
     parser.add_argument("--element-max", type=int, default=5)
     parser.add_argument("--max-attempts", type=int, default=10_000)
@@ -408,12 +445,12 @@ def _add_executor_options(parser):
                         default="external")
     parser.add_argument("--executor-cmd",
                         help="external executor command (default: bundled)")
-    parser.add_argument("--executor-timeout", type=float, default=DEFAULT_TIMEOUT)
+    parser.add_argument("--executor-timeout", type=_seconds, default=DEFAULT_TIMEOUT)
 
 
 def _add_model_options(parser):
     from .harness import MODES
-    from .llm_client import ModelConfig
+    from .llm_client import DEFAULT_ENDPOINT
 
     parser.add_argument("--model", required=True,
                         help="mock:ground-truth-given | mock:ground-truth-original |"
@@ -421,7 +458,7 @@ def _add_model_options(parser):
                              " mock:scripted:<transcript> | http:<model-id>")
     parser.add_argument("--model-profile", default="traditional",
                         choices=("traditional", "reasoning", "effort"))
-    parser.add_argument("--endpoint", default=ModelConfig.endpoint)
+    parser.add_argument("--endpoint", default=DEFAULT_ENDPOINT)
     parser.add_argument("--parallelism", type=int, default=4)
     parser.add_argument("--max-tokens", type=int, default=None)
     parser.add_argument("--transcript", help="append-only request/response log")
@@ -552,6 +589,9 @@ def dispatch(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

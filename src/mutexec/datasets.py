@@ -321,10 +321,12 @@ def fixed_sort_search_headers() -> list[tuple[str, str]]:
     return [(entry["header"], entry["description"]) for entry in json.loads(data)]
 
 
-@dataclass
 class LlmListConfig:
-    inputs_per_function: int = 3
-    max_regenerations: int = 5
+    __slots__ = ("inputs_per_function", "max_regenerations")
+
+    def __init__(self, inputs_per_function: int = 3, max_regenerations: int = 5):
+        self.inputs_per_function = inputs_per_function
+        self.max_regenerations = max_regenerations
 
 
 def _loc(source: str) -> int:
@@ -416,18 +418,27 @@ def _generate_inputs(model, executor, name, description, code, config):
 # External ingestion
 
 
-@dataclass
 class IngestConfig:
-    min_chars: int = 100
-    max_chars: int = 800
-    max_steps: int | None = 1000  # line-event proxy for the op-count filter
+    __slots__ = ("min_chars", "max_chars", "max_steps")
+
+    def __init__(self, min_chars: int = 100, max_chars: int = 800,
+                 max_steps: int | None = 1000):
+        self.min_chars = min_chars
+        self.max_chars = max_chars
+        self.max_steps = max_steps  # line-event proxy for the op-count filter
 
 
-@dataclass
 class Rejection:
-    index: int
-    function_name: str
-    reason: str
+    __slots__ = ("index", "function_name", "reason")
+
+    def __init__(self, index: int, function_name: str, reason: str):
+        self.index = index
+        self.function_name = function_name
+        self.reason = reason
+
+    def to_json(self) -> dict:
+        return {"index": self.index, "function_name": self.function_name,
+                "reason": self.reason}
 
 
 def external_record(**record) -> dict:

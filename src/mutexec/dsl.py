@@ -28,7 +28,6 @@ mutates shared state first.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .values import copy_value
 
@@ -37,72 +36,102 @@ from .values import copy_value
 # Types
 
 
-def cached_hash(cls):
-    """Class decorator for a frozen dataclass: keep each instance's field
-    hash in the instance once computed, so hashing a nested value is not a
-    walk over it every time.
-
-    The cached hash stays out of pickles and copies, because string hashes
-    differ from process to process.
-    """
-    field_hash = cls.__hash__
-
-    def __hash__(self):
-        fields = self.__dict__
-        h = fields.get("_hash")
-        if h is None:
-            h = fields["_hash"] = field_hash(self)
-        return h
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
-
-    cls.__hash__ = __hash__
-    cls.__getstate__ = __getstate__
-    return cls
-
-
-@dataclass(frozen=True)
 class Ty:
-    """Base class for object-language types."""
+    """Base class for object-language types: values that compare and hash
+    by class and fields.  ``TList`` and ``TFun`` keep their hash in a slot
+    once computed, so hashing a nested type is not a walk over it every
+    time; the cached hash stays out of pickles and copies, because string
+    hashes differ from process to process."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return True
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
-@dataclass(frozen=True)
 class TInt(Ty):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "int"
 
 
-@dataclass(frozen=True)
 class TBool(Ty):
+    __slots__ = ()
+
     def __repr__(self) -> str:
         return "bool"
 
 
-@cached_hash
-@dataclass(frozen=True)
 class TList(Ty):
-    elem: Ty
+    __slots__ = ("elem", "_hash")
+
+    def __init__(self, elem: Ty):
+        self.elem = elem
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not TList:
+            return NotImplemented
+        return self.elem == other.elem
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.elem,))
+        return h
+
+    def __reduce__(self):
+        return TList, (self.elem,)
 
     def __repr__(self) -> str:
         return f"L({self.elem!r})"
 
 
-@dataclass(frozen=True)
 class TVar(Ty):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __eq__(self, other):
+        if other.__class__ is not TVar:
+            return NotImplemented
+        return self.name == other.name
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __repr__(self) -> str:
         return self.name
 
 
-@cached_hash
-@dataclass(frozen=True)
 class TFun(Ty):
-    arg: Ty
-    res: Ty
+    __slots__ = ("arg", "res", "_hash")
+
+    def __init__(self, arg: Ty, res: Ty):
+        self.arg = arg
+        self.res = res
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not TFun:
+            return NotImplemented
+        return self.arg == other.arg and self.res == other.res
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.arg, self.res))
+        return h
+
+    def __reduce__(self):
+        return TFun, (self.arg, self.res)
 
     def __repr__(self) -> str:
         arg = f"({self.arg!r})" if isinstance(self.arg, TFun) else repr(self.arg)
@@ -140,11 +169,13 @@ def nesting(ty: Ty) -> int:
 # Primitives
 
 
-@dataclass(frozen=True)
 class Primitive:
-    name: str
-    params: tuple[Ty, ...]
-    result: Ty
+    __slots__ = ("name", "params", "result")
+
+    def __init__(self, name: str, params: tuple[Ty, ...], result: Ty):
+        self.name = name
+        self.params = params
+        self.result = result
 
     @property
     def arity(self) -> int:
@@ -195,30 +226,23 @@ _S1_HEADS = frozenset(COMPARISONS + LOGICALS)
 _ARITY = {p.name: p.arity for p in PRIMITIVES}
 
 
-@dataclass(frozen=True, init=False)
 class Term:
     """AST node: a primitive application, integer literal, or parameter.
 
     ``head`` is a primitive name, ``"lit"``, or ``"param"``; ``value`` holds
     the literal value or 1-based parameter index.  ``partial`` marks the
-    function argument of ``map`` (one missing trailing argument).
+    function argument of ``map`` (one missing trailing argument).  Terms
+    compare by their fields, recursively.
     """
 
-    head: str
-    children: tuple["Term", ...] = ()
-    value: int | None = None
-    partial: bool = False
+    __slots__ = ("head", "children", "value", "partial")
 
     def __init__(self, head: str, children: tuple["Term", ...] = (),
                  value: int | None = None, partial: bool = False) -> None:
-        # The one constructor, validating.  It fills the instance dict
-        # directly: the generated frozen __init__ calls object.__setattr__
-        # once per field, about half the cost of building a sampled term.
-        fields = self.__dict__
-        fields["head"] = head
-        fields["children"] = children
-        fields["value"] = value
-        fields["partial"] = partial
+        self.head = head
+        self.children = children
+        self.value = value
+        self.partial = partial
         if head == "lit" or head == "param":
             if value is None or children:
                 raise ValueError(f"malformed {head} node")
@@ -231,6 +255,12 @@ class Term:
             raise ValueError(f"{head} expects {want} children, got {len(children)}")
         if partial and arity == 0:
             raise ValueError("zero-arity primitive cannot be partial")
+
+    def __eq__(self, other):
+        if other.__class__ is not Term:
+            return NotImplemented
+        return (self.head, self.children, self.value, self.partial) == (
+            other.head, other.children, other.value, other.partial)
 
     @property
     def is_lit(self) -> bool:
@@ -464,24 +494,29 @@ def typecheck(term: Term, param_type: Ty = TList(INT)) -> Ty:
 # Constraints
 
 
-@dataclass(frozen=True)
 class Violation:
-    rule: str
-    node: Term
-    detail: str
+    __slots__ = ("rule", "node", "detail")
+
+    def __init__(self, rule: str, node: Term, detail: str):
+        self.rule = rule
+        self.node = node
+        self.detail = detail
 
 
 COMPILE_RULES = ("c1", "c2", "c3", "c4")
 SAMPLE_RULES = ("s1", "s2", "s3", "s4")
 
 
-@dataclass(frozen=True)
 class ConstraintSet:
     """Structural rules; each independently toggleable.  The run-time rule
     (outputs must differ across the sampled inputs) is always on."""
 
-    compile_time: tuple[str, ...] = COMPILE_RULES
-    sample_time: tuple[str, ...] = SAMPLE_RULES
+    __slots__ = ("compile_time", "sample_time")
+
+    def __init__(self, compile_time: tuple[str, ...] = COMPILE_RULES,
+                 sample_time: tuple[str, ...] = SAMPLE_RULES):
+        self.compile_time = compile_time
+        self.sample_time = sample_time
 
     def without(self, *rules: str) -> "ConstraintSet":
         return ConstraintSet(
@@ -590,11 +625,13 @@ class PopFromEmpty(DslEvalError):
     kind = "IndexError"
 
 
-@dataclass
 class EvalOutcome:
-    status: str  # "ok" | "error"
-    output: object = None
-    error_kind: str | None = None
+    __slots__ = ("status", "output", "error_kind")
+
+    def __init__(self, status: str, output: object = None, error_kind: str | None = None):
+        self.status = status  # "ok" | "error"
+        self.output = output
+        self.error_kind = error_kind
 
 
 class _Evaluator:

@@ -94,6 +94,9 @@ class ExternalExecutor:
             command = [sys.executable, "-m", "mutexec.python_exec"]
         elif isinstance(command, str):
             command = shlex.split(command)
+        if not 0 < timeout < float("inf"):
+            raise ValueError(
+                f"timeout must be a positive, finite number of seconds, got {timeout!r}")
         self.command = command
         self.timeout = timeout
         self.proc: subprocess.Popen | None = None

@@ -65,7 +65,6 @@ from .dsl import (
     TList,
     TVar,
     Ty,
-    cached_hash,
     check_constraints,
     eval_dsl_outcomes,
     fun_type,
@@ -94,44 +93,76 @@ def list_program_type(arity: int) -> Ty:
     return fun_type(*([TList(INT)] * arity), TList(INT))
 
 
-@cached_hash
-@dataclass(frozen=True)
 class NT:
     """Grammar nonterminal.
 
     ``kind`` is "val" for ordinary goals and "fn" for the partial-application
     slot of ``map``; for "fn" the goal ``ty`` is the arrow of the missing
-    argument to the result.
+    argument to the result.  Nonterminals compare and hash by their fields;
+    like ``TList``, they keep their hash in a slot once computed, out of
+    pickles and copies.
     """
 
-    kind: str
-    ty: Ty
-    depth: int
-    no_empty: bool = False
-    no_lit: bool = False
-    allow_neg1: bool = False
+    __slots__ = ("kind", "ty", "depth", "no_empty", "no_lit", "allow_neg1", "_hash")
+
+    def __init__(self, kind: str, ty: Ty, depth: int, no_empty: bool = False,
+                 no_lit: bool = False, allow_neg1: bool = False):
+        self.kind = kind
+        self.ty = ty
+        self.depth = depth
+        self.no_empty = no_empty
+        self.no_lit = no_lit
+        self.allow_neg1 = allow_neg1
+        self._hash = None
+
+    def _fields(self) -> tuple:
+        return (self.kind, self.ty, self.depth, self.no_empty, self.no_lit, self.allow_neg1)
+
+    def __eq__(self, other):
+        if other.__class__ is not NT:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._fields())
+        return h
+
+    def __reduce__(self):
+        return NT, self._fields()
+
+    def __repr__(self) -> str:
+        return (f"NT(kind={self.kind!r}, ty={self.ty!r}, depth={self.depth!r}, "
+                f"no_empty={self.no_empty!r}, no_lit={self.no_lit!r}, "
+                f"allow_neg1={self.allow_neg1!r})")
 
 
-@dataclass(frozen=True)
 class Production:
-    head: str  # primitive name, "lit", or "param"
-    value: int | None
-    partial: bool
-    children: tuple[NT, ...]
-    weight: float
+    __slots__ = ("head", "value", "partial", "children", "weight")
+
+    def __init__(self, head: str, value: int | None, partial: bool,
+                 children: tuple[NT, ...], weight: float):
+        self.head = head  # primitive name, "lit", or "param"
+        self.value = value
+        self.partial = partial
+        self.children = children
+        self.weight = weight
 
 
-@dataclass
 class Cfg:
-    start: NT
-    productions: dict[NT, tuple[Production, ...]]
-    param_types: tuple[Ty, ...]
-    constraints: ConstraintSet
-    max_depth: int
+    __slots__ = ("start", "productions", "param_types", "constraints", "max_depth",
+                 "draw_tables")
 
-    def __post_init__(self):
+    def __init__(self, start: NT, productions: dict[NT, tuple[Production, ...]],
+                 param_types: tuple[Ty, ...], constraints: ConstraintSet, max_depth: int):
+        self.start = start
+        self.productions = productions
+        self.param_types = param_types
+        self.constraints = constraints
+        self.max_depth = max_depth
         # Sampler's tables per weight overrides and parameter mask, built on
-        # first use; not a field, so equality and repr see only the grammar
+        # first use
         self.draw_tables: dict = {}
 
     @property
@@ -422,13 +453,24 @@ class SamplerConfig:
     sampled inputs and the attempt budget.  The program type and depth bound
     are the ``Cfg``'s.  ``max_attempts`` bounds the draws of one call; with
     s4 on, every draw already uses every parameter, so it counts only
-    those."""
+    those.  A range whose minimum is above its maximum, a negative list
+    length or an ``input_count`` below 1 is a ``ValueError``."""
 
     weight_overrides: dict[str, float] = field(default_factory=dict)
     input_count: int = 3
     list_len_range: tuple[int, int] = (3, 5)
     element_range: tuple[int, int] = (0, 5)
     max_attempts: int = 10_000
+
+    def __post_init__(self):
+        for name in ("list_len_range", "element_range"):
+            lo, hi = getattr(self, name)
+            if lo > hi:
+                raise ValueError(f"{name}: minimum {lo} is above maximum {hi}")
+        if self.list_len_range[0] < 0:
+            raise ValueError(f"list_len_range: negative length {self.list_len_range[0]}")
+        if self.input_count < 1:
+            raise ValueError(f"input_count must be at least 1, got {self.input_count}")
 
 
 def production_weight(production: Production, overrides: dict[str, float]) -> float:
@@ -641,16 +683,34 @@ class Sampler:
 
 
 def sample_inputs(arity: int, config: SamplerConfig, rng: random.Random) -> list[tuple]:
-    """input_count argument tuples of uniformly sampled int lists."""
+    """input_count argument tuples of uniformly sampled int lists.
+
+    Each list length and element is drawn as ``rng.randint`` draws it, by
+    ``getrandbits`` rejection sampling (``Random._randbelow_with_getrandbits``)
+    without its per-call argument checks: the same numbers and the same
+    stream position.  ``config`` guarantees non-empty ranges, on which the
+    redraw loops end.
+    """
     lo, hi = config.list_len_range
     elo, ehi = config.element_range
+    lengths, elements = hi - lo + 1, ehi - elo + 1
+    length_bits, element_bits = lengths.bit_length(), elements.bit_length()
+    getrandbits = rng.getrandbits
     out = []
     for _ in range(config.input_count):
-        args = tuple(
-            [rng.randint(elo, ehi) for _ in range(rng.randint(lo, hi))]
-            for _ in range(arity)
-        )
-        out.append(args)
+        args = []
+        for _ in range(arity):
+            n = getrandbits(length_bits)
+            while n >= lengths:
+                n = getrandbits(length_bits)
+            xs = []
+            for _ in range(lo + n):
+                r = getrandbits(element_bits)
+                while r >= elements:
+                    r = getrandbits(element_bits)
+                xs.append(elo + r)
+            args.append(xs)
+        out.append(tuple(args))
     return out
 
 
@@ -663,16 +723,19 @@ def default_executor(program: transpile.ImpProgram, args: tuple):
 REJECTION_STAGES = ("s4", "s1", "s2", "s3", "runtime_error", "constant_output")
 
 
-@dataclass
 class SampledProgram:
-    term: Term
-    program: transpile.ImpProgram  # the one translation the outputs came from
-    inputs: list[tuple]
-    outputs: list
-    attempts: int
-    # rejected draws before the accepted one, by REJECTION_STAGES; they sum
-    # to attempts - 1
-    rejections: dict[str, int]
+    __slots__ = ("term", "program", "inputs", "outputs", "attempts", "rejections")
+
+    def __init__(self, term: Term, program: transpile.ImpProgram, inputs: list[tuple],
+                 outputs: list, attempts: int, rejections: dict[str, int]):
+        self.term = term
+        self.program = program  # the one translation the outputs came from
+        self.inputs = inputs
+        self.outputs = outputs
+        self.attempts = attempts
+        # rejected draws before the accepted one, by REJECTION_STAGES; they
+        # sum to attempts - 1
+        self.rejections = rejections
 
 
 def _outputs(results) -> list | None:

@@ -191,10 +191,17 @@ def build_choice_prompt(
 # Extraction
 
 
-@dataclass(frozen=True)
 class Extracted:
-    value: Value
-    text: str  # canonical form
+    __slots__ = ("value", "text")
+
+    def __init__(self, value: Value, text: str):
+        self.value = value
+        self.text = text  # canonical form
+
+    def __eq__(self, other):
+        if other.__class__ is not Extracted:
+            return NotImplemented
+        return (self.value, self.text) == (other.value, other.text)
 
 
 _ANSWER_RE = re.compile(r"\[ANSWER\](.*?)\[/ANSWER\]", re.DOTALL)
@@ -232,10 +239,17 @@ def extract_prediction(response: str) -> Extracted | None:
     return _literal_from_assertion(spans[-1])
 
 
-@dataclass(frozen=True)
 class ChoiceExtraction:
-    letter: str | None  # "A" | "B" | None when the choice is unreadable
-    literal: Extracted | None
+    __slots__ = ("letter", "literal")
+
+    def __init__(self, letter: str | None, literal: Extracted | None):
+        self.letter = letter  # "A" | "B" | None when the choice is unreadable
+        self.literal = literal
+
+    def __eq__(self, other):
+        if other.__class__ is not ChoiceExtraction:
+            return NotImplemented
+        return (self.letter, self.literal) == (other.letter, other.literal)
 
 
 _DECODER = json.JSONDecoder()

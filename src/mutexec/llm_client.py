@@ -23,8 +23,6 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
-
 from .problems import encode_json, end_on_line_boundary, iter_jsonl
 
 
@@ -46,20 +44,27 @@ PROFILES: dict[str, dict] = {
 }
 
 
-@dataclass
-class ModelConfig:
-    endpoint: str = "https://api.openai.com/v1/chat/completions"
-    model: str = "gpt-4o-mini"
-    profile: str = "traditional"
-    max_tokens: int | None = None  # None: the profile's cap; 0: no cap
-    request_timeout: float = 180.0
-    max_retries: int = 3
-    parallelism: int = 4
-    api_key_env: str = "OPENAI_API_KEY"
+DEFAULT_ENDPOINT = "https://api.openai.com/v1/chat/completions"
 
-    def __post_init__(self):
-        if self.profile not in PROFILES:
-            raise ValueError(f"unknown profile {self.profile!r}")
+
+class ModelConfig:
+    __slots__ = ("endpoint", "model", "profile", "max_tokens", "request_timeout",
+                 "max_retries", "parallelism", "api_key_env")
+
+    def __init__(self, endpoint: str = DEFAULT_ENDPOINT, model: str = "gpt-4o-mini",
+                 profile: str = "traditional", max_tokens: int | None = None,
+                 request_timeout: float = 180.0, max_retries: int = 3,
+                 parallelism: int = 4, api_key_env: str = "OPENAI_API_KEY"):
+        if profile not in PROFILES:
+            raise ValueError(f"unknown profile {profile!r}")
+        self.endpoint = endpoint
+        self.model = model
+        self.profile = profile
+        self.max_tokens = max_tokens  # None: the profile's cap; 0: no cap
+        self.request_timeout = request_timeout
+        self.max_retries = max_retries
+        self.parallelism = parallelism
+        self.api_key_env = api_key_env
 
     @property
     def default_mode(self) -> str:
@@ -84,12 +89,15 @@ class ModelConfig:
         return body
 
 
-@dataclass
 class ModelResponse:
-    text: str
-    finish_reason: str | None = None
-    usage: dict = field(default_factory=dict)
-    latency: float = 0.0
+    __slots__ = ("text", "finish_reason", "usage", "latency")
+
+    def __init__(self, text: str, finish_reason: str | None = None,
+                 usage: dict | None = None, latency: float = 0.0):
+        self.text = text
+        self.finish_reason = finish_reason
+        self.usage = {} if usage is None else usage
+        self.latency = latency
 
 
 class Transcript:
@@ -215,11 +223,13 @@ _ASSERTION_RE = re.compile(
 )
 
 
-@dataclass
 class _PairEntry:
-    own_output: str
-    original_output: str
-    is_original: bool
+    __slots__ = ("own_output", "original_output", "is_original")
+
+    def __init__(self, own_output: str, original_output: str, is_original: bool):
+        self.own_output = own_output
+        self.original_output = original_output
+        self.is_original = is_original
 
 
 class MockModel:

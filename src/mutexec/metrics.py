@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import io
 from collections import defaultdict
-from dataclasses import dataclass, field
 
 from .harness import ChoiceRecord, PredictionRecord
 from .problems import LOC_BINS
@@ -37,15 +36,27 @@ def _group(records: list[PredictionRecord]):
     return groups
 
 
-@dataclass
 class PredictionMetrics:
-    oc: float
-    mc: float
-    or_: float
-    mr: float
-    denominators: dict = field(default_factory=dict)
-    other_rate: dict = field(default_factory=dict)  # per variant
-    unparsed_rate: dict = field(default_factory=dict)
+    __slots__ = ("oc", "mc", "or_", "mr", "denominators", "other_rate", "unparsed_rate")
+
+    def __init__(self, oc: float, mc: float, or_: float, mr: float,
+                 denominators: dict, other_rate: dict, unparsed_rate: dict):
+        self.oc = oc
+        self.mc = mc
+        self.or_ = or_
+        self.mr = mr
+        self.denominators = denominators
+        self.other_rate = other_rate  # per variant
+        self.unparsed_rate = unparsed_rate
+
+    def _fields(self) -> tuple:
+        return (self.oc, self.mc, self.or_, self.mr, self.denominators,
+                self.other_rate, self.unparsed_rate)
+
+    def __eq__(self, other):
+        if other.__class__ is not PredictionMetrics:
+            return NotImplemented
+        return self._fields() == other._fields()
 
     def as_row(self) -> dict:
         return {"OC": self.oc, "MC": self.mc, "OR": self.or_, "MR": self.mr}
@@ -94,14 +105,17 @@ def prediction_metrics(records: list[PredictionRecord]) -> PredictionMetrics:
     )
 
 
-@dataclass
 class ChoiceMetrics:
-    pref: float
-    oc: float
-    mc: float
-    or_: float
-    mr: float
-    denominators: dict = field(default_factory=dict)
+    __slots__ = ("pref", "oc", "mc", "or_", "mr", "denominators")
+
+    def __init__(self, pref: float, oc: float, mc: float, or_: float, mr: float,
+                 denominators: dict):
+        self.pref = pref
+        self.oc = oc
+        self.mc = mc
+        self.or_ = or_
+        self.mr = mr
+        self.denominators = denominators
 
     def as_row(self) -> dict:
         return {"Pref": self.pref, "OC": self.oc, "MC": self.mc,
@@ -139,12 +153,14 @@ def choice_metrics(records: list[ChoiceRecord]) -> ChoiceMetrics:
 # LOC-binned series
 
 
-@dataclass
 class LocBinRow:
-    lo: int
-    hi: int
-    problems: int
-    metrics: PredictionMetrics | None
+    __slots__ = ("lo", "hi", "problems", "metrics")
+
+    def __init__(self, lo: int, hi: int, problems: int, metrics: PredictionMetrics | None):
+        self.lo = lo
+        self.hi = hi
+        self.problems = problems
+        self.metrics = metrics
 
     def as_csv_row(self) -> list:
         if self.metrics is None:

@@ -33,7 +33,6 @@ iteration passes a back-edge, so it ends every infinite loop.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
 from .values import INT_MAX, INT_MIN, Value, copy_value
 
@@ -47,149 +46,229 @@ class ParseError(Exception):
 
 # ---------------------------------------------------------------------------
 # AST
+#
+# Plain classes with ``__slots__``: a node's fields are the slots down its
+# class chain, in order.  The repr is a dataclass's, field by field (the
+# lexer corpus's pinned digest hashes these reprs).
 
 
-@dataclass
-class Expr:
-    line: int
+class _Node:
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}"
+            for cls in reversed(type(self).__mro__)
+            for name in cls.__dict__.get("__slots__", ())
+        )
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass
+class Expr(_Node):
+    __slots__ = ("line",)
+
+    def __init__(self, line: int):
+        self.line = line
+
+
 class Num(Expr):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, line: int, value: int):
+        self.line = line
+        self.value = value
 
 
-@dataclass
 class BoolLit(Expr):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, line: int, value: bool):
+        self.line = line
+        self.value = value
 
 
-@dataclass
 class Name(Expr):
-    id: str
+    __slots__ = ("id",)
+
+    def __init__(self, line: int, id: str):
+        self.line = line
+        self.id = id
 
 
-@dataclass
 class ListDisplay(Expr):
-    elems: list[Expr]
+    __slots__ = ("elems",)
+
+    def __init__(self, line: int, elems: list[Expr]):
+        self.line = line
+        self.elems = elems
 
 
-@dataclass
 class BinOp(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, line: int, op: str, left: Expr, right: Expr):
+        self.line = line
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class Compare(Expr):
-    op: str
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, line: int, op: str, left: Expr, right: Expr):
+        self.line = line
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class BoolOp(Expr):
-    op: str  # "and" | "or"
-    left: Expr
-    right: Expr
+    __slots__ = ("op", "left", "right")  # op: "and" | "or"
+
+    def __init__(self, line: int, op: str, left: Expr, right: Expr):
+        self.line = line
+        self.op = op
+        self.left = left
+        self.right = right
 
 
-@dataclass
 class NotOp(Expr):
-    operand: Expr
+    __slots__ = ("operand",)
+
+    def __init__(self, line: int, operand: Expr):
+        self.line = line
+        self.operand = operand
 
 
-@dataclass
 class Neg(Expr):
-    operand: Expr
+    __slots__ = ("operand",)
+
+    def __init__(self, line: int, operand: Expr):
+        self.line = line
+        self.operand = operand
 
 
-@dataclass
 class Subscript(Expr):
-    obj: Expr
-    index: Expr
+    __slots__ = ("obj", "index")
+
+    def __init__(self, line: int, obj: Expr, index: Expr):
+        self.line = line
+        self.obj = obj
+        self.index = index
 
 
-@dataclass
 class LenCall(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
+
+    def __init__(self, line: int, arg: Expr):
+        self.line = line
+        self.arg = arg
 
 
-@dataclass
 class MethodCall(Expr):
-    obj: Expr
-    method: str  # append | extend | pop
-    args: list[Expr]
+    __slots__ = ("obj", "method", "args")  # method: append | extend | pop
+
+    def __init__(self, line: int, obj: Expr, method: str, args: list[Expr]):
+        self.line = line
+        self.obj = obj
+        self.method = method
+        self.args = args
 
 
-@dataclass
-class Stmt:
-    line: int
+class Stmt(_Node):
+    __slots__ = ("line",)
+
+    def __init__(self, line: int):
+        self.line = line
 
 
-@dataclass
 class FunctionDef(Stmt):
-    name: str
-    params: list[str]
-    body: list[Stmt]
+    __slots__ = ("name", "params", "body")
+
+    def __init__(self, line: int, name: str, params: list[str], body: list[Stmt]):
+        self.line = line
+        self.name = name
+        self.params = params
+        self.body = body
 
 
-@dataclass
 class Return(Stmt):
-    value: Expr | None
+    __slots__ = ("value",)
+
+    def __init__(self, line: int, value: Expr | None):
+        self.line = line
+        self.value = value
 
 
-@dataclass
 class Assign(Stmt):
-    target: Expr  # Name or Subscript
-    value: Expr
+    __slots__ = ("target", "value")  # target: Name or Subscript
+
+    def __init__(self, line: int, target: Expr, value: Expr):
+        self.line = line
+        self.target = target
+        self.value = value
 
 
-@dataclass
 class TupleAssign(Stmt):
-    targets: list[Name]
-    values: list[Expr]
+    __slots__ = ("targets", "values")
+
+    def __init__(self, line: int, targets: list[Name], values: list[Expr]):
+        self.line = line
+        self.targets = targets
+        self.values = values
 
 
-@dataclass
 class ExprStmt(Stmt):
-    value: Expr
+    __slots__ = ("value",)
+
+    def __init__(self, line: int, value: Expr):
+        self.line = line
+        self.value = value
 
 
-@dataclass
 class If(Stmt):
-    cond: Expr
-    body: list[Stmt]
-    orelse: list[Stmt]
+    __slots__ = ("cond", "body", "orelse")
+
+    def __init__(self, line: int, cond: Expr, body: list[Stmt], orelse: list[Stmt]):
+        self.line = line
+        self.cond = cond
+        self.body = body
+        self.orelse = orelse
 
 
-@dataclass
 class While(Stmt):
-    cond: Expr
-    body: list[Stmt]
+    __slots__ = ("cond", "body")
+
+    def __init__(self, line: int, cond: Expr, body: list[Stmt]):
+        self.line = line
+        self.cond = cond
+        self.body = body
 
 
-@dataclass
 class ForRange(Stmt):
-    var: str
-    args: list[Expr]  # 1..3 range arguments
-    body: list[Stmt]
+    __slots__ = ("var", "args", "body")  # args: 1..3 range arguments
+
+    def __init__(self, line: int, var: str, args: list[Expr], body: list[Stmt]):
+        self.line = line
+        self.var = var
+        self.args = args
+        self.body = body
 
 
-@dataclass
 class Break(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass
 class Continue(Stmt):
-    pass
+    __slots__ = ()
 
 
-@dataclass
-class Module:
-    body: list[Stmt]
+class Module(_Node):
+    __slots__ = ("body",)
+
+    def __init__(self, body: list[Stmt]):
+        self.body = body
 
     def functions(self) -> dict[str, FunctionDef]:
         return {s.name: s for s in self.body if isinstance(s, FunctionDef)}
@@ -746,24 +825,28 @@ def parse(source: str) -> Module:
 # Interpreter
 
 
-@dataclass
 class Limits:
-    max_steps: int = 10**6
-    max_list_len: int = 10**5
+    __slots__ = ("max_steps", "max_list_len")
 
-    def __post_init__(self) -> None:
-        if self.max_steps <= 0 or self.max_list_len <= 0:
+    def __init__(self, max_steps: int = 10**6, max_list_len: int = 10**5):
+        if max_steps <= 0 or max_list_len <= 0:
             raise ValueError("limits must be positive")
+        self.max_steps = max_steps
+        self.max_list_len = max_list_len
 
 
-@dataclass
 class ExecResult:
-    status: str  # "ok" | "error"
-    output: Value = None
-    covered_lines: set[int] = field(default_factory=set)
-    steps: int | None = 0  # None: an external child did not report it
-    error_kind: str | None = None
-    error_line: int | None = None
+    __slots__ = ("status", "output", "covered_lines", "steps", "error_kind", "error_line")
+
+    def __init__(self, status: str, output: Value = None,
+                 covered_lines: set[int] | None = None, steps: int | None = 0,
+                 error_kind: str | None = None, error_line: int | None = None):
+        self.status = status  # "ok" | "error"
+        self.output = output
+        self.covered_lines = set() if covered_lines is None else covered_lines
+        self.steps = steps  # None: an external child did not report it
+        self.error_kind = error_kind
+        self.error_line = error_line
 
 
 class _RuntimeFailure(Exception):

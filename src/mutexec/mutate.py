@@ -27,7 +27,7 @@ is selected; ties are broken uniformly at random.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .problems import Problem
 from .values import canonical_repr, values_equal
@@ -46,14 +46,17 @@ _OPERAND_CANNOT_END = frozenset((
 ))
 
 
-@dataclass(frozen=True)
 class MutationSite:
-    kind: str  # arithmetic | relational | logical | keyword | literal
-    line: int  # 1-based
-    start: int  # offsets of the replaced span in the source
-    end: int
-    original_token: str
-    replacement_token: str
+    __slots__ = ("kind", "line", "start", "end", "original_token", "replacement_token")
+
+    def __init__(self, kind: str, line: int, start: int, end: int,
+                 original_token: str, replacement_token: str):
+        self.kind = kind  # arithmetic | relational | logical | keyword | literal
+        self.line = line  # 1-based
+        self.start = start  # offsets of the replaced span in the source
+        self.end = end
+        self.original_token = original_token
+        self.replacement_token = replacement_token
 
     def sort_key(self):
         return (self.start, self.replacement_token)
@@ -149,12 +152,15 @@ def enumerate_source_mutants(source: str) -> list[tuple[str, MutationSite]]:
     return [(apply_site(source, site), site) for site in mutation_sites(source)]
 
 
-@dataclass
 class Survivor:
-    source: str
-    site: MutationSite
-    output: object
-    covered_lines: set[int]
+    __slots__ = ("source", "site", "output", "covered_lines")
+
+    def __init__(self, source: str, site: MutationSite, output: object,
+                 covered_lines: set[int]):
+        self.source = source
+        self.site = site
+        self.output = output
+        self.covered_lines = covered_lines
 
 
 def filter_valid(original: Problem, candidates, executor) -> list[Survivor]:
@@ -200,12 +206,15 @@ def select_mutant(
     return tied[0] if len(tied) == 1 else rng.choice(tied)
 
 
-@dataclass
 class MutantSet:
-    original: Problem
-    candidates: list[tuple[str, MutationSite]]
-    survivors: list[Survivor]
-    selected: Survivor | None
+    __slots__ = ("original", "candidates", "survivors", "selected")
+
+    def __init__(self, original: Problem, candidates: list[tuple[str, MutationSite]],
+                 survivors: list[Survivor], selected: Survivor | None):
+        self.original = original
+        self.candidates = candidates
+        self.survivors = survivors
+        self.selected = selected
 
 
 def mutate_problem(problem: Problem, executor, rng: random.Random) -> MutantSet:

@@ -18,8 +18,6 @@ The translation works on the term graph in reverse topological order
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import minipy
 from .dsl import STATEMENT_HEADS, Term
 
@@ -28,12 +26,14 @@ class UntranslatableNode(Exception):
     pass
 
 
-@dataclass
 class ImpProgram:
-    source: str
-    ast: minipy.Module
-    function_name: str
-    loc: int
+    __slots__ = ("source", "ast", "function_name", "loc")
+
+    def __init__(self, source: str, ast: minipy.Module, function_name: str, loc: int):
+        self.source = source
+        self.ast = ast
+        self.function_name = function_name
+        self.loc = loc
 
 
 _INDENT = "    "

@@ -262,12 +262,29 @@ def test_cli_import_loads_no_http_stack():
 SAMPLING = ["mutexec.dsl", "mutexec.grammar", "mutexec.transpile", "mutexec.datasets"]
 EVALUATION = ["mutexec.harness", "mutexec.llm_client", "mutexec.metrics"]
 HTTP = ["urllib.request", "http.client", "ssl"]
+# the loaded modules, and the dataclasses the loaded mutexec modules define
 IMPORT_PROBE = """\
-import json, sys
+import dataclasses, json, sys
 from mutexec.cli import dispatch
 code = dispatch(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(sys.modules)]))
+classes = [f"{name}.{obj.__qualname__}"
+           for name, module in list(sys.modules.items()) if name.startswith("mutexec")
+           for obj in vars(module).values()
+           if isinstance(obj, type) and obj.__module__ == name and dataclasses.is_dataclass(obj)]
+print(json.dumps([code, sorted(sys.modules), sorted(classes)]))
 """
+# The classes that stay dataclasses, because the benchmark or the tests
+# use them as such: bench/run.py and tests/test_datasets.py call
+# dataclasses.replace on the first three, tests/test_harness.py reads the
+# records' dataclasses.fields.  Every other class is a plain class with
+# __slots__, so that no command spends its start generating methods.
+DATACLASSES = {
+    "mutexec.problems.Problem",
+    "mutexec.datasets.DslListConfig",
+    "mutexec.grammar.SamplerConfig",
+    "mutexec.harness.PredictionRecord",
+    "mutexec.harness.ChoiceRecord",
+}
 
 
 @pytest.fixture(scope="module")
@@ -305,7 +322,8 @@ IMPORT_CASES = [
      SAMPLING + HTTP + ["mutexec.minipy", "mutexec.executors", "concurrent.futures"]),
     (["report", "--pred", "{data}/run-pred.jsonl", "--choice", "{data}/run-choice.jsonl",
       "--out", "{tmp}/report.txt"],
-     SAMPLING + HTTP + ["mutexec.minipy", "mutexec.executors", "concurrent.futures"]),
+     SAMPLING + HTTP + ["mutexec.minipy", "mutexec.executors", "concurrent.futures",
+                        "hashlib"]),
 ]
 
 
@@ -323,9 +341,11 @@ class TestImportSets:
         env = {**os.environ, "PYTHONPATH": src}
         result = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(argv)],
                                 env=env, capture_output=True, text=True, check=True)
-        code, modules = json.loads(result.stdout.splitlines()[-1])
+        code, modules, classes = json.loads(result.stdout.splitlines()[-1])
         assert code == 0
         assert sorted(set(absent) & set(modules)) == []
+        loaded = {name for name in DATACLASSES if name.rpartition(".")[0] in modules}
+        assert set(classes) == loaded
 
 
 # vars(parse_args(argv)) without ``func``, as the parser gave them when every
@@ -408,7 +428,7 @@ class TestParser:
         for command in ("build-llm-list", "ingest", "mutate"):
             assert action(command, "executor_timeout").default == executors.DEFAULT_TIMEOUT
         for command in ("build-llm-list", "run-pred", "run-choice"):
-            assert action(command, "endpoint").default == llm_client.ModelConfig.endpoint
+            assert action(command, "endpoint").default == llm_client.DEFAULT_ENDPOINT
             assert action(command, "mode").choices is harness.MODES
 
     def test_help_lists_every_command(self, capsys):
@@ -474,6 +494,32 @@ class TestExitCodes:
                       "--out", str(tmp_path / "s.jsonl")])
         assert err.value.code == 2
         assert not (tmp_path / "s.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["sample", "build-dsl-list"])
+    @pytest.mark.parametrize("options, named", [
+        (["--list-len-min", "5", "--list-len-max", "3"], "--list-len-min"),
+        (["--element-min", "4", "--element-max", "1"], "--element-min"),
+        (["--list-len-min", "-2", "--list-len-max", "0"], "--list-len-min"),
+        (["--input-count", "0"], "--input-count"),
+    ], ids=["lengths", "elements", "negative_length", "no_inputs"])
+    def test_bad_sampler_option_exits_2(self, tmp_path, capsys, command, options, named):
+        out = tmp_path / "s.jsonl"
+        try:
+            code = dispatch([command, "--out", str(out)] + options)
+        except SystemExit as exc:  # rejected by the option's own type
+            code = exc.code
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ingest", "mutate"])
+    @pytest.mark.parametrize("timeout", ["inf", "0", "-1", "nan"])
+    def test_bad_executor_timeout_exits_2(self, tmp_path, capsys, command, timeout):
+        with pytest.raises(SystemExit) as err:
+            dispatch([command, "--in", str(tmp_path / "in.jsonl"),
+                      "--out", str(tmp_path / "out"), "--executor-timeout", timeout])
+        assert err.value.code == 2
+        assert "--executor-timeout" in capsys.readouterr().err
 
     def test_weight_option_and_config_key(self, tmp_path):
         config = tmp_path / "run.conf"

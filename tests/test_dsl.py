@@ -72,9 +72,10 @@ class TestTypes:
 
         ty = TList(TFun(INT, TList(BOOL)))
         assert hash(ty) == hash(TList(TFun(INT, TList(BOOL))))
-        assert "_hash" in vars(ty)  # cached by the first hash
+        assert ty._hash is not None  # cached in its slot by the first hash
+        assert not hasattr(ty, "__dict__")
         for clone in (pickle.loads(pickle.dumps(ty)), copy.deepcopy(ty), copy.copy(ty)):
-            assert clone == ty and "_hash" not in vars(clone)
+            assert clone == ty and clone._hash is None
             assert hash(clone) == hash(ty)
         assert repr(ty) == "L(int -> L(bool))"
 

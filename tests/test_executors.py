@@ -1,4 +1,5 @@
 import json
+import math
 import shlex
 import subprocess
 import sys
@@ -267,6 +268,13 @@ class TestExternalExecutor:
             assert str(err.value) == (
                 f"executor command {command} failed its start-up probe: {message}")
             assert executor.proc is None
+
+    @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf])
+    def test_timeout_must_be_positive_and_finite(self, timeout):
+        # 0, -1 and nan would fail the start-up probe as if the child were
+        # at fault, and inf overflows the selector's wait
+        with pytest.raises(ValueError):
+            ExternalExecutor(timeout=timeout)
 
     def test_death_after_start_up_is_per_request(self):
         with ExternalExecutor(timeout=5.0) as executor:

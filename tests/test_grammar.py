@@ -527,6 +527,38 @@ class TestSampleInputs:
         assert (sample_inputs(2, config, random.Random(9))
                 == sample_inputs(2, config, random.Random(9)))
 
+    # range widths 1, 2, 3, 4, 6 and 8, for lengths and for elements
+    @pytest.mark.parametrize("lengths, elements", [
+        ((3, 3), (0, 0)),
+        ((1, 2), (0, 1)),
+        ((0, 2), (-1, 1)),
+        ((2, 5), (-3, 0)),
+        ((3, 8), (0, 5)),
+        ((0, 7), (-4, 3)),
+    ])
+    def test_draws_equal_randint(self, lengths, elements):
+        config = SamplerConfig(input_count=4, list_len_range=lengths,
+                               element_range=elements)
+        for seed in range(20):
+            rng, reference = random.Random(seed), random.Random(seed)
+            expected = [
+                tuple([reference.randint(*elements)
+                       for _ in range(reference.randint(*lengths))] for _ in range(2))
+                for _ in range(4)
+            ]
+            assert sample_inputs(2, config, rng) == expected
+            assert rng.getstate() == reference.getstate()  # same stream position
+
+    @pytest.mark.parametrize("fields", [
+        {"list_len_range": (5, 3)},
+        {"element_range": (2, 1)},
+        {"list_len_range": (-2, 0)},
+        {"input_count": 0},
+    ])
+    def test_bad_settings_rejected(self, fields):
+        with pytest.raises(ValueError):
+            SamplerConfig(**fields)
+
 
 class _FakeResult:
     def __init__(self, status, output=None):
