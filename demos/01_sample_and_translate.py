@@ -1,28 +1,24 @@
 """Sampling typed list programs and translating them to imperative code.
 
-Walks through the core generation loop: compile the DSL + constraints into a
-weighted CFG, sample terms, translate them, and show that the reference
+Walks through the core generation loop: compile the DSL and its fixed rules
+into a weighted CFG, sample terms, translate them, and show that the reference
 evaluator and the interpreter agree on every input.
 """
 
 import random
 
-from mutexec.dsl import eval_dsl_outcome, list_dsl, to_sexpr, typecheck
+from mutexec.dsl import eval_dsl_outcome, to_sexpr, typecheck
 from mutexec.grammar import (
     SamplerConfig,
     compile_cfg,
     count_derivations,
-    list_program_type,
     sample_valid_program,
 )
 from mutexec.minipy import interpret
 from mutexec.transpile import translate
 
-primitives, constraints = list_dsl()
-program_type = list_program_type(1)
-
 print("Compiling the grammar for one-argument programs at depth 4...")
-cfg = compile_cfg(primitives, constraints, program_type, max_depth=4)
+cfg = compile_cfg(arity=1, max_depth=4)
 print(f"  nonterminals: {len(cfg.productions)}")
 print(f"  derivations:  {count_derivations(cfg):,}")
 print()

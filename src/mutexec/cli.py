@@ -112,14 +112,16 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, argv: list[str]) 
         if key not in values:
             continue
         raw = values[key]
-        if isinstance(action, argparse._AppendAction):
-            defaults[key] = [action.type(raw)]
-        elif action.type is not None:
-            defaults[key] = action.type(raw)
-        elif isinstance(action.default, bool):
-            defaults[key] = raw.lower() in ("1", "true", "yes")
-        else:
-            defaults[key] = raw
+        try:
+            if action.type is not None:
+                value = action.type(raw)
+            elif isinstance(action.default, bool):
+                value = raw.lower() in ("1", "true", "yes")
+            else:
+                value = raw
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from None
+        defaults[key] = [value] if isinstance(action, argparse._AppendAction) else value
         if action.required:
             action.required = False
     subparser.set_defaults(**defaults)
@@ -209,13 +211,12 @@ def _make_model(args: argparse.Namespace, pairs=None):
 
 
 def cmd_sample(args) -> int:
-    from .dsl import list_dsl, to_sexpr
+    from .dsl import to_sexpr
     from .grammar import compile_cfg, list_program_type, sample_valid_program
 
-    primitives, constraints = list_dsl()
     config = _sampler_config(args)
     program_type = list_program_type(args.arity)
-    cfg = compile_cfg(primitives, constraints, program_type, args.depth)
+    cfg = compile_cfg(args.arity, args.depth)
     rng = random.Random(args.seed)
     with atomic_writer(args.out) as fh:
         for _ in range(args.count):
@@ -272,10 +273,7 @@ def cmd_build_llm_list(args) -> int:
     model, transcript = _make_model(args)
     executor = _make_executor(args)
     try:
-        problems = datasets.build_llm_list(
-            model, executor,
-            datasets.LlmListConfig(max_regenerations=args.max_regenerations),
-        )
+        problems = datasets.build_llm_list(model, executor, args.max_regenerations)
     finally:
         executor.close()
         model.close()
@@ -289,6 +287,8 @@ def cmd_build_llm_list(args) -> int:
 def cmd_ingest(args) -> int:
     from . import datasets
 
+    if args.min_chars > args.max_chars:
+        raise UsageError(f"--min-chars {args.min_chars} is above --max-chars {args.max_chars}")
     records = read_jsonl(getattr(args, "in"), datasets.external_record)
     executor = _make_executor(args)
     try:
@@ -433,7 +433,7 @@ def _add_sampler_options(parser):
     parser.add_argument("--list-len-max", type=_int_at_least(0), default=5)
     parser.add_argument("--element-min", type=int, default=0)
     parser.add_argument("--element-max", type=int, default=5)
-    parser.add_argument("--max-attempts", type=int, default=10_000)
+    parser.add_argument("--max-attempts", type=_int_at_least(1), default=10_000)
     parser.add_argument("--weight", action="append", type=_weight, metavar="NAME=W",
                         help="override a primitive weight (repeatable)")
 
@@ -459,8 +459,8 @@ def _add_model_options(parser):
     parser.add_argument("--model-profile", default="traditional",
                         choices=("traditional", "reasoning", "effort"))
     parser.add_argument("--endpoint", default=DEFAULT_ENDPOINT)
-    parser.add_argument("--parallelism", type=int, default=4)
-    parser.add_argument("--max-tokens", type=int, default=None)
+    parser.add_argument("--parallelism", type=_int_at_least(1), default=4)
+    parser.add_argument("--max-tokens", type=_int_at_least(0), default=None)
     parser.add_argument("--transcript", help="append-only request/response log")
     parser.add_argument("--mode", choices=MODES, default=None,
                         help="prompt mode (default: per model profile)")
@@ -468,9 +468,9 @@ def _add_model_options(parser):
 
 def _add_sample_options(p):
     p.add_argument("--arity", type=int, default=1, choices=(1, 2))
-    p.add_argument("--depth", type=int, default=5, help="max AST depth")
+    p.add_argument("--depth", type=_int_at_least(2), default=5, help="max AST depth")
     _add_sampler_options(p)
-    p.add_argument("--count", "-n", type=int, default=10)
+    p.add_argument("--count", "-n", type=_int_at_least(1), default=10)
     p.add_argument("--out", required=True)
 
 
@@ -482,8 +482,8 @@ def _add_transpile_options(p):
 
 def _add_build_dsl_list_options(p):
     _add_sampler_options(p)
-    p.add_argument("--programs-per-combo", type=int, default=1000)
-    p.add_argument("--per-bin", type=int, default=10,
+    p.add_argument("--programs-per-combo", type=_int_at_least(1), default=1000)
+    p.add_argument("--per-bin", type=_int_at_least(1), default=10,
                    help="programs selected per lines-of-code bin")
     p.add_argument("--out", required=True)
 
@@ -491,16 +491,16 @@ def _add_build_dsl_list_options(p):
 def _add_build_llm_list_options(p):
     _add_model_options(p)
     _add_executor_options(p)
-    p.add_argument("--max-regenerations", type=int, default=5)
+    p.add_argument("--max-regenerations", type=_int_at_least(0), default=5)
     p.add_argument("--out", required=True)
 
 
 def _add_ingest_options(p):
     _add_executor_options(p)
     p.add_argument("--in", required=True)
-    p.add_argument("--min-chars", type=int, default=100)
-    p.add_argument("--max-chars", type=int, default=800)
-    p.add_argument("--max-steps", type=int, default=1000)
+    p.add_argument("--min-chars", type=_int_at_least(0), default=100)
+    p.add_argument("--max-chars", type=_int_at_least(0), default=800)
+    p.add_argument("--max-steps", type=_int_at_least(0), default=1000)
     p.add_argument("--out", required=True)
 
 
@@ -515,7 +515,7 @@ def _add_run_options(p, samples: bool):
     p.add_argument("--orig", required=True)
     p.add_argument("--mut", required=True)
     if samples:
-        p.add_argument("--n", type=int, default=5, help="samples per problem-variant")
+        p.add_argument("--n", type=_int_at_least(1), default=5, help="samples per problem-variant")
     p.add_argument("--resume", action="store_true")
     p.add_argument("--out", required=True)
 

@@ -21,13 +21,8 @@ import re
 import threading
 from dataclasses import dataclass, field
 
-from .dsl import list_dsl, to_sexpr
-from .grammar import (
-    SamplerConfig,
-    compile_cfg,
-    list_program_type,
-    sample_valid_program,
-)
+from .dsl import to_sexpr
+from .grammar import SamplerConfig, compile_cfg, sample_valid_program
 from .problems import LOC_BINS, Problem
 from .transpile import translate  # noqa: F401  bench/tracing.py wraps datasets.translate
 from .values import canonical_repr, contains_float, format_args, parse_args
@@ -69,8 +64,7 @@ def _sample_combo(config: DslListConfig, arity: int, depth: int) -> list[tuple]:
     """``programs_per_combo`` valid programs of one (arity, depth) grammar,
     each as ``(dsl_text, depth, source, loc, inputs, outputs)``: plain data,
     so that a forked lane sends little and the parent unpickles no terms."""
-    primitives, constraints = list_dsl()
-    cfg = compile_cfg(primitives, constraints, list_program_type(arity), depth)
+    cfg = compile_cfg(arity, depth)
     rng = random.Random(f"{config.seed}:dsl:{arity}:{depth}")
     sampled = []
     for _ in range(config.programs_per_combo):
@@ -244,6 +238,9 @@ INPUTGEN_INSTRUCTION = """\
 You are given a Python function named `@{function_name}@` below, which @{function_description}@. Your goal is to generate 3 simple test inputs for this function that comprehensively test all functionality of the `@{function_name}@` function and produce no errors when executed. Do NOT include any extra information and put each input on a separate line. If the input contains multiple arguments, separate them by commas. Do NOT include floating-point values. Make sure that lists contain only a few elements, but are not empty.\
 """
 
+# the number of inputs INPUTGEN_INSTRUCTION asks for
+INPUTS_PER_FUNCTION = 3
+
 INPUTGEN_EXCLUSION_PREFIX = "Do NOT include the following inputs: "
 
 INPUTGEN_EXAMPLE_FUNCTION = "def add(a, b):\n    return a + b"
@@ -321,21 +318,15 @@ def fixed_sort_search_headers() -> list[tuple[str, str]]:
     return [(entry["header"], entry["description"]) for entry in json.loads(data)]
 
 
-class LlmListConfig:
-    __slots__ = ("inputs_per_function", "max_regenerations")
-
-    def __init__(self, inputs_per_function: int = 3, max_regenerations: int = 5):
-        self.inputs_per_function = inputs_per_function
-        self.max_regenerations = max_regenerations
-
-
 def _loc(source: str) -> int:
     return sum(1 for line in source.splitlines() if line.strip())
 
 
-def build_llm_list(model, executor, config: LlmListConfig | None = None) -> list[Problem]:
-    """Brainstorm, generate code, generate/validate inputs, record ground truth."""
-    config = config or LlmListConfig()
+def build_llm_list(model, executor, max_regenerations: int = 5) -> list[Problem]:
+    """Brainstorm, generate code, generate/validate inputs, record ground truth.
+
+    A function whose inputs still fail after ``max_regenerations`` re-asks
+    raises ``GenerationRetriesExhausted``."""
     brainstorm = model.complete(BRAINSTORM_PROMPT, 1)[0].text
     headers = parse_brainstorm(brainstorm)
     headers.extend(fixed_sort_search_headers())
@@ -346,7 +337,7 @@ def build_llm_list(model, executor, config: LlmListConfig | None = None) -> list
         code = strip_code_fences(
             model.complete(render_codegen_prompt(header, description), 1)[0].text
         )
-        inputs = _generate_inputs(model, executor, name, description, code, config)
+        inputs = _generate_inputs(model, executor, name, description, code, max_regenerations)
         program_id = f"llm-{func_index:03d}-{name}"
         for input_index, (input_text, output_text) in enumerate(inputs):
             problems.append(Problem(
@@ -391,14 +382,14 @@ def _validate_input(executor, code: str, name: str, input_text: str):
     return True, (canonical_input, canonical_repr(result.output))
 
 
-def _generate_inputs(model, executor, name, description, code, config):
+def _generate_inputs(model, executor, name, description, code, max_regenerations):
     excluded: list[str] = []
     reasons: list[str] = []
-    for _ in range(config.max_regenerations + 1):
+    for _ in range(max_regenerations + 1):
         prompt = render_inputgen_prompt(name, description, code, excluded or None)
         text = model.complete(prompt, 1)[0].text
         lines = [line.strip() for line in text.splitlines() if line.strip()]
-        lines = lines[: config.inputs_per_function]
+        lines = lines[:INPUTS_PER_FUNCTION]
         accepted: list[tuple[str, str]] = []
         bad: list[str] = []
         for line in lines:
@@ -408,7 +399,7 @@ def _generate_inputs(model, executor, name, description, code, config):
             else:
                 bad.append(line)
                 reasons.append(f"{line!r}: {info}")
-        if len(accepted) == config.inputs_per_function:
+        if len(accepted) == INPUTS_PER_FUNCTION:
             return accepted
         excluded.extend(bad)
     raise GenerationRetriesExhausted(name, reasons)

@@ -152,15 +152,6 @@ def fun_type(*types: Ty) -> Ty:
     return result
 
 
-def split_fun(ty: Ty) -> tuple[tuple[Ty, ...], Ty]:
-    """Split an arrow chain into (parameter types, result type)."""
-    params: list[Ty] = []
-    while isinstance(ty, TFun):
-        params.append(ty.arg)
-        ty = ty.res
-    return tuple(params), ty
-
-
 def nesting(ty: Ty) -> int:
     return 1 + nesting(ty.elem) if isinstance(ty, TList) else 0
 
@@ -503,45 +494,14 @@ class Violation:
         self.detail = detail
 
 
-COMPILE_RULES = ("c1", "c2", "c3", "c4")
-SAMPLE_RULES = ("s1", "s2", "s3", "s4")
-
-
-class ConstraintSet:
-    """Structural rules; each independently toggleable.  The run-time rule
-    (outputs must differ across the sampled inputs) is always on."""
-
-    __slots__ = ("compile_time", "sample_time")
-
-    def __init__(self, compile_time: tuple[str, ...] = COMPILE_RULES,
-                 sample_time: tuple[str, ...] = SAMPLE_RULES):
-        self.compile_time = compile_time
-        self.sample_time = sample_time
-
-    def without(self, *rules: str) -> "ConstraintSet":
-        return ConstraintSet(
-            tuple(r for r in self.compile_time if r not in rules),
-            tuple(r for r in self.sample_time if r not in rules),
-        )
-
-
-def list_dsl() -> tuple[tuple[Primitive, ...], ConstraintSet]:
-    """The fifteen list-processing primitives and their constraint set."""
-    return PRIMITIVES, ConstraintSet()
-
-
 def _is_empty_node(node: Term) -> bool:
     return node.head == "empty" and not node.partial
 
 
-def check_constraints(
-    term: Term,
-    phase: str,
-    constraints: ConstraintSet | None = None,
-    arity: int | None = None,
-) -> list[Violation]:
-    """Return all violated structural rules for the given phase.
+def check_constraints(term: Term, phase: str, arity: int | None = None) -> list[Violation]:
+    """Return every violated structural rule of the given phase.
 
+    The rules are fixed; each call checks all of its phase's.
     Compile-time rules: (c1) the first argument of a comparison is not an
     integer literal; (c2) the last argument of extend/length/map is not
     ``empty``; (c3) the literal -1 appears only as the first argument of
@@ -550,40 +510,35 @@ def check_constraints(
     Sample-time rules: (s1) no identical terms on both sides of a comparison
     or logical operator; (s2) a list is not extended with itself; (s3) no
     identical terms in both branches of ``if``; (s4) every parameter up to
-    ``arity`` occurs in the term.
+    ``arity`` occurs in the term, checked only when ``arity`` is given.
     """
     if phase not in ("compile", "sample"):
         raise ValueError(f"unknown phase {phase!r}")
-    cs = constraints or ConstraintSet()
-    enabled = cs.compile_time if phase == "compile" else cs.sample_time
     out: list[Violation] = []
 
     if phase == "compile":
         for node in term.walk():
             if node.head in COMPARISONS and node.children:
-                if "c1" in enabled and node.children[0].is_lit:
+                if node.children[0].is_lit:
                     out.append(Violation("c1", node, "comparison of a literal"))
-            if "c2" in enabled and not node.partial:
+            if not node.partial:
                 if node.head in ("extend", "map") and _is_empty_node(node.children[1]):
                     out.append(Violation("c2", node, f"{node.head} of empty"))
                 if node.head == "length" and _is_empty_node(node.children[0]):
                     out.append(Violation("c2", node, "length of empty"))
-            if "c4" in enabled and not node.partial:
                 if node.head in ("init", "tail") and _is_empty_node(node.children[0]):
                     out.append(Violation("c4", node, f"{node.head} of empty"))
                 if node.head == "index" and _is_empty_node(node.children[1]):
                     out.append(Violation("c4", node, "index into empty"))
-        if "c3" in enabled:
-            allowed = set()
-            for node in term.walk():
-                if node.head == "index" and node.children:
-                    allowed.add(id(node.children[0]))
-            for node in term.walk():
-                if node.is_lit and node.value == -1 and id(node) not in allowed:
-                    out.append(Violation("c3", node, "-1 outside index position"))
+        allowed = set()
+        for node in term.walk():
+            if node.head == "index" and node.children:
+                allowed.add(id(node.children[0]))
+        for node in term.walk():
+            if node.is_lit and node.value == -1 and id(node) not in allowed:
+                out.append(Violation("c3", node, "-1 outside index position"))
         return out
 
-    s1, s2, s3 = "s1" in enabled, "s2" in enabled, "s3" in enabled
     used = set()
     for node in term.walk():
         head = node.head
@@ -592,15 +547,15 @@ def check_constraints(
         elif node.partial:
             continue
         elif head in _S1_HEADS:
-            if s1 and node.children[0] == node.children[1]:
+            if node.children[0] == node.children[1]:
                 out.append(Violation("s1", node, "identical operands"))
         elif head == "extend":
-            if s2 and node.children[0] == node.children[1]:
+            if node.children[0] == node.children[1]:
                 out.append(Violation("s2", node, "list extended with itself"))
         elif head == "if":
-            if s3 and node.children[1] == node.children[2]:
+            if node.children[1] == node.children[2]:
                 out.append(Violation("s3", node, "identical branches"))
-    if "s4" in enabled and arity is not None:
+    if arity is not None:
         for i in range(1, arity + 1):
             if i not in used:
                 out.append(Violation("s4", term, f"parameter a{i} unused"))

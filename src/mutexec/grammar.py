@@ -1,10 +1,16 @@
-"""Weighted CFG compiled from the DSL plus constraints, and program sampling.
+"""Weighted CFG compiled from the DSL and its rules, and program sampling.
+
+The language is fixed: ``compile_cfg(arity, max_depth)`` compiles the
+primitives of ``dsl.PRIMITIVES`` for the int-list programs of ``arity``
+parameters, with the structural rules c1-c4 always on, and
+``sample_valid_program`` enforces s1-s4 and the run-time rule on every
+draw.  No rule can be switched off.
 
 Nonterminals are keyed by goal type, remaining depth, and context flags that
-realize the structural rules c1-c4 (no literal as a comparison's first
-argument, no ``empty`` in restricted positions, ``-1`` only under ``index``).
-Function-position nonterminals (the mapping function of ``map``) carry the
-argument and result type of the missing trailing argument.
+realize c1-c4 (no literal as a comparison's first argument, no ``empty`` in
+restricted positions, ``-1`` only under ``index``).  Function-position
+nonterminals (the mapping function of ``map``) carry the argument and result
+type of the missing trailing argument.
 
 Polymorphic primitives are instantiated over a finite ground-type universe
 whose list nesting is capped at the depth bound; unproductive nonterminals
@@ -58,7 +64,8 @@ from . import transpile
 from .dsl import (
     BOOL,
     INT,
-    ConstraintSet,
+    INT_LITERALS,
+    PRIMITIVES,
     Primitive,
     Term,
     TFun,
@@ -69,7 +76,6 @@ from .dsl import (
     eval_dsl_outcomes,
     fun_type,
     nesting,
-    split_fun,
     unify,
     _apply,
 )
@@ -87,10 +93,13 @@ class AttemptsExhausted(RuntimeError):
 
 DEFAULT_WEIGHTS: dict[str, float] = {"if": 5.0, "map": 5.0, "extend": 0.05}
 
+# the type of every parameter and of every program's result
+_INT_LIST = TList(INT)
+
 
 def list_program_type(arity: int) -> Ty:
     """The arrow type of an ``arity``-parameter int-list transformation."""
-    return fun_type(*([TList(INT)] * arity), TList(INT))
+    return fun_type(*([_INT_LIST] * arity), _INT_LIST)
 
 
 class NT:
@@ -151,39 +160,22 @@ class Production:
 
 
 class Cfg:
-    __slots__ = ("start", "productions", "param_types", "constraints", "max_depth",
-                 "draw_tables")
+    __slots__ = ("start", "productions", "arity", "max_depth", "draw_tables")
 
     def __init__(self, start: NT, productions: dict[NT, tuple[Production, ...]],
-                 param_types: tuple[Ty, ...], constraints: ConstraintSet, max_depth: int):
-        self.start = start
+                 arity: int, max_depth: int):
+        self.start = start  # the first key of productions
         self.productions = productions
-        self.param_types = param_types
-        self.constraints = constraints
+        self.arity = arity
         self.max_depth = max_depth
         # Sampler's tables per weight overrides and parameter mask, built on
         # first use
         self.draw_tables: dict = {}
 
-    @property
-    def arity(self) -> int:
-        return len(self.param_types)
-
 
 class _Compiler:
-    def __init__(
-        self,
-        primitives: tuple[Primitive, ...],
-        constraints: ConstraintSet,
-        param_types: tuple[Ty, ...],
-        result_type: Ty,
-        max_depth: int,
-    ):
-        self.primitives = primitives
-        self.constraints = constraints
-        self.rules = set(constraints.compile_time)
-        self.param_types = param_types
-        self.result_type = result_type
+    def __init__(self, arity: int, max_depth: int):
+        self.arity = arity
         self.max_depth = max_depth
         self.universe = self._universe(max_depth)
         # (nt.kind, nt.ty) -> the (primitive, argument types) a nonterminal
@@ -208,8 +200,6 @@ class _Compiler:
     def weight(self, head: str) -> float:
         return DEFAULT_WEIGHTS.get(head, 1.0)
 
-    # -- flag helpers honoring rule toggles
-
     def nt(self, kind: str, ty: Ty, depth: int, no_empty: bool = False,
            no_lit: bool = False, allow_neg1: bool = False) -> NT:
         """The one instance of this compile for the nonterminal with these
@@ -219,17 +209,6 @@ class _Compiler:
         if nt is None:
             nt = self.nts[fields] = NT(*fields)
         return nt
-
-    def child(self, ty: Ty, depth: int, *, no_empty_rule: str | None = None,
-              no_lit: bool = False, allow_neg1: bool = False) -> NT:
-        return self.nt(
-            "val",
-            ty,
-            depth,
-            no_empty_rule in self.rules if no_empty_rule else False,
-            no_lit and "c1" in self.rules,
-            allow_neg1 and "c3" in self.rules,
-        )
 
     # -- production synthesis
 
@@ -244,13 +223,11 @@ class _Compiler:
         if d < 1:
             return out
         if nt.ty == INT and not nt.no_lit:
-            values = [0, 1, 2, 3, 4, 5]
-            if nt.allow_neg1 or "c3" not in self.rules:
-                values.insert(0, -1)
-            for v in values:
-                out.append(Production("lit", v, False, (), 1.0))
-        for i, pty in enumerate(self.param_types, start=1):
-            if nt.ty == pty:
+            for v in INT_LITERALS:
+                if v != -1 or nt.allow_neg1:  # c3
+                    out.append(Production("lit", v, False, (), 1.0))
+        if nt.ty == _INT_LIST:
+            for i in range(1, self.arity + 1):
                 out.append(Production("param", i, False, (), 1.0))
         if isinstance(nt.ty, TList) and not nt.no_empty:
             out.append(Production("empty", None, False, (), self.weight("empty")))
@@ -276,7 +253,7 @@ class _Compiler:
         if found is not None:
             return found
         found = []
-        for prim in self.primitives:
+        for prim in PRIMITIVES:
             if prim.arity == 0:
                 continue
             subst: dict[str, Ty] = {}
@@ -310,29 +287,28 @@ class _Compiler:
             yield from self._ground_out(grounded, rest)
 
     def _val_children(self, prim: Primitive, params: tuple[Ty, ...], d: int) -> tuple[NT, ...]:
+        """The argument nonterminals of a full application; the flags are
+        the rules c1 (``no_lit``), c2 and c4 (``no_empty``) and c3
+        (``allow_neg1``)."""
         name = prim.name
+        nt = self.nt
         if name == "if":
-            return (self.child(params[0], d), self.child(params[1], d), self.child(params[2], d))
+            return (nt("val", params[0], d), nt("val", params[1], d), nt("val", params[2], d))
         if name == "map":
-            fn_ty = params[0]
-            return (self.nt("fn", fn_ty, d), self.child(params[1], d, no_empty_rule="c2"))
+            return (nt("fn", params[0], d), nt("val", params[1], d, no_empty=True))
         if name == "append":
-            return (self.child(params[0], d), self.child(params[1], d))
+            return (nt("val", params[0], d), nt("val", params[1], d))
         if name == "extend":
-            return (self.child(params[0], d), self.child(params[1], d, no_empty_rule="c2"))
-        if name in ("init", "tail"):
-            return (self.child(params[0], d, no_empty_rule="c4"),)
-        if name == "length":
-            return (self.child(params[0], d, no_empty_rule="c2"),)
+            return (nt("val", params[0], d), nt("val", params[1], d, no_empty=True))
+        if name in ("init", "tail", "length"):
+            return (nt("val", params[0], d, no_empty=True),)
         if name == "index":
-            return (
-                self.child(params[0], d, allow_neg1=True),
-                self.child(params[1], d, no_empty_rule="c4"),
-            )
+            return (nt("val", params[0], d, allow_neg1=True),
+                    nt("val", params[1], d, no_empty=True))
         if name in ("==", "<", ">"):
-            return (self.child(params[0], d, no_lit=True), self.child(params[1], d))
+            return (nt("val", params[0], d, no_lit=True), nt("val", params[1], d))
         if name in ("&&", "||", "!"):
-            return tuple(self.child(p, d) for p in params)
+            return tuple(nt("val", p, d) for p in params)
         raise AssertionError(name)
 
     def expand_fn(self, nt: NT) -> list[Production]:
@@ -350,24 +326,25 @@ class _Compiler:
 
     def _fn_children(self, prim: Primitive, leading: tuple[Ty, ...], d: int) -> tuple[NT, ...]:
         name = prim.name
+        nt = self.nt
         if not leading:
             return ()
         if name == "if":
-            return (self.child(leading[0], d), self.child(leading[1], d))
+            return (nt("val", leading[0], d), nt("val", leading[1], d))
         if name in ("==", "<", ">"):
-            return (self.child(leading[0], d, no_lit=True),)
+            return (nt("val", leading[0], d, no_lit=True),)
         if name == "index":
-            return (self.child(leading[0], d, allow_neg1=True),)
+            return (nt("val", leading[0], d, allow_neg1=True),)
         if name == "map":
-            return (self.nt("fn", leading[0], d),)
+            return (nt("fn", leading[0], d),)
         if name in ("append", "extend", "&&", "||"):
-            return (self.child(leading[0], d),)
+            return (nt("val", leading[0], d),)
         raise AssertionError(f"unexpected partial head {name}")
 
     # -- table construction with pruning
 
     def build(self) -> Cfg:
-        start = self.nt("val", self.result_type, self.max_depth)
+        start = self.nt("val", _INT_LIST, self.max_depth)
         pending = [start]
         raw: dict[NT, list[Production]] = {}
         while pending:
@@ -393,8 +370,7 @@ class _Compiler:
                         productive.add(nt)
                         changed = True
                         break
-        if start not in productive:
-            raise EmptyLanguage(f"no derivation for {self.result_type!r} at depth {self.max_depth}")
+        # the start symbol is productive, since it derives ``a1``
 
         table: dict[NT, tuple[Production, ...]] = {}
         reachable = [start]
@@ -410,7 +386,7 @@ class _Compiler:
                     if c not in seen:
                         seen.add(c)
                         reachable.append(c)
-        return Cfg(start, table, self.param_types, self.constraints, self.max_depth)
+        return Cfg(start, table, self.arity, self.max_depth)
 
 
 def _free_vars(ty: Ty):
@@ -423,24 +399,20 @@ def _free_vars(ty: Ty):
         yield from _free_vars(ty.res)
 
 
-def compile_cfg(
-    primitives: tuple[Primitive, ...],
-    constraints: ConstraintSet,
-    program_type: Ty,
-    max_depth: int,
-) -> Cfg:
-    """Compile the DSL and compile-time constraints into a CFG weighted by
+def compile_cfg(arity: int, max_depth: int) -> Cfg:
+    """Compile ``dsl.PRIMITIVES`` and the rules c1-c4 into a CFG of the
+    programs of type ``list_program_type(arity)``, weighted by
     ``DEFAULT_WEIGHTS`` (``SamplerConfig.weight_overrides`` reweights it).
 
-    Derivations are exactly the well-typed terms of the program's result type
-    with depth at most ``max_depth`` satisfying the enabled c-rules.
+    Derivations are exactly the well-typed terms of type ``[int]`` over the
+    parameters ``a1``..``a<arity>`` with depth at most ``max_depth`` that
+    satisfy c1-c4.  The rules are fixed: they are the language's.
     """
     if max_depth < 2:
         raise ValueError("max_depth must be at least 2")
-    param_types, result_type = split_fun(program_type)
-    if not param_types:
-        raise ValueError("program type must be an arrow type")
-    return _Compiler(primitives, constraints, param_types, result_type, max_depth).build()
+    if arity < 1:
+        raise ValueError("arity must be at least 1")
+    return _Compiler(arity, max_depth).build()
 
 
 # ---------------------------------------------------------------------------
@@ -488,19 +460,17 @@ def _draw_tables(cfg: Cfg, overrides: dict[str, float]):
     """The grammar's productions with nonterminals interned to ints.
 
     Returns ``(index, rows)``: ``index`` maps each nonterminal of
-    ``cfg.productions`` to its row.  A row is ``(cumulative, total,
-    entries)``: the running sums of the production weights with the last one
-    replaced by infinity, so that a draw never runs past the row; the true
-    sum, which scales the draw; and per production ``(production, param_bit,
-    children)``.  ``param_bit`` is ``_param_bit(production)`` and
-    ``children`` are row indices in reverse, so a stack pops them left to
-    right.
+    ``cfg.productions`` to its row, the start symbol to row 0.  A row is
+    ``(cumulative, total, entries)``: the running sums of the production
+    weights with the last one replaced by infinity, so that a draw never
+    runs past the row; the true sum, which scales the draw; and per
+    production ``(production, param_bit, children)``.  ``param_bit`` is
+    ``_param_bit(production)`` and ``children`` are row indices in reverse,
+    so a stack pops them left to right.
     """
     index = {nt: i for i, nt in enumerate(cfg.productions)}
     rows = []
-    for nt, prods in cfg.productions.items():
-        if not prods:
-            raise EmptyLanguage(f"nonterminal {nt} has no productions")
+    for prods in cfg.productions.values():
         cumulative: list[float] = []
         total = 0.0
         entries = []
@@ -534,8 +504,6 @@ def _inside_masses(cfg: Cfg, overrides: dict[str, float]) -> dict[NT, list[float
     masses: dict[NT, list[float]] = {}
     for nt in sorted(cfg.productions, key=lambda nt: nt.depth):
         prods = cfg.productions[nt]
-        if not prods:
-            raise EmptyLanguage(f"nonterminal {nt} has no productions")
         mass = [0.0] * size
         for p, share in zip(prods, _shares(prods, overrides)):
             dist = [0.0] * size
@@ -566,8 +534,8 @@ def _conditioned_tables(cfg: Cfg, overrides: dict[str, float], uses: int):
     entry weighs p's share times the masses of (child i, U_i), so the row
     sums to the mass of (N, U), and child i continues in the row of (child
     i, U_i).  Entries of zero mass are left out, and only the rows reachable
-    from (start, ``uses``) are built.  Returns ``(index, rows)`` as
-    ``_draw_tables`` does, with the start symbol the one key of ``index``.
+    from (start, ``uses``) are built.  Returns the rows, with (start,
+    ``uses``) row 0, as ``_draw_tables`` builds them.
     """
     masses = _inside_masses(cfg, overrides)
     if not masses[cfg.start][uses]:
@@ -609,7 +577,7 @@ def _conditioned_tables(cfg: Cfg, overrides: dict[str, float], uses: int):
                     entries.append((p, bit, children))
         cumulative[-1] = math.inf
         rows[i] = (cumulative, total, tuple(entries))
-    return {cfg.start: 0}, rows
+    return rows
 
 
 class Sampler:
@@ -617,31 +585,26 @@ class Sampler:
 
     The tables are built once per grammar, weight overrides and ``uses``,
     and kept on the ``Cfg``.  With ``uses`` None they are the grammar's own
-    productions (``_draw_tables``).  With a parameter mask they draw only
-    derivations that use exactly those parameters, each with its plain
-    probability conditioned on that (``_conditioned_tables``), and ``draw``
-    and ``derive`` start only at the start symbol.  Every production drawn
-    consumes one ``rng.random()``, in preorder, whichever of ``draw``,
-    ``derive`` or ``sample`` draws it.
+    productions (``_draw_tables``), the plain distribution.  With a
+    parameter mask they draw only derivations that use exactly those
+    parameters, each with its plain probability conditioned on that
+    (``_conditioned_tables``).  Every draw starts at the start symbol, row
+    0, and every production drawn consumes one ``rng.random()``, in
+    preorder.
     """
 
     def __init__(self, cfg: Cfg, overrides: dict[str, float] | None = None,
                  uses: int | None = None):
-        self.cfg = cfg
         overrides = overrides or {}
         key = (tuple(sorted(overrides.items())), uses)
-        tables = cfg.draw_tables.get(key)
-        if tables is None:
-            tables = cfg.draw_tables[key] = (
-                _draw_tables(cfg, overrides) if uses is None
+        rows = cfg.draw_tables.get(key)
+        if rows is None:
+            rows = cfg.draw_tables[key] = (
+                _draw_tables(cfg, overrides)[1] if uses is None
                 else _conditioned_tables(cfg, overrides, uses))
-        self.index, self.rows = tables
+        self.rows = rows
 
-    def draw(self, nt: NT, rng: random.Random) -> Production:
-        cumulative, total, entries = self.rows[self.index[nt]]
-        return entries[bisect.bisect_right(cumulative, rng.random() * total)][0]
-
-    def derive(self, rng: random.Random, nt: NT | None = None) -> tuple[list[Production], int]:
+    def derive(self, rng: random.Random) -> tuple[list[Production], int]:
         """Draw one derivation without building its term.
 
         Returns its productions in preorder and a bitmask of the parameters
@@ -652,7 +615,7 @@ class Sampler:
         draw_point = rng.random
         productions: list[Production] = []
         used = 0
-        stack = [self.index[nt or self.cfg.start]]
+        stack = [0]
         while stack:
             cumulative, total, entries = rows[stack.pop()]
             production, bit, children = entries[bisect_right(cumulative, draw_point() * total)]
@@ -678,8 +641,8 @@ class Sampler:
         (term,) = stack
         return term
 
-    def sample(self, rng: random.Random, nt: NT | None = None) -> Term:
-        return self.build(self.derive(rng, nt)[0])
+    def sample(self, rng: random.Random) -> Term:
+        return self.build(self.derive(rng)[0])
 
 
 def sample_inputs(arity: int, config: SamplerConfig, rng: random.Random) -> list[tuple]:
@@ -767,10 +730,10 @@ def sample_valid_program(
     """Sample until a program passes s1-s4, executes cleanly on all sampled
     inputs, and does not produce the same output on every input.
 
-    With s4 on, every draw uses every parameter: it comes from the
-    ``Sampler`` tables conditioned on that, so an s4 miss costs no attempt
-    and ``rejections["s4"]`` stays 0 (the check on the drawn productions
-    stays as a guard).  Each draw is rejected at the cheapest stage that
+    Every draw uses every parameter (s4): it comes from the ``Sampler``
+    tables conditioned on that, so an s4 miss costs no attempt and
+    ``rejections["s4"]`` stays 0 (the check on the drawn productions stays
+    as a guard).  Each draw is rejected at the cheapest stage that
     can reject it: a built term is checked against s1-s4 before inputs are
     drawn; the term evaluator then screens out runtime errors and constant
     output.  Only a candidate past the screen is translated, once, and
@@ -782,16 +745,16 @@ def sample_valid_program(
     """
     run = executor or default_executor
     arity = cfg.arity
-    required = (1 << arity) - 1 if "s4" in cfg.constraints.sample_time else 0
-    sampler = Sampler(cfg, config.weight_overrides, required or None)
+    required = (1 << arity) - 1
+    sampler = Sampler(cfg, config.weight_overrides, required)
     rejections = dict.fromkeys(REJECTION_STAGES, 0)
     for attempt in range(1, config.max_attempts + 1):
         derivation, params_used = sampler.derive(rng)
-        if params_used & required != required:
+        if params_used != required:
             rejections["s4"] += 1
             continue
         term = sampler.build(derivation)
-        violations = check_constraints(term, "sample", cfg.constraints, arity=arity)
+        violations = check_constraints(term, "sample", arity=arity)
         if violations:
             rejections[min(v.rule for v in violations)] += 1
             continue

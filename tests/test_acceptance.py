@@ -19,17 +19,11 @@ from mutexec.dsl import (
     LOGICALS,
     check_constraints,
     eval_dsl_outcome,
-    list_dsl,
     to_sexpr,
     typecheck,
 )
 from mutexec.executors import BuiltinExecutor, ExternalExecutor
-from mutexec.grammar import (
-    Sampler,
-    SamplerConfig,
-    compile_cfg,
-    list_program_type,
-)
+from mutexec.grammar import Sampler, SamplerConfig, compile_cfg
 from mutexec.llm_client import ALWAYS_A_TEXT, mock_model
 from mutexec.minipy import interpret
 from mutexec.mutate import (
@@ -42,9 +36,6 @@ from mutexec.mutate import (
 )
 from mutexec.problems import Problem, pair_by_id
 from mutexec.values import canonical_repr, values_equal
-
-PRIMS, CONSTRAINTS = list_dsl()
-
 
 def ok(criterion: int, message: str) -> None:
     print(f"\nACCEPTANCE {criterion}: PASS - {message}")
@@ -70,14 +61,14 @@ def test_01_oracle_equivalence():
     checked_errors = 0
     for arity in (1, 2):
         for depth in (4, 5):
-            cfg = compile_cfg(PRIMS, CONSTRAINTS, list_program_type(arity), depth)
+            cfg = compile_cfg(arity, depth)
             config = SamplerConfig()
             sampler = Sampler(cfg)
             rng = random.Random(1000 + arity * 10 + depth)
             produced = 0
             while produced < 90:
                 term = sampler.sample(rng)
-                if check_constraints(term, "sample", CONSTRAINTS, arity=arity):
+                if check_constraints(term, "sample", arity=arity):
                     continue
                 produced += 1
                 program = translate(term, arity=arity)
@@ -152,13 +143,13 @@ def test_02_constraint_soundness():
     per_combo = 2500
     for arity in (1, 2):
         for depth in (4, 5):
-            cfg = compile_cfg(PRIMS, CONSTRAINTS, list_program_type(arity), depth)
+            cfg = compile_cfg(arity, depth)
             sampler = Sampler(cfg)
             rng = random.Random(20_000 + arity * 10 + depth)
             accepted = 0
             while accepted < per_combo:
                 term = sampler.sample(rng)
-                if check_constraints(term, "sample", CONSTRAINTS, arity=arity):
+                if check_constraints(term, "sample", arity=arity):
                     continue  # the pipeline's own rejection stage
                 accepted += 1
                 audited += 1
@@ -205,9 +196,8 @@ def test_03_dataset_shape(full_corpus):
         assert values_equal(result.output, problem.output_value())
         term = parse_sexpr(problem.dsl_text)
         typecheck(term)
-        assert not check_constraints(term, "compile", CONSTRAINTS)
-        assert not check_constraints(term, "sample", CONSTRAINTS,
-                                     arity=problem.arity)
+        assert not check_constraints(term, "compile")
+        assert not check_constraints(term, "sample", arity=problem.arity)
         assert term.depth() <= problem.depth
     ok(3, "300 problems, bin histograms [10,10,10,10,10], deterministic "
           "rebuild, all ground truths re-executed")
@@ -287,7 +277,7 @@ def test_07_sampling_distribution():
     """Production frequencies at a fixed nonterminal match weight ratios."""
     from scipy import stats
 
-    cfg = compile_cfg(PRIMS, CONSTRAINTS, list_program_type(1), 5)
+    cfg = compile_cfg(1, 5)
     sampler = Sampler(cfg)
     productions = cfg.productions[cfg.start]
     heads = [p.head for p in productions]
@@ -302,7 +292,7 @@ def test_07_sampling_distribution():
     observed = [0] * len(productions)
     index = {id(p): i for i, p in enumerate(productions)}
     for _ in range(draws):
-        observed[index[id(sampler.draw(cfg.start, rng))]] += 1
+        observed[index[id(sampler.derive(rng)[0][0])]] += 1
     expected = [draws * w / total for w in weights]
     chi2, p_value = stats.chisquare(observed, expected)
     assert p_value > 0.001, (chi2, p_value)

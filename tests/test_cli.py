@@ -474,6 +474,16 @@ class TestConfigFile:
         assert f"mutexec {command} has no option {key!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, line", [("build-dsl-list", "per_bin = 0"),
+                                               ("sample", "depth = deep")])
+    def test_bad_value_names_its_key(self, tmp_path, capsys, command, line):
+        config = tmp_path / "run.conf"
+        config.write_text(line + "\n")
+        out = tmp_path / "out.jsonl"
+        assert dispatch([command, "--config", str(config), "--out", str(out)]) == 2
+        assert f"{config}: {line.split()[0]}: " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_load_config_file_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.conf"
         bad.write_text("this is not a key value line\n")
@@ -520,6 +530,38 @@ class TestExitCodes:
                       "--out", str(tmp_path / "out"), "--executor-timeout", timeout])
         assert err.value.code == 2
         assert "--executor-timeout" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["sample", "--depth", "1"], "--depth"),
+        (["sample", "--count", "0"], "--count"),
+        (["sample", "--max-attempts", "0"], "--max-attempts"),
+        (["build-dsl-list", "--per-bin", "0"], "--per-bin"),
+        (["build-dsl-list", "--programs-per-combo", "0"], "--programs-per-combo"),
+        (["build-llm-list", "--model", "mock:always-a", "--max-regenerations", "-1"],
+         "--max-regenerations"),
+        (["run-pred", "--orig", "o", "--mut", "m", "--model", "mock:always-a", "--n", "0"],
+         "--n"),
+        (["run-choice", "--orig", "o", "--mut", "m", "--model", "mock:always-a",
+          "--parallelism", "0"], "--parallelism"),
+        (["run-choice", "--orig", "o", "--mut", "m", "--model", "mock:always-a",
+          "--max-tokens", "-1"], "--max-tokens"),
+        (["ingest", "--in", "i", "--min-chars", "-1"], "--min-chars"),
+        (["ingest", "--in", "i", "--max-chars", "-1"], "--max-chars"),
+        (["ingest", "--in", "i", "--max-steps", "-1"], "--max-steps"),
+        (["ingest", "--in", "i", "--min-chars", "9", "--max-chars", "8"], "--min-chars"),
+    ], ids=["depth", "count", "max_attempts", "per_bin", "programs_per_combo",
+            "max_regenerations", "n", "parallelism", "max_tokens", "min_chars",
+            "max_chars", "max_steps", "crossed_chars"])
+    def test_integer_option_below_its_bound_exits_2(self, tmp_path, capsys, monkeypatch,
+                                                    argv, named):
+        monkeypatch.chdir(tmp_path)
+        try:
+            code = dispatch(argv + ["--out", "out.jsonl"])
+        except SystemExit as exc:  # rejected by the option's own type
+            code = exc.code
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []  # no output, no manifest
 
     def test_weight_option_and_config_key(self, tmp_path):
         config = tmp_path / "run.conf"
@@ -570,6 +612,16 @@ class TestPipelineFailures:
         out = tmp_path / "s.jsonl"
         assert dispatch(["sample", "--max-attempts", "1", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: no valid program in 1 attempts\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_no_program_uses_every_parameter(self, tmp_path, capsys):
+        # without extend, append, if and map no term holds both lists
+        out = tmp_path / "s.jsonl"
+        assert dispatch(["sample", "--arity", "2", "--weight", "extend=0",
+                         "--weight", "append=0", "--weight", "if=0", "--weight", "map=0",
+                         "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: no derivation uses exactly the parameters of mask 0b11\n")
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("command,text,message", [

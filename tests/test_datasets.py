@@ -19,7 +19,6 @@ from mutexec.datasets import (
     GenerationRetriesExhausted,
     IngestConfig,
     InsufficientBinPopulation,
-    LlmListConfig,
     build_dsl_list,
     build_llm_list,
     fixed_sort_search_headers,
@@ -425,9 +424,7 @@ class TestLlmList:
 
     def test_outputs_match_reexecution(self, external_executor):
         model = FakeListModel(n_functions=3)
-        problems = build_llm_list(
-            model, external_executor, LlmListConfig()
-        )
+        problems = build_llm_list(model, external_executor)
         for problem in problems[:9]:
             result = external_executor.run(
                 problem.source, problem.function_name, problem.args()
@@ -442,8 +439,7 @@ class TestLlmList:
 
         model = AlwaysBad(n_functions=1)
         with pytest.raises(GenerationRetriesExhausted):
-            build_llm_list(model, external_executor,
-                           LlmListConfig(max_regenerations=2))
+            build_llm_list(model, external_executor, max_regenerations=2)
 
 
 class TestIngest:

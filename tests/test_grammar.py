@@ -7,15 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from mutexec.dsl import (
-    INT,
-    Term,
-    TList,
-    check_constraints,
-    list_dsl,
-    to_sexpr,
-    typecheck,
-)
+from mutexec.dsl import PRIMITIVES, Term, check_constraints, to_sexpr, typecheck
 from mutexec.grammar import (
     REJECTION_STAGES,
     AttemptsExhausted,
@@ -26,7 +18,6 @@ from mutexec.grammar import (
     compile_cfg,
     count_derivations,
     enumerate_terms,
-    list_program_type,
     production_weight,
     sample_inputs,
     sample_valid_program,
@@ -35,11 +26,8 @@ from mutexec.minipy import interpret
 from mutexec.transpile import translate
 from mutexec.values import values_equal
 
-PRIMS, CONSTRAINTS = list_dsl()
-
-
-def make_cfg(arity=1, depth=4, constraints=CONSTRAINTS):
-    return compile_cfg(PRIMS, constraints, list_program_type(arity), depth)
+def make_cfg(arity=1, depth=4):
+    return compile_cfg(arity, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +192,6 @@ class TestCompile:
         # distinct surface terms are fewer: instantiation choices duplicate
         assert len(seen) <= count
 
-    def test_compile_rule_toggles_reshape_the_language(self):
-        default_count = count_derivations(make_cfg(1, 4))
-        relaxed = CONSTRAINTS.without("c1")
-        relaxed_cfg = make_cfg(1, 4, relaxed)
-        # comparisons may now take literal first arguments, so the language grows
-        assert count_derivations(relaxed_cfg) > default_count
-        found_literal_first = False
-        for productions in relaxed_cfg.productions.values():
-            for production in productions:
-                if production.head in ("==", "<", ">") and not production.partial:
-                    first = production.children[0]
-                    if any(p.head == "lit" for p in relaxed_cfg.productions[first]):
-                        found_literal_first = True
-        assert found_literal_first
-
     def test_compiled_tables_pinned(self):
         """Every nonterminal's productions in table order, and the draw
         tables built from them, for arity 1/2 x depth 4/5; the digest was
@@ -244,14 +217,6 @@ class TestCompile:
     def test_min_depth_rejected(self):
         with pytest.raises(ValueError):
             make_cfg(1, 1)
-
-    def test_empty_language_reported(self):
-        # bool-typed programs cannot exist at depth 2 (comparisons need
-        # non-literal first arguments, which need depth >= 2 themselves)
-        from mutexec.dsl import BOOL, fun_type
-
-        with pytest.raises(EmptyLanguage):
-            compile_cfg(PRIMS, CONSTRAINTS, fun_type(TList(INT), BOOL), 2)
 
 
 def recursive_build(productions):
@@ -319,7 +284,7 @@ class TestSample:
         assert counts.get("(tail (tail (tail a1)))", 0) >= 45
 
     def test_production_frequencies_match_weight_ratios(self):
-        # draws at the start nonterminal against analytic probabilities,
+        # root productions of whole draws against analytic probabilities,
         # including if/map=5 and extend=0.05 (chi-square, p > 0.001)
         from scipy import stats
 
@@ -334,7 +299,7 @@ class TestSample:
         index = {id(p): i for i, p in enumerate(productions)}
         draws = 100_000
         for _ in range(draws):
-            observed[index[id(sampler.draw(cfg.start, rng))]] += 1
+            observed[index[id(sampler.derive(rng)[0][0])]] += 1
         expected = [draws * w / total for w in weights]
         heads = {p.head for p in productions}
         assert {"if", "map", "extend"} <= heads
@@ -347,7 +312,7 @@ class TestSample:
         from scipy import stats
 
         cfg = make_cfg(1, 3)
-        flat = {p.name: 1.0 for p in PRIMS}
+        flat = {p.name: 1.0 for p in PRIMITIVES}
         sampler = Sampler(cfg, flat)
 
         def analytic(nt):
@@ -443,7 +408,7 @@ class TestConditionedDraws:
         s4 = sum(q for _, q, used in plain if used == every)
         assert 0 < s4 < 1
         sampler = Sampler(cfg, uses=every)
-        drawn = dict(row_derivations(sampler.rows, sampler.index[cfg.start]))
+        drawn = dict(row_derivations(sampler.rows, 0))
         # a derivation that misses a parameter cannot be drawn
         assert set(drawn) == {d for d, _, used in plain if used == every}
         for productions, q, used in plain:
@@ -492,7 +457,6 @@ class TestConditionedDraws:
         assert Sampler(cfg).rows is plain_rows
         assert Sampler(cfg, uses=0b11).rows is conditioned.rows
         assert conditioned.rows is not plain_rows
-        assert list(conditioned.index) == [cfg.start]
 
     def test_no_program_using_every_parameter_is_an_empty_language(self):
         # at depth 2 no term holds three lists, so s4 cannot hold at arity 3
@@ -666,22 +630,12 @@ class TestSampleValidProgram:
         assert totals["s4"] == 0
         assert all(totals[stage] for stage in ("s3", "runtime_error", "constant_output"))
 
-    def test_s4_off_admits_a_program_missing_a_parameter(self):
-        config = SamplerConfig()
-
-        def missing(term):
-            return {1, 2} - {node.value for node in term.walk() if node.is_param}
-
-        cfg = make_cfg(2, 4, CONSTRAINTS.without("s4"))
-        rng = random.Random(6)
-        results = [sample_valid_program(cfg, config, rng=rng) for _ in range(30)]
-        assert any(missing(r.term) for r in results)
-        assert all(r.rejections["s4"] == 0 for r in results)
-
+    def test_every_program_uses_every_parameter(self):
         cfg = make_cfg(2, 4)
         rng = random.Random(6)
-        results = [sample_valid_program(cfg, config, rng=rng) for _ in range(30)]
-        assert not any(missing(r.term) for r in results)
+        results = [sample_valid_program(cfg, SamplerConfig(), rng=rng) for _ in range(30)]
+        assert all({node.value for node in r.term.walk() if node.is_param} == {1, 2}
+                   for r in results)
         # s4 is part of the draw: no draw misses a parameter
         assert all(r.rejections["s4"] == 0 for r in results)
 

@@ -4,8 +4,8 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from mutexec.dsl import check_constraints, list_dsl, parse_sexpr, to_sexpr, typecheck
-from mutexec.grammar import Sampler, compile_cfg, list_program_type
+from mutexec.dsl import check_constraints, parse_sexpr, to_sexpr, typecheck
+from mutexec.grammar import Sampler, compile_cfg
 from mutexec.minipy import interpret, parse
 from mutexec.mutate import enumerate_source_mutants
 from mutexec.transpile import translate
@@ -42,8 +42,7 @@ def test_minipy_comparisons_match_python(a, b):
     assert interpret(parse(source), (a, b)).output == expected
 
 
-PRIMS, CONSTRAINTS = list_dsl()
-CFG = compile_cfg(PRIMS, CONSTRAINTS, list_program_type(2), 5)
+CFG = compile_cfg(2, 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -54,7 +53,7 @@ def test_sampled_terms_round_trip_and_validate(seed):
     text = to_sexpr(term)
     assert parse_sexpr(text) == term
     typecheck(term)
-    assert not check_constraints(term, "compile", CONSTRAINTS)
+    assert not check_constraints(term, "compile")
 
 
 @settings(max_examples=40, deadline=None)

@@ -3,12 +3,11 @@ import random
 from conftest import read_fixture
 
 from mutexec import minipy
-from mutexec.dsl import eval_dsl_outcome, list_dsl, parse_sexpr
+from mutexec.dsl import eval_dsl_outcome, parse_sexpr
 from mutexec.grammar import (
     SamplerConfig,
     Sampler,
     compile_cfg,
-    list_program_type,
     sample_valid_program,
 )
 from mutexec.transpile import translate
@@ -79,8 +78,7 @@ class TestLoc:
 
 class TestRoundTripAndSemantics:
     def make_cfg(self, arity, depth):
-        primitives, constraints = list_dsl()
-        return compile_cfg(primitives, constraints, list_program_type(arity), depth)
+        return compile_cfg(arity, depth)
 
     def test_sampled_programs_round_trip_and_agree(self):
         rng = random.Random(99)
