@@ -168,6 +168,13 @@ def _seconds(text: str) -> float:
     return value
 
 
+def _command(text: str) -> str:
+    """An argparse type: a command line that is not blank."""
+    if not text.strip():
+        raise argparse.ArgumentTypeError(f"expected a command, got {text!r}")
+    return text
+
+
 def _sampler_config(args: argparse.Namespace):
     from .grammar import SamplerConfig
 
@@ -233,21 +240,31 @@ def cmd_sample(args) -> int:
 
 
 def cmd_transpile(args) -> int:
-    from .dsl import parse_sexpr
-    from .transpile import translate
+    from .dsl import TFun, TypeMismatch, parse_sexpr, typecheck
+    from .transpile import UntranslatableNode, translate
 
-    with open(getattr(args, "in"), encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    path = getattr(args, "in")
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                text = json.loads(line).get("dsl_text") if line.startswith("{") else line
+                if not isinstance(text, str):
+                    raise ValueError("expected a string field 'dsl_text'")
+                term = parse_sexpr(text)
+                if isinstance(typecheck(term), TFun):
+                    raise ValueError("a function is not a program")
+                program = translate(term, args.function_name)
+            except (ValueError, TypeMismatch, UntranslatableNode) as exc:
+                raise ValueError(f"{path}:{number}: {exc}") from None
+            rows.append({"dsl_text": text, "source": program.source, "loc": program.loc})
     with atomic_writer(args.out) as fh:
-        for line in lines:
-            text = json.loads(line)["dsl_text"] if line.startswith("{") else line
-            program = translate(parse_sexpr(text), args.function_name)
-            fh.write(encode_json({
-                "dsl_text": text,
-                "source": program.source,
-                "loc": program.loc,
-            }) + "\n")
-    write_manifest(args.out, "transpile", args, [getattr(args, "in")], [args.out])
+        for row in rows:
+            fh.write(encode_json(row) + "\n")
+    write_manifest(args.out, "transpile", args, [path], [args.out])
     return 0
 
 
@@ -443,7 +460,7 @@ def _add_executor_options(parser):
 
     parser.add_argument("--executor", choices=("builtin", "external"),
                         default="external")
-    parser.add_argument("--executor-cmd",
+    parser.add_argument("--executor-cmd", type=_command,
                         help="external executor command (default: bundled)")
     parser.add_argument("--executor-timeout", type=_seconds, default=DEFAULT_TIMEOUT)
 

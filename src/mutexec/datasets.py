@@ -451,21 +451,27 @@ def ingest_external(
 ) -> tuple[list[Problem], list[Rejection]]:
     """Execute {source, function_name, input} records for ground truth.
 
-    Applies the character-length window, rejects programs whose two runs
-    disagree (nondeterminism), and rejects runs beyond the step budget or,
-    under a budget, runs whose executor reports no step count.  Rejections
-    are reported per problem, never as a global failure.
+    Rejects a record whose id a kept problem already has, applies the
+    character-length window, rejects programs whose two runs disagree
+    (nondeterminism), and rejects runs beyond the step budget or, under a
+    budget, runs whose executor reports no step count.  Rejections are
+    reported per problem, never as a global failure.
     """
     config = config or IngestConfig()
     problems: list[Problem] = []
     rejections: list[Rejection] = []
+    kept_ids: set[str] = set()
     for index, record in enumerate(records):
         source = record["source"]
         name = record["function_name"]
+        problem_id = record.get("id", f"ext-{index:04d}")
 
         def reject(reason: str):
             rejections.append(Rejection(index, name, reason))
 
+        if problem_id in kept_ids:
+            reject(f"duplicate id {problem_id!r}")
+            continue
         if not config.min_chars <= len(source) <= config.max_chars:
             reject(f"length {len(source)} outside [{config.min_chars}, {config.max_chars}]")
             continue
@@ -490,8 +496,9 @@ def ingest_external(
             if first.steps > config.max_steps:
                 reject(f"step count {first.steps} above {config.max_steps}")
                 continue
+        kept_ids.add(problem_id)
         problems.append(Problem(
-            id=record.get("id", f"ext-{index:04d}"),
+            id=problem_id,
             dataset="external",
             source=source,
             function_name=name,

@@ -51,7 +51,8 @@ class Ty:
         return True
 
     def __hash__(self) -> int:
-        return hash(())
+        # by class, so that int and bool, and the lists of each, differ
+        return hash(self.__class__.__name__)
 
 
 class TInt(Ty):

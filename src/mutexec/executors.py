@@ -94,6 +94,8 @@ class ExternalExecutor:
             command = [sys.executable, "-m", "mutexec.python_exec"]
         elif isinstance(command, str):
             command = shlex.split(command)
+        if not command:
+            raise ValueError("the executor command is empty")
         if not 0 < timeout < float("inf"):
             raise ValueError(
                 f"timeout must be a positive, finite number of seconds, got {timeout!r}")

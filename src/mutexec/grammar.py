@@ -10,7 +10,11 @@ Nonterminals are keyed by goal type, remaining depth, and context flags that
 realize c1-c4 (no literal as a comparison's first argument, no ``empty`` in
 restricted positions, ``-1`` only under ``index``).  Function-position
 nonterminals (the mapping function of ``map``) carry the argument and result
-type of the missing trailing argument.
+type of the missing trailing argument.  The rules live in one table,
+``_ARGUMENTS``: the kind and flags of each argument of each primitive.  A
+full application's children are its arguments' rows; a partial
+application's are the rows of its leading arguments, so one ``expand``
+builds both.
 
 Polymorphic primitives are instantiated over a finite ground-type universe
 whose list nesting is capped at the depth bound; unproductive nonterminals
@@ -35,9 +39,9 @@ The other rules, s1-s3 and the run-time same-output rule, are enforced by
 rejection in ``sample_valid_program``.  Each draw is rejected at the
 cheapest stage that can reject it, in this order:
 
-1. s1-s4 on the built term (``check_constraints``), before inputs are drawn;
-   s4 stays checked there and on the drawn productions, as a guard that
-   never fires;
+1. s1-s4 on the term that ``Sampler.sample`` draws (``check_constraints``),
+   before inputs are drawn; s4 stays checked there, as a guard that never
+   fires;
 2. a screen with the term evaluator ``dsl.eval_dsl_outcomes``: a runtime error
    or the same output on every input rejects the draw;
 3. the one translation of the term, interpreted on every input.
@@ -92,6 +96,31 @@ class AttemptsExhausted(RuntimeError):
 
 
 DEFAULT_WEIGHTS: dict[str, float] = {"if": 5.0, "map": 5.0, "extend": 0.05}
+
+# Per primitive of positive arity, the nonterminal of each argument in
+# order, as (kind, no_empty, no_lit, allow_neg1): the flags are the rules c1
+# (no_lit), c2 and c4 (no_empty) and c3 (allow_neg1), and map's function is
+# a partial application, kind "fn".  A partial application's children are
+# the rows of its leading arguments.
+_VAL = ("val", False, False, False)
+_NONEMPTY = ("val", True, False, False)
+_NO_LIT = ("val", False, True, False)
+_ARGUMENTS: dict[str, tuple[tuple[str, bool, bool, bool], ...]] = {
+    "if": (_VAL, _VAL, _VAL),
+    "map": (("fn", False, False, False), _NONEMPTY),
+    "append": (_VAL, _VAL),
+    "extend": (_VAL, _NONEMPTY),
+    "init": (_NONEMPTY,),
+    "tail": (_NONEMPTY,),
+    "length": (_NONEMPTY,),
+    "index": (("val", False, False, True), _NONEMPTY),
+    "==": (_NO_LIT, _VAL),
+    "<": (_NO_LIT, _VAL),
+    ">": (_NO_LIT, _VAL),
+    "&&": (_VAL, _VAL),
+    "||": (_VAL, _VAL),
+    "!": (_VAL,),
+}
 
 # the type of every parameter and of every program's result
 _INT_LIST = TList(INT)
@@ -197,9 +226,6 @@ class _Compiler:
                 types.append(ty)
         return tuple(types)
 
-    def weight(self, head: str) -> float:
-        return DEFAULT_WEIGHTS.get(head, 1.0)
-
     def nt(self, kind: str, ty: Ty, depth: int, no_empty: bool = False,
            no_lit: bool = False, allow_neg1: bool = False) -> NT:
         """The one instance of this compile for the nonterminal with these
@@ -213,60 +239,62 @@ class _Compiler:
     # -- production synthesis
 
     def expand(self, nt: NT) -> list[Production]:
-        if nt.kind == "fn":
-            return self.expand_fn(nt)
-        return self.expand_val(nt)
-
-    def expand_val(self, nt: NT) -> list[Production]:
+        """The productions of ``nt``: a literal, parameter or ``empty`` where
+        its type and flags allow one, then each primitive instantiation whose
+        arguments (a partial application's leading ones) fit below it."""
         out: list[Production] = []
         d = nt.depth
         if d < 1:
             return out
-        if nt.ty == INT and not nt.no_lit:
+        ty = nt.ty
+        if ty == INT and not nt.no_lit:
             for v in INT_LITERALS:
                 if v != -1 or nt.allow_neg1:  # c3
                     out.append(Production("lit", v, False, (), 1.0))
-        if nt.ty == _INT_LIST:
+        if ty == _INT_LIST:
             for i in range(1, self.arity + 1):
                 out.append(Production("param", i, False, (), 1.0))
-        if isinstance(nt.ty, TList) and not nt.no_empty:
-            out.append(Production("empty", None, False, (), self.weight("empty")))
-        if d < 2:
-            return out
+        if isinstance(ty, TList) and not nt.no_empty:
+            out.append(Production("empty", None, False, (), DEFAULT_WEIGHTS.get("empty", 1.0)))
 
-        for prim, params in self._instantiations("val", nt.ty):
-            children = self._val_children(prim, params, d - 1)
-            out.append(Production(prim.name, None, False, children, self.weight(prim.name)))
+        partial = nt.kind == "fn"
+        new_nt = self.nt
+        for prim, params in self._instantiations(nt.kind, ty):
+            if params and d < 2:
+                continue  # arguments need room below
+            children = tuple([new_nt(kind, p, d - 1, no_empty, no_lit, allow_neg1)
+                              for p, (kind, no_empty, no_lit, allow_neg1)
+                              in zip(params, _ARGUMENTS[prim.name])])
+            out.append(Production(prim.name, None, partial, children,
+                                  DEFAULT_WEIGHTS.get(prim.name, 1.0)))
         return out
 
     def _instantiations(self, kind: str, goal: Ty) -> list[tuple[Primitive, tuple[Ty, ...]]]:
         """Every primitive of positive arity with its ground argument types,
         for a value (``kind`` "val") or a partial application (``kind``
-        "fn", ``goal`` the arrow of the missing argument) of type ``goal``.
+        "fn") of type ``goal``.  A partial application's type is the arrow
+        of its missing last argument to the result, and it lists its leading
+        arguments only.
 
-        Partial applications list their leading arguments only.  The result
-        depends on neither depth nor flags, so it is computed once per
-        (kind, goal) and compile.
+        The result depends on neither depth nor flags, so it is computed once
+        per (kind, goal) and compile.
         """
         key = (kind, goal)
         found = self.instantiations.get(key)
         if found is not None:
             return found
         found = []
+        partial = kind == "fn"
         for prim in PRIMITIVES:
             if prim.arity == 0:
                 continue
             subst: dict[str, Ty] = {}
-            if kind == "val":
-                if not unify(prim.result, goal, subst):
-                    continue
-                params = prim.params
+            if partial:
+                shape, params = TFun(prim.params[-1], prim.result), prim.params[:-1]
             else:
-                assert isinstance(goal, TFun)
-                if (not unify(prim.params[-1], goal.arg, subst)
-                        or not unify(prim.result, goal.res, subst)):
-                    continue
-                params = prim.params[:-1]
+                shape, params = prim.result, prim.params
+            if not unify(shape, goal, subst):
+                continue
             params = tuple(_apply(p, subst) for p in params)
             free = sorted({v.name for p in params for v in _free_vars(p)})
             for grounded in self._ground_out(params, free):
@@ -285,61 +313,6 @@ class _Compiler:
             if max((nesting(p) for p in grounded), default=0) > self.max_depth:
                 continue
             yield from self._ground_out(grounded, rest)
-
-    def _val_children(self, prim: Primitive, params: tuple[Ty, ...], d: int) -> tuple[NT, ...]:
-        """The argument nonterminals of a full application; the flags are
-        the rules c1 (``no_lit``), c2 and c4 (``no_empty``) and c3
-        (``allow_neg1``)."""
-        name = prim.name
-        nt = self.nt
-        if name == "if":
-            return (nt("val", params[0], d), nt("val", params[1], d), nt("val", params[2], d))
-        if name == "map":
-            return (nt("fn", params[0], d), nt("val", params[1], d, no_empty=True))
-        if name == "append":
-            return (nt("val", params[0], d), nt("val", params[1], d))
-        if name == "extend":
-            return (nt("val", params[0], d), nt("val", params[1], d, no_empty=True))
-        if name in ("init", "tail", "length"):
-            return (nt("val", params[0], d, no_empty=True),)
-        if name == "index":
-            return (nt("val", params[0], d, allow_neg1=True),
-                    nt("val", params[1], d, no_empty=True))
-        if name in ("==", "<", ">"):
-            return (nt("val", params[0], d, no_lit=True), nt("val", params[1], d))
-        if name in ("&&", "||", "!"):
-            return tuple(nt("val", p, d) for p in params)
-        raise AssertionError(name)
-
-    def expand_fn(self, nt: NT) -> list[Production]:
-        """Partial applications deriving a mapping function arg_ty -> res_ty."""
-        d = nt.depth
-        out: list[Production] = []
-        if d < 1:
-            return out
-        for prim, leading in self._instantiations("fn", nt.ty):
-            if leading and d < 2:
-                continue  # leading arguments need room below
-            children = self._fn_children(prim, leading, d - 1)
-            out.append(Production(prim.name, None, True, children, self.weight(prim.name)))
-        return out
-
-    def _fn_children(self, prim: Primitive, leading: tuple[Ty, ...], d: int) -> tuple[NT, ...]:
-        name = prim.name
-        nt = self.nt
-        if not leading:
-            return ()
-        if name == "if":
-            return (nt("val", leading[0], d), nt("val", leading[1], d))
-        if name in ("==", "<", ">"):
-            return (nt("val", leading[0], d, no_lit=True),)
-        if name == "index":
-            return (nt("val", leading[0], d, allow_neg1=True),)
-        if name == "map":
-            return (nt("fn", leading[0], d),)
-        if name in ("append", "extend", "&&", "||"):
-            return (nt("val", leading[0], d),)
-        raise AssertionError(f"unexpected partial head {name}")
 
     # -- table construction with pruning
 
@@ -423,10 +396,10 @@ def compile_cfg(arity: int, max_depth: int) -> Cfg:
 class SamplerConfig:
     """How ``sample_valid_program`` draws: production weight overrides, the
     sampled inputs and the attempt budget.  The program type and depth bound
-    are the ``Cfg``'s.  ``max_attempts`` bounds the draws of one call; with
-    s4 on, every draw already uses every parameter, so it counts only
-    those.  A range whose minimum is above its maximum, a negative list
-    length or an ``input_count`` below 1 is a ``ValueError``."""
+    are the ``Cfg``'s.  ``max_attempts`` bounds the draws of one call;
+    every draw already uses every parameter (s4), so it counts only those.
+    A range whose minimum is above its maximum, a negative list length or
+    an ``input_count`` below 1 is a ``ValueError``."""
 
     weight_overrides: dict[str, float] = field(default_factory=dict)
     input_count: int = 3
@@ -459,14 +432,13 @@ def _param_bit(production: Production) -> int:
 def _draw_tables(cfg: Cfg, overrides: dict[str, float]):
     """The grammar's productions with nonterminals interned to ints.
 
-    Returns ``(index, rows)``: ``index`` maps each nonterminal of
-    ``cfg.productions`` to its row, the start symbol to row 0.  A row is
-    ``(cumulative, total, entries)``: the running sums of the production
-    weights with the last one replaced by infinity, so that a draw never
-    runs past the row; the true sum, which scales the draw; and per
-    production ``(production, param_bit, children)``.  ``param_bit`` is
-    ``_param_bit(production)`` and ``children`` are row indices in reverse,
-    so a stack pops them left to right.
+    Returns the rows, one per nonterminal of ``cfg.productions`` in order,
+    so the start symbol is row 0.  A row is ``(cumulative, total,
+    entries)``: the running sums of the production weights with the last
+    one replaced by infinity, so that a draw never runs past the row; the
+    true sum, which scales the draw; and per production ``(production,
+    children)``, with ``children`` the row indices in reverse, so a stack
+    pops them left to right.
     """
     index = {nt: i for i, nt in enumerate(cfg.productions)}
     rows = []
@@ -477,10 +449,10 @@ def _draw_tables(cfg: Cfg, overrides: dict[str, float]):
         for p in prods:
             total += production_weight(p, overrides)
             cumulative.append(total)
-            entries.append((p, _param_bit(p), tuple(index[c] for c in reversed(p.children))))
+            entries.append((p, tuple(index[c] for c in reversed(p.children))))
         cumulative[-1] = math.inf
         rows.append((cumulative, total, tuple(entries)))
-    return index, rows
+    return rows
 
 
 def _shares(prods: tuple[Production, ...], overrides: dict[str, float]) -> list[float]:
@@ -574,7 +546,7 @@ def _conditioned_tables(cfg: Cfg, overrides: dict[str, float], uses: int):
                     total += weight
                     cumulative.append(total)
                     children = tuple([row(c, u) for c, u, _ in reversed(sets)])
-                    entries.append((p, bit, children))
+                    entries.append((p, children))
         cumulative[-1] = math.inf
         rows[i] = (cumulative, total, tuple(entries))
     return rows
@@ -600,29 +572,24 @@ class Sampler:
         rows = cfg.draw_tables.get(key)
         if rows is None:
             rows = cfg.draw_tables[key] = (
-                _draw_tables(cfg, overrides)[1] if uses is None
+                _draw_tables(cfg, overrides) if uses is None
                 else _conditioned_tables(cfg, overrides, uses))
         self.rows = rows
 
-    def derive(self, rng: random.Random) -> tuple[list[Production], int]:
-        """Draw one derivation without building its term.
-
-        Returns its productions in preorder and a bitmask of the parameters
-        it uses (bit ``i - 1`` for ``a<i>``).
-        """
+    def derive(self, rng: random.Random) -> list[Production]:
+        """Draw one derivation without building its term: its productions
+        in preorder."""
         rows = self.rows
         bisect_right = bisect.bisect_right
         draw_point = rng.random
         productions: list[Production] = []
-        used = 0
         stack = [0]
         while stack:
             cumulative, total, entries = rows[stack.pop()]
-            production, bit, children = entries[bisect_right(cumulative, draw_point() * total)]
+            production, children = entries[bisect_right(cumulative, draw_point() * total)]
             productions.append(production)
-            used |= bit
             stack.extend(children)
-        return productions, used
+        return productions
 
     @staticmethod
     def build(productions: list[Production]) -> Term:
@@ -642,7 +609,7 @@ class Sampler:
         return term
 
     def sample(self, rng: random.Random) -> Term:
-        return self.build(self.derive(rng)[0])
+        return self.build(self.derive(rng))
 
 
 def sample_inputs(arity: int, config: SamplerConfig, rng: random.Random) -> list[tuple]:
@@ -730,13 +697,13 @@ def sample_valid_program(
     """Sample until a program passes s1-s4, executes cleanly on all sampled
     inputs, and does not produce the same output on every input.
 
-    Every draw uses every parameter (s4): it comes from the ``Sampler``
-    tables conditioned on that, so an s4 miss costs no attempt and
-    ``rejections["s4"]`` stays 0 (the check on the drawn productions stays
-    as a guard).  Each draw is rejected at the cheapest stage that
-    can reject it: a built term is checked against s1-s4 before inputs are
-    drawn; the term evaluator then screens out runtime errors and constant
-    output.  Only a candidate past the screen is translated, once, and
+    Every draw uses every parameter (s4): ``Sampler.sample`` draws it from
+    the tables conditioned on that, so an s4 miss costs no attempt and
+    ``rejections["s4"]`` stays 0 (``check_constraints`` keeps s4 as a
+    guard).  Each draw is rejected at the cheapest stage that can reject
+    it: the term is checked against s1-s4 before inputs are drawn; the term
+    evaluator then screens out runtime errors and constant output.  Only a
+    candidate past the screen is translated, once, and
     ``executor(program, args)`` runs that translation on every input; its
     outputs are the ground truths, and a run it fails or finds constant
     still rejects the candidate.  The accepted translation is returned as
@@ -745,15 +712,10 @@ def sample_valid_program(
     """
     run = executor or default_executor
     arity = cfg.arity
-    required = (1 << arity) - 1
-    sampler = Sampler(cfg, config.weight_overrides, required)
+    sampler = Sampler(cfg, config.weight_overrides, (1 << arity) - 1)
     rejections = dict.fromkeys(REJECTION_STAGES, 0)
     for attempt in range(1, config.max_attempts + 1):
-        derivation, params_used = sampler.derive(rng)
-        if params_used != required:
-            rejections["s4"] += 1
-            continue
-        term = sampler.build(derivation)
+        term = sampler.sample(rng)
         violations = check_constraints(term, "sample", arity=arity)
         if violations:
             rejections[min(v.rule for v in violations)] += 1

@@ -8,6 +8,7 @@ diffable and ground truths can be re-verified by re-execution.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import os
@@ -137,6 +138,12 @@ def load_jsonl(path: str) -> list[Problem]:
 def pair_by_id(
     originals: list[Problem], mutants: list[Problem]
 ) -> list[tuple[Problem, Problem]]:
+    """Each original with the mutant of its id, in the originals' order; a
+    ``ValueError`` unless the ids are unique and the same in both lists."""
+    for dataset in (originals, mutants):
+        repeated = [i for i, n in collections.Counter(p.id for p in dataset).items() if n > 1]
+        if repeated:
+            raise ValueError(f"problem id {repeated[0]!r} appears more than once")
     by_id = {p.id: p for p in mutants}
     missing = [p.id for p in originals if p.id not in by_id]
     if missing or len(originals) != len(mutants):

@@ -292,7 +292,7 @@ def test_07_sampling_distribution():
     observed = [0] * len(productions)
     index = {id(p): i for i, p in enumerate(productions)}
     for _ in range(draws):
-        observed[index[id(sampler.derive(rng)[0][0])]] += 1
+        observed[index[id(sampler.derive(rng)[0])]] += 1
     expected = [draws * w / total for w in weights]
     chi2, p_value = stats.chisquare(observed, expected)
     assert p_value > 0.001, (chi2, p_value)

@@ -66,6 +66,20 @@ class TestSampleAndTranspile:
         assert dispatch(["transpile", "--in", str(src), "--out", str(out)]) == 0
         assert len(read_jsonl(out)) == 2
 
+    @pytest.mark.parametrize("text,message", [
+        ("(tail a1)\n(map 1 a1)\n", "2: lit: expected _1 -> _2, found int"),
+        ("(length 3)\n", "1: lit: expected L(_1), found int"),
+        ("(length)\n", "1: a function is not a program"),
+        ('{"x": 1}\n', "1: expected a string field 'dsl_text'"),
+    ], ids=["literal_as_map_function", "length_of_int", "function", "missing_dsl_text"])
+    def test_transpile_rejects_a_bad_line(self, tmp_path, capsys, monkeypatch, text,
+                                          message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "terms.txt").write_text(text)
+        assert dispatch(["transpile", "--in", "terms.txt", "--out", "t.jsonl"]) == 1
+        assert capsys.readouterr().err == f"error: terms.txt:{message}\n"
+        assert os.listdir(tmp_path) == ["terms.txt"]  # no output, no manifest
+
 
 class TestBuildDeterminism:
     def test_build_dsl_list_twice_identical_bytes(self, tmp_path):
@@ -531,6 +545,18 @@ class TestExitCodes:
         assert err.value.code == 2
         assert "--executor-timeout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "mutate"])
+    @pytest.mark.parametrize("executor_cmd", ["", "  "], ids=["empty", "spaces"])
+    def test_blank_executor_command_exits_2(self, tmp_path, capsys, monkeypatch, command,
+                                            executor_cmd):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as err:
+            dispatch([command, "--in", "in.jsonl", "--out", "out",
+                      "--executor-cmd", executor_cmd])
+        assert err.value.code == 2
+        assert "argument --executor-cmd: expected a command" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("argv, named", [
         (["sample", "--depth", "1"], "--depth"),
         (["sample", "--count", "0"], "--count"),
@@ -657,6 +683,21 @@ class TestPipelineFailures:
         assert dispatch(["report", flag, "records.jsonl", "--out", "r.txt"]) == 1
         assert capsys.readouterr() == ("", f"error: records.jsonl:{message}\n")
         assert os.listdir(tmp_path) == ["records.jsonl"]
+
+    def test_repeated_problem_id(self, tmp_path, capsys, monkeypatch):
+        # with two problems under one id, an original could be judged
+        # against the other one's mutant
+        monkeypatch.chdir(tmp_path)
+        problem = {"dataset": "external", "source": "def f(a1):\n    return a1",
+                   "function_name": "f", "input": "1", "output": "1", "loc": 2,
+                   "executor": "external"}
+        text = "".join(json.dumps(dict(problem, id=i)) + "\n" for i in ("p1", "p2", "p1"))
+        for name in ("orig.jsonl", "mut.jsonl"):
+            (tmp_path / name).write_text(text)
+        assert dispatch(["run-pred", "--orig", "orig.jsonl", "--mut", "mut.jsonl",
+                         "--model", "mock:ground-truth-given", "--out", "r.jsonl"]) == 1
+        assert capsys.readouterr().err == "error: problem id 'p1' appears more than once\n"
+        assert sorted(os.listdir(tmp_path)) == ["mut.jsonl", "orig.jsonl"]
 
     @pytest.mark.parametrize("command", ["ingest", "mutate"])
     def test_executor_command_that_cannot_start(self, tmp_path, capsys, monkeypatch,

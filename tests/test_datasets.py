@@ -505,6 +505,26 @@ class TestIngest:
         )
         assert len(relaxed) == 1
 
+    def test_repeated_id_rejected(self, external_executor):
+        # an id pairs a problem with its mutant, so a second problem may not
+        # take a kept problem's id; the id of a rejected record stays free
+        records = [
+            {"id": "p1", "source": "def f(x):\n    return x + 1", "function_name": "f",
+             "input": "1"},
+            {"id": "p1", "source": "def g(x):\n    return [x, 8]", "function_name": "g",
+             "input": "7"},
+            {"id": "p2", "source": "def h(x):\n    return x[5]", "function_name": "h",
+             "input": "[1]"},
+            {"id": "p2", "source": "def k(x):\n    return x", "function_name": "k",
+             "input": "2"},
+        ]
+        problems, rejections = ingest_external(
+            records, external_executor, IngestConfig(min_chars=1))
+        assert [(p.id, p.function_name, p.output) for p in problems] == [
+            ("p1", "f", "2"), ("p2", "k", "2")]
+        assert [(r.index, r.reason) for r in rejections] == [
+            (1, "duplicate id 'p1'"), (2, "execution failed: IndexError")]
+
 
 class TestOneGroundTruthPath:
     """Every ingested or LLM-written problem stores ``format_args`` of its

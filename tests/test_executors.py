@@ -276,6 +276,12 @@ class TestExternalExecutor:
         with pytest.raises(ValueError):
             ExternalExecutor(timeout=timeout)
 
+    @pytest.mark.parametrize("command", ["", "  ", []], ids=["empty", "spaces", "no_words"])
+    def test_command_must_not_be_empty(self, command):
+        # Popen would fail on it with an IndexError
+        with pytest.raises(ValueError, match="the executor command is empty"):
+            ExternalExecutor(command)
+
     def test_death_after_start_up_is_per_request(self):
         with ExternalExecutor(timeout=5.0) as executor:
             died = executor.run("import os\ndef f(a1):\n    os._exit(1)", "f", (1,))

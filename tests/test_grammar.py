@@ -14,7 +14,9 @@ from mutexec.grammar import (
     EmptyLanguage,
     Sampler,
     SamplerConfig,
+    _ARGUMENTS,
     _draw_tables,
+    _param_bit,
     compile_cfg,
     count_derivations,
     enumerate_terms,
@@ -206,10 +208,9 @@ class TestCompile:
                     for p in prods:
                         digest.update(
                             repr((p.head, p.value, p.partial, p.children, p.weight)).encode())
-                _, rows = _draw_tables(cfg, {})
-                for cumulative, total, entries in rows:
+                for cumulative, total, entries in _draw_tables(cfg, {}):
                     digest.update(repr((cumulative, total, [
-                        (p.head, p.value, bit, children) for p, bit, children in entries
+                        (p.head, p.value, _param_bit(p), children) for p, children in entries
                     ])).encode())
         assert digest.hexdigest() == (
             "253c25f219e77bca1675366bf7ed7328ad630c06b0f31d238067b9c0ece1296c")
@@ -217,6 +218,14 @@ class TestCompile:
     def test_min_depth_rejected(self):
         with pytest.raises(ValueError):
             make_cfg(1, 1)
+
+    def test_argument_rules_cover_every_applied_primitive(self):
+        # the compiler zips argument types with these rows, so a missing or
+        # short row would drop a child without an error
+        applied = {p.name: p.arity for p in PRIMITIVES if p.arity}
+        assert set(_ARGUMENTS) == set(applied)
+        for name, row in _ARGUMENTS.items():
+            assert len(row) == applied[name], name
 
 
 def recursive_build(productions):
@@ -239,7 +248,7 @@ class TestSample:
             sampler = Sampler(make_cfg(arity, depth))
             rng = random.Random(arity * 10 + depth)
             for _ in range(500):
-                productions, _ = sampler.derive(rng)
+                productions = sampler.derive(rng)
                 built = sampler.build(productions)
                 assert built == recursive_build(productions)
                 assert to_sexpr(built) == to_sexpr(recursive_build(productions))
@@ -299,7 +308,7 @@ class TestSample:
         index = {id(p): i for i, p in enumerate(productions)}
         draws = 100_000
         for _ in range(draws):
-            observed[index[id(sampler.derive(rng)[0][0])]] += 1
+            observed[index[id(sampler.derive(rng)[0])]] += 1
         expected = [draws * w / total for w in weights]
         heads = {p.head for p in productions}
         assert {"if", "map", "extend"} <= heads
@@ -379,13 +388,21 @@ def plain_derivations(cfg, nt):
     return out
 
 
+def param_mask(productions):
+    """The parameters a derivation uses, bit ``i - 1`` for ``a<i>``."""
+    mask = 0
+    for p in productions:
+        mask |= _param_bit(p)
+    return mask
+
+
 def row_derivations(rows, i):
     """Every derivation a table row can draw, as ``(productions in
     preorder, probability)``, read off the rows' cumulative weights."""
     cumulative, total, entries = rows[i]
     bounds = [0.0] + cumulative[:-1] + [total]
     out = []
-    for j, (p, _, children) in enumerate(entries):
+    for j, (p, children) in enumerate(entries):
         share = (bounds[j + 1] - bounds[j]) / total
         subtrees = [row_derivations(rows, c) for c in reversed(children)]
         for combo in itertools.product(*subtrees):
@@ -426,13 +443,13 @@ class TestConditionedDraws:
         rng = random.Random(depth)
         filtered = []
         while len(filtered) < draws:
-            productions, used = plain.derive(rng)
-            if used == 0b11:
+            productions = plain.derive(rng)
+            if param_mask(productions) == 0b11:
                 filtered.append(productions)
         exact = []
         for _ in range(draws):
-            productions, used = conditioned.derive(rng)
-            assert used == 0b11
+            productions = conditioned.derive(rng)
+            assert param_mask(productions) == 0b11
             exact.append(productions)
 
         pooled = filtered + exact

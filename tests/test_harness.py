@@ -30,7 +30,7 @@ from mutexec.llm_client import (
     mock_model,
     scripted_from_transcript,
 )
-from mutexec.problems import Problem, save_jsonl
+from mutexec.problems import Problem, pair_by_id, save_jsonl
 
 
 def make_pair():
@@ -47,6 +47,18 @@ def make_pair():
         loc=3, executor="builtin",
     )
     return original, mutant
+
+
+class TestPairById:
+    @pytest.mark.parametrize("repeated", ["originals", "mutants"])
+    def test_repeated_id_raises(self, repeated):
+        # keeping the last of two mutants of one id would pair an original
+        # with another program's mutant
+        original, mutant = make_pair()
+        originals, mutants = [original], [mutant]
+        {"originals": originals, "mutants": mutants}[repeated].append(original)
+        with pytest.raises(ValueError, match="problem id 'p1' appears more than once"):
+            pair_by_id(originals, mutants)
 
 
 class TestPromptGoldens:
