@@ -92,8 +92,8 @@ def _sample_combos(config: DslListConfig, combos: list[tuple[int, int]]) -> dict
     # snake order of (arity, depth), largest first: for the dataset's four
     # combos that deals {a2d5, a1d4} and {a2d4, a1d5}, the split that
     # longest-first dealing by measured cost gives too (in process, seed 3,
-    # 220 programs each, best of 6: a2d5 0.32 s, a1d5 0.26 s, a2d4 0.12 s,
-    # a1d4 0.11 s)
+    # 220 programs each, CPU time, best of 16: a2d5 0.15 s, a1d5 0.12 s,
+    # a2d4 0.06 s, a1d4 0.05 s)
     dealt: list[list[tuple[int, int]]] = [[] for _ in range(lanes)]
     for index, combo in enumerate(sorted(combos, reverse=True)):
         turn, lane = divmod(index, lanes)

@@ -44,7 +44,9 @@ cheapest stage that can reject it, in this order:
    fires;
 2. a screen with the term evaluator ``dsl.eval_dsl_outcomes``: a runtime error
    or the same output on every input rejects the draw;
-3. the one translation of the term, interpreted on every input.
+3. the one translation of the term, interpreted on every input.  The
+   translation builds its ``minipy`` AST in its own walk, the AST that its
+   source parses to, so no source is parsed.
 
 The ground truths come from step 3, never from the screen, and a candidate
 that the interpreter fails or finds constant is still rejected.  The

@@ -14,12 +14,46 @@ The translation works on the term graph in reverse topological order
   when the function is a pure expression or a conditional.  Nested maps in
   function position nest loops with index variables i, j, k, ... by depth.
 * The final line returns the root node's expression.
+
+The walk builds the ``minipy`` AST directly, each node carrying the line of
+its statement, and the source text is rendered from that AST.  The AST is
+the one ``minipy.parse`` gives for the text (``repr`` equal), so the ground
+truth interpreted from it is the ground truth of the stored source, with no
+parse.  One shape needs care: the text does not parenthesize a connective's
+operand that is the same connective, so ``(&& a (&& b c))`` is written
+``a and b and c``, which the parser groups as ``(a and b) and c``, and the
+walk builds it that way.
+
+A partial application is translated only as the function of a ``map``.  Any
+other function-typed argument, such as the branches of the full ``if`` in
+``(map (if c (length) (length)) (append a1 empty))``, is an
+``UntranslatableNode``.
 """
 
 from __future__ import annotations
 
-from . import minipy
 from .dsl import STATEMENT_HEADS, Term
+from .minipy import (
+    Assign,
+    BoolOp,
+    Compare,
+    Expr,
+    ExprStmt,
+    ForRange,
+    FunctionDef,
+    If,
+    LenCall,
+    ListDisplay,
+    MethodCall,
+    Module,
+    Name,
+    NotOp,
+    Num,
+    Return,
+    Stmt,
+    Subscript,
+    TupleAssign,
+)
 
 
 class UntranslatableNode(Exception):
@@ -29,19 +63,27 @@ class UntranslatableNode(Exception):
 class ImpProgram:
     __slots__ = ("source", "ast", "function_name", "loc")
 
-    def __init__(self, source: str, ast: minipy.Module, function_name: str, loc: int):
+    def __init__(self, source: str, ast: Module, function_name: str, loc: int):
         self.source = source
-        self.ast = ast
+        self.ast = ast  # equal to minipy.parse(source)
         self.function_name = function_name
         self.loc = loc
 
 
 _INDENT = "    "
 _LOOP_VARS = "ijklmn"
+_CONNECTIVES = {"&&": "and", "||": "or"}
+_COMPARISONS = ("==", "<", ">")
+_METHODS = {"append": "append", "extend": "extend", "init": "pop", "tail": "pop"}
 
-# Rendering precedence; only boolean connectives ever need parentheses.
-_PREC = {"||": 1, "&&": 2, "!": 3, "==": 4, "<": 4, ">": 4}
-_ATOM_PREC = 9
+
+def _bool_op(line: int, op: str, left: Expr, right: Expr) -> BoolOp:
+    """``left op right`` as the parser reads its text: an operand that is the
+    same connective is not parenthesized, so the parser groups the right
+    operand's operands onto the left."""
+    if type(right) is BoolOp and right.op == op:
+        return BoolOp(line, op, _bool_op(line, op, left, right.left), right.right)
+    return BoolOp(line, op, left, right)
 
 
 class _Translator:
@@ -50,163 +92,239 @@ class _Translator:
         self.function_name = function_name
         self.arity = arity
         self.vnames: dict[int, str] = {}
-        self.exprs: dict[int, str] = {}
-        self.prec: dict[int, int] = {}
-        self.lines: list[str] = []
+        self.line = 0  # the last line emitted
         self.order = term.postorder()
 
-    # -- expression assembly
+    def next_line(self) -> int:
+        self.line += 1
+        return self.line
 
-    def wrap(self, node: Term, parent_prec: int) -> str:
-        text = self.exprs[id(node)]
-        if self.prec[id(node)] < parent_prec:
-            return f"({text})"
-        return text
+    # -- expressions
 
-    def set_expr(self, node: Term, text: str, prec: int = _ATOM_PREC) -> None:
-        self.exprs[id(node)] = text
-        self.prec[id(node)] = prec
-
-    def assign_names_and_exprs(self) -> None:
-        counter = 0
-        for node in self.order:
-            if node.head in ("empty", "if"):
-                counter += 1
-                self.vnames[id(node)] = f"v{counter}"
-        for node in self.order:
-            c = node.children
-            if node.is_lit:
-                self.set_expr(node, str(node.value))
-            elif node.is_param:
-                self.set_expr(node, f"a{node.value}")
-            elif node.head in ("empty", "if"):
-                self.set_expr(node, self.vnames[id(node)])
-            elif node.partial:
-                continue  # assembled at application time
-            elif node.head == "length":
-                self.set_expr(node, f"len({self.exprs[id(c[0])]})")
-            elif node.head == "index":
-                self.set_expr(node, f"{self.exprs[id(c[1])]}[{self.exprs[id(c[0])]}]")
-            elif node.head in ("==", "<", ">"):
-                op = node.head
-                self.set_expr(
-                    node,
-                    f"{self.wrap(c[0], _PREC[op])} {op} {self.wrap(c[1], _PREC[op])}",
-                    _PREC[op],
-                )
-            elif node.head in ("&&", "||"):
-                op = "and" if node.head == "&&" else "or"
-                p = _PREC[node.head]
-                self.set_expr(node, f"{self.wrap(c[0], p)} {op} {self.wrap(c[1], p)}", p)
-            elif node.head == "!":
-                self.set_expr(node, f"not {self.wrap(c[0], _PREC['!'])}", _PREC["!"])
-            elif node.head in ("append", "extend", "map"):
-                self.set_expr(node, self.exprs[id(c[1])])
-            elif node.head in ("init", "tail"):
-                self.set_expr(node, self.exprs[id(c[0])])
-            else:
-                raise UntranslatableNode(node.head)
-
-    # -- statement emission
-
-    def emit(self, depth: int, text: str) -> None:
-        self.lines.append(_INDENT * (depth + 1) + text)
-
-    def emit_statement(self, node: Term) -> None:
+    def value(self, node: Term, line: int) -> Expr:
+        """The expression of full ``node`` on line ``line``."""
+        head = node.head
         c = node.children
-        e = self.exprs
-        if node.head == "append":
-            self.emit(0, f"{e[id(c[1])]}.append({e[id(c[0])]})")
-        elif node.head == "extend":
-            self.emit(0, f"{e[id(c[1])]}.extend({e[id(c[0])]})")
-        elif node.head == "init":
-            self.emit(0, f"{e[id(c[0])]}.pop()")
-        elif node.head == "tail":
-            self.emit(0, f"{e[id(c[0])]}.pop(0)")
-        elif node.head == "if":
-            v = self.vnames[id(node)]
-            self.emit(0, f"if {e[id(c[0])]}:")
-            self.emit(1, f"{v} = {e[id(c[1])]}")
-            self.emit(0, "else:")
-            self.emit(1, f"{v} = {e[id(c[2])]}")
-        elif node.head == "map":
-            self.emit_map(node, e[id(node)], 0)
-        else:
-            raise UntranslatableNode(node.head)
+        if head == "lit":
+            return Num(line, node.value)
+        if head == "param":
+            return Name(line, f"a{node.value}")
+        if head == "empty" or head == "if":
+            return Name(line, self.vnames[id(node)])
+        if head == "index":
+            return Subscript(line, self.value(c[1], line), self.value(c[0], line))
+        if head == "length":
+            return LenCall(line, self.value(c[0], line))
+        if head in _COMPARISONS:
+            return Compare(line, head, self.value(c[0], line), self.value(c[1], line))
+        if head in _CONNECTIVES:
+            return _bool_op(line, _CONNECTIVES[head], self.value(c[0], line),
+                            self.value(c[1], line))
+        if head == "!":
+            return NotOp(line, self.value(c[0], line))
+        if head == "init" or head == "tail":
+            return self.value(c[0], line)
+        return self.value(c[1], line)  # append, extend, map: the list operand
 
-    def emit_map(self, node: Term, list_expr: str, depth: int) -> None:
+    def place(self, seq: Term, loop_vars: str, line: int) -> Expr:
+        """The element of list ``seq`` that ``loop_vars`` index, outermost
+        first: ``v1[i][j]`` (``seq`` itself with no loop variables)."""
+        expr = self.value(seq, line)
+        for var in loop_vars:
+            expr = Subscript(line, expr, Name(line, var))
+        return expr
+
+    # -- statements
+
+    def statement(self, node: Term, body: list[Stmt]) -> None:
+        c = node.children
+        if node.head == "map":
+            self.loop(c[0], c[1], "", body)
+        elif node.head == "if":
+            self.branch(node, c[2], "", body)
+        else:
+            line = self.next_line()
+            body.append(self.call(node, self.value(node, line), line))
+
+    def call(self, node: Term, obj: Expr, line: int) -> ExprStmt:
+        """List operation ``node`` on ``obj``; an ``append`` or ``extend``
+        takes its first child."""
+        if node.head == "init":
+            args = []
+        elif node.head == "tail":
+            args = [Num(line, 0)]
+        else:
+            args = [self.value(node.children[0], line)]
+        return ExprStmt(line, MethodCall(line, obj, _METHODS[node.head], args))
+
+    def branch(self, node: Term, other: Term, loop_vars: str, body: list[Stmt]) -> None:
+        """``if``: the conditional assignment of its variable, whose else value
+        is ``other`` indexed by ``loop_vars``."""
+        c = node.children
+        v = self.vnames[id(node)]
+        line = self.next_line()
+        cond = self.value(c[0], line)
+        then = self.next_line()
+        then_body = [Assign(then, Name(then, v), self.value(c[1], then))]
+        self.next_line()  # else:
+        other_line = self.next_line()
+        orelse = [Assign(other_line, Name(other_line, v),
+                         self.place(other, loop_vars, other_line))]
+        body.append(If(line, cond, then_body, orelse))
+
+    def loop(self, fn: Term, seq: Term, loop_vars: str, body: list[Stmt]) -> None:
+        """``map``: a loop over the list ``seq`` indexed by ``loop_vars``
+        that applies ``fn`` to each element."""
+        depth = len(loop_vars)
         if depth >= len(_LOOP_VARS):
             raise UntranslatableNode("map nesting too deep")
         var = _LOOP_VARS[depth]
-        self.emit(depth, f"for {var} in range(len({list_expr})):")
-        self.apply_fn(node.children[0], f"{list_expr}[{var}]", depth + 1)
+        line = self.next_line()
+        loop_body: list[Stmt] = []
+        body.append(ForRange(line, var, [LenCall(line, self.place(seq, loop_vars, line))],
+                             loop_body))
+        self.apply_fn(fn, seq, loop_vars + var, loop_body)
 
-    def apply_fn(self, fn: Term, elem: str, depth: int) -> None:
+    def apply_fn(self, fn: Term, seq: Term, loop_vars: str, body: list[Stmt]) -> None:
+        """Partial application ``fn`` applied to the element of ``seq`` that
+        ``loop_vars`` index."""
+        head = fn.head
         c = fn.children
-        e = self.exprs
-        if fn.head == "length":
-            self.emit(depth, f"{elem} = len({elem})")
-        elif fn.head == "index":
-            self.emit(depth, f"{elem} = {elem}[{e[id(c[0])]}]")
-        elif fn.head in ("==", "<", ">"):
-            self.emit(depth, f"{elem} = {e[id(c[0])]} {fn.head} {elem}")
-        elif fn.head in ("&&", "||"):
-            op = "and" if fn.head == "&&" else "or"
-            self.emit(depth, f"{elem} = {self.wrap(c[0], _PREC[fn.head])} {op} {elem}")
-        elif fn.head == "!":
-            self.emit(depth, f"{elem} = not {elem}")
-        elif fn.head == "append":
-            self.emit(depth, f"{elem}.append({e[id(c[0])]})")
-        elif fn.head == "extend":
-            self.emit(depth, f"{elem}.extend({e[id(c[0])]})")
-        elif fn.head == "init":
-            self.emit(depth, f"{elem}.pop()")
-        elif fn.head == "tail":
-            self.emit(depth, f"{elem}.pop(0)")
-        elif fn.head == "if":
-            v = self.vnames[id(fn)]
-            self.emit(depth, f"if {e[id(c[0])]}:")
-            self.emit(depth + 1, f"{v} = {e[id(c[1])]}")
-            self.emit(depth, "else:")
-            self.emit(depth + 1, f"{v} = {elem}")
-            self.emit(depth, f"{elem} = {v}")
-        elif fn.head == "map":
-            self.emit_map(fn, elem, depth)
+        if head == "map":
+            self.loop(c[0], seq, loop_vars, body)
+            return
+        if head == "if":
+            self.branch(fn, seq, loop_vars, body)
+            line = self.next_line()
+            body.append(Assign(line, self.place(seq, loop_vars, line),
+                               Name(line, self.vnames[id(fn)])))
+            return
+        line = self.next_line()
+        elem = self.place(seq, loop_vars, line)
+        if head in _METHODS:
+            body.append(self.call(fn, elem, line))
+            return
+        if head == "length":
+            value = LenCall(line, elem)
+        elif head == "index":
+            value = Subscript(line, elem, self.value(c[0], line))
+        elif head in _COMPARISONS:
+            value = Compare(line, head, self.value(c[0], line), elem)
+        elif head in _CONNECTIVES:
+            value = BoolOp(line, _CONNECTIVES[head], self.value(c[0], line), elem)
+        elif head == "!":
+            value = NotOp(line, elem)
         else:
-            raise UntranslatableNode(f"{fn.head} cannot be a map function")
+            raise UntranslatableNode(f"{head} cannot be a map function")
+        body.append(Assign(line, self.place(seq, loop_vars, line), value))
 
     def run(self) -> ImpProgram:
-        self.assign_names_and_exprs()
-        empties = [
-            self.vnames[id(n)]
-            for n in self.order
-            if n.head == "empty" and not n.partial
-        ]
+        empties = []
         for node in self.order:
-            if node.partial or node.head not in STATEMENT_HEADS:
-                continue
-            self.emit_statement(node)
-        self.emit(0, f"return {self.exprs[id(self.term)]}")
-
-        params = tuple(f"a{i}" for i in range(1, self.arity + 1))
-        header = [f"def {self.function_name}({', '.join(params)}):"]
+            head = node.head
+            if head == "empty" or head == "if":
+                name = f"v{len(self.vnames) + 1}"
+                self.vnames[id(node)] = name
+                if head == "empty":
+                    empties.append(name)
+            for k, child in enumerate(node.children):
+                if child.partial and (head != "map" or k):
+                    raise UntranslatableNode(
+                        f'"{head}" with function-typed arguments: only map takes a function')
+        body: list[Stmt] = []
+        line = self.next_line()  # def
         if empties:
+            line = self.next_line()
+            targets = [Name(line, v) for v in empties]
+            inits: list[Expr] = [ListDisplay(line, []) for _ in empties]
             if len(empties) == 1:
-                header.append(f"{_INDENT}{empties[0]} = []")
+                body.append(Assign(line, targets[0], inits[0]))
             else:
-                inits = ", ".join("[]" for _ in empties)
-                header.append(f"{_INDENT}{', '.join(empties)} = {inits}")
-        source = "\n".join(header + self.lines)
-        return ImpProgram(
-            source=source,
-            ast=minipy.parse(source),
-            function_name=self.function_name,
-            loc=len(header) + len(self.lines),
-        )
+                body.append(TupleAssign(line, targets, inits))
+        for node in self.order:
+            if node.head in STATEMENT_HEADS and not node.partial:
+                self.statement(node, body)
+        line = self.next_line()
+        body.append(Return(line, self.value(self.term, line)))
+
+        params = [f"a{i}" for i in range(1, self.arity + 1)]
+        ast = Module([FunctionDef(1, self.function_name, params, body)])
+        lines: list[str] = []
+        _render_block(ast.body, 0, lines)
+        return ImpProgram(source="\n".join(lines), ast=ast,
+                          function_name=self.function_name, loc=self.line)
+
+
+# ---------------------------------------------------------------------------
+# Rendering: the text of the AST forms the walk builds.  An operand is
+# parenthesized only where the parser would otherwise group it differently.
+
+_PREC = {"or": 1, "and": 2, "==": 4, "<": 4, ">": 4}
+_NOT_PREC = 3
+_ATOM_PREC = 9
+
+
+def _text(expr: Expr, floor: int = 0) -> str:
+    """The text of ``expr`` as an operand that binds at least as tightly as
+    ``floor``."""
+    cls = type(expr)
+    if cls is Name:
+        return expr.id
+    if cls is Subscript:
+        return f"{_text(expr.obj, _ATOM_PREC)}[{_text(expr.index)}]"
+    if cls is Num:
+        return str(expr.value)
+    if cls is LenCall:
+        return f"len({_text(expr.arg)})"
+    if cls is MethodCall:
+        args = ", ".join([_text(a) for a in expr.args])
+        return f"{_text(expr.obj, _ATOM_PREC)}.{expr.method}({args})"
+    if cls is ListDisplay:
+        return f"[{', '.join([_text(e) for e in expr.elems])}]"
+    if cls is NotOp:
+        prec = _NOT_PREC
+        text = f"not {_text(expr.operand, _NOT_PREC)}"
+    else:  # BoolOp groups to the left, Compare does not chain
+        prec = _PREC[expr.op]
+        left = prec if cls is BoolOp else prec + 1
+        text = f"{_text(expr.left, left)} {expr.op} {_text(expr.right, prec + 1)}"
+    return f"({text})" if prec < floor else text
+
+
+def _render_block(body: list[Stmt], depth: int, lines: list[str]) -> None:
+    pad = _INDENT * depth
+    for stmt in body:
+        cls = type(stmt)
+        if cls is Assign:
+            lines.append(f"{pad}{_text(stmt.target)} = {_text(stmt.value)}")
+        elif cls is ExprStmt:
+            lines.append(pad + _text(stmt.value))
+        elif cls is If:
+            lines.append(f"{pad}if {_text(stmt.cond)}:")
+            _render_block(stmt.body, depth + 1, lines)
+            lines.append(pad + "else:")
+            _render_block(stmt.orelse, depth + 1, lines)
+        elif cls is ForRange:
+            lines.append(f"{pad}for {stmt.var} in range({_text(stmt.args[0])}):")
+            _render_block(stmt.body, depth + 1, lines)
+        elif cls is Return:
+            lines.append(f"{pad}return {_text(stmt.value)}")
+        elif cls is TupleAssign:
+            targets = ", ".join([_text(t) for t in stmt.targets])
+            values = ", ".join([_text(v) for v in stmt.values])
+            lines.append(f"{pad}{targets} = {values}")
+        else:  # FunctionDef
+            lines.append(f"{pad}def {stmt.name}({', '.join(stmt.params)}):")
+            _render_block(stmt.body, depth + 1, lines)
 
 
 def translate(term: Term, function_name: str = "f", arity: int | None = None) -> ImpProgram:
-    """Translate a well-typed, constraint-satisfying term to imperative source."""
+    """Translate a well-typed, constraint-satisfying term to imperative source.
+
+    The returned ``ast`` is built in the translation walk, not parsed, and is
+    equal to ``minipy.parse(source)``.  A partial application anywhere but in
+    ``map``'s function slot, such as a full ``if`` with function-typed
+    branches, raises ``UntranslatableNode``."""
     if arity is None:
         arity = max((n.value for n in term.walk() if n.is_param), default=1)
     return _Translator(term, function_name, arity).run()

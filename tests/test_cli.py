@@ -71,7 +71,10 @@ class TestSampleAndTranspile:
         ("(length 3)\n", "1: lit: expected L(_1), found int"),
         ("(length)\n", "1: a function is not a program"),
         ('{"x": 1}\n', "1: expected a string field 'dsl_text'"),
-    ], ids=["literal_as_map_function", "length_of_int", "function", "missing_dsl_text"])
+        ("(map (if (< (length a1) 2) (length) (length)) (append a1 empty))\n",
+         '1: "if" with function-typed arguments: only map takes a function'),
+    ], ids=["literal_as_map_function", "length_of_int", "function", "missing_dsl_text",
+            "function_valued_if_as_map_function"])
     def test_transpile_rejects_a_bad_line(self, tmp_path, capsys, monkeypatch, text,
                                           message):
         monkeypatch.chdir(tmp_path)

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from conftest import fixture_path
-from mutexec import cli, datasets, transpile
+from mutexec import cli, datasets, minipy, transpile
 from mutexec.datasets import (
     DslListConfig,
     GenerationRetriesExhausted,
@@ -102,6 +102,17 @@ class TestDslList:
         with open(path, "rb") as fh:
             assert hashlib.sha256(fh.read()).hexdigest() == SMALL_CORPUS_FIXTURE_SHA256
         assert small_corpus == load_jsonl(path)
+
+    def test_sampling_never_parses(self, monkeypatch, tmp_path):
+        # the translation builds its AST: a parse in the sampler fails here
+        def no_parse(source):
+            raise AssertionError("minipy.parse called while sampling")
+
+        monkeypatch.setattr(minipy, "parse", no_parse)
+        monkeypatch.setattr(datasets, "_usable_cpus", lambda: 1)
+        problems = build_dsl_list(SMALL_CONFIG)
+        digest = hashlib.sha256(jsonl_bytes(problems, tmp_path / "p.jsonl")).hexdigest()
+        assert digest == SMALL_CORPUS_SHA256
 
     def test_one_translation_per_accepted_program(self, monkeypatch):
         # calls made in a forked lane are not counted here: run in-process

@@ -1,16 +1,20 @@
 import random
 
+import pytest
 from conftest import read_fixture
 
 from mutexec import minipy
-from mutexec.dsl import eval_dsl_outcome, parse_sexpr
+from mutexec.dsl import check_constraints, eval_dsl_outcome, parse_sexpr, typecheck
 from mutexec.grammar import (
     SamplerConfig,
     Sampler,
     compile_cfg,
+    sample_inputs,
     sample_valid_program,
 )
-from mutexec.transpile import translate
+from mutexec.problems import load_jsonl
+from mutexec.transpile import UntranslatableNode, translate
+from mutexec.values import parse_args
 
 GOLDEN_TERM = "(map (if (> (length a2) 2) (index 0 a2)) (extend (tail a1) a2))"
 
@@ -139,7 +143,6 @@ class TestRoundTripAndSemantics:
             # deep pop chain that errors on short inputs only
             "(tail (tail (tail (init a1))))",
         ]
-        from mutexec.dsl import check_constraints, typecheck
 
         inputs = [([1, 2, 3], [4, 0]), ([2], [5, 5, 5]), ([0, 1, 2, 3, 4], [1])]
         for text in cases:
@@ -166,7 +169,6 @@ class TestRoundTripAndSemantics:
         cfg = self.make_cfg(2, 6)
         sampler = Sampler(cfg)
         config = SamplerConfig()
-        from mutexec.grammar import sample_inputs
 
         for _ in range(200):
             term = sampler.sample(rng)
@@ -197,3 +199,146 @@ class TestRoundTripAndSemantics:
                 if lo <= value < hi:
                     seen.add((lo, hi))
         assert len(seen) == 5, f"bins covered: {sorted(seen)}"
+
+
+# ---------------------------------------------------------------------------
+# The AST is built in the translation walk; it must be the AST the stored
+# source parses to, and run the same (differential testing of the builder
+# against the parser).
+
+
+def _run(ast, args):
+    result = minipy.interpret(ast, args)
+    value = repr(result.output) if result.status == "ok" else result.error_kind
+    return result.status, value, result.error_line, result.steps, result.covered_lines
+
+
+def assert_built_ast_is_parsed_ast(program, inputs):
+    """``program.ast`` equals ``minipy.parse(program.source)`` and interprets
+    the same on every input; returns the error results of the built AST."""
+    parsed = minipy.parse(program.source)
+    assert repr(program.ast) == repr(parsed), program.source
+    errors = []
+    for args in inputs:
+        built = _run(program.ast, args)
+        assert built == _run(parsed, args), (program.source, args)
+        if built[0] == "error":
+            errors.append(built)
+    return errors
+
+
+HAND_WRITTEN_TERMS = {
+    # a right-nested connective: the text groups it to the left
+    "right_nested_and":
+        "(if (&& (> (length a1) 1) (&& (< (length a1) 5) (== (length a1) 3))) a1 (tail a1))",
+    "right_nested_or":
+        "(if (|| (> (length a1) 1) (|| (< (length a1) 5) (== (length a1) 3))) a1 (tail a1))",
+    "right_nested_and_of_and":
+        "(if (&& (== (length a1) 1) (&& (&& (< (length a1) 5) (> (length a1) 0)) "
+        "(== (length a1) 3))) a1 (init a1))",
+    # mixed connectives, parenthesized where they bind more loosely
+    "or_and_or":
+        "(if (|| (== (length a1) 1) (&& (< (length a1) 5) (|| (> (length a1) 3) "
+        "(== (length a1) 0)))) a1 (init a1))",
+    "and_of_or": "(if (&& (|| (== (length a1) 1) (< (length a1) 5)) (> (length a1) 2)) "
+                 "a1 (init a1))",
+    # ! over a connective, a comparison and another !
+    "not_or": "(if (! (|| (> (length a1) 1) (== (length a1) 3))) a1 (init a1))",
+    "not_and_not_not":
+        "(if (&& (! (&& (> (length a1) 1) (< (length a1) 4))) (! (! (== (length a1) 3)))) "
+        "a1 (tail a1))",
+    # -1 under index, as a value and as a map function
+    "index_minus_one": "(append (index -1 a1) a1)",
+    "map_index_minus_one": "(map (index -1) (append a1 empty))",
+    "compare_indexes": "(if (> (index -1 a1) (index 0 a1)) a1 (tail a1))",
+    # nested maps: loop variables i, j, k
+    "map_map_map": "(map (map (map (init))) (append (append (append a1 empty) empty) empty))",
+    "map_map": "(map (map (length)) (append (append a1 empty) empty))",
+    # if as a map function
+    "map_if": "(map (if (> (length a1) 1) (== (length a1) 2)) (map (< (length a2)) a1))",
+    "map_map_if": "(map (map (if (> (length a1) 2) (index 0 a1))) (append a1 empty))",
+    # list operations as map functions
+    "map_append": "(map (append (length a1)) (append a1 empty))",
+    "map_extend": "(map (extend a1) (append a1 empty))",
+    "map_init": "(map (init) (append a1 empty))",
+    "map_tail": "(map (tail) (append a1 empty))",
+    # pure map functions
+    "map_over_index": "(map (length) (index 0 (append (append a1 empty) empty)))",
+    "map_compare": "(map (== (length a2)) a1)",
+    "map_and_not": "(map (&& (! (== (length a1) 2))) (map (> (length a2)) a1))",
+    "map_or_of_and":
+        "(map (|| (&& (< (length a1) 2) (> (length a2) 1))) (map (== (length a2)) a1))",
+    "map_and_of_or":
+        "(map (&& (|| (< (length a1) 2) (> (length a2) 1))) (map (== (length a2)) a1))",
+    "map_not": "(map (!) (map (< (length a1)) a2))",
+    # one, two and three empties
+    "one_empty": "(append (length a1) empty)",
+    "two_empties": "(extend (append (length a1) empty) (append 2 empty))",
+    "three_empties":
+        "(extend (extend (append 1 empty) (append (length a1) empty)) (append 3 empty))",
+    # a non-list root
+    "int_root": "(index -1 (tail a1))",
+}
+
+HAND_INPUTS = [([1, 2, 3], [4, 0]), ([2], [5, 5, 5]), ([0, 1, 2, 3, 4], [1]), ([], [])]
+
+
+class TestBuiltAst:
+    def test_small_corpus(self, small_corpus):
+        for problem in small_corpus:
+            term = parse_sexpr(problem.dsl_text)
+            program = translate(term, arity=problem.arity)
+            assert program.source == problem.source
+            assert program.loc == problem.loc
+            assert_built_ast_is_parsed_ast(program, [parse_args(problem.input)])
+
+    @pytest.mark.parametrize("name", HAND_WRITTEN_TERMS)
+    def test_hand_written_terms(self, name):
+        term = parse_sexpr(HAND_WRITTEN_TERMS[name])
+        typecheck(term)
+        arity = max(n.value for n in term.walk() if n.is_param)
+        program = translate(term, arity=arity)
+        assert_built_ast_is_parsed_ast(program, [args[:arity] for args in HAND_INPUTS])
+
+    def test_right_nested_connective_is_left_grouped(self):
+        term = parse_sexpr(HAND_WRITTEN_TERMS["right_nested_and"])
+        program = translate(term, arity=1)
+        assert "if len(a1) > 1 and len(a1) < 5 and len(a1) == 3:" in program.source
+        cond = program.ast.body[0].body[1].cond
+        assert isinstance(cond.left, minipy.BoolOp) and isinstance(cond.right, minipy.Compare)
+
+    @pytest.mark.parametrize("arity,depth", [(1, 4), (1, 5), (2, 4), (2, 5)])
+    def test_sampled_draws(self, arity, depth):
+        # every draw that passes s1-s4, the ones the screen would reject too
+        rng = random.Random(f"built-ast:{arity}:{depth}")
+        sampler = Sampler(compile_cfg(arity, depth), None, (1 << arity) - 1)
+        config = SamplerConfig()
+        checked = 0
+        pop_errors = index_errors = 0
+        while checked < 2000:
+            term = sampler.sample(rng)
+            if check_constraints(term, "sample", arity=arity):
+                continue
+            checked += 1
+            program = translate(term, arity=arity)
+            lines = program.source.split("\n")
+            for _, kind, line, _, _ in assert_built_ast_is_parsed_ast(
+                    program, sample_inputs(arity, config, rng)):
+                assert kind == "IndexError"
+                if ".pop(" in lines[line - 1]:
+                    pop_errors += 1
+                else:
+                    index_errors += 1
+        assert pop_errors and index_errors
+
+
+class TestUntranslatable:
+    @pytest.mark.parametrize("text,head", [
+        ("(map (if (< (length a1) 2) (length) (length)) (append a1 empty))", "if"),
+        ("(map (index 0 (append (length) empty)) (append a1 empty))", "append"),
+    ])
+    def test_function_typed_argument_outside_map(self, text, head):
+        term = parse_sexpr(text)
+        typecheck(term)
+        with pytest.raises(UntranslatableNode, match=f'^"{head}" with function-typed'):
+            translate(term)
