@@ -8,12 +8,15 @@ application missing its trailing argument (the mapped element).
 Terms serialize to one-line s-expressions::
 
     term    := atom | "(" head term* ")"
-    atom    := integer | "empty" | "a" index
+    atom    := integer | "empty" | "a" index      (index 1, 2, ...)
     head    := "if" | "map" | "append" | "extend" | "init" | "tail"
              | "length" | "index" | "==" | "<" | ">" | "&&" | "||" | "!"
 
 A parenthesized form with one argument fewer than the head's arity is a
-partial application, e.g. ``(map (length) a1)``.
+partial application, e.g. ``(map (length) a1)``.  Applied to an element
+``e``, the partial ``(h x1 ... xk)`` is the full application
+``(h x1 ... xk e)`` (``complete``), so ``(map (index 0) x)`` sets each
+element ``e`` of ``x`` to ``(index 0 e)``.
 
 The evaluator here is the semantic reference for the whole pipeline.  List
 operations mutate their operand stores in place, both branches of ``if``
@@ -22,7 +25,9 @@ statement effects happen in the same order the imperative translation lays
 them out (children before parents, left to right).  Pure expressions
 (length, index, comparisons, logical operators) are evaluated lazily at the
 moment the enclosing statement runs, which matters when a sibling statement
-mutates shared state first.
+mutates shared state first.  ``map`` runs its function's completion on each
+element through the same path as any full application of its head, and the
+element takes its value.
 """
 
 from __future__ import annotations
@@ -312,6 +317,24 @@ def empty() -> Term:
     return Term("empty")
 
 
+# The element that ``map``'s function is applied to.  Parameters start at a1
+# in the text and in the grammar, so parameter 0 is free to stand for it: the
+# evaluator keeps the element in ``args[0]``, and the translation renders it
+# as the loop's place (``v1[i][j]``).
+ELEMENT = Term("param", value=0)
+
+
+def complete(fn: Term) -> Term:
+    """Partial ``fn`` = ``(h x1 ... xk)`` applied to the element: the full
+    application ``(h x1 ... xk e)`` with ``e`` the leaf ``ELEMENT``."""
+    # a valid partial node completes to a valid full one, so the evaluator,
+    # which completes once per candidate, skips the constructor's checks
+    full = Term.__new__(Term)
+    full.head, full.children, full.value, full.partial = (
+        fn.head, fn.children + (ELEMENT,), None, False)
+    return full
+
+
 def to_sexpr(term: Term) -> str:
     if term.is_lit:
         return str(term.value)
@@ -335,7 +358,7 @@ def parse_sexpr(text: str) -> Term:
     def atom(tok: str) -> Term:
         if re.fullmatch(r"-?\d+", tok):
             return lit(int(tok))
-        if re.fullmatch(r"a\d+", tok):
+        if re.fullmatch(r"a[1-9]\d*", tok):
             return param(int(tok[1:]))
         if tok == "empty":
             return empty()
@@ -592,12 +615,21 @@ class EvalOutcome:
 
 class _Evaluator:
     """One term's evaluator: the term is walked once, here, and ``run``
-    evaluates it on one argument tuple at a time."""
+    evaluates it on one argument tuple at a time.
+
+    Every head has one path: ``statement`` for the heads the translation
+    turns into statements, ``expr`` for the pure ones.  ``map`` applies its
+    function to each element through the same path: the function's
+    completion (``complete``), made once per evaluator, runs with the
+    element in ``args[0]``, and its value becomes the element."""
 
     def __init__(self, root: Term):
         self.root = root
         self.empties: list[Term] = []
         self.statements: list[Term] = []
+        # id of each partial node -> its completion, made when its map first runs
+        self.completions: dict[int, Term] = {}
+        self.arity = 0  # the highest parameter the term uses
         for node in root.postorder():
             if node.partial:
                 continue
@@ -605,6 +637,8 @@ class _Evaluator:
                 self.empties.append(node)
             elif node.head in _STATEMENTS:
                 self.statements.append(node)
+            elif node.head == "param" and node.value > self.arity:
+                self.arity = node.value
         self.args: list = []
         self.slots: dict[int, object] = {}
 
@@ -615,7 +649,7 @@ class _Evaluator:
         if head == "lit":
             return node.value
         if head == "param":
-            return self.args[node.value - 1]
+            return self.args[node.value]
         if head in _SLOTTED:
             return self.slots[id(node)]
         c = node.children
@@ -654,7 +688,10 @@ class _Evaluator:
     # -- statements, in emission order
 
     def run(self, args: tuple):
-        self.args = [copy_value(a) for a in args]
+        if len(args) < self.arity:
+            raise ValueError(f"the term uses a{self.arity}, but only {len(args)} "
+                             f"argument(s) are given")
+        self.args = [None, *map(copy_value, args)]  # args[0]: the element
         # every empty store exists before the first statement runs
         self.slots = {id(node): [] for node in self.empties}
         for node in self.statements:
@@ -662,70 +699,33 @@ class _Evaluator:
         return self.expr(self.root)
 
     def statement(self, node: Term):
+        """Run full statement ``node`` and return the value it keeps."""
         head, c = node.head, node.children
         if head == "append":
             value = self.expr(c[0])
-            target = self.expr(c[1])
-            target.append(value)
-            self.slots[id(node)] = target
+            result = self.expr(c[1])
+            result.append(value)
         elif head == "extend":
             source = self.expr(c[0])
-            target = self.expr(c[1])
-            target.extend(list(source))
-            self.slots[id(node)] = target
-        elif head == "init":
-            target = self.expr(c[0])
-            self.pop(target, front=False)
-            self.slots[id(node)] = target
-        elif head == "tail":
-            target = self.expr(c[0])
-            self.pop(target, front=True)
-            self.slots[id(node)] = target
+            result = self.expr(c[1])
+            result.extend(list(source))
+        elif head == "init" or head == "tail":
+            result = self.expr(c[0])
+            self.pop(result, front=head == "tail")
         elif head == "if":
-            branch = c[1] if self.expr(c[0]) else c[2]
-            self.slots[id(node)] = self.expr(branch)
-        elif head == "map":
-            target = self.expr(c[1])
-            for i in range(len(target)):
-                self.apply_fn(c[0], target, i)
-            self.slots[id(node)] = target
-
-    def apply_fn(self, fn: Term, lst: list, i: int):
-        """One loop iteration of ``map``: apply the partial node to lst[i]."""
-        head, c = fn.head, fn.children
-        if head == "length":
-            lst[i] = len(lst[i])
-        elif head == "index":
-            lst[i] = self.index(self.expr(c[0]), lst[i])
-        elif head in ("==", "<", ">"):
-            left = self.expr(c[0])
-            lst[i] = {"==": left == lst[i], "<": left < lst[i], ">": left > lst[i]}[head]
-        elif head == "&&":
-            left = self.expr(c[0])
-            lst[i] = left and lst[i]
-        elif head == "||":
-            left = self.expr(c[0])
-            lst[i] = left or lst[i]
-        elif head == "!":
-            lst[i] = not lst[i]
-        elif head == "append":
-            lst[i].append(self.expr(c[0]))
-        elif head == "extend":
-            lst[i].extend(list(self.expr(c[0])))
-        elif head == "init":
-            self.pop(lst[i], front=False)
-        elif head == "tail":
-            self.pop(lst[i], front=True)
-        elif head == "if":
-            value = self.expr(c[1]) if self.expr(c[0]) else lst[i]
-            self.slots[id(fn)] = value
-            lst[i] = value
-        elif head == "map":
-            inner = lst[i]
-            for j in range(len(inner)):
-                self.apply_fn(c[0], inner, j)
-        else:
-            raise AssertionError(f"{head} cannot be a map function")
+            result = self.expr(c[1] if self.expr(c[0]) else c[2])
+        else:  # map: each element in turn becomes its completed function's value
+            result = self.expr(c[1])
+            fn = self.completions.get(id(c[0]))
+            if fn is None:
+                fn = self.completions[id(c[0])] = complete(c[0])
+            apply = self.statement if fn.head in _STATEMENTS else self.expr
+            args = self.args
+            for i in range(len(result)):
+                args[0] = result[i]
+                result[i] = apply(fn)
+        self.slots[id(node)] = result
+        return result
 
 
 def eval_dsl(term: Term, args: tuple):

@@ -138,12 +138,12 @@ class NT:
 
     ``kind`` is "val" for ordinary goals and "fn" for the partial-application
     slot of ``map``; for "fn" the goal ``ty`` is the arrow of the missing
-    argument to the result.  Nonterminals compare and hash by their fields;
-    like ``TList``, they keep their hash in a slot once computed, out of
-    pickles and copies.
+    argument to the result.  A compile makes one instance per distinct set
+    of fields (``_Compiler.nt``), so nonterminals compare and hash by
+    identity.
     """
 
-    __slots__ = ("kind", "ty", "depth", "no_empty", "no_lit", "allow_neg1", "_hash")
+    __slots__ = ("kind", "ty", "depth", "no_empty", "no_lit", "allow_neg1")
 
     def __init__(self, kind: str, ty: Ty, depth: int, no_empty: bool = False,
                  no_lit: bool = False, allow_neg1: bool = False):
@@ -153,24 +153,6 @@ class NT:
         self.no_empty = no_empty
         self.no_lit = no_lit
         self.allow_neg1 = allow_neg1
-        self._hash = None
-
-    def _fields(self) -> tuple:
-        return (self.kind, self.ty, self.depth, self.no_empty, self.no_lit, self.allow_neg1)
-
-    def __eq__(self, other):
-        if other.__class__ is not NT:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self._fields())
-        return h
-
-    def __reduce__(self):
-        return NT, self._fields()
 
     def __repr__(self) -> str:
         return (f"NT(kind={self.kind!r}, ty={self.ty!r}, depth={self.depth!r}, "

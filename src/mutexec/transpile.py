@@ -4,15 +4,18 @@ The translation works on the term graph in reverse topological order
 (children before parents, left to right):
 
 * ``empty`` and ``if`` nodes get variables ``v1, v2, ...`` in that order;
-  parameters are ``a1, a2, ...``.
+  parameters are ``a1, a2, ...``.  A partial node is named as its
+  completion (``dsl.complete``), the full application to the element.
 * Every node gets an expression: pure computations map to inline Python
   expressions, while list operations and ``map`` map to the expression of
   the list they operate on (their effect happens via a statement).
 * Statements are emitted walking the same order, skipping partial nodes.
-  ``map`` becomes a for-loop over ``range(len(<list>))`` whose body applies
-  the mapping function to the indexed element, with a write-back assignment
-  when the function is a pure expression or a conditional.  Nested maps in
-  function position nest loops with index variables i, j, k, ... by depth.
+  ``map`` becomes a for-loop over ``range(len(<list>))`` whose body is its
+  function's completion, emitted like any full node, with the element leaf
+  as the loop's place ``v1[i]``.  A list operation or nested map changes
+  the element in place; any other value is assigned back to it.  Nested
+  maps nest loops with index variables i, j, k, ... by depth, and index the
+  outermost list with all of them (``v1[i][j]``).
 * The final line returns the root node's expression.
 
 The walk builds the ``minipy`` AST directly, each node carrying the line of
@@ -32,7 +35,7 @@ other function-typed argument, such as the branches of the full ``if`` in
 
 from __future__ import annotations
 
-from .dsl import STATEMENT_HEADS, Term
+from .dsl import COMPARISONS, ELEMENT, STATEMENT_HEADS, Term, complete
 from .minipy import (
     Assign,
     BoolOp,
@@ -73,8 +76,9 @@ class ImpProgram:
 _INDENT = "    "
 _LOOP_VARS = "ijklmn"
 _CONNECTIVES = {"&&": "and", "||": "or"}
-_COMPARISONS = ("==", "<", ">")
 _METHODS = {"append": "append", "extend": "extend", "init": "pop", "tail": "pop"}
+# heads whose statement changes the element of a loop in place
+_IN_PLACE = frozenset(_METHODS) | {"map"}
 
 
 def _bool_op(line: int, op: str, left: Expr, right: Expr) -> BoolOp:
@@ -92,8 +96,14 @@ class _Translator:
         self.function_name = function_name
         self.arity = arity
         self.vnames: dict[int, str] = {}
+        # id of each partial node -> its completion
+        self.completions: dict[int, Term] = {}
         self.line = 0  # the last line emitted
         self.order = term.postorder()
+        # the element leaf's place: the list of the outermost map being
+        # emitted, indexed by the loop variables, outermost first
+        self.seq: Term | None = None
+        self.loop_vars = ""
 
     def next_line(self) -> int:
         self.line += 1
@@ -108,14 +118,19 @@ class _Translator:
         if head == "lit":
             return Num(line, node.value)
         if head == "param":
-            return Name(line, f"a{node.value}")
+            if node.value:
+                return Name(line, f"a{node.value}")
+            place = self.value(self.seq, line)  # the element: v1[i][j]
+            for var in self.loop_vars:
+                place = Subscript(line, place, Name(line, var))
+            return place
         if head == "empty" or head == "if":
             return Name(line, self.vnames[id(node)])
         if head == "index":
             return Subscript(line, self.value(c[1], line), self.value(c[0], line))
         if head == "length":
             return LenCall(line, self.value(c[0], line))
-        if head in _COMPARISONS:
+        if head in COMPARISONS:
             return Compare(line, head, self.value(c[0], line), self.value(c[1], line))
         if head in _CONNECTIVES:
             return _bool_op(line, _CONNECTIVES[head], self.value(c[0], line),
@@ -126,40 +141,27 @@ class _Translator:
             return self.value(c[0], line)
         return self.value(c[1], line)  # append, extend, map: the list operand
 
-    def place(self, seq: Term, loop_vars: str, line: int) -> Expr:
-        """The element of list ``seq`` that ``loop_vars`` index, outermost
-        first: ``v1[i][j]`` (``seq`` itself with no loop variables)."""
-        expr = self.value(seq, line)
-        for var in loop_vars:
-            expr = Subscript(line, expr, Name(line, var))
-        return expr
-
     # -- statements
 
     def statement(self, node: Term, body: list[Stmt]) -> None:
-        c = node.children
-        if node.head == "map":
-            self.loop(c[0], c[1], "", body)
-        elif node.head == "if":
-            self.branch(node, c[2], "", body)
-        else:
+        head = node.head
+        if head == "map":
+            self.loop(node, body)
+        elif head == "if":
+            self.branch(node, body)
+        else:  # a list operation: a method call on its list
             line = self.next_line()
-            body.append(self.call(node, self.value(node, line), line))
+            if head == "init":
+                args = []
+            elif head == "tail":
+                args = [Num(line, 0)]
+            else:
+                args = [self.value(node.children[0], line)]
+            body.append(ExprStmt(line, MethodCall(line, self.value(node, line),
+                                                  _METHODS[head], args)))
 
-    def call(self, node: Term, obj: Expr, line: int) -> ExprStmt:
-        """List operation ``node`` on ``obj``; an ``append`` or ``extend``
-        takes its first child."""
-        if node.head == "init":
-            args = []
-        elif node.head == "tail":
-            args = [Num(line, 0)]
-        else:
-            args = [self.value(node.children[0], line)]
-        return ExprStmt(line, MethodCall(line, obj, _METHODS[node.head], args))
-
-    def branch(self, node: Term, other: Term, loop_vars: str, body: list[Stmt]) -> None:
-        """``if``: the conditional assignment of its variable, whose else value
-        is ``other`` indexed by ``loop_vars``."""
+    def branch(self, node: Term, body: list[Stmt]) -> None:
+        """``if``: the conditional assignment of its variable."""
         c = node.children
         v = self.vnames[id(node)]
         line = self.next_line()
@@ -167,60 +169,40 @@ class _Translator:
         then = self.next_line()
         then_body = [Assign(then, Name(then, v), self.value(c[1], then))]
         self.next_line()  # else:
-        other_line = self.next_line()
-        orelse = [Assign(other_line, Name(other_line, v),
-                         self.place(other, loop_vars, other_line))]
+        other = self.next_line()
+        orelse = [Assign(other, Name(other, v), self.value(c[2], other))]
         body.append(If(line, cond, then_body, orelse))
 
-    def loop(self, fn: Term, seq: Term, loop_vars: str, body: list[Stmt]) -> None:
-        """``map``: a loop over the list ``seq`` indexed by ``loop_vars``
-        that applies ``fn`` to each element."""
-        depth = len(loop_vars)
+    def loop(self, node: Term, body: list[Stmt]) -> None:
+        """``map``: a loop over its list whose body applies the function,
+        completed, to the element at the loop's place.  A list operation or
+        map changes the element in place; any other value is assigned back."""
+        fn, seq = node.children
+        depth = len(self.loop_vars)
         if depth >= len(_LOOP_VARS):
             raise UntranslatableNode("map nesting too deep")
-        var = _LOOP_VARS[depth]
         line = self.next_line()
         loop_body: list[Stmt] = []
-        body.append(ForRange(line, var, [LenCall(line, self.place(seq, loop_vars, line))],
+        body.append(ForRange(line, _LOOP_VARS[depth], [LenCall(line, self.value(seq, line))],
                              loop_body))
-        self.apply_fn(fn, seq, loop_vars + var, loop_body)
-
-    def apply_fn(self, fn: Term, seq: Term, loop_vars: str, body: list[Stmt]) -> None:
-        """Partial application ``fn`` applied to the element of ``seq`` that
-        ``loop_vars`` index."""
-        head = fn.head
-        c = fn.children
-        if head == "map":
-            self.loop(c[0], seq, loop_vars, body)
-            return
-        if head == "if":
-            self.branch(fn, seq, loop_vars, body)
+        if not depth:
+            self.seq = seq
+        self.loop_vars += _LOOP_VARS[depth]
+        full = self.completions[id(fn)]
+        if full.head in STATEMENT_HEADS:
+            self.statement(full, loop_body)
+        if full.head not in _IN_PLACE:
             line = self.next_line()
-            body.append(Assign(line, self.place(seq, loop_vars, line),
-                               Name(line, self.vnames[id(fn)])))
-            return
-        line = self.next_line()
-        elem = self.place(seq, loop_vars, line)
-        if head in _METHODS:
-            body.append(self.call(fn, elem, line))
-            return
-        if head == "length":
-            value = LenCall(line, elem)
-        elif head == "index":
-            value = Subscript(line, elem, self.value(c[0], line))
-        elif head in _COMPARISONS:
-            value = Compare(line, head, self.value(c[0], line), elem)
-        elif head in _CONNECTIVES:
-            value = BoolOp(line, _CONNECTIVES[head], self.value(c[0], line), elem)
-        elif head == "!":
-            value = NotOp(line, elem)
-        else:
-            raise UntranslatableNode(f"{head} cannot be a map function")
-        body.append(Assign(line, self.place(seq, loop_vars, line), value))
+            loop_body.append(Assign(line, self.value(ELEMENT, line), self.value(full, line)))
+        self.loop_vars = self.loop_vars[:depth]
 
     def run(self) -> ImpProgram:
         empties = []
         for node in self.order:
+            if node.partial:
+                # named and checked as the full application the loop emits
+                full = self.completions[id(node)] = complete(node)
+                node = full
             head = node.head
             if head == "empty" or head == "if":
                 name = f"v{len(self.vnames) + 1}"

@@ -73,8 +73,9 @@ class TestSampleAndTranspile:
         ('{"x": 1}\n', "1: expected a string field 'dsl_text'"),
         ("(map (if (< (length a1) 2) (length) (length)) (append a1 empty))\n",
          '1: "if" with function-typed arguments: only map takes a function'),
+        ("(map (length) (append a0 empty))\n", "1: unknown atom 'a0'"),
     ], ids=["literal_as_map_function", "length_of_int", "function", "missing_dsl_text",
-            "function_valued_if_as_map_function"])
+            "function_valued_if_as_map_function", "parameter_a0"])
     def test_transpile_rejects_a_bad_line(self, tmp_path, capsys, monkeypatch, text,
                                           message):
         monkeypatch.chdir(tmp_path)

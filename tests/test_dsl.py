@@ -17,6 +17,7 @@ from mutexec.dsl import (
     empty,
     eval_dsl,
     eval_dsl_outcome,
+    eval_dsl_outcomes,
     fun_type,
     param,
     parse_sexpr,
@@ -221,6 +222,16 @@ class TestEval:
         with pytest.raises(IndexOutOfRange):
             eval_dsl(term, ([1, 2, 3],))
 
+    @pytest.mark.parametrize("text", ["(length a3)", "(map (append (length a2)) a1)"])
+    def test_parameter_beyond_the_arguments(self, text):
+        # in a map, a2 must not read the element either
+        term = parse_sexpr(text)
+        highest = max(n.value for n in term.walk() if n.is_param)
+        with pytest.raises(ValueError, match=f"uses a{highest}, but only 1 argument"):
+            eval_dsl(term, ([[1]],))
+        with pytest.raises(ValueError, match=f"uses a{highest}, but only 1 argument"):
+            list(eval_dsl_outcomes(term, [([[1]],)]))
+
     def test_outcome_wrapper(self):
         outcome = eval_dsl_outcome(parse_sexpr("(index 5 a1)"), ([1],))
         assert outcome.status == "error"
@@ -245,8 +256,10 @@ class TestSexpr:
             assert parse_sexpr(to_sexpr(term)) == term
 
     def test_rejects_malformed(self):
-        # "(tail)" is a legal zero-child partial, not malformed
-        for bad in ("(tail a1 a2)", "(frobnicate a1)", "(", "a1 a2", "", "(tail a1"):
+        # "(tail)" is a legal zero-child partial, not malformed; parameters
+        # start at a1
+        for bad in ("(tail a1 a2)", "(frobnicate a1)", "(", "a1 a2", "", "(tail a1",
+                    "a0", "(append 1 a0)", "(length a01)"):
             with pytest.raises(ValueError):
                 parse_sexpr(bad)
 

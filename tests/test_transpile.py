@@ -1,10 +1,18 @@
+import hashlib
 import random
 
 import pytest
 from conftest import read_fixture
 
 from mutexec import minipy
-from mutexec.dsl import check_constraints, eval_dsl_outcome, parse_sexpr, typecheck
+from mutexec.dsl import (
+    PRIMITIVES,
+    check_constraints,
+    eval_dsl_outcome,
+    eval_dsl_outcomes,
+    parse_sexpr,
+    typecheck,
+)
 from mutexec.grammar import (
     SamplerConfig,
     Sampler,
@@ -14,7 +22,7 @@ from mutexec.grammar import (
 )
 from mutexec.problems import load_jsonl
 from mutexec.transpile import UntranslatableNode, translate
-from mutexec.values import parse_args
+from mutexec.values import canonical_repr, parse_args
 
 GOLDEN_TERM = "(map (if (> (length a2) 2) (index 0 a2)) (extend (tail a1) a2))"
 
@@ -262,6 +270,8 @@ HAND_WRITTEN_TERMS = {
     "map_extend": "(map (extend a1) (append a1 empty))",
     "map_init": "(map (init) (append a1 empty))",
     "map_tail": "(map (tail) (append a1 empty))",
+    # both rows are a1: each row's tail pops a1 again
+    "map_tail_aliased_rows": "(map (tail) (append a1 (append a1 empty)))",
     # pure map functions
     "map_over_index": "(map (length) (index 0 (append (append a1 empty) empty)))",
     "map_compare": "(map (== (length a2)) a1)",
@@ -282,6 +292,30 @@ HAND_WRITTEN_TERMS = {
 
 HAND_INPUTS = [([1, 2, 3], [4, 0]), ([2], [5, 5, 5]), ([0, 1, 2, 3, 4], [1]), ([], [])]
 
+# sha256 of ``_pinned_record`` over every HAND_WRITTEN_TERMS case in order, and
+# over the candidates of ``test_sampled_draws`` per (arity, depth): the
+# evaluator's outcomes and the translation of terms the screen accepts and
+# rejects alike
+HAND_WRITTEN_SHA256 = "644ca827c2284cfb3c9d96b52542cfa3e6679cf7ba191b97ac2761ee5b94b01f"
+SAMPLED_DRAWS_SHA256 = {
+    (1, 4): "b5e2ddb958ab9c7b7be3da5b3c8119fa50975d2bc2cb46cb4e9d1176a90b02a4",
+    (1, 5): "299da9dc0855064cc1e2c7d48ab4b5324feefb7e2fae1841ae7d5777d17c2ef9",
+    (2, 4): "273e2fcfb2ecc7a6b98a5a038246dfdf540af42d63cfe073154710bfc4cbe9fe",
+    (2, 5): "b12f92395b410919341e021505101fa313e81ed398b0792e1fe876ce1ad81022",
+}
+
+
+def _hand_case(name):
+    term = parse_sexpr(HAND_WRITTEN_TERMS[name])
+    arity = max(n.value for n in term.walk() if n.is_param)
+    return term, arity, [args[:arity] for args in HAND_INPUTS]
+
+
+def _pinned_record(term, program, inputs) -> bytes:
+    outcomes = [(o.status, canonical_repr(o.output) if o.status == "ok" else None,
+                 o.error_kind) for o in eval_dsl_outcomes(term, inputs)]
+    return repr((outcomes, program.source, program.loc, repr(program.ast))).encode() + b"\n"
+
 
 class TestBuiltAst:
     def test_small_corpus(self, small_corpus):
@@ -294,11 +328,28 @@ class TestBuiltAst:
 
     @pytest.mark.parametrize("name", HAND_WRITTEN_TERMS)
     def test_hand_written_terms(self, name):
-        term = parse_sexpr(HAND_WRITTEN_TERMS[name])
+        term, arity, inputs = _hand_case(name)
         typecheck(term)
-        arity = max(n.value for n in term.walk() if n.is_param)
         program = translate(term, arity=arity)
-        assert_built_ast_is_parsed_ast(program, [args[:arity] for args in HAND_INPUTS])
+        assert_built_ast_is_parsed_ast(program, inputs)
+        # the oracle pair agrees: the same value, or the same error kind
+        for args, oracle in zip(inputs, eval_dsl_outcomes(term, inputs)):
+            result = minipy.interpret(program.ast, args)
+            assert (oracle.status, oracle.error_kind) == (result.status, result.error_kind)
+            if oracle.status == "ok":
+                assert canonical_repr(oracle.output) == canonical_repr(result.output), args
+
+    def test_hand_written_partial_heads_cover_every_primitive(self):
+        heads = {node.head for text in HAND_WRITTEN_TERMS.values()
+                 for node in parse_sexpr(text).walk() if node.partial}
+        assert heads == {p.name for p in PRIMITIVES if p.arity}
+
+    def test_hand_written_terms_pinned(self):
+        digest = hashlib.sha256()
+        for name in HAND_WRITTEN_TERMS:
+            term, arity, inputs = _hand_case(name)
+            digest.update(_pinned_record(term, translate(term, arity=arity), inputs))
+        assert digest.hexdigest() == HAND_WRITTEN_SHA256
 
     def test_right_nested_connective_is_left_grouped(self):
         term = parse_sexpr(HAND_WRITTEN_TERMS["right_nested_and"])
@@ -313,6 +364,7 @@ class TestBuiltAst:
         rng = random.Random(f"built-ast:{arity}:{depth}")
         sampler = Sampler(compile_cfg(arity, depth), None, (1 << arity) - 1)
         config = SamplerConfig()
+        digest = hashlib.sha256()
         checked = 0
         pop_errors = index_errors = 0
         while checked < 2000:
@@ -321,15 +373,17 @@ class TestBuiltAst:
                 continue
             checked += 1
             program = translate(term, arity=arity)
+            inputs = sample_inputs(arity, config, rng)
+            digest.update(_pinned_record(term, program, inputs))
             lines = program.source.split("\n")
-            for _, kind, line, _, _ in assert_built_ast_is_parsed_ast(
-                    program, sample_inputs(arity, config, rng)):
+            for _, kind, line, _, _ in assert_built_ast_is_parsed_ast(program, inputs):
                 assert kind == "IndexError"
                 if ".pop(" in lines[line - 1]:
                     pop_errors += 1
                 else:
                     index_errors += 1
         assert pop_errors and index_errors
+        assert digest.hexdigest() == SAMPLED_DRAWS_SHA256[arity, depth]
 
 
 class TestUntranslatable:
