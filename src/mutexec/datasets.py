@@ -19,7 +19,6 @@ import os
 import random
 import re
 import threading
-from dataclasses import dataclass, field
 
 from .dsl import to_sexpr
 from .grammar import SamplerConfig, compile_cfg, sample_valid_program
@@ -37,19 +36,25 @@ class InsufficientBinPopulation(RuntimeError):
         )
 
 
-@dataclass
 class DslListConfig:
     """One grammar per (arity, depth) in ``arities`` x ``depths``, sampled
     ``programs_per_combo`` times with ``sampler``; ``per_bin`` programs per
     lines-of-code bin in ``bins`` are kept for each arity."""
 
-    seed: int = 0
-    arities: tuple[int, ...] = (1, 2)
-    depths: tuple[int, ...] = (4, 5)
-    programs_per_combo: int = 1000
-    per_bin: int = 10
-    bins: tuple[tuple[int, int], ...] = LOC_BINS
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
+    __slots__ = ("seed", "arities", "depths", "programs_per_combo", "per_bin", "bins",
+                 "sampler")
+
+    def __init__(self, seed: int = 0, arities: tuple[int, ...] = (1, 2),
+                 depths: tuple[int, ...] = (4, 5), programs_per_combo: int = 1000,
+                 per_bin: int = 10, bins: tuple[tuple[int, int], ...] = LOC_BINS,
+                 sampler: SamplerConfig | None = None):
+        self.seed = seed
+        self.arities = arities
+        self.depths = depths
+        self.programs_per_combo = programs_per_combo
+        self.per_bin = per_bin
+        self.bins = bins
+        self.sampler = SamplerConfig() if sampler is None else sampler
 
 
 def _usable_cpus() -> int:

@@ -223,6 +223,25 @@ _S1_HEADS = frozenset(COMPARISONS + LOGICALS)
 _ARITY = {p.name: p.arity for p in PRIMITIVES}
 
 
+def check_node(head: str, n_children: int, value: int | None, partial: bool) -> None:
+    """Raise ValueError unless these are the fields of a well-formed node: a
+    literal or parameter with a value and no children, or a known primitive
+    with one child per argument (one fewer for a partial application, which
+    a zero-arity primitive cannot be)."""
+    if head == "lit" or head == "param":
+        if value is None or n_children:
+            raise ValueError(f"malformed {head} node")
+        return
+    arity = _ARITY.get(head)
+    if arity is None:
+        raise ValueError(f"unknown head {head!r}")
+    want = arity - 1 if partial else arity
+    if n_children != want:
+        raise ValueError(f"{head} expects {want} children, got {n_children}")
+    if partial and arity == 0:
+        raise ValueError("zero-arity primitive cannot be partial")
+
+
 class Term:
     """AST node: a primitive application, integer literal, or parameter.
 
@@ -240,18 +259,7 @@ class Term:
         self.children = children
         self.value = value
         self.partial = partial
-        if head == "lit" or head == "param":
-            if value is None or children:
-                raise ValueError(f"malformed {head} node")
-            return
-        arity = _ARITY.get(head)
-        if arity is None:
-            raise ValueError(f"unknown head {head!r}")
-        want = arity - 1 if partial else arity
-        if len(children) != want:
-            raise ValueError(f"{head} expects {want} children, got {len(children)}")
-        if partial and arity == 0:
-            raise ValueError("zero-arity primitive cannot be partial")
+        check_node(head, len(children), value, partial)
 
     def __eq__(self, other):
         if other.__class__ is not Term:

@@ -19,13 +19,21 @@ builds both.
 Polymorphic primitives are instantiated over a finite ground-type universe
 whose list nesting is capped at the depth bound; unproductive nonterminals
 are pruned, so every production reachable from the start symbol derives at
-least one term.  A primitive's instantiations for a goal type do not depend
-on depth or flags, so a compile unifies and grounds each (kind, goal type)
-once; it keeps one instance of each type and nonterminal, and types and
-nonterminals cache their hashes.  Sampling draws a production at each
-nonterminal with probability proportional to its weight (the weight of its
-head primitive; literals and parameters weigh 1) and recurses, one
-``rng.random()`` per production in preorder.
+least one term.  Goal types are ground, so a compile matches each
+primitive's type one way against a goal, and grounds the variables the goal
+leaves free over the universe.  A primitive's instantiations for a goal type
+do not depend on depth or flags, so that happens once per (kind, goal type);
+the compile builds one instance of each type and nonterminal and keys them
+by identity, so it neither rebuilds nor hashes a type.  Whether a
+nonterminal derives a term is decided before its productions are made, by
+expanding only nonterminals without a leaf, and productions are made only
+for the nonterminals the start symbol reaches.  Each production is checked
+once, when it is made, against the rules of a well-formed node
+(``dsl.check_node``), so the sampler builds terms without checking their
+nodes.  Sampling draws a production at each nonterminal with probability
+proportional to its weight (the weight of its head primitive; literals and
+parameters weigh 1) and recurses, one ``rng.random()`` per production in
+preorder.
 
 The sample-time rule s4 (every parameter occurs) is compiled into the draw:
 ``sample_valid_program`` draws from tables conditioned on the parameters
@@ -64,8 +72,6 @@ import bisect
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
-
 from . import transpile
 from .dsl import (
     BOOL,
@@ -79,11 +85,10 @@ from .dsl import (
     TVar,
     Ty,
     check_constraints,
+    check_node,
     eval_dsl_outcomes,
     fun_type,
     nesting,
-    unify,
-    _apply,
 )
 from .minipy import Limits, interpret
 from .values import values_equal
@@ -161,10 +166,16 @@ class NT:
 
 
 class Production:
+    """One way to rewrite a nonterminal: a node with ``head``, ``value`` and
+    ``partial``, whose children derive from the nonterminals ``children``.
+    It must be a well-formed node (``dsl.check_node``), so that a sampled
+    term can be built without checking its nodes again."""
+
     __slots__ = ("head", "value", "partial", "children", "weight")
 
     def __init__(self, head: str, value: int | None, partial: bool,
                  children: tuple[NT, ...], weight: float):
+        check_node(head, len(children), value, partial)
         self.head = head  # primitive name, "lit", or "param"
         self.value = value
         self.partial = partial
@@ -186,72 +197,176 @@ class Cfg:
         self.draw_tables: dict = {}
 
 
+def _type_vars(ty: Ty) -> set[str]:
+    if isinstance(ty, TVar):
+        return {ty.name}
+    if isinstance(ty, TList):
+        return _type_vars(ty.elem)
+    if isinstance(ty, TFun):
+        return _type_vars(ty.arg) | _type_vars(ty.res)
+    return set()
+
+
+def _shapes(kind: str) -> tuple[tuple[Primitive, Ty, tuple[Ty, ...], list[str]], ...]:
+    """Per primitive of positive arity, in primitive order: the type that a
+    value (``kind`` "val") or a partial application (``kind`` "fn") of it
+    has, the argument types it lists (a partial application's leading ones),
+    and the variables of those that the type leaves free, sorted."""
+    shapes = []
+    for prim in PRIMITIVES:
+        if prim.arity == 0:
+            continue
+        if kind == "fn":
+            shape, params = TFun(prim.params[-1], prim.result), prim.params[:-1]
+        else:
+            shape, params = prim.result, prim.params
+        free = set().union(*map(_type_vars, params)) - _type_vars(shape)
+        shapes.append((prim, shape, params, sorted(free)))
+    return tuple(shapes)
+
+
+_SHAPES = {kind: _shapes(kind) for kind in ("val", "fn")}
+
+
+def _match(pattern: Ty, goal: Ty, subst: dict[str, Ty]) -> bool:
+    """Bind the variables of ``pattern`` in ``subst`` so that it equals the
+    ground ``goal``, or return False.  A compile keeps one instance of each
+    type (``_Compiler.list_of``), so a variable bound twice matches only
+    the same instance."""
+    cls = pattern.__class__
+    if cls is TVar:
+        bound = subst.setdefault(pattern.name, goal)
+        return bound is goal
+    if cls is not goal.__class__:
+        return False
+    if cls is TList:
+        return _match(pattern.elem, goal.elem, subst)
+    if cls is TFun:
+        return _match(pattern.arg, goal.arg, subst) and _match(pattern.res, goal.res, subst)
+    return True  # int or bool
+
+
 class _Compiler:
     def __init__(self, arity: int, max_depth: int):
         self.arity = arity
         self.max_depth = max_depth
+        # one instance per distinct type and nonterminal, so that comparing
+        # two of them is an identity check.  Ground types are built only by
+        # list_of and fun_of, from parts that are such instances, so the
+        # tables below key a type by its id and never hash it.
+        self.lists: dict[int, TList] = {}
+        self.funs: dict[tuple[int, int], TFun] = {}
+        self.nts: dict[tuple, NT] = {}
         self.universe = self._universe(max_depth)
+        self.int_list = self.list_of(INT)
         # (nt.kind, nt.ty) -> the (primitive, argument types) a nonterminal
         # of that kind and type expands with at any depth, in primitive order
-        self.instantiations: dict[tuple[str, Ty], list[tuple[Primitive, tuple[Ty, ...]]]] = {}
-        # one instance per distinct type and nonterminal, so that comparing
-        # two of them is an identity check
-        self.types: dict[Ty, Ty] = {}
-        self.nts: dict[tuple, NT] = {}
+        self.instantiations: dict[tuple[str, int], list[tuple[Primitive, tuple[Ty, ...]]]] = {}
+        # per nonterminal, whether it is productive, and its applications
+        # whose children are all productive
+        self.derives: dict[NT, bool] = {}
+        self.applied: dict[NT, list[tuple[str, tuple[NT, ...]]]] = {}
 
-    @staticmethod
-    def _universe(max_depth: int) -> tuple[Ty, ...]:
+    def _universe(self, max_depth: int) -> tuple[Ty, ...]:
         types: list[Ty] = []
         for base in (INT, BOOL):
             ty: Ty = base
             types.append(ty)
             for _ in range(max_depth):
-                ty = TList(ty)
+                ty = self.list_of(ty)
                 types.append(ty)
         return tuple(types)
+
+    def list_of(self, elem: Ty) -> TList:
+        ty = self.lists.get(id(elem))
+        if ty is None:
+            ty = self.lists[id(elem)] = TList(elem)
+        return ty
+
+    def fun_of(self, arg: Ty, res: Ty) -> TFun:
+        key = (id(arg), id(res))
+        ty = self.funs.get(key)
+        if ty is None:
+            ty = self.funs[key] = TFun(arg, res)
+        return ty
+
+    def ground(self, ty: Ty, subst: dict[str, Ty]) -> Ty:
+        """``ty`` with each variable replaced by its value in ``subst``."""
+        cls = ty.__class__
+        if cls is TVar:
+            return subst[ty.name]
+        if cls is TList:
+            return self.list_of(self.ground(ty.elem, subst))
+        if cls is TFun:
+            return self.fun_of(self.ground(ty.arg, subst), self.ground(ty.res, subst))
+        return ty
 
     def nt(self, kind: str, ty: Ty, depth: int, no_empty: bool = False,
            no_lit: bool = False, allow_neg1: bool = False) -> NT:
         """The one instance of this compile for the nonterminal with these
         fields, so that the tables find their keys by identity."""
-        fields = (kind, ty, depth, no_empty, no_lit, allow_neg1)
-        nt = self.nts.get(fields)
+        key = (kind, id(ty), depth, no_empty, no_lit, allow_neg1)
+        nt = self.nts.get(key)
         if nt is None:
-            nt = self.nts[fields] = NT(*fields)
+            nt = self.nts[key] = NT(kind, ty, depth, no_empty, no_lit, allow_neg1)
         return nt
 
     # -- production synthesis
 
-    def expand(self, nt: NT) -> list[Production]:
-        """The productions of ``nt``: a literal, parameter or ``empty`` where
-        its type and flags allow one, then each primitive instantiation whose
-        arguments (a partial application's leading ones) fit below it."""
+    def leaves(self, nt: NT) -> list[Production]:
+        """The childless productions of ``nt``: a literal, parameter or
+        ``empty`` where its type and flags allow one."""
         out: list[Production] = []
-        d = nt.depth
-        if d < 1:
-            return out
         ty = nt.ty
-        if ty == INT and not nt.no_lit:
+        if ty is INT and not nt.no_lit:
             for v in INT_LITERALS:
                 if v != -1 or nt.allow_neg1:  # c3
                     out.append(Production("lit", v, False, (), 1.0))
-        if ty == _INT_LIST:
+        if ty is self.int_list:
             for i in range(1, self.arity + 1):
                 out.append(Production("param", i, False, (), 1.0))
-        if isinstance(ty, TList) and not nt.no_empty:
+        if ty.__class__ is TList and not nt.no_empty:
             out.append(Production("empty", None, False, (), DEFAULT_WEIGHTS.get("empty", 1.0)))
-
-        partial = nt.kind == "fn"
-        new_nt = self.nt
-        for prim, params in self._instantiations(nt.kind, ty):
-            if params and d < 2:
-                continue  # arguments need room below
-            children = tuple([new_nt(kind, p, d - 1, no_empty, no_lit, allow_neg1)
-                              for p, (kind, no_empty, no_lit, allow_neg1)
-                              in zip(params, _ARGUMENTS[prim.name])])
-            out.append(Production(prim.name, None, partial, children,
-                                  DEFAULT_WEIGHTS.get(prim.name, 1.0)))
         return out
+
+    def applications(self, nt: NT) -> list[tuple[str, tuple[NT, ...]]]:
+        """Each primitive instantiation whose arguments (a partial
+        application's leading ones) fit below ``nt`` and are all productive,
+        as the primitive's name and the nonterminals of those arguments.
+        Children are one level shallower than their parent, so the
+        recursion through ``productive`` ends."""
+        found = self.applied.get(nt)
+        if found is None:
+            d = nt.depth
+            new_nt = self.nt
+            productive = self.productive
+            found = []
+            for prim, params in self._instantiations(nt.kind, nt.ty):
+                if params and d < 2:
+                    continue  # arguments need room below
+                children = tuple([new_nt(kind, p, d - 1, no_empty, no_lit, allow_neg1)
+                                  for p, (kind, no_empty, no_lit, allow_neg1)
+                                  in zip(params, _ARGUMENTS[prim.name])])
+                if all(map(productive, children)):
+                    found.append((prim.name, children))
+            self.applied[nt] = found
+        return found
+
+    def productive(self, nt: NT) -> bool:
+        """Whether ``nt`` derives a term.  A nonterminal with a leaf is, so
+        only a nonterminal without one is expanded to find out."""
+        found = self.derives.get(nt)
+        if found is None:
+            found = self.derives[nt] = bool(self.leaves(nt) or self.applications(nt))
+        return found
+
+    def productions(self, nt: NT) -> tuple[Production, ...]:
+        """The productions of ``nt`` whose children are all productive:
+        its leaves, then its applications."""
+        partial = nt.kind == "fn"
+        return tuple(self.leaves(nt) + [
+            Production(name, None, partial, children, DEFAULT_WEIGHTS.get(name, 1.0))
+            for name, children in self.applications(nt)])
 
     def _instantiations(self, kind: str, goal: Ty) -> list[tuple[Primitive, tuple[Ty, ...]]]:
         """Every primitive of positive arity with its ground argument types,
@@ -260,100 +375,53 @@ class _Compiler:
         of its missing last argument to the result, and it lists its leading
         arguments only.
 
-        The result depends on neither depth nor flags, so it is computed once
-        per (kind, goal) and compile.
+        Each primitive's type is matched one way against the ground goal;
+        argument type variables that the goal leaves free range over the
+        universe, skipping any choice that nests an argument's lists deeper
+        than the depth bound.  The result depends on neither depth nor
+        flags, so it is computed once per (kind, goal) and compile.
         """
-        key = (kind, goal)
+        key = (kind, id(goal))
         found = self.instantiations.get(key)
         if found is not None:
             return found
         found = []
-        partial = kind == "fn"
-        for prim in PRIMITIVES:
-            if prim.arity == 0:
-                continue
+        ground = self.ground
+        for prim, shape, params, free in _SHAPES[kind]:
             subst: dict[str, Ty] = {}
-            if partial:
-                shape, params = TFun(prim.params[-1], prim.result), prim.params[:-1]
-            else:
-                shape, params = prim.result, prim.params
-            if not unify(shape, goal, subst):
+            if not _match(shape, goal, subst):
                 continue
-            params = tuple(_apply(p, subst) for p in params)
-            free = sorted({v.name for p in params for v in _free_vars(p)})
-            for grounded in self._ground_out(params, free):
-                found.append((prim, tuple(self.types.setdefault(t, t) for t in grounded)))
+            if not free:
+                found.append((prim, tuple([ground(p, subst) for p in params])))
+                continue
+            for values in itertools.product(self.universe, repeat=len(free)):
+                subst.update(zip(free, values))
+                grounded = tuple([ground(p, subst) for p in params])
+                if max(map(nesting, grounded)) <= self.max_depth:
+                    found.append((prim, grounded))
         self.instantiations[key] = found
         return found
-
-    def _ground_out(self, params: tuple[Ty, ...], free: list[str]):
-        if not free:
-            yield params
-            return
-        name, rest = free[0], free[1:]
-        for ty in self.universe:
-            subst = {name: ty}
-            grounded = tuple(_apply(p, subst) for p in params)
-            if max((nesting(p) for p in grounded), default=0) > self.max_depth:
-                continue
-            yield from self._ground_out(grounded, rest)
 
     # -- table construction with pruning
 
     def build(self) -> Cfg:
-        start = self.nt("val", _INT_LIST, self.max_depth)
-        pending = [start]
-        raw: dict[NT, list[Production]] = {}
-        while pending:
-            nt = pending.pop()
-            if nt in raw:
-                continue
-            prods = self.expand(nt)
-            raw[nt] = prods
-            for p in prods:
-                for c in p.children:
-                    if c not in raw:
-                        pending.append(c)
-
-        productive: set[NT] = set()
-        changed = True
-        while changed:
-            changed = False
-            for nt, prods in raw.items():
-                if nt in productive:
-                    continue
-                for p in prods:
-                    if all(c in productive for c in p.children):
-                        productive.add(nt)
-                        changed = True
-                        break
-        # the start symbol is productive, since it derives ``a1``
-
+        start = self.nt("val", self.int_list, self.max_depth)
+        # the start symbol is productive, since it derives ``a1``; only the
+        # nonterminals it reaches through productive productions are listed,
+        # in the order of this walk, and only they are expanded into
+        # productions
         table: dict[NT, tuple[Production, ...]] = {}
         reachable = [start]
         seen = {start}
         while reachable:
             nt = reachable.pop()
-            kept = tuple(
-                p for p in raw[nt] if all(c in productive for c in p.children)
-            )
-            table[nt] = kept
-            for p in kept:
+            table[nt] = prods = self.productions(nt)
+            for p in prods:
                 for c in p.children:
                     if c not in seen:
                         seen.add(c)
                         reachable.append(c)
         return Cfg(start, table, self.arity, self.max_depth)
-
-
-def _free_vars(ty: Ty):
-    if isinstance(ty, TVar):
-        yield ty
-    elif isinstance(ty, TList):
-        yield from _free_vars(ty.elem)
-    elif isinstance(ty, TFun):
-        yield from _free_vars(ty.arg)
-        yield from _free_vars(ty.res)
 
 
 def compile_cfg(arity: int, max_depth: int) -> Cfg:
@@ -376,7 +444,6 @@ def compile_cfg(arity: int, max_depth: int) -> Cfg:
 # Sampling
 
 
-@dataclass
 class SamplerConfig:
     """How ``sample_valid_program`` draws: production weight overrides, the
     sampled inputs and the attempt budget.  The program type and depth bound
@@ -385,21 +452,25 @@ class SamplerConfig:
     A range whose minimum is above its maximum, a negative list length or
     an ``input_count`` below 1 is a ``ValueError``."""
 
-    weight_overrides: dict[str, float] = field(default_factory=dict)
-    input_count: int = 3
-    list_len_range: tuple[int, int] = (3, 5)
-    element_range: tuple[int, int] = (0, 5)
-    max_attempts: int = 10_000
+    __slots__ = ("weight_overrides", "input_count", "list_len_range", "element_range",
+                 "max_attempts")
 
-    def __post_init__(self):
-        for name in ("list_len_range", "element_range"):
-            lo, hi = getattr(self, name)
+    def __init__(self, weight_overrides: dict[str, float] | None = None, input_count: int = 3,
+                 list_len_range: tuple[int, int] = (3, 5),
+                 element_range: tuple[int, int] = (0, 5), max_attempts: int = 10_000):
+        for name, (lo, hi) in (("list_len_range", list_len_range),
+                               ("element_range", element_range)):
             if lo > hi:
                 raise ValueError(f"{name}: minimum {lo} is above maximum {hi}")
-        if self.list_len_range[0] < 0:
-            raise ValueError(f"list_len_range: negative length {self.list_len_range[0]}")
-        if self.input_count < 1:
-            raise ValueError(f"input_count must be at least 1, got {self.input_count}")
+        if list_len_range[0] < 0:
+            raise ValueError(f"list_len_range: negative length {list_len_range[0]}")
+        if input_count < 1:
+            raise ValueError(f"input_count must be at least 1, got {input_count}")
+        self.weight_overrides = {} if weight_overrides is None else weight_overrides
+        self.input_count = input_count
+        self.list_len_range = list_len_range
+        self.element_range = element_range
+        self.max_attempts = max_attempts
 
 
 def production_weight(production: Production, overrides: dict[str, float]) -> float:
@@ -447,35 +518,35 @@ def _shares(prods: tuple[Production, ...], overrides: dict[str, float]) -> list[
     return [w / total if total else 0.0 for w in weights]
 
 
-def _inside_masses(cfg: Cfg, overrides: dict[str, float]) -> dict[NT, list[float]]:
-    """``masses[nt][u]``: the probability that a plain derivation from
-    ``nt`` uses exactly the parameters of mask ``u`` (bit ``i - 1`` for
-    ``a<i>``).
+def _inside_masses(cfg: Cfg, shares: dict[NT, list[float]]) -> dict[NT, list[tuple[int, float]]]:
+    """``masses[nt]``: the pairs ``(u, p)``, by increasing mask ``u`` and
+    for every ``p`` above 0, such that a plain derivation from ``nt`` uses
+    exactly the parameters of ``u`` (bit ``i - 1`` for ``a<i>``) with
+    probability ``p``.  ``shares[nt]`` holds ``_shares`` of ``nt``'s
+    productions.
 
     A production's set is its own bit or-ed with its children's sets, and
     children are one level shallower than their parent, so one pass over
     the nonterminals by increasing depth fills every list.
     """
     size = 1 << cfg.arity
-    masses: dict[NT, list[float]] = {}
+    masses: dict[NT, list[tuple[int, float]]] = {}
     for nt in sorted(cfg.productions, key=lambda nt: nt.depth):
-        prods = cfg.productions[nt]
         mass = [0.0] * size
-        for p, share in zip(prods, _shares(prods, overrides)):
-            dist = [0.0] * size
-            dist[_param_bit(p)] = share
+        for p, share in zip(cfg.productions[nt], shares[nt]):
+            if not p.children:
+                mass[_param_bit(p)] += share
+                continue
+            dist = [(_param_bit(p), share)]
             for c in p.children:
-                child = masses[c]
                 joined = [0.0] * size
-                for a, x in enumerate(dist):
-                    if x:
-                        for b, y in enumerate(child):
-                            if y:
-                                joined[a | b] += x * y
-                dist = joined
-            for u, x in enumerate(dist):
+                for a, x in dist:
+                    for b, y in masses[c]:
+                        joined[a | b] += x * y
+                dist = [(u, x) for u, x in enumerate(joined) if x]
+            for u, x in dist:
                 mass[u] += x
-        masses[nt] = mass
+        masses[nt] = [(u, x) for u, x in enumerate(mass) if x]
     return masses
 
 
@@ -493,44 +564,44 @@ def _conditioned_tables(cfg: Cfg, overrides: dict[str, float], uses: int):
     from (start, ``uses``) are built.  Returns the rows, with (start,
     ``uses``) row 0, as ``_draw_tables`` builds them.
     """
-    masses = _inside_masses(cfg, overrides)
-    if not masses[cfg.start][uses]:
+    shares = {nt: _shares(prods, overrides) for nt, prods in cfg.productions.items()}
+    masses = _inside_masses(cfg, shares)
+    if uses not in dict(masses[cfg.start]):
         raise EmptyLanguage(f"no derivation uses exactly the parameters of mask {uses:#b}")
-    rows: list = []
-    row_of: dict[tuple[NT, int], int] = {}
-
-    def row(nt: NT, used: int) -> int:
-        key = (nt, used)
-        i = row_of.get(key)
-        if i is None:
-            # the key holds the row's place until the loop below builds it
-            i = row_of[key] = len(rows)
-            rows.append(key)
-        return i
-
-    row(cfg.start, uses)
+    # nonterminal -> mask -> the entries of its row for that mask, in order,
+    # each as (production, weight, child row keys in reverse); filled for a
+    # nonterminal when its first row is built
+    grouped: dict[NT, dict[int, list]] = {}
+    # the key of a row holds its place until the loop below builds it
+    rows: list = [(cfg.start, uses)]
+    row_of: dict[tuple[NT, int], int] = {(cfg.start, uses): 0}
     for i, (nt, used) in enumerate(rows):  # runs on over the rows it adds
+        by_mask = grouped.get(nt)
+        if by_mask is None:
+            by_mask = grouped[nt] = {}
+            for p, share in zip(cfg.productions[nt], shares[nt]):
+                # every choice of a mask per child, the first child's choice
+                # varying slowest, as (child row keys in reverse, weight, union)
+                combos = [((), share, _param_bit(p))]
+                for c in p.children:
+                    combos = [(((c, u),) + keys, weight * m, union | u)
+                              for keys, weight, union in combos for u, m in masses[c]]
+                for keys, weight, union in combos:
+                    by_mask.setdefault(union, []).append((p, weight, keys))
         cumulative: list[float] = []
         total = 0.0
         entries = []
-        prods = cfg.productions[nt]
-        for p, share in zip(prods, _shares(prods, overrides)):
-            bit = _param_bit(p)
-            if bit & ~used:
-                continue
-            choices = [[(c, u, m) for u, m in enumerate(masses[c]) if m and not u & ~used]
-                       for c in p.children]
-            for sets in itertools.product(*choices):
-                weight = share
-                union = bit
-                for _, u, m in sets:
-                    weight *= m
-                    union |= u
-                if union == used:
-                    total += weight
-                    cumulative.append(total)
-                    children = tuple([row(c, u) for c, u, _ in reversed(sets)])
-                    entries.append((p, children))
+        for p, weight, keys in by_mask[used]:
+            total += weight
+            cumulative.append(total)
+            children = []
+            for key in keys:
+                j = row_of.get(key)
+                if j is None:
+                    j = row_of[key] = len(rows)
+                    rows.append(key)
+                children.append(j)
+            entries.append((p, tuple(children)))
         cumulative[-1] = math.inf
         rows[i] = (cumulative, total, tuple(entries))
     return rows
@@ -579,16 +650,24 @@ class Sampler:
     def build(productions: list[Production]) -> Term:
         """The term of a derivation whose productions are given in preorder."""
         # In reverse preorder a node comes after all of its subtrees, so its
-        # children are the top of the stack, the first child on top.
+        # children are the top of the stack, the first child on top.  Every
+        # production is a well-formed node (``Production``), so the nodes
+        # skip ``Term``'s checks, as ``dsl.complete`` does.
+        new_term = Term.__new__
         stack: list[Term] = []
+        push = stack.append
         for p in reversed(productions):
+            node = new_term(Term)
             n = len(p.children)
             if n:
-                children = tuple(stack[:-n - 1:-1])
+                node.children = tuple(stack[:-n - 1:-1])
                 del stack[-n:]
             else:
-                children = ()
-            stack.append(Term(p.head, children, p.value, p.partial))
+                node.children = ()
+            node.head = p.head
+            node.value = p.value
+            node.partial = p.partial
+            push(node)
         (term,) = stack
         return term
 

@@ -217,10 +217,11 @@ class MutantSet:
         self.selected = selected
 
 
-def mutate_problem(problem: Problem, executor, rng: random.Random) -> MutantSet:
-    candidates = [
-        (src, site) for src, site in enumerate_source_mutants(problem.source)
-    ]
+def mutate_problem(problem: Problem, executor, rng: random.Random,
+                   candidates: list[tuple[str, MutationSite]]) -> MutantSet:
+    """Run the mutants ``candidates`` of the problem's source, which are
+    ``enumerate_source_mutants(problem.source)``, on its input, and select
+    one of the survivors."""
     base = executor.run(problem.source, problem.function_name, problem.args())
     if base.status != "ok":
         raise ValueError(f"problem {problem.id} does not execute cleanly")
@@ -238,9 +239,16 @@ def mutate_dataset(
     correspondence; problems with no valid mutant are dropped from both."""
     kept: list[Problem] = []
     mutated: list[Problem] = []
+    # the mutants of each distinct source, enumerated once: the problems of
+    # one program share its source
+    candidates_of: dict[str, list[tuple[str, MutationSite]]] = {}
     for problem in problems:
+        candidates = candidates_of.get(problem.source)
+        if candidates is None:
+            candidates = candidates_of[problem.source] = enumerate_source_mutants(
+                problem.source)
         rng = random.Random(f"{seed}:{problem.id}")
-        ms = mutate_problem(problem, executor, rng)
+        ms = mutate_problem(problem, executor, rng, candidates)
         if ms.selected is None:
             continue
         kept.append(problem)

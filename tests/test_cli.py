@@ -292,14 +292,12 @@ classes = [f"{name}.{obj.__qualname__}"
 print(json.dumps([code, sorted(sys.modules), sorted(classes)]))
 """
 # The classes that stay dataclasses, because the benchmark or the tests
-# use them as such: bench/run.py and tests/test_datasets.py call
-# dataclasses.replace on the first three, tests/test_harness.py reads the
-# records' dataclasses.fields.  Every other class is a plain class with
-# __slots__, so that no command spends its start generating methods.
+# use them as such: bench/run.py calls dataclasses.replace on the first,
+# tests/test_harness.py reads the records' dataclasses.fields.  Every other
+# class is a plain class with __slots__, so that no command spends its start
+# generating methods.
 DATACLASSES = {
     "mutexec.problems.Problem",
-    "mutexec.datasets.DslListConfig",
-    "mutexec.grammar.SamplerConfig",
     "mutexec.harness.PredictionRecord",
     "mutexec.harness.ChoiceRecord",
 }

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -28,6 +27,7 @@ from mutexec.datasets import (
     strip_code_fences,
 )
 from mutexec.executors import BuiltinExecutor, ExternalExecutor
+from mutexec.grammar import SamplerConfig
 from mutexec.llm_client import ModelResponse
 from mutexec.problems import Problem, load_jsonl, save_jsonl
 from mutexec.values import canonical_repr, values_equal
@@ -203,8 +203,14 @@ class TestParallelSampling:
 
     def test_child_attempts_exhausted_is_one_error_line(self, monkeypatch, tmp_path, capsys):
         def one_attempt(config, arity, depth):
-            return dataclasses.replace(
-                config, sampler=dataclasses.replace(config.sampler, max_attempts=1))
+            sampler = config.sampler
+            return DslListConfig(
+                seed=config.seed, arities=config.arities, depths=config.depths,
+                programs_per_combo=config.programs_per_combo, per_bin=config.per_bin,
+                bins=config.bins, sampler=SamplerConfig(
+                    weight_overrides=sampler.weight_overrides,
+                    input_count=sampler.input_count, list_len_range=sampler.list_len_range,
+                    element_range=sampler.element_range, max_attempts=1))
 
         patch_lanes(monkeypatch, 2, in_child=one_attempt)
         code = cli.dispatch(["build-dsl-list", "--seed", "3", "--programs-per-combo", "30",

@@ -7,14 +7,17 @@ from functools import lru_cache
 
 import pytest
 
+from mutexec import dsl, grammar
 from mutexec.dsl import PRIMITIVES, Term, check_constraints, to_sexpr, typecheck
 from mutexec.grammar import (
     REJECTION_STAGES,
     AttemptsExhausted,
     EmptyLanguage,
+    Production,
     Sampler,
     SamplerConfig,
     _ARGUMENTS,
+    _conditioned_tables,
     _draw_tables,
     _param_bit,
     compile_cfg,
@@ -219,9 +222,42 @@ class TestCompile:
         with pytest.raises(ValueError):
             make_cfg(1, 1)
 
+    def test_compile_never_unifies(self, monkeypatch):
+        # the goals are ground, so each primitive's type is matched one way
+        def refuse(*args):
+            raise AssertionError("general unification while compiling")
+
+        for name in ("unify", "_apply"):
+            monkeypatch.setattr(dsl, name, refuse)
+            monkeypatch.setattr(grammar, name, refuse, raising=False)
+        for arity in (1, 2):
+            for depth in (4, 5):
+                assert compile_cfg(arity, depth).productions
+
+    @pytest.mark.parametrize("head, value, partial, children", [
+        ("nope", None, False, 0),  # unknown head
+        ("index", None, False, 1),  # a child short
+        ("length", None, True, 1),  # a partial with its missing argument
+        ("empty", None, True, 0),  # a partial zero-arity primitive
+        ("lit", None, False, 0),  # a literal without a value
+        ("param", 1, False, 1),  # a parameter with a child
+    ])
+    def test_malformed_production_rejected(self, head, value, partial, children):
+        # the sampler builds terms without Term's checks, so the productions
+        # carry them
+        child = make_cfg(1, 2).start
+        with pytest.raises(ValueError):
+            Production(head, value, partial, (child,) * children, 1.0)
+
+    def test_short_argument_row_fails_the_compile(self, monkeypatch):
+        monkeypatch.setitem(_ARGUMENTS, "index", _ARGUMENTS["index"][:1])
+        with pytest.raises(ValueError, match="index expects 2 children, got 1"):
+            compile_cfg(1, 4)
+
     def test_argument_rules_cover_every_applied_primitive(self):
-        # the compiler zips argument types with these rows, so a missing or
-        # short row would drop a child without an error
+        # the compiler zips argument types with these rows: a missing row
+        # fails the compile and a short one fails Production's node check,
+        # but a long one would go unnoticed
         applied = {p.name: p.arity for p in PRIMITIVES if p.arity}
         assert set(_ARGUMENTS) == set(applied)
         for name, row in _ARGUMENTS.items():
@@ -466,6 +502,23 @@ class TestConditionedDraws:
             observed = [[count[key] for key in keys] for count in counts]
             _, p_value, _, _ = stats.chi2_contingency(observed)
             assert p_value > 0.001, (observed, p_value)
+
+    def test_conditioned_tables_pinned(self):
+        """The tables that ``sample_valid_program`` draws from, for arity
+        1/2 x depth 4/5: each row's cumulative weights and total, and each
+        entry's node and child rows.  The digest was recorded before the
+        compiler matched types one way and the tables were built per
+        nonterminal, so neither can move a weight or a row unnoticed."""
+        digest = hashlib.sha256()
+        for arity in (1, 2):
+            for depth in (4, 5):
+                rows = _conditioned_tables(make_cfg(arity, depth), {}, (1 << arity) - 1)
+                for cumulative, total, entries in rows:
+                    digest.update(repr((cumulative, total, [
+                        (p.head, p.value, p.partial, children) for p, children in entries
+                    ])).encode())
+        assert digest.hexdigest() == (
+            "6a9648e717a03a80097d4c2ffdb714e43137db43c9aa20b87f38f74bd93563d4")
 
     def test_tables_are_cached_per_parameter_mask(self):
         cfg = make_cfg(2, 4)

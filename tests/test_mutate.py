@@ -8,6 +8,7 @@ import pytest
 
 from conftest import needs_python_tokenize
 
+from mutexec import mutate
 from mutexec.executors import BuiltinExecutor
 from mutexec.minipy import interpret, parse
 from mutexec.mutate import (
@@ -441,6 +442,21 @@ class TestMutateDataset:
             )
             assert result.status == "ok"
             assert values_equal(result.output, mutant.output_value())
+
+    def test_each_source_enumerated_once(self, small_corpus, monkeypatch):
+        # the problems of one program share its source and its mutants
+        problems = small_corpus[:20]
+        expected = mutate_dataset(problems, BuiltinExecutor(), seed=9)
+        scanned = []
+
+        def counting_sites(source):
+            scanned.append(source)
+            return mutation_sites(source)
+
+        monkeypatch.setattr(mutate, "mutation_sites", counting_sites)
+        assert mutate_dataset(problems, BuiltinExecutor(), seed=9) == expected
+        assert sorted(scanned) == sorted({p.source for p in problems})
+        assert len(scanned) < len(problems)
 
     def test_deterministic_given_seed(self, small_corpus):
         problems = small_corpus[:20]
