@@ -15,7 +15,6 @@ import ast
 import json
 import os
 import re
-from dataclasses import dataclass
 
 from .llm_client import TransportError
 from .problems import (
@@ -326,45 +325,88 @@ def judge(extracted: Extracted | None, own: Value, other: Value) -> str:
     return "other"
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    problem_id: str
-    variant: str  # original | mutated
-    sample_index: int
-    response: str
-    extracted: str | None
-    judgment: str  # correct | reverted | other | unparsed
-    loc: int
-    output_is_bool: bool
-    error: str | None = None
+class _Record:
+    """A record of one sample: its fields are its ``__slots__``, in order.
+    Two records are equal when they are of one class and their fields are."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PredictionRecord(_Record):
+    __slots__ = ("problem_id", "variant", "sample_index", "response", "extracted",
+                 "judgment", "loc", "output_is_bool", "error")
+
+    def __init__(self, problem_id: str, variant: str, sample_index: int, response: str,
+                 extracted: str | None, judgment: str, loc: int, output_is_bool: bool,
+                 error: str | None = None):
+        self.problem_id = problem_id
+        self.variant = variant  # original | mutated
+        self.sample_index = sample_index
+        self.response = response
+        self.extracted = extracted
+        self.judgment = judgment  # correct | reverted | other | unparsed
+        self.loc = loc
+        self.output_is_bool = output_is_bool
+        self.error = error
 
     def to_json(self) -> dict:
-        return dict(vars(self))
+        return {"problem_id": self.problem_id, "variant": self.variant,
+                "sample_index": self.sample_index, "response": self.response,
+                "extracted": self.extracted, "judgment": self.judgment,
+                "loc": self.loc, "output_is_bool": self.output_is_bool,
+                "error": self.error}
 
 
-@dataclass(frozen=True)
-class ChoiceRecord:
-    problem_id: str
-    run_index: int  # 1 or 2
-    order: str  # original_first | mutated_first
-    response: str
-    chosen: str | None  # original | mutated | None (unreadable choice)
-    extracted: str | None
-    judgment: str
-    loc: int
-    output_is_bool: bool
-    error: str | None = None
+class ChoiceRecord(_Record):
+    __slots__ = ("problem_id", "run_index", "order", "response", "chosen", "extracted",
+                 "judgment", "loc", "output_is_bool", "error")
+
+    def __init__(self, problem_id: str, run_index: int, order: str, response: str,
+                 chosen: str | None, extracted: str | None, judgment: str, loc: int,
+                 output_is_bool: bool, error: str | None = None):
+        self.problem_id = problem_id
+        self.run_index = run_index  # 1 or 2
+        self.order = order  # original_first | mutated_first
+        self.response = response
+        self.chosen = chosen  # original | mutated | None (unreadable choice)
+        self.extracted = extracted
+        self.judgment = judgment
+        self.loc = loc
+        self.output_is_bool = output_is_bool
+        self.error = error
 
     def to_json(self) -> dict:
-        return dict(vars(self))
+        return {"problem_id": self.problem_id, "run_index": self.run_index,
+                "order": self.order, "response": self.response, "chosen": self.chosen,
+                "extracted": self.extracted, "judgment": self.judgment,
+                "loc": self.loc, "output_is_bool": self.output_is_bool,
+                "error": self.error}
 
 
 class _RecordSink:
+    """The records of a run, each batch appended to ``path`` as it comes.
+    The directory is made here, before the first request, so no answer is
+    paid for and then lost to a missing directory."""
+
     def __init__(self, path: str | None):
         self.path = path
         self.records: list = []
-        if path and os.path.exists(path):
-            end_on_line_boundary(path)
+        if path:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            if os.path.exists(path):
+                end_on_line_boundary(path)
 
     def extend(self, records: list) -> None:
         self.records.extend(records)

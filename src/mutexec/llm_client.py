@@ -291,31 +291,30 @@ class MockModel:
         assertion = f"assert {fn}({input_text}) == {output}"
         return json.dumps({"chosen_program": letter, "assertion": assertion})
 
-    def _respond(self, prompt: str) -> str:
+    def _answer(self, prompt: str) -> str:
         if self.behavior == "fixed":
             return self.text
-        if self.behavior == "scripted":
-            queue = self.script.get(prompt)
-            if not queue:
-                raise TransportError("scripted mock has no response for prompt")
-            return queue.pop(0)
         if "[PROGRAM_A]" in prompt:
             return self._answer_choice(prompt)
         return self._answer_prediction(prompt)
 
     def complete(self, prompt: str, n: int = 1) -> list[ModelResponse]:
-        """n answers, logged to the transcript in one append; the answers
-        given before a scripted replay runs out are logged too."""
-        out, entries = [], []
-        try:
-            for _ in range(n):
-                text = self._respond(prompt)
-                entries.append({"ts": time.time(), "model": f"mock:{self.behavior}",
-                                "prompt": prompt, "response": text, "latency": 0.0})
-                out.append(ModelResponse(text=text, finish_reason="stop"))
-        finally:
-            self.transcript.log(*entries)
-        return out
+        """n answers, logged to the transcript in one append.  A deterministic
+        mock answers the prompt once and gives that answer n times; a
+        scripted replay gives the next n recorded responses, and the ones it
+        gave before running out are logged before it raises."""
+        if self.behavior == "scripted":
+            queue = self.script.get(prompt, [])
+            texts = queue[:n]
+            del queue[:n]
+        else:
+            texts = [self._answer(prompt)] * n
+        model = f"mock:{self.behavior}"
+        self.transcript.log(*({"ts": time.time(), "model": model, "prompt": prompt,
+                               "response": text, "latency": 0.0} for text in texts))
+        if len(texts) < n:
+            raise TransportError("scripted mock has no response for prompt")
+        return [ModelResponse(text=text, finish_reason="stop") for text in texts]
 
     def close(self):
         pass

@@ -11,7 +11,8 @@ import mutexec
 from mutexec import cli, executors, grammar, harness, llm_client
 from mutexec.cli import build_parser, dispatch, load_config_file
 from mutexec.grammar import AttemptsExhausted
-from mutexec.problems import atomic_writer, load_jsonl
+from mutexec.problems import atomic_writer, encode_json, load_jsonl
+from mutexec.problems import read_jsonl as read_records
 
 
 def read_jsonl(path):
@@ -204,6 +205,19 @@ class TestRunAndReport:
         originals = load_jsonl(orig)
         assert len(logged) == len(originals) * 2 * 2
 
+    @pytest.mark.parametrize("command", ["run-pred", "run-choice"])
+    def test_out_in_missing_directory(self, tiny_dataset, tmp_path, monkeypatch, command):
+        # the records' directory is made before the first model call, so no
+        # logged answer goes without its record
+        monkeypatch.chdir(tmp_path)
+        pairs = tiny_dataset / "pairs"
+        assert dispatch([command, "--orig", str(pairs / "originals.jsonl"),
+                         "--mut", str(pairs / "mutants.jsonl"),
+                         "--model", "mock:ground-truth-given",
+                         "--out", "nodir/x.jsonl", "--transcript", "nodir2/t.jsonl"]) == 0
+        records = read_jsonl(tmp_path / "nodir" / "x.jsonl")
+        assert len(records) == len(read_jsonl(tmp_path / "nodir2" / "t.jsonl")) > 0
+
     def test_report_requires_input(self, capsys):
         assert dispatch(["report", "--label", "x"]) == 2
 
@@ -291,16 +305,11 @@ classes = [f"{name}.{obj.__qualname__}"
            if isinstance(obj, type) and obj.__module__ == name and dataclasses.is_dataclass(obj)]
 print(json.dumps([code, sorted(sys.modules), sorted(classes)]))
 """
-# The classes that stay dataclasses, because the benchmark or the tests
-# use them as such: bench/run.py calls dataclasses.replace on the first,
-# tests/test_harness.py reads the records' dataclasses.fields.  Every other
-# class is a plain class with __slots__, so that no command spends its start
-# generating methods.
-DATACLASSES = {
-    "mutexec.problems.Problem",
-    "mutexec.harness.PredictionRecord",
-    "mutexec.harness.ChoiceRecord",
-}
+# The one class that stays a dataclass, because the benchmark uses it as
+# such: bench/run.py calls dataclasses.replace on it.  Every other class is a
+# plain class with __slots__, so that no command spends its start generating
+# methods.
+DATACLASSES = {"mutexec.problems.Problem"}
 
 
 @pytest.fixture(scope="module")
@@ -721,6 +730,27 @@ class TestPipelineFailures:
         assert err.endswith(" -c 'import sys; sys.exit(1)' failed its start-up probe: "
                             "its output ended, exit status 1\n")
         assert os.listdir(tmp_path) == ["in.jsonl"]
+
+
+class TestJsonLines:
+    @pytest.mark.parametrize("value", [
+        {"a": 1, "b": [1, 2.5, None, True, False], "c": 'é\n"\\ \x00\u2028'},
+        {"inf": float("inf"), "nan": float("nan"), "big": 10**30, 1: -0.0},
+        "text", [], {}, 1e-7,
+    ])
+    def test_writer_is_json_dumps(self, value):
+        assert encode_json(value) == json.dumps(value, ensure_ascii=False)
+
+    def test_reader_is_json_loads_on_every_line_shape(self, tmp_path):
+        lines = ['{"k": 1}\n', '  {"k": 2}\n', '{"k": 3}  \n', '{"k": 4}\r\n', "\n",
+                 ' \t\n', '{"k": "\\n"}\n', '{"k": 6}']
+        path = tmp_path / "r.jsonl"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        expected = [json.loads(line) for line in lines if line.strip()]
+        assert read_records(str(path), dict) == expected
+        path.write_bytes(b'{"k": 1} {"k": 2}\n')
+        with pytest.raises(ValueError, match="Extra data"):
+            read_records(str(path), dict)
 
 
 class TestAtomicWriter:

@@ -1,9 +1,9 @@
 import hashlib
+import inspect
 import json
 import random
 import re
 import threading
-from dataclasses import fields
 
 import pytest
 from conftest import read_fixture
@@ -59,6 +59,20 @@ class TestPairById:
         {"originals": originals, "mutants": mutants}[repeated].append(original)
         with pytest.raises(ValueError, match="problem id 'p1' appears more than once"):
             pair_by_id(originals, mutants)
+
+    @pytest.mark.parametrize("extra, other", [("originals", "mutants"),
+                                              ("mutants", "originals")])
+    def test_unmatched_id_named_with_its_side(self, extra, other):
+        original, mutant = make_pair()
+        originals, mutants = [original], [mutant]
+        # a second problem on one side only, under another id
+        {"originals": originals, "mutants": mutants}[extra].append(
+            Problem(**dict(original.to_json(), id="p2")))
+        with pytest.raises(ValueError) as info:
+            pair_by_id(originals, mutants)
+        assert str(info.value) == (
+            "datasets are not in one-to-one correspondence: problem id 'p2' is in "
+            f"the {extra} but not in the {other}")
 
 
 class TestPromptGoldens:
@@ -274,6 +288,21 @@ class TestJudge:
         assert judge(extracted, 1, 0) == "other"  # True is not 1
 
 
+def record_fields(record) -> list[str]:
+    """The field names of a record's class, in order: its constructor's
+    parameters, which for the slotted records are also their ``__slots__``."""
+    names = list(inspect.signature(type(record)).parameters)
+    slots = getattr(type(record), "__slots__", None)
+    assert slots is None or list(slots) == names
+    return names
+
+
+RECORD_ARGS = {
+    PredictionRecord: ("p", "original", 0, "r", "1", "correct", 3, False),
+    ChoiceRecord: ("p", 1, "original_first", "r", "original", None, "unparsed", 3, True),
+}
+
+
 class TestRecordFields:
     @pytest.mark.parametrize("record", [
         make_pair()[0],
@@ -286,10 +315,37 @@ class TestRecordFields:
     ], ids=["problem", "mutant", "prediction", "choice"])
     def test_to_json_keys_in_field_order(self, record):
         data = record.to_json()
-        assert list(data) == [f.name for f in fields(record)]
-        assert data == {f.name: getattr(record, f.name) for f in fields(record)}
+        names = record_fields(record)
+        assert list(data) == names
+        assert data == {name: getattr(record, name) for name in names}
         if data.get("mutation_info") is not None:
             assert data["mutation_info"] is not record.mutation_info
+
+    @pytest.mark.parametrize("cls", list(RECORD_ARGS), ids=lambda cls: cls.__name__)
+    def test_records_are_slotted_values(self, cls):
+        args = RECORD_ARGS[cls]
+        record = cls(*args)
+        assert not hasattr(record, "__dict__")
+        assert record.error is None
+        assert record == cls(*args) == cls(**dict(zip(record_fields(record), args)))
+        assert record != cls(*args, error="HTTP 500")
+        assert repr(record) == f"{cls.__name__}(" + ", ".join(
+            f"{name}={getattr(record, name)!r}" for name in record_fields(record)) + ")"
+
+    def test_records_of_two_classes_never_equal(self):
+        prediction = PredictionRecord(*RECORD_ARGS[PredictionRecord])
+        choice = ChoiceRecord(*RECORD_ARGS[ChoiceRecord])
+        assert prediction != choice and choice != prediction
+        assert prediction.__eq__(choice) is NotImplemented
+        assert prediction != prediction._values()
+
+    @pytest.mark.parametrize("cls", list(RECORD_ARGS), ids=lambda cls: cls.__name__)
+    def test_missing_field_named(self, cls):
+        data = cls(*RECORD_ARGS[cls]).to_json()
+        del data["judgment"]
+        with pytest.raises(TypeError, match="missing 1 required positional argument: "
+                                            "'judgment'"):
+            cls(**data)
 
 
 class TestRuns:

@@ -212,6 +212,56 @@ class TestMocks:
         model = mock_model("fixed", text=ALWAYS_A_TEXT)
         assert json.loads(model.complete("anything", 1)[0].text)["chosen_program"] == "A"
 
+    @pytest.mark.parametrize("behavior, kind", [
+        ("ground_truth_given", "prediction"), ("ground_truth_given", "choice"),
+        ("ground_truth_original", "prediction"), ("ground_truth_original", "choice"),
+        ("fixed", "prediction"),
+    ])
+    def test_deterministic_mock_answers_a_prompt_once(self, tmp_path, monkeypatch,
+                                                      behavior, kind):
+        from mutexec.harness import build_choice_prompt, build_prediction_prompt
+
+        pairs = make_pairs()
+        original, mutant = pairs[0]
+        prompt = (build_prediction_prompt(mutant) if kind == "prediction"
+                  else build_choice_prompt(original, mutant, "mutated_first"))
+        parsed = []
+        answer = MockModel._answer
+
+        def counting_answer(self, text):
+            parsed.append(text)
+            return answer(self, text)
+
+        monkeypatch.setattr(MockModel, "_answer", counting_answer)
+        transcript = Transcript(str(tmp_path / "t.jsonl"))
+        model = mock_model(behavior, pairs=pairs, text="canned", transcript=transcript)
+        texts = [r.text for r in model.complete(prompt, 50)]
+        assert parsed == [prompt]
+        assert texts == [answer(model, prompt)] * 50
+        logged = read_transcript(transcript)
+        assert transcript.entries == 50
+        assert [(e["prompt"], e["response"]) for e in logged] == [(prompt, texts[0])] * 50
+        assert all(isinstance(e["ts"], float) for e in logged)
+
+    def test_unanswerable_prompt_raises_before_logging(self, tmp_path):
+        from mutexec.harness import build_prediction_prompt
+        from mutexec.problems import Problem
+
+        stranger = Problem(id="p9", dataset="dsl-list", source="def f(a1):\n    return a1",
+                           function_name="f", input="[1, 2]", output="[1, 2]", loc=2,
+                           executor="builtin")
+        transcript = Transcript(str(tmp_path / "t.jsonl"))
+        model = mock_model("ground_truth_given", pairs=make_pairs(), transcript=transcript)
+        with pytest.raises(KeyError, match="mock has no ground truth"):
+            model.complete(build_prediction_prompt(stranger), 3)
+        assert transcript.entries == 0 and not (tmp_path / "t.jsonl").exists()
+
+    def test_scripted_returns_recorded_responses_in_order(self):
+        model = mock_model("scripted", script={"q": ["a", "b", "c", "d"], "r": ["e"]})
+        assert [r.text for r in model.complete("q", 3)] == ["a", "b", "c"]
+        assert [r.text for r in model.complete("r", 1)] == ["e"]
+        assert [r.text for r in model.complete("q", 1)] == ["d"]
+
     def test_scripted_replay(self, tmp_path):
         transcript_path = tmp_path / "t.jsonl"
         transcript = Transcript(str(transcript_path))
