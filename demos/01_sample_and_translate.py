@@ -7,7 +7,7 @@ evaluator and the interpreter agree on every input.
 
 import random
 
-from mutexec.dsl import eval_dsl_outcome, to_sexpr, typecheck
+from mutexec.dsl import eval_dsl, to_sexpr, typecheck
 from mutexec.grammar import (
     SamplerConfig,
     compile_cfg,
@@ -39,9 +39,8 @@ for i in range(3):
     for line in program.source.splitlines():
         print(f"    {line}")
     for args, expected in zip(sampled.inputs, sampled.outputs):
-        oracle = eval_dsl_outcome(term, args)
         result = interpret(program.ast, args)
-        agree = oracle.output == result.output
+        agree = eval_dsl(term, args) == result.output
         print(f"  f{args!r} -> {result.output}   "
               f"(reference evaluator agrees: {agree})")
     print()

@@ -42,11 +42,10 @@ from .values import copy_value
 
 
 class Ty:
-    """Base class for object-language types: values that compare and hash
-    by class and fields.  ``TList`` and ``TFun`` keep their hash in a slot
-    once computed, so hashing a nested type is not a walk over it every
-    time; the cached hash stays out of pickles and copies, because string
-    hashes differ from process to process."""
+    """Base class for object-language types: values that compare by class
+    and fields.  Types do not hash: the grammar compiler keeps one instance
+    of each type and keys it by identity (``grammar._Compiler``), and
+    nothing else puts a type in a set or a dict key."""
 
     __slots__ = ()
 
@@ -54,10 +53,6 @@ class Ty:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return True
-
-    def __hash__(self) -> int:
-        # by class, so that int and bool, and the lists of each, differ
-        return hash(self.__class__.__name__)
 
 
 class TInt(Ty):
@@ -75,25 +70,15 @@ class TBool(Ty):
 
 
 class TList(Ty):
-    __slots__ = ("elem", "_hash")
+    __slots__ = ("elem",)
 
     def __init__(self, elem: Ty):
         self.elem = elem
-        self._hash = None
 
     def __eq__(self, other):
         if other.__class__ is not TList:
             return NotImplemented
         return self.elem == other.elem
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.elem,))
-        return h
-
-    def __reduce__(self):
-        return TList, (self.elem,)
 
     def __repr__(self) -> str:
         return f"L({self.elem!r})"
@@ -110,34 +95,21 @@ class TVar(Ty):
             return NotImplemented
         return self.name == other.name
 
-    def __hash__(self) -> int:
-        return hash((self.name,))
-
     def __repr__(self) -> str:
         return self.name
 
 
 class TFun(Ty):
-    __slots__ = ("arg", "res", "_hash")
+    __slots__ = ("arg", "res")
 
     def __init__(self, arg: Ty, res: Ty):
         self.arg = arg
         self.res = res
-        self._hash = None
 
     def __eq__(self, other):
         if other.__class__ is not TFun:
             return NotImplemented
         return self.arg == other.arg and self.res == other.res
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = self._hash = hash((self.arg, self.res))
-        return h
-
-    def __reduce__(self):
-        return TFun, (self.arg, self.res)
 
     def __repr__(self) -> str:
         arg = f"({self.arg!r})" if isinstance(self.arg, TFun) else repr(self.arg)
@@ -310,14 +282,6 @@ def lit(value: int) -> Term:
 
 def param(index: int) -> Term:
     return Term("param", value=index)
-
-
-def app(head: str, *children: Term) -> Term:
-    return Term(head, tuple(children))
-
-
-def partial(head: str, *children: Term) -> Term:
-    return Term(head, tuple(children), partial=True)
 
 
 def empty() -> Term:
@@ -526,51 +490,18 @@ class Violation:
         self.detail = detail
 
 
-def _is_empty_node(node: Term) -> bool:
-    return node.head == "empty" and not node.partial
+def check_constraints(term: Term, arity: int | None = None) -> list[Violation]:
+    """Return every violated sample-time rule.
 
-
-def check_constraints(term: Term, phase: str, arity: int | None = None) -> list[Violation]:
-    """Return every violated structural rule of the given phase.
-
-    The rules are fixed; each call checks all of its phase's.
-    Compile-time rules: (c1) the first argument of a comparison is not an
-    integer literal; (c2) the last argument of extend/length/map is not
-    ``empty``; (c3) the literal -1 appears only as the first argument of
-    ``index``; (c4) index/init/tail are never applied to ``empty``.
-
-    Sample-time rules: (s1) no identical terms on both sides of a comparison
-    or logical operator; (s2) a list is not extended with itself; (s3) no
-    identical terms in both branches of ``if``; (s4) every parameter up to
-    ``arity`` occurs in the term, checked only when ``arity`` is given.
+    The rules are fixed, and each call checks all of them: (s1) no
+    identical terms on both sides of a comparison or logical operator; (s2)
+    a list is not extended with itself; (s3) no identical terms in both
+    branches of ``if``; (s4) every parameter up to ``arity`` occurs in the
+    term, checked only when ``arity`` is given.  The compile-time rules
+    c1-c4 are the grammar's (``grammar.compile_cfg``), so no sampled term
+    can break them.
     """
-    if phase not in ("compile", "sample"):
-        raise ValueError(f"unknown phase {phase!r}")
     out: list[Violation] = []
-
-    if phase == "compile":
-        for node in term.walk():
-            if node.head in COMPARISONS and node.children:
-                if node.children[0].is_lit:
-                    out.append(Violation("c1", node, "comparison of a literal"))
-            if not node.partial:
-                if node.head in ("extend", "map") and _is_empty_node(node.children[1]):
-                    out.append(Violation("c2", node, f"{node.head} of empty"))
-                if node.head == "length" and _is_empty_node(node.children[0]):
-                    out.append(Violation("c2", node, "length of empty"))
-                if node.head in ("init", "tail") and _is_empty_node(node.children[0]):
-                    out.append(Violation("c4", node, f"{node.head} of empty"))
-                if node.head == "index" and _is_empty_node(node.children[1]):
-                    out.append(Violation("c4", node, "index into empty"))
-        allowed = set()
-        for node in term.walk():
-            if node.head == "index" and node.children:
-                allowed.add(id(node.children[0]))
-        for node in term.walk():
-            if node.is_lit and node.value == -1 and id(node) not in allowed:
-                out.append(Violation("c3", node, "-1 outside index position"))
-        return out
-
     used = set()
     for node in term.walk():
         head = node.head
@@ -755,7 +686,3 @@ def eval_dsl_outcomes(term: Term, inputs):
             yield EvalOutcome("ok", evaluator.run(args))
         except DslEvalError as exc:
             yield EvalOutcome("error", error_kind=exc.kind)
-
-
-def eval_dsl_outcome(term: Term, args: tuple) -> EvalOutcome:
-    return next(eval_dsl_outcomes(term, (args,)))

@@ -192,8 +192,7 @@ class Cfg:
         self.productions = productions
         self.arity = arity
         self.max_depth = max_depth
-        # Sampler's tables per weight overrides and parameter mask, built on
-        # first use
+        # Sampler's tables per weight overrides, built on first use
         self.draw_tables: dict = {}
 
 
@@ -484,32 +483,6 @@ def _param_bit(production: Production) -> int:
     return 1 << (production.value - 1) if production.head == "param" else 0
 
 
-def _draw_tables(cfg: Cfg, overrides: dict[str, float]):
-    """The grammar's productions with nonterminals interned to ints.
-
-    Returns the rows, one per nonterminal of ``cfg.productions`` in order,
-    so the start symbol is row 0.  A row is ``(cumulative, total,
-    entries)``: the running sums of the production weights with the last
-    one replaced by infinity, so that a draw never runs past the row; the
-    true sum, which scales the draw; and per production ``(production,
-    children)``, with ``children`` the row indices in reverse, so a stack
-    pops them left to right.
-    """
-    index = {nt: i for i, nt in enumerate(cfg.productions)}
-    rows = []
-    for prods in cfg.productions.values():
-        cumulative: list[float] = []
-        total = 0.0
-        entries = []
-        for p in prods:
-            total += production_weight(p, overrides)
-            cumulative.append(total)
-            entries.append((p, tuple(index[c] for c in reversed(p.children))))
-        cumulative[-1] = math.inf
-        rows.append((cumulative, total, tuple(entries)))
-    return rows
-
-
 def _shares(prods: tuple[Production, ...], overrides: dict[str, float]) -> list[float]:
     """The probability that a plain draw takes each of a nonterminal's
     productions; all 0 when their weights are (it is never drawn)."""
@@ -555,6 +528,13 @@ def _conditioned_tables(cfg: Cfg, overrides: dict[str, float], uses: int):
     mask ``uses``, each drawn with its plain probability divided by the
     probability that a plain derivation uses exactly those parameters.
 
+    A row is ``(cumulative, total, entries)``: the running sums of its
+    entries' weights with the last one replaced by infinity, so that a draw
+    never runs past the row; the true sum, which scales the draw; and per
+    entry ``(production, children)``, with ``children`` the row indices of
+    the production's children in reverse, so a stack pops them left to
+    right.
+
     A row stands for a pair (nonterminal N, mask U): the derivations from N
     that use exactly U.  Its entries are a production p of N with one mask
     per child, U_1..U_n, such that p's own bit or-ed with U_1..U_n is U; an
@@ -562,7 +542,7 @@ def _conditioned_tables(cfg: Cfg, overrides: dict[str, float], uses: int):
     sums to the mass of (N, U), and child i continues in the row of (child
     i, U_i).  Entries of zero mass are left out, and only the rows reachable
     from (start, ``uses``) are built.  Returns the rows, with (start,
-    ``uses``) row 0, as ``_draw_tables`` builds them.
+    ``uses``) row 0.
     """
     shares = {nt: _shares(prods, overrides) for nt, prods in cfg.productions.items()}
     masses = _inside_masses(cfg, shares)
@@ -610,25 +590,20 @@ def _conditioned_tables(cfg: Cfg, overrides: dict[str, float], uses: int):
 class Sampler:
     """Reusable top-down sampler over int-indexed cumulative weight tables.
 
-    The tables are built once per grammar, weight overrides and ``uses``,
-    and kept on the ``Cfg``.  With ``uses`` None they are the grammar's own
-    productions (``_draw_tables``), the plain distribution.  With a
-    parameter mask they draw only derivations that use exactly those
-    parameters, each with its plain probability conditioned on that
-    (``_conditioned_tables``).  Every draw starts at the start symbol, row
-    0, and every production drawn consumes one ``rng.random()``, in
-    preorder.
+    The tables draw only derivations that use every parameter (s4), each
+    with its plain probability conditioned on that (``_conditioned_tables``).
+    They are built once per grammar and weight overrides, and kept on the
+    ``Cfg``.  Every draw starts at row 0, and every production drawn
+    consumes one ``rng.random()``, in preorder.
     """
 
-    def __init__(self, cfg: Cfg, overrides: dict[str, float] | None = None,
-                 uses: int | None = None):
+    def __init__(self, cfg: Cfg, overrides: dict[str, float] | None = None):
         overrides = overrides or {}
-        key = (tuple(sorted(overrides.items())), uses)
+        key = tuple(sorted(overrides.items()))
         rows = cfg.draw_tables.get(key)
         if rows is None:
-            rows = cfg.draw_tables[key] = (
-                _draw_tables(cfg, overrides) if uses is None
-                else _conditioned_tables(cfg, overrides, uses))
+            rows = cfg.draw_tables[key] = _conditioned_tables(
+                cfg, overrides, (1 << cfg.arity) - 1)
         self.rows = rows
 
     def derive(self, rng: random.Random) -> list[Production]:
@@ -775,11 +750,11 @@ def sample_valid_program(
     """
     run = executor or default_executor
     arity = cfg.arity
-    sampler = Sampler(cfg, config.weight_overrides, (1 << arity) - 1)
+    sampler = Sampler(cfg, config.weight_overrides)
     rejections = dict.fromkeys(REJECTION_STAGES, 0)
     for attempt in range(1, config.max_attempts + 1):
         term = sampler.sample(rng)
-        violations = check_constraints(term, "sample", arity=arity)
+        violations = check_constraints(term, arity=arity)
         if violations:
             rejections[min(v.rule for v in violations)] += 1
             continue
@@ -812,25 +787,3 @@ def count_derivations(cfg: Cfg) -> int:
 
     return count(cfg.start)
 
-
-def enumerate_terms(cfg: Cfg, limit: int | None = None):
-    """Yield every derivable term (small grammars only; tests and audits)."""
-    produced = 0
-
-    def expand(nt: NT):
-        for p in cfg.productions[nt]:
-            if p.head == "lit":
-                yield Term("lit", value=p.value)
-            elif p.head == "param":
-                yield Term("param", value=p.value)
-            elif not p.children:
-                yield Term(p.head, partial=p.partial)
-            else:
-                for combo in itertools.product(*[expand(c) for c in p.children]):
-                    yield Term(p.head, tuple(combo), partial=p.partial)
-
-    for term in expand(cfg.start):
-        yield term
-        produced += 1
-        if limit is not None and produced >= limit:
-            return

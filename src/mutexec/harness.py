@@ -13,14 +13,11 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 import re
 
-from .llm_client import TransportError
+from .llm_client import Transcript, TransportError
 from .problems import (
     Problem,
-    encode_json,
-    end_on_line_boundary,
     pair_by_id,
     read_jsonl,
 )
@@ -395,26 +392,6 @@ class ChoiceRecord(_Record):
                 "error": self.error}
 
 
-class _RecordSink:
-    """The records of a run, each batch appended to ``path`` as it comes.
-    The directory is made here, before the first request, so no answer is
-    paid for and then lost to a missing directory."""
-
-    def __init__(self, path: str | None):
-        self.path = path
-        self.records: list = []
-        if path:
-            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-            if os.path.exists(path):
-                end_on_line_boundary(path)
-
-    def extend(self, records: list) -> None:
-        self.records.extend(records)
-        if self.path:
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write("".join(encode_json(r.to_json()) + "\n" for r in records))
-
-
 def load_prediction_records(path: str) -> list[PredictionRecord]:
     return _load_records(path, PredictionRecord)
 
@@ -449,10 +426,12 @@ def run_prediction(
     """
     mode = mode or getattr(model, "default_mode", "zero_shot")
     pairs = pair_by_id(originals, mutants)
-    sink = _RecordSink(out_path)
+    # the directory is made before the first request, so no answer is paid
+    # for and then lost to a missing directory
+    out = Transcript(out_path)
+    results: list[PredictionRecord] = list(resume or [])
     have: dict[tuple[str, str], int] = {}
-    for record in resume or []:
-        sink.records.append(record)
+    for record in results:
         key = (record.problem_id, record.variant)
         have[key] = have.get(key, 0) + 1
 
@@ -501,8 +480,8 @@ def run_prediction(
             ))
         return records
 
-    _dispatch(tasks, run_task, getattr(model, "parallelism", 1), sink)
-    return sink.records
+    _dispatch(tasks, run_task, getattr(model, "parallelism", 1), results, out)
+    return results
 
 
 def run_choice(
@@ -516,10 +495,10 @@ def run_choice(
     """Two runs per pair with the presentation order swapped."""
     mode = mode or getattr(model, "default_mode", "zero_shot")
     pairs = pair_by_id(originals, mutants)
-    sink = _RecordSink(out_path)
+    out = Transcript(out_path)  # see run_prediction
+    results: list[ChoiceRecord] = list(resume or [])
     done = set()
-    for record in resume or []:
-        sink.records.append(record)
+    for record in results:
         done.add((record.problem_id, record.run_index))
 
     tasks = []
@@ -567,20 +546,27 @@ def run_choice(
             error=error,
         )]
 
-    _dispatch(tasks, run_task, getattr(model, "parallelism", 1), sink)
-    return sink.records
+    _dispatch(tasks, run_task, getattr(model, "parallelism", 1), results, out)
+    return results
 
 
-def _dispatch(tasks, fn, workers: int, sink: _RecordSink) -> None:
-    """Run ``fn`` on every task, at most ``workers`` at once, and append the
-    records each returns in task order, so the file's bytes do not depend on
-    which request finishes first."""
+def _dispatch(tasks, fn, workers: int, results: list, out: Transcript) -> None:
+    """Run ``fn`` on every task, at most ``workers`` at once, and add the
+    records each returns to ``results`` and, in one append, to ``out``, in
+    task order, so the file's bytes do not depend on which request finishes
+    first."""
+
+    def keep(records: list) -> None:
+        results.extend(records)
+        if out.path:
+            out.log(*[r.to_json() for r in records])
+
     if workers <= 1:
         for task in tasks:
-            sink.extend(fn(task))
+            keep(fn(task))
         return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for records in pool.map(fn, tasks):
-            sink.extend(records)
+            keep(records)

@@ -101,10 +101,12 @@ class ModelResponse:
 
 
 class Transcript:
-    """Append-only JSONL log of every request/response/failure.
+    """Append-only JSONL log: a model's requests, responses and failures,
+    or the records of a run (``harness``), with no file when ``path`` is
+    None.
 
-    A torn last line left by a killed run is cut when the transcript is
-    opened again, so the next entry starts a line of its own.
+    The directory is made when the log is opened.  A torn last line left by
+    a killed run is cut then, so the next entry starts a line of its own.
     """
 
     def __init__(self, path: str | None):
@@ -266,9 +268,17 @@ class MockModel:
         except KeyError:
             raise KeyError(f"mock has no ground truth for this prompt: {source!r}")
 
+    @staticmethod
+    def _last(pattern: re.Pattern, prompt: str):
+        """The last match of ``pattern`` in ``prompt``; a prompt without one
+        is not one the mock can answer."""
+        found = pattern.findall(prompt)
+        if not found:
+            raise KeyError(f"mock has no ground truth for this prompt: {prompt[:60]!r}")
+        return found[-1]
+
     def _answer_prediction(self, prompt: str) -> str:
-        block = _PYTHON_BLOCK_RE.findall(prompt)[-1]
-        source, fn, input_text = block
+        source, fn, input_text = self._last(_PYTHON_BLOCK_RE, prompt)
         entry = self._entry(source, input_text)
         output = (
             entry.original_output
@@ -278,9 +288,9 @@ class MockModel:
         return f"[ANSWER]\nassert {fn}({input_text}) == {output}\n[/ANSWER]"
 
     def _answer_choice(self, prompt: str) -> str:
-        a_source = _PROGRAM_A_RE.findall(prompt)[-1]
-        b_source = _PROGRAM_B_RE.findall(prompt)[-1]
-        fn, input_text = _ASSERTION_RE.findall(prompt)[-1]
+        a_source = self._last(_PROGRAM_A_RE, prompt)
+        self._last(_PROGRAM_B_RE, prompt)  # a choice prompt shows both programs
+        fn, input_text = self._last(_ASSERTION_RE, prompt)
         entry_a = self._entry(a_source, input_text)
         if self.behavior == "ground_truth_original":
             letter = "A" if entry_a.is_original else "B"

@@ -212,8 +212,7 @@ def render_report(
     if prediction is not None:
         lines.append("Execution Prediction")
         lines.append("  metric   value   denominator")
-        for name, value in (("OC", prediction.oc), ("MC", prediction.mc),
-                            ("OR", prediction.or_), ("MR", prediction.mr)):
+        for name, value in prediction.as_row().items():
             lines.append(
                 f"  {name:<6} {_fmt(value):>7}   {prediction.denominators.get(name, 0)}"
             )
@@ -229,8 +228,7 @@ def render_report(
     if choice is not None:
         lines.append("Execution Choice")
         lines.append("  metric   value   denominator")
-        for name, value in (("Pref", choice.pref), ("OC", choice.oc),
-                            ("MC", choice.mc), ("OR", choice.or_), ("MR", choice.mr)):
+        for name, value in choice.as_row().items():
             lines.append(
                 f"  {name:<6} {_fmt(value):>7}   {choice.denominators.get(name, 0)}"
             )
@@ -256,15 +254,3 @@ def metrics_csv(label: str, prediction: PredictionMetrics | None,
                              choice.denominators.get(name, 0)])
     return buf.getvalue()
 
-
-def verify_partition(records: list[PredictionRecord], n: int) -> list[str]:
-    """Problem-variants whose judgment counts do not partition n samples."""
-    problems = []
-    for (problem_id, variant), group in sorted(_group(records).items()):
-        counts = defaultdict(int)
-        for r in group:
-            counts[r.judgment] += 1
-        total = sum(counts[c] for c in ("correct", "reverted", "other", "unparsed"))
-        if total != n or len(group) != n:
-            problems.append(f"{problem_id}/{variant}: {dict(counts)}")
-    return problems

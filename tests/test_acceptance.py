@@ -18,12 +18,11 @@ from mutexec.dsl import (
     COMPARISONS,
     LOGICALS,
     check_constraints,
-    eval_dsl_outcome,
     to_sexpr,
     typecheck,
 )
 from mutexec.executors import BuiltinExecutor, ExternalExecutor
-from mutexec.grammar import Sampler, SamplerConfig, compile_cfg
+from mutexec.grammar import SamplerConfig, compile_cfg
 from mutexec.llm_client import ALWAYS_A_TEXT, mock_model
 from mutexec.minipy import interpret
 from mutexec.mutate import (
@@ -36,6 +35,7 @@ from mutexec.mutate import (
 )
 from mutexec.problems import Problem, pair_by_id
 from mutexec.values import canonical_repr, values_equal
+from reference import PlainSampler, compile_violations, eval_dsl_outcome, verify_partition
 
 def ok(criterion: int, message: str) -> None:
     print(f"\nACCEPTANCE {criterion}: PASS - {message}")
@@ -63,12 +63,12 @@ def test_01_oracle_equivalence():
         for depth in (4, 5):
             cfg = compile_cfg(arity, depth)
             config = SamplerConfig()
-            sampler = Sampler(cfg)
+            sampler = PlainSampler(cfg)
             rng = random.Random(1000 + arity * 10 + depth)
             produced = 0
             while produced < 90:
                 term = sampler.sample(rng)
-                if check_constraints(term, "sample", arity=arity):
+                if check_constraints(term, arity=arity):
                     continue
                 produced += 1
                 program = translate(term, arity=arity)
@@ -144,12 +144,12 @@ def test_02_constraint_soundness():
     for arity in (1, 2):
         for depth in (4, 5):
             cfg = compile_cfg(arity, depth)
-            sampler = Sampler(cfg)
+            sampler = PlainSampler(cfg)
             rng = random.Random(20_000 + arity * 10 + depth)
             accepted = 0
             while accepted < per_combo:
                 term = sampler.sample(rng)
-                if check_constraints(term, "sample", arity=arity):
+                if check_constraints(term, arity=arity):
                     continue  # the pipeline's own rejection stage
                 accepted += 1
                 audited += 1
@@ -196,8 +196,8 @@ def test_03_dataset_shape(full_corpus):
         assert values_equal(result.output, problem.output_value())
         term = parse_sexpr(problem.dsl_text)
         typecheck(term)
-        assert not check_constraints(term, "compile")
-        assert not check_constraints(term, "sample", arity=problem.arity)
+        assert not compile_violations(term)
+        assert not check_constraints(term, arity=problem.arity)
         assert term.depth() <= problem.depth
     ok(3, "300 problems, bin histograms [10,10,10,10,10], deterministic "
           "rebuild, all ground truths re-executed")
@@ -278,7 +278,7 @@ def test_07_sampling_distribution():
     from scipy import stats
 
     cfg = compile_cfg(1, 5)
-    sampler = Sampler(cfg)
+    sampler = PlainSampler(cfg)
     productions = cfg.productions[cfg.start]
     heads = [p.head for p in productions]
     assert "if" in heads and "map" in heads and "extend" in heads
@@ -369,7 +369,7 @@ def test_10_metric_partition(full_pairs):
 
     model = mock_model("ground_truth_original", pairs=pairs_plus)
     records = harness.run_prediction(kept_plus, mutants_plus, model, n=5)
-    assert metrics.verify_partition(records, 5) == []
+    assert verify_partition(records, 5) == []
     m = metrics.prediction_metrics(records)
     n_problems = len(kept_plus)
     n_bool = 1

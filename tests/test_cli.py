@@ -710,6 +710,18 @@ class TestPipelineFailures:
         assert capsys.readouterr().err == "error: problem id 'p1' appears more than once\n"
         assert sorted(os.listdir(tmp_path)) == ["mut.jsonl", "orig.jsonl"]
 
+    def test_mock_without_a_ground_truth_for_the_prompt(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the brainstorm prompt shows no program for the mock to look up
+        monkeypatch.chdir(tmp_path)
+        assert dispatch(["build-llm-list", "--model", "mock:ground-truth-given",
+                         "--out", "x.jsonl"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith('error: "mock has no ground truth for this prompt: ')
+        assert err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("command", ["ingest", "mutate"])
     def test_executor_command_that_cannot_start(self, tmp_path, capsys, monkeypatch,
                                                 command):

@@ -18,11 +18,9 @@ from mutexec.grammar import (
     SamplerConfig,
     _ARGUMENTS,
     _conditioned_tables,
-    _draw_tables,
     _param_bit,
     compile_cfg,
     count_derivations,
-    enumerate_terms,
     production_weight,
     sample_inputs,
     sample_valid_program,
@@ -30,6 +28,7 @@ from mutexec.grammar import (
 from mutexec.minipy import interpret
 from mutexec.transpile import translate
 from mutexec.values import values_equal
+from reference import PlainSampler, _draw_tables, compile_violations, enumerate_terms
 
 def make_cfg(arity=1, depth=4):
     return compile_cfg(arity, depth)
@@ -192,7 +191,7 @@ class TestCompile:
             seen.add(to_sexpr(term))
             assert term.depth() <= 3
             typecheck(term)
-            assert not check_constraints(term, "compile")
+            assert not compile_violations(term)
         assert count == count_derivations(cfg) == 643
         # distinct surface terms are fewer: instantiation choices duplicate
         assert len(seen) <= count
@@ -281,7 +280,7 @@ def recursive_build(productions):
 class TestSample:
     def test_build_matches_recursive_reference(self):
         for arity, depth in ((1, 4), (2, 5)):
-            sampler = Sampler(make_cfg(arity, depth))
+            sampler = PlainSampler(make_cfg(arity, depth))
             rng = random.Random(arity * 10 + depth)
             for _ in range(500):
                 productions = sampler.derive(rng)
@@ -291,13 +290,13 @@ class TestSample:
 
     def test_seeded_determinism(self):
         cfg = make_cfg(1, 5)
-        first = Sampler(cfg).sample(random.Random(123))
-        second = Sampler(cfg).sample(random.Random(123))
+        first = PlainSampler(cfg).sample(random.Random(123))
+        second = PlainSampler(cfg).sample(random.Random(123))
         assert first == second
 
     def test_first_draws_pinned(self):
         cfg = make_cfg(2, 5)
-        sampler = Sampler(cfg)
+        sampler = PlainSampler(cfg)
         rng = random.Random(5)
         text = "\n".join(to_sexpr(sampler.sample(rng)) for _ in range(200))
         assert hashlib.sha256(text.encode()).hexdigest() == FIRST_200_DRAWS_SHA256
@@ -305,12 +304,12 @@ class TestSample:
     def test_samples_typecheck_and_satisfy_constraints(self):
         cfg = make_cfg(2, 5)
         rng = random.Random(8)
-        sampler = Sampler(cfg)
+        sampler = PlainSampler(cfg)
         for _ in range(500):
             term = sampler.sample(rng)
             assert term.depth() <= 5
             typecheck(term)
-            assert not check_constraints(term, "compile")
+            assert not compile_violations(term)
 
     def test_degenerate_weights_single_chain(self):
         # all weight on tail forces the unique chain of tails ending in a1;
@@ -321,7 +320,7 @@ class TestSample:
                       "index", "empty")}
         overrides["tail"] = 1e12
         rng = random.Random(0)
-        sampler = Sampler(cfg, overrides)
+        sampler = PlainSampler(cfg, overrides)
         counts = {}
         for _ in range(50):
             text = to_sexpr(sampler.sample(rng))
@@ -334,7 +333,7 @@ class TestSample:
         from scipy import stats
 
         cfg = make_cfg(1, 5)
-        sampler = Sampler(cfg)
+        sampler = PlainSampler(cfg)
         productions = cfg.productions[cfg.start]
         weights = [p.weight if p.head not in ("lit", "param") else 1.0
                    for p in productions]
@@ -358,7 +357,7 @@ class TestSample:
 
         cfg = make_cfg(1, 3)
         flat = {p.name: 1.0 for p in PRIMITIVES}
-        sampler = Sampler(cfg, flat)
+        sampler = PlainSampler(cfg, flat)
 
         def analytic(nt):
             prods = cfg.productions[nt]
@@ -460,7 +459,7 @@ class TestConditionedDraws:
         assert math.isclose(sum(q for _, q, _ in plain), 1.0, rel_tol=1e-12)
         s4 = sum(q for _, q, used in plain if used == every)
         assert 0 < s4 < 1
-        sampler = Sampler(cfg, uses=every)
+        sampler = Sampler(cfg)
         drawn = dict(row_derivations(sampler.rows, 0))
         # a derivation that misses a parameter cannot be drawn
         assert set(drawn) == {d for d, _, used in plain if used == every}
@@ -475,7 +474,7 @@ class TestConditionedDraws:
         from scipy import stats
 
         cfg = make_cfg(2, depth)
-        plain, conditioned = Sampler(cfg), Sampler(cfg, uses=0b11)
+        plain, conditioned = PlainSampler(cfg), Sampler(cfg)
         rng = random.Random(depth)
         filtered = []
         while len(filtered) < draws:
@@ -521,12 +520,15 @@ class TestConditionedDraws:
             "6a9648e717a03a80097d4c2ffdb714e43137db43c9aa20b87f38f74bd93563d4")
 
     def test_tables_are_cached_per_parameter_mask(self):
+        # one set of tables per set of weight overrides, in any order
         cfg = make_cfg(2, 4)
-        plain_rows = Sampler(cfg).rows
-        conditioned = Sampler(cfg, uses=0b11)
-        assert Sampler(cfg).rows is plain_rows
-        assert Sampler(cfg, uses=0b11).rows is conditioned.rows
-        assert conditioned.rows is not plain_rows
+        rows = Sampler(cfg).rows
+        assert Sampler(cfg).rows is rows
+        assert Sampler(cfg, {}).rows is rows
+        flat = Sampler(cfg, {"if": 1.0, "map": 1.0})
+        assert flat.rows is not rows
+        assert Sampler(cfg, {"map": 1.0, "if": 1.0}).rows is flat.rows
+        assert flat.rows == _conditioned_tables(cfg, {"if": 1.0, "map": 1.0}, 0b11)
 
     def test_no_program_using_every_parameter_is_an_empty_language(self):
         # at depth 2 no term holds three lists, so s4 cannot hold at arity 3
@@ -635,7 +637,7 @@ class TestSampleValidProgram:
         result = sample_valid_program(cfg, config, rng=random.Random(12))
         assert len(result.inputs) == 3
         assert len(result.outputs) == 3
-        assert not check_constraints(result.term, "sample", arity=1)
+        assert not check_constraints(result.term, arity=1)
         outputs = [str(o) for o in result.outputs]
         assert len(set(outputs)) > 1
         # the returned translation is the one the outputs came from
@@ -670,14 +672,14 @@ class TestSampleValidProgram:
         config = SamplerConfig()
         for arity, depth in ((1, 4), (2, 5)):
             cfg = make_cfg(arity, depth)
-            sampler = Sampler(cfg, uses=(1 << arity) - 1)
+            sampler = Sampler(cfg)
             staged, replay = random.Random(5), random.Random(5)
             for _ in range(15):
                 result = sample_valid_program(cfg, config, rng=staged)
                 counts = dict.fromkeys(REJECTION_STAGES, 0)
                 while True:
                     term = sampler.sample(replay)
-                    rules = {v.rule for v in check_constraints(term, "sample", arity=arity)}
+                    rules = {v.rule for v in check_constraints(term, arity=arity)}
                     if rules:
                         counts["s4" if "s4" in rules else min(rules)] += 1
                         continue

@@ -256,6 +256,28 @@ class TestMocks:
             model.complete(build_prediction_prompt(stranger), 3)
         assert transcript.entries == 0 and not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize("drop", [None, "PROGRAM_A", "PROGRAM_B", "ASSERTION"])
+    def test_unreadable_prompt_raises_before_logging(self, tmp_path, drop):
+        # a prompt that is no prediction prompt, or a choice prompt without
+        # one of its parts, is one the mock cannot answer
+        import re
+
+        from mutexec.harness import build_choice_prompt
+
+        pairs = make_pairs()
+        if drop is None:
+            prompt = "Your task is to brainstorm a list of functions."
+        else:
+            prompt = build_choice_prompt(*pairs[0], "original_first")
+            prompt, count = re.subn(rf"\[{drop}\].*?\[/{drop}\]\n", "", prompt,
+                                    flags=re.DOTALL)
+            assert count == 1
+        transcript = Transcript(str(tmp_path / "t.jsonl"))
+        model = mock_model("ground_truth_given", pairs=pairs, transcript=transcript)
+        with pytest.raises(KeyError, match="mock has no ground truth for this prompt"):
+            model.complete(prompt, 2)
+        assert transcript.entries == 0 and not (tmp_path / "t.jsonl").exists()
+
     def test_scripted_returns_recorded_responses_in_order(self):
         model = mock_model("scripted", script={"q": ["a", "b", "c", "d"], "r": ["e"]})
         assert [r.text for r in model.complete("q", 3)] == ["a", "b", "c"]

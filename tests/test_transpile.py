@@ -8,7 +8,6 @@ from mutexec import minipy
 from mutexec.dsl import (
     PRIMITIVES,
     check_constraints,
-    eval_dsl_outcome,
     eval_dsl_outcomes,
     parse_sexpr,
     typecheck,
@@ -23,6 +22,7 @@ from mutexec.grammar import (
 from mutexec.problems import load_jsonl
 from mutexec.transpile import UntranslatableNode, translate
 from mutexec.values import canonical_repr, parse_args
+from reference import PlainSampler, compile_violations, eval_dsl_outcome
 
 GOLDEN_TERM = "(map (if (> (length a2) 2) (index 0 a2)) (extend (tail a1) a2))"
 
@@ -95,7 +95,7 @@ class TestRoundTripAndSemantics:
     def test_sampled_programs_round_trip_and_agree(self):
         rng = random.Random(99)
         cfg = self.make_cfg(1, 5)
-        sampler = Sampler(cfg)
+        sampler = PlainSampler(cfg)
         for _ in range(300):
             term = sampler.sample(rng)
             program = translate(term, arity=1)
@@ -156,7 +156,7 @@ class TestRoundTripAndSemantics:
         for text in cases:
             term = parse_sexpr(text)
             typecheck(term)
-            assert not check_constraints(term, "compile"), text
+            assert not compile_violations(term), text
             arity = max((n.value for n in term.walk() if n.is_param), default=1)
             program = translate(term, arity=arity)
             for args in inputs:
@@ -175,7 +175,7 @@ class TestRoundTripAndSemantics:
         # beyond the dataset's default bound: rarer shapes, deeper nesting
         rng = random.Random(60606)
         cfg = self.make_cfg(2, 6)
-        sampler = Sampler(cfg)
+        sampler = PlainSampler(cfg)
         config = SamplerConfig()
 
         for _ in range(200):
@@ -198,7 +198,7 @@ class TestRoundTripAndSemantics:
         samples = []
         for arity in (1, 2):
             cfg = self.make_cfg(arity, 5)
-            sampler = Sampler(cfg)
+            sampler = PlainSampler(cfg)
             for _ in range(500):
                 term = sampler.sample(rng)
                 samples.append(translate(term, arity=arity).loc)
@@ -362,14 +362,14 @@ class TestBuiltAst:
     def test_sampled_draws(self, arity, depth):
         # every draw that passes s1-s4, the ones the screen would reject too
         rng = random.Random(f"built-ast:{arity}:{depth}")
-        sampler = Sampler(compile_cfg(arity, depth), None, (1 << arity) - 1)
+        sampler = Sampler(compile_cfg(arity, depth))
         config = SamplerConfig()
         digest = hashlib.sha256()
         checked = 0
         pop_errors = index_errors = 0
         while checked < 2000:
             term = sampler.sample(rng)
-            if check_constraints(term, "sample", arity=arity):
+            if check_constraints(term, arity=arity):
                 continue
             checked += 1
             program = translate(term, arity=arity)
