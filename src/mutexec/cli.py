@@ -610,7 +610,9 @@ def dispatch(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message
+        single_key = isinstance(exc, KeyError) and len(exc.args) == 1
+        print(f"error: {exc.args[0] if single_key else exc}", file=sys.stderr)
         return 1
 
 

@@ -150,10 +150,6 @@ class Primitive:
     def arity(self) -> int:
         return len(self.params)
 
-    @property
-    def signature(self) -> Ty:
-        return fun_type(*self.params, self.result)
-
 
 PRIMITIVES: tuple[Primitive, ...] = (
     Primitive("if", (BOOL, T0, T0), T0),

@@ -61,7 +61,6 @@ class BuiltinExecutor:
     """Runs mini-language programs with the tree-walking interpreter."""
 
     def __init__(self):
-        self.limits = minipy.Limits()
         self._cache: dict[str, minipy.Module] = {}
 
     def run(self, source: str, function_name: str, args: tuple) -> minipy.ExecResult:
@@ -76,7 +75,7 @@ class BuiltinExecutor:
             if len(self._cache) > 4096:
                 self._cache.clear()
             self._cache[source] = module
-        return minipy.interpret(module, args, self.limits, function_name)
+        return minipy.interpret(module, args, function_name=function_name)
 
     def run_many(self, calls) -> list[minipy.ExecResult]:
         return [self.run(*call) for call in calls]

@@ -90,7 +90,7 @@ from .dsl import (
     fun_type,
     nesting,
 )
-from .minipy import Limits, interpret
+from .minipy import interpret
 from .values import values_equal
 
 
@@ -684,7 +684,7 @@ def sample_inputs(arity: int, config: SamplerConfig, rng: random.Random) -> list
 
 def default_executor(program: transpile.ImpProgram, args: tuple):
     """Ground-truth executor: interpret the imperative translation."""
-    return interpret(program.ast, args, Limits())
+    return interpret(program.ast, args)
 
 
 # Why sample_valid_program rejected a draw, in the order of its stages.

@@ -18,7 +18,10 @@ at a token's ``start`` offset.  A ParseError carries the 1-based line of the
 offending token; at the end of the text inside brackets it names the line of
 the innermost open bracket.
 
-Execution is deterministic big-step interpretation.  Runtime behavior
+Execution is deterministic big-step interpretation, and a node's class is
+its dispatch: an expression's ``eval(it)`` returns its value and a
+statement's ``run(it)`` executes it, against ``it``, the state of one call
+(its variables, steps, covered lines and the current line).  Runtime behavior
 deliberately matches the host Python semantics (negative indexing, floor
 division and modulo on negatives, short-circuit boolean operators,
 aliasing of list values) so that results are directly comparable with a
@@ -32,6 +35,7 @@ iteration passes a back-edge, so it ends every infinite loop.
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .values import INT_MAX, INT_MIN, Value, copy_value
@@ -78,6 +82,9 @@ class Num(Expr):
         self.line = line
         self.value = value
 
+    def eval(self, it: _Interp) -> Value:
+        return it.check_int(self.value)
+
 
 class BoolLit(Expr):
     __slots__ = ("value",)
@@ -85,6 +92,9 @@ class BoolLit(Expr):
     def __init__(self, line: int, value: bool):
         self.line = line
         self.value = value
+
+    def eval(self, it: _Interp) -> Value:
+        return self.value
 
 
 class Name(Expr):
@@ -94,6 +104,11 @@ class Name(Expr):
         self.line = line
         self.id = id
 
+    def eval(self, it: _Interp) -> Value:
+        if self.id not in it.env:
+            raise _RuntimeFailure("NameError")
+        return it.env[self.id]
+
 
 class ListDisplay(Expr):
     __slots__ = ("elems",)
@@ -101,6 +116,9 @@ class ListDisplay(Expr):
     def __init__(self, line: int, elems: list[Expr]):
         self.line = line
         self.elems = elems
+
+    def eval(self, it: _Interp) -> Value:
+        return [e.eval(it) for e in self.elems]
 
 
 class BinOp(Expr):
@@ -112,6 +130,21 @@ class BinOp(Expr):
         self.left = left
         self.right = right
 
+    def eval(self, it: _Interp) -> Value:
+        left = self.left.eval(it)
+        right = self.right.eval(it)
+        both_int = isinstance(left, int) and isinstance(right, int)
+        if self.op in ("//", "%") and both_int and right == 0:
+            raise _RuntimeFailure("ZeroDivisionError")
+        try:
+            result = _ARITHMETIC[self.op](left, right)
+        except TypeError:
+            raise _RuntimeFailure("TypeError")
+        if isinstance(result, list):
+            it.check_len(result)
+            return result
+        return it.check_int(result)
+
 
 class Compare(Expr):
     __slots__ = ("op", "left", "right")
@@ -121,6 +154,14 @@ class Compare(Expr):
         self.op = op
         self.left = left
         self.right = right
+
+    def eval(self, it: _Interp) -> Value:
+        left = self.left.eval(it)
+        right = self.right.eval(it)
+        try:
+            return _COMPARISONS[self.op](left, right)
+        except TypeError:
+            raise _RuntimeFailure("TypeError")
 
 
 class BoolOp(Expr):
@@ -132,6 +173,12 @@ class BoolOp(Expr):
         self.left = left
         self.right = right
 
+    def eval(self, it: _Interp) -> Value:
+        left = self.left.eval(it)
+        if self.op == "and":
+            return self.right.eval(it) if left else left
+        return left if left else self.right.eval(it)
+
 
 class NotOp(Expr):
     __slots__ = ("operand",)
@@ -140,6 +187,9 @@ class NotOp(Expr):
         self.line = line
         self.operand = operand
 
+    def eval(self, it: _Interp) -> Value:
+        return not self.operand.eval(it)
+
 
 class Neg(Expr):
     __slots__ = ("operand",)
@@ -147,6 +197,12 @@ class Neg(Expr):
     def __init__(self, line: int, operand: Expr):
         self.line = line
         self.operand = operand
+
+    def eval(self, it: _Interp) -> Value:
+        value = self.operand.eval(it)
+        if not isinstance(value, int):
+            raise _RuntimeFailure("TypeError")
+        return it.check_int(-value)
 
 
 class Subscript(Expr):
@@ -157,6 +213,10 @@ class Subscript(Expr):
         self.obj = obj
         self.index = index
 
+    def eval(self, it: _Interp) -> Value:
+        obj = self.obj.eval(it)
+        return obj[_index(obj, self.index.eval(it))]
+
 
 class LenCall(Expr):
     __slots__ = ("arg",)
@@ -164,6 +224,12 @@ class LenCall(Expr):
     def __init__(self, line: int, arg: Expr):
         self.line = line
         self.arg = arg
+
+    def eval(self, it: _Interp) -> Value:
+        value = self.arg.eval(it)
+        if not isinstance(value, list):
+            raise _RuntimeFailure("TypeError")
+        return len(value)
 
 
 class MethodCall(Expr):
@@ -174,6 +240,30 @@ class MethodCall(Expr):
         self.obj = obj
         self.method = method
         self.args = args
+
+    def eval(self, it: _Interp) -> Value:
+        obj = self.obj.eval(it)
+        if not isinstance(obj, list):
+            raise _RuntimeFailure("AttributeError")
+        args = [a.eval(it) for a in self.args]
+        if self.method == "append":
+            if len(args) != 1:
+                raise _RuntimeFailure("TypeError")
+            obj.append(args[0])
+            it.check_len(obj)
+            return None
+        if self.method == "extend":
+            if len(args) != 1 or not isinstance(args[0], list):
+                raise _RuntimeFailure("TypeError")
+            obj.extend(list(args[0]))
+            it.check_len(obj)
+            return None
+        # pop
+        if len(args) > 1:
+            raise _RuntimeFailure("TypeError")
+        if not obj:
+            raise _RuntimeFailure("IndexError")
+        return obj.pop(_index(obj, args[0])) if args else obj.pop()
 
 
 class Stmt(_Node):
@@ -192,6 +282,9 @@ class FunctionDef(Stmt):
         self.params = params
         self.body = body
 
+    def run(self, it: _Interp):
+        raise _RuntimeFailure("TypeError")  # nested defs unsupported
+
 
 class Return(Stmt):
     __slots__ = ("value",)
@@ -199,6 +292,9 @@ class Return(Stmt):
     def __init__(self, line: int, value: Expr | None):
         self.line = line
         self.value = value
+
+    def run(self, it: _Interp):
+        raise _ReturnSignal(None if self.value is None else self.value.eval(it))
 
 
 class Assign(Stmt):
@@ -209,6 +305,15 @@ class Assign(Stmt):
         self.target = target
         self.value = value
 
+    def run(self, it: _Interp):
+        value = self.value.eval(it)
+        target = self.target
+        if isinstance(target, Name):
+            it.env[target.id] = value
+        else:
+            obj = target.obj.eval(it)
+            obj[_index(obj, target.index.eval(it))] = value
+
 
 class TupleAssign(Stmt):
     __slots__ = ("targets", "values")
@@ -218,6 +323,11 @@ class TupleAssign(Stmt):
         self.targets = targets
         self.values = values
 
+    def run(self, it: _Interp):
+        values = [v.eval(it) for v in self.values]
+        for target, value in zip(self.targets, values):
+            it.env[target.id] = value
+
 
 class ExprStmt(Stmt):
     __slots__ = ("value",)
@@ -225,6 +335,9 @@ class ExprStmt(Stmt):
     def __init__(self, line: int, value: Expr):
         self.line = line
         self.value = value
+
+    def run(self, it: _Interp):
+        self.value.eval(it)
 
 
 class If(Stmt):
@@ -236,6 +349,12 @@ class If(Stmt):
         self.body = body
         self.orelse = orelse
 
+    def run(self, it: _Interp):
+        if self.cond.eval(it):
+            it.exec_block(self.body)
+        elif self.orelse:
+            it.exec_block(self.orelse)
+
 
 class While(Stmt):
     __slots__ = ("cond", "body")
@@ -244,6 +363,11 @@ class While(Stmt):
         self.line = line
         self.cond = cond
         self.body = body
+
+    def run(self, it: _Interp):
+        while self.cond.eval(it):
+            if it.loop_body(self):
+                break
 
 
 class ForRange(Stmt):
@@ -255,13 +379,31 @@ class ForRange(Stmt):
         self.args = args
         self.body = body
 
+    def run(self, it: _Interp):
+        args = [a.eval(it) for a in self.args]
+        for a in args:
+            if not isinstance(a, int):
+                raise _RuntimeFailure("TypeError")
+        if len(args) == 3 and args[2] == 0:
+            raise _RuntimeFailure("ValueError")
+        for i in range(*args):
+            it.env[self.var] = i
+            if it.loop_body(self):
+                break
+
 
 class Break(Stmt):
     __slots__ = ()
 
+    def run(self, it: _Interp):
+        raise _BreakSignal()
+
 
 class Continue(Stmt):
     __slots__ = ()
+
+    def run(self, it: _Interp):
+        raise _ContinueSignal()
 
 
 class Module(_Node):
@@ -835,6 +977,9 @@ class Limits:
         self.max_list_len = max_list_len
 
 
+_DEFAULT_LIMITS = Limits()
+
+
 class ExecResult:
     __slots__ = ("status", "output", "covered_lines", "steps", "error_kind", "error_line")
 
@@ -860,21 +1005,45 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
+# A ``break`` or ``continue`` outside any loop fails with ``kind``, as in Python
 class _BreakSignal(Exception):
-    pass
+    kind = "SyntaxError"
 
 
 class _ContinueSignal(Exception):
-    pass
+    kind = "SyntaxError"
+
+
+_ARITHMETIC = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "//": operator.floordiv, "%": operator.mod,
+}
+_COMPARISONS = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+    "==": operator.eq, "!=": operator.ne,
+}
+
+
+def _index(obj: Value, idx: Value) -> int:
+    """``idx`` as an index into the list ``obj``, negative ones included."""
+    if not isinstance(obj, list) or not isinstance(idx, int):
+        raise _RuntimeFailure("TypeError")
+    if not -len(obj) <= idx < len(obj):
+        raise _RuntimeFailure("IndexError")
+    return idx
 
 
 class _Interp:
-    def __init__(self, limits: Limits):
+    """The state of one call, which each node's ``eval`` or ``run`` reads."""
+
+    __slots__ = ("limits", "steps", "covered", "cur_line", "env")
+
+    def __init__(self, limits: Limits, env: dict[str, Value]):
         self.limits = limits
         self.steps = 0
         self.covered: set[int] = set()
         self.cur_line = 0
-        self.env: dict[str, Value] = {}
+        self.env = env
 
     def tick(self, line: int):
         """One line event, as CPython's line tracer counts them: a statement
@@ -895,203 +1064,23 @@ class _Interp:
                 raise _RuntimeFailure("OverflowError")
         return value
 
-    # -- statements
-
     def exec_block(self, body: list[Stmt]):
         for stmt in body:
-            self.exec_stmt(stmt)
+            self.tick(stmt.line)
+            self.covered.add(stmt.line)
+            stmt.run(self)
 
-    def exec_stmt(self, stmt: Stmt):
-        self.tick(stmt.line)
-        self.covered.add(stmt.line)
-        if isinstance(stmt, Return):
-            value = self.eval(stmt.value) if stmt.value is not None else None
-            raise _ReturnSignal(value)
-        if isinstance(stmt, Assign):
-            value = self.eval(stmt.value)
-            self.assign(stmt.target, value)
-            return
-        if isinstance(stmt, TupleAssign):
-            values = [self.eval(v) for v in stmt.values]
-            for target, value in zip(stmt.targets, values):
-                self.env[target.id] = value
-            return
-        if isinstance(stmt, ExprStmt):
-            self.eval(stmt.value)
-            return
-        if isinstance(stmt, If):
-            if self.truthy(self.eval(stmt.cond)):
-                self.exec_block(stmt.body)
-            elif stmt.orelse:
-                self.exec_block(stmt.orelse)
-            return
-        if isinstance(stmt, While):
-            while self.truthy(self.eval(stmt.cond)):
-                try:
-                    self.exec_block(stmt.body)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    pass
-                self.tick(stmt.line)
-            return
-        if isinstance(stmt, ForRange):
-            args = [self.eval(a) for a in stmt.args]
-            for a in args:
-                if not isinstance(a, int):
-                    raise _RuntimeFailure("TypeError")
-            if len(args) == 3 and args[2] == 0:
-                raise _RuntimeFailure("ValueError")
-            for i in range(*args):
-                self.env[stmt.var] = i
-                try:
-                    self.exec_block(stmt.body)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    pass
-                self.tick(stmt.line)
-            return
-        if isinstance(stmt, Break):
-            raise _BreakSignal()
-        if isinstance(stmt, Continue):
-            raise _ContinueSignal()
-        if isinstance(stmt, FunctionDef):
-            raise _RuntimeFailure("TypeError")  # nested defs unsupported
-        raise AssertionError(f"unhandled statement {stmt!r}")
-
-    def assign(self, target: Expr, value: Value):
-        if isinstance(target, Name):
-            self.env[target.id] = value
-            return
-        if isinstance(target, Subscript):
-            obj = self.eval(target.obj)
-            idx = self.eval(target.index)
-            if not isinstance(obj, list) or not isinstance(idx, int):
-                raise _RuntimeFailure("TypeError")
-            if not -len(obj) <= idx < len(obj):
-                raise _RuntimeFailure("IndexError")
-            obj[idx] = value
-            return
-        raise _RuntimeFailure("TypeError")
-
-    @staticmethod
-    def truthy(value: Value) -> bool:
-        return bool(value)
-
-    # -- expressions
-
-    def eval(self, expr: Expr) -> Value:
-        if isinstance(expr, Num):
-            return self.check_int(expr.value)
-        if isinstance(expr, BoolLit):
-            return expr.value
-        if isinstance(expr, Name):
-            if expr.id not in self.env:
-                raise _RuntimeFailure("NameError")
-            return self.env[expr.id]
-        if isinstance(expr, ListDisplay):
-            return [self.eval(e) for e in expr.elems]
-        if isinstance(expr, BinOp):
-            return self.binop(expr.op, self.eval(expr.left), self.eval(expr.right))
-        if isinstance(expr, Compare):
-            return self.compare(expr.op, self.eval(expr.left), self.eval(expr.right))
-        if isinstance(expr, BoolOp):
-            left = self.eval(expr.left)
-            if expr.op == "and":
-                return self.eval(expr.right) if self.truthy(left) else left
-            return left if self.truthy(left) else self.eval(expr.right)
-        if isinstance(expr, NotOp):
-            return not self.truthy(self.eval(expr.operand))
-        if isinstance(expr, Neg):
-            value = self.eval(expr.operand)
-            if not isinstance(value, int):
-                raise _RuntimeFailure("TypeError")
-            return self.check_int(-value)
-        if isinstance(expr, Subscript):
-            obj = self.eval(expr.obj)
-            idx = self.eval(expr.index)
-            if not isinstance(obj, list) or not isinstance(idx, int):
-                raise _RuntimeFailure("TypeError")
-            if not -len(obj) <= idx < len(obj):
-                raise _RuntimeFailure("IndexError")
-            return obj[idx]
-        if isinstance(expr, LenCall):
-            value = self.eval(expr.arg)
-            if not isinstance(value, list):
-                raise _RuntimeFailure("TypeError")
-            return len(value)
-        if isinstance(expr, MethodCall):
-            return self.method_call(expr)
-        raise AssertionError(f"unhandled expression {expr!r}")
-
-    def binop(self, op: str, left: Value, right: Value) -> Value:
-        both_int = isinstance(left, int) and isinstance(right, int)
-        if op in ("//", "%") and both_int and right == 0:
-            raise _RuntimeFailure("ZeroDivisionError")
+    def loop_body(self, loop: While | ForRange) -> bool:
+        """One iteration of ``loop``'s body and its back-edge; True when the
+        body ended by ``break``."""
         try:
-            if op == "+":
-                result = left + right
-            elif op == "-":
-                result = left - right
-            elif op == "*":
-                result = left * right
-            elif op == "//":
-                result = left // right
-            else:
-                result = left % right
-        except TypeError:
-            raise _RuntimeFailure("TypeError")
-        if isinstance(result, list):
-            self.check_len(result)
-            return result
-        return self.check_int(result)
-
-    @staticmethod
-    def compare(op: str, left: Value, right: Value) -> bool:
-        try:
-            if op == "<":
-                return left < right
-            if op == "<=":
-                return left <= right
-            if op == ">":
-                return left > right
-            if op == ">=":
-                return left >= right
-        except TypeError:
-            raise _RuntimeFailure("TypeError")
-        return left == right if op == "==" else left != right
-
-    def method_call(self, expr: MethodCall) -> Value:
-        obj = self.eval(expr.obj)
-        if not isinstance(obj, list):
-            raise _RuntimeFailure("AttributeError")
-        args = [self.eval(a) for a in expr.args]
-        if expr.method == "append":
-            if len(args) != 1:
-                raise _RuntimeFailure("TypeError")
-            obj.append(args[0])
-            self.check_len(obj)
-            return None
-        if expr.method == "extend":
-            if len(args) != 1 or not isinstance(args[0], list):
-                raise _RuntimeFailure("TypeError")
-            obj.extend(list(args[0]))
-            self.check_len(obj)
-            return None
-        # pop
-        if len(args) > 1:
-            raise _RuntimeFailure("TypeError")
-        if not obj:
-            raise _RuntimeFailure("IndexError")
-        if args:
-            idx = args[0]
-            if not isinstance(idx, int):
-                raise _RuntimeFailure("TypeError")
-            if not -len(obj) <= idx < len(obj):
-                raise _RuntimeFailure("IndexError")
-            return obj.pop(idx)
-        return obj.pop()
+            self.exec_block(loop.body)
+        except _BreakSignal:
+            return True
+        except _ContinueSignal:
+            pass
+        self.tick(loop.line)
+        return False
 
 
 def interpret(
@@ -1106,42 +1095,23 @@ def interpret(
     zero, overflow past 64-bit bounds, step/list limits) are reported in the
     result, never raised.
     """
-    limits = limits or Limits()
     functions = program.functions()
-    if not functions:
-        return ExecResult("error", error_kind="NameError", error_line=0)
     if function_name is None:
-        fn = next(iter(functions.values()))
-    elif function_name in functions:
-        fn = functions[function_name]
+        fn = next(iter(functions.values()), None)
     else:
+        fn = functions.get(function_name)
+    if fn is None:
         return ExecResult("error", error_kind="NameError", error_line=0)
     if len(fn.params) != len(args):
         return ExecResult("error", error_kind="TypeError", error_line=fn.line)
 
-    interp = _Interp(limits)
-    interp.env = dict(zip(fn.params, copy_value(list(args))))
+    interp = _Interp(limits or _DEFAULT_LIMITS, dict(zip(fn.params, copy_value(list(args)))))
     try:
         interp.exec_block(fn.body)
         output = None  # fell off the end without a return
-        status = "ok"
     except _ReturnSignal as ret:
         output = ret.value
-        status = "ok"
-    except _RuntimeFailure as failure:
-        return ExecResult(
-            "error",
-            covered_lines=interp.covered,
-            steps=interp.steps,
-            error_kind=failure.kind,
-            error_line=interp.cur_line,
-        )
-    except (_BreakSignal, _ContinueSignal):
-        return ExecResult(
-            "error",
-            covered_lines=interp.covered,
-            steps=interp.steps,
-            error_kind="SyntaxError",
-            error_line=interp.cur_line,
-        )
+    except (_RuntimeFailure, _BreakSignal, _ContinueSignal) as failure:
+        return ExecResult("error", covered_lines=interp.covered, steps=interp.steps,
+                          error_kind=failure.kind, error_line=interp.cur_line)
     return ExecResult("ok", output, interp.covered, interp.steps)

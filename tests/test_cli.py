@@ -718,7 +718,7 @@ class TestPipelineFailures:
                          "--out", "x.jsonl"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith('error: "mock has no ground truth for this prompt: ')
+        assert err.startswith("error: mock has no ground truth for this prompt: 'Your task is")
         assert err.count("\n") == 1
         assert os.listdir(tmp_path) == []
 

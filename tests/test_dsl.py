@@ -27,7 +27,8 @@ from reference import app, compile_violations, eval_dsl_outcome, partial
 
 
 def sig(name):
-    return PRIM_BY_NAME[name].signature
+    prim = PRIM_BY_NAME[name]
+    return fun_type(*prim.params, prim.result)
 
 
 class TestListDsl:
@@ -54,7 +55,7 @@ class TestListDsl:
                 yield ty
 
         for prim in PRIMITIVES:
-            for base in base_types(prim.signature):
+            for base in base_types(sig(prim.name)):
                 assert base in (INT, BOOL) or base.__class__.__name__ == "TVar"
 
     def test_literal_pool(self):

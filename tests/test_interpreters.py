@@ -1,0 +1,78 @@
+"""The small corpus and its mutate step give the same bytes under every
+supported Python, 3.10 to 3.13.
+
+Interpreters are looked for at fixed places: ``~/.pyenv/versions/3.1[0-3].*``
+and ``python3.10`` to ``python3.13`` in each directory on ``PATH``.  The first
+one found of each minor version is checked, except the running one's; a
+candidate that does not start (a pyenv shim for a version not selected) is
+passed over.  Each interpreter runs the two commands from the source tree,
+without pytest.
+"""
+
+import glob
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+from mutexec.cli import dispatch
+from test_datasets import SMALL_CORPUS_SHA256
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+VERSIONS = ("3.10", "3.11", "3.12", "3.13")
+BUILD = ["build-dsl-list", "--seed", "11", "--programs-per-combo", "120", "--per-bin", "2",
+         "--out", "dsl.jsonl"]
+MUTATE = ["mutate", "--seed", "5", "--executor", "builtin", "--in", "dsl.jsonl", "--out", "out"]
+OUTPUTS = ("originals.jsonl", "mutants.jsonl")
+_PROBE = "import platform; print(platform.python_version())"
+
+
+def other_interpreters() -> list[tuple[str, str]]:
+    """``(version, path)`` for the first interpreter found of each Python
+    3.10-3.13 other than the running one's, oldest first."""
+    candidates = [
+        (tuple(map(int, pathlib.Path(path).parents[1].name.split(".")[:2])), path)
+        for path in sorted(glob.glob(os.path.expanduser("~/.pyenv/versions/3.1[0-3].*/bin/python3")))
+    ]
+    for directory in os.environ.get("PATH", "").split(os.pathsep):
+        candidates += [((3, int(v[2:])), os.path.join(directory, f"python{v}")) for v in VERSIONS]
+    found = {sys.version_info[:2]: None}
+    for minor, path in candidates:
+        if minor in found or not os.path.isfile(path) or not os.access(path, os.X_OK):
+            continue
+        probe = subprocess.run([path, "-c", _PROBE], capture_output=True, text=True,
+                               timeout=60)
+        if probe.returncode == 0:
+            found[minor] = (probe.stdout.strip(), path)
+    return [found[minor] for minor in sorted(found) if found[minor] is not None]
+
+
+def test_same_bytes_on_every_interpreter(tmp_path):
+    interpreters = other_interpreters()
+    if not interpreters:
+        pytest.skip("no Python 3.10-3.13 other than the running one was found")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+
+    works = []
+    for version, path in interpreters:
+        work = tmp_path / version
+        work.mkdir()
+        for command in (BUILD, MUTATE):
+            done = subprocess.run([path, "-m", "mutexec.cli", *command], cwd=work, env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, (path, command[0], done.stderr)
+        digest = hashlib.sha256((work / "dsl.jsonl").read_bytes()).hexdigest()
+        assert digest == SMALL_CORPUS_SHA256, (version, path)
+        works.append(work)
+
+    # this interpreter's mutate step, on the corpus they all built
+    here = tmp_path / "here"
+    assert dispatch(["mutate", "--seed", "5", "--executor", "builtin",
+                     "--in", str(works[0] / "dsl.jsonl"), "--out", str(here)]) == 0
+    for (version, path), work in zip(interpreters, works):
+        for name in OUTPUTS:
+            assert (work / "out" / name).read_bytes() == (here / name).read_bytes(), (
+                version, path, name)

@@ -186,6 +186,20 @@ class TestInterpret:
         assert run(source, [0], fn="g").output == 1
         assert run(source, [0], fn="h").error_kind == "NameError"
 
+    def test_every_node_class_has_its_own_semantics(self):
+        # the class is the dispatch: a node class without its own eval or
+        # run would fall back to no semantics or to its base's
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        expressions = list(subclasses(minipy.Expr))
+        statements = list(subclasses(minipy.Stmt))
+        assert minipy.MethodCall in expressions and minipy.ForRange in statements
+        assert [c.__name__ for c in expressions if "eval" not in vars(c)] == []
+        assert [c.__name__ for c in statements if "run" not in vars(c)] == []
+
 
 # sha256 of the lexer corpus's AST reprs ("-" for a source that does not
 # parse), recorded with the tokenize-based parser that the scanner replaced,

@@ -10,6 +10,12 @@ A definition counts as read where code looks it up:
   module (``grammar.Sampler``), or a call that names it on its module
   (``getattr(grammar, "Sampler")``, as ``bench/tracing.py`` patches).
 
+Each non-dunder method and property of a module-level package class counts
+as read where the package, the benchmark or the demos name it: as an
+attribute (``.sample``), or as the string second argument of a call
+(``getattr(sampler, "sample")``).  Only the name is matched, whatever the
+object.
+
 Tests do not count: what only the tests read belongs in ``tests/reference.py``.
 """
 
@@ -249,6 +255,38 @@ def unread(package: dict[str, str], readers: dict[str, str]) -> list[str]:
                   for name in _definitions(source) if (module, name) not in reads)
 
 
+def _methods(source: str) -> list[tuple[str, str]]:
+    """``(class, name)`` for each non-dunder method and property of each
+    module-level class."""
+    return [(node.name, item.name) for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
+def _attribute_names(source: str) -> set[str]:
+    """The attribute names ``source`` reads, and the string second arguments
+    of its calls."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and isinstance(node.args[1].value, str)):
+            names.add(node.args[1].value)
+    return names
+
+
+def unread_methods(package: dict[str, str], readers: dict[str, str]) -> list[str]:
+    """``module.Class.name`` for each method or property of ``package``
+    (module name -> source) whose name no file of ``readers`` (path ->
+    source) reads."""
+    reads = set().union(*map(_attribute_names, readers.values()))
+    return sorted(f"{module}.{cls}.{name}" for module, source in package.items()
+                  for cls, name in _methods(source) if name not in reads)
+
+
 def _package_sources() -> tuple[dict[str, str], dict[str, str]]:
     package = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
     readers = {}
@@ -289,3 +327,36 @@ def test_checker_resolves_scopes():
 
 def test_every_definition_is_read_by_the_package_bench_or_demos():
     assert unread(*_package_sources()) == []
+
+
+def test_method_checker_matches_names():
+    dsl = (
+        "class Primitive:\n"
+        "    def __init__(self):\n"      # dunders are the language's to call
+        "        self.kind = 1\n"
+        "    @property\n"
+        "    def arity(self):\n"         # read as an attribute
+        "        return self.kind\n"
+        "    def signature(self):\n"     # read by no one
+        "        return self.arity\n"
+        "    def patched(self):\n"       # read as a string on a call
+        "        return 0\n"
+        "    def stored(self):\n"        # only assigned to
+        "        return 0\n"
+        "def helper():\n"
+        "    class Local:\n"             # not a module-level class
+        "        def hidden(self):\n"
+        "            return 0\n"
+        "    return Local\n"
+    )
+    cli = (
+        "def main(p):\n"
+        "    p.stored = getattr(p, 'patched')\n"
+        "    return p.helper\n"
+    )
+    assert unread_methods({"dsl": dsl, "cli": cli}, {"dsl.py": dsl, "cli.py": cli}) == [
+        "dsl.Primitive.signature", "dsl.Primitive.stored"]
+
+
+def test_every_method_is_read_by_the_package_bench_or_demos():
+    assert unread_methods(*_package_sources()) == []
