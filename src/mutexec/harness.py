@@ -18,8 +18,10 @@ import re
 from .llm_client import Transcript, TransportError
 from .problems import (
     Problem,
+    encode_json,
     pair_by_id,
     read_jsonl,
+    split_json,
 )
 from .values import Value, canonical_repr, is_boolean_output, parse_literal, values_equal
 
@@ -323,8 +325,9 @@ def judge(extracted: Extracted | None, own: Value, other: Value) -> str:
 
 
 class _Record:
-    """A record of one sample: its fields are its ``__slots__``, in order.
-    Two records are equal when they are of one class and their fields are."""
+    """A record of one sample: its fields are its ``__slots__``, in the order
+    its constructor takes them (``iter_jsonl`` builds it by position).  Two
+    records are equal when they are of one class and their fields are."""
 
     __slots__ = ()
 
@@ -435,6 +438,9 @@ def run_prediction(
         key = (record.problem_id, record.variant)
         have[key] = have.get(key, 0) + 1
 
+    # a replay answers each prompt from its recorded responses in order, so
+    # it first passes over those of the samples already held
+    skip = getattr(model, "skip", None)
     tasks = []
     for original, mutant in pairs:
         is_bool = _pair_is_boolean(original, mutant)
@@ -442,11 +448,13 @@ def run_prediction(
             ("original", original, mutant),
             ("mutated", mutant, original),
         ):
-            missing = n - have.get((problem.id, variant), 0)
-            if missing > 0:
-                tasks.append((problem, variant, other, is_bool, n - missing, missing))
+            held = have.get((problem.id, variant), 0)
+            if held and skip is not None:
+                skip(build_prediction_prompt(problem, mode), held)
+            if held < n:
+                tasks.append((problem, variant, other, is_bool, held, n - held))
 
-    def run_task(task) -> list[PredictionRecord]:
+    def run_task(task) -> tuple[list[PredictionRecord], list[str]]:
         problem, variant, other, is_bool, start_index, count = task
         prompt = build_prediction_prompt(problem, mode)
         error = None
@@ -455,22 +463,31 @@ def run_prediction(
         except TransportError as exc:
             texts, error = [""] * count, str(exc)
         own, paired = parse_literal(problem.output), parse_literal(other.output)
-        # a text that repeats among the n samples, as a mock's or a replay's
-        # does, is extracted and judged once
-        readings: dict[str, tuple[str | None, str]] = {}
-        records = []
-        for i, text in enumerate(texts):
+        # a record's line is split_json's text around the fields that differ
+        # between the task's records, filled in: a text that repeats among
+        # the n samples, as a mock's or a replay's does, is extracted, judged
+        # and encoded once, and each record adds only its sample_index (an
+        # int, whose JSON text is its str)
+        before, after_index, after_response, after_extracted, end = split_json(
+            PredictionRecord(problem.id, variant, start_index, "", None, "", problem.loc,
+                             is_bool, error).to_json(),
+            "sample_index", "response", "extracted", "judgment")
+        readings: dict[str, tuple[str | None, str, str]] = {}
+        records, lines = [], []
+        for index, text in enumerate(texts, start_index):
             reading = readings.get(text)
             if reading is None:
                 extracted = extract_prediction(text)
-                reading = readings[text] = (
-                    extracted.text if extracted else None,
-                    judge(extracted, own, paired),
-                )
+                extracted_text = extracted.text if extracted else None
+                judgment = judge(extracted, own, paired)
+                reading = readings[text] = (extracted_text, judgment, "".join((
+                    after_index, encode_json(text), after_response,
+                    encode_json(extracted_text), after_extracted, encode_json(judgment),
+                    end, "\n")))
             records.append(PredictionRecord(
                 problem_id=problem.id,
                 variant=variant,
-                sample_index=start_index + i,
+                sample_index=index,
                 response=text,
                 extracted=reading[0],
                 judgment=reading[1],
@@ -478,7 +495,8 @@ def run_prediction(
                 output_is_bool=is_bool,
                 error=error,
             ))
-        return records
+            lines.append(before + str(index) + reading[2])
+        return records, lines
 
     _dispatch(tasks, run_task, getattr(model, "parallelism", 1), results, out)
     return results
@@ -501,13 +519,16 @@ def run_choice(
     for record in results:
         done.add((record.problem_id, record.run_index))
 
+    skip = getattr(model, "skip", None)  # see run_prediction
     tasks = []
     for original, mutant in pairs:
         for run_index, order in ((1, "original_first"), (2, "mutated_first")):
             if (original.id, run_index) not in done:
                 tasks.append((original, mutant, run_index, order))
+            elif skip is not None:
+                skip(build_choice_prompt(original, mutant, order, mode), 1)
 
-    def run_task(task) -> list[ChoiceRecord]:
+    def run_task(task) -> tuple[list[ChoiceRecord], list[str]]:
         original, mutant, run_index, order = task
         is_bool = _pair_is_boolean(original, mutant)
         prompt = build_choice_prompt(original, mutant, order, mode)
@@ -533,7 +554,7 @@ def run_choice(
             judgment = judge(extraction.literal, parse_literal(own.output),
                              parse_literal(other.output))
             extracted = extraction.literal.text if extraction.literal else None
-        return [ChoiceRecord(
+        record = ChoiceRecord(
             problem_id=original.id,
             run_index=run_index,
             order=order,
@@ -544,29 +565,29 @@ def run_choice(
             loc=original.loc,
             output_is_bool=is_bool,
             error=error,
-        )]
+        )
+        return [record], [encode_json(record.to_json()) + "\n"]
 
     _dispatch(tasks, run_task, getattr(model, "parallelism", 1), results, out)
     return results
 
 
 def _dispatch(tasks, fn, workers: int, results: list, out: Transcript) -> None:
-    """Run ``fn`` on every task, at most ``workers`` at once, and add the
-    records each returns to ``results`` and, in one append, to ``out``, in
-    task order, so the file's bytes do not depend on which request finishes
-    first."""
+    """Run ``fn`` on every task, at most ``workers`` at once; it returns the
+    task's records and their lines.  Add the records to ``results`` and the
+    lines, in one append, to ``out``, in task order, so the file's bytes do
+    not depend on which request finishes first."""
 
-    def keep(records: list) -> None:
+    def keep(records: list, lines: list[str]) -> None:
         results.extend(records)
-        if out.path:
-            out.log(*[r.to_json() for r in records])
+        out.write(len(records), lines)
 
     if workers <= 1:
         for task in tasks:
-            keep(fn(task))
+            keep(*fn(task))
         return
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for records in pool.map(fn, tasks):
-            keep(records)
+        for records, lines in pool.map(fn, tasks):
+            keep(records, lines)

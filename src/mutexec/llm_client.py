@@ -23,7 +23,7 @@ import os
 import re
 import threading
 import time
-from .problems import encode_json, end_on_line_boundary, iter_jsonl
+from .problems import encode_json, end_on_line_boundary, iter_jsonl, loads_line, split_json
 
 
 class TransportError(Exception):
@@ -105,6 +105,9 @@ class Transcript:
     or the records of a run (``harness``), with no file when ``path`` is
     None.
 
+    Writers hand it lines they have encoded themselves, so a writer of many
+    similar entries can encode their shared part once: the entries of one
+    mock call share one encoding of the model and prompt (``split_json``).
     The directory is made when the log is opened.  A torn last line left by
     a killed run is cut then, so the next entry starts a line of its own.
     """
@@ -118,13 +121,15 @@ class Transcript:
             if os.path.exists(path):
                 end_on_line_boundary(path)
 
-    def log(self, *entries: dict) -> None:
-        """Append ``entries`` in order, in one write."""
+    def write(self, count: int, lines) -> None:
+        """Log ``count`` entries: append ``lines``, their ``encode_json``
+        texts each ending in a newline, in order, in one write.  ``lines`` is
+        read only when the log has a file, so it may encode on demand."""
         with self.lock:
-            self.entries += len(entries)
-            if self.path and entries:
+            self.entries += count
+            if self.path and count:
                 with open(self.path, "a", encoding="utf-8") as fh:
-                    fh.write("".join(encode_json(entry) + "\n" for entry in entries))
+                    fh.write("".join(lines))
 
 
 class HttpModel:
@@ -185,19 +190,19 @@ class HttpModel:
                     usage=data.get("usage") or {},
                     latency=latency,
                 )
-                self.transcript.log({
+                self.transcript.write(1, [encode_json({
                     "ts": time.time(), "model": self.config.model,
                     "prompt": prompt, "response": result.text,
                     "finish_reason": result.finish_reason,
                     "usage": result.usage, "latency": latency,
-                })
+                }) + "\n"])
                 return result
             except Exception as exc:  # transport or schema failure
                 last_error = exc
-                self.transcript.log({
+                self.transcript.write(1, [encode_json({
                     "ts": time.time(), "model": self.config.model,
                     "prompt": prompt, "error": str(exc), "attempt": attempt,
-                })
+                }) + "\n"])
                 if isinstance(exc, _Refused):
                     break
                 if attempt < self.config.max_retries:
@@ -319,12 +324,32 @@ class MockModel:
             del queue[:n]
         else:
             texts = [self._answer(prompt)] * n
-        model = f"mock:{self.behavior}"
-        self.transcript.log(*({"ts": time.time(), "model": model, "prompt": prompt,
-                               "response": text, "latency": 0.0} for text in texts))
+        self.transcript.write(len(texts), self._lines(prompt, texts))
         if len(texts) < n:
             raise TransportError("scripted mock has no response for prompt")
         return [ModelResponse(text=text, finish_reason="stop") for text in texts]
+
+    def _lines(self, prompt: str, texts: list[str]):
+        """The transcript lines of the answers ``texts`` to ``prompt``: the
+        model and prompt are encoded once, each distinct answer once, and
+        only the time stamp per entry (a finite float, whose JSON text is its
+        repr)."""
+        stamp, middle, end = split_json(
+            {"ts": 0.0, "model": f"mock:{self.behavior}", "prompt": prompt,
+             "response": "", "latency": 0.0}, "ts", "response")
+        rests: dict[str, str] = {}
+        for text in texts:
+            rest = rests.get(text)
+            if rest is None:
+                rest = rests[text] = middle + encode_json(text) + end + "\n"
+            yield stamp + repr(time.time()) + rest
+
+    def skip(self, prompt: str, count: int) -> None:
+        """Pass over the next ``count`` recorded responses to ``prompt``.  A
+        resumed run calls it for the samples it already holds, so that a
+        replay answers each missing sample with that sample's own recorded
+        response; a deterministic mock has nothing to pass over."""
+        del self.script.get(prompt, [])[:count]
 
     def close(self):
         pass
@@ -345,12 +370,42 @@ ALWAYS_A_TEXT = json.dumps(
 )
 
 
+# The start of a transcript line: its time stamp, a JSON number (in ASCII
+# digits only, as the decoder reads one).  It is compiled by the replay, not
+# at import, which every command pays.
+_STAMP = r'\{"ts": -?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?'
+
+
 def scripted_from_transcript(path: str) -> dict[str, list[str]]:
     """Prompt -> ordered responses, reconstructed from a transcript file.
     The torn last line of a killed run is dropped (see ``iter_jsonl``); the
-    entries are read one at a time, so only the script is held in memory."""
+    entries are read one at a time, so only the script is held in memory.
+
+    A line that repeats the last decoded entry apart from its time stamp, as
+    the n entries of one mock or replay call do, is not decoded: its text
+    from its first comma on equals that entry's, and both start with a
+    ``{"ts": <number>`` stamp, so the entry, with its one prompt and response
+    string, stands for it too.  The texts are compared before the stamps are
+    checked, so a line that repeats nothing costs little more than its
+    decoding.
+    """
     script: dict[str, list[str]] = {}
-    for entry in iter_jsonl(path, dict, torn_tail=True):
+    stamped = re.compile(_STAMP).fullmatch
+    # the last decoded entry, its line, and where the line's first comma is
+    last = last_text = last_rest = None
+    last_cut = 0
+
+    def decode(text: str):
+        nonlocal last, last_text, last_cut, last_rest
+        cut = text.find(",")
+        rest = text[cut:]
+        if (rest == last_rest and stamped(text, 0, cut)
+                and stamped(last_text, 0, last_cut)):
+            return last
+        last, last_text, last_cut, last_rest = loads_line(text), text, cut, rest
+        return last
+
+    for entry in iter_jsonl(path, None, torn_tail=True, decode=decode):
         if "response" in entry:
             script.setdefault(entry["prompt"], []).append(entry["response"])
     return script

@@ -45,7 +45,32 @@ encode_json = _json_writer()
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def _loads_line(text: str):
+def split_json(obj: dict, *keys: str) -> list[str]:
+    """The text of ``encode_json(obj)`` cut around the values of ``keys``.
+
+    With ``k1 … km`` the keys in the order ``obj`` holds them, the parts
+    ``p0 … pm`` give ``p0 + encode_json(v1) + p1 + … + encode_json(vm) + pm
+    == encode_json(obj)`` for the values ``vi`` at ``ki``, whatever they are,
+    so a writer of many objects that differ only at ``keys`` encodes the rest
+    of them once.
+    """
+    parts, text, sep, run = [], "{", "", {}
+    for name, value in obj.items():
+        if name in keys:
+            if run:
+                text += sep + encode_json(run)[1:-1]
+                sep, run = ", ", {}
+            parts.append(text + sep + encode_json(name) + ": ")
+            text, sep = "", ", "
+        else:
+            run[name] = value
+    if run:
+        text += sep + encode_json(run)[1:-1]
+    parts.append(text + "}")
+    return parts
+
+
+def loads_line(text: str):
     """``json.loads(text)``, read by one ``raw_decode`` where the line is one
     value and its newline, as every line that ``encode_json`` wrote is."""
     try:
@@ -114,21 +139,26 @@ def read_jsonl(path: str, make, torn_tail: bool = False) -> list:
     return list(iter_jsonl(path, make, torn_tail))
 
 
-def iter_jsonl(path: str, make, torn_tail: bool = False):
-    """``make(**record)`` for each JSON object of a JSONL file, one line at a
-    time.
+def iter_jsonl(path: str, make, torn_tail: bool = False, decode=loads_line):
+    """``make(**record)`` for each JSON object of a JSONL file, or the object
+    itself where ``make`` is None, one line at a time; ``decode`` turns a
+    line's text into its value.
 
     A line that holds no object, or an object whose keys ``make`` does not
     take, raises ValueError naming the path and line.  With ``torn_tail``, a
     last line that lacks its newline and does not parse is the torn tail of
     an interrupted append and is dropped; any other malformed line raises.
+    An object whose keys are ``make.__slots__`` in order, as a record's are
+    (see ``harness._Record``), is passed by position, which builds the same
+    record without matching keywords.
     """
+    fields = getattr(make, "__slots__", None)
     with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                record = _loads_line(line.decode("utf-8"))
+                record = decode(line.decode("utf-8"))
             except ValueError:
                 if torn_tail and not line.endswith(b"\n"):
                     break
@@ -136,8 +166,14 @@ def iter_jsonl(path: str, make, torn_tail: bool = False):
             if not isinstance(record, dict):
                 raise ValueError(
                     f"{path}:{number}: expected a JSON object, got {type(record).__name__}")
+            if make is None:
+                yield record
+                continue
             try:
-                item = make(**record)
+                if fields is not None and tuple(record) == fields:
+                    item = make(*record.values())
+                else:
+                    item = make(**record)
             except TypeError as exc:
                 raise ValueError(f"{path}:{number}: {exc}") from None
             yield item

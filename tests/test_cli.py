@@ -4,6 +4,7 @@ import random
 import shlex
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -11,7 +12,7 @@ import mutexec
 from mutexec import cli, executors, grammar, harness, llm_client
 from mutexec.cli import build_parser, dispatch, load_config_file
 from mutexec.grammar import AttemptsExhausted
-from mutexec.problems import atomic_writer, encode_json, load_jsonl
+from mutexec.problems import atomic_writer, encode_json, load_jsonl, pair_by_id, split_json
 from mutexec.problems import read_jsonl as read_records
 
 
@@ -221,16 +222,35 @@ class TestRunAndReport:
     def test_report_requires_input(self, capsys):
         assert dispatch(["report", "--label", "x"]) == 2
 
-    @pytest.mark.parametrize("command", ["run-pred", "run-choice"])
-    def test_resume_after_torn_tail(self, tiny_dataset, tmp_path, command):
+    @pytest.mark.parametrize("command, model", [
+        (command, model) for model in ("mock:ground-truth-given", "replay")
+        for command in ("run-pred", "run-choice")],
+        ids=["run-pred", "run-choice", "run-pred-replay", "run-choice-replay"])
+    def test_resume_after_torn_tail(self, tiny_dataset, tmp_path, command, model):
         orig = str(tiny_dataset / "pairs" / "originals.jsonl")
         mut = str(tiny_dataset / "pairs" / "mutants.jsonl")
         if command == "run-pred":
             extra, load = ["--n", "2"], harness.load_prediction_records
         else:
             extra, load = [], harness.load_choice_records
-        argv = [command, "--orig", orig, "--mut", mut, *extra,
-                "--model", "mock:ground-truth-given"]
+        if model == "replay":
+            # a transcript whose every sample has its own response, so a
+            # resumed replay that answered from another sample would show
+            pairs = pair_by_id(load_jsonl(orig), load_jsonl(mut))
+            if command == "run-pred":
+                prompts = [harness.build_prediction_prompt(p) for pair in pairs for p in pair]
+            else:
+                prompts = [harness.build_choice_prompt(*pair, order) for pair in pairs
+                           for order in ("original_first", "mutated_first")]
+            transcript = tmp_path / "transcript.jsonl"
+            writer = llm_client.mock_model(
+                "scripted", transcript=llm_client.Transcript(str(transcript)),
+                script={p: [f"answer {i} (sample {k})" for k in range(2)]
+                        for i, p in enumerate(prompts)})
+            for prompt in prompts:
+                writer.complete(prompt, 2)
+            model = f"mock:scripted:{transcript}"
+        argv = [command, "--orig", orig, "--mut", mut, *extra, "--model", model]
         full = tmp_path / "full.jsonl"
         assert dispatch(argv + ["--out", str(full)]) == 0
         whole = full.read_bytes()
@@ -744,7 +764,43 @@ class TestPipelineFailures:
         assert os.listdir(tmp_path) == ["in.jsonl"]
 
 
+# Values whose JSON text has to be cut and joined exactly: escapes, line
+# separators, non-ASCII text, empty strings, every constant, large ints, and
+# floats at the edge of repr.
+SPLIT_VALUES = ['say "hi"', "back\\slash\\", "line\nbreak\r\t", "\u2028\u2029", "é 中 😀",
+                "", None, True, False, 10**30, -7, 0, 1e-300, -0.0, 0.1, time.time(),
+                [], {}, ['"', {"k": "\\"}], {"nested": {"": None}}]
+
+
 class TestJsonLines:
+    @pytest.mark.parametrize("value", SPLIT_VALUES)
+    def test_split_json_around_one_key(self, value):
+        obj = {"first": value, "b\"ack": "\\", "mid": value, "é": [value], "last": value}
+        for key in obj:  # the key first or last leaves an empty part on that side
+            head, tail = split_json(obj, key)
+            assert head + encode_json(obj[key]) + tail == encode_json(obj)
+            for other in SPLIT_VALUES:
+                assert head + encode_json(other) + tail == encode_json({**obj, key: other})
+        head, tail = split_json({"only": value}, "only")
+        assert (head, tail) == ('{"only": ', "}")
+        assert head + encode_json(value) + tail == encode_json({"only": value})
+
+    @pytest.mark.parametrize("value", SPLIT_VALUES)
+    def test_split_json_around_several_keys(self, value):
+        obj = {"ts": 0.0, "model": "mock:x", "prompt": value, "response": value,
+               "latency": 0.0}
+        names = list(obj)
+        for i, first in enumerate(names):
+            for second in names[i + 1:]:
+                # the parts follow the object's order, not the arguments'
+                parts = split_json(obj, second, first)
+                assert len(parts) == 3
+                for a in (value, time.time(), "x"):
+                    for b in (value, None, 'q"'):
+                        whole = encode_json({**obj, first: a, second: b})
+                        assert parts[0] + encode_json(a) + parts[1] + encode_json(b) \
+                            + parts[2] == whole
+
     @pytest.mark.parametrize("value", [
         {"a": 1, "b": [1, 2.5, None, True, False], "c": 'é\n"\\ \x00\u2028'},
         {"inf": float("inf"), "nan": float("nan"), "big": 10**30, 1: -0.0},

@@ -30,7 +30,7 @@ from mutexec.llm_client import (
     mock_model,
     scripted_from_transcript,
 )
-from mutexec.problems import Problem, pair_by_id, save_jsonl
+from mutexec.problems import Problem, encode_json, pair_by_id, save_jsonl
 
 
 def make_pair():
@@ -339,6 +339,40 @@ class TestRecordFields:
         assert prediction.__eq__(choice) is NotImplemented
         assert prediction != prediction._values()
 
+    @pytest.mark.parametrize("edit", ["as_written", "reordered", "missing_default",
+                                      "missing_required", "extra"])
+    @pytest.mark.parametrize("cls", list(RECORD_ARGS), ids=lambda cls: cls.__name__)
+    def test_loaded_as_built_by_keywords(self, tmp_path, cls, edit):
+        """A record line is built by position only when its keys are the
+        fields in order; any other line gives the record or the path:line
+        error that building by keywords gives."""
+        assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+        data = cls(*RECORD_ARGS[cls], error="HTTP 500").to_json()
+        if edit == "reordered":
+            data = dict(reversed(list(data.items())))
+        elif edit == "missing_default":
+            del data["error"]
+        elif edit == "missing_required":
+            del data["judgment"]
+        elif edit == "extra":
+            data["note"] = 1
+        path = tmp_path / "records.jsonl"
+        first = cls(*RECORD_ARGS[cls])
+        path.write_text(encode_json(first.to_json()) + "\n" + encode_json(data) + "\n",
+                        encoding="utf-8")
+        load = load_prediction_records if cls is PredictionRecord else load_choice_records
+        try:
+            expected = [first, cls(**data)]
+        except TypeError as exc:
+            with pytest.raises(ValueError) as raised:
+                load(str(path))
+            assert str(raised.value) == f"{path}:2: {exc}"
+        else:
+            loaded = load(str(path))
+            assert loaded == expected
+            assert [r.error for r in loaded] == [None, None if edit == "missing_default"
+                                                 else "HTTP 500"]
+
     @pytest.mark.parametrize("cls", list(RECORD_ARGS), ids=lambda cls: cls.__name__)
     def test_missing_field_named(self, cls):
         data = cls(*RECORD_ARGS[cls]).to_json()
@@ -442,6 +476,31 @@ class TestRuns:
         ]
         assert [r.response for r in records] == [t for texts in script.values() for t in texts]
 
+    def test_record_lines_are_encode_json_of_each_record(self, tmp_path):
+        """Every record line is ``encode_json`` of its record, byte for byte,
+        for repeated and distinct texts, a failed call, and a task resumed at
+        a sample_index above 0."""
+        original, mutant = make_pair()
+        answer = "[ANSWER]assert f([4, 1, 3]) == {}[/ANSWER]".format
+        texts = [answer("[1, 3]"), answer("[4, 1]"), 'no "answer"\u2028é', answer("[1, 3]"),
+                 "", answer("'a\\\\b'"), answer("[4, 1]")]
+        script = {build_prediction_prompt(original): texts * 2,
+                  # the mutant's call runs out at its sixth sample
+                  build_prediction_prompt(mutant): texts[:5]}
+        out = tmp_path / "records.jsonl"
+        records = run_prediction([original], [mutant], mock_model("scripted", script=script),
+                                 n=7, out_path=str(out))
+        assert sum(r.error is not None for r in records) == 7
+        held = load_prediction_records(str(out))[:3]
+        resumed_out = tmp_path / "resumed.jsonl"
+        resumed = run_prediction([original], [mutant], mock_model("scripted", script=script),
+                                 n=9, out_path=str(resumed_out), resume=held)
+        assert {r.sample_index for r in resumed[3:] if r.variant == "original"} == set(
+            range(3, 9))
+        for path, written in ((out, records), (resumed_out, resumed[3:])):
+            assert path.read_text(encoding="utf-8") == "".join(
+                encode_json(r.to_json()) + "\n" for r in written)
+
     def test_transport_failure_counts_as_unanswered(self, small_pairs):
         kept, mutants, pairs = small_pairs
         kept, mutants = kept[:2], mutants[:2]
@@ -541,6 +600,81 @@ class TestRuns:
         model = mock_model("ground_truth_given", pairs=pairs)
         records = run_choice(kept, mutants, model, out_path=out)
         assert load_choice_records(out) == records
+
+    @pytest.mark.parametrize("n_first", [None, 2], ids=["killed", "fewer_samples"])
+    def test_resumed_replay_writes_what_an_uninterrupted_one_writes(self, tmp_path,
+                                                                     n_first):
+        """A replay resumed on the records of a killed run, or of a run with
+        fewer samples, answers each missing sample with its own recorded
+        response.  After a kill this holds also where two problems have one
+        prompt (a run with fewer samples answered the second of them from
+        other recorded responses than a whole run does)."""
+        original, mutant = make_pair()
+        originals, mutants = [original], [mutant]
+        if n_first is None:
+            originals.append(Problem(**{**vars(original), "id": "p2"}))
+            mutants.append(Problem(**{**vars(mutant), "id": "p2"}))
+        n = 3
+        transcript = tmp_path / "transcript.jsonl"
+        writer = mock_model("scripted", transcript=Transcript(str(transcript)), script={
+            build_prediction_prompt(p): [f"[ANSWER]assert f([4, 1, 3]) == {k}[/ANSWER] "
+                                         f"(sample {k % n} of {p.id})" for k in range(2 * n)]
+            for p in (original, mutant)})
+        for problem in (original, mutant):  # both ids of a prompt are in its script
+            writer.complete(build_prediction_prompt(problem), 2 * n)
+
+        def replay(out, n, resume=None):
+            model = mock_model("scripted", script=scripted_from_transcript(str(transcript)))
+            return run_prediction(originals, mutants, model, n=n, out_path=str(out),
+                                  resume=resume)
+
+        full = tmp_path / "full.jsonl"
+        replay(full, n)
+        whole = full.read_bytes()
+        cut = tmp_path / "cut.jsonl"
+        if n_first is not None:
+            replay(cut, n_first)
+            replay(cut, n, resume=load_prediction_records(str(cut)))
+            # the missing samples are appended after the held ones
+            key = lambda r: (r.problem_id, r.variant, r.sample_index)
+            assert sorted(load_prediction_records(str(cut)), key=key) == sorted(
+                load_prediction_records(str(full)), key=key)
+            return
+        lines = whole.splitlines(keepends=True)
+        for end in (1, 2, 3, 4, 7, len(lines) - 1):
+            # a kill leaves whole lines and, at most, a torn one
+            cut.write_bytes(b"".join(lines[:end]) + lines[end][:10])
+            replay(cut, n, resume=load_prediction_records(str(cut)))
+            assert cut.read_bytes() == whole, end
+
+    def test_resumed_choice_replay_answers_from_its_own_call(self, tmp_path):
+        """Two pairs with one choice prompt: after a kill that kept the first
+        pair's records, the second pair gets its own recorded answers."""
+        original, mutant = make_pair()
+        originals = [original, Problem(**{**vars(original), "id": "p2"})]
+        mutants = [mutant, Problem(**{**vars(mutant), "id": "p2"})]
+        transcript = tmp_path / "transcript.jsonl"
+        writer = mock_model("scripted", transcript=Transcript(str(transcript)), script={
+            build_choice_prompt(original, mutant, order): [
+                json.dumps({"chosen_program": letter, "assertion": "assert f([4, 1, 3]) == 0"})
+                for letter in "AB"]
+            for order in ("original_first", "mutated_first")})
+        for order in ("original_first", "mutated_first"):
+            writer.complete(build_choice_prompt(original, mutant, order), 2)
+
+        def replay(out, resume=None):
+            model = mock_model("scripted", script=scripted_from_transcript(str(transcript)))
+            return run_choice(originals, mutants, model, out_path=str(out), resume=resume)
+
+        full = tmp_path / "full.jsonl"
+        replay(full)
+        cut = tmp_path / "cut.jsonl"
+        cut.write_bytes(b"".join(full.read_bytes().splitlines(keepends=True)[:2]))
+        replay(cut, resume=load_choice_records(str(cut)))
+        assert cut.read_bytes() == full.read_bytes()
+        # p1 answers A in both orders, p2 answers B
+        assert [r.chosen for r in load_choice_records(str(full))] == [
+            "original", "mutated", "mutated", "original"]
 
     def test_scripted_replay_reproduces_metrics(self, tmp_path, small_pairs):
         from mutexec.llm_client import Transcript, scripted_from_transcript

@@ -243,6 +243,47 @@ class TestMocks:
         assert [(e["prompt"], e["response"]) for e in logged] == [(prompt, texts[0])] * 50
         assert all(isinstance(e["ts"], float) for e in logged)
 
+    # texts whose JSON text has escapes, a raw line separator or non-ASCII
+    TRICKY = ['say "hi"', "back\\slash", "two\nlines\r\n", "\u2028", "é 中", ""]
+
+    @pytest.mark.parametrize("case", ["deterministic", "fixed", "distinct", "runs_out"])
+    def test_transcript_lines_are_encode_json_of_each_entry(self, tmp_path, case):
+        """Every line is ``encode_json`` of the entry, byte for byte, whatever
+        the mock encodes once per call."""
+        from mutexec.harness import build_prediction_prompt
+        from mutexec.problems import encode_json
+
+        path = tmp_path / "t.jsonl"
+        transcript = Transcript(str(path))
+        if case == "deterministic":
+            pairs = make_pairs()
+            prompt = build_prediction_prompt(pairs[0][1])
+            model = mock_model("ground_truth_given", pairs=pairs, transcript=transcript)
+            n = 50
+        elif case == "fixed":
+            prompt = "".join(self.TRICKY)
+            model = mock_model("fixed", text=self.TRICKY[0], transcript=transcript)
+            n = 3
+        else:
+            prompt = "q\n" + self.TRICKY[3]
+            script = {prompt: [t + str(k) for k in range(4) for t in self.TRICKY]}
+            model = mock_model("scripted", script=script, transcript=transcript)
+            n = len(script[prompt]) + (2 if case == "runs_out" else 0)
+        if case == "runs_out":  # the answers given before running out are logged
+            with pytest.raises(TransportError):
+                model.complete(prompt, n)
+            texts = script[prompt]
+        else:
+            texts = [r.text for r in model.complete(prompt, n)]
+        model.complete(prompt, 0)  # a call for no answer writes nothing
+        lines = path.read_bytes().decode("utf-8").split("\n")
+        assert lines.pop() == "" and len(lines) == len(texts) == transcript.entries
+        for line, text in zip(lines, texts):
+            ts = json.loads(line)["ts"]
+            assert isinstance(ts, float)
+            assert line == encode_json({"ts": ts, "model": f"mock:{model.behavior}",
+                                        "prompt": prompt, "response": text, "latency": 0.0})
+
     def test_unanswerable_prompt_raises_before_logging(self, tmp_path):
         from mutexec.harness import build_prediction_prompt
         from mutexec.problems import Problem
@@ -345,6 +386,111 @@ class TestMocks:
     def test_unknown_behavior_rejected(self):
         with pytest.raises(ValueError):
             mock_model("telepathic")
+
+
+def plain_script(path: str) -> dict[str, list[str]]:
+    """The replay's script read by decoding every line, as it was read before
+    repeated lines were skipped."""
+    from mutexec.problems import iter_jsonl
+
+    script: dict[str, list[str]] = {}
+    for entry in iter_jsonl(path, dict, torn_tail=True):
+        if "response" in entry:
+            script.setdefault(entry["prompt"], []).append(entry["response"])
+    return script
+
+
+def outcome(read, path):
+    try:
+        return "ok", read(path)
+    except Exception as exc:
+        return "raised", type(exc), str(exc)
+
+
+def transcript_lines(tmp_path) -> list[bytes]:
+    """Mock entries of two prompts, with repeats, an HTTP error entry between
+    two repeats, and a distinct answer."""
+    from mutexec.problems import encode_json
+
+    path = tmp_path / "source.jsonl"
+    transcript = Transcript(str(path))
+    mock_model("fixed", text='a "quoted", answer', transcript=transcript).complete("q", 3)
+    error = {"ts": 1.5, "model": "m", "prompt": "q", "error": "HTTP 500", "attempt": 0}
+    transcript.write(1, [encode_json(error) + "\n"])
+    mock_model("fixed", text='a "quoted", answer', transcript=transcript).complete("q", 2)
+    mock_model("scripted", script={"r": ["x", "x", "y"]}, transcript=transcript).complete("r", 3)
+    return path.read_bytes().splitlines(keepends=True)
+
+
+def with_stamp(line: bytes, stamp: bytes) -> bytes:
+    return b'{"ts": ' + stamp + line[line.index(b","):]
+
+
+class TestScriptedFromTranscript:
+    """The replay reads every transcript as decoding each line would."""
+
+    @pytest.mark.parametrize("edit", [
+        "as_written", "crlf", "lost_newline", "torn_in_stamp", "torn_after_comma",
+        "torn_in_text", "blank_lines", "first_comma_in_a_string", "duplicate_stamp",
+    ])
+    def test_same_script_or_error_as_decoding_every_line(self, tmp_path, edit):
+        lines = transcript_lines(tmp_path)
+        if edit == "crlf":
+            lines = [line[:-1] + b"\r\n" for line in lines]
+        elif edit == "lost_newline":  # a whole last line that repeats the one before
+            lines[-1] = lines[-2][:-1]
+        elif edit == "torn_in_stamp":
+            lines[-1] = lines[-2][:9]
+        elif edit == "torn_after_comma":
+            lines[-1] = lines[-2][:lines[-2].index(b",") + 1]
+        elif edit == "torn_in_text":
+            lines[-1] = lines[-2][:-3]
+        elif edit == "blank_lines":
+            lines[2:2] = [b"\n", b" \t\r\n"]
+        elif edit == "first_comma_in_a_string":
+            # the first line's stamp is a string holding a comma; a line that
+            # repeats its text after that comma is no JSON
+            lines[0] = b'{"ts": "1,5' + lines[0][lines[0].index(b","):]
+            lines[0] = lines[0].replace(b', "model"', b'", "model"', 1)
+            lines[1] = b'{"ts": 2' + lines[0][lines[0].index(b","):]
+        elif edit == "duplicate_stamp":
+            lines[0] = b'{"ts": [1,2], "ts": 3' + lines[0][lines[0].index(b","):]
+            lines[1] = b'{"ts": 7' + lines[0][lines[0].index(b","):]
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"".join(lines))
+        expected = outcome(plain_script, str(path))
+        assert outcome(scripted_from_transcript, str(path)) == expected
+        if edit == "as_written":
+            assert expected[1] == {"q": ['a "quoted", answer'] * 5, "r": ["x", "x", "y"]}
+
+    @pytest.mark.parametrize("stamp", [
+        b"0", b"-0", b"12", b"1760918400.123456", b"1e5", b"1E-5", b"-12.5e+3",
+        b"1e", b"01", b"1.", b"-", b"+1", b".5", b"1e+",
+        "1\u0661".encode("utf-8"), "1.\u0661".encode("utf-8"),  # a non-ASCII digit
+        b"NaN", b"-Infinity", b"true", b'"1"', b" 1", b"1 ",
+    ])
+    @pytest.mark.parametrize("where", [1, 2, 4, 6])
+    def test_every_stamp_read_as_decoding_would(self, tmp_path, stamp, where):
+        """A stamp that is no JSON number raises where decoding raises, and
+        one that is any other JSON value is read as decoding reads it."""
+        lines = transcript_lines(tmp_path)
+        lines[where] = with_stamp(lines[where], stamp)
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"".join(lines))
+        expected = outcome(plain_script, str(path))
+        assert outcome(scripted_from_transcript, str(path)) == expected
+        if stamp == b"1e":  # a repeat whose stamp is malformed still raises
+            assert expected[:2] == ("raised", json.JSONDecodeError)
+
+    def test_repeats_share_one_response_string(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"".join(transcript_lines(tmp_path)))
+        script = scripted_from_transcript(str(path))
+        assert script == plain_script(str(path))
+        # the HTTP error entry ends the first run of repeats
+        first, second = script["q"][:3], script["q"][3:]
+        assert len({id(text) for text in first}) == len({id(text) for text in second}) == 1
+        assert script["r"][0] is script["r"][1]
 
 
 class TestParseModelSpec:
