@@ -7,6 +7,10 @@ object (choice); the right-hand side of the assertion must be a pure literal
 or the sample is judged unparsed.  Judgments are structural with strict
 typing, so a prediction is "correct" only against its own program's ground
 truth and "reverted" only against the paired program's.
+
+Both experiments run through one runner, ``_run``, as tables of tasks: a
+prediction task is one variant of a pair with its n samples, a choice task
+one presentation order of a pair with one sample.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import re
 from .llm_client import Transcript, TransportError
 from .problems import (
     Problem,
-    encode_json,
     pair_by_id,
     read_jsonl,
     split_json,
@@ -202,7 +205,8 @@ class Extracted:
         return (self.value, self.text) == (other.value, other.text)
 
 
-_ANSWER_RE = re.compile(r"\[ANSWER\](.*?)\[/ANSWER\]", re.DOTALL)
+# compiled by re on its first use (with re.DOTALL), not at import
+_ANSWER_RE = r"\[ANSWER\](.*?)\[/ANSWER\]"
 
 
 def _literal_from_assertion(text: str) -> Extracted | None:
@@ -231,7 +235,7 @@ def _literal_from_assertion(text: str) -> Extracted | None:
 
 def extract_prediction(response: str) -> Extracted | None:
     """Literal from the last [ANSWER] span; None when unparsed."""
-    spans = _ANSWER_RE.findall(response)
+    spans = re.findall(_ANSWER_RE, response, re.DOTALL)
     if not spans:
         return None
     return _literal_from_assertion(spans[-1])
@@ -428,78 +432,27 @@ def run_prediction(
     requested, so an interrupted run can be completed incrementally.
     """
     mode = mode or getattr(model, "default_mode", "zero_shot")
-    pairs = pair_by_id(originals, mutants)
-    # the directory is made before the first request, so no answer is paid
-    # for and then lost to a missing directory
-    out = Transcript(out_path)
-    results: list[PredictionRecord] = list(resume or [])
-    have: dict[tuple[str, str], int] = {}
-    for record in results:
-        key = (record.problem_id, record.variant)
-        have[key] = have.get(key, 0) + 1
 
-    # a replay answers each prompt from its recorded responses in order, so
-    # it first passes over those of the samples already held
-    skip = getattr(model, "skip", None)
-    tasks = []
-    for original, mutant in pairs:
-        is_bool = _pair_is_boolean(original, mutant)
-        for variant, problem, other in (
-            ("original", original, mutant),
-            ("mutated", mutant, original),
-        ):
-            held = have.get((problem.id, variant), 0)
-            if held and skip is not None:
-                skip(build_prediction_prompt(problem, mode), held)
-            if held < n:
-                tasks.append((problem, variant, other, is_bool, held, n - held))
-
-    def run_task(task) -> tuple[list[PredictionRecord], list[str]]:
-        problem, variant, other, is_bool, start_index, count = task
-        prompt = build_prediction_prompt(problem, mode)
-        error = None
-        try:
-            texts = [resp.text for resp in model.complete(prompt, count)]
-        except TransportError as exc:
-            texts, error = [""] * count, str(exc)
+    def task(problem: Problem, variant: str, other: Problem, is_bool: bool):
         own, paired = parse_literal(problem.output), parse_literal(other.output)
-        # a record's line is split_json's text around the fields that differ
-        # between the task's records, filled in: a text that repeats among
-        # the n samples, as a mock's or a replay's does, is extracted, judged
-        # and encoded once, and each record adds only its sample_index (an
-        # int, whose JSON text is its str)
-        before, after_index, after_response, after_extracted, end = split_json(
-            PredictionRecord(problem.id, variant, start_index, "", None, "", problem.loc,
-                             is_bool, error).to_json(),
-            "sample_index", "response", "extracted", "judgment")
-        readings: dict[str, tuple[str | None, str, str]] = {}
-        records, lines = [], []
-        for index, text in enumerate(texts, start_index):
-            reading = readings.get(text)
-            if reading is None:
-                extracted = extract_prediction(text)
-                extracted_text = extracted.text if extracted else None
-                judgment = judge(extracted, own, paired)
-                reading = readings[text] = (extracted_text, judgment, "".join((
-                    after_index, encode_json(text), after_response,
-                    encode_json(extracted_text), after_extracted, encode_json(judgment),
-                    end, "\n")))
-            records.append(PredictionRecord(
-                problem_id=problem.id,
-                variant=variant,
-                sample_index=index,
-                response=text,
-                extracted=reading[0],
-                judgment=reading[1],
-                loc=problem.loc,
-                output_is_bool=is_bool,
-                error=error,
-            ))
-            lines.append(before + str(index) + reading[2])
-        return records, lines
 
-    _dispatch(tasks, run_task, getattr(model, "parallelism", 1), results, out)
-    return results
+        def read(text: str) -> tuple:
+            extracted = extract_prediction(text)
+            return extracted.text if extracted else None, judge(extracted, own, paired)
+
+        def record(index: int, text: str, fields: tuple, error: str | None):
+            return PredictionRecord(problem.id, variant, index, text, *fields, problem.loc,
+                                    is_bool, error)
+        return build_prediction_prompt(problem, mode), read, record
+
+    def tasks(pairs):
+        for original, mutant in pairs:
+            is_bool = _pair_is_boolean(original, mutant)
+            yield (original.id, "original"), n, (original, "original", mutant, is_bool)
+            yield (mutant.id, "mutated"), n, (mutant, "mutated", original, is_bool)
+
+    return _run(tasks(pair_by_id(originals, mutants)), task,
+                lambda r: (r.problem_id, r.variant), model, out_path, resume)
 
 
 def run_choice(
@@ -512,63 +465,93 @@ def run_choice(
 ) -> list[ChoiceRecord]:
     """Two runs per pair with the presentation order swapped."""
     mode = mode or getattr(model, "default_mode", "zero_shot")
-    pairs = pair_by_id(originals, mutants)
-    out = Transcript(out_path)  # see run_prediction
-    results: list[ChoiceRecord] = list(resume or [])
-    done = set()
+
+    def task(original: Problem, mutant: Problem, is_bool: bool, run_index: int, order: str):
+        truth = {"original": parse_literal(original.output),
+                 "mutated": parse_literal(mutant.output)}
+        a_is_original = order == "original_first"
+
+        def read(text: str) -> tuple:
+            extraction = extract_choice(text)
+            if extraction.letter is None:
+                return None, None, "unparsed"
+            chosen, other = (("original", "mutated")
+                             if (extraction.letter == "A") == a_is_original
+                             else ("mutated", "original"))
+            literal = extraction.literal
+            return (chosen, literal.text if literal else None,
+                    judge(literal, truth[chosen], truth[other]))
+
+        def record(index: int, text: str, fields: tuple, error: str | None):
+            return ChoiceRecord(original.id, run_index, order, text, *fields, original.loc,
+                                is_bool, error)
+        return build_choice_prompt(original, mutant, order, mode), read, record
+
+    def tasks(pairs):
+        for original, mutant in pairs:
+            is_bool = _pair_is_boolean(original, mutant)
+            for run_index, order in ((1, "original_first"), (2, "mutated_first")):
+                yield (original.id, run_index), 1, (original, mutant, is_bool, run_index, order)
+
+    return _run(tasks(pair_by_id(originals, mutants)), task,
+                lambda r: (r.problem_id, r.run_index), model, out_path, resume)
+
+
+def _run(tasks, task, key, model, out_path: str | None, resume: list | None) -> list:
+    """Run the tasks of one experiment and return ``resume``'s records and
+    the new ones.  ``tasks`` yields, in task order, each task's resume key
+    (what ``key`` gives each of its records), the samples it wants and its
+    arguments; ``task(*arguments)`` gives the task's prompt, a function of a
+    response text to the record fields read from it, and a function of
+    ``(index, text, fields, error)`` to the record.  Only samples that
+    ``resume`` does not hold are requested; a failed request gives records
+    with its ``error`` and empty responses."""
+    # the directory is made before the first request, so no answer is paid
+    # for and then lost to a missing directory
+    out = Transcript(out_path)
+    results = list(resume or [])
+    held: dict = {}
     for record in results:
-        done.add((record.problem_id, record.run_index))
+        record_key = key(record)
+        held[record_key] = held.get(record_key, 0) + 1
 
-    skip = getattr(model, "skip", None)  # see run_prediction
-    tasks = []
-    for original, mutant in pairs:
-        for run_index, order in ((1, "original_first"), (2, "mutated_first")):
-            if (original.id, run_index) not in done:
-                tasks.append((original, mutant, run_index, order))
-            elif skip is not None:
-                skip(build_choice_prompt(original, mutant, order, mode), 1)
+    # a replay answers each prompt from its recorded responses in order, so
+    # it first passes over those of the samples already held
+    skip = getattr(model, "skip", None)
+    todo = []
+    for task_key, n, arguments in tasks:
+        have = held.get(task_key, 0)
+        if have and skip is not None:
+            skip(task(*arguments)[0], have)
+        if have < n:
+            todo.append((have, n - have, arguments))
 
-    def run_task(task) -> tuple[list[ChoiceRecord], list[str]]:
-        original, mutant, run_index, order = task
-        is_bool = _pair_is_boolean(original, mutant)
-        prompt = build_choice_prompt(original, mutant, order, mode)
+    def run_task(item) -> tuple[list, list[str]]:
+        start, count, arguments = item
+        prompt, read, record = task(*arguments)
         error = None
         try:
-            resp = model.complete(prompt, 1)[0]
-            text = resp.text
+            texts = [resp.text for resp in model.complete(prompt, count)]
         except TransportError as exc:
-            text, error = "", str(exc)
-        extraction = extract_choice(text)
-        if extraction.letter is None:
-            chosen = None
-            judgment = "unparsed"
-            extracted = None
-        else:
-            a_is_original = order == "original_first"
-            chosen = (
-                "original" if (extraction.letter == "A") == a_is_original else "mutated"
-            )
-            own, other = (
-                (original, mutant) if chosen == "original" else (mutant, original)
-            )
-            judgment = judge(extraction.literal, parse_literal(own.output),
-                             parse_literal(other.output))
-            extracted = extraction.literal.text if extraction.literal else None
-        record = ChoiceRecord(
-            problem_id=original.id,
-            run_index=run_index,
-            order=order,
-            response=text,
-            chosen=chosen,
-            extracted=extracted,
-            judgment=judgment,
-            loc=original.loc,
-            output_is_bool=is_bool,
-            error=error,
-        )
-        return [record], [encode_json(record.to_json()) + "\n"]
+            texts, error = [""] * count, str(exc)
+        # a text that repeats among the samples, as a mock's or a replay's
+        # does, is read and encoded once: its line is split_json's text
+        # around the sample_index, joined by each record's index (an int,
+        # whose JSON text is its str); a choice record has no sample_index,
+        # and its line is one part
+        readings: dict[str, tuple[tuple, list[str]]] = {}
+        records, lines = [], []
+        for index, text in enumerate(texts, start):
+            fields, parts = readings.get(text) or (read(text), None)
+            records.append(record(index, text, fields, error))
+            if parts is None:
+                parts = split_json(records[-1].to_json(), "sample_index")
+                parts[-1] += "\n"
+                readings[text] = fields, parts
+            lines.append(str(index).join(parts))
+        return records, lines
 
-    _dispatch(tasks, run_task, getattr(model, "parallelism", 1), results, out)
+    _dispatch(todo, run_task, getattr(model, "parallelism", 1), results, out)
     return results
 
 

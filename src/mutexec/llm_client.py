@@ -219,15 +219,13 @@ class HttpModel:
 # ---------------------------------------------------------------------------
 # Mocks
 
-# Wire-format markers of the two prompt families (see harness templates).
-_PYTHON_BLOCK_RE = re.compile(
-    r"\[PYTHON\]\n(.*?)\nassert (\w+)\((.*?)\) == \?\?\n\[/PYTHON\]", re.DOTALL
-)
-_PROGRAM_A_RE = re.compile(r"\[PROGRAM_A\]\n(.*?)\n\[/PROGRAM_A\]", re.DOTALL)
-_PROGRAM_B_RE = re.compile(r"\[PROGRAM_B\]\n(.*?)\n\[/PROGRAM_B\]", re.DOTALL)
-_ASSERTION_RE = re.compile(
-    r"\[ASSERTION\]\nassert (\w+)\((.*?)\) == \?\?\n\[/ASSERTION\]", re.DOTALL
-)
+# Wire-format markers of the two prompt families (see harness templates),
+# matched with re.DOTALL; re compiles each on its first use, so a command
+# that never asks a deterministic mock does not pay for them.
+_PYTHON_BLOCK_RE = r"\[PYTHON\]\n(.*?)\nassert (\w+)\((.*?)\) == \?\?\n\[/PYTHON\]"
+_PROGRAM_A_RE = r"\[PROGRAM_A\]\n(.*?)\n\[/PROGRAM_A\]"
+_PROGRAM_B_RE = r"\[PROGRAM_B\]\n(.*?)\n\[/PROGRAM_B\]"
+_ASSERTION_RE = r"\[ASSERTION\]\nassert (\w+)\((.*?)\) == \?\?\n\[/ASSERTION\]"
 
 
 class _PairEntry:
@@ -274,10 +272,10 @@ class MockModel:
             raise KeyError(f"mock has no ground truth for this prompt: {source!r}")
 
     @staticmethod
-    def _last(pattern: re.Pattern, prompt: str):
+    def _last(pattern: str, prompt: str):
         """The last match of ``pattern`` in ``prompt``; a prompt without one
         is not one the mock can answer."""
-        found = pattern.findall(prompt)
+        found = re.findall(pattern, prompt, re.DOTALL)
         if not found:
             raise KeyError(f"mock has no ground truth for this prompt: {prompt[:60]!r}")
         return found[-1]

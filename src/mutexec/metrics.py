@@ -208,34 +208,24 @@ def render_report(
     choice: ChoiceMetrics | None = None,
 ) -> str:
     """Aligned plain-text table for one (dataset, model) run."""
-    lines = [f"== {label} =="]
+    sections = []
     if prediction is not None:
-        lines.append("Execution Prediction")
-        lines.append("  metric   value   denominator")
-        for name, value in prediction.as_row().items():
-            lines.append(
-                f"  {name:<6} {_fmt(value):>7}   {prediction.denominators.get(name, 0)}"
-            )
-        lines.append(
+        sections.append(("Execution Prediction", prediction, [
             f"  (boolean-output problems excluded from reversion: "
-            f"{prediction.denominators.get('boolean_excluded', 0)})"
-        )
-        for variant in ("original", "mutated"):
-            lines.append(
-                f"  {variant}: other {_fmt(prediction.other_rate[variant])}%, "
-                f"unparsed {_fmt(prediction.unparsed_rate[variant])}%"
-            )
+            f"{prediction.denominators.get('boolean_excluded', 0)})",
+            *(f"  {variant}: other {_fmt(prediction.other_rate[variant])}%, "
+              f"unparsed {_fmt(prediction.unparsed_rate[variant])}%"
+              for variant in ("original", "mutated"))]))
     if choice is not None:
-        lines.append("Execution Choice")
-        lines.append("  metric   value   denominator")
-        for name, value in choice.as_row().items():
-            lines.append(
-                f"  {name:<6} {_fmt(value):>7}   {choice.denominators.get(name, 0)}"
-            )
-        lines.append(
+        sections.append(("Execution Choice", choice, [
             f"  (runs with unreadable choice excluded from Pref: "
-            f"{choice.denominators.get('unreadable_choice', 0)})"
-        )
+            f"{choice.denominators.get('unreadable_choice', 0)})"]))
+    lines = [f"== {label} =="]
+    for title, metrics, notes in sections:
+        lines += [title, "  metric   value   denominator"]
+        lines += [f"  {name:<6} {_fmt(value):>7}   {metrics.denominators.get(name, 0)}"
+                  for name, value in metrics.as_row().items()]
+        lines += notes
     return "\n".join(lines) + "\n"
 
 
@@ -244,13 +234,9 @@ def metrics_csv(label: str, prediction: PredictionMetrics | None,
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["label", "experiment", "metric", "value", "denominator"])
-    if prediction is not None:
-        for name, value in prediction.as_row().items():
-            writer.writerow(["%s" % label, "prediction", name, f"{value:.1f}",
-                             prediction.denominators.get(name, 0)])
-    if choice is not None:
-        for name, value in choice.as_row().items():
-            writer.writerow(["%s" % label, "choice", name, f"{value:.1f}",
-                             choice.denominators.get(name, 0)])
+    for experiment, metrics in (("prediction", prediction), ("choice", choice)):
+        if metrics is not None:
+            for name, value in metrics.as_row().items():
+                writer.writerow([label, experiment, name, f"{value:.1f}",
+                                 metrics.denominators.get(name, 0)])
     return buf.getvalue()
-

@@ -476,27 +476,53 @@ class TestRuns:
         ]
         assert [r.response for r in records] == [t for texts in script.values() for t in texts]
 
-    def test_record_lines_are_encode_json_of_each_record(self, tmp_path):
+    @pytest.mark.parametrize("experiment", ["prediction", "choice"])
+    def test_record_lines_are_encode_json_of_each_record(self, tmp_path, experiment):
         """Every record line is ``encode_json`` of its record, byte for byte,
-        for repeated and distinct texts, a failed call, and a task resumed at
-        a sample_index above 0."""
+        for readable and unreadable answers, repeated and distinct texts, a
+        text with a quote, a U+2028 and non-ASCII characters, a failed call,
+        and a resumed run (a prediction task resumes at a sample_index above
+        0).  A prediction task asks for its samples in one call; a choice
+        task asks for one, so there the samples are spread over pairs that
+        share the prompts."""
         original, mutant = make_pair()
-        answer = "[ANSWER]assert f([4, 1, 3]) == {}[/ANSWER]".format
-        texts = [answer("[1, 3]"), answer("[4, 1]"), 'no "answer"\u2028é', answer("[1, 3]"),
-                 "", answer("'a\\\\b'"), answer("[4, 1]")]
-        script = {build_prediction_prompt(original): texts * 2,
-                  # the mutant's call runs out at its sixth sample
-                  build_prediction_prompt(mutant): texts[:5]}
+        if experiment == "prediction":
+            prompts = [build_prediction_prompt(original), build_prediction_prompt(mutant)]
+            answer = lambda literal, letter: f"[ANSWER]assert f([4, 1, 3]) == {literal}[/ANSWER]"
+            load = load_prediction_records
+        else:
+            prompts = [build_choice_prompt(original, mutant, order)
+                       for order in ("original_first", "mutated_first")]
+            answer = lambda literal, letter: "é\u2028" + json.dumps(
+                {"chosen_program": letter, "assertion": f"assert f([4, 1, 3]) == {literal}"})
+            load = load_choice_records
+        texts = [answer("[1, 3]", "A"), answer("[4, 1]", "B"), 'no "answer"\u2028é',
+                 answer("[1, 3]", "A"), "", answer("'a\\\\b'", "B"), answer("[4, 1]", "A")]
+        # the second prompt's replay runs out at its sixth sample
+        script = {prompts[0]: texts * 2, prompts[1]: texts[:5]}
+
+        def run(size, out, resume=None):
+            model = mock_model("scripted", script=script)
+            if experiment == "prediction":
+                return run_prediction([original], [mutant], model, n=size, out_path=str(out),
+                                      resume=resume)
+            ids = [f"p{i}" for i in range(size)]
+            return run_choice([Problem(**{**vars(original), "id": i}) for i in ids],
+                              [Problem(**{**vars(mutant), "id": i}) for i in ids], model,
+                              out_path=str(out), resume=resume)
+
         out = tmp_path / "records.jsonl"
-        records = run_prediction([original], [mutant], mock_model("scripted", script=script),
-                                 n=7, out_path=str(out))
-        assert sum(r.error is not None for r in records) == 7
-        held = load_prediction_records(str(out))[:3]
+        records = run(7, out)
+        assert sum(r.error is not None for r in records) == {"prediction": 7, "choice": 2}[
+            experiment]
+        assert {"correct", "unparsed"} <= {r.judgment for r in records if r.error is None}
+        held = load(str(out))[:3]
         resumed_out = tmp_path / "resumed.jsonl"
-        resumed = run_prediction([original], [mutant], mock_model("scripted", script=script),
-                                 n=9, out_path=str(resumed_out), resume=held)
-        assert {r.sample_index for r in resumed[3:] if r.variant == "original"} == set(
-            range(3, 9))
+        resumed = run(9, resumed_out, resume=held)
+        assert len(resumed) == 18
+        if experiment == "prediction":
+            assert {r.sample_index for r in resumed[3:] if r.variant == "original"} == set(
+                range(3, 9))
         for path, written in ((out, records), (resumed_out, resumed[3:])):
             assert path.read_text(encoding="utf-8") == "".join(
                 encode_json(r.to_json()) + "\n" for r in written)

@@ -1,12 +1,13 @@
-"""The small corpus and its mutate step give the same bytes under every
-supported Python, 3.10 to 3.13.
+"""The small corpus, its mutate step and the mock model runs and report on
+its pairs give the same bytes under every supported Python, 3.10 to 3.13.
 
 Interpreters are looked for at fixed places: ``~/.pyenv/versions/3.1[0-3].*``
 and ``python3.10`` to ``python3.13`` in each directory on ``PATH``.  The first
 one found of each minor version is checked, except the running one's; a
 candidate that does not start (a pyenv shim for a version not selected) is
-passed over.  Each interpreter runs the two commands from the source tree,
-without pytest.
+passed over.  Each interpreter runs the commands from the source tree,
+without pytest.  Transcripts and manifests are not compared: they hold
+wall-clock times.
 """
 
 import glob
@@ -26,7 +27,15 @@ VERSIONS = ("3.10", "3.11", "3.12", "3.13")
 BUILD = ["build-dsl-list", "--seed", "11", "--programs-per-combo", "120", "--per-bin", "2",
          "--out", "dsl.jsonl"]
 MUTATE = ["mutate", "--seed", "5", "--executor", "builtin", "--in", "dsl.jsonl", "--out", "out"]
-OUTPUTS = ("originals.jsonl", "mutants.jsonl")
+PAIRS = ["--orig", "out/originals.jsonl", "--mut", "out/mutants.jsonl"]
+EVALUATE = [
+    ["run-pred", *PAIRS, "--model", "mock:ground-truth-given", "--n", "3", "--out", "pred.jsonl"],
+    ["run-choice", *PAIRS, "--model", "mock:ground-truth-original", "--out", "choice.jsonl"],
+    ["report", "--pred", "pred.jsonl", "--choice", "choice.jsonl", "--out", "report.txt",
+     "--csv", "metrics.csv"],
+]
+OUTPUTS = ("out/originals.jsonl", "out/mutants.jsonl", "pred.jsonl", "choice.jsonl",
+           "report.txt", "metrics.csv")
 _PROBE = "import platform; print(platform.python_version())"
 
 
@@ -50,7 +59,7 @@ def other_interpreters() -> list[tuple[str, str]]:
     return [found[minor] for minor in sorted(found) if found[minor] is not None]
 
 
-def test_same_bytes_on_every_interpreter(tmp_path):
+def test_same_bytes_on_every_interpreter(tmp_path, monkeypatch):
     interpreters = other_interpreters()
     if not interpreters:
         pytest.skip("no Python 3.10-3.13 other than the running one was found")
@@ -60,7 +69,7 @@ def test_same_bytes_on_every_interpreter(tmp_path):
     for version, path in interpreters:
         work = tmp_path / version
         work.mkdir()
-        for command in (BUILD, MUTATE):
+        for command in (BUILD, MUTATE, *EVALUATE):
             done = subprocess.run([path, "-m", "mutexec.cli", *command], cwd=work, env=env,
                                   capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, (path, command[0], done.stderr)
@@ -68,11 +77,14 @@ def test_same_bytes_on_every_interpreter(tmp_path):
         assert digest == SMALL_CORPUS_SHA256, (version, path)
         works.append(work)
 
-    # this interpreter's mutate step, on the corpus they all built
+    # this interpreter's commands after the build, on the corpus they all built
     here = tmp_path / "here"
-    assert dispatch(["mutate", "--seed", "5", "--executor", "builtin",
-                     "--in", str(works[0] / "dsl.jsonl"), "--out", str(here)]) == 0
+    here.mkdir()
+    (here / "dsl.jsonl").write_bytes((works[0] / "dsl.jsonl").read_bytes())
+    monkeypatch.chdir(here)
+    for command in (MUTATE, *EVALUATE):
+        assert dispatch(command) == 0, command[0]
     for (version, path), work in zip(interpreters, works):
         for name in OUTPUTS:
-            assert (work / "out" / name).read_bytes() == (here / name).read_bytes(), (
+            assert (work / name).read_bytes() == (here / name).read_bytes(), (
                 version, path, name)
