@@ -50,6 +50,16 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
+def _flag(text: str) -> bool:
+    """A config file's boolean: ``1/true/yes`` or ``0/false/no``, any case."""
+    word = text.lower()
+    if word in ("1", "true", "yes"):
+        return True
+    if word in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+
+
 class UsageError(ValueError):
     """Options that are each valid but do not go together; exits 2."""
 
@@ -116,7 +126,7 @@ def _apply_config_defaults(subparser: argparse.ArgumentParser, argv: list[str]) 
             if action.type is not None:
                 value = action.type(raw)
             elif isinstance(action.default, bool):
-                value = raw.lower() in ("1", "true", "yes")
+                value = _flag(raw)
             else:
                 value = raw
         except (ValueError, argparse.ArgumentTypeError) as exc:

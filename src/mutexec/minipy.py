@@ -12,11 +12,14 @@ subscript targets), and ``return``.  Everything else is a syntax error.
 Source is lexed by one compiled regular expression plus a line loop into
 plain ``(kind, string, line, start)`` tuples, the same stream the standard
 library's ``tokenize`` gives without its COMMENT and NL tokens, and parsed by
-recursive descent with precedence climbing for the binary operators.  The
-same scanner finds the mutation sites of ``mutate``, which splices a mutant
-at a token's ``start`` offset.  A ParseError carries the 1-based line of the
-offending token; at the end of the text inside brackets it names the line of
-the innermost open bracket.
+recursive descent with precedence climbing for the operators.  The parser
+accepts only Python: it reads commas in a bracketed list and keywords as
+CPython does, and refuses a repeated parameter name.  The same scanner
+finds the mutation sites of ``mutate``, which splices a mutant at a token's
+``start`` offset.  A ParseError carries the 1-based line of the offending
+token; at the end of the text inside brackets it names the line of the
+innermost open bracket.  A statement node carries its line; an expression
+node carries none.
 
 Execution is deterministic big-step interpretation, and a node's class is
 its dispatch: an expression's ``eval(it)`` returns its value and a
@@ -37,6 +40,8 @@ from __future__ import annotations
 
 import operator
 import re
+from keyword import iskeyword
+from typing import Callable
 
 from .values import INT_MAX, INT_MIN, Value, copy_value
 
@@ -69,17 +74,13 @@ class _Node:
 
 
 class Expr(_Node):
-    __slots__ = ("line",)
-
-    def __init__(self, line: int):
-        self.line = line
+    __slots__ = ()
 
 
 class Num(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, line: int, value: int):
-        self.line = line
+    def __init__(self, value: int):
         self.value = value
 
     def eval(self, it: _Interp) -> Value:
@@ -89,8 +90,7 @@ class Num(Expr):
 class BoolLit(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, line: int, value: bool):
-        self.line = line
+    def __init__(self, value: bool):
         self.value = value
 
     def eval(self, it: _Interp) -> Value:
@@ -100,8 +100,7 @@ class BoolLit(Expr):
 class Name(Expr):
     __slots__ = ("id",)
 
-    def __init__(self, line: int, id: str):
-        self.line = line
+    def __init__(self, id: str):
         self.id = id
 
     def eval(self, it: _Interp) -> Value:
@@ -113,8 +112,7 @@ class Name(Expr):
 class ListDisplay(Expr):
     __slots__ = ("elems",)
 
-    def __init__(self, line: int, elems: list[Expr]):
-        self.line = line
+    def __init__(self, elems: list[Expr]):
         self.elems = elems
 
     def eval(self, it: _Interp) -> Value:
@@ -124,8 +122,7 @@ class ListDisplay(Expr):
 class BinOp(Expr):
     __slots__ = ("op", "left", "right")
 
-    def __init__(self, line: int, op: str, left: Expr, right: Expr):
-        self.line = line
+    def __init__(self, op: str, left: Expr, right: Expr):
         self.op = op
         self.left = left
         self.right = right
@@ -149,8 +146,7 @@ class BinOp(Expr):
 class Compare(Expr):
     __slots__ = ("op", "left", "right")
 
-    def __init__(self, line: int, op: str, left: Expr, right: Expr):
-        self.line = line
+    def __init__(self, op: str, left: Expr, right: Expr):
         self.op = op
         self.left = left
         self.right = right
@@ -167,8 +163,7 @@ class Compare(Expr):
 class BoolOp(Expr):
     __slots__ = ("op", "left", "right")  # op: "and" | "or"
 
-    def __init__(self, line: int, op: str, left: Expr, right: Expr):
-        self.line = line
+    def __init__(self, op: str, left: Expr, right: Expr):
         self.op = op
         self.left = left
         self.right = right
@@ -183,8 +178,7 @@ class BoolOp(Expr):
 class NotOp(Expr):
     __slots__ = ("operand",)
 
-    def __init__(self, line: int, operand: Expr):
-        self.line = line
+    def __init__(self, operand: Expr):
         self.operand = operand
 
     def eval(self, it: _Interp) -> Value:
@@ -194,8 +188,7 @@ class NotOp(Expr):
 class Neg(Expr):
     __slots__ = ("operand",)
 
-    def __init__(self, line: int, operand: Expr):
-        self.line = line
+    def __init__(self, operand: Expr):
         self.operand = operand
 
     def eval(self, it: _Interp) -> Value:
@@ -208,8 +201,7 @@ class Neg(Expr):
 class Subscript(Expr):
     __slots__ = ("obj", "index")
 
-    def __init__(self, line: int, obj: Expr, index: Expr):
-        self.line = line
+    def __init__(self, obj: Expr, index: Expr):
         self.obj = obj
         self.index = index
 
@@ -221,8 +213,7 @@ class Subscript(Expr):
 class LenCall(Expr):
     __slots__ = ("arg",)
 
-    def __init__(self, line: int, arg: Expr):
-        self.line = line
+    def __init__(self, arg: Expr):
         self.arg = arg
 
     def eval(self, it: _Interp) -> Value:
@@ -235,8 +226,7 @@ class LenCall(Expr):
 class MethodCall(Expr):
     __slots__ = ("obj", "method", "args")  # method: append | extend | pop
 
-    def __init__(self, line: int, obj: Expr, method: str, args: list[Expr]):
-        self.line = line
+    def __init__(self, obj: Expr, method: str, args: list[Expr]):
         self.obj = obj
         self.method = method
         self.args = args
@@ -670,9 +660,11 @@ def _scan(source: str) -> list[Token]:
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
 _METHODS = ("append", "extend", "pop")
+_CLOSERS_OF = {"(": ")", "[": "]"}
 # Binding power of each binary operator; ``not`` binds at 3, between ``and``
-# and the comparisons.  A token's string alone identifies these: no other
-# kind of token can read "or", "<" or "+".
+# and the comparisons, and unary ``-`` at 7, above them all.  A token's
+# string alone identifies these: no other kind of token can read "or", "<"
+# or "+".
 _BINARY = {
     "or": 1, "and": 2,
     "<": 4, "<=": 4, ">": 4, ">=": 4, "==": 4, "!=": 4,
@@ -681,31 +673,22 @@ _BINARY = {
 }
 _NOT = 3
 _COMPARE = 4
-_STATEMENT_ONLY = frozenset((
-    "import", "from", "class", "lambda", "pass", "del", "try", "with",
-    "global", "nonlocal", "assert", "yield", "raise", "elif", "else",
-))
-_NOT_AN_EXPRESSION = frozenset((
-    "None", "and", "or", "not", "in", "is", "if", "else", "for", "while",
-    "def", "return", "lambda",
-))
+_NEG = 7
 
 
 class _Parser:
     """Recursive descent over the token tuples, with precedence climbing for
-    binary operators.  Operators and keywords are matched on the token's
-    string, which the lexer makes unique to its kind."""
+    the operators.  Operators and keywords are matched on the token's
+    string, which the lexer makes unique to its kind.  A name is a NAME
+    token that is not a keyword of the running Python, and a bracketed list
+    is read as CPython reads one: a comma between two items and an optional
+    one after the last."""
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
 
     # -- token helpers
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
     def at(self, string: str) -> bool:
         return self.tokens[self.pos][1] == string
@@ -726,6 +709,36 @@ class _Parser:
 
     def error(self, message: str) -> ParseError:
         return ParseError(self.tokens[self.pos][2], message)
+
+    def name(self) -> str:
+        kind, word, line, _ = self.tokens[self.pos]
+        if kind != NAME or iskeyword(word):
+            raise ParseError(line, f"expected a name, got {word!r}")
+        self.pos += 1
+        return word
+
+    def items(self, opener: str, item: Callable) -> list:
+        """The ``item``s between ``opener`` and its closer."""
+        tokens = self.tokens
+        self.expect(opener)
+        closer = _CLOSERS_OF[opener]
+        out = []
+        while tokens[self.pos][1] != closer:
+            out.append(item())
+            if tokens[self.pos][1] != ",":
+                break
+            self.pos += 1
+        self.expect(closer)
+        return out
+
+    def expressions(self) -> list[Expr]:
+        """Expressions between commas, outside brackets."""
+        tokens = self.tokens
+        out = [self.expression()]
+        while tokens[self.pos][1] == ",":
+            self.pos += 1
+            out.append(self.expression())
+        return out
 
     # -- grammar
 
@@ -763,20 +776,14 @@ class _Parser:
             self.pos += 1
             self.expect_kind(NEWLINE)
             return Break(line) if word == "break" else Continue(line)
-        if word in _STATEMENT_ONLY:
-            raise self.error(f"{word!r} is outside the mini-language")
         return self.simple_stmt()
 
     def funcdef(self) -> FunctionDef:
         line = self.expect("def")[2]
-        name = self.expect_kind(NAME)[1]
-        self.expect("(")
-        params = []
-        while not self.at(")"):
-            params.append(self.expect_kind(NAME)[1])
-            if self.at(","):
-                self.pos += 1
-        self.pos += 1
+        name = self.name()
+        params = self.items("(", self.name)
+        if len(set(params)) < len(params):
+            raise ParseError(line, "duplicate parameter name")
         return FunctionDef(line, name, params, self.block())
 
     def block(self) -> list[Stmt]:
@@ -805,45 +812,33 @@ class _Parser:
 
     def for_stmt(self) -> ForRange:
         line = self.expect("for")[2]
-        var = self.expect_kind(NAME)[1]
+        var = self.name()
         self.expect("in")
         self.expect("range")
-        self.expect("(")
-        args = [self.expression()]
-        while self.at(","):
-            self.pos += 1
-            args.append(self.expression())
-        if len(args) > 3:
-            raise self.error("range takes at most 3 arguments")
-        self.expect(")")
+        args = self.items("(", self.expression)
+        if not 1 <= len(args) <= 3:
+            raise self.error("range takes 1 to 3 arguments")
         return ForRange(line, var, args, self.block())
 
     def simple_stmt(self) -> Stmt:
         line = self.tokens[self.pos][2]
-        first = self.expression()
-        if self.at(",") or self.at("="):
-            targets = [first]
-            while self.at(","):
-                self.pos += 1
-                targets.append(self.expression())
-            self.expect("=")
-            values = [self.expression()]
-            while self.at(","):
-                self.pos += 1
-                values.append(self.expression())
+        targets = self.expressions()
+        if len(targets) == 1 and self.tokens[self.pos][1] != "=":
             self.expect_kind(NEWLINE)
-            if len(targets) == 1:
-                target = targets[0]
-                if not isinstance(target, (Name, Subscript)):
-                    raise ParseError(line, "invalid assignment target")
-                return Assign(line, target, values[0])
-            if len(targets) != len(values):
-                raise ParseError(line, "unbalanced tuple assignment")
-            if not all(isinstance(t, Name) for t in targets):
-                raise ParseError(line, "tuple assignment targets must be names")
-            return TupleAssign(line, targets, values)  # type: ignore[arg-type]
+            return ExprStmt(line, targets[0])
+        self.expect("=")
+        values = self.expressions()
         self.expect_kind(NEWLINE)
-        return ExprStmt(line, first)
+        if len(targets) == 1:
+            target = targets[0]
+            if not isinstance(target, (Name, Subscript)):
+                raise ParseError(line, "invalid assignment target")
+            return Assign(line, target, values[0])
+        if len(targets) != len(values):
+            raise ParseError(line, "unbalanced tuple assignment")
+        if not all(isinstance(t, Name) for t in targets):
+            raise ParseError(line, "tuple assignment targets must be names")
+        return TupleAssign(line, targets, values)  # type: ignore[arg-type]
 
     # -- expressions
 
@@ -851,61 +846,33 @@ class _Parser:
         """An expression whose binary operators bind at least as tightly as
         ``floor``; operators of one binding power group to the left."""
         tokens = self.tokens
-        _, string, line, _ = tokens[self.pos]
+        string = tokens[self.pos][1]
         if string == "not" and floor <= _NOT:
             self.pos += 1
-            node = NotOp(line, self.expression(_NOT))
+            node = NotOp(self.expression(_NOT))
+        elif string == "-":
+            self.pos += 1
+            if tokens[self.pos][0] == NUMBER:
+                self.pos += 1
+                node = self.number(tokens[self.pos - 1], negate=True)
+            else:
+                node = Neg(self.expression(_NEG))
         else:
-            node = self.unary()
+            node = self.primary()
         while True:
-            _, string, line, _ = tokens[self.pos]
+            string = tokens[self.pos][1]
             power = _BINARY.get(string)
             if power is None or power < floor:
                 return node
             self.pos += 1
             if power == _COMPARE:
-                node = Compare(line, string, node, self.expression(_COMPARE + 1))
+                node = Compare(string, node, self.expression(_COMPARE + 1))
                 if tokens[self.pos][1] in _CMP_OPS:
                     raise self.error("chained comparisons are not supported")
             elif power < _NOT:
-                node = BoolOp(line, string, node, self.expression(power + 1))
+                node = BoolOp(string, node, self.expression(power + 1))
             else:
-                node = BinOp(line, string, node, self.expression(power + 1))
-
-    def unary(self) -> Expr:
-        tok = self.tokens[self.pos]
-        if tok[1] == "-":
-            self.pos += 1
-            if self.tokens[self.pos][0] == NUMBER:
-                return self.number(self.next(), negate=True)
-            return Neg(tok[2], self.unary())
-        return self.postfix()
-
-    def postfix(self) -> Expr:
-        node = self.atom()
-        tokens = self.tokens
-        while True:
-            _, string, line, _ = tokens[self.pos]
-            if string == "[":
-                self.pos += 1
-                index = self.expression()
-                self.expect("]")
-                node = Subscript(line, node, index)
-            elif string == ".":
-                self.pos += 1
-                method = self.expect_kind(NAME)[1]
-                if method not in _METHODS:
-                    raise ParseError(line, f"unknown method {method!r}")
-                self.expect("(")
-                args = []
-                while not self.at(")"):
-                    args.append(self.expression())
-                    if self.at(","):
-                        self.pos += 1
-                self.pos += 1
-                node = MethodCall(line, node, method, args)
-            else:
-                return node
+                node = BinOp(string, node, self.expression(power + 1))
 
     def number(self, tok: Token, negate: bool = False) -> Num:
         _, text, line, _ = tok
@@ -913,49 +880,58 @@ class _Parser:
             value = int(text)
         except ValueError:
             raise ParseError(line, f"only integer literals are supported: {text}")
-        return Num(line, -value if negate else value)
+        return Num(-value if negate else value)
 
-    def atom(self) -> Expr:
-        tok = self.tokens[self.pos]
+    def primary(self) -> Expr:
+        """An atom and the subscripts and method calls after it."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
         kind, word, line, _ = tok
         if kind == NAME:
             if word == "True" or word == "False":
                 self.pos += 1
-                return BoolLit(line, word == "True")
-            if word == "len":
+                node = BoolLit(word == "True")
+            elif word == "len":
                 self.pos += 1
                 self.expect("(")
-                arg = self.expression()
+                node = LenCall(self.expression())
                 self.expect(")")
-                return LenCall(line, arg)
-            if word in _NOT_AN_EXPRESSION:
-                raise self.error(f"{word!r} cannot start an expression here")
+            else:
+                self.name()
+                if tokens[self.pos][1] == "(":
+                    raise ParseError(line, f"calls to {word!r} are outside the mini-language")
+                node = Name(word)
+        elif kind == NUMBER:
             self.pos += 1
-            if self.at("("):
-                raise ParseError(line, f"calls to {word!r} are outside the mini-language")
-            return Name(line, word)
-        if kind == NUMBER:
-            self.pos += 1
-            return self.number(tok)
-        if word == "(":
+            node = self.number(tok)
+        elif word == "(":
             self.pos += 1
             node = self.expression()
             self.expect(")")
-            return node
-        if word == "[":
-            self.pos += 1
-            elems = []
-            while not self.at("]"):
-                elems.append(self.expression())
-                if self.at(","):
-                    self.pos += 1
-            self.pos += 1
-            return ListDisplay(line, elems)
-        if kind == STRING:
+        elif word == "[":
+            node = ListDisplay(self.items("[", self.expression))
+        elif kind == STRING:
             raise self.error("string literals are outside the mini-language")
-        if kind == ERRORTOKEN:
+        elif kind == ERRORTOKEN:
             raise self.error(f"unexpected character {word!r}")
-        raise self.error(f"unexpected token {word!r}")
+        else:
+            raise self.error(f"unexpected token {word!r}")
+        while True:
+            string = tokens[self.pos][1]
+            if string == "[":
+                self.pos += 1
+                index = self.expression()
+                self.expect("]")
+                node = Subscript(node, index)
+            elif string == ".":
+                line = tokens[self.pos][2]
+                self.pos += 1
+                method = self.name()
+                if method not in _METHODS:
+                    raise ParseError(line, f"unknown method {method!r}")
+                node = MethodCall(node, method, self.items("(", self.expression))
+            else:
+                return node
 
 
 def parse(source: str) -> Module:
@@ -1103,7 +1079,7 @@ def interpret(
     if fn is None:
         return ExecResult("error", error_kind="NameError", error_line=0)
     if len(fn.params) != len(args):
-        return ExecResult("error", error_kind="TypeError", error_line=fn.line)
+        return ExecResult("error", error_kind="TypeError", error_line=0)
 
     interp = _Interp(limits or _DEFAULT_LIMITS, dict(zip(fn.params, copy_value(list(args)))))
     try:

@@ -65,11 +65,15 @@ def _execute(request: dict, codes: dict) -> dict:
                 codes.clear()
             codes[source] = code
         exec(code, namespace)
-        fn = namespace[function_name]
     except Exception as exc:
         return {"status": "error",
                 "error": {"kind": type(exc).__name__, "line": _err_line(exc),
                           "message": str(exc)}}
+    if function_name not in namespace:  # the call never starts, as in minipy
+        return {"status": "error", "covered_lines": [], "steps": 0,
+                "error": {"kind": "NameError", "line": 0,
+                          "message": f"name {function_name!r} is not defined"}}
+    fn = namespace[function_name]
 
     sys.settrace(tracer)
     try:

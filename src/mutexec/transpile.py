@@ -18,8 +18,8 @@ The translation works on the term graph in reverse topological order
   outermost list with all of them (``v1[i][j]``).
 * The final line returns the root node's expression.
 
-The walk builds the ``minipy`` AST directly, each node carrying the line of
-its statement, and the source text is rendered from that AST.  The AST is
+The walk builds the ``minipy`` AST directly, each statement carrying its
+line, and the source text is rendered from that AST.  The AST is
 the one ``minipy.parse`` gives for the text (``repr`` equal), so the ground
 truth interpreted from it is the ground truth of the stored source, with no
 parse.  One shape needs care: the text does not parenthesize a connective's
@@ -81,13 +81,13 @@ _METHODS = {"append": "append", "extend": "extend", "init": "pop", "tail": "pop"
 _IN_PLACE = frozenset(_METHODS) | {"map"}
 
 
-def _bool_op(line: int, op: str, left: Expr, right: Expr) -> BoolOp:
+def _bool_op(op: str, left: Expr, right: Expr) -> BoolOp:
     """``left op right`` as the parser reads its text: an operand that is the
     same connective is not parenthesized, so the parser groups the right
     operand's operands onto the left."""
     if type(right) is BoolOp and right.op == op:
-        return BoolOp(line, op, _bool_op(line, op, left, right.left), right.right)
-    return BoolOp(line, op, left, right)
+        return BoolOp(op, _bool_op(op, left, right.left), right.right)
+    return BoolOp(op, left, right)
 
 
 class _Translator:
@@ -111,35 +111,34 @@ class _Translator:
 
     # -- expressions
 
-    def value(self, node: Term, line: int) -> Expr:
-        """The expression of full ``node`` on line ``line``."""
+    def value(self, node: Term) -> Expr:
+        """The expression of full ``node``."""
         head = node.head
         c = node.children
         if head == "lit":
-            return Num(line, node.value)
+            return Num(node.value)
         if head == "param":
             if node.value:
-                return Name(line, f"a{node.value}")
-            place = self.value(self.seq, line)  # the element: v1[i][j]
+                return Name(f"a{node.value}")
+            place = self.value(self.seq)  # the element: v1[i][j]
             for var in self.loop_vars:
-                place = Subscript(line, place, Name(line, var))
+                place = Subscript(place, Name(var))
             return place
         if head == "empty" or head == "if":
-            return Name(line, self.vnames[id(node)])
+            return Name(self.vnames[id(node)])
         if head == "index":
-            return Subscript(line, self.value(c[1], line), self.value(c[0], line))
+            return Subscript(self.value(c[1]), self.value(c[0]))
         if head == "length":
-            return LenCall(line, self.value(c[0], line))
+            return LenCall(self.value(c[0]))
         if head in COMPARISONS:
-            return Compare(line, head, self.value(c[0], line), self.value(c[1], line))
+            return Compare(head, self.value(c[0]), self.value(c[1]))
         if head in _CONNECTIVES:
-            return _bool_op(line, _CONNECTIVES[head], self.value(c[0], line),
-                            self.value(c[1], line))
+            return _bool_op(_CONNECTIVES[head], self.value(c[0]), self.value(c[1]))
         if head == "!":
-            return NotOp(line, self.value(c[0], line))
+            return NotOp(self.value(c[0]))
         if head == "init" or head == "tail":
-            return self.value(c[0], line)
-        return self.value(c[1], line)  # append, extend, map: the list operand
+            return self.value(c[0])
+        return self.value(c[1])  # append, extend, map: the list operand
 
     # -- statements
 
@@ -154,24 +153,20 @@ class _Translator:
             if head == "init":
                 args = []
             elif head == "tail":
-                args = [Num(line, 0)]
+                args = [Num(0)]
             else:
-                args = [self.value(node.children[0], line)]
-            body.append(ExprStmt(line, MethodCall(line, self.value(node, line),
-                                                  _METHODS[head], args)))
+                args = [self.value(node.children[0])]
+            body.append(ExprStmt(line, MethodCall(self.value(node), _METHODS[head], args)))
 
     def branch(self, node: Term, body: list[Stmt]) -> None:
         """``if``: the conditional assignment of its variable."""
         c = node.children
         v = self.vnames[id(node)]
         line = self.next_line()
-        cond = self.value(c[0], line)
-        then = self.next_line()
-        then_body = [Assign(then, Name(then, v), self.value(c[1], then))]
+        then_body = [Assign(self.next_line(), Name(v), self.value(c[1]))]
         self.next_line()  # else:
-        other = self.next_line()
-        orelse = [Assign(other, Name(other, v), self.value(c[2], other))]
-        body.append(If(line, cond, then_body, orelse))
+        orelse = [Assign(self.next_line(), Name(v), self.value(c[2]))]
+        body.append(If(line, self.value(c[0]), then_body, orelse))
 
     def loop(self, node: Term, body: list[Stmt]) -> None:
         """``map``: a loop over its list whose body applies the function,
@@ -183,8 +178,7 @@ class _Translator:
             raise UntranslatableNode("map nesting too deep")
         line = self.next_line()
         loop_body: list[Stmt] = []
-        body.append(ForRange(line, _LOOP_VARS[depth], [LenCall(line, self.value(seq, line))],
-                             loop_body))
+        body.append(ForRange(line, _LOOP_VARS[depth], [LenCall(self.value(seq))], loop_body))
         if not depth:
             self.seq = seq
         self.loop_vars += _LOOP_VARS[depth]
@@ -192,8 +186,7 @@ class _Translator:
         if full.head in STATEMENT_HEADS:
             self.statement(full, loop_body)
         if full.head not in _IN_PLACE:
-            line = self.next_line()
-            loop_body.append(Assign(line, self.value(ELEMENT, line), self.value(full, line)))
+            loop_body.append(Assign(self.next_line(), self.value(ELEMENT), self.value(full)))
         self.loop_vars = self.loop_vars[:depth]
 
     def run(self) -> ImpProgram:
@@ -217,8 +210,8 @@ class _Translator:
         line = self.next_line()  # def
         if empties:
             line = self.next_line()
-            targets = [Name(line, v) for v in empties]
-            inits: list[Expr] = [ListDisplay(line, []) for _ in empties]
+            targets = [Name(v) for v in empties]
+            inits: list[Expr] = [ListDisplay([]) for _ in empties]
             if len(empties) == 1:
                 body.append(Assign(line, targets[0], inits[0]))
             else:
@@ -226,8 +219,7 @@ class _Translator:
         for node in self.order:
             if node.head in STATEMENT_HEADS and not node.partial:
                 self.statement(node, body)
-        line = self.next_line()
-        body.append(Return(line, self.value(self.term, line)))
+        body.append(Return(self.next_line(), self.value(self.term)))
 
         params = [f"a{i}" for i in range(1, self.arity + 1)]
         ast = Module([FunctionDef(1, self.function_name, params, body)])

@@ -12,15 +12,21 @@ the package computes by a faster or narrower path:
 * ``eval_dsl_outcome``: ``dsl.eval_dsl_outcomes`` on one argument tuple;
 * ``app`` and ``partial``: terms built by hand;
 * ``verify_partition``: the judgments of each problem-variant partition its
-  samples.
+  samples;
+* ``random_texts`` and ``parsed_outside_python``: ``ast.parse`` as the
+  judge of which texts ``minipy.parse`` may accept.
 """
 
 from __future__ import annotations
 
+import ast
 import itertools
+import keyword
 import math
+import random
 from collections import defaultdict
 
+from mutexec import minipy
 from mutexec.dsl import COMPARISONS, Term, Violation, eval_dsl_outcomes
 from mutexec.grammar import Sampler, production_weight
 
@@ -155,3 +161,44 @@ def verify_partition(records, n: int) -> list[str]:
         if total != n or len(group) != n:
             problems.append(f"{problem_id}/{variant}: {dict(counts)}")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Parser
+
+# The pieces of ``random_texts``, joined with a blank: a number run into a
+# keyword (``1and``, ``0or``) is a case for the tokenizer, where the lexer
+# follows 3.11's tokenize and later CPythons warn or fail.
+TEXT_PIECES = (
+    *keyword.kwlist, "f", "a1", "v1", "len", "range", "append", "pop", "0", "1",
+    "(", ")", "[", "]", ",", ",", ":", ".", "=", "+", "-", "<", "==",
+    "\n", "\n", "\n    ",
+)
+
+
+def random_texts(seed: int, count: int) -> list[str]:
+    """``count`` texts of 1 to 12 pieces of ``TEXT_PIECES``, drawn with
+    ``seed``."""
+    rng = random.Random(seed)
+    return [" ".join(rng.choices(TEXT_PIECES, k=rng.randint(1, 12)))
+            for _ in range(count)]
+
+
+def parsed_outside_python(sources) -> list[str]:
+    """The sources that ``minipy.parse`` accepts and ``ast.parse`` refuses.
+
+    A TabError does not count: indentation is read by the lexer, which
+    follows tokenize in letting tabs and spaces mix (see ``EDGE_CASES``)."""
+    out = []
+    for source in sources:
+        try:
+            minipy.parse(source)
+        except minipy.ParseError:
+            continue
+        try:
+            ast.parse(source)
+        except TabError:
+            pass
+        except SyntaxError:
+            out.append(source)
+    return out

@@ -520,7 +520,8 @@ class TestConfigFile:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, line", [("build-dsl-list", "per_bin = 0"),
-                                               ("sample", "depth = deep")])
+                                               ("sample", "depth = deep"),
+                                               ("run-pred", "resume = maybe")])
     def test_bad_value_names_its_key(self, tmp_path, capsys, command, line):
         config = tmp_path / "run.conf"
         config.write_text(line + "\n")
@@ -528,6 +529,18 @@ class TestConfigFile:
         assert dispatch([command, "--config", str(config), "--out", str(out)]) == 2
         assert f"{config}: {line.split()[0]}: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("word, value", [("1", True), ("TRUE", True), ("Yes", True),
+                                             ("0", False), ("False", False), ("no", False)])
+    def test_boolean_values(self, tmp_path, word, value):
+        config = tmp_path / "run.conf"
+        config.write_text(f"resume = {word}\n")
+        argv = ["run-pred", "--config", str(config), "--model", "mock:x",
+                "--orig", "o.jsonl", "--mut", "m.jsonl", "--out", "p.jsonl"]
+        parser = cli.build_parser("run-pred")
+        sub = next(a for a in parser._actions if a.dest == "command")
+        cli._apply_config_defaults(sub.choices["run-pred"], argv)
+        assert parser.parse_args(argv).resume is value
 
     def test_load_config_file_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.conf"

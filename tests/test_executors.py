@@ -408,6 +408,20 @@ class TestCompileCache:
             ("error", "SyntaxError", 2)] * 3
 
 
+class TestCallThatNeverStarts:
+    # a missing function or a wrong argument count fails before the first
+    # line of the program runs: no covered lines, no steps, error line 0
+    @pytest.mark.parametrize("function_name, args, kind", [
+        ("g", ([1],), "NameError"),
+        ("f", ([1], [2]), "TypeError"),
+    ], ids=["missing_function", "wrong_argument_count"])
+    def test_both_executors_agree(self, external, function_name, args, kind):
+        source = "def f(a1):\n    return a1"
+        expected = ("error", None, kind, 0, [], 0)
+        assert outcome(BuiltinExecutor().run(source, function_name, args)) == expected
+        assert outcome(external.run(source, function_name, args)) == expected
+
+
 class TestDifferential:
     def test_fixture_size(self):
         with open(fixture_path("differential.jsonl")) as fh:

@@ -1,5 +1,7 @@
 """The small corpus, its mutate step and the mock model runs and report on
-its pairs give the same bytes under every supported Python, 3.10 to 3.13.
+its pairs give the same bytes under every supported Python, 3.10 to 3.13,
+and the parser accepts only what that Python's ``ast.parse`` accepts, whose
+keywords and grammar are the running interpreter's.
 
 Interpreters are looked for at fixed places: ``~/.pyenv/versions/3.1[0-3].*``
 and ``python3.10`` to ``python3.13`` in each directory on ``PATH``.  The first
@@ -37,6 +39,8 @@ EVALUATE = [
 OUTPUTS = ("out/originals.jsonl", "out/mutants.jsonl", "pred.jsonl", "choice.jsonl",
            "report.txt", "metrics.csv")
 _PROBE = "import platform; print(platform.python_version())"
+_PARSER_CHECK = ("from reference import parsed_outside_python, random_texts; "
+                 "print(parsed_outside_python(random_texts(2, 5000)))")
 
 
 def other_interpreters() -> list[tuple[str, str]]:
@@ -59,10 +63,24 @@ def other_interpreters() -> list[tuple[str, str]]:
     return [found[minor] for minor in sorted(found) if found[minor] is not None]
 
 
-def test_same_bytes_on_every_interpreter(tmp_path, monkeypatch):
-    interpreters = other_interpreters()
-    if not interpreters:
+@pytest.fixture(scope="module")
+def interpreters():
+    found = other_interpreters()
+    if not found:
         pytest.skip("no Python 3.10-3.13 other than the running one was found")
+    return found
+
+
+def test_parser_accepts_only_python_on_every_interpreter(interpreters):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")]),
+               PYTHONDONTWRITEBYTECODE="1")
+    for version, path in interpreters:
+        done = subprocess.run([path, "-c", _PARSER_CHECK], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "[]\n"), (version, path, done.stderr)
+
+
+def test_same_bytes_on_every_interpreter(interpreters, tmp_path, monkeypatch):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
 
     works = []

@@ -8,6 +8,7 @@ import tokenize
 import pytest
 
 from conftest import EDGE_CASES, needs_python_tokenize
+from reference import parsed_outside_python, random_texts
 
 from mutexec import minipy
 from mutexec.minipy import Limits, ParseError, interpret, parse
@@ -52,6 +53,31 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse("def f(a1):\n    return 'nope'")
         assert err.value.line == 2
+
+    @pytest.mark.parametrize("text", [
+        "v1 = [1 2]",
+        "def f(a1 a2):\n    return a1",
+        "a1.append(1 2)",
+        "finally = 1",
+        "await = 1",
+        "for if in range(3):\n    v1 = 1",
+        "def f(a1, a1):\n    return a1",
+    ], ids=["list_display", "parameters", "method_arguments", "finally", "await",
+            "for_target", "repeated_parameter"])
+    def test_not_python_rejected_at_its_line(self, text):
+        with pytest.raises(SyntaxError):
+            compile(text, "<text>", "exec")
+        with pytest.raises(ParseError) as err:
+            parse("v1 = 0\n" + text)
+        assert err.value.line == 2
+
+    def test_trailing_commas(self):
+        source = ("def f(a1,):\n    for i in range(len(a1),):\n        a1.append(i,)\n"
+                  "    return [a1, 0,]")
+        assert run(source, [5, 6]).output == [[5, 6, 0, 1], 0]
+
+    def test_accepts_only_python(self, lexer_corpus):
+        assert parsed_outside_python(lexer_corpus + random_texts(1, 20000)) == []
 
 
 class TestInterpret:
@@ -205,7 +231,7 @@ class TestInterpret:
 # parse), recorded with the tokenize-based parser that the scanner replaced,
 # and again, by the scanner that matched it, when the differential fixture
 # gained its loop shapes.
-CORPUS_AST_SHA256 = "c18cc592dbd8c52e4cd7d93fc8ce38b3aaa15a601e5d82aab7a1627eecaefc86"
+CORPUS_AST_SHA256 = "1635fa1a5b7a26a8be2b86d5b32c6f1a81ff6d172da6c85c8bb8bd21e1863682"
 
 
 def tokenize_stream(source):

@@ -296,12 +296,12 @@ HAND_INPUTS = [([1, 2, 3], [4, 0]), ([2], [5, 5, 5]), ([0, 1, 2, 3, 4], [1]), ([
 # over the candidates of ``test_sampled_draws`` per (arity, depth): the
 # evaluator's outcomes and the translation of terms the screen accepts and
 # rejects alike
-HAND_WRITTEN_SHA256 = "644ca827c2284cfb3c9d96b52542cfa3e6679cf7ba191b97ac2761ee5b94b01f"
+HAND_WRITTEN_SHA256 = "fa89f80d9b04704c6f955423cd3e5dc62caca58bff406708dd5fd3246a4b411d"
 SAMPLED_DRAWS_SHA256 = {
-    (1, 4): "b5e2ddb958ab9c7b7be3da5b3c8119fa50975d2bc2cb46cb4e9d1176a90b02a4",
-    (1, 5): "299da9dc0855064cc1e2c7d48ab4b5324feefb7e2fae1841ae7d5777d17c2ef9",
-    (2, 4): "273e2fcfb2ecc7a6b98a5a038246dfdf540af42d63cfe073154710bfc4cbe9fe",
-    (2, 5): "b12f92395b410919341e021505101fa313e81ed398b0792e1fe876ce1ad81022",
+    (1, 4): "a44ed24989a6846efc4b79df28de26c840b2751b208bc4b109327cbbffcdbb60",
+    (1, 5): "63b2da55a88383514b1f86d74da343f93b8be7f87ba814ffb8cc9fc7f8971049",
+    (2, 4): "a9be12bd1b83241d6ff2ea0ab7801428c1f5c15cab6a48167a1157b24fd1097a",
+    (2, 5): "7c9534c10bf7610fa0a500e591b273c82d22de6d296aa15b0218e54f12fd0910",
 }
 
 
