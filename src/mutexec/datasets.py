@@ -18,9 +18,9 @@ import json
 import os
 import random
 import re
-import threading
 
 from .dsl import to_sexpr
+from .forking import may_fork
 from .grammar import SamplerConfig, compile_cfg, sample_valid_program
 from .problems import LOC_BINS, Problem
 from .transpile import translate  # noqa: F401  bench/tracing.py wraps datasets.translate
@@ -85,10 +85,10 @@ def _sample_combos(config: DslListConfig, combos: list[tuple[int, int]]) -> dict
     child that sends its results back over a pipe.  Every combo has its own
     RNG, so the results do not depend on the lanes.
 
-    Forking is safe only while this process has a single thread, so with
-    more than one thread running everything stays in this process."""
+    Where this process may not fork (``may_fork``), everything stays in
+    this process."""
     lanes = min(_usable_cpus(), len(combos))
-    if lanes <= 1 or threading.active_count() > 1:
+    if lanes <= 1 or not may_fork():
         return {combo: _sample_combo(config, *combo) for combo in combos}
 
     import pickle
@@ -461,8 +461,33 @@ def ingest_external(
     (nondeterminism), and rejects runs beyond the step budget or, under a
     budget, runs whose executor reports no step count.  Rejections are
     reported per problem, never as a global failure.
+
+    The first runs of all records inside the window with a parseable input
+    go to the executor as one batch, and the second runs of those whose
+    first run passed as another; each result is what a run of that call
+    alone gives, so the records and reasons are those of running each
+    record in turn.
     """
     config = config or IngestConfig()
+    calls: dict[int, tuple] = {}  # record index -> (source, name, args)
+    inputs: dict[int, str] = {}  # record index -> canonical input text
+    static: dict[int, str] = {}  # record index -> a reason found without running it
+    for index, record in enumerate(records):
+        source = record["source"]
+        if not config.min_chars <= len(source) <= config.max_chars:
+            static[index] = (
+                f"length {len(source)} outside [{config.min_chars}, {config.max_chars}]")
+            continue
+        parsed = _parse_input(record["input"])
+        if parsed is None:
+            static[index] = "unparseable input"
+            continue
+        calls[index] = (source, record["function_name"], parsed[0])
+        inputs[index] = parsed[1]
+    first = dict(zip(calls, executor.run_many(list(calls.values()))))
+    passed = [index for index, result in first.items() if result.status == "ok"]
+    second = dict(zip(passed, executor.run_many([calls[index] for index in passed])))
+
     problems: list[Problem] = []
     rejections: list[Rejection] = []
     kept_ids: set[str] = set()
@@ -470,46 +495,36 @@ def ingest_external(
         source = record["source"]
         name = record["function_name"]
         problem_id = record.get("id", f"ext-{index:04d}")
-
-        def reject(reason: str):
+        reason = (f"duplicate id {problem_id!r}" if problem_id in kept_ids
+                  else static.get(index) or _run_rejection(first[index], second.get(index),
+                                                           config.max_steps))
+        if reason is not None:
             rejections.append(Rejection(index, name, reason))
-
-        if problem_id in kept_ids:
-            reject(f"duplicate id {problem_id!r}")
             continue
-        if not config.min_chars <= len(source) <= config.max_chars:
-            reject(f"length {len(source)} outside [{config.min_chars}, {config.max_chars}]")
-            continue
-        parsed = _parse_input(record["input"])
-        if parsed is None:
-            reject("unparseable input")
-            continue
-        args, input_text = parsed
-        first = executor.run(source, name, args)
-        if first.status != "ok":
-            reject(f"execution failed: {first.error_kind}")
-            continue
-        output = canonical_repr(first.output)
-        second = executor.run(source, name, args)
-        if second.status != "ok" or canonical_repr(second.output) != output:
-            reject("nondeterministic output")
-            continue
-        if config.max_steps is not None:
-            if first.steps is None:
-                reject("step count not reported")
-                continue
-            if first.steps > config.max_steps:
-                reject(f"step count {first.steps} above {config.max_steps}")
-                continue
         kept_ids.add(problem_id)
         problems.append(Problem(
             id=problem_id,
             dataset="external",
             source=source,
             function_name=name,
-            input=input_text,
-            output=output,
+            input=inputs[index],
+            output=canonical_repr(first[index].output),
             loc=_loc(source),
             executor="external",
         ))
     return problems, rejections
+
+
+def _run_rejection(first, second, max_steps: int | None) -> str | None:
+    """Why a record whose runs gave ``first`` and ``second`` (None if the
+    first failed) is rejected, or None if it is kept."""
+    if first.status != "ok":
+        return f"execution failed: {first.error_kind}"
+    if second.status != "ok" or canonical_repr(second.output) != canonical_repr(first.output):
+        return "nondeterministic output"
+    if max_steps is not None:
+        if first.steps is None:
+            return "step count not reported"
+        if first.steps > max_steps:
+            return f"step count {first.steps} above {max_steps}"
+    return None

@@ -32,20 +32,27 @@ and reports kind "BadResponse".  So each result of a batch equals what
 ``run`` of that call alone gives.  The first request is a probe with an empty source and
 function name; a command whose child does not answer it with a well-formed
 response raises RuntimeError from ``run`` or ``run_many``.
+
+The bundled child (no command given) is forked from this process when it
+has one thread (``forking.may_fork``) and runs ``python_exec.main`` on two
+pipes (``python_exec.serve_forked``), made to answer every request as a
+started ``python -m mutexec.python_exec`` would.  It shares this process's
+hash secret, as a started child does when ``PYTHONHASHSEED`` is set.  A
+custom command, or a caller with more than one thread, starts its child with
+``subprocess``.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import json
 import os
 import selectors
-import shlex
-import subprocess
+import signal
 import sys
 import time
 from . import minipy
+from .forking import may_fork
 from .values import canonical_repr, format_args, parse_literal
 
 DEFAULT_TIMEOUT = 10.0
@@ -84,14 +91,64 @@ class BuiltinExecutor:
         pass
 
 
+class _ForkedChild:
+    """The bundled child forked from this process: ``python_exec.main`` on
+    two pipes, with the part of ``subprocess.Popen``'s interface that the
+    executor uses."""
+
+    def __init__(self):
+        from . import python_exec
+
+        requests_r, requests_w = os.pipe()
+        responses_r, responses_w = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (requests_r, requests_w, responses_r, responses_w):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            python_exec.serve_forked(requests_r, responses_w)  # never returns
+        os.close(requests_r)
+        os.close(responses_w)
+        self.returncode: int | None = None
+        self.stdin = open(requests_w, "wb")
+        self.stdout = open(responses_r, "rb")
+
+    def _reap(self, flags: int) -> None:
+        try:
+            pid, status = os.waitpid(self.pid, flags)
+        except ChildProcessError:  # reaped elsewhere, as Popen takes it
+            pid, status = self.pid, 0
+        if pid:
+            self.returncode = os.waitstatus_to_exitcode(status)
+
+    def poll(self) -> int | None:
+        if self.returncode is None:
+            self._reap(os.WNOHANG)
+        return self.returncode
+
+    def wait(self) -> int:
+        if self.returncode is None:
+            self._reap(0)
+        return self.returncode
+
+    def kill(self) -> None:
+        if self.returncode is None:
+            os.kill(self.pid, signal.SIGKILL)
+
+
 class ExternalExecutor:
     """Bridges to a child-process executor over JSON lines."""
 
     def __init__(self, command: list[str] | str | None = None,
                  timeout: float = DEFAULT_TIMEOUT):
-        if command is None:  # the bundled host-language executor
+        self.bundled = command is None
+        if self.bundled:
             command = [sys.executable, "-m", "mutexec.python_exec"]
         elif isinstance(command, str):
+            import shlex
+
             command = shlex.split(command)
         if not command:
             raise ValueError("the executor command is empty")
@@ -100,23 +157,28 @@ class ExternalExecutor:
                 f"timeout must be a positive, finite number of seconds, got {timeout!r}")
         self.command = command
         self.timeout = timeout
-        self.proc: subprocess.Popen | None = None
+        self.proc = None  # the child: a subprocess.Popen or a _ForkedChild
         self._probed = False  # a child of this command has answered the probe
         self._next_id = 0  # the id of the next request to this child
         # bytes the child wrote past its last complete line; read from the
         # raw pipe, never through proc.stdout's own buffer
         self._pending = bytearray()
 
-    def _ensure(self) -> subprocess.Popen:
+    def _ensure(self):
         if self.proc is None or self.proc.poll() is not None:
             self._pending.clear()
             self._next_id = 0
-            self.proc = subprocess.Popen(
-                self.command,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-            )
+            if self.bundled and may_fork():
+                self.proc = _ForkedChild()
+            else:
+                import subprocess
+
+                self.proc = subprocess.Popen(
+                    self.command,
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.DEVNULL,
+                )
             # requests are written to the raw fd, and a full pipe must not
             # block a write past the timeout
             os.set_blocking(self.proc.stdin.fileno(), False)
@@ -189,13 +251,16 @@ class ExternalExecutor:
             self._probed = True
             return
         proc = self.proc
-        if line == b"":
-            with contextlib.suppress(subprocess.TimeoutExpired):
-                proc.wait(self.timeout)  # an ended child reports its exit status
+        if line == b"":  # an ended child reports its exit status
+            deadline = time.monotonic() + self.timeout
+            while proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.01)
         self._kill()
         why = (f"no answer within {self.timeout:g} s" if line is None
                else f"its output ended, exit status {proc.returncode}" if not line
                else "a malformed answer")
+        import shlex
+
         raise RuntimeError(
             f"executor command {shlex.join(self.command)} failed its start-up probe: {why}")
 

@@ -172,9 +172,16 @@ def filter_valid(original: Problem, candidates, executor) -> list[Survivor]:
     """
     candidates = list(candidates)
     args = original.args()
-    expected = original.output_value()
     results = executor.run_many(
         [(source, original.function_name, args) for source, _ in candidates])
+    return _survivors(original, candidates, results)
+
+
+def _survivors(original: Problem, candidates: list[tuple[str, MutationSite]],
+               results) -> list[Survivor]:
+    """The candidates whose run on the problem's input, ``results`` in the
+    same order, succeeds with another output."""
+    expected = original.output_value()
     survivors = []
     for (source, site), result in zip(candidates, results):
         if result.status != "ok":
@@ -221,11 +228,15 @@ def mutate_problem(problem: Problem, executor, rng: random.Random,
                    candidates: list[tuple[str, MutationSite]]) -> MutantSet:
     """Run the mutants ``candidates`` of the problem's source, which are
     ``enumerate_source_mutants(problem.source)``, on its input, and select
-    one of the survivors."""
-    base = executor.run(problem.source, problem.function_name, problem.args())
+    one of the survivors.  The problem's own run and its mutants' runs go
+    to the executor as one batch."""
+    args = problem.args()
+    base, *results = executor.run_many(
+        [(source, problem.function_name, args)
+         for source in [problem.source, *(source for source, _ in candidates)]])
     if base.status != "ok":
         raise ValueError(f"problem {problem.id} does not execute cleanly")
-    survivors = filter_valid(problem, candidates, executor)
+    survivors = _survivors(problem, candidates, results)
     selected = (
         select_mutant(set(base.covered_lines), survivors, rng) if survivors else None
     )

@@ -15,6 +15,29 @@ from mutexec.problems import load_jsonl, pair_by_id
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """Pids of the children forked from this process: sampling lanes and
+    bundled executor children."""
+    pids = []
+    real_fork = os.fork
+
+    def recording_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids
+
+
+def assert_reaped(pids):
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def fixture_path(name: str) -> str:
     return os.path.join(FIXTURES, name)
 

@@ -5,13 +5,14 @@ import pickle
 import re
 import shlex
 import signal
+import subprocess
 import sys
 import threading
 import time
 
 import pytest
 
-from conftest import fixture_path
+from conftest import assert_reaped, fixture_path
 from mutexec import cli, datasets, minipy, transpile
 from mutexec.datasets import (
     DslListConfig,
@@ -134,22 +135,6 @@ class TestDslList:
         assert len(calls) == 4 * 20
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Pids of the lanes ``build_dsl_list`` forks from this process."""
-    pids = []
-    real_fork = os.fork
-
-    def recording_fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", recording_fork)
-    return pids
-
-
 def patch_lanes(monkeypatch, lanes, in_child=None, in_parent=None):
     """Run ``build_dsl_list`` on ``lanes`` lanes; ``in_child(config, arity,
     depth)`` or ``in_parent(...)`` runs before each combo a forked lane or
@@ -165,12 +150,6 @@ def patch_lanes(monkeypatch, lanes, in_child=None, in_parent=None):
         return real(config, arity, depth)
 
     monkeypatch.setattr(datasets, "_sample_combo", hooked)
-
-
-def assert_reaped(pids):
-    for pid in pids:
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pid, os.WNOHANG)
 
 
 def jsonl_bytes(problems, path):
@@ -543,6 +522,43 @@ class TestIngest:
             (1, "duplicate id 'p1'"), (2, "execution failed: IndexError")]
 
 
+    def test_hang_costs_only_its_own_record(self):
+        records = [
+            {"source": "def f(x):\n    return x + 1", "function_name": "f", "input": "1"},
+            {"source": "def f(x):\n    while True:\n        pass", "function_name": "f",
+             "input": "1"},
+            {"source": "def f(x):\n    return x * 3", "function_name": "f", "input": "2"},
+        ]
+        with ExternalExecutor(timeout=1.0) as executor:
+            problems, rejections = ingest_external(records, executor,
+                                                   IngestConfig(min_chars=1))
+        assert [(p.id, p.output) for p in problems] == [("ext-0000", "2"), ("ext-0002", "6")]
+        assert [(r.index, r.reason) for r in rejections] == [
+            (1, "execution failed: Timeout")]
+
+    def test_id_of_a_record_rejected_after_both_runs_stays_free(self, external_executor):
+        # the first p1 passes its first run and fails the determinism check,
+        # the first p2 fails the step budget: the next record of each id is kept
+        counter = "count = [0]\ndef f(x):\n    count[0] += 1\n    return x + count[0]"
+        records = [
+            {"id": "p1", "source": "import time\ndef f(x):\n    return time.perf_counter_ns()",
+             "function_name": "f", "input": "1"},
+            {"id": "p2", "source": "def f(x):\n    for i in range(50):\n        x += i\n"
+             "    return x", "function_name": "f", "input": "1"},
+            {"id": "p1", "source": counter, "function_name": "f", "input": "1"},
+            {"id": "p2", "source": "def f(x):\n    return x", "function_name": "f",
+             "input": "5"},
+            {"id": "p1", "source": "def f(x):\n    return -x", "function_name": "f",
+             "input": "1"},
+        ]
+        problems, rejections = ingest_external(
+            records, external_executor, IngestConfig(min_chars=1, max_steps=20))
+        assert [(p.id, p.output) for p in problems] == [("p1", "2"), ("p2", "5")]
+        assert [(r.index, r.reason) for r in rejections] == [
+            (0, "nondeterministic output"), (1, "step count 102 above 20"),
+            (4, "duplicate id 'p1'")]
+
+
 class TestOneGroundTruthPath:
     """Every ingested or LLM-written problem stores ``format_args`` of its
     parsed input and ``canonical_repr`` of its output, whichever executor
@@ -582,15 +598,46 @@ class TestOneGroundTruthPath:
             manifest = json.load(fh)
         assert manifest["seed"] is None and "seed" not in manifest["options"]
 
-    def test_set_output_bytes_do_not_depend_on_the_hash_seed(self, tmp_path, monkeypatch):
+    def test_set_output_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # the command runs under each hash seed, and its executor child,
+        # forked or spawned, shares the command's hash secret
         records = [{"source": "def f(xs):\n    return {str(x) for x in xs}",
                     "function_name": "f", "input": "[1, 3, 2, 10, 22]"}]
+        source = tmp_path / "raw.jsonl"
+        source.write_text("".join(json.dumps(r) + "\n" for r in records))
+        src = os.path.dirname(os.path.dirname(datasets.__file__))
         outs = []
         for seed in ("1", "2"):
-            monkeypatch.setenv("PYTHONHASHSEED", seed)  # the child inherits it
-            outs.append(self.ingest(tmp_path, records).read_bytes())
+            out = tmp_path / f"ingested{seed}.jsonl"
+            env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+            done = subprocess.run(
+                [sys.executable, "-m", "mutexec.cli", "ingest", "--in", str(source),
+                 "--out", str(out), "--min-chars", "1"],
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (done.returncode, done.stderr) == (0, "")
+            outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         assert json.loads(outs[0])["output"] == "{'1', '10', '2', '22', '3'}"
+
+    def test_rejected_file_keeps_record_order(self, tmp_path):
+        ok = {"source": "def f(x):\n    return x", "function_name": "f", "input": "1"}
+        records = [
+            {"source": "def f(x):\n    return x[3]", "function_name": "f", "input": "[1]"},
+            {**ok, "input": "[1,"},
+            ok,
+            {"source": "import time\ndef f(x):\n    return time.perf_counter_ns()",
+             "function_name": "f", "input": "1"},
+            {**ok, "source": "def f(x):\n    return x" + " " * 900},
+            {**ok, "id": "ext-0002"},
+            {"source": "def f(x):\n    return 1 // 0", "function_name": "f", "input": "1"},
+        ]
+        out = self.ingest(tmp_path, records)
+        with open(str(out) + ".rejected.jsonl") as fh:
+            rejected = [(r["index"], r["reason"]) for r in map(json.loads, fh)]
+        assert rejected == [
+            (0, "execution failed: IndexError"), (1, "unparseable input"),
+            (3, "nondeterministic output"), (4, "length 922 outside [1, 800]"),
+            (5, "duplicate id 'ext-0002'"), (6, "execution failed: ZeroDivisionError")]
 
     def test_values_without_canonical_text_are_rejections(self, tmp_path, capsys):
         records = [

@@ -1,14 +1,19 @@
+import cProfile
 import json
 import math
+import os
 import shlex
 import subprocess
 import sys
+import threading
 import time
+import warnings
 
 import pytest
 
-from conftest import fixture_path
+from conftest import assert_reaped, fixture_path
 
+from mutexec import executors
 from mutexec.executors import BuiltinExecutor, ExternalExecutor
 from mutexec.mutate import enumerate_source_mutants, mutate_dataset
 from mutexec.values import canonical_repr, parse_args
@@ -420,6 +425,143 @@ class TestCallThatNeverStarts:
         expected = ("error", None, kind, 0, [], 0)
         assert outcome(BuiltinExecutor().run(source, function_name, args)) == expected
         assert outcome(external.run(source, function_name, args)) == expected
+
+
+class TestFailureBeforeTheCall:
+    # a module that does not compile, or a name that is no function: the
+    # call never starts, so no line is covered and no step taken
+    @pytest.mark.parametrize("source, function_name", [
+        ("def f(a1):\n    return a1 +\n", "f"),
+        ("v1 = 1\ndef f(a1):\n    return a1\n", "v1"),
+    ], ids=["module_does_not_compile", "name_is_not_a_function"])
+    def test_both_executors_agree_on_every_field(self, external, source, function_name):
+        builtin = outcome(BuiltinExecutor().run(source, function_name, (1,)))
+        assert outcome(external.run(source, function_name, (1,))) == builtin
+        assert builtin[4:] == ([], 0)
+
+
+def differential_cases():
+    with open(fixture_path("differential.jsonl")) as fh:
+        entries = [json.loads(line) for line in fh if line.strip()]
+    return [(e["source"], e["function_name"], parse_args(e["input"])) for e in entries]
+
+
+RECURSES = ("def g(n):\n    try:\n        return g(n + 1)\n"
+            "    except RecursionError:\n        return n\n", "g", (0,))
+# the bundled child as a command: started, never forked
+SPAWNED = f"{shlex.quote(sys.executable)} -m mutexec.python_exec"
+
+
+def deeper(frames, fn):
+    """``fn()`` called ``frames`` frames below this one."""
+    return deeper(frames - 1, fn) if frames else fn()
+
+
+def forked_outcomes(calls, timeout=10.0):
+    """The outcomes of ``calls`` from a bundled executor whose child this
+    process forked."""
+    with ExternalExecutor(timeout=timeout) as executor:
+        results = executor.run_many(calls)
+        assert not isinstance(executor.proc, subprocess.Popen)
+    return [outcome(r) for r in results]
+
+
+def spawned_outcomes(calls, timeout=10.0):
+    with ExternalExecutor(SPAWNED, timeout=timeout) as executor:
+        return [outcome(r) for r in executor.run_many(calls)]
+
+
+class TestForkedChild:
+    """A bundled child forked from a single-threaded caller answers every
+    request as a spawned ``python -m mutexec.python_exec`` does."""
+
+    def test_differential_cases(self):
+        calls = differential_cases()
+        assert forked_outcomes(calls) == spawned_outcomes(calls)
+
+    def test_recursion_depth_does_not_depend_on_the_caller(self):
+        spawned = spawned_outcomes([RECURSES])
+        assert spawned[0][0] == "ok" and spawned[0][1] > 900
+        assert forked_outcomes([RECURSES]) == spawned
+        assert deeper(50, lambda: forked_outcomes([RECURSES])) == spawned
+
+    @pytest.mark.parametrize("source", [
+        "def f(a1):\n    print(a1)\n    return a1 + 1",
+        "import sys\ndef f(a1):\n    sys.stderr.write('x')\n    return a1 + 1",
+        "def f(a1):\n    return input()",
+        "import sys\ndef f(a1):\n    return sys.stdin.read()",
+        "def f(a1):\n    return a1 is 1",
+        "import warnings\ndef f(a1):\n    warnings.warn('w')\n    return a1",
+        "import sys\ndef f(a1):\n    return [sys.gettrace() is None, sys.getprofile() is None]",
+        "import sys\ndef f(a1):\n    return sys.argv",
+        "import os\ndef f(a1):\n    return sorted(os.listdir('/proc/self/fd'))",
+    ], ids=["print", "stderr", "input", "stdin-read", "syntax-warning", "user-warning",
+            "no-hooks", "argv", "open-fds"])
+    def test_program_io_and_warnings(self, source):
+        calls = [(source, "f", (1,)), times(2)]
+        profiler = cProfile.Profile()  # a hook that a RecursionError does not unset
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            profiler.enable()
+            try:
+                forked = forked_outcomes(calls)
+            finally:
+                profiler.disable()
+        assert forked == spawned_outcomes(calls)
+        assert forked[1][:2] == ("ok", 6)
+
+    def test_threads_spawn(self, forks):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            with ExternalExecutor(timeout=5.0) as executor:
+                result = executor.run(*times(2))
+                assert isinstance(executor.proc, subprocess.Popen)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert (result.status, result.output) == ("ok", 6)
+        assert forks == []
+
+    @pytest.mark.parametrize("source, timeout, kind", [
+        ("def f(a1):\n    while True:\n        pass", 1.0, "Timeout"),
+        ("import os\ndef f(a1):\n    os._exit(3)", 5.0, "ExecutorCrashed"),
+    ], ids=["hang", "exit"])
+    def test_failure_then_a_fresh_forked_child(self, forks, source, timeout, kind):
+        with ExternalExecutor(timeout=timeout) as executor:
+            failed = executor.run(source, "f", (1,))
+            again = executor.run(*times(2))
+            assert executor.proc.pid == forks[-1]
+        assert (failed.status, failed.error_kind) == ("error", kind)
+        assert (again.status, again.output) == ("ok", 6)
+        assert len(forks) == 2
+        assert_reaped(forks)
+
+    def test_close_reaps(self, forks):
+        executor = ExternalExecutor(timeout=5.0)
+        assert executor.run(*times(2)).output == 6
+        assert forks == [executor.proc.pid]
+        executor.close()
+        assert executor.proc is None
+        assert_reaped(forks)
+
+    def test_unflushed_output_of_the_caller_is_written_once(self):
+        script = (
+            "from mutexec.executors import ExternalExecutor\n"
+            "print('before')\n"
+            "with ExternalExecutor(timeout=5.0) as executor:\n"
+            "    results = executor.run_many([\n"
+            "        ('def f(a1):\\n    print(a1)\\n    return a1', 'f', (1,)),\n"
+            "        ('import os\\ndef f(a1):\\n    os._exit(1)', 'f', (1,)),\n"
+            "        ('def f(a1):\\n    return a1 + 1', 'f', (1,))])\n"
+            "    print(type(executor.proc).__name__)\n"
+            "print([r.output for r in results])\n")
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(executors.__file__))}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == "before\n_ForkedChild\n[1, None, 2]\n"
 
 
 class TestDifferential:

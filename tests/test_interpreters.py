@@ -1,7 +1,9 @@
 """The small corpus, its mutate step and the mock model runs and report on
 its pairs give the same bytes under every supported Python, 3.10 to 3.13,
 and the parser accepts only what that Python's ``ast.parse`` accepts, whose
-keywords and grammar are the running interpreter's.
+keywords and grammar are the running interpreter's.  So do ``ingest`` and
+``mutate`` through the bundled external executor on the corpus's programs,
+with nothing written to stderr.
 
 Interpreters are looked for at fixed places: ``~/.pyenv/versions/3.1[0-3].*``
 and ``python3.10`` to ``python3.13`` in each directory on ``PATH``.  The first
@@ -14,6 +16,7 @@ wall-clock times.
 
 import glob
 import hashlib
+import json
 import os
 import pathlib
 import subprocess
@@ -21,7 +24,9 @@ import sys
 
 import pytest
 
+from conftest import fixture_path
 from mutexec.cli import dispatch
+from mutexec.problems import load_jsonl
 from test_datasets import SMALL_CORPUS_SHA256
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -38,6 +43,14 @@ EVALUATE = [
 ]
 OUTPUTS = ("out/originals.jsonl", "out/mutants.jsonl", "pred.jsonl", "choice.jsonl",
            "report.txt", "metrics.csv")
+EXTERNAL = [
+    ["ingest", "--executor", "external", "--min-chars", "1", "--in", "raw.jsonl",
+     "--out", "ext.jsonl"],
+    ["mutate", "--seed", "5", "--executor", "external", "--in", "ext.jsonl",
+     "--out", "ext"],
+]
+EXTERNAL_OUTPUTS = ("ext.jsonl", "ext.jsonl.rejected.jsonl", "ext/originals.jsonl",
+                    "ext/mutants.jsonl")
 _PROBE = "import platform; print(platform.python_version())"
 _PARSER_CHECK = ("from reference import parsed_outside_python, random_texts; "
                  "print(parsed_outside_python(random_texts(2, 5000)))")
@@ -104,5 +117,31 @@ def test_same_bytes_on_every_interpreter(interpreters, tmp_path, monkeypatch):
         assert dispatch(command) == 0, command[0]
     for (version, path), work in zip(interpreters, works):
         for name in OUTPUTS:
+            assert (work / name).read_bytes() == (here / name).read_bytes(), (
+                version, path, name)
+
+
+def test_external_path_on_every_interpreter(interpreters, tmp_path, monkeypatch):
+    raw = "".join(json.dumps({"id": p.id, "source": p.source, "function_name": p.function_name,
+                              "input": p.input}) + "\n"
+                  for p in load_jsonl(fixture_path("small_corpus.jsonl")))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    here = tmp_path / "here"
+    here.mkdir()
+    (here / "raw.jsonl").write_text(raw)
+    monkeypatch.chdir(here)
+    for command in EXTERNAL:
+        assert dispatch(command) == 0, command[0]
+    assert len(load_jsonl("ext/mutants.jsonl")) > 10
+
+    for version, path in interpreters:
+        work = tmp_path / version
+        work.mkdir()
+        (work / "raw.jsonl").write_text(raw)
+        for command in EXTERNAL:
+            done = subprocess.run([path, "-m", "mutexec.cli", *command], cwd=work, env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert (done.returncode, done.stderr) == (0, ""), (path, command[0])
+        for name in EXTERNAL_OUTPUTS:
             assert (work / name).read_bytes() == (here / name).read_bytes(), (
                 version, path, name)
