@@ -8,12 +8,7 @@ coverage is closest to the original's.
 import random
 
 from mutexec.executors import BuiltinExecutor
-from mutexec.mutate import (
-    enumerate_source_mutants,
-    filter_valid,
-    jaccard,
-    select_mutant,
-)
+from mutexec.mutate import enumerate_source_mutants, jaccard, mutate_problem
 from mutexec.problems import Problem
 
 source = """\
@@ -46,7 +41,8 @@ for _, site in candidates[:6]:
           f"{site.original_token!r} -> {site.replacement_token!r}")
 print("  ...")
 
-survivors = filter_valid(problem, candidates, executor)
+mutants = mutate_problem(problem, executor, random.Random(7), candidates)
+survivors = mutants.survivors
 print(f"\n{len(survivors)} survivors execute cleanly and change the output:")
 for survivor in survivors[:8]:
     similarity = jaccard(base.covered_lines, survivor.covered_lines)
@@ -54,7 +50,7 @@ for survivor in survivors[:8]:
           f"{survivor.site.replacement_token!r} at line {survivor.site.line}: "
           f"output {survivor.output}, coverage similarity {similarity:.2f}")
 
-selected = select_mutant(set(base.covered_lines), survivors, random.Random(7))
+selected = mutants.selected
 print("\nselected mutant (most similar coverage):")
 print(selected.source)
 print(f"f({args_text}) = {selected.output}")

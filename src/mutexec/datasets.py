@@ -20,7 +20,7 @@ import random
 import re
 
 from .dsl import to_sexpr
-from .forking import may_fork
+from .forking import Child, may_fork
 from .grammar import SamplerConfig, compile_cfg, sample_valid_program
 from .problems import LOC_BINS, Problem
 from .transpile import translate  # noqa: F401  bench/tracing.py wraps datasets.translate
@@ -81,9 +81,9 @@ def _sample_combo(config: DslListConfig, arity: int, depth: int) -> list[tuple]:
 
 def _sample_combos(config: DslListConfig, combos: list[tuple[int, int]]) -> dict:
     """``_sample_combo`` for each (arity, depth) in ``combos``, on one lane
-    per usable CPU: this process is one lane and each other lane is a forked
-    child that sends its results back over a pipe.  Every combo has its own
-    RNG, so the results do not depend on the lanes.
+    per usable CPU: this process is one lane and each other lane is a
+    ``forking.Child`` that sends its results back on its stdout pipe.  Every
+    combo has its own RNG, so the results do not depend on the lanes.
 
     Where this process may not fork (``may_fork``), everything stays in
     this process."""
@@ -92,7 +92,7 @@ def _sample_combos(config: DslListConfig, combos: list[tuple[int, int]]) -> dict
         return {combo: _sample_combo(config, *combo) for combo in combos}
 
     import pickle
-    import signal
+    from functools import partial
 
     # snake order of (arity, depth), largest first: for the dataset's four
     # combos that deals {a2d5, a1d4} and {a2d4, a1d5}, the split that
@@ -104,73 +104,53 @@ def _sample_combos(config: DslListConfig, combos: list[tuple[int, int]]) -> dict
         turn, lane = divmod(index, lanes)
         dealt[lane if turn % 2 == 0 else lanes - 1 - lane].append(combo)
 
-    children: dict[int, tuple[int, list[tuple[int, int]]]] = {}  # pid -> (fd, combos)
+    children: list[tuple[Child, list[tuple[int, int]]]] = []
     try:
         for lane_combos in dealt[1:]:
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                os.close(read_fd)
-                for fd, _ in children.values():
-                    os.close(fd)
-                _sample_lane(config, lane_combos, write_fd, pickle)
-            os.close(write_fd)
-            children[pid] = (read_fd, lane_combos)
+            children.append((Child(partial(_sample_lane, config, lane_combos)), lane_combos))
         results = {combo: _sample_combo(config, *combo) for combo in dealt[0]}
-        for pid in list(children):
-            fd, lane_combos = children[pid]
-            with open(fd, "rb", closefd=False) as pipe:
-                try:
-                    # unpickled as it arrives, so the whole pickle is never
-                    # held at once
-                    payload = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    payload = None  # the lane died; its exit status says how
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
-            os.close(fd)
+        for child, lane_combos in children:
+            try:
+                # unpickled as it arrives, so the whole pickle is never held
+                # at once
+                payload = pickle.load(child.stdout)
+            except (EOFError, pickle.UnpicklingError):
+                payload = None  # the lane died; its exit status says how
+            code = child.wait()
             if code != 0:
                 ended = f"signal {-code}" if code < 0 else f"exit status {code}"
                 labels = ", ".join(f"a{a}d{d}" for a, d in lane_combos)
                 raise RuntimeError(
-                    f"sampling {labels}: child {pid} ended with {ended} and no result")
+                    f"sampling {labels}: child {child.pid} ended with {ended} and no result")
             ok, value = payload
             if not ok:
                 raise value
             results.update(value)
         return results
     finally:
-        for pid, (fd, _) in children.items():
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            os.close(fd)
+        for child, _ in children:
+            child.kill()
+            child.wait()
+            child.stdin.close()
+            child.stdout.close()
 
 
-def _sample_lane(config: DslListConfig, combos, write_fd: int, pickle) -> None:
-    """A forked lane: sample ``combos``, write ``(True, results)`` or
-    ``(False, exception)`` to ``write_fd`` as one pickle, and end the process
-    without returning into the caller's code.  It imports nothing."""
-    status = 1
+def _sample_lane(config: DslListConfig, combos) -> None:
+    """A forked lane's program: sample ``combos`` and write ``(True,
+    results)`` or ``(False, exception)`` to fd 1 as one pickle."""
+    import pickle
+
     try:
+        payload = (True, {combo: _sample_combo(config, *combo) for combo in combos})
+    except Exception as exc:
+        # one the parent could not rebuild arrives as a RuntimeError
         try:
-            payload = (True, {combo: _sample_combo(config, *combo) for combo in combos})
-        except Exception as exc:
-            # one the parent could not rebuild arrives as a RuntimeError
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            payload = (False, exc)
-        with open(write_fd, "wb") as pipe:
-            pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
-        status = 0
-    finally:
-        os._exit(status)
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        payload = (False, exc)
+    with open(1, "wb") as pipe:
+        pipe.write(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL))
 
 
 def build_dsl_list(config: DslListConfig | None = None) -> list[Problem]:

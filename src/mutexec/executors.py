@@ -34,12 +34,12 @@ function name; a command whose child does not answer it with a well-formed
 response raises RuntimeError from ``run`` or ``run_many``.
 
 The bundled child (no command given) is forked from this process when it
-has one thread (``forking.may_fork``) and runs ``python_exec.main`` on two
-pipes (``python_exec.serve_forked``), made to answer every request as a
-started ``python -m mutexec.python_exec`` would.  It shares this process's
-hash secret, as a started child does when ``PYTHONHASHSEED`` is set.  A
-custom command, or a caller with more than one thread, starts its child with
-``subprocess``.
+has one thread (``forking.may_fork``): a ``forking.Child`` whose program,
+``python_exec.serve_forked``, runs ``python_exec.main`` made to answer
+every request as a started ``python -m mutexec.python_exec`` would.  It
+shares this process's hash secret, as a started child does when
+``PYTHONHASHSEED`` is set.  A custom command, or a caller with more than one
+thread, starts its child with ``subprocess``.
 """
 
 from __future__ import annotations
@@ -48,11 +48,10 @@ import itertools
 import json
 import os
 import selectors
-import signal
 import sys
 import time
 from . import minipy
-from .forking import may_fork
+from .forking import Child, may_fork
 from .values import canonical_repr, format_args, parse_literal
 
 DEFAULT_TIMEOUT = 10.0
@@ -76,9 +75,7 @@ class BuiltinExecutor:
             try:
                 module = minipy.parse(source)
             except minipy.ParseError as exc:
-                return minipy.ExecResult(
-                    "error", error_kind="SyntaxError", error_line=exc.line
-                )
+                return minipy.ExecResult("error", error_kind=exc.kind, error_line=exc.line)
             if len(self._cache) > 4096:
                 self._cache.clear()
             self._cache[source] = module
@@ -89,53 +86,6 @@ class BuiltinExecutor:
 
     def close(self):
         pass
-
-
-class _ForkedChild:
-    """The bundled child forked from this process: ``python_exec.main`` on
-    two pipes, with the part of ``subprocess.Popen``'s interface that the
-    executor uses."""
-
-    def __init__(self):
-        from . import python_exec
-
-        requests_r, requests_w = os.pipe()
-        responses_r, responses_w = os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:
-            for fd in (requests_r, requests_w, responses_r, responses_w):
-                os.close(fd)
-            raise
-        if self.pid == 0:
-            python_exec.serve_forked(requests_r, responses_w)  # never returns
-        os.close(requests_r)
-        os.close(responses_w)
-        self.returncode: int | None = None
-        self.stdin = open(requests_w, "wb")
-        self.stdout = open(responses_r, "rb")
-
-    def _reap(self, flags: int) -> None:
-        try:
-            pid, status = os.waitpid(self.pid, flags)
-        except ChildProcessError:  # reaped elsewhere, as Popen takes it
-            pid, status = self.pid, 0
-        if pid:
-            self.returncode = os.waitstatus_to_exitcode(status)
-
-    def poll(self) -> int | None:
-        if self.returncode is None:
-            self._reap(os.WNOHANG)
-        return self.returncode
-
-    def wait(self) -> int:
-        if self.returncode is None:
-            self._reap(0)
-        return self.returncode
-
-    def kill(self) -> None:
-        if self.returncode is None:
-            os.kill(self.pid, signal.SIGKILL)
 
 
 class ExternalExecutor:
@@ -157,7 +107,7 @@ class ExternalExecutor:
                 f"timeout must be a positive, finite number of seconds, got {timeout!r}")
         self.command = command
         self.timeout = timeout
-        self.proc = None  # the child: a subprocess.Popen or a _ForkedChild
+        self.proc = None  # the child: a subprocess.Popen or a forking.Child
         self._probed = False  # a child of this command has answered the probe
         self._next_id = 0  # the id of the next request to this child
         # bytes the child wrote past its last complete line; read from the
@@ -169,7 +119,9 @@ class ExternalExecutor:
             self._pending.clear()
             self._next_id = 0
             if self.bundled and may_fork():
-                self.proc = _ForkedChild()
+                from . import python_exec
+
+                self.proc = Child(python_exec.serve_forked)
             else:
                 import subprocess
 

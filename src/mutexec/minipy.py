@@ -18,8 +18,9 @@ CPython does, and refuses a repeated parameter name.  The same scanner
 finds the mutation sites of ``mutate``, which splices a mutant at a token's
 ``start`` offset.  A ParseError carries the 1-based line of the offending
 token; at the end of the text inside brackets it names the line of the
-innermost open bracket.  A statement node carries its line; an expression
-node carries none.
+innermost open bracket.  Its ``kind`` is the class of CPython's error there,
+so faults of indentation are IndentationErrors or TabErrors.  A statement
+node carries its line; an expression node carries none.
 
 Execution is deterministic big-step interpretation, and a node's class is
 its dispatch: an expression's ``eval(it)`` returns its value and a
@@ -47,9 +48,13 @@ from .values import INT_MAX, INT_MIN, Value, copy_value
 
 
 class ParseError(Exception):
-    def __init__(self, line: int, message: str):
+    """Source outside the language at ``line``; ``kind`` names the class of
+    CPython's error there (a SyntaxError, IndentationError or TabError)."""
+
+    def __init__(self, line: int, message: str, kind: str = "SyntaxError"):
         self.line = line
         self.message = message
+        self.kind = kind
         super().__init__(f"line {line}: {message}")
 
 
@@ -413,9 +418,11 @@ class Module(_Node):
 # ``tokenize`` cuts it, and the scanner adds tokenize's line logic around it:
 # blank and comment-only lines, bracket nesting (no NEWLINE or INDENT/DEDENT
 # inside brackets), backslash continuation, tab stops of 8 in indentation,
-# and the empty NEWLINE after a last line that has no line break.  Tokens are
-# plain ``(kind, string, line, start)`` tuples, ``start`` being the offset of
-# the token in the text; comments and non-logical line breaks produce none.
+# and the empty NEWLINE after a last line that has no line break.  Unlike
+# tokenize, it raises CPython's TabError where the columns at tab stops of 1
+# do not order the lines as those at tab stops of 8 do.  Tokens are plain
+# ``(kind, string, line, start)`` tuples, ``start`` being the offset of the
+# token in the text; comments and non-logical line breaks produce none.
 # Characters that start no token become ERRORTOKEN tokens, so a parse fails
 # at them only when the parser gets there, as with tokenize.
 
@@ -476,6 +483,15 @@ _STRING_LATER = {
 Token = tuple[int, str, int, int]  # kind, string, line, start offset
 _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
+_TAB_ERROR = "inconsistent use of tabs and spaces in indentation"
+
+
+class _IndentationFault(ParseError):
+    """Indentation CPython's tokenizer refuses, after ``tokens``."""
+
+    def __init__(self, tokens: list[Token], line: int, message: str, kind: str):
+        super().__init__(line, message, kind)
+        self.tokens = tokens
 
 
 def _column(indent: str) -> int:
@@ -544,7 +560,7 @@ def _scan(source: str) -> list[Token]:
     Raises ParseError where tokenize raises: at an unindent to no enclosing
     level, and at the end of the text inside brackets, after a backslash or
     inside a string, naming the line of the innermost open bracket, the
-    backslash or the string's start.
+    backslash or the string's start; and at a TabError.
     """
     tokens: list[Token] = []
     append = tokens.append
@@ -555,6 +571,7 @@ def _scan(source: str) -> list[Token]:
     opened: list[tuple[str, int]] = []  # the open brackets and their lines
     stray = 0  # line of the first closer without an opener
     indents = [0]
+    alts = [0]  # the same levels at tab stops of 1
     needcont = False  # tokenize's flag, see _string_end
     bol = True  # at the start of a logical line
     token = re.compile(_TOKEN)
@@ -576,15 +593,26 @@ def _scan(source: str) -> list[Token]:
                     pos = size if newline < 0 else newline + 1
                     break
                 indent = source[found.start():found.start(group)]
-                column = len(indent) if indent.count(" ") == len(indent) else _column(indent)
+                if indent.count(" ") == len(indent):
+                    column = alt = len(indent)
+                else:
+                    column, alt = _column(indent), len(indent) - indent.rfind("\x0c") - 1
                 if column > indents[-1]:
+                    if alt <= alts[-1]:
+                        raise _IndentationFault(tokens, line, _TAB_ERROR, "TabError")
                     indents.append(column)
+                    alts.append(alt)
                     append((INDENT, indent, line, found.start()))
-                while column < indents[-1]:
-                    if column not in indents:
-                        raise ParseError(line, "unindent does not match any outer indentation level")
-                    indents.pop()
-                    append((DEDENT, "", line, found.start(group)))
+                else:
+                    while column < indents[-1]:
+                        indents.pop()
+                        alts.pop()
+                        append((DEDENT, "", line, found.start(group)))
+                    if column != indents[-1]:
+                        raise _IndentationFault(tokens, line, "unindent does not match any "
+                                                "outer indentation level", "IndentationError")
+                    if alt != alts[-1]:
+                        raise _IndentationFault(tokens, line, _TAB_ERROR, "TabError")
                 bol = False
             # the token itself
             if group == _G_NAME:
@@ -703,7 +731,8 @@ class _Parser:
     def expect_kind(self, kind: int) -> Token:
         tok = self.tokens[self.pos]
         if tok[0] != kind:
-            raise ParseError(tok[2], f"expected {KIND_NAMES[kind]!r}, got {tok[1]!r}")
+            raise ParseError(tok[2], f"expected {KIND_NAMES[kind]!r}, got {tok[1]!r}",
+                             "IndentationError" if kind == INDENT else "SyntaxError")
         self.pos += 1
         return tok
 
@@ -754,7 +783,9 @@ class _Parser:
                 body.append(self.statement())
 
     def statement(self) -> Stmt:
-        _, word, line, _ = self.tokens[self.pos]
+        kind, word, line, _ = self.tokens[self.pos]
+        if kind == INDENT:
+            raise ParseError(line, "unexpected indent", "IndentationError")
         if word == "def":
             return self.funcdef()
         if word == "return":
@@ -936,7 +967,18 @@ class _Parser:
 
 def parse(source: str) -> Module:
     """Parse mini-language source; raises ParseError outside the language."""
-    return _Parser(_scan(source)).parse_module()
+    try:
+        tokens = _scan(source)
+    except _IndentationFault as fault:
+        # CPython reads a line's indentation only once its parser has taken
+        # the lines before it, so a fault of theirs is reported first
+        try:
+            _Parser([*fault.tokens, (ERRORTOKEN, "", fault.line, len(source))]).parse_module()
+        except ParseError as earlier:
+            if earlier.line < fault.line:
+                raise earlier from None
+        raise
+    return _Parser(tokens).parse_module()
 
 
 # ---------------------------------------------------------------------------

@@ -163,35 +163,6 @@ class Survivor:
         self.covered_lines = covered_lines
 
 
-def filter_valid(original: Problem, candidates, executor) -> list[Survivor]:
-    """Keep mutants that run cleanly on the problem input and change the output.
-
-    ``candidates`` is an iterable of (source, site) pairs; ``executor`` runs
-    them as one batch of (source, function_name, args) calls and
-    reports status/output/coverage for each.
-    """
-    candidates = list(candidates)
-    args = original.args()
-    results = executor.run_many(
-        [(source, original.function_name, args) for source, _ in candidates])
-    return _survivors(original, candidates, results)
-
-
-def _survivors(original: Problem, candidates: list[tuple[str, MutationSite]],
-               results) -> list[Survivor]:
-    """The candidates whose run on the problem's input, ``results`` in the
-    same order, succeeds with another output."""
-    expected = original.output_value()
-    survivors = []
-    for (source, site), result in zip(candidates, results):
-        if result.status != "ok":
-            continue
-        if values_equal(result.output, expected):
-            continue
-        survivors.append(Survivor(source, site, result.output, set(result.covered_lines)))
-    return survivors
-
-
 def jaccard(a: set[int], b: set[int]) -> float:
     if not a and not b:
         return 1.0
@@ -228,15 +199,19 @@ def mutate_problem(problem: Problem, executor, rng: random.Random,
                    candidates: list[tuple[str, MutationSite]]) -> MutantSet:
     """Run the mutants ``candidates`` of the problem's source, which are
     ``enumerate_source_mutants(problem.source)``, on its input, and select
-    one of the survivors.  The problem's own run and its mutants' runs go
-    to the executor as one batch."""
+    one of the survivors: the mutants that run cleanly and change the
+    output.  The problem's own run and its mutants' runs go to the executor
+    as one batch."""
     args = problem.args()
     base, *results = executor.run_many(
         [(source, problem.function_name, args)
          for source in [problem.source, *(source for source, _ in candidates)]])
     if base.status != "ok":
         raise ValueError(f"problem {problem.id} does not execute cleanly")
-    survivors = _survivors(problem, candidates, results)
+    expected = problem.output_value()
+    survivors = [Survivor(source, site, result.output, set(result.covered_lines))
+                 for (source, site), result in zip(candidates, results)
+                 if result.status == "ok" and not values_equal(result.output, expected)]
     selected = (
         select_mutant(set(base.covered_lines), survivors, rng) if survivors else None
     )

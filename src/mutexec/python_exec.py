@@ -20,11 +20,12 @@ that names no function, fail before the call starts: no covered lines and 0
 steps, as in minipy.
 
 ``ExternalExecutor`` with no command forks this child from a command that
-has one thread (``serve_forked``) instead of starting a second interpreter;
-the forked child answers every request as a started one does, and shares
-the command's hash secret, as a started child does when ``PYTHONHASHSEED``
-is set.  A command with more than one thread starts it as ``python -m
-mutexec.python_exec``, as a custom ``--executor-cmd`` may.  Either way
+has one thread instead of starting a second interpreter: a
+``forking.Child`` whose program is ``serve_forked``.  The forked child
+answers every request as a started one does, and shares the command's hash
+secret, as a started child does when ``PYTHONHASHSEED`` is set.  A command
+with more than one thread starts it as ``python -m mutexec.python_exec``,
+as a custom ``--executor-cmd`` may.  Either way
 ``main`` sets the recursion limit so that ``HEADROOM`` nested calls fit
 below it, so how deep a program may recurse does not depend on how the
 child started or on how deep the command's stack was.
@@ -36,7 +37,6 @@ timeout and process lifecycle.
 from __future__ import annotations
 
 import ast
-import gc
 import json
 import os
 import sys
@@ -162,55 +162,41 @@ def main() -> None:
         responses.flush()
 
 
-def serve_forked(requests_fd: int, responses_fd: int) -> None:
-    """Run ``main`` in a child just forked from a command, reading requests
-    from ``requests_fd`` and answering on ``responses_fd``, and end the
-    process without returning into the command's frames.
-
-    First the child is made what ``python -m mutexec.python_exec`` would
-    start: only the two pipes stay open, as fds 0 and 1, with fd 2 on
-    /dev/null; ``sys.stdin``, ``sys.stdout`` and ``sys.stderr`` are new
-    streams on those fds; no trace or profile hook is set; the warning
-    filters are a fresh interpreter's under ``PYTHONWARNINGS``; and
-    ``sys.argv`` is this module's path.  ``main`` evens out the deeper
-    stack."""
-    # the command's streams are kept referenced, so that no finalizer
-    # writes out what is still in their buffers
+def serve_forked() -> None:
+    """Run ``main`` in a ``forking.Child`` of a command, made first what
+    ``python -m mutexec.python_exec`` would start: ``sys.stdin``,
+    ``sys.stdout`` and ``sys.stderr`` are new streams on fds 0 to 2; no
+    trace or profile hook is set; the warning filters are a fresh
+    interpreter's; ``sys.argv`` is this module's path and ``sys.path[0]``
+    the working directory.  ``__main__`` stays the command's.  ``main``
+    evens out the deeper stack."""
+    # the command's streams stay referenced until ``main`` has put fd 1 on
+    # /dev/null, so that no finalizer writes what is still in their buffers
+    # to the response pipe
     command_streams = (sys.stdin, sys.stdout, sys.stderr,
                        sys.__stdin__, sys.__stdout__, sys.__stderr__)
-    status = 1
-    try:
-        # the command's objects are never collected here, so none of their
-        # finalizers runs, and the collector does not walk them
-        gc.freeze()
-        os.dup2(requests_fd, 0)
-        os.dup2(responses_fd, 1)
-        devnull = os.open(os.devnull, os.O_RDWR)
-        os.dup2(devnull, 2)
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
-        sys.stdin, sys.stdout, sys.stderr = (
-            open(fd, mode, closefd=False, encoding=getattr(like, "encoding", None),
-                 errors=getattr(like, "errors", None))
-            for fd, mode, like in zip((0, 1, 2), "rww", command_streams[3:]))
-        sys.__stdin__, sys.__stdout__, sys.__stderr__ = sys.stdin, sys.stdout, sys.stderr
-        sys.settrace(None)
-        sys.setprofile(None)
-        import threading  # the command has loaded it (forking.may_fork)
+    sys.stdin, sys.stdout, sys.stderr = (
+        open(fd, mode, closefd=False, encoding=getattr(like, "encoding", None),
+             errors=getattr(like, "errors", None))
+        for fd, mode, like in zip((0, 1, 2), "rww", command_streams[3:]))
+    sys.__stdin__, sys.__stdout__, sys.__stderr__ = sys.stdin, sys.stdout, sys.stderr
+    sys.settrace(None)
+    sys.setprofile(None)
+    import threading  # the command has loaded it (forking.may_fork)
 
-        threading.settrace(None)
-        threading.setprofile(None)
-        warnings.resetwarnings()  # then a release build's start-up filters
-        for category in (ResourceWarning, ImportWarning, PendingDeprecationWarning,
-                         DeprecationWarning):
-            warnings.simplefilter("ignore", category)
-        warnings.filterwarnings("default", category=DeprecationWarning, module="__main__")
-        warnings._processoptions(
-            [option for option in os.environ.get("PYTHONWARNINGS", "").split(",") if option])
-        sys.argv = [__file__]
-        main()
-        status = 0
-    finally:
-        os._exit(status)
+    threading.settrace(None)
+    threading.setprofile(None)
+    warnings.resetwarnings()  # then a release build's start-up filters
+    for category in (ResourceWarning, ImportWarning, PendingDeprecationWarning,
+                     DeprecationWarning):
+        warnings.simplefilter("ignore", category)
+    warnings.filterwarnings("default", category=DeprecationWarning, module="__main__")
+    warnings._processoptions(
+        [option for option in os.environ.get("PYTHONWARNINGS", "").split(",") if option])
+    sys.argv = [__file__]
+    if not (sys.version_info >= (3, 11) and os.environ.get("PYTHONSAFEPATH")):
+        sys.path.insert(0, os.getcwd())  # as ``-m`` puts it first
+    main()
 
 
 if __name__ == "__main__":

@@ -47,8 +47,9 @@ def read_fixture(name: str) -> str:
         return fh.read()
 
 
-# Texts the lexer must read as tokenize does, each with the line of the
-# ParseError it raises (None: it parses).
+# Texts the lexer must read as tokenize does, or as CPython's tokenizer does
+# where that raises a TabError, each with the line of the ParseError it
+# raises (None: it parses).
 EDGE_CASES = [
     # comments, blank and whitespace-only lines
     ("def f(a1):\n    # note\n\n    v1 = a1  # trailing\n   \n    return v1\n", None),
@@ -61,10 +62,11 @@ EDGE_CASES = [
     ("def f(a1):\n    v1 = 1 + \\\n        2\n    return v1\n", None),
     ("def f(a1):\r\n    v1 = [1,\r\n 2]\r\n\r\n    return v1\r\n", None),
     ("\x0cdef f(a1):\n\x0c    return a1\n", None),
-    # tab indentation: a tab runs to the next multiple of 8
+    # tab indentation: a tab runs to the next multiple of 8, and the lines
+    # must order the same with a tab as one column (else CPython's TabError)
     ("def f(a1):\n\tif a1:\n\t\treturn 1\n\treturn 2\n", None),
-    ("def f(a1):\n    if a1:\n\treturn 1\n    return 2\n", None),
-    ("def f(a1):\n  \tif a1:\n\t    return 1\n\treturn 2\n", None),
+    ("def f(a1):\n    if a1:\n\treturn 1\n    return 2\n", 3),
+    ("def f(a1):\n  \tif a1:\n\t    return 1\n\treturn 2\n", 4),
     # missing final newline, Unicode identifiers
     ("def f(a1):\n    return a1", None),
     ("def f(a1):\n    é = a1\n    return é", None),

@@ -185,10 +185,7 @@ def random_texts(seed: int, count: int) -> list[str]:
 
 
 def parsed_outside_python(sources) -> list[str]:
-    """The sources that ``minipy.parse`` accepts and ``ast.parse`` refuses.
-
-    A TabError does not count: indentation is read by the lexer, which
-    follows tokenize in letting tabs and spaces mix (see ``EDGE_CASES``)."""
+    """The sources that ``minipy.parse`` accepts and ``ast.parse`` refuses."""
     out = []
     for source in sources:
         try:
@@ -197,8 +194,6 @@ def parsed_outside_python(sources) -> list[str]:
             continue
         try:
             ast.parse(source)
-        except TabError:
-            pass
         except SyntaxError:
             out.append(source)
     return out

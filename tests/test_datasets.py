@@ -258,6 +258,23 @@ class TestParallelSampling:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_lanes_hold_no_fd_of_their_caller(self, monkeypatch, forks):
+        read_fd, write_fd = os.pipe()
+
+        def holds_no_fd(config, arity, depth):
+            for fd in (read_fd, write_fd):
+                with pytest.raises(OSError):
+                    os.fstat(fd)
+
+        patch_lanes(monkeypatch, 3, in_child=holds_no_fd)
+        try:
+            problems = build_dsl_list(DslListConfig(seed=3, programs_per_combo=30, per_bin=1))
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
+        assert len(forks) == 2
+        assert len(problems) == 2 * 5 * 3
+
     def test_threads_keep_sampling_in_process(self, monkeypatch, forks):
         patch_lanes(monkeypatch, 2)
         release = threading.Event()

@@ -439,6 +439,17 @@ class TestFailureBeforeTheCall:
         assert outcome(external.run(source, function_name, (1,))) == builtin
         assert builtin[4:] == ([], 0)
 
+    @pytest.mark.parametrize("source, kind, line", [
+        ("def f(a1):\n    if a1:\n\treturn 1\n    return 2\n", "TabError", 3),
+        ("def f(a1):\n    v1 = a1\n        return v1\n", "IndentationError", 3),
+        ("def f(a1):\n    if a1:\n    return 1\n    return 2\n", "IndentationError", 3),
+        ("def f(a1):\n    if a1:\n        v1 = 1\n      return v1\n", "IndentationError", 4),
+    ], ids=["tabs_and_spaces", "unexpected_indent", "missing_indent", "unmatched_dedent"])
+    def test_indentation_faults_have_cpython_s_class(self, external, source, kind, line):
+        expected = ("error", None, kind, line, [], 0)
+        assert outcome(BuiltinExecutor().run(source, "f", (1,))) == expected
+        assert outcome(external.run(source, "f", (1,))) == expected
+
 
 def differential_cases():
     with open(fixture_path("differential.jsonl")) as fh:
@@ -561,7 +572,39 @@ class TestForkedChild:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                               text=True, timeout=60)
         assert (done.returncode, done.stderr) == (0, "")
-        assert done.stdout == "before\n_ForkedChild\n[1, None, 2]\n"
+        assert done.stdout == "before\nChild\n[1, None, 2]\n"
+
+    @pytest.mark.parametrize("safe_path", ["", "1"], ids=["default", "PYTHONSAFEPATH"])
+    def test_path_of_a_python_c_caller(self, tmp_path, safe_path):
+        # ``python -c`` puts "" first on sys.path, ``python -m`` the working
+        # directory; a forked child sets it as a started one does
+        script = (
+            "import sys\n"
+            "from mutexec.executors import ExternalExecutor\n"
+            "call = ('import sys\\ndef f(a1):\\n    return sys.path[0]', 'f', (1,))\n"
+            "with ExternalExecutor() as forked, ExternalExecutor(\n"
+            "        [sys.executable, '-m', 'mutexec.python_exec']) as started:\n"
+            "    print(forked.run(*call).output)\n"
+            "    print(started.run(*call).output)\n"
+            "    print(type(forked.proc).__name__)\n")
+        src = os.path.dirname(os.path.dirname(executors.__file__))
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONSAFEPATH": safe_path}
+        done = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        forked, started, name = done.stdout.splitlines()
+        assert name == "Child"
+        assert forked == started == (src if safe_path else str(tmp_path))
+
+    def test_holds_no_fd_of_its_caller(self):
+        read_fd, write_fd = os.pipe()
+        try:
+            source = ("import os\ndef f(a1):\n    try:\n        os.fstat(a1)\n"
+                      "    except OSError:\n        return False\n    return True")
+            assert forked_outcomes([(source, "f", (read_fd,))])[0][:2] == ("ok", False)
+        finally:
+            os.close(read_fd)
+            os.close(write_fd)
 
 
 class TestDifferential:

@@ -230,8 +230,9 @@ class TestInterpret:
 # sha256 of the lexer corpus's AST reprs ("-" for a source that does not
 # parse), recorded with the tokenize-based parser that the scanner replaced,
 # and again, by the scanner that matched it, when the differential fixture
-# gained its loop shapes.
-CORPUS_AST_SHA256 = "1635fa1a5b7a26a8be2b86d5b32c6f1a81ff6d172da6c85c8bb8bd21e1863682"
+# gained its loop shapes.  Recorded once more when the scanner began to
+# refuse the two edge cases whose indentation is a TabError in CPython.
+CORPUS_AST_SHA256 = "ce6117551d4913c8da146f51660959588048d6e0671f545bbfc4b4610d455069"
 
 
 def tokenize_stream(source):
@@ -307,7 +308,11 @@ class TestLexer:
                 # the open bracket, backslash or string (see EDGE_CASES)
                 assert outcome > 0, source
             else:
-                pytest.fail(f"parses with tokenize's tokens: {source!r}")
+                # tokenize lets tabs and spaces mix where CPython's
+                # tokenizer raises a TabError
+                with pytest.raises(TabError) as err:
+                    compile(source, "<text>", "exec")
+                assert outcome == err.value.lineno, source
         assert failed >= sum(line is not None for _, line in EDGE_CASES)
 
     def test_ast_digest_pinned(self, lexer_corpus):
@@ -329,15 +334,49 @@ class TestLexer:
             try:
                 expected = tokenize_stream(source)
             except (tokenize.TokenError, IndentationError) as err:
-                with pytest.raises(ParseError) as mine:
-                    minipy._scan(source)
-                if isinstance(err, IndentationError):
-                    assert mine.value.line == err.lineno, source
+                expected = err
+            try:
+                stream = scanner_stream(source)
+            except ParseError as mine:
+                # tokenize lets tabs and spaces mix where CPython's tokenizer
+                # raises a TabError (test_indentation_matches_cpython)
+                if mine.kind != "TabError":
+                    assert isinstance(expected, Exception), source
+                    if isinstance(expected, IndentationError):
+                        assert mine.line == expected.lineno, source
                 continue
+            assert not isinstance(expected, Exception), source
             # tokenize also yields the blanks before a bad character
             expected = [t for t in expected
                         if not (t[0] == "ERRORTOKEN" and t[1] in " \t\x0c")]
-            assert scanner_stream(source) == expected, source
+            assert stream == expected, source
+
+    def test_indentation_matches_cpython(self):
+        # every fault of these texts is one of indentation, so CPython's
+        # first error is the one its tokenizer or parser raises for it
+        rng = random.Random(5)
+        faults = set()
+        for _ in range(3000):
+            lines = ["def f(a1):"]
+            for _ in range(rng.randint(1, 6)):
+                indent = "".join(rng.choice([" ", "    ", "\t", "\x0c"])
+                                 for _ in range(rng.randint(0, 3)))
+                lines.append(indent + rng.choice(["if a1:", "v1 = a1"]))
+            lines.append(rng.choice(["", "    ", "\t"]) + "return a1")
+            source = "\n".join(lines) + "\n"
+            try:
+                ast.parse(source)
+                expected = None
+            except SyntaxError as err:
+                expected = (type(err).__name__, err.lineno)
+            try:
+                parse(source)
+                mine = None
+            except ParseError as err:
+                mine = (err.kind, err.line)
+            assert mine == expected, source
+            faults.add(mine and mine[0])
+        assert faults == {None, "IndentationError", "TabError"}
 
     def test_unexpected_character_named(self):
         with pytest.raises(ParseError) as err:

@@ -360,3 +360,20 @@ def test_method_checker_matches_names():
 
 def test_every_method_is_read_by_the_package_bench_or_demos():
     assert unread_methods(*_package_sources()) == []
+
+
+def test_only_forking_forks():
+    """``forking.Child`` is the package's one fork: no other module calls
+    ``os.fork``, ``os._exit`` or ``os.waitpid``, or imports them from ``os``."""
+    names = {"fork", "_exit", "waitpid"}
+    found = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in names
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append((path.stem, f"os.{node.attr}"))
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found.extend((path.stem, f"os.{alias.name}") for alias in node.names
+                             if alias.name in names)
+    assert sorted(set(found)) == [
+        ("forking", "os._exit"), ("forking", "os.fork"), ("forking", "os.waitpid")]
