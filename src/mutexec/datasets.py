@@ -6,9 +6,12 @@ combination, then per signature picks 10 programs uniformly from each 4-wide
 lines-of-code bin between 4 and 24, yielding 100 programs with 3 inputs each
 (300 problems).  The LLM dataset runs a brainstorm / code-generation /
 input-generation pipeline against a chat model with fixed sorting/search
-functions appended, re-asking for inputs that error or involve floats.
-External problems are executed through the subprocess executor for ground
-truth, with character-length, determinism, and step-count filters.
+functions appended.  External problems, the LLM dataset's among them, get
+their ground truth from one path, ``ingest_external``: two runs of each
+input, with character-length, determinism, and step-count filters.  The LLM
+dataset uses it with no length window and no step budget, refuses floats in
+an input before it runs and in an output after, and re-asks for the inputs
+that ingestion or the float rules refuse.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import os
 import random
 import re
+from dataclasses import replace
 
 from .dsl import to_sexpr
 from .forking import Child, may_fork
@@ -308,10 +312,11 @@ def _loc(source: str) -> int:
 
 
 def build_llm_list(model, executor, max_regenerations: int = 5) -> list[Problem]:
-    """Brainstorm, generate code, generate/validate inputs, record ground truth.
+    """Brainstorm, generate code, generate inputs, and take each function's
+    problems from ``ingest_external``.
 
-    A function whose inputs still fail after ``max_regenerations`` re-asks
-    raises ``GenerationRetriesExhausted``."""
+    A function whose inputs are still refused after ``max_regenerations``
+    re-asks raises ``GenerationRetriesExhausted``."""
     brainstorm = model.complete(BRAINSTORM_PROMPT, 1)[0].text
     headers = parse_brainstorm(brainstorm)
     headers.extend(fixed_sort_search_headers())
@@ -322,20 +327,12 @@ def build_llm_list(model, executor, max_regenerations: int = 5) -> list[Problem]
         code = strip_code_fences(
             model.complete(render_codegen_prompt(header, description), 1)[0].text
         )
-        inputs = _generate_inputs(model, executor, name, description, code, max_regenerations)
         program_id = f"llm-{func_index:03d}-{name}"
-        for input_index, (input_text, output_text) in enumerate(inputs):
-            problems.append(Problem(
-                id=f"{program_id}-x{input_index}",
-                dataset="llm-list",
-                source=code,
-                function_name=name,
-                input=input_text,
-                output=output_text,
-                loc=_loc(code),
-                executor="external",
-                program_id=program_id,
-            ))
+        problems.extend(
+            replace(problem, id=f"{program_id}-x{input_index}", dataset="llm-list",
+                    program_id=program_id)
+            for input_index, problem in enumerate(
+                _generate_inputs(model, executor, name, description, code, max_regenerations)))
     return problems
 
 
@@ -350,24 +347,15 @@ def _parse_input(input_text: str) -> tuple[tuple, str] | None:
         return None
 
 
-def _validate_input(executor, code: str, name: str, input_text: str):
-    """Returns (True, (input text, output text)), both canonical, or
-    (False, reason)."""
-    parsed = _parse_input(input_text)
-    if parsed is None:
-        return False, "unparseable input"
-    args, canonical_input = parsed
-    if contains_float(args):
-        return False, "float in input"
-    result = executor.run(code, name, args)
-    if result.status != "ok":
-        return False, f"runtime error: {result.error_kind}"
-    if contains_float(result.output):
-        return False, "float in output"
-    return True, (canonical_input, canonical_repr(result.output))
-
-
-def _generate_inputs(model, executor, name, description, code, max_regenerations):
+def _generate_inputs(model, executor, name, description, code,
+                     max_regenerations) -> list[Problem]:
+    """The problems ``ingest_external`` makes of ``code`` on the first
+    ``INPUTS_PER_FUNCTION`` lines of the model's answer, with no length
+    window and no step budget.  A line whose arguments hold a float is
+    refused before it runs, and one whose output holds a float after; the
+    model is asked again, with the refused lines excluded, until every line
+    is kept."""
+    config = IngestConfig(0, len(code), None)
     excluded: list[str] = []
     reasons: list[str] = []
     for _ in range(max_regenerations + 1):
@@ -375,18 +363,25 @@ def _generate_inputs(model, executor, name, description, code, max_regenerations
         text = model.complete(prompt, 1)[0].text
         lines = [line.strip() for line in text.splitlines() if line.strip()]
         lines = lines[:INPUTS_PER_FUNCTION]
-        accepted: list[tuple[str, str]] = []
-        bad: list[str] = []
-        for line in lines:
-            ok, info = _validate_input(executor, code, name, line)
-            if ok:
-                accepted.append(info)
-            else:
-                bad.append(line)
-                reasons.append(f"{line!r}: {info}")
-        if len(accepted) == INPUTS_PER_FUNCTION:
-            return accepted
-        excluded.extend(bad)
+        refused: dict[int, str] = {}  # line index -> reason
+        for index, line in enumerate(lines):
+            parsed = _parse_input(line)
+            if parsed is not None and contains_float(parsed[0]):
+                refused[index] = "float in input"
+        # each record's id is its line's index until build_llm_list names it
+        records = [{"id": str(index), "source": code, "function_name": name, "input": line}
+                   for index, line in enumerate(lines) if index not in refused]
+        ingested, rejections = ingest_external(records, executor, config)
+        for rejection in rejections:
+            refused[int(records[rejection.index]["id"])] = rejection.reason
+        for problem in ingested:
+            if contains_float(problem.output_value()):
+                refused[int(problem.id)] = "float in output"
+        if not refused and len(ingested) == INPUTS_PER_FUNCTION:
+            return ingested
+        for index in sorted(refused):
+            excluded.append(lines[index])
+            reasons.append(f"{lines[index]!r}: {refused[index]}")
     raise GenerationRetriesExhausted(name, reasons)
 
 

@@ -6,9 +6,16 @@ results of a list of such ``(source, function_name, args)`` calls in order.
 Every result carries its covered lines and its ``steps``, the count of line
 events CPython's line tracer reports (a statement starts, or a loop body
 goes back to its header), so one call gives one result whichever executor
-runs it.  The external executor hosts programs the mini-language cannot run
-(anything with strings, dicts, imports, ...) in a child process, one JSON
-request per line on stdin and one JSON response per line on stdout:
+runs it.  ``BuiltinExecutor.run`` raises nothing: an ``ok`` output whose
+canonical text does not parse back (``values.parses_back``: a list that
+holds itself, or lists nested more than 200 deep) is kind
+"UnrepresentableOutput" with its covered lines and steps, as the child's
+answer is read, and a program nested too deeply for the interpreter's stack
+is kind "RecursionError" at line 0, as CPython's compiler reports a sum of
+3,000 terms on 3.10–3.12.  The external executor hosts programs the
+mini-language cannot run (anything with strings, dicts, imports, ...) in a
+child process, one JSON request per line on stdin and one JSON response per
+line on stdout:
 
     request:  {"id": int, "source": str, "function_name": str, "input": str}
     response: {"id": int, "status": "ok"|"error", "output_repr": str|null,
@@ -52,7 +59,7 @@ import sys
 import time
 from . import minipy
 from .forking import Child, may_fork
-from .values import canonical_repr, format_args, parse_literal
+from .values import canonical_repr, format_args, parse_literal, parses_back
 
 DEFAULT_TIMEOUT = 10.0
 PROBE = {"source": "", "function_name": "", "input": ""}
@@ -70,16 +77,22 @@ class BuiltinExecutor:
         self._cache: dict[str, minipy.Module] = {}
 
     def run(self, source: str, function_name: str, args: tuple) -> minipy.ExecResult:
-        module = self._cache.get(source)
-        if module is None:
-            try:
+        try:
+            module = self._cache.get(source)
+            if module is None:
                 module = minipy.parse(source)
-            except minipy.ParseError as exc:
-                return minipy.ExecResult("error", error_kind=exc.kind, error_line=exc.line)
-            if len(self._cache) > 4096:
-                self._cache.clear()
-            self._cache[source] = module
-        return minipy.interpret(module, args, function_name=function_name)
+                if len(self._cache) > 4096:
+                    self._cache.clear()
+                self._cache[source] = module
+            result = minipy.interpret(module, args, function_name=function_name)
+        except minipy.ParseError as exc:
+            return minipy.ExecResult("error", error_kind=exc.kind, error_line=exc.line)
+        except RecursionError:  # nested too deeply for this stack, as for CPython's compiler
+            return minipy.ExecResult("error", error_kind="RecursionError", error_line=0)
+        if result.status == "ok" and not parses_back(result.output):
+            return minipy.ExecResult("error", covered_lines=result.covered_lines,
+                                     steps=result.steps, error_kind="UnrepresentableOutput")
+        return result
 
     def run_many(self, calls) -> list[minipy.ExecResult]:
         return [self.run(*call) for call in calls]

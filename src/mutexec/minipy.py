@@ -14,9 +14,12 @@ plain ``(kind, string, line, start)`` tuples, the same stream the standard
 library's ``tokenize`` gives without its COMMENT and NL tokens, and parsed by
 recursive descent with precedence climbing for the operators.  The parser
 accepts only Python: it reads commas in a bracketed list and keywords as
-CPython does, and refuses a repeated parameter name.  The same scanner
-finds the mutation sites of ``mutate``, which splices a mutant at a token's
-``start`` offset.  A ParseError carries the 1-based line of the offending
+CPython does, and refuses a repeated parameter name.  As CPython's tokenizer
+does, the scanner refuses a 201st open bracket; as its compiler does,
+``parse`` refuses a ``return`` outside a ``def``, and a ``break`` or
+``continue`` outside a loop of its own ``def``, once the whole text parses.
+The same scanner finds the mutation sites of ``mutate``, which splices a
+mutant at a token's ``start`` offset.  A ParseError carries the 1-based line of the offending
 token; at the end of the text inside brackets it names the line of the
 innermost open bracket.  Its ``kind`` is the class of CPython's error there,
 so faults of indentation are IndentationErrors or TabErrors.  A statement
@@ -44,7 +47,7 @@ import re
 from keyword import iskeyword
 from typing import Callable
 
-from .values import INT_MAX, INT_MIN, Value, copy_value
+from .values import INT_MAX, INT_MIN, MAX_NESTING, Value, copy_value
 
 
 class ParseError(Exception):
@@ -620,6 +623,9 @@ def _scan(source: str) -> list[Token]:
             elif group == _G_OP:
                 text = found[group]
                 if text in _OPENERS:
+                    if len(opened) == MAX_NESTING:  # CPython stops at a stray closer first
+                        raise (ParseError(stray, "unmatched closing bracket") if stray else
+                               ParseError(line, "too many nested parentheses"))
                     depth += 1
                     opened.append((text, line))
                 elif text in _CLOSERS:
@@ -978,7 +984,28 @@ def parse(source: str) -> Module:
             if earlier.line < fault.line:
                 raise earlier from None
         raise
-    return _Parser(tokens).parse_module()
+    module = _Parser(tokens).parse_module()
+    _check_jumps(module.body, False, False)
+    return module
+
+
+def _check_jumps(body: list[Stmt], in_def: bool, in_loop: bool) -> None:
+    """Raise the SyntaxError of CPython's compiler at the first ``return``
+    outside a ``def``, or ``break`` or ``continue`` outside a loop of its own
+    ``def``, in source order.  The compiler runs only on a text that parses,
+    so this runs after the parse."""
+    for stmt in body:
+        if isinstance(stmt, FunctionDef):
+            _check_jumps(stmt.body, True, False)
+        elif isinstance(stmt, (While, ForRange)):
+            _check_jumps(stmt.body, in_def, True)
+        elif isinstance(stmt, If):
+            _check_jumps(stmt.body, in_def, in_loop)
+            _check_jumps(stmt.orelse, in_def, in_loop)
+        elif isinstance(stmt, Return) and not in_def:
+            raise ParseError(stmt.line, "'return' outside function")
+        elif isinstance(stmt, (Break, Continue)) and not in_loop:
+            raise ParseError(stmt.line, f"'{type(stmt).__name__.lower()}' outside loop")
 
 
 # ---------------------------------------------------------------------------
@@ -1023,13 +1050,12 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
-# A ``break`` or ``continue`` outside any loop fails with ``kind``, as in Python
 class _BreakSignal(Exception):
-    kind = "SyntaxError"
+    pass
 
 
 class _ContinueSignal(Exception):
-    kind = "SyntaxError"
+    pass
 
 
 _ARITHMETIC = {
@@ -1129,7 +1155,7 @@ def interpret(
         output = None  # fell off the end without a return
     except _ReturnSignal as ret:
         output = ret.value
-    except (_RuntimeFailure, _BreakSignal, _ContinueSignal) as failure:
+    except _RuntimeFailure as failure:
         return ExecResult("error", covered_lines=interp.covered, steps=interp.steps,
                           error_kind=failure.kind, error_line=interp.cur_line)
     return ExecResult("ok", output, interp.covered, interp.steps)

@@ -17,7 +17,11 @@ The protocol has fds 0 and 1 to itself: the programs run with stdin and
 stdout on /dev/null, so what they print or read never touches it.  A source
 that does not compile or raises while its module runs, and a function name
 that names no function, fail before the call starts: no covered lines and 0
-steps, as in minipy.
+steps, as in minipy.  A return value whose ``repr`` fails (lists nested too
+deeply) is kind "UnrepresentableOutput" with the call's covered lines and
+steps and no line, as is one whose ``repr`` the parent cannot parse back.
+On a program minipy accepts, every field of a response equals minipy's
+result (README, "External executor protocol", lists the exceptions).
 
 ``ExternalExecutor`` with no command forks this child from a command that
 has one thread instead of starting a second interpreter: a
@@ -106,9 +110,9 @@ def _execute(request: dict, codes: dict) -> dict:
 
     try:
         output_repr = repr(result)
-    except Exception:
-        return {"status": "error",
-                "error": {"kind": "UnrepresentableOutput", "line": 0}}
+    except Exception:  # nested too deeply to write, say
+        return {"status": "error", "covered_lines": sorted(covered), "steps": steps,
+                "error": {"kind": "UnrepresentableOutput", "line": None}}
     return {"status": "ok", "output_repr": output_repr,
             "covered_lines": sorted(covered), "steps": steps}
 

@@ -21,6 +21,7 @@ Value = Any
 
 INT_MIN = -(2**63 - 1)
 INT_MAX = 2**63 - 1
+MAX_NESTING = 200  # the brackets CPython's tokenizer lets a text hold open
 
 
 def canonical_repr(value: Value) -> str:
@@ -136,6 +137,30 @@ def copy_value(value: Value) -> Value:
         return _copy_tree(value, set())
     except _NotATree:
         return copy.deepcopy(value)
+
+
+def _height(value: list, room: int, heights: dict[int, int | None]) -> int:
+    """How deep the lists in ``value`` nest, itself counted, or more than
+    ``room`` if deeper; ``heights`` holds the heights of the lists walked,
+    None while a list is being walked."""
+    if id(value) in heights:
+        height = heights[id(value)]
+        return room + 1 if height is None else height  # None: it holds itself
+    if room == 0:
+        return 1
+    heights[id(value)] = None
+    height = 1 + max((_height(v, room - 1, heights) for v in value if type(v) is list),
+                     default=0)
+    heights[id(value)] = height
+    return height
+
+
+def parses_back(value: Value) -> bool:
+    """Whether the canonical text of ``value``, a value minipy builds, parses
+    back: its lists nest at most ``MAX_NESTING`` deep.  A list that holds
+    itself nests without end.  The walk is linear in the lists and never
+    deeper than ``MAX_NESTING``."""
+    return type(value) is not list or _height(value, MAX_NESTING, {}) <= MAX_NESTING
 
 
 def contains_float(value: Value) -> bool:

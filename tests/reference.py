@@ -13,17 +13,17 @@ the package computes by a faster or narrower path:
 * ``app`` and ``partial``: terms built by hand;
 * ``verify_partition``: the judgments of each problem-variant partition its
   samples;
-* ``random_texts`` and ``parsed_outside_python``: ``ast.parse`` as the
+* ``random_texts`` and ``parsed_outside_python``: ``compile`` as the
   judge of which texts ``minipy.parse`` may accept.
 """
 
 from __future__ import annotations
 
-import ast
 import itertools
 import keyword
 import math
 import random
+import warnings
 from collections import defaultdict
 
 from mutexec import minipy
@@ -185,7 +185,8 @@ def random_texts(seed: int, count: int) -> list[str]:
 
 
 def parsed_outside_python(sources) -> list[str]:
-    """The sources that ``minipy.parse`` accepts and ``ast.parse`` refuses."""
+    """The sources that ``minipy.parse`` accepts and ``compile``, which the
+    external child runs, refuses."""
     out = []
     for source in sources:
         try:
@@ -193,7 +194,9 @@ def parsed_outside_python(sources) -> list[str]:
         except minipy.ParseError:
             continue
         try:
-            ast.parse(source)
+            with warnings.catch_warnings():  # ``1[0]``'s SyntaxWarning, say
+                warnings.simplefilter("ignore")
+                compile(source, "<text>", "exec")
         except SyntaxError:
             out.append(source)
     return out

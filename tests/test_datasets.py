@@ -454,6 +454,22 @@ class TestLlmList:
         with pytest.raises(GenerationRetriesExhausted):
             build_llm_list(model, external_executor, max_regenerations=2)
 
+    def test_clock_reading_function_is_re_asked_then_refused(self, external_executor):
+        # its two runs differ, so ingestion rejects every input, as it
+        # rejects the same program given to ``ingest``
+        class Clock(FakeListModel):
+            def _codegen(self, prompt):
+                return ("def fn_001(lst):\n    import time\n"
+                        "    return lst + [time.perf_counter_ns()]")
+
+        model = Clock(n_functions=1)
+        with pytest.raises(GenerationRetriesExhausted) as err:
+            build_llm_list(model, external_executor, max_regenerations=1)
+        assert err.value.function == "fn_001"
+        assert "'[1, 2]': nondeterministic output" in str(err.value)
+        assert ("Do NOT include the following inputs: [1, 2], [3, 4, 5], [0, 6]"
+                in model.exclusion_prompts[0])
+
 
 class TestIngest:
     def make_records(self):

@@ -1,4 +1,5 @@
 import cProfile
+import functools
 import json
 import math
 import os
@@ -12,8 +13,9 @@ import warnings
 import pytest
 
 from conftest import assert_reaped, fixture_path
+from reference import random_texts
 
-from mutexec import executors
+from mutexec import executors, minipy
 from mutexec.executors import BuiltinExecutor, ExternalExecutor
 from mutexec.mutate import enumerate_source_mutants, mutate_dataset
 from mutexec.values import canonical_repr, parse_args
@@ -449,6 +451,65 @@ class TestFailureBeforeTheCall:
         expected = ("error", None, kind, line, [], 0)
         assert outcome(BuiltinExecutor().run(source, "f", (1,))) == expected
         assert outcome(external.run(source, "f", (1,))) == expected
+
+
+def nested(opener, depth):
+    closer = {"(": ")", "[": "]"}[opener]
+    return f"def f(a1):\n    return {opener * depth}a1{closer * depth}\n"
+
+
+WRAPPED = ("def f(a1):\n    x = a1\n    for i in range({}):\n        x = [x]\n"
+           "    return x\n")
+
+# programs on which minipy and the host child once disagreed, the arguments
+# of their call and the fields both give now
+CONTRACT_CASES = {
+    "break_in_if": ("def f(a1):\n    if a1:\n        break\n    return 1\n", (0,),
+                    ("error", None, "SyntaxError", 3, [], 0)),
+    "module_return": ("def f(a1):\n    return a1\nreturn 2\n", (1,),
+                      ("error", None, "SyntaxError", 3, [], 0)),
+    "module_break": ("def f(a1):\n    return a1\nbreak\n", (1,),
+                     ("error", None, "SyntaxError", 3, [], 0)),
+    "break_in_def": ("def f(a1):\n    break\n", (1,),
+                     ("error", None, "SyntaxError", 2, [], 0)),
+    "break_in_a_def_in_a_loop": ("for i in range(2):\n    def f(a1):\n        continue\n",
+                                 (1,), ("error", None, "SyntaxError", 3, [], 0)),
+    "list_holds_itself": ("def f(a1):\n    a1.append(a1)\n    return a1", ([1],),
+                          ("error", None, "UnrepresentableOutput", None, [2, 3], 2)),
+    "wrapped_3000_times": (WRAPPED.format(3000), ([1],),
+                           ("error", None, "UnrepresentableOutput", None, [2, 3, 4, 5], 6003)),
+    "wrapped_199_times": (WRAPPED.format(199), ([1],),
+                          ("ok", functools.reduce(lambda v, _: [v], range(199), [1]), None, None,
+                           [2, 3, 4, 5], 401)),
+    "wrapped_200_times": (WRAPPED.format(200), ([1],),
+                          ("error", None, "UnrepresentableOutput", None, [2, 3, 4, 5], 403)),
+    "parentheses_200": (nested("(", 200), (1,), ("ok", 1, None, None, [2], 1)),
+    "parentheses_201": (nested("(", 201), (1,), ("error", None, "SyntaxError", 2, [], 0)),
+    "parentheses_250": (nested("(", 250), (1,), ("error", None, "SyntaxError", 2, [], 0)),
+    "parentheses_400": (nested("(", 400), (1,), ("error", None, "SyntaxError", 2, [], 0)),
+    "parentheses_2000": (nested("(", 2000), (1,), ("error", None, "SyntaxError", 2, [], 0)),
+    "list_display_400": (nested("[", 400), (1,), ("error", None, "SyntaxError", 2, [], 0)),
+    "sum_of_3000_terms": ("def f(a1):\n    return " + " + ".join(["a1"] * 3000) + "\n", (1,),
+                          ("error", None, "RecursionError", 0, [], 0)),
+}
+
+
+class TestContract:
+    """Both executors give one result, field by field."""
+
+    @pytest.mark.parametrize("source, args, expected", CONTRACT_CASES.values(),
+                             ids=CONTRACT_CASES.keys())
+    def test_both_executors_agree_on_every_field(self, external, source, args, expected):
+        assert outcome(BuiltinExecutor().run(source, "f", args)) == expected
+        assert outcome(external.run(source, "f", args)) == expected
+
+    def test_builtin_run_raises_nothing(self, lexer_corpus):
+        executor = BuiltinExecutor()
+        deep = ["def f(a1):\n    return " + "not " * 1000 + "a1\n",
+                *(source for source, _, _ in CONTRACT_CASES.values())]
+        for source in [*lexer_corpus, *random_texts(9, 3000), *deep]:
+            for args in ((1,), ([1, 2],), ([1, 2], 1)):
+                assert isinstance(executor.run(source, "f", args), minipy.ExecResult), source
 
 
 def differential_cases():

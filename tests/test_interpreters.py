@@ -1,7 +1,7 @@
 """The small corpus, its mutate step and the mock model runs and report on
 its pairs give the same bytes under every supported Python, 3.10 to 3.13,
-and the parser accepts only what that Python's ``ast.parse`` accepts, whose
-keywords and grammar are the running interpreter's.  So do ``ingest`` and
+and the parser accepts only what that Python's ``compile`` accepts, whose
+keywords, grammar and compiler are the running interpreter's.  So do ``ingest`` and
 ``mutate`` through the bundled external executor on the corpus's programs,
 with nothing written to stderr.
 

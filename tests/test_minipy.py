@@ -31,7 +31,7 @@ class TestParse:
 
     def test_table_fragments_parse(self):
         # the mutation-operator vocabulary appears in expression statements
-        for fragment in ("a + b", "a < b", "a and b", "continue", "1"):
+        for fragment in ("a + b", "a < b", "a and b", "while a:\n    continue", "1"):
             parse(fragment)
 
     def test_rejected_constructs(self):
@@ -75,6 +75,35 @@ class TestParse:
         source = ("def f(a1,):\n    for i in range(len(a1),):\n        a1.append(i,)\n"
                   "    return [a1, 0,]")
         assert run(source, [5, 6]).output == [[5, 6, 0, 1], 0]
+
+    @pytest.mark.parametrize("text", [
+        "def f(a1):\n    if a1:\n        break\n    return 1\n",
+        "def f(a1):\n    return a1\nbreak\n",
+        "return 1\ndef f(a1):\n    break\n",
+        "def f(a1):\n    return 1\n    continue\n",
+        "for i in range(3):\n    def g():\n        break\n",
+        "while a:\n    return 1\n",
+        "if False:\n    continue\n",
+        "while a:\n    if a:\n        break\n    continue\n",
+        "def f(a1):\n    break\nv = (\n",
+        "def f(a1):\n    break\nv = 1 +\n",
+    ], ids=["break_in_if", "module_break", "module_return_first", "continue_after_return",
+            "break_in_a_def_in_a_loop", "return_in_a_module_loop", "continue_in_dead_code",
+            "jumps_in_a_module_loop", "unclosed_bracket_later", "parse_error_later"])
+    def test_jumps_outside_their_scope_as_compile_reports_them(self, text):
+        # the compiler reports the first jump outside its scope, and only
+        # for a text that parses
+        try:
+            compile(text, "<text>", "exec")
+            expected = None
+        except SyntaxError as err:
+            expected = (type(err).__name__, err.lineno)
+        try:
+            parse(text)
+            mine = None
+        except ParseError as err:
+            mine = (err.kind, err.line)
+        assert mine == expected
 
     def test_accepts_only_python(self, lexer_corpus):
         assert parsed_outside_python(lexer_corpus + random_texts(1, 20000)) == []
@@ -352,8 +381,9 @@ class TestLexer:
             assert stream == expected, source
 
     def test_indentation_matches_cpython(self):
-        # every fault of these texts is one of indentation, so CPython's
-        # first error is the one its tokenizer or parser raises for it
+        # every fault of these texts is one of indentation or a ``return``
+        # at column 0, outside the ``def``; ``compile``, which the external
+        # child runs, reports the first of them
         rng = random.Random(5)
         faults = set()
         for _ in range(3000):
@@ -365,7 +395,7 @@ class TestLexer:
             lines.append(rng.choice(["", "    ", "\t"]) + "return a1")
             source = "\n".join(lines) + "\n"
             try:
-                ast.parse(source)
+                compile(source, "<text>", "exec")
                 expected = None
             except SyntaxError as err:
                 expected = (type(err).__name__, err.lineno)
@@ -376,7 +406,7 @@ class TestLexer:
                 mine = (err.kind, err.line)
             assert mine == expected, source
             faults.add(mine and mine[0])
-        assert faults == {None, "IndentationError", "TabError"}
+        assert faults == {None, "IndentationError", "TabError", "SyntaxError"}
 
     def test_unexpected_character_named(self):
         with pytest.raises(ParseError) as err:
@@ -390,6 +420,30 @@ class TestLexer:
         with pytest.raises(ParseError) as err:
             parse("def f(a1):\n    x = 'abc\n    return x\n")
         assert (err.value.line, err.value.message) == (2, "unexpected character \"'\"")
+
+    @pytest.mark.parametrize("before", ["", "v1 = $\n", "v1 = 1 +\n", "v1 = 1)\n"],
+                             ids=["alone", "after_a_bad_character", "after_a_parse_error",
+                                  "after_a_stray_closer"])
+    def test_nesting_as_cpython_limits_it(self, before):
+        # 200 open brackets parse and the 201st fails at its line, before
+        # any parser error, as CPython's tokenizer reports it; a stray
+        # closer before them fails first
+        for depth in (200, 201, 400):
+            text = before + "v2 = (\n" + "[" * (depth - 1) + "\n1" + "]" * (depth - 1) + ")\n"
+            try:
+                compile(text, "<text>", "exec")
+                expected = None
+            except SyntaxError as err:
+                expected = err.lineno
+            try:
+                parse(text)
+                mine = None
+            except ParseError as err:
+                mine = err.line
+                message = err.message
+            assert mine == expected
+        if ")" not in before:
+            assert (mine, message) == (before.count("\n") + 2, "too many nested parentheses")
 
     def test_unclosed_bracket_line(self):
         with pytest.raises(ParseError) as err:

@@ -10,6 +10,7 @@ from mutexec.values import (
     is_boolean_output,
     parse_args,
     parse_literal,
+    parses_back,
     values_equal,
 )
 
@@ -69,6 +70,44 @@ def test_boolean_output_detection():
     assert is_boolean_output(" False ")
     assert not is_boolean_output("[True]")
     assert not is_boolean_output("1")
+
+
+def nested_list(depth):
+    value = [1]
+    for _ in range(depth - 1):
+        value = [value]
+    return value
+
+
+def test_parses_back_as_the_text_does():
+    # the oracle: the canonical text parses back within 200 brackets
+    for depth in (1, 200, 201):
+        value = nested_list(depth)
+        text = canonical_repr(value)
+        try:
+            parse_literal(text)
+            expected = True
+        except ValueError:
+            expected = False
+        assert parses_back(value) is expected is (depth <= 200)
+    cyclic = [1]
+    cyclic.append(cyclic)
+    assert not parses_back(cyclic)
+    assert not parses_back([[2], [cyclic]])
+    assert parses_back(1) and parses_back([]) and parses_back([1, True, None])
+
+
+def test_parses_back_sees_a_shared_list_at_each_depth():
+    # the same 199-deep list, once at depth 2 and once at depth 3
+    shared = nested_list(199)
+    assert parses_back([shared, shared])
+    assert not parses_back([shared, [shared]])
+    assert not parses_back([[shared], shared])
+    # walked once per list: 2 ** 60 paths, 60 lists
+    wide = [1]
+    for _ in range(60):
+        wide = [wide, wide]
+    assert parses_back(wide)
 
 
 def test_contains_float():
