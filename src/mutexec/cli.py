@@ -31,6 +31,7 @@ from .problems import (
     pair_by_id,
     read_jsonl,
     save_jsonl,
+    sha256,
 )
 from .values import canonical_repr, format_args
 
@@ -65,9 +66,7 @@ class UsageError(ValueError):
 
 
 def _sha256(path: str) -> str:
-    import hashlib  # imported here: report hashes nothing, and OpenSSL is slow to load
-
-    digest = hashlib.sha256()
+    digest = sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
             digest.update(chunk)
@@ -374,11 +373,9 @@ def _check_templates() -> bool:
 
 
 def _model_config_sha(args) -> str:
-    import hashlib
-
     fields = {k: getattr(args, k, None)
               for k in ("model", "model_profile", "endpoint", "max_tokens", "mode")}
-    return hashlib.sha256(
+    return sha256(
         json.dumps(fields, sort_keys=True).encode("utf-8")
     ).hexdigest()
 

@@ -24,6 +24,8 @@ from .problems import (
     Problem,
     pair_by_id,
     read_jsonl,
+    repeat_decoder,
+    sha256,
     split_json,
 )
 from .values import Value, canonical_repr, is_boolean_output, parse_literal, values_equal
@@ -150,11 +152,9 @@ TEMPLATE_SHA256 = {
 
 def verify_templates() -> list[str]:
     """Names of prompt templates whose text no longer matches its digest."""
-    import hashlib
-
     mismatched = []
     for name, expected in TEMPLATE_SHA256.items():
-        digest = hashlib.sha256(globals()[name].encode("utf-8")).hexdigest()
+        digest = sha256(globals()[name].encode("utf-8")).hexdigest()
         if digest != expected:
             mismatched.append(name)
     return mismatched
@@ -409,8 +409,10 @@ def load_choice_records(path: str) -> list[ChoiceRecord]:
 
 def _load_records(path: str, cls):
     """Records of a JSONL file; the torn tail of an interrupted append is
-    dropped (see ``read_jsonl``)."""
-    return read_jsonl(path, cls, torn_tail=True)
+    dropped (see ``iter_jsonl``).  The n records of a prediction task, which
+    ``_run`` writes as one line that differs only in its ``sample_index``,
+    are decoded once (``repeat_decoder``), and share their strings."""
+    return read_jsonl(path, cls, torn_tail=True, decode=repeat_decoder("sample_index"))
 
 
 def _pair_is_boolean(original: Problem, mutant: Problem) -> bool:

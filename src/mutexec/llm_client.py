@@ -23,7 +23,7 @@ import os
 import re
 import threading
 import time
-from .problems import encode_json, end_on_line_boundary, iter_jsonl, loads_line, split_json
+from .problems import encode_json, end_on_line_boundary, iter_jsonl, repeat_decoder, split_json
 
 
 class TransportError(Exception):
@@ -368,42 +368,16 @@ ALWAYS_A_TEXT = json.dumps(
 )
 
 
-# The start of a transcript line: its time stamp, a JSON number (in ASCII
-# digits only, as the decoder reads one).  It is compiled by the replay, not
-# at import, which every command pays.
-_STAMP = r'\{"ts": -?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?'
-
-
 def scripted_from_transcript(path: str) -> dict[str, list[str]]:
     """Prompt -> ordered responses, reconstructed from a transcript file.
     The torn last line of a killed run is dropped (see ``iter_jsonl``); the
     entries are read one at a time, so only the script is held in memory.
-
-    A line that repeats the last decoded entry apart from its time stamp, as
-    the n entries of one mock or replay call do, is not decoded: its text
-    from its first comma on equals that entry's, and both start with a
-    ``{"ts": <number>`` stamp, so the entry, with its one prompt and response
-    string, stands for it too.  The texts are compared before the stamps are
-    checked, so a line that repeats nothing costs little more than its
-    decoding.
+    The n entries of one mock or replay call, which differ only in their
+    ``ts``, are decoded once (``repeat_decoder``) and share one prompt and
+    response string.
     """
     script: dict[str, list[str]] = {}
-    stamped = re.compile(_STAMP).fullmatch
-    # the last decoded entry, its line, and where the line's first comma is
-    last = last_text = last_rest = None
-    last_cut = 0
-
-    def decode(text: str):
-        nonlocal last, last_text, last_cut, last_rest
-        cut = text.find(",")
-        rest = text[cut:]
-        if (rest == last_rest and stamped(text, 0, cut)
-                and stamped(last_text, 0, last_cut)):
-            return last
-        last, last_text, last_cut, last_rest = loads_line(text), text, cut, rest
-        return last
-
-    for entry in iter_jsonl(path, None, torn_tail=True, decode=decode):
+    for entry in iter_jsonl(path, None, torn_tail=True, decode=repeat_decoder("ts")):
         if "response" in entry:
             script.setdefault(entry["prompt"], []).append(entry["response"])
     return script

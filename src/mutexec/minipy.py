@@ -21,7 +21,9 @@ does, the scanner refuses a 201st open bracket; as its compiler does,
 The same scanner finds the mutation sites of ``mutate``, which splices a
 mutant at a token's ``start`` offset.  A ParseError carries the 1-based line of the offending
 token; at the end of the text inside brackets it names the line of the
-innermost open bracket.  Its ``kind`` is the class of CPython's error there,
+innermost open bracket, and for a block missing at the end of the text the
+text's last line (as CPython 3.12 on does on CRLF text too, where 3.10 and
+3.11 name one more).  Its ``kind`` is the class of CPython's error there,
 so faults of indentation are IndentationErrors or TabErrors.  A statement
 node carries its line; an expression node carries none.
 
@@ -718,9 +720,13 @@ class _Parser:
     is read as CPython reads one: a comma between two items and an optional
     one after the last."""
 
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[Token], last_line: int | None = None):
         self.tokens = tokens
         self.pos = 0
+        # the line of the text's last character, where CPython reports a
+        # block missing at the end of the text (None: the line of the token
+        # found there)
+        self.last_line = last_line
 
     # -- token helpers
 
@@ -737,8 +743,7 @@ class _Parser:
     def expect_kind(self, kind: int) -> Token:
         tok = self.tokens[self.pos]
         if tok[0] != kind:
-            raise ParseError(tok[2], f"expected {KIND_NAMES[kind]!r}, got {tok[1]!r}",
-                             "IndentationError" if kind == INDENT else "SyntaxError")
+            raise ParseError(tok[2], f"expected {KIND_NAMES[kind]!r}, got {tok[1]!r}")
         self.pos += 1
         return tok
 
@@ -826,7 +831,12 @@ class _Parser:
     def block(self) -> list[Stmt]:
         self.expect(":")
         self.expect_kind(NEWLINE)
-        self.expect_kind(INDENT)
+        kind, word, line, _ = self.tokens[self.pos]
+        if kind != INDENT:
+            # the end-of-text tokens follow the last line, which CPython names
+            raise ParseError(min(line, self.last_line or line),
+                             f"expected 'INDENT', got {word!r}", "IndentationError")
+        self.pos += 1
         body = []
         while self.tokens[self.pos][0] != DEDENT:
             body.append(self.statement())
@@ -973,18 +983,20 @@ class _Parser:
 
 def parse(source: str) -> Module:
     """Parse mini-language source; raises ParseError outside the language."""
+    last_line = source.count("\n", 0, len(source) - 1) + 1
     try:
         tokens = _scan(source)
     except _IndentationFault as fault:
         # CPython reads a line's indentation only once its parser has taken
         # the lines before it, so a fault of theirs is reported first
         try:
-            _Parser([*fault.tokens, (ERRORTOKEN, "", fault.line, len(source))]).parse_module()
+            _Parser([*fault.tokens, (ERRORTOKEN, "", fault.line, len(source))],
+                    last_line).parse_module()
         except ParseError as earlier:
             if earlier.line < fault.line:
                 raise earlier from None
         raise
-    module = _Parser(tokens).parse_module()
+    module = _Parser(tokens, last_line).parse_module()
     _check_jumps(module.body, False, False)
     return module
 

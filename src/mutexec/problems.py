@@ -12,6 +12,8 @@ import collections
 import contextlib
 import json
 import os
+import re
+import sys
 from dataclasses import dataclass
 
 from .values import Value, parse_args, parse_literal
@@ -70,6 +72,22 @@ def split_json(obj: dict, *keys: str) -> list[str]:
     return parts
 
 
+def sha256(data: bytes = b""):
+    """A sha256 hash object of ``data``, as ``hashlib.sha256(data)`` gives.
+
+    It comes from the interpreter's built-in module (``_sha2`` from 3.12 on,
+    ``_sha256`` before), as ``random`` takes its sha512, because ``hashlib``
+    loads OpenSSL, which costs each command that writes a manifest a few
+    milliseconds and MB.  OpenSSL hashes faster, but a manifest's inputs are
+    a few hundred KB at most; ``hashlib`` is the fallback only where the
+    built-in module does not exist."""
+    try:
+        make = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+    except ImportError:
+        from hashlib import sha256 as make
+    return make(data)
+
+
 def loads_line(text: str):
     """``json.loads(text)``, read by one ``raw_decode`` where the line is one
     value and its newline, as every line that ``encode_json`` wrote is."""
@@ -80,6 +98,53 @@ def loads_line(text: str):
     except ValueError:
         pass
     return json.loads(text)
+
+
+# A JSON number, as the decoder reads one: ASCII digits only.
+_NUMBER = r"-?(?:0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?"
+
+
+def repeat_decoder(key: str):
+    """A ``decode`` for ``iter_jsonl``: ``loads_line``, except that a line that
+    equals the last decoded line everywhere but at the number of ``key`` is
+    not decoded.  It gives a shallow copy of the last decoded object with
+    that number at ``key``, so the strings of a run of such lines are held
+    once.  The n records of one prediction task (``sample_index``) and the n
+    transcript entries of one mock call (``ts``) are such runs.
+
+    The number's place is found by the key's text in the last decoded line,
+    and the first line that repeats it checks that place against
+    ``split_json`` of the object, so only a line as ``encode_json`` writes it
+    is repeated; a line that repeats nothing costs one search more than its
+    decoding.
+    """
+    marker = encode_json(key) + ": "
+    number = re.compile(_NUMBER)
+    last = head = tail = None  # the last object, and its line around the number
+    checked = False
+
+    def decode(text: str):
+        nonlocal last, head, tail, checked
+        if head is not None and text.startswith(head) and text.endswith(tail):
+            value = number.fullmatch(text, len(head), len(text) - len(tail))
+            if value is not None:
+                if not checked:
+                    before, after = split_json(last, key)
+                    checked = before == head and after + "\n" == tail
+                if checked:
+                    repeat = dict(last)
+                    repeat[key] = (int(value[0]) if value.lastindex is None
+                                   else float(value[0]))
+                    return repeat
+        last, head = loads_line(text), None
+        if isinstance(last, dict) and key in last:
+            at = text.find(marker)
+            value = number.match(text, at + len(marker)) if at >= 0 else None
+            if value is not None:
+                head, tail, checked = text[:value.start()], text[value.end():], False
+        return last
+
+    return decode
 
 
 @dataclass(frozen=True)
@@ -134,9 +199,9 @@ def save_jsonl(problems: list[Problem], path: str) -> None:
             fh.write(encode_json(p.to_json()) + "\n")
 
 
-def read_jsonl(path: str, make, torn_tail: bool = False) -> list:
-    """The list of ``iter_jsonl(path, make, torn_tail)``."""
-    return list(iter_jsonl(path, make, torn_tail))
+def read_jsonl(path: str, make, torn_tail: bool = False, decode=loads_line) -> list:
+    """The list of ``iter_jsonl(path, make, torn_tail, decode)``."""
+    return list(iter_jsonl(path, make, torn_tail, decode))
 
 
 def iter_jsonl(path: str, make, torn_tail: bool = False, decode=loads_line):

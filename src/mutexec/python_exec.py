@@ -11,7 +11,10 @@ may write ahead of the answers.
 Each distinct source is compiled once (up to 4,096 kept) and its code runs
 into a fresh namespace per request, so no state carries from one request to
 the next.  A source that does not compile is compiled, and fails, again on
-each request.
+each request.  Each distinct input is parsed once, as ``ast.literal_eval``
+parses a string (up to 4,096 kept), and its tree is evaluated per request,
+so every call gets new argument lists and the messages of a bad input are
+``literal_eval``'s.
 
 The protocol has fds 0 and 1 to itself: the programs run with stdin and
 stdout on /dev/null, so what they print or read never touches it.  A source
@@ -47,22 +50,44 @@ import sys
 import warnings
 
 FILENAME = "<problem>"
-CODE_CACHE_SIZE = 4096
+CACHE_SIZE = 4096  # of compiled sources, and of parsed inputs
 # the nested calls left below ``main`` of a child started as ``python -m
 # mutexec.python_exec`` at the default recursion limit; from 3.12 on, the
 # limit counts Python frames only, so runpy's ``exec`` of the module costs none
 HEADROOM = 994 if sys.version_info < (3, 12) else 995
 
 
-def _execute(request: dict, codes: dict) -> dict:
+def _cached(cache: dict, key: str, make):
+    """``cache[key]``, made by ``make(key)`` when missing; a full cache is
+    emptied first.  What ``make`` raises is not kept."""
+    value = cache.get(key)
+    if value is None:
+        value = make(key)
+        if len(cache) >= CACHE_SIZE:
+            cache.clear()
+        cache[key] = value
+    return value
+
+
+def _parse_input(text: str) -> ast.Expression:
+    """The tree that ``ast.literal_eval(text)`` evaluates."""
+    return ast.parse(text.lstrip(" \t"), mode="eval")
+
+
+def _compile(source: str):
+    return compile(source, FILENAME, "exec")
+
+
+def _execute(request: dict, codes: dict, inputs: dict) -> dict:
     """The response to one request; ``codes`` maps source text to its
-    compiled code."""
+    compiled code, and ``inputs`` an argument tuple's text to its tree."""
     source = request["source"]
     function_name = request["function_name"]
     input_text = request.get("input", "")
 
     try:
-        args = ast.literal_eval("(" + input_text + ",)") if input_text.strip() else ()
+        args = (ast.literal_eval(_cached(inputs, "(" + input_text + ",)", _parse_input))
+                if input_text.strip() else ())
     except Exception as exc:  # malformed argument literal
         return {"status": "error",
                 "error": {"kind": "BadInput", "line": 0, "message": str(exc)}}
@@ -81,13 +106,7 @@ def _execute(request: dict, codes: dict) -> dict:
         return None
 
     try:
-        code = codes.get(source)
-        if code is None:
-            code = compile(source, FILENAME, "exec")
-            if len(codes) >= CODE_CACHE_SIZE:
-                codes.clear()
-            codes[source] = code
-        exec(code, namespace)
+        exec(_cached(codes, source, _compile), namespace)
     except Exception as exc:  # the call never starts, as in minipy
         return {"status": "error", "covered_lines": [], "steps": 0,
                 "error": {"kind": type(exc).__name__, "line": _err_line(exc),
@@ -149,13 +168,14 @@ def main() -> None:
     os.close(devnull)
     # sys.stdin and sys.stdout still wrap fds 0 and 1, which are /dev/null now
     codes: dict = {}
+    inputs: dict = {}
     for raw in requests:
         if not raw.strip():
             continue
         request = None
         try:
             request = json.loads(raw)
-            response = _execute(request, codes)
+            response = _execute(request, codes, inputs)
         except Exception as exc:  # never die mid-protocol
             response = {"status": "error",
                         "error": {"kind": "ExecutorInternal", "line": 0,

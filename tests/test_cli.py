@@ -148,6 +148,14 @@ class TestMutatePipeline:
         mutate_manifest = json.load(open(tiny_dataset / "pairs" / "mutate.manifest.json"))
         assert str(tiny_dataset / "problems.jsonl") in mutate_manifest["inputs"]
 
+    def test_manifest_inputs_hash_as_hashlib(self, tiny_dataset):
+        import hashlib
+
+        manifest = json.load(open(tiny_dataset / "pairs" / "mutate.manifest.json"))
+        assert manifest["inputs"] == {
+            path: hashlib.sha256(open(path, "rb").read()).hexdigest()
+            for path in [str(tiny_dataset / "problems.jsonl")]}
+
 
 def test_version_has_one_source(capsys):
     # pyproject.toml takes the package's version from mutexec.__version__
@@ -314,6 +322,8 @@ def test_cli_import_loads_no_http_stack():
 SAMPLING = ["mutexec.dsl", "mutexec.grammar", "mutexec.transpile", "mutexec.datasets"]
 EVALUATION = ["mutexec.harness", "mutexec.llm_client", "mutexec.metrics"]
 HTTP = ["urllib.request", "http.client", "ssl"]
+# manifests hash with the interpreter's built-in sha256, not OpenSSL's
+OPENSSL = ["hashlib", "_hashlib"]
 # the loaded modules, and the dataclasses the loaded mutexec modules define
 IMPORT_PROBE = """\
 import dataclasses, json, sys
@@ -334,7 +344,12 @@ DATACLASSES = {"mutexec.problems.Problem"}
 
 @pytest.fixture(scope="module")
 def tiny_records(tiny_dataset):
-    """Prediction and choice records for the tiny dataset, for ``report``."""
+    """Prediction and choice records for the tiny dataset, for ``report``, and
+    its problems ingested as external ones, which ``mutate`` runs on the
+    external executor."""
+    assert dispatch(["ingest", "--executor", "external", "--min-chars", "1",
+                     "--in", str(tiny_dataset / "problems.jsonl"),
+                     "--out", str(tiny_dataset / "ingested.jsonl")]) == 0
     pairs = tiny_dataset / "pairs"
     for command, extra in (("run-pred", ["--n", "1"]), ("run-choice", [])):
         assert dispatch([
@@ -352,31 +367,40 @@ RUN = ["--orig", "{data}/pairs/originals.jsonl", "--mut", "{data}/pairs/mutants.
 # modules the command must not load
 IMPORT_CASES = [
     (["sample", "-n", "1", "--out", "{tmp}/s.jsonl"],
-     EVALUATION + ["mutexec.executors", "concurrent.futures"]),
+     EVALUATION + OPENSSL + ["mutexec.executors", "concurrent.futures"]),
     (["transpile", "--in", "{tmp}/terms.txt", "--out", "{tmp}/t.jsonl"],
-     EVALUATION + ["mutexec.executors", "concurrent.futures"]),
+     EVALUATION + OPENSSL + ["mutexec.executors", "concurrent.futures"]),
     (["build-dsl-list", "--seed", "3", "--programs-per-combo", "60",
       "--per-bin", "1", "--out", "{tmp}/d.jsonl"],
-     EVALUATION + ["mutexec.executors", "concurrent.futures", "multiprocessing"]),
+     EVALUATION + OPENSSL + ["mutexec.executors", "concurrent.futures", "multiprocessing"]),
+    (["ingest", "--executor", "external", "--min-chars", "1", "--in", "{data}/problems.jsonl",
+      "--out", "{tmp}/i.jsonl"],
+     EVALUATION + OPENSSL),
     (["mutate", "--executor", "builtin", "--in", "{data}/problems.jsonl",
       "--out", "{tmp}/pairs"],
-     SAMPLING + EVALUATION),
+     SAMPLING + EVALUATION + OPENSSL),
+    (["mutate", "--executor", "external", "--in", "{data}/ingested.jsonl",
+      "--out", "{tmp}/pairs"],
+     SAMPLING + EVALUATION + OPENSSL),
     (["run-pred", "--model", "mock:ground-truth-given", "--n", "1"] + RUN,
-     SAMPLING + HTTP + ["mutexec.minipy", "mutexec.executors", "concurrent.futures"]),
+     SAMPLING + HTTP + OPENSSL + ["mutexec.minipy", "mutexec.executors",
+                                 "concurrent.futures"]),
     (["run-choice", "--model", "mock:always-a"] + RUN,
-     SAMPLING + HTTP + ["mutexec.minipy", "mutexec.executors", "concurrent.futures"]),
+     SAMPLING + HTTP + OPENSSL + ["mutexec.minipy", "mutexec.executors",
+                                 "concurrent.futures"]),
     (["report", "--pred", "{data}/run-pred.jsonl", "--choice", "{data}/run-choice.jsonl",
       "--out", "{tmp}/report.txt"],
-     SAMPLING + HTTP + ["mutexec.minipy", "mutexec.executors", "concurrent.futures",
-                        "hashlib"]),
+     SAMPLING + HTTP + OPENSSL + ["mutexec.minipy", "mutexec.executors",
+                                 "concurrent.futures"]),
 ]
+# a case's id is its command, and ``-external`` where it runs that executor
+IMPORT_IDS = [argv[0] + "-external" * ("external" in argv) for argv, _ in IMPORT_CASES]
 
 
 class TestImportSets:
     """Each command, run in a fresh interpreter, loads only its own layers."""
 
-    @pytest.mark.parametrize("argv, absent", IMPORT_CASES,
-                             ids=[argv[0] for argv, _ in IMPORT_CASES])
+    @pytest.mark.parametrize("argv, absent", IMPORT_CASES, ids=IMPORT_IDS)
     def test_command_loads_only_its_layers(self, tiny_records, tmp_path, argv, absent):
         import mutexec
 

@@ -389,18 +389,19 @@ class TestBatch:
 
 
 class TestCompileCache:
-    """The child compiles a source once but runs it into a fresh namespace
-    on every request."""
+    """The child compiles a source and parses an input once, but runs it
+    into a fresh namespace, on new arguments, on every request."""
 
-    @pytest.mark.parametrize("source, expected", [
-        ("def f(x, acc=[]):\n    acc.append(x)\n    return len(acc)", 1),
-        ("count = 0\ndef f(x):\n    global count\n    count += 1\n    return count", 1),
-    ], ids=["mutable-default", "module-counter"])
-    def test_no_state_carries_over(self, source, expected):
+    @pytest.mark.parametrize("source, args, expected", [
+        ("def f(x, acc=[]):\n    acc.append(x)\n    return len(acc)", (1,), 1),
+        ("count = 0\ndef f(x):\n    global count\n    count += 1\n    return count", (1,), 1),
+        ("def f(x):\n    x.append(1)\n    return len(x)", ([1],), 2),
+    ], ids=["mutable-default", "module-counter", "mutated-argument"])
+    def test_no_state_carries_over(self, source, args, expected):
         with ExternalExecutor(timeout=5.0) as executor:
-            first = executor.run(source, "f", (1,))
+            first = executor.run(source, "f", args)
             child = executor.proc
-            results = [first] + executor.run_many([(source, "f", (1,))] * 2)
+            results = [first] + executor.run_many([(source, "f", args)] * 2)
             assert executor.proc is child
         assert [(r.status, r.output) for r in results] == [("ok", expected)] * 3
 
@@ -446,11 +447,35 @@ class TestFailureBeforeTheCall:
         ("def f(a1):\n    v1 = a1\n        return v1\n", "IndentationError", 3),
         ("def f(a1):\n    if a1:\n    return 1\n    return 2\n", "IndentationError", 3),
         ("def f(a1):\n    if a1:\n        v1 = 1\n      return v1\n", "IndentationError", 4),
-    ], ids=["tabs_and_spaces", "unexpected_indent", "missing_indent", "unmatched_dedent"])
+        # a block missing at the end of the text: CPython names the text's last line
+        ("def f(a1):", "IndentationError", 1),
+        ("def f(a1):\n", "IndentationError", 1),
+        ("def f(a1):\n    if a1:", "IndentationError", 2),
+        ("def f(a1):\n    if a1:\n", "IndentationError", 2),
+        ("def f(a1):\n    if a1:\n\n\n", "IndentationError", 4),
+        ("def f(a1):\n    if a1:\n# c\n", "IndentationError", 3),
+        ("def f(a1):\n    if a1:\n   ", "IndentationError", 3),
+    ], ids=["tabs_and_spaces", "unexpected_indent", "missing_indent", "unmatched_dedent",
+            "end_def", "end_def_newline", "end_if", "end_if_newline", "end_blank_lines",
+            "end_comment", "end_blanks"])
     def test_indentation_faults_have_cpython_s_class(self, external, source, kind, line):
         expected = ("error", None, kind, line, [], 0)
         assert outcome(BuiltinExecutor().run(source, "f", (1,))) == expected
         assert outcome(external.run(source, "f", (1,))) == expected
+
+    @pytest.mark.parametrize("source, line", [
+        ("def f(a1):\r\n    if a1:\r\n", 2),
+        ("def f(a1):\r\n    if a1:\r\n\r\n", 3),
+    ], ids=["end_if", "end_blank_line"])
+    def test_block_missing_at_the_end_of_crlf_text_as_in_python_3_12(self, external, source,
+                                                                      line):
+        # on CRLF text, CPython 3.10 and 3.11 name one line more than 3.12
+        # and 3.13 do; minipy follows 3.12
+        host = line + (sys.version_info < (3, 12))
+        assert outcome(BuiltinExecutor().run(source, "f", (1,))) == (
+            "error", None, "IndentationError", line, [], 0)
+        assert outcome(external.run(source, "f", (1,))) == (
+            "error", None, "IndentationError", host, [], 0)
 
 
 def nested(opener, depth):

@@ -719,6 +719,86 @@ class TestRuns:
         assert prediction_metrics(second) == prediction_metrics(first)
 
 
+def plain_records(path) -> list[dict]:
+    """Each whole line of a records file as ``json.loads`` decodes it."""
+    with open(path, encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.endswith("\n")]
+
+
+def loaded_fields(path) -> list[list]:
+    """The records that ``report`` and ``--resume`` load, field by field."""
+    return [list(r.to_json().items()) for r in load_prediction_records(str(path))]
+
+
+class TestRecordDecoder:
+    """A record line that repeats the one before it but for its
+    ``sample_index`` is not decoded again; what is loaded is what
+    ``json.loads`` gives for every line."""
+
+    def test_fifty_samples_share_their_strings(self, tmp_path):
+        original, mutant = make_pair()
+        out = tmp_path / "records.jsonl"
+        model = mock_model("ground_truth_given", pairs=[(original, mutant)])
+        run_prediction([original], [mutant], model, n=50, out_path=str(out))
+        assert loaded_fields(out) == [list(r.items()) for r in plain_records(out)]
+        loaded = load_prediction_records(str(out))
+        assert [r.sample_index for r in loaded] == [*range(50)] * 2
+        assert all(r.response is loaded[0].response for r in loaded[:50])
+        assert loaded[50].response is not loaded[0].response
+
+    @pytest.mark.parametrize("field, value", [
+        ("judgment", "other"),
+        ("response", "[ANSWER]assert f([4, 1, 3]) == [4][/ANSWER]"),
+    ])
+    def test_a_neighbour_that_differs_elsewhere_is_decoded(self, tmp_path, field, value):
+        first = PredictionRecord("p1", "original", 0, "[ANSWER]assert f([4, 1, 3]) == [1, 3]"
+                                 "[/ANSWER]", "[1, 3]", "correct", 3, False).to_json()
+        lines = [first, {**first, "sample_index": 1}, {**first, "sample_index": 2, field: value},
+                 {**first, "sample_index": 3, field: value}, {**first, "sample_index": 4}]
+        out = tmp_path / "records.jsonl"
+        out.write_text("".join(encode_json(line) + "\n" for line in lines), encoding="utf-8")
+        assert loaded_fields(out) == [list(line.items()) for line in lines]
+
+    def test_a_line_with_the_key_twice_is_decoded(self, tmp_path):
+        # json.loads keeps the last of the two; only a line as encode_json
+        # writes it is repeated
+        line = encode_json(PredictionRecord("p1", "original", 0, "r", None, "unparsed", 3,
+                                            False).to_json())[:-1] + ', "sample_index": 0}\n'
+        lines = [line, line.replace('"sample_index": 0, ', '"sample_index": 1, ', 1)]
+        out = tmp_path / "records.jsonl"
+        out.write_text("".join(lines), encoding="utf-8")
+        assert [r["sample_index"] for r in plain_records(out)] == [0, 0]
+        assert loaded_fields(out) == [list(r.items()) for r in plain_records(out)]
+
+    def test_a_response_that_quotes_the_key(self, tmp_path):
+        original, mutant = make_pair()
+        out = tmp_path / "records.jsonl"
+        text = '{"sample_index": 7, "response": "x"} "sample_index": 7, [ANSWER]'
+        model = mock_model("fixed", text=text)
+        run_prediction([original], [mutant], model, n=4, out_path=str(out))
+        assert loaded_fields(out) == [list(r.items()) for r in plain_records(out)]
+        assert {r.response for r in load_prediction_records(str(out))} == {text}
+
+    @pytest.mark.parametrize("resume", [False, True], ids=["report", "resume"])
+    def test_torn_last_line(self, tmp_path, resume):
+        original, mutant = make_pair()
+        model = mock_model("ground_truth_given", pairs=[(original, mutant)])
+        whole = tmp_path / "whole.jsonl"
+        run_prediction([original], [mutant], model, n=5, out_path=str(whole))
+        lines = whole.read_bytes().splitlines(keepends=True)
+        out = tmp_path / "records.jsonl"
+        # the seventh record, torn just after its sample_index
+        key = b'"sample_index": '
+        out.write_bytes(b"".join(lines[:6]) + lines[6][:lines[6].index(key) + len(key) + 3])
+        assert loaded_fields(out) == [list(r.items()) for r in plain_records(out)]
+        assert len(load_prediction_records(str(out))) == 6
+        if resume:
+            run_prediction([original], [mutant], model, n=5, out_path=str(out),
+                           resume=load_prediction_records(str(out)))
+            assert out.read_bytes() == whole.read_bytes()
+            assert loaded_fields(out) == [list(r.items()) for r in plain_records(out)]
+
+
 def _sha256(path, drop_ts=False) -> str:
     data = path.read_bytes()
     if drop_ts:  # a transcript line starts with its wall-clock time

@@ -10,8 +10,10 @@ and ``python3.10`` to ``python3.13`` in each directory on ``PATH``.  The first
 one found of each minor version is checked, except the running one's; a
 candidate that does not start (a pyenv shim for a version not selected) is
 passed over.  Each interpreter runs the commands from the source tree,
-without pytest.  Transcripts and manifests are not compared: they hold
-wall-clock times.
+without pytest.  The manifests of the commands that hash their inputs are
+compared too, so each interpreter's built-in sha256 (``_sha256`` on 3.10 and
+3.11, ``_sha2`` from 3.12 on) gives the digests written here.  Transcripts
+are not compared: they hold wall-clock times.
 """
 
 import glob
@@ -42,7 +44,8 @@ EVALUATE = [
      "--csv", "metrics.csv"],
 ]
 OUTPUTS = ("out/originals.jsonl", "out/mutants.jsonl", "pred.jsonl", "choice.jsonl",
-           "report.txt", "metrics.csv")
+           "report.txt", "metrics.csv", "out/mutate.manifest.json",
+           "pred.jsonl.manifest.json", "choice.jsonl.manifest.json")
 EXTERNAL = [
     ["ingest", "--executor", "external", "--min-chars", "1", "--in", "raw.jsonl",
      "--out", "ext.jsonl"],
@@ -50,7 +53,7 @@ EXTERNAL = [
      "--out", "ext"],
 ]
 EXTERNAL_OUTPUTS = ("ext.jsonl", "ext.jsonl.rejected.jsonl", "ext/originals.jsonl",
-                    "ext/mutants.jsonl")
+                    "ext/mutants.jsonl", "ext.jsonl.manifest.json", "ext/mutate.manifest.json")
 _PROBE = "import platform; print(platform.python_version())"
 _PARSER_CHECK = ("from reference import parsed_outside_python, random_texts; "
                  "print(parsed_outside_python(random_texts(2, 5000)))")
