@@ -8,7 +8,7 @@ coverage is closest to the original's.
 import random
 
 from mutexec.executors import BuiltinExecutor
-from mutexec.mutate import enumerate_source_mutants, jaccard, mutate_problem
+from mutexec.mutate import enumerate_source_mutants, jaccard, mutate_problem, problem_calls
 from mutexec.problems import Problem
 
 source = """\
@@ -41,7 +41,8 @@ for _, site in candidates[:6]:
           f"{site.original_token!r} -> {site.replacement_token!r}")
 print("  ...")
 
-mutants = mutate_problem(problem, executor, random.Random(7), candidates)
+results = executor.run_many(problem_calls(problem, candidates))
+mutants = mutate_problem(problem, results, random.Random(7), candidates)
 survivors = mutants.survivors
 print(f"\n{len(survivors)} survivors execute cleanly and change the output:")
 for survivor in survivors[:8]:

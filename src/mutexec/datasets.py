@@ -438,10 +438,10 @@ def ingest_external(
     reported per problem, never as a global failure.
 
     The first runs of all records inside the window with a parseable input
-    go to the executor as one batch, and the second runs of those whose
-    first run passed as another; each result is what a run of that call
-    alone gives, so the records and reasons are those of running each
-    record in turn.
+    go to the executor as one stream, and the second runs of those whose
+    first run passed as another, since which second runs there are depends
+    on the first; each result is what a run of that call alone gives, so
+    the records and reasons are those of running each record in turn.
     """
     config = config or IngestConfig()
     calls: dict[int, tuple] = {}  # record index -> (source, name, args)
@@ -459,9 +459,10 @@ def ingest_external(
             continue
         calls[index] = (source, record["function_name"], parsed[0])
         inputs[index] = parsed[1]
-    first = dict(zip(calls, executor.run_many(list(calls.values()))))
+    first = dict(zip(calls, executor.run_many(calls.values()), strict=True))
     passed = [index for index, result in first.items() if result.status == "ok"]
-    second = dict(zip(passed, executor.run_many([calls[index] for index in passed])))
+    second = dict(zip(passed, executor.run_many(calls[index] for index in passed),
+                      strict=True))
 
     problems: list[Problem] = []
     rejections: list[Rejection] = []

@@ -1,8 +1,10 @@
 """Program executors: the in-process interpreter and the subprocess bridge.
 
 Both speak the same in-process contract: ``run(source, function_name,
-args)`` returning an ExecResult, and ``run_many(calls)`` returning the
-results of a list of such ``(source, function_name, args)`` calls in order.
+args)`` returning an ExecResult, and ``run_many(calls)``, a stream that
+takes any iterable of such ``(source, function_name, args)`` calls and
+yields their results in order, drawing a call only when it is run (the
+builtin) or written to the child (the external).
 Every result carries its covered lines and its ``steps``, the count of line
 events CPython's line tracer reports (a statement starts, or a loop body
 goes back to its header), so one call gives one result whichever executor
@@ -24,21 +26,26 @@ line on stdout:
 
 ``id`` counts the requests sent to one child from 0; a child that echoes it
 has each answer checked against its request, and one that sends none is
-trusted to answer in order.  ``run_many`` writes a batch's requests ahead of
-their answers, as far as the pipe takes them, so the child must answer each
-line as soon as it has read it.  ``input`` is ``format_args`` of the
+trusted to answer in order.  ``run_many`` writes requests ahead of their
+answers: it encodes and writes the next request whenever the child's pipe
+can take it, so the pipe's capacity is how far it runs ahead, and it holds
+only the requests written and not yet answered.  So the child must answer
+each line as soon as it has read it.  ``input`` is ``format_args`` of the
 argument tuple.  ``output_repr`` may be any literal text; a value it parses
 to that has no ``canonical_repr`` (bytes, complex, inf, nan) is kind
 "UnrepresentableOutput".  A child may leave out ``covered_lines`` and
 ``steps``; the result then reports no covered lines and ``steps`` None.  A
 request whose whole response line has not arrived within the timeout of the
-previous answer kills the child and reports kind "Timeout"; the requests
-after it go to a fresh child.  A response that is not a JSON object,
-answers another ``id`` or has a field of the wrong type kills the child too
-and reports kind "BadResponse".  So each result of a batch equals what
-``run`` of that call alone gives.  The first request is a probe with an empty source and
-function name; a command whose child does not answer it with a well-formed
-response raises RuntimeError from ``run`` or ``run_many``.
+previous answer kills the child and reports kind "Timeout"; the unanswered
+requests after it are resent to a fresh child.  A response that is not a
+JSON object, answers another ``id`` or has a field of the wrong type kills
+the child too and reports kind "BadResponse".  So each result of a stream
+equals what ``run`` of that call alone gives.  A stream closed with requests
+unanswered kills the child, so no later request reads a stale answer.  An
+executor serves one stream at a time: starting a second before the first
+ends raises RuntimeError.  The first request is a probe with an empty source
+and function name; a command whose child does not answer it with a
+well-formed response raises RuntimeError from ``run`` or the stream.
 
 The bundled child (no command given) is forked from this process when it
 has one thread (``forking.may_fork``): a ``forking.Child`` whose program,
@@ -57,6 +64,8 @@ import os
 import selectors
 import sys
 import time
+from collections import deque
+
 from . import minipy
 from .forking import Child, may_fork
 from .values import canonical_repr, format_args, parse_literal, parses_back
@@ -94,8 +103,8 @@ class BuiltinExecutor:
                                      steps=result.steps, error_kind="UnrepresentableOutput")
         return result
 
-    def run_many(self, calls) -> list[minipy.ExecResult]:
-        return [self.run(*call) for call in calls]
+    def run_many(self, calls):
+        return (self.run(*call) for call in calls)
 
     def close(self):
         pass
@@ -123,6 +132,7 @@ class ExternalExecutor:
         self.proc = None  # the child: a subprocess.Popen or a forking.Child
         self._probed = False  # a child of this command has answered the probe
         self._next_id = 0  # the id of the next request to this child
+        self._streaming = False  # a stream of ``run_many`` is open
         # bytes the child wrote past its last complete line; read from the
         # raw pipe, never through proc.stdout's own buffer
         self._pending = bytearray()
@@ -158,60 +168,80 @@ class ExternalExecutor:
             self.proc = None
         self._pending.clear()
 
-    def _answers(self, bodies: list[bytes]):
-        """Write the requests to the child ahead of their answers, and yield
-        ``(id, line)`` for each request in order.  ``line`` is None if it is
-        not complete within the timeout, counted from the previous answer,
-        and b"" if the child's output ends first or the child cannot take
-        the request; nothing is yielded after either."""
+    def _answers(self, bodies, unanswered: deque):
+        """Write the request bodies that the iterator ``bodies`` yields to
+        the child ahead of their answers, drawing the next one whenever the
+        pipe can take it, and yield ``(id, line)`` for each request in
+        order.  ``unanswered`` holds ``(id, body)`` of each request whose
+        writing has started, oldest first; a request leaves it as its
+        answer is yielded.  ``line`` is None if it is not complete within
+        the timeout, counted from the previous answer, and b"" if the
+        child's output ends first or the child cannot take the request;
+        nothing is yielded after either.  No requests start no child."""
+        body = next(bodies, None)
+        if body is None:
+            return
+        bodies = itertools.chain([body], bodies)
         proc = self._ensure()
-        first = self._next_id
-        self._next_id += len(bodies)
-        lines = [b'{"id": %d, ' % (first + k) + body for k, body in enumerate(bodies)]
-        ends = list(itertools.accumulate(map(len, lines)))
-        out = memoryview(b"".join(lines))
         in_fd, out_fd = proc.stdin.fileno(), proc.stdout.fileno()
         pending = self._pending
-        written, broken = 0, False
+        out = memoryview(b"")  # the unwritten rest of the newest request
+        writing, broken = True, False
+        scanned = 0  # pending holds no line break before this offset
+        deadline = None  # for the oldest unanswered request's answer
         with selectors.DefaultSelector() as sel:
             sel.register(out_fd, selectors.EVENT_READ)
             sel.register(in_fd, selectors.EVENT_WRITE)
-            for k, request_end in enumerate(ends):
-                deadline = time.monotonic() + self.timeout
-                end = pending.find(b"\n")
-                while end < 0:
-                    if broken and written < request_end:
-                        yield first + k, b""
+            while True:
+                while writing:  # as far as the pipe takes the requests
+                    if not out:
+                        body = next(bodies, None)
+                        if body is None:
+                            writing = False
+                            sel.unregister(in_fd)
+                            break
+                        unanswered.append((self._next_id, body))
+                        out = memoryview(b'{"id": %d, ' % self._next_id + body)
+                        self._next_id += 1
+                    try:
+                        out = out[os.write(in_fd, out):]
+                    except BlockingIOError:
+                        break
+                    except OSError:  # the child closed its input
+                        writing, broken = False, True
+                        sel.unregister(in_fd)
+                        break
+                    if out:
+                        break
+                if not unanswered:
+                    return
+                end = pending.find(b"\n", scanned)
+                if end >= 0:
+                    line = bytes(pending[:end + 1])
+                    del pending[:end + 1]
+                    scanned, deadline = 0, None
+                    yield unanswered.popleft()[0], line
+                    continue
+                scanned = len(pending)
+                if broken and len(unanswered) == 1 and out:  # never wholly written
+                    yield unanswered.popleft()[0], b""
+                    return
+                if deadline is None:
+                    deadline = time.monotonic() + self.timeout
+                remaining = deadline - time.monotonic()
+                events = sel.select(remaining) if remaining > 0 else []
+                if not events:
+                    yield unanswered.popleft()[0], None
+                    return
+                if any(key.fd == out_fd for key, _ in events):
+                    chunk = os.read(out_fd, 1 << 16)
+                    if not chunk:
+                        yield unanswered.popleft()[0], b""
                         return
-                    remaining = deadline - time.monotonic()
-                    events = sel.select(remaining) if remaining > 0 else []
-                    if not events:
-                        yield first + k, None
-                        return
-                    for key, _ in events:
-                        if key.fd == in_fd:
-                            try:
-                                written += os.write(in_fd, out[written:])
-                            except BlockingIOError:
-                                continue
-                            except OSError:  # the child closed its input
-                                broken = True
-                            if broken or written == len(out):
-                                sel.unregister(in_fd)
-                            continue
-                        chunk = os.read(out_fd, 1 << 16)
-                        if not chunk:
-                            yield first + k, b""
-                            return
-                        start = len(pending)
-                        pending += chunk
-                        end = pending.find(b"\n", start)
-                line = bytes(pending[:end + 1])
-                del pending[:end + 1]
-                yield first + k, line
+                    pending += chunk
 
     def _probe(self) -> None:
-        [(request_id, line)] = self._answers([_body(PROBE)])
+        [(request_id, line)] = self._answers(iter([_body(PROBE)]), deque())
         if line and self._to_result(line, request_id) is not None:
             self._probed = True
             return
@@ -230,32 +260,49 @@ class ExternalExecutor:
             f"executor command {shlex.join(self.command)} failed its start-up probe: {why}")
 
     def run(self, source: str, function_name: str, args: tuple) -> minipy.ExecResult:
-        return self.run_many([(source, function_name, args)])[0]
+        [result] = self.run_many([(source, function_name, args)])
+        return result
 
-    def run_many(self, calls) -> list[minipy.ExecResult]:
-        """The results of ``(source, function_name, args)`` calls in
-        order, each equal to what ``run`` of that call alone gives: after a
-        request that times out, ends the child's output or is answered
-        badly, the child is killed and the rest go to a fresh one."""
-        if not self._probed:
-            self._probe()
-        bodies = [_body({"source": source, "function_name": function_name,
-                         "input": format_args(args)})
-                  for source, function_name, args in calls]
-        results: list[minipy.ExecResult] = []
-        while len(results) < len(bodies):
-            answers = self._answers(bodies[len(results):])
-            for request_id, line in answers:
-                result = self._to_result(line, request_id) if line else None
-                if result is None:
-                    answers.close()
-                    self._kill()
-                    kind = ("Timeout" if line is None else
-                            "ExecutorCrashed" if not line else "BadResponse")
-                    results.append(minipy.ExecResult("error", error_kind=kind))
-                    break
-                results.append(result)
-        return results
+    def run_many(self, calls):
+        """Yield the results of the ``(source, function_name, args)``
+        calls in order, each equal to what ``run`` of that call alone
+        gives: after a request that times out, ends the child's output or
+        is answered badly, the child is killed and the unanswered requests
+        after it go to a fresh one.  Closing the stream with requests
+        unanswered kills the child."""
+        if self._streaming:
+            raise RuntimeError("the executor is serving another stream of requests")
+        self._streaming = True
+        unanswered: deque = deque()  # (id, body) of the requests the child holds
+        answers = None
+        try:
+            if not self._probed:
+                self._probe()
+            bodies = (_body({"source": source, "function_name": function_name,
+                             "input": format_args(args)})
+                      for source, function_name, args in calls)
+            while True:
+                answers = self._answers(bodies, unanswered)
+                for request_id, line in answers:
+                    result = self._to_result(line, request_id) if line else None
+                    if result is None:
+                        break
+                    yield result
+                else:
+                    return
+                answers.close()
+                self._kill()
+                bodies = itertools.chain([body for _, body in unanswered], bodies)
+                unanswered.clear()
+                yield minipy.ExecResult("error", error_kind=(
+                    "Timeout" if line is None else
+                    "ExecutorCrashed" if not line else "BadResponse"))
+        finally:
+            if answers is not None:
+                answers.close()
+            if unanswered:
+                self._kill()
+            self._streaming = False
 
     @staticmethod
     def _to_result(line: bytes, request_id: int) -> minipy.ExecResult | None:

@@ -26,6 +26,8 @@ is selected; ties are broken uniformly at random.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from dataclasses import replace
 
@@ -195,22 +197,27 @@ class MutantSet:
         self.selected = selected
 
 
-def mutate_problem(problem: Problem, executor, rng: random.Random,
-                   candidates: list[tuple[str, MutationSite]]) -> MutantSet:
-    """Run the mutants ``candidates`` of the problem's source, which are
-    ``enumerate_source_mutants(problem.source)``, on its input, and select
-    one of the survivors: the mutants that run cleanly and change the
-    output.  The problem's own run and its mutants' runs go to the executor
-    as one batch."""
+def problem_calls(problem: Problem, candidates: list[tuple[str, MutationSite]]) -> list:
+    """The executor calls whose results ``mutate_problem`` reads: the
+    problem's own run, then one run of each candidate, on its input."""
     args = problem.args()
-    base, *results = executor.run_many(
-        [(source, problem.function_name, args)
-         for source in [problem.source, *(source for source, _ in candidates)]])
+    return [(source, problem.function_name, args)
+            for source in [problem.source, *(source for source, _ in candidates)]]
+
+
+def mutate_problem(problem: Problem, results, rng: random.Random,
+                   candidates: list[tuple[str, MutationSite]]) -> MutantSet:
+    """Select one survivor among the mutants ``candidates`` of the
+    problem's source, which are ``enumerate_source_mutants(problem.source)``:
+    the mutants that run cleanly and change the output.  ``results`` yields
+    the results of ``problem_calls(problem, candidates)`` in order."""
+    results = iter(results)
+    base = next(results)
     if base.status != "ok":
         raise ValueError(f"problem {problem.id} does not execute cleanly")
     expected = problem.output_value()
     survivors = [Survivor(source, site, result.output, set(result.covered_lines))
-                 for (source, site), result in zip(candidates, results)
+                 for (source, site), result in zip(candidates, results, strict=True)
                  if result.status == "ok" and not values_equal(result.output, expected)]
     selected = (
         select_mutant(set(base.covered_lines), survivors, rng) if survivors else None
@@ -222,28 +229,38 @@ def mutate_dataset(
     problems: list[Problem], executor, seed: int = 0
 ) -> tuple[list[Problem], list[Problem]]:
     """Produce the kept-original and mutated problem lists in one-to-one
-    correspondence; problems with no valid mutant are dropped from both."""
+    correspondence; problems with no valid mutant are dropped from both.
+
+    Every problem's calls go to the executor as one stream, problem by
+    problem, so an external child runs the next problems' mutants while
+    this process selects among the last ones; each problem's results are
+    read off the stream in turn.  A problem whose own run fails raises
+    ValueError, and closing the stream then ends the child's queue."""
     kept: list[Problem] = []
     mutated: list[Problem] = []
     # the mutants of each distinct source, enumerated once: the problems of
     # one program share its source
-    candidates_of: dict[str, list[tuple[str, MutationSite]]] = {}
-    for problem in problems:
-        candidates = candidates_of.get(problem.source)
-        if candidates is None:
-            candidates = candidates_of[problem.source] = enumerate_source_mutants(
-                problem.source)
-        rng = random.Random(f"{seed}:{problem.id}")
-        ms = mutate_problem(problem, executor, rng, candidates)
-        if ms.selected is None:
-            continue
-        kept.append(problem)
-        mutated.append(
-            replace(
-                problem,
-                source=ms.selected.source,
-                output=canonical_repr(ms.selected.output),
-                mutation_info=ms.selected.site.to_json(),
+    candidates_of = functools.cache(enumerate_source_mutants)
+    stream = executor.run_many(
+        call for problem in problems
+        for call in problem_calls(problem, candidates_of(problem.source)))
+    try:
+        for problem in problems:
+            rng = random.Random(f"{seed}:{problem.id}")
+            candidates = candidates_of(problem.source)
+            results = itertools.islice(stream, 1 + len(candidates))
+            ms = mutate_problem(problem, results, rng, candidates)
+            if ms.selected is None:
+                continue
+            kept.append(problem)
+            mutated.append(
+                replace(
+                    problem,
+                    source=ms.selected.source,
+                    output=canonical_repr(ms.selected.output),
+                    mutation_info=ms.selected.site.to_json(),
+                )
             )
-        )
+    finally:
+        stream.close()
     return kept, mutated

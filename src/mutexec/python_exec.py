@@ -8,10 +8,13 @@ covered 1-based source lines and the count of line events (``steps``).
 Requests are answered in order, each as soon as it is read, so the parent
 may write ahead of the answers.
 
-Each distinct source is compiled once (up to 4,096 kept) and its code runs
-into a fresh namespace per request, so no state carries from one request to
-the next.  A source that does not compile is compiled, and fails, again on
-each request.  Each distinct input is parsed once, as ``ast.literal_eval``
+Each distinct source is compiled once (up to 4,096 kept), with none of
+this module's ``from __future__`` imports, and its code runs into a fresh
+namespace per request; the recursion limit is put back after each request.
+Those two are what a request starts afresh with: the state of the modules
+a program imports (``random``'s seed, say) carries over to later requests.
+A source that does not compile is compiled, and fails, again on each
+request.  Each distinct input is parsed once, as ``ast.literal_eval``
 parses a string (up to 4,096 kept), and its tree is evaluated per request,
 so every call gets new argument lists and the messages of a bad input are
 ``literal_eval``'s.
@@ -20,7 +23,9 @@ The protocol has fds 0 and 1 to itself: the programs run with stdin and
 stdout on /dev/null, so what they print or read never touches it.  A source
 that does not compile or raises while its module runs, and a function name
 that names no function, fail before the call starts: no covered lines and 0
-steps, as in minipy.  A return value whose ``repr`` fails (lists nested too
+steps, as in minipy.  Whatever a program raises is its error, ``SystemExit``
+and ``KeyboardInterrupt`` included, reported with its kind and line; the
+child serves on.  A return value whose ``repr`` fails (lists nested too
 deeply) is kind "UnrepresentableOutput" with the call's covered lines and
 steps and no line, as is one whose ``repr`` the parent cannot parse back.
 On a program minipy accepts, every field of a response equals minipy's
@@ -75,12 +80,23 @@ def _parse_input(text: str) -> ast.Expression:
 
 
 def _compile(source: str):
-    return compile(source, FILENAME, "exec")
+    # no ``from __future__`` import of this module reaches the program
+    return compile(source, FILENAME, "exec", dont_inherit=True)
 
 
 def _execute(request: dict, codes: dict, inputs: dict) -> dict:
     """The response to one request; ``codes`` maps source text to its
-    compiled code, and ``inputs`` an argument tuple's text to its tree."""
+    compiled code, and ``inputs`` an argument tuple's text to its tree.
+    The recursion limit is put back afterwards, so a program that sets it
+    changes no later request's."""
+    limit = sys.getrecursionlimit()
+    try:
+        return _respond(request, codes, inputs)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _respond(request: dict, codes: dict, inputs: dict) -> dict:
     source = request["source"]
     function_name = request["function_name"]
     input_text = request.get("input", "")
@@ -107,7 +123,7 @@ def _execute(request: dict, codes: dict, inputs: dict) -> dict:
 
     try:
         exec(_cached(codes, source, _compile), namespace)
-    except Exception as exc:  # the call never starts, as in minipy
+    except BaseException as exc:  # the call never starts, as in minipy
         return {"status": "error", "covered_lines": [], "steps": 0,
                 "error": {"kind": type(exc).__name__, "line": _err_line(exc),
                           "message": str(exc)}}
@@ -120,7 +136,7 @@ def _execute(request: dict, codes: dict, inputs: dict) -> dict:
     sys.settrace(tracer)
     try:
         result = fn(*args)
-    except Exception as exc:
+    except BaseException as exc:  # SystemExit too: the child serves on
         return {"status": "error", "covered_lines": sorted(covered), "steps": steps,
                 "error": {"kind": type(exc).__name__, "line": _err_line(exc),
                           "message": str(exc)}}
@@ -129,7 +145,7 @@ def _execute(request: dict, codes: dict, inputs: dict) -> dict:
 
     try:
         output_repr = repr(result)
-    except Exception:  # nested too deeply to write, say
+    except BaseException:  # nested too deeply to write, say
         return {"status": "error", "covered_lines": sorted(covered), "steps": steps,
                 "error": {"kind": "UnrepresentableOutput", "line": None}}
     return {"status": "ok", "output_repr": output_repr,

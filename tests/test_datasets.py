@@ -569,6 +569,27 @@ class TestIngest:
         assert [(r.index, r.reason) for r in rejections] == [
             (1, "execution failed: Timeout")]
 
+    @pytest.mark.parametrize("command", [None, [sys.executable, "-m", "mutexec.python_exec"]],
+                             ids=["forked", "started"])
+    @pytest.mark.parametrize("exit_call", [
+        "def f(x):\n    sys.exit(0)", "def f(x):\n    raise SystemExit(3)",
+        "sys.exit()\ndef f(x):\n    return x"], ids=["sys.exit", "raise", "module-level"])
+    def test_system_exit_is_the_record_s_error(self, command, exit_call):
+        # contest code often ends with sys.exit(); the child reports it and serves on
+        records = [
+            {"source": "import sys\n" + exit_call, "function_name": "f", "input": "1"},
+            {"source": "def f(x):\n    return x * 3", "function_name": "f", "input": "2"},
+        ]
+        with ExternalExecutor(command, timeout=5.0) as executor:
+            executor.run("def f(x):\n    return x", "f", (1,))
+            child = executor.proc
+            problems, rejections = ingest_external(records, executor,
+                                                   IngestConfig(min_chars=1))
+            assert executor.proc is child
+        assert [(p.id, p.output) for p in problems] == [("ext-0001", "6")]
+        assert [(r.index, r.reason) for r in rejections] == [
+            (0, "execution failed: SystemExit")]
+
     def test_id_of_a_record_rejected_after_both_runs_stays_free(self, external_executor):
         # the first p1 passes its first run and fails the determinism check,
         # the first p2 fails the step budget: the next record of each id is kept

@@ -307,7 +307,7 @@ class TestBatch:
         batch = [outcome(r) for r in external.run_many(calls)]
         assert batch == one_at_a_time(calls)
         assert [output for _, output, *_ in batch] == [3 * n for n in range(12)] + [9]
-        assert external.run_many([]) == []
+        assert list(external.run_many([])) == []
 
     @pytest.mark.parametrize("k", [0, 3, 5])
     def test_crash_at_request_k(self, k):
@@ -359,7 +359,7 @@ class TestBatch:
         with ExternalExecutor(timeout=timeout) as executor:
             executor.run("def f(a1):\n    return a1", "f", (1,))  # started
             start = time.monotonic()
-            batch = executor.run_many(calls)
+            batch = list(executor.run_many(calls))
             elapsed = time.monotonic() - start
         assert elapsed < 2 * timeout
         assert (batch[0].status, batch[0].error_kind) == ("error", kind)
@@ -388,6 +388,52 @@ class TestBatch:
         assert answers[1]["error"]["kind"] == "ExecutorInternal"
 
 
+def padded(n):
+    """A call of about 1 KB whose answer is ``n + 1``."""
+    return ("#" + "x" * 1000 + f"\ndef f(a1):\n    return a1 + {n}", "f", (1,))
+
+
+class TestStream:
+    """``run_many`` draws a call only when the child's pipe can take its
+    request, and holds only the requests the child has not answered."""
+
+    def test_draws_calls_as_the_pipe_takes_them(self):
+        drawn = []
+
+        def calls():
+            for n in range(2000):
+                drawn.append(n)
+                yield padded(n)
+
+        with ExternalExecutor(timeout=10.0) as executor:
+            stream = executor.run_many(calls())
+            first = next(stream)
+            assert 0 < len(drawn) < 500  # 2 MB of requests; a pipe holds 64 KB
+            results = [first, *stream]
+        assert len(drawn) == 2000
+        assert [outcome(r) for r in results] == one_at_a_time([padded(n) for n in range(2000)])
+
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_closing_with_requests_unanswered_kills_the_child(self, forks, k):
+        with ExternalExecutor(timeout=5.0) as executor:
+            stream = executor.run_many(times(n) for n in range(50))
+            assert [next(stream).output for _ in range(k)] == [3 * n for n in range(k)]
+            stream.close()
+            assert executor.proc is None
+            assert_reaped(forks)
+            again = executor.run(*times(7))
+            assert (again.status, again.output) == ("ok", 21)
+            assert executor.proc.pid == forks[-1]
+
+    def test_one_stream_at_a_time(self, external):
+        stream = external.run_many([times(1), times(2)])
+        assert next(stream).output == 3
+        with pytest.raises(RuntimeError, match="another stream"):
+            external.run(*times(3))
+        assert [r.output for r in stream] == [6]
+        assert external.run(*times(3)).output == 9
+
+
 class TestCompileCache:
     """The child compiles a source and parses an input once, but runs it
     into a fresh namespace, on new arguments, on every request."""
@@ -396,12 +442,15 @@ class TestCompileCache:
         ("def f(x, acc=[]):\n    acc.append(x)\n    return len(acc)", (1,), 1),
         ("count = 0\ndef f(x):\n    global count\n    count += 1\n    return count", (1,), 1),
         ("def f(x):\n    x.append(1)\n    return len(x)", ([1],), 2),
-    ], ids=["mutable-default", "module-counter", "mutated-argument"])
+        ("import sys\ndef g(n):\n    return 0 if n == 0 else 1 + g(n - 1)\n"
+         "def f(x):\n    depth = g(300)\n"
+         "    sys.setrecursionlimit(sys.getrecursionlimit() - 900)\n    return depth", (1,), 300),
+    ], ids=["mutable-default", "module-counter", "mutated-argument", "recursion-limit"])
     def test_no_state_carries_over(self, source, args, expected):
         with ExternalExecutor(timeout=5.0) as executor:
             first = executor.run(source, "f", args)
             child = executor.proc
-            results = [first] + executor.run_many([(source, "f", args)] * 2)
+            results = [first] + list(executor.run_many([(source, "f", args)] * 2))
             assert executor.proc is child
         assert [(r.status, r.output) for r in results] == [("ok", expected)] * 3
 
@@ -410,7 +459,7 @@ class TestCompileCache:
         with ExternalExecutor(timeout=5.0) as executor:
             results = [executor.run(source, "f", (1,))]
             child = executor.proc
-            results += executor.run_many([(source, "f", (1,))] * 2)
+            results += list(executor.run_many([(source, "f", (1,))] * 2))
             assert executor.proc is child
         assert [(r.status, r.error_kind, r.error_line) for r in results] == [
             ("error", "SyntaxError", 2)] * 3
@@ -558,7 +607,7 @@ def forked_outcomes(calls, timeout=10.0):
     """The outcomes of ``calls`` from a bundled executor whose child this
     process forked."""
     with ExternalExecutor(timeout=timeout) as executor:
-        results = executor.run_many(calls)
+        results = list(executor.run_many(calls))
         assert not isinstance(executor.proc, subprocess.Popen)
     return [outcome(r) for r in results]
 
@@ -607,6 +656,32 @@ class TestForkedChild:
         assert forked == spawned_outcomes(calls)
         assert forked[1][:2] == ("ok", 6)
 
+    def test_programs_compile_without_the_child_s_future_imports(self):
+        source = ("def f(a1):\n    def g(x: int):\n        return x\n"
+                  "    return str(g.__annotations__)")
+        namespace = {}
+        exec(compile(source, "<host>", "exec", dont_inherit=True), namespace)
+        host = namespace["f"](1)
+        assert host == str({"x": int})
+        assert forked_outcomes([(source, "f", (1,))])[0][:2] == ("ok", host)
+        assert spawned_outcomes([(source, "f", (1,))])[0][:2] == ("ok", host)
+
+    @pytest.mark.parametrize("command", [None, SPAWNED], ids=["forked", "started"])
+    @pytest.mark.parametrize("source, kind, line", [
+        ("import sys\ndef f(a1):\n    sys.exit(0)", "SystemExit", 3),
+        ("def f(a1):\n    raise SystemExit(3)", "SystemExit", 2),
+        ("def f(a1):\n    raise KeyboardInterrupt", "KeyboardInterrupt", 2),
+    ], ids=["sys.exit", "SystemExit", "KeyboardInterrupt"])
+    def test_a_program_s_exit_is_its_error(self, command, source, kind, line):
+        with ExternalExecutor(command, timeout=5.0) as executor:
+            executor.run(*times(1))
+            child = executor.proc
+            exited = executor.run(source, "f", (1,))
+            again = executor.run(*times(2))
+            assert executor.proc is child
+        assert outcome(exited) == ("error", None, kind, line, [line], 1)
+        assert (again.status, again.output) == ("ok", 6)
+
     def test_threads_spawn(self, forks):
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
@@ -648,10 +723,10 @@ class TestForkedChild:
             "from mutexec.executors import ExternalExecutor\n"
             "print('before')\n"
             "with ExternalExecutor(timeout=5.0) as executor:\n"
-            "    results = executor.run_many([\n"
+            "    results = list(executor.run_many([\n"
             "        ('def f(a1):\\n    print(a1)\\n    return a1', 'f', (1,)),\n"
             "        ('import os\\ndef f(a1):\\n    os._exit(1)', 'f', (1,)),\n"
-            "        ('def f(a1):\\n    return a1 + 1', 'f', (1,))])\n"
+            "        ('def f(a1):\\n    return a1 + 1', 'f', (1,))]))\n"
             "    print(type(executor.proc).__name__)\n"
             "print([r.output for r in results])\n")
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(executors.__file__))}

@@ -2,16 +2,18 @@ import ast
 import hashlib
 import io
 import json
+import os
 import random
+import sys
 import tokenize
 import warnings
 
 import pytest
 
-from conftest import needs_python_tokenize
+from conftest import assert_reaped, needs_python_tokenize
 
-from mutexec import mutate
-from mutexec.executors import BuiltinExecutor
+from mutexec import cli, mutate
+from mutexec.executors import BuiltinExecutor, ExternalExecutor
 from mutexec.minipy import interpret, parse
 from mutexec.mutate import (
     Survivor,
@@ -20,6 +22,7 @@ from mutexec.mutate import (
     mutate_dataset,
     mutate_problem,
     mutation_sites,
+    problem_calls,
     select_mutant,
 )
 from mutexec.problems import Problem
@@ -168,7 +171,8 @@ class TestEnumerate:
 
 
 def survivors_of(problem, candidates):
-    return mutate_problem(problem, BuiltinExecutor(), random.Random(0), candidates).survivors
+    results = BuiltinExecutor().run_many(problem_calls(problem, candidates))
+    return mutate_problem(problem, results, random.Random(0), candidates).survivors
 
 
 class TestFilter:
@@ -481,3 +485,114 @@ class TestMutateDataset:
         # frozen after measurement on the session corpus (seed 11): the
         # 60-problem slice keeps 50 pairs, 10 dropped for empty survivor sets
         assert (len(problems), len(kept)) == (60, 50)
+
+
+def outcome(result):
+    return (result.status, result.output, result.error_kind, result.error_line,
+            sorted(result.covered_lines), result.steps)
+
+
+class Recording:
+    """An executor whose streams pass through ``executor``'s, keeping the
+    calls drawn and the results read."""
+
+    def __init__(self, executor):
+        self.executor, self.calls, self.results = executor, [], []
+
+    def run_many(self, calls):
+        def drawn():
+            for call in calls:
+                self.calls.append(call)
+                yield call
+
+        for result in self.executor.run_many(drawn()):
+            self.results.append(result)
+            yield result
+
+
+# On input 5 exactly one mutant, ``a1 * 3 in [15]``, runs the loop's body.
+FAULTY = ("import os\ndef f(a1):\n    while a1 * 2 in [15]:\n        {}\n"
+          "    return a1 + 1\n")
+
+
+def corrupting_child(tmp_path):
+    """The bundled child as a command, but with ``steps`` of the wrong type
+    in an answer whose output is the text 'bad answer'."""
+    script = tmp_path / "corrupting_child.py"
+    script.write_text(
+        "import sys\n"
+        f"sys.path.insert(0, {os.path.dirname(os.path.dirname(mutate.__file__))!r})\n"
+        "from mutexec import python_exec\n"
+        "execute = python_exec._execute\n"
+        "def corrupted(request, codes, inputs):\n"
+        "    response = execute(request, codes, inputs)\n"
+        "    if response.get('output_repr') == \"'bad answer'\":\n"
+        "        response['steps'] = 'many'\n"
+        "    return response\n"
+        "python_exec._execute = corrupted\n"
+        "python_exec.main()\n")
+    return [sys.executable, str(script)]
+
+
+# sha256 of originals.jsonl and mutants.jsonl as ``mutate --executor
+# external --seed 5`` writes them from the seed-11 small corpus ingested as
+# external records; recorded when each problem's runs were one batch of
+# their own.
+EXTERNAL_MUTATE_SHA256 = "20f58d21e37512abecba3ccf440033baa7db1609f9a5eda63e50a9fc7357d80e"
+
+
+class TestExternalStream:
+    """``mutate_dataset`` sends every problem's calls to the executor as
+    one stream."""
+
+    @pytest.mark.parametrize("fault, kind", [
+        ("os._exit(1)", "ExecutorCrashed"),
+        ("pass", "Timeout"),
+        ("return 'bad answer'", "BadResponse"),
+    ], ids=["crash", "hang", "bad-answer"])
+    def test_a_fault_in_a_later_problem_costs_only_its_request(self, small_corpus, tmp_path,
+                                                                fault, kind):
+        faulty = make_problem(FAULTY.format(fault), "5", "6", pid="faulty")
+        problems = small_corpus[:6] + [faulty] + small_corpus[6:9]
+        command = corrupting_child(tmp_path) if kind == "BadResponse" else None
+        with ExternalExecutor(command, timeout=1.0) as executor:
+            recording = Recording(executor)
+            kept, mutants = mutate_dataset(problems, recording, seed=2)
+        with ExternalExecutor(command, timeout=1.0) as executor:
+            alone = [outcome(executor.run(*call)) for call in recording.calls]
+        assert [outcome(r) for r in recording.results] == alone
+        failed = [call[0] for call, r in zip(recording.calls, recording.results)
+                  if r.error_kind == kind]
+        assert failed == [FAULTY.format(fault).replace("a1 * 2", "a1 * 3")]
+        # the other problems get the mutants the builtin executor gives them
+        others = mutate_dataset([p for p in problems if p is not faulty], BuiltinExecutor(),
+                                seed=2)
+        assert [p.id for p in kept] == [p.id for p in problems
+                                        if p is faulty or p in others[0]]
+        assert [m for m in mutants if m.id != "faulty"] == others[1]
+
+    def test_a_problem_that_fails_ends_the_stream(self, small_corpus, forks):
+        broken = make_problem("def f(a1):\n    return a1[9]", "[1, 2]", "0", pid="broken")
+        problems = small_corpus[:3] + [broken] + small_corpus[3:6]
+        with ExternalExecutor(timeout=5.0) as executor:
+            with pytest.raises(ValueError, match="problem broken does not execute cleanly"):
+                mutate_dataset(problems, executor)
+            assert executor.proc is None  # its requests were still in the pipe
+            assert forks
+            assert_reaped(forks)
+            assert executor.run("def f(a1):\n    return a1", "f", (4,)).output == 4
+
+    def test_external_mutate_outputs_pinned(self, small_corpus, tmp_path):
+        raw = tmp_path / "raw.jsonl"
+        raw.write_text("".join(
+            json.dumps({"id": p.id, "source": p.source, "function_name": p.function_name,
+                        "input": p.input}) + "\n" for p in small_corpus))
+        ingested, pairs = tmp_path / "ingested.jsonl", tmp_path / "pairs"
+        assert cli.dispatch(["ingest", "--in", str(raw), "--out", str(ingested),
+                             "--min-chars", "1"]) == 0
+        assert cli.dispatch(["mutate", "--in", str(ingested), "--out", str(pairs),
+                             "--executor", "external", "--seed", "5"]) == 0
+        digest = hashlib.sha256()
+        for name in ("originals.jsonl", "mutants.jsonl"):
+            digest.update((pairs / name).read_bytes())
+        assert digest.hexdigest() == EXTERNAL_MUTATE_SHA256
