@@ -7,17 +7,23 @@ yields their results in order, drawing a call only when it is run (the
 builtin) or written to the child (the external).
 Every result carries its covered lines and its ``steps``, the count of line
 events CPython's line tracer reports (a statement starts, or a loop body
-goes back to its header), so one call gives one result whichever executor
-runs it.  ``BuiltinExecutor.run`` raises nothing: an ``ok`` output whose
+goes back to its header).
+
+``BuiltinExecutor`` runs the language of ``minipy``, and raises nothing.  For
+a program inside it, its result has the six fields the host child gives
+(status, output, error kind, error line, covered lines and steps), unless
+one of minipy's limits stops the run: ``StepLimitExceeded``,
+``ListLimitExceeded``, ``OverflowError``, or ``RecursionError`` at line 0 on
+a value nested too deeply for this process's stack.  An ``ok`` output whose
 canonical text does not parse back (``values.parses_back``: a list that
 holds itself, or lists nested more than 200 deep) is kind
 "UnrepresentableOutput" with its covered lines and steps, as the child's
-answer is read, and a program nested too deeply for the interpreter's stack
-is kind "RecursionError" at line 0, as CPython's compiler reports a sum of
-3,000 terms on 3.10–3.12.  The external executor hosts programs the
-mini-language cannot run (anything with strings, dicts, imports, ...) in a
-child process, one JSON request per line on stdin and one JSON response per
-line on stdout:
+answer is read.  For any other program it gives one result: status
+"error", kind "Unsupported", the line where minipy stopped, no covered
+lines and 0 steps.
+
+The external executor runs any Python program in a child process, one JSON
+request per line on stdin and one JSON response per line on stdout:
 
     request:  {"id": int, "source": str, "function_name": str, "input": str}
     response: {"id": int, "status": "ok"|"error", "output_repr": str|null,
@@ -80,7 +86,8 @@ def _body(request: dict) -> bytes:
 
 
 class BuiltinExecutor:
-    """Runs mini-language programs with the tree-walking interpreter."""
+    """Runs programs of minipy's language with its tree-walking interpreter,
+    and answers "Unsupported" to any other."""
 
     def __init__(self):
         self._cache: dict[str, minipy.Module] = {}
@@ -95,8 +102,8 @@ class BuiltinExecutor:
                 self._cache[source] = module
             result = minipy.interpret(module, args, function_name=function_name)
         except minipy.ParseError as exc:
-            return minipy.ExecResult("error", error_kind=exc.kind, error_line=exc.line)
-        except RecursionError:  # nested too deeply for this stack, as for CPython's compiler
+            return minipy.ExecResult("error", error_kind="Unsupported", error_line=exc.line)
+        except RecursionError:  # a value nested too deeply for this stack
             return minipy.ExecResult("error", error_kind="RecursionError", error_line=0)
         if result.status == "ok" and not parses_back(result.output):
             return minipy.ExecResult("error", covered_lines=result.covered_lines,

@@ -1,45 +1,48 @@
-"""Parser and interpreter for the imperative mini-language.
+"""Parser and interpreter of the builtin executor's language.
 
-The language is the syntactic subset of Python that the translator emits,
-plus the vocabulary mutation operators can introduce: integer/boolean
-literals, list displays, arithmetic (``+ - * // %``), comparisons
-(``< <= > >= == !=``), ``and``/``or``/``not``, indexing with negative
-indices, ``len``, the list methods ``append``/``extend``/``pop``,
-``for``/``range`` loops, ``while`` loops, ``if``/``elif``/``else``,
-``break``/``continue``, assignment (including tuple assignment and
-subscript targets), and ``return``.  Everything else is a syntax error.
+The language is the shapes the translator emits, plus the tokens mutation
+swaps into them.  A module is one or more ``def``s with positional
+parameters.  Their bodies hold assignment (to a name, to a subscript, or of
+a tuple of values to names), expression statements, ``return``,
+``if``/``elif``/``else`` and ``for``/``range`` loops.  Expressions are
+integer and boolean literals, names, list displays, ``+ - * // %``, unary
+``-``, comparisons (``< <= > >= == !=``, not chained), ``and``/``or``/``not``,
+indexing with negative indices, ``len`` and the list methods
+``append``/``extend``/``pop``.  Each statement lies on one line, and no tree
+is more than ``MAX_DEPTH`` nodes deep.  ``parse`` raises ParseError on any
+other text, at the 1-based line where it stopped: on ``while``, ``break``
+and ``continue``, a module-level statement other than a ``def``, a ``def``
+in a body, a statement that spans lines, and anything the list above lacks
+(strings, dicts, calls, imports, ...).  The parser accepts only Python: it
+reads commas in a bracketed list and keywords as CPython does, and refuses a
+repeated parameter name.  A statement node carries its line; an expression
+node carries none.
 
 Source is lexed by one compiled regular expression plus a line loop into
 plain ``(kind, string, line, start)`` tuples, the same stream the standard
 library's ``tokenize`` gives without its COMMENT and NL tokens, and parsed by
-recursive descent with precedence climbing for the operators.  The parser
-accepts only Python: it reads commas in a bracketed list and keywords as
-CPython does, and refuses a repeated parameter name.  As CPython's tokenizer
-does, the scanner refuses a 201st open bracket; as its compiler does,
-``parse`` refuses a ``return`` outside a ``def``, and a ``break`` or
-``continue`` outside a loop of its own ``def``, once the whole text parses.
-The same scanner finds the mutation sites of ``mutate``, which splices a
-mutant at a token's ``start`` offset.  A ParseError carries the 1-based line of the offending
-token; at the end of the text inside brackets it names the line of the
-innermost open bracket, and for a block missing at the end of the text the
-text's last line (as CPython 3.12 on does on CRLF text too, where 3.10 and
-3.11 name one more).  Its ``kind`` is the class of CPython's error there,
-so faults of indentation are IndentationErrors or TabErrors.  A statement
-node carries its line; an expression node carries none.
+recursive descent with precedence climbing for the operators.  The same
+scanner finds the mutation sites of ``mutate`` in any Python text, which
+splices a mutant at a token's ``start`` offset, so it reads more than the
+language: strings, every operator, brackets and backslashes across lines.
+It raises where tokenize raises, and, as CPython's tokenizer does, at
+indentation inconsistent in tabs and spaces and at a 201st open bracket.
 
 Execution is deterministic big-step interpretation, and a node's class is
 its dispatch: an expression's ``eval(it)`` returns its value and a
 statement's ``run(it)`` executes it, against ``it``, the state of one call
 (its variables, steps, covered lines and the current line).  Runtime behavior
-deliberately matches the host Python semantics (negative indexing, floor
-division and modulo on negatives, short-circuit boolean operators,
-aliasing of list values) so that results are directly comparable with a
-real Python executor.  Every executed statement or loop/branch header
-records its 1-based source line in the coverage set.  ``steps`` counts the
-line events CPython's line tracer reports for the same call: one when a
-statement starts and one at each loop back-edge (a body that ends normally
-or by ``continue``).  ``Limits.max_steps`` bounds that count; every loop
-iteration passes a back-edge, so it ends every infinite loop.
+matches the host Python semantics (negative indexing, floor division and
+modulo on negatives, short-circuit boolean operators, aliasing of list
+values), so that a result equals a real Python executor's.  Every executed
+statement or loop header records its 1-based source line in the coverage
+set.  ``steps`` counts the line events CPython's line tracer reports for the
+same call: one when a statement starts and one at each loop back-edge.
+Three limits bound a run, and are where a program of the language may
+differ from CPython: ``Limits.max_steps`` (``StepLimitExceeded``; every loop
+iteration passes a back-edge, so it ends every infinite loop),
+``Limits.max_list_len`` (``ListLimitExceeded``) and 64-bit integers
+(``OverflowError``).
 """
 
 from __future__ import annotations
@@ -53,13 +56,11 @@ from .values import INT_MAX, INT_MIN, MAX_NESTING, Value, copy_value
 
 
 class ParseError(Exception):
-    """Source outside the language at ``line``; ``kind`` names the class of
-    CPython's error there (a SyntaxError, IndentationError or TabError)."""
+    """Source outside the language; ``line`` is where the parser stopped."""
 
-    def __init__(self, line: int, message: str, kind: str = "SyntaxError"):
+    def __init__(self, line: int, message: str):
         self.line = line
         self.message = message
-        self.kind = kind
         super().__init__(f"line {line}: {message}")
 
 
@@ -273,17 +274,14 @@ class Stmt(_Node):
         self.line = line
 
 
-class FunctionDef(Stmt):
-    __slots__ = ("name", "params", "body")
+class FunctionDef(_Node):
+    __slots__ = ("line", "name", "params", "body")
 
     def __init__(self, line: int, name: str, params: list[str], body: list[Stmt]):
         self.line = line
         self.name = name
         self.params = params
         self.body = body
-
-    def run(self, it: _Interp):
-        raise _RuntimeFailure("TypeError")  # nested defs unsupported
 
 
 class Return(Stmt):
@@ -356,20 +354,6 @@ class If(Stmt):
             it.exec_block(self.orelse)
 
 
-class While(Stmt):
-    __slots__ = ("cond", "body")
-
-    def __init__(self, line: int, cond: Expr, body: list[Stmt]):
-        self.line = line
-        self.cond = cond
-        self.body = body
-
-    def run(self, it: _Interp):
-        while self.cond.eval(it):
-            if it.loop_body(self):
-                break
-
-
 class ForRange(Stmt):
     __slots__ = ("var", "args", "body")  # args: 1..3 range arguments
 
@@ -388,32 +372,18 @@ class ForRange(Stmt):
             raise _RuntimeFailure("ValueError")
         for i in range(*args):
             it.env[self.var] = i
-            if it.loop_body(self):
-                break
-
-
-class Break(Stmt):
-    __slots__ = ()
-
-    def run(self, it: _Interp):
-        raise _BreakSignal()
-
-
-class Continue(Stmt):
-    __slots__ = ()
-
-    def run(self, it: _Interp):
-        raise _ContinueSignal()
+            it.exec_block(self.body)
+            it.tick(self.line)  # the back-edge to the header
 
 
 class Module(_Node):
     __slots__ = ("body",)
 
-    def __init__(self, body: list[Stmt]):
+    def __init__(self, body: list[FunctionDef]):
         self.body = body
 
     def functions(self) -> dict[str, FunctionDef]:
-        return {s.name: s for s in self.body if isinstance(s, FunctionDef)}
+        return {fn.name: fn for fn in self.body}
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +394,9 @@ class Module(_Node):
 # blank and comment-only lines, bracket nesting (no NEWLINE or INDENT/DEDENT
 # inside brackets), backslash continuation, tab stops of 8 in indentation,
 # and the empty NEWLINE after a last line that has no line break.  Unlike
-# tokenize, it raises CPython's TabError where the columns at tab stops of 1
-# do not order the lines as those at tab stops of 8 do.  Tokens are plain
+# tokenize, it stops where CPython's tokenizer raises a TabError: where the
+# columns at tab stops of 1 do not order the lines as those at tab stops of
+# 8 do.  Tokens are plain
 # ``(kind, string, line, start)`` tuples, ``start`` being the offset of the
 # token in the text; comments and non-logical line breaks produce none.
 # Characters that start no token become ERRORTOKEN tokens, so a parse fails
@@ -489,14 +460,6 @@ Token = tuple[int, str, int, int]  # kind, string, line, start offset
 _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
 _TAB_ERROR = "inconsistent use of tabs and spaces in indentation"
-
-
-class _IndentationFault(ParseError):
-    """Indentation CPython's tokenizer refuses, after ``tokens``."""
-
-    def __init__(self, tokens: list[Token], line: int, message: str, kind: str):
-        super().__init__(line, message, kind)
-        self.tokens = tokens
 
 
 def _column(indent: str) -> int:
@@ -565,7 +528,8 @@ def _scan(source: str) -> list[Token]:
     Raises ParseError where tokenize raises: at an unindent to no enclosing
     level, and at the end of the text inside brackets, after a backslash or
     inside a string, naming the line of the innermost open bracket, the
-    backslash or the string's start; and at a TabError.
+    backslash or the string's start; and where CPython's tokenizer raises
+    a TabError or refuses a 201st open bracket.
     """
     tokens: list[Token] = []
     append = tokens.append
@@ -604,7 +568,7 @@ def _scan(source: str) -> list[Token]:
                     column, alt = _column(indent), len(indent) - indent.rfind("\x0c") - 1
                 if column > indents[-1]:
                     if alt <= alts[-1]:
-                        raise _IndentationFault(tokens, line, _TAB_ERROR, "TabError")
+                        raise ParseError(line, _TAB_ERROR)
                     indents.append(column)
                     alts.append(alt)
                     append((INDENT, indent, line, found.start()))
@@ -614,10 +578,10 @@ def _scan(source: str) -> list[Token]:
                         alts.pop()
                         append((DEDENT, "", line, found.start(group)))
                     if column != indents[-1]:
-                        raise _IndentationFault(tokens, line, "unindent does not match any "
-                                                "outer indentation level", "IndentationError")
+                        raise ParseError(line, "unindent does not match any outer "
+                                         "indentation level")
                     if alt != alts[-1]:
-                        raise _IndentationFault(tokens, line, _TAB_ERROR, "TabError")
+                        raise ParseError(line, _TAB_ERROR)
                 bol = False
             # the token itself
             if group == _G_NAME:
@@ -710,6 +674,12 @@ _BINARY = {
 _NOT = 3
 _COMPARE = 4
 _NEG = 7
+# The deepest tree the parser builds, in nodes on a path from a ``def``
+# down, a parenthesized expression counting as one.  Translations of
+# depth-5 terms and their mutants reach 8 (1,538 trees: the small corpus and
+# a seed-3 build); at 50 the parser and the interpreter stay within a few
+# hundred stack frames.
+MAX_DEPTH = 50
 
 
 class _Parser:
@@ -718,15 +688,15 @@ class _Parser:
     string, which the lexer makes unique to its kind.  A name is a NAME
     token that is not a keyword of the running Python, and a bracketed list
     is read as CPython reads one: a comma between two items and an optional
-    one after the last."""
+    one after the last.  ``level`` is the tree level of the node being read,
+    a ``def`` being at 1; the expression methods return a node with its
+    depth, so that a node an operator takes as its left operand, one level
+    further down, is measured again."""
 
-    def __init__(self, tokens: list[Token], last_line: int | None = None):
+    def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        # the line of the text's last character, where CPython reports a
-        # block missing at the end of the text (None: the line of the token
-        # found there)
-        self.last_line = last_line
+        self.level = 1
 
     # -- token helpers
 
@@ -747,8 +717,21 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def end(self, line: int) -> None:
+        """The NEWLINE that ends the statement or block header begun at
+        ``line``, on that line."""
+        if self.expect_kind(NEWLINE)[2] != line:
+            raise ParseError(line, "a statement that spans lines")
+
     def error(self, message: str) -> ParseError:
         return ParseError(self.tokens[self.pos][2], message)
+
+    def within(self, depth: int) -> int:
+        """``depth``, that of a node at ``level``, if the tree then stays
+        within MAX_DEPTH."""
+        if self.level + depth - 1 > MAX_DEPTH:
+            raise self.error(f"nested more than {MAX_DEPTH} levels deep")
+        return depth
 
     def name(self) -> str:
         kind, word, line, _ = self.tokens[self.pos]
@@ -771,13 +754,19 @@ class _Parser:
         self.expect(closer)
         return out
 
+    def arguments(self, opener: str) -> tuple[list[Expr], int]:
+        """The expressions between ``opener`` and its closer, and the depth
+        of the deepest (0 for none)."""
+        pairs = self.items(opener, self.expression)
+        return [node for node, _ in pairs], max((depth for _, depth in pairs), default=0)
+
     def expressions(self) -> list[Expr]:
         """Expressions between commas, outside brackets."""
         tokens = self.tokens
-        out = [self.expression()]
+        out = [self.expression()[0]]
         while tokens[self.pos][1] == ",":
             self.pos += 1
-            out.append(self.expression())
+            out.append(self.expression()[0])
         return out
 
     # -- grammar
@@ -785,39 +774,31 @@ class _Parser:
     def parse_module(self) -> Module:
         body = []
         while True:
-            kind = self.tokens[self.pos][0]
+            kind, word, line, _ = self.tokens[self.pos]
             if kind == ENDMARKER:
                 return Module(body)
             if kind == NEWLINE:
                 self.pos += 1
+            elif word == "def":
+                body.append(self.funcdef())
             else:
-                body.append(self.statement())
+                raise ParseError(line, "a module-level statement other than a def")
 
     def statement(self) -> Stmt:
-        kind, word, line, _ = self.tokens[self.pos]
-        if kind == INDENT:
-            raise ParseError(line, "unexpected indent", "IndentationError")
-        if word == "def":
-            return self.funcdef()
+        """A statement in a block, where a ``def`` is refused as a keyword
+        in the place of a name."""
+        word, line = self.tokens[self.pos][1:3]
         if word == "return":
             self.pos += 1
             value = None
             if self.tokens[self.pos][0] != NEWLINE:
-                value = self.expression()
-            self.expect_kind(NEWLINE)
+                value = self.expression()[0]
+            self.end(line)
             return Return(line, value)
         if word == "if":
             return self.if_stmt()
-        if word == "while":
-            self.pos += 1
-            cond = self.expression()
-            return While(line, cond, self.block())
         if word == "for":
             return self.for_stmt()
-        if word == "break" or word == "continue":
-            self.pos += 1
-            self.expect_kind(NEWLINE)
-            return Break(line) if word == "break" else Continue(line)
         return self.simple_stmt()
 
     def funcdef(self) -> FunctionDef:
@@ -826,35 +807,32 @@ class _Parser:
         params = self.items("(", self.name)
         if len(set(params)) < len(params):
             raise ParseError(line, "duplicate parameter name")
-        return FunctionDef(line, name, params, self.block())
+        return FunctionDef(line, name, params, self.block(line))
 
-    def block(self) -> list[Stmt]:
+    def block(self, line: int) -> list[Stmt]:
+        """The block of the header begun at ``line``, one level below it."""
         self.expect(":")
-        self.expect_kind(NEWLINE)
-        kind, word, line, _ = self.tokens[self.pos]
-        if kind != INDENT:
-            # the end-of-text tokens follow the last line, which CPython names
-            raise ParseError(min(line, self.last_line or line),
-                             f"expected 'INDENT', got {word!r}", "IndentationError")
-        self.pos += 1
+        self.end(line)
+        self.expect_kind(INDENT)
+        self.level += 1
         body = []
         while self.tokens[self.pos][0] != DEDENT:
             body.append(self.statement())
         self.pos += 1
-        if not body:
-            raise self.error("empty block")
+        self.level -= 1
         return body
 
     def if_stmt(self, keyword: str = "if") -> If:
         line = self.expect(keyword)[2]
-        cond = self.expression()
-        body = self.block()
+        cond = self.expression()[0]
+        body = self.block(line)
         orelse: list[Stmt] = []
         if self.at("elif"):
+            self.level += 1  # the one statement of the else branch
             orelse = [self.if_stmt("elif")]
+            self.level -= 1
         elif self.at("else"):
-            self.pos += 1
-            orelse = self.block()
+            orelse = self.block(self.expect("else")[2])
         return If(line, cond, body, orelse)
 
     def for_stmt(self) -> ForRange:
@@ -862,20 +840,20 @@ class _Parser:
         var = self.name()
         self.expect("in")
         self.expect("range")
-        args = self.items("(", self.expression)
+        args = self.arguments("(")[0]
         if not 1 <= len(args) <= 3:
             raise self.error("range takes 1 to 3 arguments")
-        return ForRange(line, var, args, self.block())
+        return ForRange(line, var, args, self.block(line))
 
     def simple_stmt(self) -> Stmt:
         line = self.tokens[self.pos][2]
         targets = self.expressions()
         if len(targets) == 1 and self.tokens[self.pos][1] != "=":
-            self.expect_kind(NEWLINE)
+            self.end(line)
             return ExprStmt(line, targets[0])
         self.expect("=")
         values = self.expressions()
-        self.expect_kind(NEWLINE)
+        self.end(line)
         if len(targets) == 1:
             target = targets[0]
             if not isinstance(target, (Name, Subscript)):
@@ -889,37 +867,44 @@ class _Parser:
 
     # -- expressions
 
-    def expression(self, floor: int = 1) -> Expr:
-        """An expression whose binary operators bind at least as tightly as
-        ``floor``; operators of one binding power group to the left."""
+    def expression(self, floor: int = 1) -> tuple[Expr, int]:
+        """An expression one level below ``level`` whose binary operators
+        bind at least as tightly as ``floor``, and its depth; operators of
+        one binding power group to the left."""
         tokens = self.tokens
+        self.level += 1
+        self.within(1)
         string = tokens[self.pos][1]
         if string == "not" and floor <= _NOT:
             self.pos += 1
-            node = NotOp(self.expression(_NOT))
+            operand, depth = self.expression(_NOT)
+            node, depth = NotOp(operand), depth + 1
         elif string == "-":
             self.pos += 1
             if tokens[self.pos][0] == NUMBER:
                 self.pos += 1
-                node = self.number(tokens[self.pos - 1], negate=True)
+                node, depth = self.number(tokens[self.pos - 1], negate=True), 1
             else:
-                node = Neg(self.expression(_NEG))
+                operand, depth = self.expression(_NEG)
+                node, depth = Neg(operand), depth + 1
         else:
-            node = self.primary()
+            node, depth = self.primary()
         while True:
             string = tokens[self.pos][1]
             power = _BINARY.get(string)
             if power is None or power < floor:
-                return node
+                self.level -= 1
+                return node, depth
             self.pos += 1
             if power == _COMPARE:
-                node = Compare(string, node, self.expression(_COMPARE + 1))
+                right, inner = self.expression(_COMPARE + 1)
+                node = Compare(string, node, right)
                 if tokens[self.pos][1] in _CMP_OPS:
                     raise self.error("chained comparisons are not supported")
-            elif power < _NOT:
-                node = BoolOp(string, node, self.expression(power + 1))
             else:
-                node = BinOp(string, node, self.expression(power + 1))
+                right, inner = self.expression(power + 1)
+                node = (BoolOp if power < _NOT else BinOp)(string, node, right)
+            depth = self.within(max(depth, inner) + 1)
 
     def number(self, tok: Token, negate: bool = False) -> Num:
         _, text, line, _ = tok
@@ -929,11 +914,13 @@ class _Parser:
             raise ParseError(line, f"only integer literals are supported: {text}")
         return Num(-value if negate else value)
 
-    def primary(self) -> Expr:
-        """An atom and the subscripts and method calls after it."""
+    def primary(self) -> tuple[Expr, int]:
+        """An atom and the subscripts and method calls after it, and its
+        depth."""
         tokens = self.tokens
         tok = tokens[self.pos]
         kind, word, line, _ = tok
+        depth = 1
         if kind == NAME:
             if word == "True" or word == "False":
                 self.pos += 1
@@ -941,7 +928,8 @@ class _Parser:
             elif word == "len":
                 self.pos += 1
                 self.expect("(")
-                node = LenCall(self.expression())
+                arg, depth = self.expression()
+                node, depth = LenCall(arg), depth + 1
                 self.expect(")")
             else:
                 self.name()
@@ -953,10 +941,12 @@ class _Parser:
             node = self.number(tok)
         elif word == "(":
             self.pos += 1
-            node = self.expression()
+            node, depth = self.expression()
+            depth += 1  # the parentheses are a level of their own
             self.expect(")")
         elif word == "[":
-            node = ListDisplay(self.items("[", self.expression))
+            elems, depth = self.arguments("[")
+            node, depth = ListDisplay(elems), depth + 1
         elif kind == STRING:
             raise self.error("string literals are outside the mini-language")
         elif kind == ERRORTOKEN:
@@ -967,7 +957,7 @@ class _Parser:
             string = tokens[self.pos][1]
             if string == "[":
                 self.pos += 1
-                index = self.expression()
+                index, inner = self.expression()
                 self.expect("]")
                 node = Subscript(node, index)
             elif string == ".":
@@ -976,48 +966,17 @@ class _Parser:
                 method = self.name()
                 if method not in _METHODS:
                     raise ParseError(line, f"unknown method {method!r}")
-                node = MethodCall(node, method, self.items("(", self.expression))
+                args, inner = self.arguments("(")
+                node = MethodCall(node, method, args)
             else:
-                return node
+                return node, depth
+            depth = self.within(max(depth, inner) + 1)
 
 
 def parse(source: str) -> Module:
-    """Parse mini-language source; raises ParseError outside the language."""
-    last_line = source.count("\n", 0, len(source) - 1) + 1
-    try:
-        tokens = _scan(source)
-    except _IndentationFault as fault:
-        # CPython reads a line's indentation only once its parser has taken
-        # the lines before it, so a fault of theirs is reported first
-        try:
-            _Parser([*fault.tokens, (ERRORTOKEN, "", fault.line, len(source))],
-                    last_line).parse_module()
-        except ParseError as earlier:
-            if earlier.line < fault.line:
-                raise earlier from None
-        raise
-    module = _Parser(tokens, last_line).parse_module()
-    _check_jumps(module.body, False, False)
-    return module
-
-
-def _check_jumps(body: list[Stmt], in_def: bool, in_loop: bool) -> None:
-    """Raise the SyntaxError of CPython's compiler at the first ``return``
-    outside a ``def``, or ``break`` or ``continue`` outside a loop of its own
-    ``def``, in source order.  The compiler runs only on a text that parses,
-    so this runs after the parse."""
-    for stmt in body:
-        if isinstance(stmt, FunctionDef):
-            _check_jumps(stmt.body, True, False)
-        elif isinstance(stmt, (While, ForRange)):
-            _check_jumps(stmt.body, in_def, True)
-        elif isinstance(stmt, If):
-            _check_jumps(stmt.body, in_def, in_loop)
-            _check_jumps(stmt.orelse, in_def, in_loop)
-        elif isinstance(stmt, Return) and not in_def:
-            raise ParseError(stmt.line, "'return' outside function")
-        elif isinstance(stmt, (Break, Continue)) and not in_loop:
-            raise ParseError(stmt.line, f"'{type(stmt).__name__.lower()}' outside loop")
+    """Parse a program of the language; on any other text, raise ParseError
+    at the line where the scanner or the parser stopped."""
+    return _Parser(_scan(source)).parse_module()
 
 
 # ---------------------------------------------------------------------------
@@ -1062,14 +1021,6 @@ class _ReturnSignal(Exception):
         self.value = value
 
 
-class _BreakSignal(Exception):
-    pass
-
-
-class _ContinueSignal(Exception):
-    pass
-
-
 _ARITHMETIC = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
     "//": operator.floordiv, "%": operator.mod,
@@ -1103,8 +1054,8 @@ class _Interp:
 
     def tick(self, line: int):
         """One line event, as CPython's line tracer counts them: a statement
-        starts at ``line``, or a loop body ends normally or by ``continue``
-        and control goes back to its header at ``line``."""
+        starts at ``line``, or a loop body ends and control goes back to its
+        header at ``line``."""
         self.steps += 1
         if self.steps > self.limits.max_steps:
             raise _RuntimeFailure("StepLimitExceeded")
@@ -1126,17 +1077,6 @@ class _Interp:
             self.covered.add(stmt.line)
             stmt.run(self)
 
-    def loop_body(self, loop: While | ForRange) -> bool:
-        """One iteration of ``loop``'s body and its back-edge; True when the
-        body ended by ``break``."""
-        try:
-            self.exec_block(loop.body)
-        except _BreakSignal:
-            return True
-        except _ContinueSignal:
-            pass
-        self.tick(loop.line)
-        return False
 
 
 def interpret(

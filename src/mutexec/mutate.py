@@ -214,7 +214,7 @@ def mutate_problem(problem: Problem, results, rng: random.Random,
     results = iter(results)
     base = next(results)
     if base.status != "ok":
-        raise ValueError(f"problem {problem.id} does not execute cleanly")
+        raise ValueError(f"problem {problem.id} does not execute cleanly: {base.error_kind}")
     expected = problem.output_value()
     survivors = [Survivor(source, site, result.output, set(result.covered_lines))
                  for (source, site), result in zip(candidates, results, strict=True)

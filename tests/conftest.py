@@ -48,19 +48,20 @@ def read_fixture(name: str) -> str:
 
 
 # Texts the lexer must read as tokenize does, or as CPython's tokenizer does
-# where that raises a TabError, each with the line of the ParseError it
-# raises (None: it parses).
+# where that raises a TabError, each with the line of the ParseError that
+# ``parse`` raises (None: it parses).  A statement that spans lines is
+# outside the language, at its first line.
 EDGE_CASES = [
     # comments, blank and whitespace-only lines
     ("def f(a1):\n    # note\n\n    v1 = a1  # trailing\n   \n    return v1\n", None),
     ("# header\n\ndef f(a1):\n    return a1\n# end", None),
     ("def f(a1):\n    return a1\n    ", None),
     # implicit line joining inside brackets
-    ("def f(a1):\n    v1 = [1,\n  2,\n\n        3]\n    return (v1 +\n a1)\n", None),
-    ("def f(a1):\n    a1.append(len(\n# inside\n    a1))\n    return a1", None),
+    ("def f(a1):\n    v1 = [1,\n  2,\n\n        3]\n    return (v1 +\n a1)\n", 2),
+    ("def f(a1):\n    a1.append(len(\n# inside\n    a1))\n    return a1", 2),
     # backslash continuation, CRLF, form feed
-    ("def f(a1):\n    v1 = 1 + \\\n        2\n    return v1\n", None),
-    ("def f(a1):\r\n    v1 = [1,\r\n 2]\r\n\r\n    return v1\r\n", None),
+    ("def f(a1):\n    v1 = 1 + \\\n        2\n    return v1\n", 2),
+    ("def f(a1):\r\n    v1 = [1,\r\n 2]\r\n\r\n    return v1\r\n", 2),
     ("\x0cdef f(a1):\n\x0c    return a1\n", None),
     # tab indentation: a tab runs to the next multiple of 8, and the lines
     # must order the same with a tab as one column (else CPython's TabError)

@@ -652,6 +652,21 @@ class TestOneGroundTruthPath:
             manifest = json.load(fh)
         assert manifest["seed"] is None and "seed" not in manifest["options"]
 
+    def test_builtin_ingest_declines_contest_code(self, tmp_path):
+        # a string, a call and a keyword argument: outside minipy's
+        # language, so the builtin executor answers Unsupported, where the
+        # external one runs the record
+        record = {"source": "def f(s):\n    return sorted(s.split(), key=len)[-1]",
+                  "function_name": "f", "input": "'a bb ccc'"}
+        builtin = self.ingest(tmp_path, [record], "--executor", "builtin")
+        external = self.ingest(tmp_path, [record], "--executor", "external")
+        assert load_jsonl(str(builtin)) == []
+        with open(f"{builtin}.rejected.jsonl") as fh:
+            assert [json.loads(line)["reason"] for line in fh] == [
+                "execution failed: Unsupported"]
+        [problem] = load_jsonl(str(external))
+        assert problem.output == "'ccc'"
+
     def test_set_output_bytes_do_not_depend_on_the_hash_seed(self, tmp_path):
         # the command runs under each hash seed, and its executor child,
         # forked or spawned, shares the command's hash secret

@@ -28,8 +28,10 @@ import pytest
 
 from conftest import fixture_path
 from mutexec.cli import dispatch
+from mutexec.executors import ExternalExecutor
 from mutexec.problems import load_jsonl
 from test_datasets import SMALL_CORPUS_SHA256
+from test_executors import CONTRACT_CASES, host_answer, outcome
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 VERSIONS = ("3.10", "3.11", "3.12", "3.13")
@@ -148,3 +150,19 @@ def test_external_path_on_every_interpreter(interpreters, tmp_path, monkeypatch)
         for name in EXTERNAL_OUTPUTS:
             assert (work / name).read_bytes() == (here / name).read_bytes(), (
                 version, path, name)
+
+
+def test_host_half_of_the_contract_cases_on_every_interpreter(interpreters, monkeypatch):
+    # each interpreter's own child, started as ``<python> -m
+    # mutexec.python_exec``, gives the host answers the contract cases pin,
+    # the sum of 3,000 terms included: a RecursionError from the compilers
+    # of 3.10-3.12, and a sum from 3.13's
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    calls = [(source, "f", args) for source, args, _ in CONTRACT_CASES.values()]
+    for version, path in interpreters:
+        minor = tuple(map(int, version.split(".")[:2]))
+        with ExternalExecutor([path, "-m", "mutexec.python_exec"]) as child:
+            answers = dict(zip(CONTRACT_CASES, map(outcome, child.run_many(calls))))
+        assert answers == {name: host_answer(name, minor) for name in CONTRACT_CASES}, (
+            version, path)

@@ -11,7 +11,7 @@ from conftest import EDGE_CASES, needs_python_tokenize
 from reference import parsed_outside_python, random_texts
 
 from mutexec import minipy
-from mutexec.minipy import Limits, ParseError, interpret, parse
+from mutexec.minipy import MAX_DEPTH, Limits, ParseError, interpret, parse
 
 
 def run(source, *args, limits=None, fn=None):
@@ -31,8 +31,8 @@ class TestParse:
 
     def test_table_fragments_parse(self):
         # the mutation-operator vocabulary appears in expression statements
-        for fragment in ("a + b", "a < b", "a and b", "while a:\n    continue", "1"):
-            parse(fragment)
+        for fragment in ("a + b", "a < b", "a and b", "1"):
+            parse(f"def f(a, b):\n    {fragment}\n")
 
     def test_rejected_constructs(self):
         bad = [
@@ -55,21 +55,22 @@ class TestParse:
         assert err.value.line == 2
 
     @pytest.mark.parametrize("text", [
-        "v1 = [1 2]",
+        "    v1 = [1 2]",
         "def f(a1 a2):\n    return a1",
-        "a1.append(1 2)",
-        "finally = 1",
-        "await = 1",
-        "for if in range(3):\n    v1 = 1",
+        "    a1.append(1 2)",
+        "    finally = 1",
+        "    await = 1",
+        "    for if in range(3):\n        v1 = 1",
         "def f(a1, a1):\n    return a1",
     ], ids=["list_display", "parameters", "method_arguments", "finally", "await",
             "for_target", "repeated_parameter"])
     def test_not_python_rejected_at_its_line(self, text):
+        source = "def g(a1):\n    v1 = 0\n" + text
         with pytest.raises(SyntaxError):
-            compile(text, "<text>", "exec")
+            compile(source, "<text>", "exec")
         with pytest.raises(ParseError) as err:
-            parse("v1 = 0\n" + text)
-        assert err.value.line == 2
+            parse(source)
+        assert err.value.line == 3
 
     def test_trailing_commas(self):
         source = ("def f(a1,):\n    for i in range(len(a1),):\n        a1.append(i,)\n"
@@ -91,19 +92,55 @@ class TestParse:
             "break_in_a_def_in_a_loop", "return_in_a_module_loop", "continue_in_dead_code",
             "jumps_in_a_module_loop", "unclosed_bracket_later", "parse_error_later"])
     def test_jumps_outside_their_scope_as_compile_reports_them(self, text):
-        # the compiler reports the first jump outside its scope, and only
-        # for a text that parses
+        # compile, which the host child runs, reports the first jump outside
+        # its scope in a text that parses; loop jumps and statements outside
+        # a def are outside the language, so parse refuses every such text,
+        # and no later than compile stops on it
         try:
             compile(text, "<text>", "exec")
             expected = None
         except SyntaxError as err:
-            expected = (type(err).__name__, err.lineno)
-        try:
+            expected = err.lineno
+        with pytest.raises(ParseError) as err:
             parse(text)
-            mine = None
-        except ParseError as err:
-            mine = (err.kind, err.line)
-        assert mine == expected
+        assert expected is None or err.value.line <= expected
+
+    @pytest.mark.parametrize("text, line", [
+        ("N = 1\ndef f(a1):\n    return a1\n", 1),
+        ("def f(a1):\n    return a1\nf(1)\n", 3),
+        ("def f(a1):\n    def g(a2):\n        return a2\n    return a1\n", 2),
+        ("def f(a1):\n    v1 = [a1,\n          a1]\n    return v1\n", 2),
+        ("def f(a1):\n    v1 = a1 + \\\n        1\n    return v1\n", 2),
+        ("def f(a1):\n    if (a1 >\n            0):\n        return 1\n    return 0\n", 2),
+        ("def f(a1):\n    while a1:\n        a1 = 0\n    return a1\n", 2),
+        ("def f(a1):\n    for i in range(3):\n        continue\n    return a1\n", 3),
+    ], ids=["module_level_statement", "module_level_call", "def_in_a_body",
+            "list_display_on_two_lines", "backslash_continuation", "header_on_two_lines",
+            "while", "continue"])
+    def test_outside_the_language_at_its_line(self, text, line):
+        compile(text, "<text>", "exec")
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line
+
+    @pytest.mark.parametrize("nest", [
+        lambda k: "def f(a1):\n    return " + "not " * (k - 3) + "a1\n",
+        lambda k: "def f(a1):\n    return a1" + " + a1" * (k - 3) + "\n",
+        lambda k: "def f(a1):\n    return " + "(" * (k - 3) + "a1" + ")" * (k - 3) + "\n",
+        lambda k: "def f(a1):\n    return " + "[" * (k - 3) + "a1" + "]" * (k - 3) + "\n",
+        lambda k: "def f(a1):\n    return a1" + "[0]" * (k - 3) + "\n",
+        lambda k: "def f(a1):\n" + "".join("    " * d + "if a1:\n" for d in range(1, k - 2))
+        + "    " * (k - 2) + "return a1\n",
+    ], ids=["prefix_operators", "left_operands", "parentheses", "list_displays",
+            "subscripts", "blocks"])
+    def test_depth_bound(self, nest):
+        # nodes on a path from the def: the def, its return, and k - 2 more;
+        # the interpreter runs the deepest tree within the stack
+        result = interpret(parse(nest(MAX_DEPTH)), ([[1]],))
+        assert isinstance(result, minipy.ExecResult)
+        with pytest.raises(ParseError) as err:
+            parse(nest(MAX_DEPTH + 1))
+        assert err.value.message == f"nested more than {MAX_DEPTH} levels deep"
 
     def test_accepts_only_python(self, lexer_corpus):
         assert parsed_outside_python(lexer_corpus + random_texts(1, 20000)) == []
@@ -132,7 +169,7 @@ class TestInterpret:
         assert 6 in taken.covered_lines  # return line always covered when ok
 
     def test_step_limit(self):
-        source = "def f(a1):\n    while True:\n        v1 = 1\n    return v1"
+        source = "def f(a1):\n    for i in range(1000000):\n        v1 = 1\n    return v1"
         result = run(source, [1], limits=Limits(max_steps=1000))
         assert result.status == "error"
         assert result.error_kind == "StepLimitExceeded"
@@ -164,7 +201,7 @@ class TestInterpret:
         source = (
             "def f(a1):\n"
             "    v1 = 2\n"
-            "    while v1 > 0:\n"
+            "    for i in range(10):\n"
             "        v1 = v1 * v1 * v1 * v1 * v1 * v1 * v1 * v1\n"
             "    return v1"
         )
@@ -178,6 +215,8 @@ class TestInterpret:
         assert run(source, [7, -2]).output == [7 // -2, 7 % -2]
 
     def test_for_range_break_continue(self):
+        # a loop runs its body to the end: break and continue are outside
+        # the language
         source = (
             "def f(a1):\n"
             "    v1 = 0\n"
@@ -189,9 +228,14 @@ class TestInterpret:
             "        v1 = v1 + a1[i]\n"
             "    return v1"
         )
-        assert run(source, [1, 3, 2, 5, 9]).output == 3
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert err.value.line == 5
+        lines = source.split("\n")
+        assert run("\n".join(lines[:3] + lines[7:]), [1, 3, 2, 5, 9]).output == 20
 
     def test_while_loop(self):
+        # outside the language: the host child runs while loops
         source = (
             "def f(a1):\n"
             "    v1 = 0\n"
@@ -199,7 +243,9 @@ class TestInterpret:
             "        v1 = v1 + 1\n"
             "    return v1"
         )
-        assert run(source, [7, 7, 7]).output == 3
+        with pytest.raises(ParseError) as err:
+            parse(source)
+        assert err.value.line == 3
 
     def test_tuple_assignment(self):
         source = "def f(a1):\n    v1, v2 = [], []\n    v1.append(len(a1))\n    return v1"
@@ -225,7 +271,7 @@ class TestInterpret:
     def test_list_limit(self):
         source = (
             "def f(a1):\n"
-            "    while True:\n"
+            "    for i in range(100):\n"
             "        a1.extend(a1)\n"
             "    return a1"
         )
@@ -260,8 +306,11 @@ class TestInterpret:
 # parse), recorded with the tokenize-based parser that the scanner replaced,
 # and again, by the scanner that matched it, when the differential fixture
 # gained its loop shapes.  Recorded once more when the scanner began to
-# refuse the two edge cases whose indentation is a TabError in CPython.
-CORPUS_AST_SHA256 = "ce6117551d4913c8da146f51660959588048d6e0671f545bbfc4b4610d455069"
+# refuse the two edge cases whose indentation is a TabError in CPython, and
+# again when the language lost its loop jumps and statements on several
+# lines: the eight fixture programs with ``while``, ``break`` or
+# ``continue`` and the four edge cases that span lines became errors.
+CORPUS_AST_SHA256 = "cd9af740fc6f60b3af5db4eb6eb4a7d1706eac931493f042b6a3aed48f52991d"
 
 
 def tokenize_stream(source):
@@ -309,6 +358,23 @@ class TestLexer:
             with pytest.raises(ParseError) as err:
                 parse(source)
             assert err.value.line == line
+
+    @needs_python_tokenize
+    def test_edge_cases_scan_as_tokenize(self):
+        # texts outside the language too: mutate finds its sites on the
+        # scanner's tokens of any Python text
+        scanned = 0
+        for source, _ in EDGE_CASES:
+            try:
+                stream = scanner_stream(source)
+            except ParseError:
+                continue
+            # tokenize also yields the blanks before a bad character
+            expected = [t for t in tokenize_stream(source)
+                        if not (t[0] == "ERRORTOKEN" and t[1] in " \t\x0c")]
+            assert stream == expected, source
+            scanned += 1
+        assert scanned > 25
 
     @needs_python_tokenize
     def test_token_stream_matches_tokenize(self, lexer_corpus):
@@ -369,7 +435,7 @@ class TestLexer:
             except ParseError as mine:
                 # tokenize lets tabs and spaces mix where CPython's tokenizer
                 # raises a TabError (test_indentation_matches_cpython)
-                if mine.kind != "TabError":
+                if mine.message != minipy._TAB_ERROR:
                     assert isinstance(expected, Exception), source
                     if isinstance(expected, IndentationError):
                         assert mine.line == expected.lineno, source
@@ -381,11 +447,13 @@ class TestLexer:
             assert stream == expected, source
 
     def test_indentation_matches_cpython(self):
-        # every fault of these texts is one of indentation or a ``return``
-        # at column 0, outside the ``def``; ``compile``, which the external
-        # child runs, reports the first of them
+        # every fault of these texts is one of indentation, a ``return`` at
+        # column 0 outside the ``def``, or another statement at column 0;
+        # ``parse`` accepts only what ``compile``, which the external child
+        # runs, accepts, and where CPython's tokenizer stops on a TabError
+        # or an unindent, the scanner stops at the same line
         rng = random.Random(5)
-        faults = set()
+        sources = []
         for _ in range(3000):
             lines = ["def f(a1):"]
             for _ in range(rng.randint(1, 6)):
@@ -393,20 +461,22 @@ class TestLexer:
                                  for _ in range(rng.randint(0, 3)))
                 lines.append(indent + rng.choice(["if a1:", "v1 = a1"]))
             lines.append(rng.choice(["", "    ", "\t"]) + "return a1")
-            source = "\n".join(lines) + "\n"
+            sources.append("\n".join(lines) + "\n")
+        assert parsed_outside_python(sources) == []
+        scanned = 0
+        for source in sources:
             try:
                 compile(source, "<text>", "exec")
-                expected = None
+                continue
             except SyntaxError as err:
-                expected = (type(err).__name__, err.lineno)
-            try:
-                parse(source)
-                mine = None
-            except ParseError as err:
-                mine = (err.kind, err.line)
-            assert mine == expected, source
-            faults.add(mine and mine[0])
-        assert faults == {None, "IndentationError", "TabError", "SyntaxError"}
+                fault = err
+            if isinstance(fault, TabError) or fault.msg.startswith("unindent"):
+                with pytest.raises(ParseError) as err:
+                    minipy._scan(source)
+                assert err.value.line == fault.lineno, source
+                scanned += 1
+        parsed = sum(isinstance(outcome, str) for outcome in outcomes(sources))
+        assert scanned > 100 and parsed > 10
 
     def test_unexpected_character_named(self):
         with pytest.raises(ParseError) as err:
@@ -425,23 +495,23 @@ class TestLexer:
                              ids=["alone", "after_a_bad_character", "after_a_parse_error",
                                   "after_a_stray_closer"])
     def test_nesting_as_cpython_limits_it(self, before):
-        # 200 open brackets parse and the 201st fails at its line, before
-        # any parser error, as CPython's tokenizer reports it; a stray
-        # closer before them fails first
+        # the scanner reads 200 open brackets and stops at the 201st, at its
+        # line, where CPython's tokenizer reports it before any parser
+        # error; a stray closer before them stops it first
         for depth in (200, 201, 400):
             text = before + "v2 = (\n" + "[" * (depth - 1) + "\n1" + "]" * (depth - 1) + ")\n"
             try:
-                compile(text, "<text>", "exec")
-                expected = None
-            except SyntaxError as err:
-                expected = err.lineno
-            try:
-                parse(text)
+                minipy._scan(text)
                 mine = None
             except ParseError as err:
                 mine = err.line
                 message = err.message
-            assert mine == expected
+            if depth == 200 and ")" not in before:
+                assert mine is None
+                continue
+            with pytest.raises(SyntaxError) as err:
+                compile(text, "<text>", "exec")
+            assert mine == err.value.lineno
         if ")" not in before:
             assert (mine, message) == (before.count("\n") + 2, "too many nested parentheses")
 

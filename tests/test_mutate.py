@@ -431,6 +431,15 @@ class TestMutateDataset:
         kept, mutants = mutate_dataset([problem], BuiltinExecutor(), seed=0)
         assert kept == [] and mutants == []
 
+    def test_builtin_executor_refuses_a_loop_outside_its_language(self):
+        # a problem ingested with the builtin executor before its language
+        # lost ``while`` no longer mutates under it
+        looping = make_problem("def f(a1):\n    v = 0\n    while v < a1:\n        v = v + 3\n"
+                               "    return v", "7", "9", pid="looping")
+        with pytest.raises(ValueError,
+                           match="problem looping does not execute cleanly: Unsupported"):
+            mutate_dataset([looping], BuiltinExecutor(), seed=0)
+
     def test_correspondence_and_different_outputs(self, small_corpus):
         problems = small_corpus[:40]
         kept, mutants = mutate_dataset(problems, BuiltinExecutor(), seed=3)
