@@ -12,21 +12,21 @@ indexing with negative indices, ``len`` and the list methods
 is more than ``MAX_DEPTH`` nodes deep.  ``parse`` raises ParseError on any
 other text, at the 1-based line where it stopped: on ``while``, ``break``
 and ``continue``, a module-level statement other than a ``def``, a ``def``
-in a body, a statement that spans lines, and anything the list above lacks
-(strings, dicts, calls, imports, ...).  The parser accepts only Python: it
-reads commas in a bracketed list and keywords as CPython does, and refuses a
-repeated parameter name.  A statement node carries its line; an expression
-node carries none.
+in a body, a statement that spans lines, a tab, a form feed or a CR outside
+a CRLF, and anything the list above lacks (strings, dicts, calls, imports,
+...).  The parser accepts only Python: it reads commas in a bracketed list
+and keywords as CPython does, and refuses a repeated parameter name.  A
+statement node carries its line; an expression node carries none.
 
 Source is lexed by one compiled regular expression plus a line loop into
 plain ``(kind, string, line, start)`` tuples, the same stream the standard
 library's ``tokenize`` gives without its COMMENT and NL tokens, and parsed by
 recursive descent with precedence climbing for the operators.  The same
-scanner finds the mutation sites of ``mutate`` in any Python text, which
-splices a mutant at a token's ``start`` offset, so it reads more than the
-language: strings, every operator, brackets and backslashes across lines.
-It raises where tokenize raises, and, as CPython's tokenizer does, at
-indentation inconsistent in tabs and spaces and at a 201st open bracket.
+scanner finds the mutation sites of ``mutate``, which splices a mutant at a
+token's ``start`` offset, in any text that CPython compiles, so it reads
+more than the language: strings, every operator, brackets and backslashes
+across lines, tabs and form feeds.  On text that CPython does not compile
+it may stop at any line, or give tokens that the parser refuses.
 
 Execution is deterministic big-step interpretation, and a node's class is
 its dispatch: an expression's ``eval(it)`` returns its value and a
@@ -52,7 +52,7 @@ import re
 from keyword import iskeyword
 from typing import Callable
 
-from .values import INT_MAX, INT_MIN, MAX_NESTING, Value, copy_value
+from .values import INT_MAX, INT_MIN, Value, copy_value
 
 
 class ParseError(Exception):
@@ -393,14 +393,14 @@ class Module(_Node):
 # ``tokenize`` cuts it, and the scanner adds tokenize's line logic around it:
 # blank and comment-only lines, bracket nesting (no NEWLINE or INDENT/DEDENT
 # inside brackets), backslash continuation, tab stops of 8 in indentation,
-# and the empty NEWLINE after a last line that has no line break.  Unlike
-# tokenize, it stops where CPython's tokenizer raises a TabError: where the
-# columns at tab stops of 1 do not order the lines as those at tab stops of
-# 8 do.  Tokens are plain
+# and the empty NEWLINE after a last line that has no line break.  It reads
+# the text that CPython compiles; on other text it may stop at any line, or
+# give tokens that the parser refuses.  Tokens are plain
 # ``(kind, string, line, start)`` tuples, ``start`` being the offset of the
 # token in the text; comments and non-logical line breaks produce none.
-# Characters that start no token become ERRORTOKEN tokens, so a parse fails
-# at them only when the parser gets there, as with tokenize.
+# Characters that start no token become ERRORTOKEN tokens, as in tokenize:
+# in text that compiles, only a CR outside a CRLF, which CPython reads as a
+# line break and tokenize does not.
 
 NAME, NUMBER, OP, NEWLINE, INDENT, DEDENT, STRING, ERRORTOKEN, ENDMARKER = range(9)
 KIND_NAMES = (
@@ -442,24 +442,17 @@ _TOKEN = (
     r"|(.)"  # a character that starts no token
     r"|\Z)"
 )
-# The rest of a string literal after its opening quotes, on its first line
-# (a one-quote string may end that line with a backslash-newline instead),
-# and the end of a string continued onto a later line.
-_STRING_FIRST = {
-    "'''": r"[^'\\]*(?:(?:\\.|'(?!''))[^'\\]*)*'''",
-    '"""': r'[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"""',
-    "'": r"[^\n'\\]*(?:\\.[^\n'\\]*)*('|\\\r?\n)",
-    '"': r'[^\n"\\]*(?:\\.[^\n"\\]*)*("|\\\r?\n)',
-}
-_STRING_LATER = {
-    **_STRING_FIRST,
-    "'": r"[^'\\]*(?:\\.[^'\\]*)*'",
-    '"': r'[^"\\]*(?:\\.[^"\\]*)*"',
+# The rest of a string literal after its opening quotes.  A one-quote
+# string runs past the end of a line only after a backslash.
+_STRING_REST = {
+    "'''": r"(?s)[^'\\]*(?:(?:\\.|'(?!''))[^'\\]*)*'''",
+    '"""': r'(?s)[^"\\]*(?:(?:\\.|"(?!""))[^"\\]*)*"""',
+    "'": r"(?s)[^\n'\\]*(?:\\(?:\r\n|.)[^\n'\\]*)*'",
+    '"': r'(?s)[^\n"\\]*(?:\\(?:\r\n|.)[^\n"\\]*)*"',
 }
 Token = tuple[int, str, int, int]  # kind, string, line, start offset
 _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
-_TAB_ERROR = "inconsistent use of tabs and spaces in indentation"
 
 
 def _column(indent: str) -> int:
@@ -481,55 +474,14 @@ def _open_last_line(source: str) -> bool:
     return last != "" and last[-1] != "\r" and not last.strip().startswith("#")
 
 
-def _string_end(source: str, start: int, quote_end: int, line: int,
-                needcont: bool):
-    """Where the string literal at ``start`` ends, line by line as tokenize
-    reads it: ``(end, lines, closed, needcont)``.
-
-    ``lines`` counts the line breaks inside it.  A one-quote string that does
-    not close or continue on its first line is no string (``end`` is None).
-    Once continued, a string must close or continue on every further line
-    (``needcont``); one that stops instead is an error token up to the end of
-    that line (``closed`` False).  As in tokenize, ``needcont`` stays set after
-    that error and then applies to the next multi-line string too.
-    """
-    quote = source[start:quote_end].lstrip("bBrRuUfF")
-    size = len(source)
-    newline = source.find("\n", quote_end)
-    pos = size if newline < 0 else newline + 1
-    match = re.compile(_STRING_FIRST[quote]).match(source, quote_end, pos)
-    if len(quote) == 1:
-        if match is None:
-            return None, 0, False, needcont
-        if match.group(1) == quote:
-            return match.end(), 0, True, needcont
-        needcont = True
-    elif match is not None:
-        return match.end(), 0, True, needcont
-    later = re.compile(_STRING_LATER[quote])
-    lines = 1
-    while True:
-        if pos == size:
-            raise ParseError(line, "unterminated string literal")
-        newline = source.find("\n", pos)
-        line_end = size if newline < 0 else newline + 1
-        match = later.match(source, pos, line_end)
-        if match is not None:
-            return match.end(), lines, True, False
-        if needcont and not source.endswith(("\\\n", "\\\r\n"), pos, line_end):
-            return line_end, lines, False, needcont
-        pos, lines = line_end, lines + 1
-
-
 def _scan(source: str) -> list[Token]:
     """The token stream of ``source`` as ``(kind, string, line, start)``
-    tuples.
+    tuples: on text that ``compile`` accepts, that of Python 3.11's
+    ``tokenize`` without its COMMENT and NL tokens.
 
-    Raises ParseError where tokenize raises: at an unindent to no enclosing
-    level, and at the end of the text inside brackets, after a backslash or
-    inside a string, naming the line of the innermost open bracket, the
-    backslash or the string's start; and where CPython's tokenizer raises
-    a TabError or refuses a 201st open bracket.
+    On other text it may give tokens that the parser refuses, or raise
+    ParseError: at an unindent to no enclosing level, at a string literal
+    that does not end, and at a backslash continuation that ends the text.
     """
     tokens: list[Token] = []
     append = tokens.append
@@ -537,14 +489,10 @@ def _scan(source: str) -> list[Token]:
     pos = 0
     line = 1
     depth = 0  # bracket nesting; a closer without an opener takes it below 0
-    opened: list[tuple[str, int]] = []  # the open brackets and their lines
-    stray = 0  # line of the first closer without an opener
     indents = [0]
-    alts = [0]  # the same levels at tab stops of 1
-    needcont = False  # tokenize's flag, see _string_end
     bol = True  # at the start of a logical line
     token = re.compile(_TOKEN)
-    while True:  # one pass per stretch of text between multi-line strings
+    while True:  # one pass per stretch of text between string literals
         for found in token.finditer(source, pos):
             group = found.lastindex
             if bol:  # a blank or comment line, or the indentation of a line
@@ -562,26 +510,17 @@ def _scan(source: str) -> list[Token]:
                     pos = size if newline < 0 else newline + 1
                     break
                 indent = source[found.start():found.start(group)]
-                if indent.count(" ") == len(indent):
-                    column = alt = len(indent)
-                else:
-                    column, alt = _column(indent), len(indent) - indent.rfind("\x0c") - 1
+                column = len(indent) if indent.count(" ") == len(indent) else _column(indent)
                 if column > indents[-1]:
-                    if alt <= alts[-1]:
-                        raise ParseError(line, _TAB_ERROR)
                     indents.append(column)
-                    alts.append(alt)
                     append((INDENT, indent, line, found.start()))
                 else:
                     while column < indents[-1]:
                         indents.pop()
-                        alts.pop()
                         append((DEDENT, "", line, found.start(group)))
                     if column != indents[-1]:
                         raise ParseError(line, "unindent does not match any outer "
                                          "indentation level")
-                    if alt != alts[-1]:
-                        raise ParseError(line, _TAB_ERROR)
                 bol = False
             # the token itself
             if group == _G_NAME:
@@ -589,57 +528,35 @@ def _scan(source: str) -> list[Token]:
             elif group == _G_OP:
                 text = found[group]
                 if text in _OPENERS:
-                    if len(opened) == MAX_NESTING:  # CPython stops at a stray closer first
-                        raise (ParseError(stray, "unmatched closing bracket") if stray else
-                               ParseError(line, "too many nested parentheses"))
                     depth += 1
-                    opened.append((text, line))
                 elif text in _CLOSERS:
                     depth -= 1
-                    if opened:
-                        opened.pop()
-                    elif not stray:
-                        stray = line
                 append((OP, text, line, found.start(group)))
             elif group == _G_NUMBER:
                 append((NUMBER, found[group], line, found.start(group)))
             elif group == _G_NEWLINE:
-                if depth > 0:
-                    line += 1
-                    continue
-                append((NEWLINE, found[group], line, found.start(group)))
+                if depth <= 0:
+                    append((NEWLINE, found[group], line, found.start(group)))
+                    bol = True
                 line += 1
-                bol = depth == 0
             elif group is None:  # end of the text
-                if depth > 0:
-                    char, at = opened[-1]
-                    raise ParseError(at, f"{char!r} was never closed")
-                if depth < 0:
-                    raise ParseError(stray, "unmatched closing bracket")
-                if source[-1] == "\n":  # only a backslash continuation gets here
-                    raise ParseError(line - 1, "unexpected end of text after a backslash")
                 if _open_last_line(source):
                     append((NEWLINE, "", line, size))
                 line += 1
                 break
             elif group == _G_BACKSLASH:
+                if found.end() == size:
+                    raise ParseError(line, "unexpected end of text after a backslash")
                 line += 1
             elif group == _G_STRING:
                 begin = found.start(group)
-                quote_end = found.end()
-                end, lines, closed, needcont = _string_end(
-                    source, begin, quote_end, line, needcont)
-                if end is None:  # a name, if prefixed, then a stray quote
-                    if begin < quote_end - 1:
-                        append((NAME, source[begin:quote_end - 1], line, begin))
-                    append((ERRORTOKEN, source[quote_end - 1], line, quote_end - 1))
-                    continue
-                append((STRING if closed else ERRORTOKEN, source[begin:end], line, begin))
-                pos = end
-                line += lines
-                if not closed:
-                    line += 1
-                    bol = depth == 0
+                rest = re.compile(_STRING_REST[found[group].lstrip("bBrRuUfF")])
+                literal = rest.match(source, found.end())
+                if literal is None:
+                    raise ParseError(line, "unterminated string literal")
+                pos = literal.end()
+                append((STRING, source[begin:pos], line, begin))
+                line += source.count("\n", begin, pos)
                 break
             elif group == _G_WORD:
                 text = found[group]
@@ -975,7 +892,12 @@ class _Parser:
 
 def parse(source: str) -> Module:
     """Parse a program of the language; on any other text, raise ParseError
-    at the line where the scanner or the parser stopped."""
+    at the line where the scanner or the parser stopped, or at the first
+    tab, form feed or CR outside a CRLF, which the language does not hold."""
+    blank = re.search(r"[\t\f]|\r(?!\n)", source)
+    if blank is not None:
+        raise ParseError(source.count("\n", 0, blank.start()) + 1,
+                         f"{blank[0]!r} is outside the mini-language")
     return _Parser(_scan(source)).parse_module()
 
 

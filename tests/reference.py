@@ -13,8 +13,13 @@ the package computes by a faster or narrower path:
 * ``app`` and ``partial``: terms built by hand;
 * ``verify_partition``: the judgments of each problem-variant partition its
   samples;
-* ``random_texts`` and ``parsed_outside_python``: ``compile`` as the
-  judge of which texts ``minipy.parse`` may accept.
+* ``random_texts``, ``compiles`` and ``parsed_outside_python``:
+  ``compile`` as the judge of which texts ``minipy.parse`` may accept, and
+  ``compiles_as_tokenized`` of which ones the scanner reads as ``tokenize``;
+* ``lexer_texts`` and ``indentation_texts``: texts for the scanner, to
+  compare with ``tokenize`` on those that ``compile`` accepts;
+* ``typed_term_calls``: every derivation of the depth-3 grammars,
+  translated, with sampled arguments.
 """
 
 from __future__ import annotations
@@ -28,7 +33,10 @@ from collections import defaultdict
 
 from mutexec import minipy
 from mutexec.dsl import COMPARISONS, Term, Violation, eval_dsl_outcomes
-from mutexec.grammar import Sampler, production_weight
+from mutexec.grammar import (
+    Sampler, SamplerConfig, compile_cfg, production_weight, sample_inputs,
+)
+from mutexec.transpile import translate
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +76,20 @@ class PlainSampler(Sampler):
 
     def __init__(self, cfg, overrides: dict[str, float] | None = None):
         self.rows = _draw_tables(cfg, overrides or {})
+
+
+def typed_term_calls(seed: int) -> list[tuple]:
+    """``(source, "f", args)`` for every derivation of ``compile_cfg(1, 3)``
+    and ``compile_cfg(2, 3)``, translated, on two argument tuples that
+    ``sample_inputs`` draws for it, all drawn with ``seed``."""
+    rng = random.Random(seed)
+    config = SamplerConfig(input_count=2)
+    calls = []
+    for arity in (1, 2):
+        for term in enumerate_terms(compile_cfg(arity, 3)):
+            source = translate(term, arity=arity).source
+            calls.extend((source, "f", args) for args in sample_inputs(arity, config, rng))
+    return calls
 
 
 def enumerate_terms(cfg, limit: int | None = None):
@@ -184,19 +206,73 @@ def random_texts(seed: int, count: int) -> list[str]:
             for _ in range(count)]
 
 
+def compiles(source: str) -> bool:
+    """Whether ``compile``, which the external child runs, accepts
+    ``source``."""
+    try:
+        with warnings.catch_warnings():  # ``1[0]``'s SyntaxWarning, say
+            warnings.simplefilter("ignore")
+            compile(source, "<text>", "exec")
+    except SyntaxError:
+        return False
+    return True
+
+
+def compiles_as_tokenized(source: str) -> bool:
+    """Whether ``compile`` accepts ``source`` and it holds no CR outside a
+    CRLF, which CPython reads as a line break and ``tokenize`` does not: the
+    texts on which the scanner's tokens are tokenize's."""
+    return compiles(source) and "\r" not in source.replace("\r\n", "")
+
+
 def parsed_outside_python(sources) -> list[str]:
-    """The sources that ``minipy.parse`` accepts and ``compile``, which the
-    external child runs, refuses."""
+    """The sources that ``minipy.parse`` accepts and ``compile`` refuses."""
     out = []
     for source in sources:
         try:
             minipy.parse(source)
         except minipy.ParseError:
             continue
-        try:
-            with warnings.catch_warnings():  # ``1[0]``'s SyntaxWarning, say
-                warnings.simplefilter("ignore")
-                compile(source, "<text>", "exec")
-        except SyntaxError:
+        if not compiles(source):
             out.append(source)
     return out
+
+
+# Pieces of ``lexer_texts``, joined with nothing: names, keywords, numbers
+# and number-like spans, operators, brackets, quotes and string literals,
+# comments, every kind of blank and line break, backslashes and characters
+# that start no token.
+LEXER_PIECES = (
+    "def", "f", "a1", "é", "return", "if", "while", "not", "and", "or", "in", "else",
+    "continue", "break", "True", "rb", "(", ")", "[", "]", "{", "}", ":", ",", "=",
+    "+", "-", "- ", "*", "**", "//", "%", "<", "<=", ">", ">=", "==", "!=", "...",
+    "1", "01", "07", "1_0", "0x1", "0x1F", "1.5", ".5", "1j",
+    "'", '"', "'''", "'x'", 'f"{a1+1}"', "#c",
+    " ", "    ", "\t", "\x0c", "\n", "\n    ", "\n  ", "\n\t", "\r\n", "\r",
+    "\\\n", "\\", "$", "?", "\x0b",
+)
+
+
+def lexer_texts(seed: int, count: int) -> list[str]:
+    """``count`` texts of 1 to 30 pieces of ``LEXER_PIECES``, drawn with
+    ``seed``."""
+    rng = random.Random(seed)
+    return ["".join(rng.choices(LEXER_PIECES, k=rng.randint(1, 30))) for _ in range(count)]
+
+
+def indentation_texts(seed: int, count: int) -> list[str]:
+    """``count`` functions whose lines are indented by 0 to 3 random blanks,
+    tabs and form feeds, drawn with ``seed``: every fault of these texts is
+    one of indentation, a ``return`` at column 0 outside the ``def``, or
+    another statement at column 0."""
+    rng = random.Random(seed)
+    sources = []
+    for _ in range(count):
+        lines = ["def f(a1):"]
+        for _ in range(rng.randint(1, 6)):
+            indent = "".join(rng.choice([" ", "    ", "\t", "\x0c"])
+                             for _ in range(rng.randint(0, 3)))
+            lines.append(indent + rng.choice(["if a1:", "v1 = a1"]))
+        lines.append(rng.choice(["", "    ", "\t"]) + "return a1")
+        sources.append("\n".join(lines) + "\n")
+    return sources

@@ -2,13 +2,16 @@ import ast
 import hashlib
 import io
 import os
-import random
+import re
 import tokenize
 
 import pytest
 
 from conftest import EDGE_CASES, needs_python_tokenize
-from reference import parsed_outside_python, random_texts
+from reference import (
+    compiles, compiles_as_tokenized, indentation_texts, lexer_texts, parsed_outside_python,
+    random_texts,
+)
 
 from mutexec import minipy
 from mutexec.minipy import MAX_DEPTH, Limits, ParseError, interpret, parse
@@ -144,6 +147,28 @@ class TestParse:
 
     def test_accepts_only_python(self, lexer_corpus):
         assert parsed_outside_python(lexer_corpus + random_texts(1, 20000)) == []
+
+    @pytest.mark.parametrize("text, line", [
+        ("def f(a1):\n\tif a1:\n\t\treturn 1\n\treturn 2\n", 2),
+        ("def f(a1):\n    return a1 +\t1\n", 2),
+        ("def f(a1):\n    return a1  # a\tb\n", 2),
+        ("\x0cdef f(a1):\n    return a1\n", 1),
+        ("def f(a1):\n    v1 = a1\n\x0c    return v1\n", 3),
+        ("def f(a1):\n    return a1\n\rdef f(a1):\n    return 2\n", 3),
+        ("def f(a1):\r    return a1\r", 1),
+    ], ids=["tab_indentation", "tab_between_tokens", "tab_in_a_comment", "form_feed_first",
+            "form_feed_in_indentation", "lone_cr", "lone_cr_line_ends"])
+    def test_no_tab_form_feed_or_lone_cr(self, text, line):
+        # CPython compiles each of these; the language holds none of the
+        # three characters, and a CR outside a CRLF is a line break to
+        # CPython but none to the scanner
+        compile(text, "<text>", "exec")
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.line == line
+        assert err.value.message.endswith(" is outside the mini-language")
+        crlf = text.replace("\t", "    ").replace("\x0c", "").replace("\r", "\r\n")
+        parse(crlf)
 
 
 class TestInterpret:
@@ -310,7 +335,15 @@ class TestInterpret:
 # again when the language lost its loop jumps and statements on several
 # lines: the eight fixture programs with ``while``, ``break`` or
 # ``continue`` and the four edge cases that span lines became errors.
-CORPUS_AST_SHA256 = "cd9af740fc6f60b3af5db4eb6eb4a7d1706eac931493f042b6a3aed48f52991d"
+# Recorded again when parse began to refuse tabs and form feeds and the
+# scanner stopped naming the line of an unclosed bracket.  Five edge cases
+# moved: the two with a tab or form feed that CPython compiles, the one
+# that is a TabError in CPython, and the two unclosed brackets.
+CORPUS_AST_SHA256 = "52032eb07994c19038248b908e9e1fc8290a607c3df0e8c63bc06429cca2c695"
+
+
+# what parse refuses in any text: a tab, a form feed, a CR outside a CRLF
+OUTSIDE = re.compile(r"[\t\f]|\r(?!\n)")
 
 
 def tokenize_stream(source):
@@ -361,20 +394,14 @@ class TestLexer:
 
     @needs_python_tokenize
     def test_edge_cases_scan_as_tokenize(self):
-        # texts outside the language too: mutate finds its sites on the
-        # scanner's tokens of any Python text
+        # the scanner reads the text that CPython compiles, in or outside
+        # the language: mutate finds its sites on the scanner's tokens
         scanned = 0
         for source, _ in EDGE_CASES:
-            try:
-                stream = scanner_stream(source)
-            except ParseError:
-                continue
-            # tokenize also yields the blanks before a bad character
-            expected = [t for t in tokenize_stream(source)
-                        if not (t[0] == "ERRORTOKEN" and t[1] in " \t\x0c")]
-            assert stream == expected, source
-            scanned += 1
-        assert scanned > 25
+            if compiles_as_tokenized(source):
+                assert scanner_stream(source) == tokenize_stream(source), source
+                scanned += 1
+        assert scanned > 15
 
     @needs_python_tokenize
     def test_token_stream_matches_tokenize(self, lexer_corpus):
@@ -387,82 +414,42 @@ class TestLexer:
 
     @needs_python_tokenize
     def test_parse_errors_at_tokenize_lines(self, lexer_corpus):
+        # on text that compiles and that the language refuses, the parser
+        # stops where it stops on tokenize's tokens, unless a tab, form
+        # feed or lone CR stopped parse first
         failed = 0
         for source, outcome in zip(lexer_corpus, outcomes(lexer_corpus)):
-            if isinstance(outcome, str):
+            if isinstance(outcome, str) or not compiles(source) or OUTSIDE.search(source):
                 continue
             failed += 1
-            try:
+            with pytest.raises(ParseError) as err:
                 tokenize_parse(source)
-            except ParseError as err:
-                assert outcome == err.line, source
-            except IndentationError as err:
-                assert outcome == err.lineno, source
-            except tokenize.TokenError:
-                # tokenize gives no line here; the scanner names the line of
-                # the open bracket, backslash or string (see EDGE_CASES)
-                assert outcome > 0, source
-            else:
-                # tokenize lets tabs and spaces mix where CPython's
-                # tokenizer raises a TabError
-                with pytest.raises(TabError) as err:
-                    compile(source, "<text>", "exec")
-                assert outcome == err.value.lineno, source
-        assert failed >= sum(line is not None for _, line in EDGE_CASES)
+            assert outcome == err.value.line, source
+        assert failed > 10
 
     def test_ast_digest_pinned(self, lexer_corpus):
         text = "\n".join(o if isinstance(o, str) else "-" for o in outcomes(lexer_corpus))
         assert hashlib.sha256(text.encode()).hexdigest() == CORPUS_AST_SHA256
 
     @needs_python_tokenize
-    def test_random_texts_match_tokenize(self):
-        pieces = [
-            "def", "f", "a1", "é", "return", "(", ")", "[", "]", ":", ",",
-            "=", "==", "+", "-", "**", "...", " ", "    ", "\t", "\x0c", "\n",
-            "\n    ", "\n  ", "\n\t", "\r\n", "\r", "\\\n", "\\", "#c",
-            "'", '"', "'''", "rb", "1", "1_0", "0x1", "1.5", ".5", "01",
-            "$", "?", "\x0b",
-        ]
-        rng = random.Random(7)
-        for _ in range(3000):
-            source = "".join(rng.choice(pieces) for _ in range(rng.randint(1, 25)))
-            try:
-                expected = tokenize_stream(source)
-            except (tokenize.TokenError, IndentationError) as err:
-                expected = err
-            try:
-                stream = scanner_stream(source)
-            except ParseError as mine:
-                # tokenize lets tabs and spaces mix where CPython's tokenizer
-                # raises a TabError (test_indentation_matches_cpython)
-                if mine.message != minipy._TAB_ERROR:
-                    assert isinstance(expected, Exception), source
-                    if isinstance(expected, IndentationError):
-                        assert mine.line == expected.lineno, source
-                continue
-            assert not isinstance(expected, Exception), source
-            # tokenize also yields the blanks before a bad character
-            expected = [t for t in expected
-                        if not (t[0] == "ERRORTOKEN" and t[1] in " \t\x0c")]
-            assert stream == expected, source
+    def test_random_texts_match_tokenize(self, lexer_corpus):
+        # on every text that compiles and holds no lone CR, the scanner's
+        # stream is tokenize's; parse accepts none of the texts that do not
+        # compile
+        sources = lexer_corpus + lexer_texts(7, 20000) + indentation_texts(5, 3000)
+        assert parsed_outside_python(sources) == []
+        compiled = 0
+        for source in sources:
+            if compiles_as_tokenized(source):
+                assert scanner_stream(source) == tokenize_stream(source), source
+                compiled += 1
+        assert compiled > 900
 
     def test_indentation_matches_cpython(self):
-        # every fault of these texts is one of indentation, a ``return`` at
-        # column 0 outside the ``def``, or another statement at column 0;
-        # ``parse`` accepts only what ``compile``, which the external child
-        # runs, accepts, and where CPython's tokenizer stops on a TabError
-        # or an unindent, the scanner stops at the same line
-        rng = random.Random(5)
-        sources = []
-        for _ in range(3000):
-            lines = ["def f(a1):"]
-            for _ in range(rng.randint(1, 6)):
-                indent = "".join(rng.choice([" ", "    ", "\t", "\x0c"])
-                                 for _ in range(rng.randint(0, 3)))
-                lines.append(indent + rng.choice(["if a1:", "v1 = a1"]))
-            lines.append(rng.choice(["", "    ", "\t"]) + "return a1")
-            sources.append("\n".join(lines) + "\n")
-        assert parsed_outside_python(sources) == []
+        # where CPython stops on an unindent to no outer level, the scanner
+        # stops at the same line; parse accepts none of the texts that hold
+        # a tab or form feed
+        sources = indentation_texts(5, 3000)
         scanned = 0
         for source in sources:
             try:
@@ -470,13 +457,14 @@ class TestLexer:
                 continue
             except SyntaxError as err:
                 fault = err
-            if isinstance(fault, TabError) or fault.msg.startswith("unindent"):
+            if fault.msg.startswith("unindent"):
                 with pytest.raises(ParseError) as err:
                     minipy._scan(source)
                 assert err.value.line == fault.lineno, source
                 scanned += 1
-        parsed = sum(isinstance(outcome, str) for outcome in outcomes(sources))
-        assert scanned > 100 and parsed > 10
+        parsed = [s for s, o in zip(sources, outcomes(sources)) if isinstance(o, str)]
+        assert not [s for s in parsed if OUTSIDE.search(s)]
+        assert scanned > 100 and len(parsed) > 5
 
     def test_unexpected_character_named(self):
         with pytest.raises(ParseError) as err:
@@ -489,36 +477,24 @@ class TestLexer:
     def test_unterminated_quote_named(self):
         with pytest.raises(ParseError) as err:
             parse("def f(a1):\n    x = 'abc\n    return x\n")
-        assert (err.value.line, err.value.message) == (2, "unexpected character \"'\"")
+        assert (err.value.line, err.value.message) == (2, "unterminated string literal")
 
     @pytest.mark.parametrize("before", ["", "v1 = $\n", "v1 = 1 +\n", "v1 = 1)\n"],
                              ids=["alone", "after_a_bad_character", "after_a_parse_error",
                                   "after_a_stray_closer"])
     def test_nesting_as_cpython_limits_it(self, before):
-        # the scanner reads 200 open brackets and stops at the 201st, at its
-        # line, where CPython's tokenizer reports it before any parser
-        # error; a stray closer before them stops it first
+        # CPython refuses a 201st open bracket; parse refuses a tree deeper
+        # than MAX_DEPTH long before, so the scanner reads brackets to any
+        # depth, and as tokenize does where CPython compiles them
         for depth in (200, 201, 400):
-            text = before + "v2 = (\n" + "[" * (depth - 1) + "\n1" + "]" * (depth - 1) + ")\n"
-            try:
-                minipy._scan(text)
-                mine = None
-            except ParseError as err:
-                mine = err.line
-                message = err.message
-            if depth == 200 and ")" not in before:
-                assert mine is None
-                continue
-            with pytest.raises(SyntaxError) as err:
-                compile(text, "<text>", "exec")
-            assert mine == err.value.lineno
-        if ")" not in before:
-            assert (mine, message) == (before.count("\n") + 2, "too many nested parentheses")
-
-    def test_unclosed_bracket_line(self):
-        with pytest.raises(ParseError) as err:
-            parse("def f(a1):\n    x = [1,\n    return x\n")
-        assert (err.value.line, err.value.message) == (2, "'[' was never closed")
+            text = (before + "def f(a1):\n    v2 = (\n" + "[" * (depth - 1) + "\n1"
+                    + "]" * (depth - 1) + ")\n")
+            assert compiles(text) == (depth == 200 and before == "")
+            minipy._scan(text)
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            if before == "":
+                assert err.value.message == f"nested more than {MAX_DEPTH} levels deep"
 
     def test_number_spans(self):
         assert run("def f(a1):\n    return 1_000", 0).output == 1000

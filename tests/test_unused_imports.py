@@ -1,9 +1,13 @@
-"""No module of the package imports a name it never reads.
+"""No module of the package imports a name it never reads, and no module
+defines a private name that the package never reads.
 
 An import is checked in the scope it binds in: a module-level import must
 be read somewhere in the module, an import inside a function somewhere in
 that function.  An import line marked ``# noqa`` is exempt; it keeps a name
-that code outside the package looks up on the module.
+that code outside the package looks up on the module.  A private name (one
+``_``, not a dunder) that a module binds at its top level, by assignment,
+``def`` or ``class``, must be read somewhere in the package: as a name or
+as an attribute.
 """
 
 import ast
@@ -67,3 +71,45 @@ def test_checker_finds_an_unused_import():
 @pytest.mark.parametrize("module", MODULES, ids=[m.name for m in MODULES])
 def test_module_reads_every_name_it_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """``(module, line, name)`` for each private name that a module of
+    ``sources`` (module name to text) binds at its top level and that no
+    module reads."""
+    bound = []
+    reads = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [(stmt.lineno, stmt.name)]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = [(node.lineno, node.id) for target in targets
+                         for node in ast.walk(target) if isinstance(node, ast.Name)]
+            else:
+                continue
+            bound += [(module, line, name) for line, name in names
+                      if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                reads.add(node.attr)
+    return sorted(entry for entry in bound if entry[2] not in reads)
+
+
+def test_checker_finds_an_unread_private_name():
+    sources = {
+        "a": "_USED, _SPARE = 1, 2\n_ALSO: int = 3\ndef _helper():\n    return _USED\n"
+             "class _Gone:\n    pass\n__version__ = '1'\n",
+        "b": "from . import a\ndef f():\n    return a._helper()\n",
+    }
+    assert unread_private_names(sources) == [("a", 1, "_SPARE"), ("a", 2, "_ALSO"),
+                                             ("a", 5, "_Gone")]
+
+
+def test_package_reads_every_private_name_it_defines():
+    sources = {module.name: module.read_text(encoding="utf-8") for module in MODULES}
+    assert unread_private_names(sources) == []
